@@ -8,7 +8,8 @@ import (
 // The sample plane runs on pooled, reusable workspaces. These tests pin
 // the reuse contract: a warm arena (recycled by earlier runs) must
 // produce bit-identical results to a cold one, because every arena
-// allocation is zeroed before it is handed out.
+// allocation is zeroed (matrix headers: written whole) before it is
+// handed out.
 
 func warmSimConfig() SimConfig {
 	cfg := DefaultSimConfig()

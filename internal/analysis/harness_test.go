@@ -48,12 +48,41 @@ type expectation struct {
 	matched bool
 }
 
+// fixtureDep is a fixture package another fixture imports: testdata/src/
+// <dir> type-checked under import path path.
+type fixtureDep struct{ dir, path string }
+
+// fixtureImporter serves type-checked fixture dependencies by path and
+// everything else from the fallback importer.
+type fixtureImporter struct {
+	deps     map[string]*types.Package
+	fallback types.Importer
+}
+
+func (fi fixtureImporter) Import(path string) (*types.Package, error) {
+	if p, ok := fi.deps[path]; ok {
+		return p, nil
+	}
+	return fi.fallback.Import(path)
+}
+
 // runFixture loads testdata/src/<dir> as package path pkgpath, runs the
 // analyzer, and enforces the fixture's want expectations exactly: every
 // diagnostic must match a want on its line, every want must be matched.
-func runFixture(t *testing.T, a *analysis.Analyzer, dir, pkgpath string) {
+// deps are fixture packages it imports; the analyzer does not run on
+// them.
+func runFixture(t *testing.T, a *analysis.Analyzer, dir, pkgpath string, deps ...fixtureDep) {
 	t.Helper()
 	fset := token.NewFileSet()
+	imp := fixtureImporter{deps: map[string]*types.Package{}, fallback: importer.ForCompiler(fset, "source", nil)}
+	for _, d := range deps {
+		depFiles, _ := parseFixture(t, fset, filepath.Join("testdata", "src", d.dir))
+		pkg, err := (&types.Config{Importer: imp}).Check(d.path, fset, depFiles, nil)
+		if err != nil {
+			t.Fatalf("typecheck dependency %s: %v", d.dir, err)
+		}
+		imp.deps[d.path] = pkg
+	}
 	files, src := parseFixture(t, fset, filepath.Join("testdata", "src", dir))
 
 	info := &types.Info{
@@ -65,7 +94,7 @@ func runFixture(t *testing.T, a *analysis.Analyzer, dir, pkgpath string) {
 		Scopes:     map[ast.Node]*types.Scope{},
 		Instances:  map[*ast.Ident]types.Instance{},
 	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(pkgpath, fset, files, info)
 	if err != nil {
 		t.Fatalf("typecheck %s: %v", dir, err)

@@ -34,6 +34,14 @@ func TestWSAllocFixtures(t *testing.T) {
 	runFixture(t, WSAllocAnalyzer, "wsalloc_det", "fix/internal/cmplxmat")
 }
 
+// TestWSAllocCrossPackageTwins pins the twin lookup across packages of
+// the module: a *WS function in core calling cmplxmat's heap function or
+// method is flagged when cmplxmat has the workspace twin.
+func TestWSAllocCrossPackageTwins(t *testing.T) {
+	runFixture(t, WSAllocAnalyzer, "wsalloc_xpkg", "fix/internal/core",
+		fixtureDep{dir: "wsalloc_dep", path: "fix/internal/cmplxmat"})
+}
+
 // The same WS-named code outside the workspace packages is not policed.
 func TestWSAllocOutsideWSPackages(t *testing.T) {
 	runFixture(t, WSAllocAnalyzer, "wsalloc_free", "fix/internal/exp")

@@ -22,7 +22,10 @@ import (
 //     empty-literal base, the clone-allocates idiom;
 //   - calls to the heap-allocating non-WS twin (m.Clone() where
 //     m.CloneWS(ws) exists), which silently reintroduce the allocation
-//     the twin was written to avoid.
+//     the twin was written to avoid. The callee may live in any package
+//     of the module; its twin is looked up in the callee's own package
+//     (core calling cmplxmat.InterpolatePoly where
+//     cmplxmat.InterpolatePolyWS exists is flagged).
 //
 // Appends onto workspace-backed or caller-provided slices are not
 // flagged: whether they grow depends on capacity the analyzer cannot
@@ -86,29 +89,51 @@ func checkWSCall(pass *analysis.Pass, ps *pragmas, host string, call *ast.CallEx
 			return
 		}
 	}
-	// Calls to the heap-allocating twin: a same-package function or
-	// method F where F+"WS" also exists.
+	// Calls to the heap-allocating twin: a function or method F of any
+	// package in the module where F+"WS" also exists in F's package
+	// (and is callable from here).
 	fn, ok := typeutil.Callee(pass.TypesInfo, call).(*types.Func)
-	if !ok || fn.Pkg() != pass.Pkg || isWSName(fn.Name()) {
+	if !ok || fn.Pkg() == nil || !sameModule(fn.Pkg().Path(), pass.Pkg.Path()) || isWSName(fn.Name()) {
 		return
 	}
+	pkg := fn.Pkg()
 	twin := fn.Name() + "WS"
+	callable := func(obj types.Object) bool {
+		_, isFunc := obj.(*types.Func)
+		return isFunc && (pkg == pass.Pkg || obj.Exported())
+	}
 	sig := fn.Signature()
 	if recv := sig.Recv(); recv != nil {
-		if obj, _, _ := types.LookupFieldOrMethod(recv.Type(), true, pass.Pkg, twin); obj != nil {
-			if _, isFunc := obj.(*types.Func); isFunc {
-				ps.reportf(call.Pos(), "wsalloc", "twin",
-					"%s.%s allocates on the heap inside zero-alloc %s: call the workspace twin %s, or annotate //iacvet:allow wsalloc:twin <reason>",
-					types.TypeString(recv.Type(), types.RelativeTo(pass.Pkg)), fn.Name(), host, twin)
-			}
+		if obj, _, _ := types.LookupFieldOrMethod(recv.Type(), true, pkg, twin); obj != nil && callable(obj) {
+			ps.reportf(call.Pos(), "wsalloc", "twin",
+				"%s.%s allocates on the heap inside zero-alloc %s: call the workspace twin %s, or annotate //iacvet:allow wsalloc:twin <reason>",
+				types.TypeString(recv.Type(), types.RelativeTo(pass.Pkg)), fn.Name(), host, twin)
 		}
 		return
 	}
-	if _, isFunc := pass.Pkg.Scope().Lookup(twin).(*types.Func); isFunc {
+	if obj := pkg.Scope().Lookup(twin); obj != nil && callable(obj) {
+		name := fn.Name()
+		if pkg != pass.Pkg {
+			name = pkg.Name() + "." + name
+		}
 		ps.reportf(call.Pos(), "wsalloc", "twin",
 			"%s allocates on the heap inside zero-alloc %s: call the workspace twin %s, or annotate //iacvet:allow wsalloc:twin <reason>",
-			fn.Name(), host, twin)
+			name, host, twin)
 	}
+}
+
+// sameModule reports whether two import paths belong to the same
+// module, judged by their first path element: the module's packages
+// share it ("iaclan", "iaclan/internal/cmplxmat"), while the standard
+// library and the vendored dependencies do not.
+func sameModule(a, b string) bool {
+	first := func(p string) string {
+		if i := strings.IndexByte(p, '/'); i >= 0 {
+			return p[:i]
+		}
+		return p
+	}
+	return first(a) == first(b)
 }
 
 // isEmptyBase reports whether an append base expression is guaranteed

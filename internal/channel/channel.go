@@ -101,6 +101,8 @@ type World struct {
 	phys map[pairKey]*cmplxmat.Matrix
 	// shadow maps a canonical pair to its log-normal shadowing gain.
 	shadow map[pairKey]float64
+	// keyBuf is Perturb's reusable sorted-key buffer.
+	keyBuf []pairKey
 }
 
 // NewWorld creates an empty world with deterministic randomness.
@@ -231,8 +233,19 @@ func (w *World) Propagation(tx, rx *Node) *cmplxmat.Matrix {
 // ends' hardware chains: H = RxChain_rx * P * TxChain_tx. This is what a
 // receiver estimates from training symbols, and the matrix all encoding
 // and decoding math operates on.
+//
+// Only the result is allocated on the heap: the propagation matrix is
+// read in place (or transposed into pooled scratch) and the
+// intermediate product lives in a pooled workspace, with the same
+// multiplications as rx.rxChain.Mul(w.Propagation(tx, rx)).Mul(tx.txChain).
 func (w *World) Channel(tx, rx *Node) *cmplxmat.Matrix {
-	return rx.rxChain.Mul(w.Propagation(tx, rx)).Mul(tx.txChain)
+	ws := cmplxmat.GetWorkspace()
+	defer cmplxmat.PutWorkspace(ws)
+	p := w.physFor(tx, rx)
+	if keyOf(tx, rx).lo != tx.ID {
+		p = p.TWS(ws)
+	}
+	return rx.rxChain.MulWS(ws, p).Mul(tx.txChain)
 }
 
 // CFO returns the carrier frequency offset in Hz that rx observes on a
@@ -278,14 +291,17 @@ func (w *World) node(id int) *Node { return w.nodes[id] }
 // Pairs are aged in sorted key order: every innovation draw must land on
 // the same pair in every run, so Go's randomized map iteration order can
 // never reach the world RNG stream (the bit-for-bit-given-a-seed
-// contract; pinned by TestPerturbDeterministic).
+// contract; pinned by TestPerturbDeterministic). The physical matrices
+// are private to the world (Propagation and Channel hand out copies), so
+// each is aged in place, with the same draws and complex operations as
+// building H' afresh.
 func (w *World) Perturb(eps float64) {
 	if eps < 0 || eps > 1 {
 		panic("channel: Perturb eps out of [0,1]")
 	}
 	w.epoch++
-	keep := math.Sqrt(1 - eps*eps)
-	keys := make([]pairKey, 0, len(w.phys))
+	keep := complex(math.Sqrt(1-eps*eps), 0)
+	keys := w.keyBuf[:0]
 	for k := range w.phys {
 		keys = append(keys, k)
 	}
@@ -295,11 +311,11 @@ func (w *World) Perturb(eps float64) {
 		}
 		return a.hi - b.hi
 	})
+	w.keyBuf = keys
 	for _, k := range keys {
 		a, b := w.node(k.lo), w.node(k.hi)
 		amp := math.Sqrt(w.MeanSNR(a, b))
-		wnew := cmplxmat.RandomGaussian(w.rng, w.params.Antennas, w.params.Antennas).Scale(complex(amp*eps, 0))
-		w.phys[k] = w.phys[k].Scale(complex(keep, 0)).Add(wnew)
+		w.phys[k].BlendGaussianInPlace(w.rng, keep, complex(amp*eps, 0))
 	}
 }
 

@@ -3,6 +3,7 @@ package channel
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"iaclan/internal/cmplxmat"
@@ -401,6 +402,117 @@ func TestPerturbDeterministic(t *testing.T) {
 			hb := b.Channel(nb[i], nb[j])
 			if !ha.Equal(hb, 0) {
 				t.Fatalf("pair (%d,%d) diverged after identical Perturb sequences", i, j)
+			}
+		}
+	}
+}
+
+// perturbHeapOracle is World.Perturb as it was before aging in place:
+// each pair's matrix is replaced by a freshly allocated
+// keep*P + amp*eps*W.
+func perturbHeapOracle(w *World, eps float64) {
+	w.epoch++
+	keep := math.Sqrt(1 - eps*eps)
+	keys := make([]pairKey, 0, len(w.phys))
+	for k := range w.phys {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b pairKey) int {
+		if a.lo != b.lo {
+			return a.lo - b.lo
+		}
+		return a.hi - b.hi
+	})
+	for _, k := range keys {
+		a, b := w.node(k.lo), w.node(k.hi)
+		amp := math.Sqrt(w.MeanSNR(a, b))
+		wnew := cmplxmat.RandomGaussian(w.rng, w.params.Antennas, w.params.Antennas).Scale(complex(amp*eps, 0))
+		w.phys[k] = w.phys[k].Scale(complex(keep, 0)).Add(wnew)
+	}
+}
+
+// TestPerturbInPlaceMatchesHeap pins the in-place World.Perturb against
+// the allocating version bit for bit: two twin worlds, every pair's
+// propagation matrix and the world RNG stream compared after each of a
+// sequence of perturbations (static, full redraw and in between), with
+// a mobility move in the middle dropping and regenerating pairs.
+func TestPerturbInPlaceMatchesHeap(t *testing.T) {
+	build := func() (*World, []*Node) {
+		w := NewWorld(DefaultParams(), 29)
+		var nodes []*Node
+		for i := 0; i < 6; i++ {
+			nodes = append(nodes, w.AddNode(float64(i), float64(i%3)))
+		}
+		return w, nodes
+	}
+	fast, fn := build()
+	slow, sn := build()
+	touch := func(w *World, nodes []*Node) {
+		for i := range nodes {
+			for j := range nodes {
+				if i != j {
+					w.Channel(nodes[i], nodes[j])
+				}
+			}
+		}
+	}
+	for round, eps := range []float64{0.3, 0, 1, 0.05, 0.3, 0.7} {
+		touch(fast, fn)
+		touch(slow, sn)
+		fast.Perturb(eps)
+		perturbHeapOracle(slow, eps)
+		if round == 3 {
+			fast.MoveNode(fn[2], 7, 1)
+			slow.MoveNode(sn[2], 7, 1)
+		}
+		if fast.Epoch() != slow.Epoch() || len(fast.phys) != len(slow.phys) {
+			t.Fatalf("round %d: epoch %d/%d, pairs %d/%d", round, fast.Epoch(), slow.Epoch(), len(fast.phys), len(slow.phys))
+		}
+		for i := range fn {
+			for j := range fn {
+				if i == j {
+					continue
+				}
+				a, b := fast.Propagation(fn[i], fn[j]), slow.Propagation(sn[i], sn[j])
+				for r := 0; r < a.Rows(); r++ {
+					for c := 0; c < a.Cols(); c++ {
+						x, y := a.At(r, c), b.At(r, c)
+						if math.Float64bits(real(x)) != math.Float64bits(real(y)) || math.Float64bits(imag(x)) != math.Float64bits(imag(y)) {
+							t.Fatalf("round %d eps %v: pair %d->%d entry (%d,%d) %v vs %v", round, eps, i, j, r, c, x, y)
+						}
+					}
+				}
+			}
+		}
+		if fast.rng.Int63() != slow.rng.Int63() {
+			t.Fatalf("round %d: world RNG streams diverged", round)
+		}
+	}
+}
+
+// TestChannelMatchesChainProduct pins World.Channel, which multiplies
+// through pooled scratch, bit for bit against the plain heap product
+// RxChain * P * TxChain in both directions of every pair.
+func TestChannelMatchesChainProduct(t *testing.T) {
+	w := NewWorld(DefaultParams(), 31)
+	var nodes []*Node
+	for i := 0; i < 5; i++ {
+		nodes = append(nodes, w.AddNode(float64(2*i), float64(i%2)))
+	}
+	for _, tx := range nodes {
+		for _, rx := range nodes {
+			if tx == rx {
+				continue
+			}
+			got := w.Channel(tx, rx)
+			want := rx.rxChain.Mul(w.Propagation(tx, rx)).Mul(tx.txChain)
+			for r := 0; r < want.Rows(); r++ {
+				for c := 0; c < want.Cols(); c++ {
+					x, y := got.At(r, c), want.At(r, c)
+					if math.Float64bits(real(x)) != math.Float64bits(real(y)) || math.Float64bits(imag(x)) != math.Float64bits(imag(y)) {
+						t.Fatalf("%v->%v entry (%d,%d): %v, heap product %v", tx, rx, r, c, x, y)
+					}
+				}
 			}
 		}
 	}

@@ -158,7 +158,10 @@ func FuzzSolveWS(f *testing.F) {
 }
 
 // FuzzSVDWS cross-checks SVDWS against SVD bitwise: identical singular
-// values and identical singular-vector matrices.
+// values and identical singular-vector matrices. It also pins the
+// zero-forcing fast path, LeadingLeftSingularWS, to SVDWS's leading U
+// columns on the square matrix and on a wide one of the zero-forcing
+// shape (one more column than rows), whatever path it takes.
 func FuzzSVDWS(f *testing.F) {
 	f.Add(byte(0), 1.0, 0.5, -0.25, 2.0, -1.0, 0.125, 3.0, -0.5)
 	f.Add(byte(1), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -180,6 +183,31 @@ func FuzzSVDWS(f *testing.F) {
 		}
 		if !bitEqualM(gv, wv) {
 			t.Fatal("SVDWS V diverged from SVD V")
+		}
+
+		cols := make([]Vector, n+1)
+		for j := range cols {
+			cols[j] = fuzzVector(n, []float64{a, b, c, d, e, g, h, i}, 2*j+1)
+		}
+		for _, mm := range []*Matrix{m, FromColumns(cols...)} {
+			u, s, _ := mm.SVDWS(NewWorkspace())
+			for _, rel := range []float64{1e-12, -1} {
+				for k := 1; k <= n; k++ {
+					lead := mm.LeadingLeftSingularWS(ws, k, rel)
+					want := 0
+					for want < k && !(s[want] <= rel*s[0]) {
+						want++
+					}
+					if len(lead) != want {
+						t.Fatalf("LeadingLeftSingularWS(%d, %g) gave %d columns, SVDWS rule %d", k, rel, len(lead), want)
+					}
+					for j := range lead {
+						if !bitEqualC(lead[j], u.Col(j)) {
+							t.Fatalf("LeadingLeftSingularWS(%d, %g) column %d diverged from SVDWS U", k, rel, j)
+						}
+					}
+				}
+			}
 		}
 	})
 }

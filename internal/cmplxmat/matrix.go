@@ -83,6 +83,17 @@ func RandomGaussian(rng *rand.Rand, rows, cols int) *Matrix {
 	return m
 }
 
+// BlendGaussianInPlace overwrites m with keep*m + scale*W, where W is a
+// fresh CN(0,1) matrix drawn from rng. It consumes the same draws as
+// RandomGaussian and is bitwise m.Scale(keep).Add(RandomGaussian(rng,
+// rows, cols).Scale(scale)), without allocating.
+func (m *Matrix) BlendGaussianInPlace(rng *rand.Rand, keep, scale complex128) {
+	for i := range m.data {
+		w := complex(rng.NormFloat64()/math.Sqrt2, rng.NormFloat64()/math.Sqrt2)
+		m.data[i] = complex128(keep*m.data[i]) + complex128(scale*w)
+	}
+}
+
 // RandomGaussianVector returns an n-vector with i.i.d. CN(0,1) entries.
 func RandomGaussianVector(rng *rand.Rand, n int) Vector {
 	v := NewVector(n)

@@ -53,21 +53,42 @@ func (p Poly) Roots() ([]complex128, error) {
 	if deg < 1 {
 		return nil, ErrNoRoots
 	}
+	roots := make([]complex128, deg)
+	p.durandKerner(deg, make(Poly, deg+1), roots, make([]complex128, deg))
+	return roots, nil
+}
+
+// RootsWS is Roots with the returned roots and the iteration buffers in
+// the arena. Every buffer is sized by the effective degree, known before
+// the iteration starts, so the data-dependent iteration count never
+// touches the heap.
+func (p Poly) RootsWS(ws *Workspace) ([]complex128, error) {
+	deg := p.Degree(1e-13)
+	if deg < 1 {
+		return nil, ErrNoRoots
+	}
+	roots := ws.Complexes(deg)
+	p.durandKerner(deg, Poly(ws.Complexes(deg+1)), roots, ws.Complexes(deg))
+	return roots, nil
+}
+
+// durandKerner is the iteration behind Roots and RootsWS: it normalizes
+// p (of effective degree deg) into monic, seeds roots, and iterates with
+// next as the update buffer. monic has length deg+1; roots and next have
+// length deg.
+func (p Poly) durandKerner(deg int, monic Poly, roots, next []complex128) {
 	// Normalize to monic.
-	monic := make(Poly, deg+1)
 	lead := p[deg]
 	for i := 0; i <= deg; i++ {
 		monic[i] = p[i] / lead
 	}
 	// Standard starting values: powers of a non-real, non-root-of-unity seed.
-	roots := make([]complex128, deg)
 	seed := complex(0.4, 0.9)
 	acc := complex(1, 0)
 	for i := range roots {
 		acc *= seed
 		roots[i] = acc
 	}
-	next := make([]complex128, deg)
 	const maxIter = 500
 	for iter := 0; iter < maxIter; iter++ {
 		var maxDelta float64
@@ -94,7 +115,6 @@ func (p Poly) Roots() ([]complex128, error) {
 			break
 		}
 	}
-	return roots, nil
 }
 
 // InterpolatePoly fits the unique polynomial of degree <= len(xs)-1 through
@@ -106,12 +126,36 @@ func (p Poly) Roots() ([]complex128, error) {
 // affine in a parameter t is a polynomial in t of degree at most the
 // column count.
 func InterpolatePoly(xs, ys []complex128) Poly {
+	n := interpolateLen(xs, ys)
+	coeffs := make(Poly, n)
+	newtonToMonomial(xs, ys, make([]complex128, n), coeffs, make(Poly, n), make(Poly, n))
+	return coeffs
+}
+
+// InterpolatePolyWS is InterpolatePoly with the returned coefficients
+// and every temporary in the arena.
+func InterpolatePolyWS(ws *Workspace, xs, ys []complex128) Poly {
+	n := interpolateLen(xs, ys)
+	coeffs := Poly(ws.Complexes(n))
+	newtonToMonomial(xs, ys, ws.Complexes(n), coeffs, Poly(ws.Complexes(n)), Poly(ws.Complexes(n)))
+	return coeffs
+}
+
+func interpolateLen(xs, ys []complex128) int {
 	if len(xs) != len(ys) || len(xs) == 0 {
 		panic("cmplxmat: InterpolatePoly needs equal, nonzero point counts")
 	}
+	return len(xs)
+}
+
+// newtonToMonomial is the interpolation behind InterpolatePoly and
+// InterpolatePolyWS. dd receives the divided differences and coeffs
+// (zeroed, length n) the monomial coefficients; basis and spare are two
+// length-n buffers the expanding product (z-x0)(z-x1)... alternates
+// between, each new product built in a freshly zeroed prefix.
+func newtonToMonomial(xs, ys, dd []complex128, coeffs, basis, spare Poly) {
 	n := len(xs)
 	// Divided difference coefficients.
-	dd := make([]complex128, n)
 	copy(dd, ys)
 	for level := 1; level < n; level++ {
 		for i := n - 1; i >= level; i-- {
@@ -119,23 +163,22 @@ func InterpolatePoly(xs, ys []complex128) Poly {
 		}
 	}
 	// Expand Newton form to monomial coefficients.
-	coeffs := make(Poly, n)
-	// basis holds the expanding product (z-x0)(z-x1)..., starting at 1.
-	basis := make(Poly, 1, n)
+	size := 1
 	basis[0] = 1
 	for k := 0; k < n; k++ {
-		for i := 0; i < len(basis); i++ {
+		for i := 0; i < size; i++ {
 			coeffs[i] += dd[k] * basis[i]
 		}
 		if k < n-1 {
 			// basis *= (z - xs[k])
-			nb := make(Poly, len(basis)+1)
-			for i, c := range basis {
+			nb := spare[:size+1]
+			clear(nb)
+			for i, c := range basis[:size] {
 				nb[i+1] += c
 				nb[i] -= c * xs[k]
 			}
-			basis = nb
+			basis, spare = spare, basis
+			size++
 		}
 	}
-	return coeffs
 }

@@ -30,12 +30,20 @@ const arenaMinChunk = 256
 // has full capacity n so appends by the caller cannot bleed into
 // neighboring allocations.
 func (a *arena[T]) alloc(n int) []T {
+	s := a.take(n)
+	clear(s)
+	return s
+}
+
+// take is alloc without the zeroing: the slice holds whatever an earlier
+// user of the arena left there, so the caller must overwrite every
+// element before anything reads it.
+func (a *arena[T]) take(n int) []T {
 	for a.cur < len(a.chunks) {
 		c := a.chunks[a.cur]
 		if a.off+n <= len(c) {
 			s := c[a.off : a.off+n : a.off+n]
 			a.off += n
-			clear(s)
 			return s
 		}
 		// Tail of this chunk is too small; move on. The wasted tail is
@@ -72,8 +80,9 @@ func (a *arena[T]) reset()              { a.cur, a.off = 0, 0 }
 // valid until the workspace is Reset (or Released past their Mark) — copy
 // anything that must live longer (Vector.Clone, Matrix.Clone).
 //
-// Allocations are always zeroed, so results computed through a warm,
-// pooled workspace are bit-identical to results computed on a cold heap.
+// Every allocation is zeroed, or — matrix headers — written whole,
+// before it is handed out, so results computed through a warm, pooled
+// workspace are bit-identical to results computed on a cold heap.
 type Workspace struct {
 	cpx   arena[complex128]
 	f64   arena[float64]
@@ -83,6 +92,7 @@ type Workspace struct {
 	vecs  arena[Vector]
 	rows  arena[[]complex128]
 	ptrs  arena[*Matrix]
+	grids arena[[]*Matrix]
 }
 
 // NewWorkspace returns an empty workspace. Most callers should prefer
@@ -100,13 +110,14 @@ func (w *Workspace) Reset() {
 	w.vecs.reset()
 	w.rows.reset()
 	w.ptrs.reset()
+	w.grids.reset()
 }
 
 // Mark captures the current arena position. Pair with Release to reclaim
 // everything allocated inside a bounded phase (e.g. one solver attempt)
 // while keeping earlier allocations alive.
 type Mark struct {
-	cpx, f64, ints, bools, mats, vecs, rows, ptrs arenaMark
+	cpx, f64, ints, bools, mats, vecs, rows, ptrs, grids arenaMark
 }
 
 // Mark returns a snapshot of the workspace's bump positions.
@@ -120,6 +131,7 @@ func (w *Workspace) Mark() Mark {
 		vecs:  w.vecs.mark(),
 		rows:  w.rows.mark(),
 		ptrs:  w.ptrs.mark(),
+		grids: w.grids.mark(),
 	}
 }
 
@@ -134,6 +146,7 @@ func (w *Workspace) Release(m Mark) {
 	w.vecs.release(m.vecs)
 	w.rows.release(m.rows)
 	w.ptrs.release(m.ptrs)
+	w.grids.release(m.grids)
 }
 
 // Vector returns a zeroed arena-backed vector of dimension n.
@@ -159,15 +172,27 @@ func (w *Workspace) Vectors(n int) []Vector { return w.vecs.alloc(n) }
 // for building per-packet matrix lists without heap churn.
 func (w *Workspace) MatrixPtrs(n int) []*Matrix { return w.ptrs.alloc(n) }
 
+// MatrixGrid returns a zeroed rows x cols grid of matrix pointers — the
+// shape of a channel set — with the row headers and the pointer block
+// both in the arena.
+func (w *Workspace) MatrixGrid(rows, cols int) [][]*Matrix {
+	flat := w.ptrs.alloc(rows * cols)
+	grid := w.grids.alloc(rows)
+	for r := range grid {
+		grid[r] = flat[r*cols : (r+1)*cols : (r+1)*cols]
+	}
+	return grid
+}
+
 // Matrix returns a zeroed arena-backed rows x cols matrix. The matrix
 // header itself lives in the arena too, so no part of the allocation
-// escapes to the heap.
+// escapes to the heap. The header is written whole rather than cleared
+// first: clearing pointer-typed memory costs a bulk write barrier while
+// the garbage collector is marking.
 func (w *Workspace) Matrix(rows, cols int) *Matrix {
-	hdr := w.mats.alloc(1)
-	m := &hdr[0]
-	m.rows, m.cols = rows, cols
-	m.data = w.cpx.alloc(rows * cols)
-	return m
+	hdr := w.mats.take(1)
+	hdr[0] = Matrix{rows: rows, cols: cols, data: w.cpx.alloc(rows * cols)}
+	return &hdr[0]
 }
 
 // SampleRows returns a zeroed rows x perRow sample buffer: every row is
@@ -193,8 +218,9 @@ func (w *Workspace) IdentityWS(n int) *Matrix {
 	return m
 }
 
-// wsPool recycles warm workspaces process-wide. Arenas zero every
-// allocation, so a recycled workspace cannot leak state between users —
+// wsPool recycles warm workspaces process-wide. Arenas zero (or, for
+// matrix headers, fully overwrite) every allocation, so a recycled
+// workspace cannot leak state between users —
 // the property the determinism-under-reuse tests pin down.
 var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
 

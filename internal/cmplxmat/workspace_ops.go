@@ -149,6 +149,17 @@ func mulVecData(h []complex128, rows, cols int, v, y []complex128) {
 	}
 }
 
+// TWS returns the (unconjugated) transpose of m in the arena.
+func (m *Matrix) TWS(ws *Workspace) *Matrix {
+	out := ws.Matrix(m.cols, m.rows)
+	for i := 0; i < m.rows; i++ {
+		for j := 0; j < m.cols; j++ {
+			out.data[j*out.cols+i] = m.data[i*m.cols+j]
+		}
+	}
+	return out
+}
+
 // HWS returns the conjugate transpose of m in the arena.
 func (m *Matrix) HWS(ws *Workspace) *Matrix {
 	out := ws.Matrix(m.cols, m.rows)
@@ -499,6 +510,27 @@ func (m *Matrix) EigenHermitianWS(ws *Workspace) (vals []float64, v *Matrix) {
 	if !m.equalH(1e-9 * (1 + scale)) {
 		panic("cmplxmat: EigenHermitian on a non-Hermitian matrix")
 	}
+	raw, vecs, idx := m.jacobiWS(ws, scale)
+	vals = ws.Floats(n)
+	sortedV := ws.Matrix(n, n)
+	for newCol, oldCol := range idx {
+		vals[newCol] = raw[oldCol]
+		for r := 0; r < n; r++ {
+			sortedV.data[r*n+newCol] = vecs.data[r*n+oldCol]
+		}
+	}
+	return vals, sortedV
+}
+
+// jacobiWS diagonalizes the Hermitian matrix m (scale = m.MaxAbs()) with
+// cyclic complex Jacobi sweeps on an arena copy. It returns the
+// eigenvalues in diagonal order, the eigenvector matrix with one column
+// per eigenvalue in that same order, and the permutation idx listing
+// the columns by descending eigenvalue. It is the one Jacobi body behind
+// EigenHermitianWS, SVDWS and LeadingLeftSingularWS; it does not check
+// that m is Hermitian.
+func (m *Matrix) jacobiWS(ws *Workspace, scale float64) (raw []float64, v *Matrix, idx []int) {
+	n := m.rows
 	a := m.CloneWS(ws)
 	v = ws.IdentityWS(n)
 	const maxSweeps = 100
@@ -515,12 +547,12 @@ func (m *Matrix) EigenHermitianWS(ws *Workspace) (vals []float64, v *Matrix) {
 		for p := 0; p < n; p++ {
 			for q := p + 1; q < n; q++ {
 				apq := a.data[p*n+q]
-				if cmplx.Abs(apq) < 1e-15*(1+scale) {
+				absApq := cmplx.Abs(apq)
+				if absApq < 1e-15*(1+scale) {
 					continue
 				}
 				app := real(a.data[p*n+p])
 				aqq := real(a.data[q*n+q])
-				absApq := cmplx.Abs(apq)
 				phase := apq / complex(absApq, 0)
 				theta := 0.5 * math.Atan2(2*absApq, app-aqq)
 				c := complex(math.Cos(theta), 0)
@@ -546,12 +578,12 @@ func (m *Matrix) EigenHermitianWS(ws *Workspace) (vals []float64, v *Matrix) {
 			}
 		}
 	}
-	raw := ws.Floats(n)
+	raw = ws.Floats(n)
 	for i := range raw {
 		raw[i] = real(a.data[i*n+i])
 	}
-	// Sort descending (insertion sort: n <= 8), permuting columns along.
-	idx := ws.Ints(n)
+	// Sort descending (insertion sort: n <= 8).
+	idx = ws.Ints(n)
 	for i := range idx {
 		idx[i] = i
 	}
@@ -562,15 +594,7 @@ func (m *Matrix) EigenHermitianWS(ws *Workspace) (vals []float64, v *Matrix) {
 			j--
 		}
 	}
-	vals = ws.Floats(n)
-	sortedV := ws.Matrix(n, n)
-	for newCol, oldCol := range idx {
-		vals[newCol] = raw[oldCol]
-		for r := 0; r < n; r++ {
-			sortedV.data[r*n+newCol] = v.data[r*n+oldCol]
-		}
-	}
-	return vals, sortedV
+	return raw, v, idx
 }
 
 // equalH reports whether m equals its own conjugate transpose within tol,
@@ -590,6 +614,56 @@ func (m *Matrix) equalH(tol float64) bool {
 	return true
 }
 
+// gramWS returns m^H m in the arena. It runs MulWS's loop on the
+// conjugate transpose — same products, same accumulation order, same
+// skip of zero left factors — without materializing m^H, so the result
+// is bitwise m.HWS(ws).MulWS(ws, m).
+func (m *Matrix) gramWS(ws *Workspace) *Matrix {
+	r, c := m.rows, m.cols
+	out := ws.Matrix(c, c)
+	for i := 0; i < c; i++ {
+		for k := 0; k < r; k++ {
+			a := cmplx.Conj(m.data[k*c+i])
+			if a == 0 {
+				continue
+			}
+			for j := 0; j < c; j++ {
+				out.data[i*c+j] += a * m.data[k*c+j]
+			}
+		}
+	}
+	return out
+}
+
+// rightSingularWS is the shared front half of the SVD: the Jacobi
+// eigendecomposition of the Gram matrix m^H m (Hermitian by
+// construction, so the Hermitian guard is skipped) and the null
+// threshold below which a singular value has no left vector.
+func (m *Matrix) rightSingularWS(ws *Workspace) (raw []float64, vecs *Matrix, idx []int, nullTol float64) {
+	gram := m.gramWS(ws)
+	raw, vecs, idx = gram.jacobiWS(ws, gram.MaxAbs())
+	return raw, vecs, idx, 1e-12 * (1 + m.MaxAbs())
+}
+
+// singularValue maps a Gram eigenvalue to its singular value, clamping
+// rounding-negative eigenvalues to zero.
+func singularValue(ev float64) float64 {
+	if ev < 0 {
+		ev = 0
+	}
+	return math.Sqrt(ev)
+}
+
+// leftColumnWS returns the left singular vector m v / s for the right
+// singular vector stored in column col of vecs.
+func (m *Matrix) leftColumnWS(ws *Workspace, vecs *Matrix, col int, s float64) Vector {
+	vc := ws.Vector(vecs.rows)
+	for i := range vc {
+		vc[i] = vecs.data[i*vecs.cols+col]
+	}
+	return m.MulVecWS(ws, vc).ScaleWS(ws, complex(1/s, 0))
+}
+
 // SVDWS is SVD with all scratch and the returned factors in the arena.
 func (m *Matrix) SVDWS(ws *Workspace) (u *Matrix, s []float64, v *Matrix) {
 	rows, cols := m.rows, m.cols
@@ -597,30 +671,20 @@ func (m *Matrix) SVDWS(ws *Workspace) (u *Matrix, s []float64, v *Matrix) {
 	if cols < k {
 		k = cols
 	}
-	gram := m.HWS(ws).MulWS(ws, m)
-	evals, evecs := gram.EigenHermitianWS(ws)
+	raw, vecs, idx, nullTol := m.rightSingularWS(ws)
 	s = ws.Floats(k)
 	v = ws.Matrix(cols, k)
 	u = ws.Matrix(rows, k)
-	nullTol := 1e-12 * (1 + m.MaxAbs())
 	for j := 0; j < k; j++ {
-		ev := evals[j]
-		if ev < 0 {
-			ev = 0
-		}
-		s[j] = math.Sqrt(ev)
-		vc := evecs.ColWS(ws, j)
+		s[j] = singularValue(raw[idx[j]])
 		for i := 0; i < cols; i++ {
-			v.data[i*k+j] = vc[i]
+			v.data[i*k+j] = vecs.data[i*cols+idx[j]]
 		}
-		var uc Vector
 		if s[j] > nullTol {
-			uc = m.MulVecWS(ws, vc).ScaleWS(ws, complex(1/s[j], 0))
-		} else {
-			uc = ws.Vector(rows)
-		}
-		for i := 0; i < rows; i++ {
-			u.data[i*k+j] = uc[i]
+			uc := m.leftColumnWS(ws, vecs, idx[j], s[j])
+			for i := 0; i < rows; i++ {
+				u.data[i*k+j] = uc[i]
+			}
 		}
 	}
 	// Complete null U columns to an orthonormal set.
@@ -650,6 +714,56 @@ func (m *Matrix) SVDWS(ws *Workspace) (u *Matrix, s []float64, v *Matrix) {
 		}
 	}
 	return u, s, v
+}
+
+// LeadingLeftSingularWS returns the leading left singular vectors of m
+// in descending singular-value order: at most n of them, stopping before
+// the first whose singular value is at or below rel times the largest.
+// Each returned vector is bitwise the corresponding column of SVDWS's U.
+// It computes only those columns, not V or the rest of U; when one of
+// them would come from SVDWS's null-column completion (a singular value
+// at the null threshold, or a left vector too short to keep), it falls
+// back to SVDWS itself. The vectors and scratch live in the arena.
+func (m *Matrix) LeadingLeftSingularWS(ws *Workspace, n int, rel float64) []Vector {
+	k := m.rows
+	if m.cols < k {
+		k = m.cols
+	}
+	if n > k {
+		n = k
+	}
+	if n <= 0 {
+		return nil
+	}
+	mark := ws.Mark()
+	raw, vecs, idx, nullTol := m.rightSingularWS(ws)
+	out := ws.Vectors(n)
+	s0 := singularValue(raw[idx[0]])
+	for j := 0; j < n; j++ {
+		sj := singularValue(raw[idx[j]])
+		if sj <= rel*s0 {
+			return out[:j]
+		}
+		if !(sj > nullTol) {
+			break
+		}
+		if out[j] = m.leftColumnWS(ws, vecs, idx[j], sj); out[j].Norm() <= 0.5 {
+			break
+		}
+		if j == n-1 {
+			return out
+		}
+	}
+	ws.Release(mark)
+	u, s, _ := m.SVDWS(ws)
+	out = ws.Vectors(n)
+	for j := 0; j < n; j++ {
+		if s[j] <= rel*s[0] {
+			return out[:j]
+		}
+		out[j] = u.ColWS(ws, j)
+	}
+	return out
 }
 
 // CharPolyWS is CharPoly with matrix scratch in the arena. The returned
@@ -716,14 +830,13 @@ func (m *Matrix) EigenvectorWS(ws *Workspace, lambda complex128) (Vector, error)
 	return nil, ErrEigenFailed
 }
 
-// AnyEigenvectorWS is AnyEigenvector with decomposition scratch in the
-// arena. The returned eigenvector is arena-backed. Root finding still
-// allocates a handful of small slices (see Poly.Roots); that remaining
-// allocation is load-bearing — Durand-Kerner's iterate count is
-// data-dependent, so its buffers cannot be sized from the arena up front
-// without a worst-case bound far above the typical need.
+// AnyEigenvectorWS is AnyEigenvector with decomposition and
+// root-finding scratch in the arena. The returned eigenvector is
+// arena-backed. Durand-Kerner's iteration count is data-dependent, but
+// its buffers are sized by the polynomial's degree (Poly.RootsWS), so
+// root finding allocates nothing on the heap either.
 func (m *Matrix) AnyEigenvectorWS(ws *Workspace) (complex128, Vector, error) {
-	vals, err := m.CharPolyWS(ws).Roots()
+	vals, err := m.CharPolyWS(ws).RootsWS(ws)
 	if err != nil {
 		return 0, nil, err
 	}

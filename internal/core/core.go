@@ -43,6 +43,12 @@ func NewChannelSet(numTx, numRx int) ChannelSet {
 	return cs
 }
 
+// NewChannelSetWS is NewChannelSet with the set's slices in the
+// workspace arena.
+func NewChannelSetWS(ws *cmplxmat.Workspace, numTx, numRx int) ChannelSet {
+	return ChannelSet(ws.MatrixGrid(numTx, numRx))
+}
+
 // NumTx returns the number of transmitters.
 func (cs ChannelSet) NumTx() int { return len(cs) }
 
@@ -544,18 +550,8 @@ func zfDecodingVectorWS(ws *cmplxmat.Workspace, sigDir cmplxmat.Vector, interf [
 		basis = cmplxmat.OrthonormalBasisWS(ws, 1e-12, interf)
 	default:
 		// Principal components of the stacked interference matrix: null
-		// the strongest m-1 directions.
-		u, s, _ := cmplxmat.FromColumnsWS(ws, interf).SVDWS(ws)
-		pcs := ws.Vectors(m - 1)
-		n := 0
-		for j := 0; j < m-1 && j < len(s); j++ {
-			if s[j] <= 1e-12*s[0] {
-				break
-			}
-			pcs[n] = u.ColWS(ws, j)
-			n++
-		}
-		basis = pcs[:n]
+		// the strongest m-1 directions, skipping numerically null ones.
+		basis = cmplxmat.FromColumnsWS(ws, interf).LeadingLeftSingularWS(ws, m-1, 1e-12)
 	}
 	w := sigDir.CloneWS(ws)
 	for _, b := range basis {

@@ -39,19 +39,21 @@ var (
 )
 
 // SolveUplinkThreeWS is SolveUplinkThree with the intermediate linear
-// algebra AND the returned plan in the workspace arena (its layout
-// slices are shared read-only tables). Callers that keep the plan past
-// the workspace's lifetime must Clone it; the role-assignment search
-// clones only winners.
-func SolveUplinkThreeWS(ws *cmplxmat.Workspace, cs ChannelSet, rng *rand.Rand) (*Plan, error) {
+// algebra and the plan's encoding vectors in the workspace arena (its
+// layout slices are shared read-only tables). The plan comes back by
+// value, so a caller that stores it (the slot planner's candidate list)
+// allocates nothing. Callers that keep the plan past the workspace's
+// lifetime must Clone it; the role-assignment search clones only the
+// winner.
+func SolveUplinkThreeWS(ws *cmplxmat.Workspace, cs ChannelSet, rng *rand.Rand) (Plan, error) {
 	if cs.NumTx() != 2 || cs.NumRx() != 2 {
-		return nil, fmt.Errorf("core: SolveUplinkThree needs 2 clients and 2 APs, got %dx%d", cs.NumTx(), cs.NumRx())
+		return Plan{}, fmt.Errorf("core: SolveUplinkThree needs 2 clients and 2 APs, got %dx%d", cs.NumTx(), cs.NumRx())
 	}
 	m := cs.Antennas()
 	v1 := randUnitWS(ws, rng, m)
 	h10Inv, err := cs[1][0].InverseWS(ws)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
+		return Plan{}, fmt.Errorf("%w: %v", ErrInfeasible, err)
 	}
 	// Eq. 2: v2 = H10^-1 * H00 * v1 aligns packets 1 and 2 at AP 0.
 	v2 := h10Inv.MulWS(ws, cs[0][0]).MulVecWS(ws, v1).NormalizeWS(ws)
@@ -63,14 +65,13 @@ func SolveUplinkThreeWS(ws *cmplxmat.Workspace, cs ChannelSet, rng *rand.Rand) (
 	v0 := matchedFreeVectorWS(ws, cs[0][0], cs[0][0].MulVecWS(ws, v1), rng)
 	enc := ws.Vectors(3)
 	enc[0], enc[1], enc[2] = v0, v1, v2
-	plan := &Plan{
+	return Plan{
 		M:        m,
 		Owner:    uplinkThreeOwners,
 		Encoding: enc,
 		Schedule: uplinkThreeSchedule,
 		Wired:    true,
-	}
-	return plan, nil
+	}, nil
 }
 
 // UplinkChainAssignment describes the packet layout SolveUplinkChain
@@ -246,25 +247,64 @@ var chainLayouts = func() map[chainKey]chainLayout {
 }()
 
 // SolveUplinkChainWS is SolveUplinkChain with the intermediate linear
-// algebra AND the returned plan in the workspace arena (its layout
-// slices are shared read-only tables). Callers that keep the plan past
-// the workspace's lifetime must Clone it.
+// algebra and the plan's encoding vectors in the workspace arena (its
+// layout slices are shared read-only tables; the Plan header itself is
+// heap-allocated). Callers that keep the plan past the workspace's
+// lifetime must Clone it. For three or more APs it is
+// PrepareUplinkChainWS followed by one attempt; a search running several
+// attempts on one channel set prepares once instead.
 func SolveUplinkChainWS(ws *cmplxmat.Workspace, cs ChannelSet, rng *rand.Rand) (*Plan, error) {
-	m := cs.Antennas()
-	if m < 2 {
-		return nil, fmt.Errorf("core: chain construction needs M >= 2")
-	}
-	if cs.NumRx() == 2 {
+	var plan Plan
+	var err error
+	if cs.Antennas() >= 2 && cs.NumRx() == 2 {
 		// Two APs cannot carry the 2M chain; the three-packet Section 4b
 		// construction is the two-AP member of the family.
-		return SolveUplinkThreeWS(ws, cs, rng)
+		plan, err = SolveUplinkThreeWS(ws, cs, rng)
+	} else {
+		prep := PrepareUplinkChainWS(ws, cs)
+		plan, err = prep.SolveWS(ws, rng)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &plan, nil
+}
+
+// UplinkPrep is the part of the chain construction that depends only on
+// the channel set: the shape checks, the layout, and for every aligned
+// packet a the inverse H[c(a)][1]^-1 and G_a = H[c(a)][0] * H[c(a)][1]^-1.
+// Solver attempts on one channel set differ only in their random draws,
+// so a role-assignment search prepares once per receiver ordering and
+// calls SolveWS per attempt. Its matrices live in the workspace arena
+// passed to the Prepare call.
+type UplinkPrep struct {
+	cs     ChannelSet
+	layout chainLayout
+	// invs[i] and gs[i] belong to layout.aSet[i].
+	invs, gs []*cmplxmat.Matrix
+	// err is the preparation failure every attempt returns.
+	err error
+}
+
+// PrepareUplinkChainWS runs the channel-only half of SolveUplinkChainWS
+// on a channel set of three or more APs. Failures are not returned here
+// but by every SolveWS call, as the same error SolveUplinkChainWS would
+// return; preparing draws no randomness.
+func PrepareUplinkChainWS(ws *cmplxmat.Workspace, cs ChannelSet) UplinkPrep {
+	prep := UplinkPrep{cs: cs}
+	m := cs.Antennas()
+	if m < 2 {
+		prep.err = fmt.Errorf("core: chain construction needs M >= 2")
+		return prep
 	}
 	asgn := UplinkChainAssignment{M: m}
 	if cs.NumTx() != asgn.NumClients() {
-		return nil, fmt.Errorf("core: chain construction needs %d clients for M=%d, got %d", asgn.NumClients(), m, cs.NumTx())
+		prep.err = fmt.Errorf("core: chain construction needs %d clients for M=%d, got %d", asgn.NumClients(), m, cs.NumTx())
+		return prep
 	}
 	if cs.NumRx() < 3 {
-		return nil, fmt.Errorf("core: chain construction needs >= 3 APs, got %d", cs.NumRx())
+		prep.err = fmt.Errorf("core: chain construction needs >= 3 APs, got %d", cs.NumRx())
+		return prep
 	}
 	aps := cs.NumRx()
 	if max := UplinkChainMaxAPs(m); aps > max {
@@ -274,41 +314,59 @@ func SolveUplinkChainWS(ws *cmplxmat.Workspace, cs ChannelSet, rng *rand.Rand) (
 	if !ok {
 		layout = makeChainLayout(m, aps)
 	}
-	owners, aSet, bSet := layout.owners, layout.aSet, layout.bSet
+	prep.layout = layout
+	owners, aSet := layout.owners, layout.aSet
 
 	// Step 1: G_a per aligned packet.
-	gs := ws.MatrixPtrs(len(aSet))
+	prep.invs = ws.MatrixPtrs(len(aSet))
+	prep.gs = ws.MatrixPtrs(len(aSet))
 	for i, a := range aSet {
 		inv, err := cs[owners[a]][1].InverseWS(ws)
 		if err != nil {
-			return nil, fmt.Errorf("%w: H[%d][1] singular", ErrInfeasible, owners[a])
+			prep.err = fmt.Errorf("%w: H[%d][1] singular", ErrInfeasible, owners[a])
+			return prep
 		}
-		gs[i] = cs[owners[a]][0].MulWS(ws, inv)
+		prep.invs[i] = inv
+		prep.gs[i] = cs[owners[a]][0].MulWS(ws, inv)
 	}
+	return prep
+}
+
+// SolveWS runs one solver attempt on the prepared channel set, drawing
+// from rng exactly as SolveUplinkChainWS does, and returns the plan by
+// value with its encoding vectors in the arena.
+func (prep *UplinkPrep) SolveWS(ws *cmplxmat.Workspace, rng *rand.Rand) (Plan, error) {
+	if prep.err != nil {
+		return Plan{}, prep.err
+	}
+	cs := prep.cs
+	m := cs.Antennas()
+	layout := prep.layout
+	owners, aSet, bSet := layout.owners, layout.aSet, layout.bSet
+	gs := prep.gs
 
 	// Step 2: root of det[G_1 d, ..., G_M d] = 0 along d = x + t*y.
 	d, err := dependentDirectionWS(ws, gs, rng)
 	if err != nil {
-		return nil, err
+		return Plan{}, err
 	}
 
 	enc := ws.Vectors(2 * m)
 	// Aligned packets.
 	ap0Dirs := ws.Vectors(m)[:0]
 	for i, a := range aSet {
-		inv, _ := cs[owners[a]][1].InverseWS(ws) // invertibility checked above
-		enc[a] = inv.MulVecWS(ws, d).NormalizeWS(ws)
+		enc[a] = prep.invs[i].MulVecWS(ws, d).NormalizeWS(ws)
 		ap0Dirs = append(ap0Dirs, gs[i].MulVecWS(ws, d))
 	}
 
 	// Step 3: normal of the aligned subspace at AP 0.
 	basis := cmplxmat.OrthonormalBasisWS(ws, 1e-9, ap0Dirs)
 	if len(basis) != m-1 {
-		return nil, fmt.Errorf("%w: aligned subspace has dim %d, want %d", ErrInfeasible, len(basis), m-1)
+		return Plan{}, fmt.Errorf("%w: aligned subspace has dim %d, want %d", ErrInfeasible, len(basis), m-1)
 	}
 	u1 := cmplxmat.OrthogonalComplementVectorWS(ws, m, 1e-9, basis)
 	if u1 == nil {
-		return nil, fmt.Errorf("%w: no subspace normal", ErrInfeasible)
+		return Plan{}, fmt.Errorf("%w: no subspace normal", ErrInfeasible)
 	}
 
 	// B-set packets: v_b in the null space of the row u1^H * H[c(b)][0].
@@ -320,7 +378,7 @@ func SolveUplinkChainWS(ws *cmplxmat.Workspace, cs ChannelSet, rng *rand.Rand) (
 		}
 		ns := row.NullSpaceWS(ws, 1e-9)
 		if len(ns) == 0 {
-			return nil, fmt.Errorf("%w: empty null space for packet %d", ErrInfeasible, b)
+			return Plan{}, fmt.Errorf("%w: empty null space for packet %d", ErrInfeasible, b)
 		}
 		// Random combination within the null space avoids pathological
 		// overlaps between B-set directions at AP 1.
@@ -339,14 +397,13 @@ func SolveUplinkChainWS(ws *cmplxmat.Workspace, cs ChannelSet, rng *rand.Rand) (
 		enc[0] = randUnitWS(ws, rng, m)
 	}
 
-	plan := &Plan{
+	return Plan{
 		M:        m,
 		Owner:    owners,
 		Encoding: enc,
 		Schedule: layout.schedule,
 		Wired:    true,
-	}
-	return plan, nil
+	}, nil
 }
 
 // dependentDirectionWS finds a nonzero d with det[g[0]d, ..., g[k-1]d] = 0,
@@ -382,8 +439,8 @@ func dependentDirectionWS(ws *cmplxmat.Workspace, g []*cmplxmat.Matrix, rng *ran
 			ts[i] = complex(float64(i)-float64(m)/2, float64(i%2)+0.5)
 			vals[i] = detAt(x.AddWS(ws, y.ScaleWS(ws, ts[i])))
 		}
-		poly := cmplxmat.InterpolatePoly(ts, vals)
-		roots, err := poly.Roots()
+		poly := cmplxmat.InterpolatePolyWS(ws, ts, vals)
+		roots, err := poly.RootsWS(ws)
 		if err != nil {
 			continue
 		}

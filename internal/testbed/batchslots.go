@@ -36,10 +36,12 @@ type SlotRequest struct {
 // slotCandidate is one (role permutation, solver attempt) of a
 // request's assignment search, recorded in the exact order the scalar
 // search visits them so winner and last-error selection replay
-// identically. job indexes the candidate's entry in the scoring batch;
-// -1 when the solve already failed.
+// identically. The plan header is held by value and est is an arena
+// set, so recording a candidate allocates nothing. job indexes the
+// candidate's entry in the scoring batch; -1 when the solve already
+// failed.
 type slotCandidate struct {
-	plan *core.Plan
+	plan core.Plan
 	est  core.ChannelSet
 	perm []int
 	err  error
@@ -54,7 +56,6 @@ type PlannedSlot struct {
 	s        Scenario
 	downlink bool
 	order    []int // uplink client order (two-packet role first); nil on the downlink
-	baseTrue core.ChannelSet
 	plan     plannedPlan
 	trueCS   core.ChannelSet
 	err      error
@@ -65,17 +66,26 @@ type PlannedSlot struct {
 // the slot.
 func (ps *PlannedSlot) Err() error { return ps.err }
 
+// slotBases are one request's true and estimated channel sets in the
+// base role order, before any permutation. They may live in the arena,
+// so they are kept only for the duration of PlanSlots.
+type slotBases struct {
+	trueCS, estCS core.ChannelSet
+}
+
 // planScratch is the batch planner's reusable search state: the flat
-// candidate list (candStart[r]..candStart[r+1] is request r's range)
-// and the scoring-job slice. Candidates and jobs are fat structs the
-// engine's per-group planning calls would otherwise append-grow on the
-// heap every slot; pooling them makes the steady state allocation-flat.
-// Entries are cleared before the scratch returns to the pool so pooled
-// buffers never pin a trial's workspace arena or plans.
+// candidate list (candStart[r]..candStart[r+1] is request r's range),
+// the scoring-job slice and the per-request base channel sets.
+// Candidates and jobs are fat structs the engine's per-group planning
+// calls would otherwise append-grow on the heap every slot; pooling them
+// makes the steady state allocation-flat. Entries are cleared before the
+// scratch returns to the pool so pooled buffers never pin a trial's
+// workspace arena or plans.
 type planScratch struct {
 	cands     []slotCandidate
 	candStart []int
 	jobs      []core.EvalJob
+	bases     []slotBases
 }
 
 var planScratchPool = sync.Pool{New: func() any { return new(planScratch) }}
@@ -83,10 +93,65 @@ var planScratchPool = sync.Pool{New: func() any { return new(planScratch) }}
 func (sc *planScratch) release() {
 	clear(sc.cands)
 	clear(sc.jobs)
+	clear(sc.bases)
 	sc.cands = sc.cands[:0]
 	sc.candStart = sc.candStart[:0]
 	sc.jobs = sc.jobs[:0]
+	sc.bases = sc.bases[:0]
 	planScratchPool.Put(sc)
+}
+
+// slotShape is the construction a request's shape selects.
+type slotShape int
+
+const (
+	shapeUnsupported slotShape = iota
+	shapeUplinkThree
+	shapeUplinkChain
+	shapeDownlinkTriangle
+	shapeDownlinkDiversity
+)
+
+// shapeSolver runs a request's construction through the role-assignment
+// search: prepare once per role assignment (the channel-only work: the
+// chain's inverses), then one attempt per solver candidate. The
+// attempts draw from rng in the same order as solving from scratch
+// every time.
+type shapeSolver struct {
+	shape slotShape
+	err   error // what every attempt of an unsupported shape returns
+	rng   *rand.Rand
+	noise float64 // receiver noise, for the diversity construction
+	est   core.ChannelSet
+	chain core.UplinkPrep
+}
+
+func (sv *shapeSolver) prepare(ws *cmplxmat.Workspace, est core.ChannelSet) {
+	sv.est = est
+	if sv.shape == shapeUplinkChain {
+		sv.chain = core.PrepareUplinkChainWS(ws, est)
+	}
+}
+
+func (sv *shapeSolver) attempt(ws *cmplxmat.Workspace) (core.Plan, error) {
+	var plan *core.Plan
+	var err error
+	switch sv.shape {
+	case shapeUplinkThree:
+		return core.SolveUplinkThreeWS(ws, sv.est, sv.rng)
+	case shapeUplinkChain:
+		return sv.chain.SolveWS(ws, sv.rng)
+	case shapeDownlinkTriangle:
+		plan, err = core.SolveDownlinkTriangleWS(ws, sv.est)
+	case shapeDownlinkDiversity:
+		plan, err = core.SolveDownlinkDiversity(sv.est, sv.rng, NodePower, sv.noise)
+	default:
+		return core.Plan{}, sv.err
+	}
+	if err != nil {
+		return core.Plan{}, err
+	}
+	return *plan, nil
 }
 
 // PlanSlots runs every request's role-assignment search with all
@@ -102,9 +167,9 @@ func PlanSlots(ws *phy.Workspace, cache *SlotCache, reqs []SlotRequest, rng *ran
 	defer sc.release()
 	cands, jobs := sc.cands, sc.jobs
 
-	// Candidate scratch — solver plans and their estimate sets — stays
-	// alive until the winners are cloned out; one release covers the
-	// whole search.
+	// Candidate scratch — solver plans, their estimate sets and the base
+	// sets — stays alive until the winners are cloned out; one release
+	// covers the whole search.
 	mark := ws.Mat.Mark()
 	defer ws.Mat.Release(mark)
 
@@ -116,40 +181,39 @@ func PlanSlots(ws *phy.Workspace, cache *SlotCache, reqs []SlotRequest, rng *ran
 		slot.downlink = req.Downlink
 		nc, na := len(req.S.Clients), len(req.S.APs)
 
-		var baseEst core.ChannelSet
-		var solve solveFunc
+		var b slotBases
+		sv := shapeSolver{rng: rng}
 		var perms [][]int
 		if req.Downlink {
 			if cache == nil {
-				slot.baseTrue = req.S.DownlinkChannels()
-				baseEst = EstimateEnv(slot.baseTrue, req.S.Env, rng)
+				b.trueCS = req.S.DownlinkChannels()
+				b.estCS = EstimateEnv(b.trueCS, req.S.Env, rng)
 			} else {
-				slot.baseTrue = core.NewChannelSet(na, nc)
-				baseEst = core.NewChannelSet(na, nc)
+				b.trueCS = core.NewChannelSetWS(ws.Mat, na, nc)
+				b.estCS = core.NewChannelSetWS(ws.Mat, na, nc)
 				for i, ap := range req.S.APs {
 					for j, c := range req.S.Clients {
-						slot.baseTrue[i][j] = cache.Channel(ap, c)
-						baseEst[i][j] = cache.Estimated(ap, c, rng)
+						b.trueCS[i][j] = cache.Channel(ap, c)
+						b.estCS[i][j] = cache.Estimated(ap, c, rng)
 					}
 				}
 			}
-			s := req.S
-			solve = func(ws *cmplxmat.Workspace, est core.ChannelSet) (*core.Plan, error) {
-				switch {
-				case nc == 3 && na == 3:
-					return core.SolveDownlinkTriangleWS(ws, est)
-				case nc == 1 && na == 2:
-					return core.SolveDownlinkDiversity(est, rng, NodePower, s.Env.Noise())
-				default:
-					return nil, fmt.Errorf("testbed: unsupported downlink shape %dx%d clients/APs", nc, na)
-				}
+			switch {
+			case nc == 3 && na == 3:
+				sv.shape = shapeDownlinkTriangle
+			case nc == 1 && na == 2:
+				sv.shape = shapeDownlinkDiversity
+				sv.noise = req.S.Env.Noise()
+			default:
+				sv.err = fmt.Errorf("testbed: unsupported downlink shape %dx%d clients/APs", nc, na)
 			}
 			// Downlink roles permute the transmitter (AP) axis: which AP
 			// carries which client's packet.
-			perms = permutations(slot.baseTrue.NumTx())
+			perms = permutations(b.trueCS.NumTx())
 		} else {
 			if req.Role < 0 || req.Role >= nc {
 				slot.err = fmt.Errorf("testbed: role %d out of range", req.Role)
+				sc.bases = append(sc.bases, b)
 				continue
 			}
 			// Order clients so the two-packet client sits at transmitter 0.
@@ -162,45 +226,46 @@ func PlanSlots(ws *phy.Workspace, cache *SlotCache, reqs []SlotRequest, rng *ran
 			}
 			slot.order = order
 			if cache == nil {
-				slot.baseTrue = Permute(req.S.UplinkChannels(), order)
-				baseEst = EstimateEnv(slot.baseTrue, req.S.Env, rng)
+				b.trueCS = Permute(req.S.UplinkChannels(), order)
+				b.estCS = EstimateEnv(b.trueCS, req.S.Env, rng)
 			} else {
-				slot.baseTrue = core.NewChannelSet(nc, na)
-				baseEst = core.NewChannelSet(nc, na)
+				b.trueCS = core.NewChannelSetWS(ws.Mat, nc, na)
+				b.estCS = core.NewChannelSetWS(ws.Mat, nc, na)
 				for i, o := range order {
 					c := req.S.Clients[o]
 					for j, ap := range req.S.APs {
-						slot.baseTrue[i][j] = cache.Channel(c, ap)
-						baseEst[i][j] = cache.Estimated(c, ap, rng)
+						b.trueCS[i][j] = cache.Channel(c, ap)
+						b.estCS[i][j] = cache.Estimated(c, ap, rng)
 					}
 				}
 			}
-			solve = func(ws *cmplxmat.Workspace, est core.ChannelSet) (*core.Plan, error) {
-				m := est.Antennas()
-				switch {
-				case nc == 2 && na == 2:
-					return core.SolveUplinkThreeWS(ws, est, rng)
-				case na >= 3 && nc == (core.UplinkChainAssignment{M: m}).NumClients():
-					return core.SolveUplinkChainWS(ws, est, rng)
-				default:
-					return nil, fmt.Errorf("testbed: unsupported uplink shape %dx%d", nc, na)
-				}
+			switch {
+			case nc == 2 && na == 2:
+				sv.shape = shapeUplinkThree
+			case na >= 3 && nc == (core.UplinkChainAssignment{M: b.estCS.Antennas()}).NumClients():
+				sv.shape = shapeUplinkChain
+			default:
+				sv.err = fmt.Errorf("testbed: unsupported uplink shape %dx%d", nc, na)
 			}
-			perms = rxOrders(slot.baseTrue.NumRx())
+			perms = rxOrders(b.trueCS.NumRx())
 		}
+		sc.bases = append(sc.bases, b)
 
 		// Solver attempts in search order, scoring deferred: each
-		// successful candidate contributes one job to the batch.
+		// successful candidate contributes one job to the batch. The
+		// job's plan pointer is filled in once the candidate list has
+		// stopped growing.
 		opts := req.S.Env.planOpts()
 		for _, perm := range perms {
-			est := permuteCandidate(baseEst, perm, req.Downlink)
+			est := permuteCandidateWS(ws.Mat, b.estCS, perm, req.Downlink)
+			sv.prepare(ws.Mat, est)
 			for attempt := 0; attempt < solveCandidates; attempt++ {
-				plan, err := solve(ws.Mat, est)
+				plan, err := sv.attempt(ws.Mat)
 				c := slotCandidate{plan: plan, est: est, perm: perm, err: err, job: -1}
 				if err == nil {
 					c.job = len(jobs)
 					// Score with the planner's knowledge only (estimates).
-					jobs = append(jobs, core.EvalJob{Plan: plan, TrueCS: est, EstCS: est, Opts: opts})
+					jobs = append(jobs, core.EvalJob{TrueCS: est, EstCS: est, Opts: opts})
 				}
 				cands = append(cands, c)
 			}
@@ -208,22 +273,25 @@ func PlanSlots(ws *phy.Workspace, cache *SlotCache, reqs []SlotRequest, rng *ran
 	}
 	sc.candStart = append(sc.candStart, len(cands))
 	sc.cands, sc.jobs = cands, jobs
+	for i := range cands {
+		if c := &cands[i]; c.job >= 0 {
+			jobs[c.job].Plan = &c.plan
+		}
+	}
 
 	total := core.EvaluateJobsWS(ws.Mat, jobs)
 
 	// Selection replays the scalar winner/last-error walk candidate by
 	// candidate: each candidate carries at most one error (solve or
 	// score), and the winner is the first candidate in search order to
-	// strictly beat the best estimated sum rate so far.
+	// strictly beat the best estimated sum rate so far. Only the winner
+	// is copied out of the arena.
 	for r := range slots {
 		slot := &slots[r]
 		if slot.err != nil {
 			continue
 		}
-		trackPlanned := (cache != nil && cache.trackPlanned) || slot.s.Env.MCS != nil
-		opts := slot.s.Env.planOpts()
-		var best plannedPlan
-		var bestPerm []int
+		best := -1
 		bestRate := -1.0
 		var lastErr error
 		for i := sc.candStart[r]; i < sc.candStart[r+1]; i++ {
@@ -240,30 +308,47 @@ func PlanSlots(ws *phy.Workspace, cache *SlotCache, reqs []SlotRequest, rng *ran
 			}
 			if j.Ev.SumRate > bestRate {
 				bestRate = j.Ev.SumRate
-				// Clone detaches the winner from the workspace before the
-				// batch-wide release reclaims the candidates' memory.
-				winner := plannedPlan{Plan: c.plan.Clone(), PlannedChannels: c.est}
-				if trackPlanned {
-					// The previous winner's buffers are dead; reuse them.
-					winner.PlannedRate = append(best.PlannedRate[:0], j.Ev.PacketRate...)
-					if opts.Rate != nil {
-						// Planner SINRs feed the MCS outage rule only;
-						// dynamics-mode tracking skips them.
-						winner.PlannedSINR = append(best.PlannedSINR[:0], j.Ev.SINR...)
-					}
-				}
-				best = winner
-				bestPerm = c.perm
+				best = i
 			}
 		}
-		if best.Plan == nil {
+		if best < 0 {
 			slot.err = lastErr
 			continue
 		}
-		slot.plan = best
-		slot.trueCS = permuteCandidate(slot.baseTrue, bestPerm, slot.downlink)
+		c, b := &cands[best], sc.bases[r]
+		slot.plan = plannedPlan{Plan: c.plan.Clone(), PlannedChannels: permuteCandidate(b.estCS, c.perm, slot.downlink)}
+		if (cache != nil && cache.trackPlanned) || slot.s.Env.MCS != nil {
+			ev := jobs[c.job].Ev
+			slot.plan.PlannedRate = append([]float64(nil), ev.PacketRate...)
+			if slot.s.Env.MCS != nil {
+				// Planner SINRs feed the MCS outage rule only;
+				// dynamics-mode tracking skips them.
+				slot.plan.PlannedSINR = append([]float64(nil), ev.SINR...)
+			}
+		}
+		slot.trueCS = permuteCandidate(b.trueCS, c.perm, slot.downlink)
 	}
 	return slots, total
+}
+
+// permuteCandidateWS is permuteCandidate with the permuted set's slices
+// in the arena: the search's per-assignment estimate sets live only as
+// long as its candidates.
+func permuteCandidateWS(ws *cmplxmat.Workspace, cs core.ChannelSet, perm []int, downlink bool) core.ChannelSet {
+	if downlink {
+		out := core.NewChannelSetWS(ws, len(perm), cs.NumRx())
+		for i, o := range perm {
+			copy(out[i], cs[o])
+		}
+		return out
+	}
+	out := core.NewChannelSetWS(ws, cs.NumTx(), len(perm))
+	for t := range cs {
+		for j, o := range perm {
+			out[t][j] = cs[t][o]
+		}
+	}
+	return out
 }
 
 // permuteCandidate applies a role permutation along the axis the search

@@ -8,6 +8,7 @@ package testbed
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"iaclan/internal/channel"
 	"iaclan/internal/cmplxmat"
@@ -200,8 +201,8 @@ func PermuteRx(cs core.ChannelSet, order []int) core.ChannelSet {
 }
 
 // permTable caches the orderings for the shapes the constructions use
-// (1 to 3 APs or clients), so the per-slot role search never regenerates
-// them.
+// (1 to 3 APs or clients), so the per-slot role search does not
+// regenerate them; permutations of more elements are generated per call.
 var permTable = [][][]int{nil, genPermutations(1), genPermutations(2), genPermutations(3)}
 
 // permutations returns all orderings of 0..n-1. n is small (2 or 3 APs).
@@ -212,15 +213,30 @@ func permutations(n int) [][]int {
 	return genPermutations(n)
 }
 
+// rotMemo holds rxOrders' cyclic rotations per AP count (int -> [][]int),
+// each built on first use, so the N-AP chain's role search does not
+// regenerate them per plan.
+var rotMemo sync.Map
+
 // rxOrders returns the receiver-role orderings the uplink role search
 // tries: every permutation for the paper's small shapes (n <= 3), and
 // the n cyclic rotations beyond that. Full enumeration is factorial in
 // the AP count; rotations keep the N-AP chain's role search linear
-// while still letting every AP take every chain position once.
+// while still letting every AP take every chain position once. The
+// returned tables are shared; callers must not modify them.
 func rxOrders(n int) [][]int {
 	if n <= 3 {
 		return permutations(n)
 	}
+	if t, ok := rotMemo.Load(n); ok {
+		return t.([][]int)
+	}
+	t, _ := rotMemo.LoadOrStore(n, genRotations(n))
+	return t.([][]int)
+}
+
+// genRotations returns the n cyclic rotations of 0..n-1.
+func genRotations(n int) [][]int {
 	out := make([][]int, n)
 	for r := 0; r < n; r++ {
 		order := make([]int, n)

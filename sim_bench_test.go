@@ -127,6 +127,41 @@ func BenchmarkSimulateCampus(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulateCampusFading gates the fading planner: the iacperf
+// campus_fading workload cut to 60 cycles and one trial per cell. Block
+// fading and mobility move the world epoch every cycle, so every picker
+// estimate re-plans its group — the 4-AP uplink chain's rotation ×
+// attempt search, zero-forcing SVDs, determinant-polynomial roots —
+// under noise, residual cancellation and MCS. allocs/op is the number
+// the gate's any-alloc-increase rule guards on this path.
+func BenchmarkSimulateCampusFading(b *testing.B) {
+	cfg := SimConfig{
+		Seed:        1,
+		Workers:     2,
+		PacketBytes: 1440,
+		CPSlots:     2,
+		MaxQueue:    64,
+		Picker:      PickerBestOfTwo,
+		GroupSize:   3,
+		Clients:     10,
+		APs:         4,
+		Uplink:      true,
+		Cells:       SimCells{Count: 2, Leak: 0.15},
+		Workload:    SimWorkload{Kind: WorkloadPoisson, PacketsPerSlot: 0.12},
+		MaxRetries:  1,
+		Dynamics:    SimDynamics{Eps: 0.3, CoherenceCycles: 1, RetrainCycles: 8, TrainSlots: 2, Mobility: true},
+		Link:        SimLink{NoiseDB: 8, ResidualCancel: true, MCS: true},
+		Trials:      1,
+		Cycles:      60,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := SimulateCampus(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSimulateCampusPipeline gates the pipelined campus runner:
 // the same work as BenchmarkSimulateCampus but with four cells (so the
 // worker/merge stages actually overlap) routed through pinned
