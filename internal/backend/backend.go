@@ -50,9 +50,24 @@ type Message struct {
 // wire format: type(1) from(4) seq(4) payloadLen(4) payload.
 const headerLen = 13
 
+// MaxPayload bounds a message payload in bytes. The 4-byte length field
+// could claim up to 4 GiB; a hub trusting it would allocate whatever a
+// corrupt or hostile frame header asks for. 64 KiB sits far above the
+// 1500-byte packets the APs share (and above an 802.11n A-MPDU's 65535
+// bytes). Decoders reject longer frames and Publish refuses to send them.
+const MaxPayload = 64 << 10
+
+// ErrPayloadTooLarge is returned for a message whose payload exceeds
+// MaxPayload, on decode and on Publish.
+var ErrPayloadTooLarge = fmt.Errorf("backend: payload exceeds %d bytes", MaxPayload)
+
+// WireLen returns the message's encoded size on the wire, by definition
+// len(m.Marshal()), without building the frame.
+func (m Message) WireLen() int { return headerLen + len(m.Payload) }
+
 // Marshal encodes the message in the hub wire format.
 func (m Message) Marshal() []byte {
-	buf := make([]byte, headerLen+len(m.Payload))
+	buf := make([]byte, m.WireLen())
 	buf[0] = byte(m.Type)
 	binary.BigEndian.PutUint32(buf[1:5], uint32(m.From))
 	binary.BigEndian.PutUint32(buf[5:9], m.Seq)
@@ -65,12 +80,16 @@ func (m Message) Marshal() []byte {
 var ErrShortMessage = errors.New("backend: short message")
 
 // UnmarshalMessage decodes one message and returns it along with the
-// number of bytes consumed.
+// number of bytes consumed. A header claiming more than MaxPayload bytes
+// is rejected with ErrPayloadTooLarge.
 func UnmarshalMessage(b []byte) (Message, int, error) {
 	if len(b) < headerLen {
 		return Message{}, 0, ErrShortMessage
 	}
-	plen := int(binary.BigEndian.Uint32(b[9:13]))
+	plen, err := payloadLen(b[:headerLen])
+	if err != nil {
+		return Message{}, 0, err
+	}
 	if len(b) < headerLen+plen {
 		return Message{}, 0, ErrShortMessage
 	}
@@ -83,6 +102,16 @@ func UnmarshalMessage(b []byte) (Message, int, error) {
 		m.Payload = append([]byte(nil), b[headerLen:headerLen+plen]...)
 	}
 	return m, headerLen + plen, nil
+}
+
+// payloadLen reads the payload length from a frame header, rejecting
+// lengths above MaxPayload before anyone sizes a buffer by them.
+func payloadLen(hdr []byte) (int, error) {
+	n := binary.BigEndian.Uint32(hdr[9:13])
+	if n > MaxPayload {
+		return 0, ErrPayloadTooLarge
+	}
+	return int(n), nil
 }
 
 // Hub is the AP coordination plane: every published message is delivered
@@ -114,14 +143,19 @@ func NewMemHub(ports int) *MemHub {
 	return &MemHub{queues: make([][]Message, ports)}
 }
 
-// Publish implements Hub.
+// Publish implements Hub. It counts the message's wire size without
+// encoding it and appends to queues that DiscardAll keeps warm, so a
+// steady publish/discard loop does not allocate.
 func (h *MemHub) Publish(port int, msg Message) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if port < 0 || port >= len(h.queues) {
 		return fmt.Errorf("backend: port %d out of range", port)
 	}
-	h.bytes += int64(len(msg.Marshal()))
+	if len(msg.Payload) > MaxPayload {
+		return ErrPayloadTooLarge
+	}
+	h.bytes += int64(msg.WireLen())
 	for p := range h.queues {
 		if p == port {
 			continue
@@ -131,7 +165,8 @@ func (h *MemHub) Publish(port int, msg Message) error {
 	return nil
 }
 
-// Drain implements Hub.
+// Drain implements Hub. The returned slice belongs to the caller: the
+// port starts a fresh queue.
 func (h *MemHub) Drain(port int) []Message {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -143,15 +178,18 @@ func (h *MemHub) Drain(port int) []Message {
 	return out
 }
 
-// DiscardAll clears every port's queue without returning the messages.
+// DiscardAll drops every port's queued messages without returning them.
 // Long-running simulations that use the hub for wired-plane byte
 // accounting only (nobody consumes the broadcasts) call it once per CFP
-// cycle so queues stay bounded.
+// cycle so queues stay bounded. Each queue keeps its capacity (the
+// dropped entries are zeroed so their payloads can be collected), so
+// the next cycle's publishes append without growing anything.
 func (h *MemHub) DiscardAll() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for p := range h.queues {
-		h.queues[p] = nil
+	for p, q := range h.queues {
+		clear(q)
+		h.queues[p] = q[:0]
 	}
 }
 

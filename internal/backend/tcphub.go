@@ -159,7 +159,12 @@ func (h *TCPHub) servePort(port int, conn net.Conn) {
 		if _, err := io.ReadFull(r, hdr); err != nil {
 			return
 		}
-		plen := int(uint32(hdr[9])<<24 | uint32(hdr[10])<<16 | uint32(hdr[11])<<8 | uint32(hdr[12]))
+		plen, err := payloadLen(hdr)
+		if err != nil {
+			// A corrupt or hostile length: drop the port rather than
+			// allocate what the header claims.
+			return
+		}
 		frame := make([]byte, headerLen+plen)
 		copy(frame, hdr)
 		if _, err := io.ReadFull(r, frame[headerLen:]); err != nil {
@@ -192,6 +197,9 @@ func (h *TCPHub) Publish(port int, msg Message) error {
 	defer p.mu.Unlock()
 	if p.conn == nil {
 		return fmt.Errorf("backend: port %d not connected", port)
+	}
+	if len(msg.Payload) > MaxPayload {
+		return ErrPayloadTooLarge
 	}
 	//iacvet:allow detpure:wallclock socket write deadline for hub liveness; bounds a syscall, never feeds simulation state
 	if err := p.conn.SetWriteDeadline(time.Now().Add(tcpWriteTimeout)); err != nil {

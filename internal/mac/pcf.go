@@ -6,7 +6,9 @@ import (
 )
 
 // SlotResult reports what one concurrent transmission slot achieved for
-// each group member.
+// each group member. A SlotRunner may back its slices with buffers it
+// reuses slot after slot, so the result is valid only until the runner's
+// next call.
 type SlotResult struct {
 	// Rate is the achieved rate per client in the group, aligned with the
 	// group slice passed to the runner.
@@ -16,7 +18,10 @@ type SlotResult struct {
 }
 
 // SlotRunner executes one transmission group on the PHY (or a model of
-// it) and returns the outcome. The group slice is never empty.
+// it) and returns the outcome. The group slice is never empty; it may be
+// the picker's scratch, so a runner must not keep it past the call. The
+// result's slices may be views of runner-owned buffers: the Simulator
+// reads them before its next runner call and never keeps them.
 type SlotRunner func(group []ClientID) SlotResult
 
 // Tracer observes packet lifecycle events. Slot times are in the
@@ -346,7 +351,8 @@ func (s *Simulator) RunCFP() Beacon {
 // infinite-demand experiments (paper Section 10.3: each client always has
 // pending traffic, and the concurrency algorithm alone decides who is
 // served). It returns the group that transmitted (nil if the queue is
-// empty). Lost packets are requeued subject to MaxRetries.
+// empty); the slice is the picker's, valid until the next RunSlot or
+// RunCFP. Lost packets are requeued subject to MaxRetries.
 func (s *Simulator) RunSlot() []ClientID {
 	if s.queueLen == 0 {
 		return nil

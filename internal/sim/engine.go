@@ -99,6 +99,11 @@ type engine struct {
 	stripes int
 	rotBuf  []*channel.Node
 
+	// slotRate and slotLost back the SlotResult runSlot hands the MAC,
+	// reused slot after slot.
+	slotRate []float64
+	slotLost []bool
+
 	// Event-driven traffic plane (the default EngineWheel path). For
 	// timed workloads every client's next arrival is an armed timer on
 	// the hierarchical wheel, so a cycle costs the timers that fire, not
@@ -489,9 +494,18 @@ func (e *engine) estimate(group []mac.ClientID) float64 {
 }
 
 // runSlot is the MAC's SlotRunner: execute the group on the PHY and put
-// the cancellation shares on the wired plane.
+// the cancellation shares on the wired plane. The result's slices are
+// views of engine-owned buffers, cleared here and valid until the next
+// call (see mac.SlotRunner).
 func (e *engine) runSlot(group []mac.ClientID) mac.SlotResult {
-	res := mac.SlotResult{Rate: make([]float64, len(group)), Lost: make([]bool, len(group))}
+	n := len(group)
+	if cap(e.slotRate) < n {
+		e.slotRate = make([]float64, n)
+		e.slotLost = make([]bool, n)
+	}
+	res := mac.SlotResult{Rate: e.slotRate[:n], Lost: e.slotLost[:n]}
+	clear(res.Rate)
+	clear(res.Lost)
 	out := e.outcome(group)
 	if !out.ok {
 		// Planning failed (degenerate channels): the slot is wasted and

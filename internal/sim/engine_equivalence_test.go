@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"iaclan/internal/backend"
 )
 
 // eqWorkloads spans every workload kind, so the equivalence suite pins
@@ -164,6 +166,18 @@ func TestValidateMatchesRunners(t *testing.T) {
 	huge.Clients = maxClients + 1
 	if err := huge.Validate(); err == nil {
 		t.Fatal("oversized roster accepted")
+	}
+
+	// Packets must fit one wired-plane frame: the hub would refuse the
+	// shares, and the backend byte count would silently miss them.
+	jumbo := Default()
+	jumbo.PacketBytes = backend.MaxPayload
+	if err := jumbo.Validate(); err != nil {
+		t.Fatalf("MaxPayload-byte packets rejected: %v", err)
+	}
+	jumbo.PacketBytes++
+	if err := jumbo.Validate(); err == nil {
+		t.Fatal("packets larger than a backend frame accepted")
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"iaclan/internal/backend"
 	"iaclan/internal/obs"
 )
 
@@ -285,6 +286,11 @@ func (c Config) validate() error {
 	}
 	if c.PacketBytes < 1 {
 		return fmt.Errorf("sim: PacketBytes must be >= 1")
+	}
+	if c.PacketBytes > backend.MaxPayload {
+		// Every decoded packet crosses the wired plane, whose frames
+		// carry at most backend.MaxPayload bytes.
+		return fmt.Errorf("sim: PacketBytes %d exceeds the backend's %d-byte frame payload", c.PacketBytes, backend.MaxPayload)
 	}
 	if err := c.Dynamics.validate(); err != nil {
 		return err
