@@ -18,8 +18,8 @@ import (
 // stop being bit-identical.
 //
 // Subchecks (pragma targets): wallclock, globalrand, env, select.
-// The legitimate wall-clock sites — TCP hub socket deadlines, pipeline
-// stall timing — feed metrics only, never simulation state, and carry
+// The legitimate wall-clock sites — TCP hub socket deadlines and poll
+// timeouts — bound waits only, never feed simulation state, and carry
 // //iacvet:allow detpure:wallclock pragmas saying so.
 var DetPureAnalyzer = &analysis.Analyzer{
 	Name: "detpure",

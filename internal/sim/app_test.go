@@ -135,12 +135,11 @@ func TestStreamingWheelMatchesScan(t *testing.T) {
 	for _, tp := range []Transport{{}, {Enabled: true, RTOCycles: 2}} {
 		cfg := streamCfg()
 		cfg.Transport = tp
-		cfg.Engine = EngineWheel
 		wheel, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Engine = EngineScan
+		cfg.scan = true
 		scan, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -134,23 +134,16 @@ func RunCampus(cfg Config) (CampusResult, error) {
 		remaining[i].Store(int64(trials))
 	}
 	workers := effectiveWorkers(cfg, cfg.Workers, cells*trials)
-	if cfg.Pipeline {
-		// The pipelined runner: pinned per-worker arenas, SPSC rings
-		// into a single merge stage. Bit-identical to the sharded path
-		// below — see pipeline.go for the determinism argument.
-		runCampusPipeline(cfg, cellCfgs, results, errs, remaining, workers)
-	} else {
-		shard(cells*trials, workers, func(j int) {
-			cell, trial := j/trials, j%trials
-			c := cellCfgs[cell]
-			c.Seed += int64(trial)
-			c.cell, c.trial = cell, trial
-			results[cell][trial], errs[cell][trial] = Run(c)
-			if remaining[cell].Add(-1) == 0 {
-				campusCellDone(cfg, cell, results[cell])
-			}
-		})
-	}
+	shard(cells*trials, workers, func(j int) {
+		cell, trial := j/trials, j%trials
+		c := cellCfgs[cell]
+		c.Seed += int64(trial)
+		c.cell, c.trial = cell, trial
+		results[cell][trial], errs[cell][trial] = Run(c)
+		if remaining[cell].Add(-1) == 0 {
+			campusCellDone(cfg, cell, results[cell])
+		}
+	})
 	for c := range errs {
 		for t, err := range errs[c] {
 			if err != nil {

@@ -20,28 +20,108 @@ func campusCfg() Config {
 	return cfg
 }
 
+// heavyCampusCfg is the heaviest campus shape the determinism suite
+// runs: dynamics (fading + mobility + retraining), the SNR-aware link
+// plane with residual cancellation and the discrete MCS table, and
+// inter-cell leakage — every subsystem whose state could conceivably
+// leak between trials that share a worker's pooled workspace.
+func heavyCampusCfg(kind WorkloadKind) Config {
+	cfg := Default()
+	cfg.Clients = 6
+	cfg.APs = 4
+	cfg.Cycles = 12
+	cfg.Trials = 2
+	cfg.Workload = Workload{Kind: kind, PacketsPerSlot: 0.25}
+	cfg.Cells = Cells{Count: 3, Leak: 0.2}
+	cfg.Dynamics = Dynamics{
+		Eps:             0.3,
+		CoherenceCycles: 2,
+		RetrainCycles:   4,
+		TrainSlots:      2,
+		Mobility:        true,
+	}
+	cfg.Link = Link{NoiseDB: 8, ResidualCancel: true, MCS: true}
+	return cfg
+}
+
+// runCampusWorkers runs cfg's campus on the given worker count with the
+// Workers bookkeeping normalized away, so runs on different pool sizes
+// compare with DeepEqual.
+func runCampusWorkers(t *testing.T, cfg Config, workers int) CampusResult {
+	t.Helper()
+	cfg.Workers = workers
+	res, err := RunCampus(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range res.PerCell {
+		res.PerCell[i].Workers = 0
+	}
+	res.Campus.Workers = 0
+	return res
+}
+
 // TestCampusSerialMatchesSharded pins the headline determinism claim:
 // a campus sweep returns bit-identical results whether the (cell,
-// trial) units run on one worker or many.
+// trial) units run on one worker or many — for plain Poisson traffic
+// and for the degenerate single-cell campus under the heavy shape. A
+// workspace-reuse bug, a mis-scattered result, or any scheduling
+// sensitivity shows up as a DeepEqual mismatch.
 func TestCampusSerialMatchesSharded(t *testing.T) {
-	cfg := campusCfg()
-	cfg.Workers = 1
-	serial, err := RunCampus(cfg)
-	if err != nil {
-		t.Fatal(err)
+	singleCell := heavyCampusCfg(CBR)
+	singleCell.Cells = Cells{}
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"poisson", campusCfg()},
+		{"single-cell", singleCell},
 	}
-	cfg.Workers = 4
-	sharded, err := RunCampus(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			assertSerialMatchesSharded(t, tc.cfg)
+		})
 	}
-	// Workers is bookkeeping, not physics; normalize before comparing.
-	for i := range serial.PerCell {
-		serial.PerCell[i].Workers = 0
-		sharded.PerCell[i].Workers = 0
+}
+
+// TestCampusHeavySerialMatchesSharded runs the serial-vs-sharded
+// comparison on the heavy shape for every workload kind, so a
+// subsystem's state leaking between units that share a pooled
+// workspace shows up whatever traffic drives the slots.
+func TestCampusHeavySerialMatchesSharded(t *testing.T) {
+	cases := []struct {
+		name string
+		kind WorkloadKind
+	}{
+		{"saturated", Saturated},
+		{"cbr", CBR},
+		{"poisson", Poisson},
+		{"bursty", Bursty},
 	}
-	serial.Campus.Workers = 0
-	sharded.Campus.Workers = 0
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			assertSerialMatchesSharded(t, heavyCampusCfg(tc.kind))
+		})
+	}
+}
+
+// TestCampusHeavySingleWorkerMatchesWorkerPerUnit pins the two reuse
+// extremes of the heavy Poisson campus: one worker carries a single
+// workspace through every (cell, trial) unit in turn, while one worker
+// per unit gives each unit its own. Both must return the same bits.
+func TestCampusHeavySingleWorkerMatchesWorkerPerUnit(t *testing.T) {
+	cfg := heavyCampusCfg(Poisson)
+	single := runCampusWorkers(t, cfg, 1)
+	perUnit := runCampusWorkers(t, cfg, cfg.Cells.Count*cfg.Trials)
+	if !reflect.DeepEqual(single, perUnit) {
+		t.Fatal("single-worker heavy campus diverged from the worker-per-unit run")
+	}
+}
+
+func assertSerialMatchesSharded(t *testing.T, cfg Config) {
+	t.Helper()
+	serial := runCampusWorkers(t, cfg, 1)
+	sharded := runCampusWorkers(t, cfg, 4)
 	if !reflect.DeepEqual(serial, sharded) {
 		t.Fatalf("sharded campus diverged from serial:\n%+v\nvs\n%+v", serial, sharded)
 	}

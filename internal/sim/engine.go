@@ -104,12 +104,12 @@ type engine struct {
 	slotRate []float64
 	slotLost []bool
 
-	// Event-driven traffic plane (the default EngineWheel path). For
+	// Event-driven traffic plane (the default path). For
 	// timed workloads every client's next arrival is an armed timer on
 	// the hierarchical wheel, so a cycle costs the timers that fire, not
 	// the roster. Saturated workloads have no timers; refill/refillMark
 	// track the clients whose queues the MAC drained since the last
-	// top-up instead. Both are nil under EngineScan, the legacy
+	// top-up instead. Both are nil under Config.scan, the legacy
 	// every-client-every-cycle sweep kept as the differential-testing
 	// reference.
 	wheel      *sched.Wheel
@@ -225,7 +225,7 @@ func newEngine(cfg Config) (*engine, error) {
 			e.next[i] = g.Next(e.rng) * e.rng.Float64()
 		}
 	}
-	if cfg.Engine != EngineScan {
+	if !cfg.scan {
 		if cfg.Workload.Kind == Saturated {
 			// No timers: saturated queues refill whenever the MAC drains
 			// them, so the dirty set starts as the whole roster and then
@@ -349,12 +349,11 @@ func (e *engine) cycle(c int) {
 // keeps the run deterministic.
 //
 // Two implementations share those semantics bit for bit. The default
-// event-driven path (EngineWheel) pops expired arrival timers off the
-// hierarchical wheel (or, for saturated sources, walks the MAC-drained
-// dirty set), so a cycle costs the clients with work. The legacy scan
-// path (EngineScan) sweeps the whole roster every cycle and is kept as
-// the reference the equivalence tests and fuzzers pin the wheel
-// against.
+// event-driven path pops expired arrival timers off the hierarchical
+// wheel (or, for saturated sources, walks the MAC-drained dirty set),
+// so a cycle costs the clients with work. The legacy scan path
+// (Config.scan) sweeps the whole roster every cycle and is kept only as
+// the reference the equivalence tests pin the wheel against.
 func (e *engine) generate() {
 	switch {
 	case e.refillMark != nil:

@@ -36,8 +36,7 @@ func TestWheelMatchesScanAllWorkloads(t *testing.T) {
 			cfg.Workload = w
 
 			wheelCfg, scanCfg := cfg, cfg
-			wheelCfg.Engine = EngineWheel
-			scanCfg.Engine = EngineScan
+			scanCfg.scan = true
 
 			serialWheel, err := RunTrials(wheelCfg, cfg.Trials, 1)
 			if err != nil {
@@ -78,8 +77,7 @@ func TestWheelMatchesScanUnderDynamics(t *testing.T) {
 	cfg.Dynamics = Dynamics{Eps: 0.2, CoherenceCycles: 4, RetrainCycles: 8, TrainSlots: 2, Mobility: true, SpeedMetersPerInterval: 0.05}
 
 	wheelCfg, scanCfg := cfg, cfg
-	wheelCfg.Engine = EngineWheel
-	scanCfg.Engine = EngineScan
+	scanCfg.scan = true
 	wheel, err := RunTrials(wheelCfg, cfg.Trials, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -105,8 +103,7 @@ func TestWheelMatchesScanCampus(t *testing.T) {
 	cfg.Cells = Cells{Count: 3, Leak: 0.1}
 
 	wheelCfg, scanCfg := cfg, cfg
-	wheelCfg.Engine = EngineWheel
-	scanCfg.Engine = EngineScan
+	scanCfg.scan = true
 	wheel, err := RunCampus(wheelCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -117,21 +114,6 @@ func TestWheelMatchesScanCampus(t *testing.T) {
 	}
 	if !reflect.DeepEqual(wheel, scan) {
 		t.Fatalf("campus wheel != scan")
-	}
-}
-
-// TestEngineValidation pins the Engine knob's admission rule.
-func TestEngineValidation(t *testing.T) {
-	cfg := Default()
-	for _, ok := range []string{"", EngineWheel, EngineScan} {
-		cfg.Engine = ok
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("Engine %q rejected: %v", ok, err)
-		}
-	}
-	cfg.Engine = "turbo"
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("unknown engine accepted")
 	}
 }
 

@@ -36,8 +36,8 @@ const (
 	// metricTimers* expose the event-driven traffic plane's hierarchical
 	// timing wheel: arrival timers armed (re-arms included), timers
 	// popped by wheel advances, and entry moves between wheel levels.
-	// All three stay zero under EngineScan and for saturated workloads,
-	// which run no timers.
+	// All three stay zero for saturated workloads, which run no timers,
+	// and under the scan reference plane.
 	metricTimersScheduled = "sim_timers_scheduled"
 	metricTimersFired     = "sim_timers_fired"
 	metricTimersCascaded  = "sim_timers_cascaded"
@@ -47,12 +47,8 @@ const (
 	// metricPoolGets / metricPoolPuts mirror the PHY workspace pool's
 	// churn, published as snapshot-time gauges (the pool is process
 	// global, so they span every concurrent sweep in the process).
-	// metricPoolReuses counts pinned in-place recycles — the pipelined
-	// runner's steady state, where workers keep one workspace for their
-	// whole lifetime instead of round-tripping the pool per trial.
-	metricPoolGets   = "phy_pool_gets"
-	metricPoolPuts   = "phy_pool_puts"
-	metricPoolReuses = "phy_pool_reuses"
+	metricPoolGets = "phy_pool_gets"
+	metricPoolPuts = "phy_pool_puts"
 	// Transport-plane counters: packets the closed loop re-injected
 	// after a final MAC drop, and the RTO timer firings behind them.
 	// Both stay zero with Config.Transport disabled.
@@ -76,15 +72,6 @@ const (
 	// the registry once per trial alongside the latency sketch. Stays
 	// empty on the scalar reference paths, which batch nothing.
 	metricBatchProducts = "sim_batch_products"
-	// Pipelined campus runner instrumentation: live aggregate depth of
-	// the worker->merge rings, cumulative producer/consumer stall yields,
-	// and per-stage busy nanoseconds (workers pooled vs the merge
-	// goroutine). All stay zero under the sharded reference runner.
-	metricPipelineRingDepth  = "sim_pipeline_ring_depth"
-	metricPipelinePushStalls = "sim_pipeline_push_stalls"
-	metricPipelinePopStalls  = "sim_pipeline_pop_stalls"
-	metricPipelineWorkerBusy = "sim_pipeline_worker_busy_ns"
-	metricPipelineMergeBusy  = "sim_pipeline_merge_busy_ns"
 )
 
 // cellThroughputGauge names cell i's live throughput gauge, set when
@@ -168,18 +155,14 @@ func newSimMetrics(reg *obs.Registry) *simMetrics {
 
 // registerPoolGauges publishes the PHY workspace pool's churn counters
 // as derived gauges. Registration is idempotent (register-or-replace),
-// so every engine sharing a registry lands on the same three gauges.
+// so every engine sharing a registry lands on the same two gauges.
 func registerPoolGauges(reg *obs.Registry) {
 	reg.GaugeFunc(metricPoolGets, func() float64 {
-		gets, _, _ := phy.PoolCounters()
+		gets, _ := phy.PoolCounters()
 		return float64(gets)
 	})
 	reg.GaugeFunc(metricPoolPuts, func() float64 {
-		_, puts, _ := phy.PoolCounters()
+		_, puts := phy.PoolCounters()
 		return float64(puts)
-	})
-	reg.GaugeFunc(metricPoolReuses, func() float64 {
-		_, _, reuses := phy.PoolCounters()
-		return float64(reuses)
 	})
 }

@@ -165,6 +165,34 @@ func TestRegistryCountsMatchSummary(t *testing.T) {
 	}
 }
 
+// TestCampusHeavyObservability runs the heavy Poisson campus with and
+// without a registry: observation must not perturb a bit of the result,
+// and the batched slot planner must have tallied its dispatch sizes —
+// one per planned slot, each carrying at least one product.
+func TestCampusHeavyObservability(t *testing.T) {
+	cfg := heavyCampusCfg(Poisson)
+	want, err := RunCampus(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	got, err := RunCampus(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("observability perturbed the heavy campus result")
+	}
+	d, ok := reg.Snapshot().Distributions[metricBatchProducts]
+	if !ok || d.Count == 0 {
+		t.Fatal("batch-products distribution is empty: the engine never tallied a batched slot")
+	}
+	if d.Min <= 0 {
+		t.Fatalf("batch-products distribution recorded a non-positive dispatch size: min %v", d.Min)
+	}
+}
+
 // TestConcurrentSnapshotWhileRunning reads registry snapshots while the
 // campus workers publish — the -race job turns any unsynchronized
 // access into a failure.

@@ -15,13 +15,13 @@ import (
 // from O(clients) to O(active clients). The scan variant is the
 // baseline the >=5x acceptance ratio is measured against — it pays the
 // full-roster sweep every cycle regardless of activity.
-func benchIdleCampus(b *testing.B, engine string) {
+func benchIdleCampus(b *testing.B, scan bool) {
 	cfg := Default()
 	cfg.Clients = 10000
 	// ~1% of the roster transmits in any few-thousand-cycle window; the
 	// rest are associated but silent.
 	cfg.Workload = Workload{Kind: Poisson, PacketsPerSlot: 1e-6}
-	cfg.Engine = engine
+	cfg.scan = scan
 	cfg, err := cfg.prepare()
 	if err != nil {
 		b.Fatal(err)
@@ -44,5 +44,5 @@ func benchIdleCampus(b *testing.B, engine string) {
 	}
 }
 
-func BenchmarkSimulateIdleCampus(b *testing.B)     { benchIdleCampus(b, EngineWheel) }
-func BenchmarkSimulateIdleCampusScan(b *testing.B) { benchIdleCampus(b, EngineScan) }
+func BenchmarkSimulateIdleCampus(b *testing.B)     { benchIdleCampus(b, false) }
+func BenchmarkSimulateIdleCampusScan(b *testing.B) { benchIdleCampus(b, true) }

@@ -32,20 +32,6 @@ const (
 	PickerBruteForce = "brute-force"
 )
 
-// Engine names for Config.Engine.
-const (
-	// EngineWheel is the default event-driven traffic plane: per-client
-	// arrival timers on a hierarchical timing wheel (saturated workloads
-	// use a MAC-drained dirty set instead), so a cycle costs the clients
-	// with work, not the roster. The empty string selects it.
-	EngineWheel = "wheel"
-	// EngineScan is the legacy traffic plane that sweeps every client
-	// every cycle. Bit-identical to EngineWheel by construction; kept as
-	// the reference the equivalence tests and fuzzers pin the wheel
-	// against, and as an escape hatch.
-	EngineScan = "scan"
-)
-
 // maxClients is the hard cap on clients per cell: the MAC's wire format
 // addresses clients with 16 bits (mac.ClientID), so one cell holds at
 // most 65536 clients. Larger populations shard across Cells — a campus
@@ -83,22 +69,6 @@ type Config struct {
 	// Picker selects the concurrency algorithm (PickerFIFO,
 	// PickerBestOfTwo, PickerBruteForce).
 	Picker string
-	// Engine selects the traffic plane: EngineWheel (the default; the
-	// empty string means it too) runs the event-driven timing-wheel core
-	// whose per-cycle cost scales with active clients, EngineScan the
-	// legacy every-client-every-cycle sweep. The two are bit-identical —
-	// EngineScan exists as the differential-testing reference and escape
-	// hatch, not as a different model.
-	Engine string
-	// Pipeline routes RunCampus through the pipelined runner: workers
-	// with pinned workspace arenas claim (cell, trial) jobs off an
-	// atomic cursor, push finished trials through bounded SPSC rings,
-	// and a single merge stage scatters them into the result grid. The
-	// campus result is bit-identical to the sharded reference runner
-	// (each trial owns its world, RNG, and caches either way; only the
-	// scheduling changes), which stays the default and the
-	// differential-testing reference. Single-trial Run ignores it.
-	Pipeline bool
 	// Workload is the per-client offered-load model.
 	Workload Workload
 	// Transport configures the per-client windowed transport above the
@@ -147,6 +117,13 @@ type Config struct {
 	// set them. They never feed into seeds or results.
 	cell  int
 	trial int
+	// scan swaps the event-driven traffic plane (timing-wheel arrival
+	// timers, or the MAC-drained refill set for saturated sources) for
+	// the legacy every-client-every-cycle sweep. The two are
+	// bit-identical; the sweep is kept only as the reference the
+	// package's equivalence tests and the idle-campus benchmark pin the
+	// wheel against.
+	scan bool
 }
 
 // Default returns the engine defaults: the acceptance scenario of a
@@ -278,11 +255,6 @@ func (c Config) validate() error {
 	case PickerFIFO, PickerBestOfTwo, PickerBruteForce:
 	default:
 		return fmt.Errorf("sim: unknown picker %q", c.Picker)
-	}
-	switch c.Engine {
-	case "", EngineWheel, EngineScan:
-	default:
-		return fmt.Errorf("sim: unknown engine %q", c.Engine)
 	}
 	if c.PacketBytes < 1 {
 		return fmt.Errorf("sim: PacketBytes must be >= 1")

@@ -24,8 +24,8 @@ const (
 	// EventTimersFired fires once per cycle in which the event-driven
 	// traffic plane popped expired arrival timers off the hierarchical
 	// wheel. Slot is the airtime clock the wheel advanced to, Value the
-	// number of timers that fired. Never emitted under EngineScan or for
-	// saturated workloads (which have no timers).
+	// number of timers that fired. Never emitted for saturated workloads
+	// (which have no timers) or by the scan reference plane.
 	EventTimersFired
 	// EventTrialDone fires once per finished trial. Slot carries the
 	// trial's total airtime, Value its sum throughput in bits/slot.

@@ -107,23 +107,15 @@ func TestTransportSerialMatchesSharded(t *testing.T) {
 	}
 }
 
-func TestTransportShardedMatchesPipeline(t *testing.T) {
+func TestTransportCampusSerialMatchesSharded(t *testing.T) {
 	cfg := streamCfg()
 	cfg.Cycles = 60
 	cfg.Trials = 3
 	cfg.Cells = Cells{Count: 2, Leak: 0.1}
-	cfg.Workers = 4
-	sharded, err := RunCampus(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Pipeline = true
-	piped, err := RunCampus(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sharded, piped) {
-		t.Fatal("pipelined campus diverged from the sharded reference with transport+streaming on")
+	serial := runCampusWorkers(t, cfg, 1)
+	sharded := runCampusWorkers(t, cfg, 4)
+	if !reflect.DeepEqual(serial, sharded) {
+		t.Fatal("sharded campus diverged from serial with transport+streaming on")
 	}
 }
 

@@ -162,28 +162,6 @@ func BenchmarkSimulateCampusFading(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulateCampusPipeline gates the pipelined campus runner:
-// the same work as BenchmarkSimulateCampus but with four cells (so the
-// worker/merge stages actually overlap) routed through pinned
-// workspace arenas and SPSC rings. Compare against a 4-cell sharded
-// run to read the pipeline's overhead or win; the gate watches it for
-// regressions like every other headline number.
-func BenchmarkSimulateCampusPipeline(b *testing.B) {
-	cfg := benchSimConfig()
-	cfg.Clients = 6
-	cfg.APs = 4
-	cfg.Cycles = 60
-	cfg.Trials = 1
-	cfg.Cells = sim.Cells{Count: 4, Leak: 0.15}
-	cfg.Pipeline = true
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := SimulateCampus(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSimulateCampusSketch gates the observability plane's cost on
 // the campus path: a registry attached (so every trial flushes its
 // counters and merges its latency sketch), longer trials so the

@@ -148,15 +148,6 @@ const (
 	PickerBruteForce = sim.PickerBruteForce
 )
 
-// Traffic-engine names for SimConfig.Engine. The default (the empty
-// string) is the event-driven timing-wheel core, whose per-cycle cost
-// scales with active clients; the scan engine is the legacy full-roster
-// sweep kept as a bit-identical reference and escape hatch.
-const (
-	SimEngineWheel = sim.EngineWheel
-	SimEngineScan  = sim.EngineScan
-)
-
 // ---------------------------------------------------------------------
 // Results
 // ---------------------------------------------------------------------
@@ -254,17 +245,3 @@ const (
 	SimEventRetransmit        = sim.EventRetransmit
 	SimEventRebuffer          = sim.EventRebuffer
 )
-
-// ---------------------------------------------------------------------
-// Deprecated aliases
-// ---------------------------------------------------------------------
-
-// SimResult is the former name of SimSummary.
-//
-// Deprecated: use SimSummary.
-type SimResult = sim.Summary
-
-// WorkloadKind is the former name of SimWorkloadKind.
-//
-// Deprecated: use SimWorkloadKind.
-type WorkloadKind = sim.WorkloadKind
