@@ -6,6 +6,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"iaclan/internal/stats"
 )
 
 // Golden result fingerprints. Every planner optimization in this
@@ -39,6 +41,10 @@ func fingerprint(v any) uint64 {
 			}
 			walk(v.Elem())
 		case reflect.Struct:
+			if v.Type() == sketchType {
+				walkSketch(v, walk, put)
+				return
+			}
 			for i := range v.NumField() {
 				walk(v.Field(i))
 			}
@@ -63,6 +69,32 @@ func fingerprint(v any) uint64 {
 	}
 	walk(reflect.ValueOf(v))
 	return h.Sum64()
+}
+
+var sketchType = reflect.TypeFor[LatencySketch]()
+
+// walkSketch hashes a latency sketch by content, whichever storage mode
+// it is in: its count, nonNaN, nans, sum, min and max fields, then the
+// length and every entry of the full bin-count array. A sparse sketch
+// is expanded into that array, so the storage mode is not part of a
+// fingerprint and the hash equals that of the all-dense layout.
+func walkSketch(v reflect.Value, walk func(reflect.Value), put func(uint64)) {
+	for _, name := range []string{"count", "nonNaN", "nans", "sum", "min", "max"} {
+		walk(v.FieldByName(name))
+	}
+	if dense := v.FieldByName("dense"); !dense.IsNil() {
+		walk(dense.Elem())
+		return
+	}
+	counts := make([]uint64, v.FieldByName("dense").Type().Elem().Len())
+	bin, cnt := v.FieldByName("bin"), v.FieldByName("cnt")
+	for k := range int(v.FieldByName("n").Uint()) {
+		counts[bin.Index(k).Uint()] = cnt.Index(k).Uint()
+	}
+	put(uint64(len(counts)))
+	for _, c := range counts {
+		put(c)
+	}
 }
 
 // fingerprintBaseConfig is the shared shape of the pinned runs: two
@@ -122,5 +154,24 @@ func checkFingerprint(t *testing.T, cfg SimConfig, want uint64) {
 	}
 	if got := fingerprint(res); got != want {
 		t.Fatalf("result fingerprint %#016x, pinned %#016x: results changed bits", got, want)
+	}
+}
+
+// TestFingerprintSketchModeInvariant: a sparse sketch and a dense one
+// holding the same samples hash alike, so the golden constants pin
+// sketch contents, not storage.
+func TestFingerprintSketchModeInvariant(t *testing.T) {
+	var sparse LatencySketch
+	dense := new(stats.DenseSketch).Sketch()
+	for _, x := range []float64{0, 3, 3, 250, math.NaN(), 2e8} {
+		sparse.Add(x)
+		dense.Add(x)
+	}
+	if a, b := fingerprint(&sparse), fingerprint(dense); a != b {
+		t.Fatalf("sparse sketch fingerprint %#016x, dense %#016x", a, b)
+	}
+	dense.Add(7)
+	if a, b := fingerprint(&sparse), fingerprint(dense); a == b {
+		t.Fatal("fingerprint ignores a bin count")
 	}
 }

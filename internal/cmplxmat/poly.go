@@ -2,6 +2,7 @@ package cmplxmat
 
 import (
 	"errors"
+	"math"
 	"math/cmplx"
 )
 
@@ -75,8 +76,8 @@ func (p Poly) RootsWS(ws *Workspace) ([]complex128, error) {
 // durandKerner is the iteration behind Roots and RootsWS: it normalizes
 // p (of effective degree deg) into monic, seeds roots, and iterates with
 // next as the update buffer. monic has length deg+1; roots and next have
-// length deg.
-func (p Poly) durandKerner(deg int, monic Poly, roots, next []complex128) {
+// length deg. It returns the number of iterations run.
+func (p Poly) durandKerner(deg int, monic Poly, roots, next []complex128) int {
 	// Normalize to monic.
 	lead := p[deg]
 	for i := 0; i <= deg; i++ {
@@ -92,6 +93,7 @@ func (p Poly) durandKerner(deg int, monic Poly, roots, next []complex128) {
 	const maxIter = 500
 	for iter := 0; iter < maxIter; iter++ {
 		var maxDelta float64
+		fixed := true
 		for i := range roots {
 			num := monic.Eval(roots[i])
 			den := complex(1, 0)
@@ -106,15 +108,31 @@ func (p Poly) durandKerner(deg int, monic Poly, roots, next []complex128) {
 			}
 			delta := num / den
 			next[i] = roots[i] - delta
+			if fixed && !sameBits(next[i], roots[i]) {
+				fixed = false
+			}
 			if d := cmplx.Abs(delta); d > maxDelta {
 				maxDelta = d
 			}
 		}
 		copy(roots, next)
-		if maxDelta < 1e-14 {
-			break
+		// The absolute step test cannot pass once a root is large enough
+		// that its ulp exceeds 1e-14. An iteration that leaves every root
+		// bit-identical is an exact fixed point, though: next depends
+		// only on monic and roots, so every later iteration would repeat
+		// it, and stopping there returns the same bits.
+		if maxDelta < 1e-14 || fixed {
+			return iter + 1
 		}
 	}
+	return maxIter
+}
+
+// sameBits reports whether a and b have bit-identical real and
+// imaginary parts (so +0 and -0 differ, and equal NaNs match).
+func sameBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
 }
 
 // InterpolatePoly fits the unique polynomial of degree <= len(xs)-1 through

@@ -73,13 +73,13 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // by an ulp with merge order.
 type Distribution struct {
 	mu sync.Mutex
-	s  stats.Sketch
+	s  stats.DenseSketch
 }
 
 // Observe records one sample.
 func (d *Distribution) Observe(x float64) {
 	d.mu.Lock()
-	d.s.Add(x)
+	d.s.Sketch().Add(x)
 	d.mu.Unlock()
 }
 
@@ -87,7 +87,7 @@ func (d *Distribution) Observe(x float64) {
 // the distribution.
 func (d *Distribution) Merge(s *stats.Sketch) {
 	d.mu.Lock()
-	d.s.Merge(s)
+	d.s.Sketch().Merge(s)
 	d.mu.Unlock()
 }
 
@@ -95,7 +95,7 @@ func (d *Distribution) Merge(s *stats.Sketch) {
 func (d *Distribution) Snapshot() stats.SketchSnapshot {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.s.Snapshot()
+	return d.s.Sketch().Snapshot()
 }
 
 // Registry is a named collection of metrics. The zero value is not

@@ -200,7 +200,7 @@ func aggregateCampus(cells []Summary) Summary {
 		return Summary{}
 	}
 	s := Summary{Trials: cells[0].Trials, Cycles: cells[0].Cycles}
-	s.Latency = &stats.Sketch{}
+	s.Latency = new(stats.DenseSketch).Sketch()
 	tpCells := 0
 	for _, c := range cells {
 		s.MeanSlots += c.MeanSlots

@@ -118,11 +118,11 @@ type engine struct {
 	refillMark []bool
 
 	// Per-client accounting (index = scenario client index). Latency
-	// lives in fixed-size quantile sketches, not sample slices, so the
-	// accounting stays allocation-flat however many packets a trial
-	// delivers; the store materializes a client's sketch on its first
-	// delivered packet, so a mostly-idle campus pays for active clients
-	// only.
+	// lives in quantile sketches, not sample slices, so the accounting
+	// stays allocation-flat however many packets a trial delivers; on a
+	// large roster the store's sketches are sparse (~100 B each) and
+	// allocated on the first delivered packet, so a mostly-idle campus
+	// pays about 100 B per client.
 	pending   []int
 	offered   []int
 	delivered []int
@@ -148,7 +148,8 @@ type engine struct {
 	// per-plan dispatch sizes (SlotOutcome.Batched); merged into the
 	// registry's sim_batch_products distribution at trial end, so the
 	// hot path touches no shared state. Untouched when met is nil.
-	batchSketch stats.Sketch
+	// Dense and stored inline, so it costs the trial no allocation.
+	batchSketch stats.DenseSketch
 }
 
 func newEngine(cfg Config) (*engine, error) {
@@ -709,7 +710,7 @@ func (e *engine) plan(group []mac.ClientID, stripe int8) groupOutcome {
 		return groupOutcome{}
 	}
 	if e.met != nil && res.Batched > 0 {
-		e.batchSketch.Add(float64(res.Batched))
+		e.batchSketch.Sketch().Add(float64(res.Batched))
 	}
 	// Iterate local indices in order rather than ranging the maps: the
 	// remap can accumulate several packets onto one client, and float
@@ -807,10 +808,10 @@ func (e *engine) result() TrialResult {
 	}
 	thr := make([]float64, e.cfg.Clients)
 	// Pool the per-client latency sketches by merge, not by
-	// concatenating sample slices: one fixed-size sketch carries the
-	// whole trial's distribution whatever the packet count, and the
-	// same merge folds trials into sweeps and cells into a campus.
-	pooled := &stats.Sketch{}
+	// concatenating sample slices: one dense sketch carries the whole
+	// trial's distribution whatever the packet count, and the same
+	// merge folds trials into sweeps and cells into a campus.
+	pooled := new(stats.DenseSketch).Sketch()
 	var offered, delivered, dropped, bufDropped int
 	for i := range tr.PerClient {
 		cm := &tr.PerClient[i]
@@ -888,7 +889,7 @@ func (e *engine) result() TrialResult {
 			m.timersCascaded.Add(ws.Cascaded)
 		}
 		m.latency.Merge(pooled)
-		m.batchProducts.Merge(&e.batchSketch)
+		m.batchProducts.Merge(e.batchSketch.Sketch())
 		if e.tp != nil {
 			m.transportRetransmits.Add(uint64(tr.Transport.Retransmits))
 			m.transportTimeouts.Add(uint64(tr.Transport.Timeouts))

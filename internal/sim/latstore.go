@@ -7,60 +7,54 @@ import (
 )
 
 // latDenseMax is the roster size up to which the latency store keeps
-// one dense sketch per client. A stats.Sketch is a fixed ~8 KiB value,
-// so the dense layout is a single allocation and exactly what the
-// engine always did — small configs keep their allocation profile to
-// the byte (the bench gate fails on any allocs/op growth). Above the
-// threshold a dense slice would cost sketch-size × roster (≈ 800 MiB
-// at 10^5 clients), so the store switches to a pointer table backed by
-// a chunked arena and materializes a client's sketch on first use:
-// a mostly-idle campus pays for the clients that deliver packets.
+// every client's sketch dense from the start, all of them in one
+// allocation (stats.DenseSketch): on a small roster every client sees
+// enough packets to outgrow a sparse sketch, and promoting each one
+// would cost an allocation per client per trial (the bench gate fails
+// on any allocs/op growth). Above the threshold a dense slice would
+// cost ~8 KiB × roster (≈ 800 MiB at 10^5 clients), so the store holds
+// one sparse sketch (~100 B) per client instead: a mostly-idle campus,
+// whose clients see a handful of packets each, never promotes one.
 const latDenseMax = 1024
 
-// latChunk is the sparse arena's growth quantum, in sketches.
-const latChunk = 64
-
-// latStore is the engine's per-client latency accounting: logically a
-// sketch per client, physically dense or lazily-materialized sparse
-// depending on roster size. Not safe for concurrent use (each engine
-// owns one).
+// latStore is the engine's per-client latency accounting: one sketch
+// per client, dense or sparse depending on roster size. A large
+// roster's sketches are allocated together on the first latency
+// sample, so set-up and a cell that delivers nothing pay for none of
+// them. Not safe for concurrent use (each engine owns one).
 type latStore struct {
-	dense  []stats.Sketch
-	sparse []*stats.Sketch
-	arena  []stats.Sketch
+	n      int
+	dense  []stats.DenseSketch
+	sparse []stats.Sketch
 }
 
 func newLatStore(n int) latStore {
 	if n <= latDenseMax {
-		return latStore{dense: make([]stats.Sketch, n)}
+		return latStore{n: n, dense: make([]stats.DenseSketch, n)}
 	}
-	return latStore{sparse: make([]*stats.Sketch, n)}
+	return latStore{n: n}
 }
 
-// forClient returns client i's sketch, materializing it in the sparse
-// layout. Use get for read-only paths that must not allocate.
+// forClient returns client i's sketch for recording a sample,
+// allocating a large roster's sketches on first use. Use get for
+// read-only paths that must not allocate.
 func (l *latStore) forClient(i int) *stats.Sketch {
-	if l.dense != nil {
-		return &l.dense[i]
+	if l.dense == nil && l.sparse == nil {
+		l.sparse = make([]stats.Sketch, l.n)
 	}
-	if l.sparse[i] == nil {
-		if len(l.arena) == 0 {
-			l.arena = make([]stats.Sketch, latChunk)
-		}
-		l.sparse[i] = &l.arena[0]
-		l.arena = l.arena[1:]
-	}
-	return l.sparse[i]
+	return l.get(i)
 }
 
-// get returns client i's sketch, or nil if the client never recorded a
-// latency sample (sparse layout only; the dense layout's zero-value
-// sketches report Count 0 the same way).
+// get returns client i's sketch, or nil on a large roster that has not
+// recorded a sample yet.
 func (l *latStore) get(i int) *stats.Sketch {
 	if l.dense != nil {
-		return &l.dense[i]
+		return l.dense[i].Sketch()
 	}
-	return l.sparse[i]
+	if l.sparse == nil {
+		return nil
+	}
+	return &l.sparse[i]
 }
 
 // arrivalDeadline converts a generator's next-arrival time (fractional

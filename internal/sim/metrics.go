@@ -43,7 +43,7 @@ type TrialResult struct {
 	// JainFairness is Jain's index over per-client throughput.
 	JainFairness float64
 	// Latency is the trial's pooled arrival-to-ack distribution (in
-	// slots) as a mergeable fixed-size quantile sketch — the carrier
+	// slots) as a mergeable quantile sketch — the carrier
 	// that lets sweeps and campuses fold latency without concatenating
 	// per-client sample slices. MeanLatencySlots / P95LatencySlots are
 	// its scalar summary (sketch-derived, <= ~1.2% relative error on
@@ -120,7 +120,7 @@ func Summarize(trials []TrialResult) Summary {
 	// Latency pools by sketch merge in slice order: one distribution
 	// over every delivered packet of the sweep, so the p95 is a true
 	// pooled percentile rather than a mean of per-trial percentiles.
-	s.Latency = &stats.Sketch{}
+	s.Latency = new(stats.DenseSketch).Sketch()
 	tpTrials := 0
 	for _, tr := range trials {
 		s.MeanSlots += float64(tr.Slots)

@@ -27,22 +27,41 @@ var (
 	sketchHalfStep    = math.Sqrt(sketchGamma)
 )
 
-// Sketch is a fixed-size mergeable quantile sketch: a log-spaced
-// histogram over (0, 1e8) with ~1.2% worst-case relative value error,
-// plus exact count, sum, min and max. Unlike Percentile — which stores
-// and sorts every sample — a Sketch costs a fixed ~8 KiB whatever the
-// sample count, records a sample without allocating, and merges with
+// sketchInline is how many distinct bins a sparse sketch holds inline
+// before it promotes to a dense bin array. Latency per client is the
+// sparse case: on a 10^5-client campus (4 cells × 25,000 clients) no
+// client's sketch filled more than 4 bins, and over half filled one.
+const sketchInline = 4
+
+// sketchBinArray is a dense sketch's bin counts, indexed by bin.
+type sketchBinArray = [sketchBins + 2]uint64
+
+// Sketch is a mergeable quantile sketch: a log-spaced histogram over
+// (0, 1e8) with ~1.2% worst-case relative value error, plus exact
+// count, sum, min and max. Unlike Percentile — which stores and sorts
+// every sample — a Sketch records a sample in O(1) and merges with
 // another sketch in O(bins): the shape the traffic engine needs to
 // account per-client latency at campus scale, and to fold per-cell
 // distributions into a campus-wide one without concatenating sample
 // slices.
 //
-// The zero value is an empty sketch ready for use. Sketch is not safe
-// for concurrent use; each simulation trial owns its sketches and the
-// aggregators merge them in deterministic slice order (bin counts are
-// integers, so merged quantiles are bit-identical regardless of merge
-// order; only the float Sum — hence Mean — is sensitive to merge order,
-// by the usual ulp of float addition).
+// A sketch starts sparse: a ~100-byte value holding up to sketchInline
+// (bin, count) pairs inline, in bin order. The sample that would fill
+// a fifth distinct bin promotes it to a dense array of every bin's
+// count (~8 KiB, allocated once, behind a pointer); Merge promotes the
+// same way. Both modes use the same bin function and walk the same
+// nonzero bins in the same order, so Count, Sum, Min, Max, Saturated
+// and every Quantile are bit-identical whichever mode a sketch is in.
+// DenseSketch starts dense, with the bins allocated together with the
+// sketch, for sketches certain to fill many bins.
+//
+// The zero value is an empty sketch ready for use. A dense Sketch must
+// not be copied by value: the copy would share its bins. Sketch is not
+// safe for concurrent use; each simulation trial owns its sketches and
+// the aggregators merge them in deterministic slice order (bin counts
+// are integers, so merged quantiles are bit-identical regardless of
+// merge order; only the float Sum — hence Mean — is sensitive to merge
+// order, by the usual ulp of float addition).
 //
 // NaN handling follows Percentile's deterministic poison contract: NaN
 // samples are counted, and any NaN in the sketch makes every Quantile
@@ -53,16 +72,51 @@ var (
 // values at or above 1e8 land in an overflow bucket reported as the
 // observed maximum.
 type Sketch struct {
+	_      noCopy
 	count  uint64
 	nonNaN uint64
 	nans   uint64
 	sum    float64
 	min    float64
 	max    float64
-	bins   [sketchBins + 2]uint64
+	// dense holds every bin's count once the sketch is dense; nil while
+	// it is sparse.
+	dense *sketchBinArray
+	// While sparse, bin[:n] are the nonzero bins in ascending order and
+	// cnt[:n] their counts; entries from n on are zero, and all of them
+	// are zero once the sketch is dense.
+	cnt [sketchInline]uint64
+	bin [sketchInline]uint16
+	n   uint8
 }
 
-// Add records one sample. It never allocates.
+// noCopy makes go vet's copylocks check flag a Sketch copied by value.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
+// DenseSketch is a Sketch stored together with its dense bin array, so
+// that a DenseSketch allocated, embedded by value or held in a slice
+// costs no allocation beyond its own: new(DenseSketch).Sketch() is an
+// empty dense sketch in a single allocation. Its zero value is ready
+// for use through Sketch. A DenseSketch must not be copied after first
+// use.
+type DenseSketch struct {
+	s    Sketch
+	bins sketchBinArray
+}
+
+// Sketch returns the sketch, dense from its first use.
+func (d *DenseSketch) Sketch() *Sketch {
+	if d.s.dense == nil {
+		d.s.dense = &d.bins
+	}
+	return &d.s
+}
+
+// Add records one sample. It allocates only when it promotes a sparse
+// sketch to dense, at most once in the sketch's life.
 //
 // The binned domain is [1e-2, 1e8): samples below 1e-2 (zero and
 // negatives included) saturate into the underflow bucket and samples at
@@ -90,26 +144,82 @@ func (s *Sketch) Add(x float64) {
 		}
 	}
 	s.nonNaN++
+	s.addBin(sketchBin(x), 1)
+}
+
+// sketchBin maps a non-NaN sample to its bin index.
+func sketchBin(x float64) int {
 	switch {
 	case x < sketchMinValue:
-		s.bins[0]++
+		return 0
 	case x >= sketchMaxValue:
-		s.bins[sketchBins+1]++
-	default:
-		i := 1 + int(math.Log(x/sketchMinValue)*sketchInvLogGamma)
-		if i < 1 {
-			i = 1
-		} else if i > sketchBins {
-			i = sketchBins
-		}
-		s.bins[i]++
+		return sketchBins + 1
 	}
+	i := 1 + int(math.Log(x/sketchMinValue)*sketchInvLogGamma)
+	if i < 1 {
+		i = 1
+	} else if i > sketchBins {
+		i = sketchBins
+	}
+	return i
+}
+
+// addBin adds c samples to bin b, promoting the sketch to dense when
+// the inline list has no room for a new bin.
+func (s *Sketch) addBin(b int, c uint64) {
+	if s.dense != nil {
+		s.dense[b] += c
+		return
+	}
+	n := int(s.n)
+	k := 0
+	for k < n && int(s.bin[k]) < b {
+		k++
+	}
+	if k < n && int(s.bin[k]) == b {
+		s.cnt[k] += c
+		return
+	}
+	if n == sketchInline {
+		s.promote()
+		s.dense[b] += c
+		return
+	}
+	copy(s.bin[k+1:n+1], s.bin[k:n])
+	copy(s.cnt[k+1:n+1], s.cnt[k:n])
+	s.bin[k], s.cnt[k] = uint16(b), c
+	s.n++
+}
+
+// promote moves a sparse sketch's inline bins into a new dense array.
+func (s *Sketch) promote() {
+	d := new(sketchBinArray)
+	for k := range int(s.n) {
+		d[s.bin[k]] = s.cnt[k]
+	}
+	s.dense = d
+	s.cnt, s.bin, s.n = [sketchInline]uint64{}, [sketchInline]uint16{}, 0
+}
+
+// binCount returns bin b's count.
+func (s *Sketch) binCount(b int) uint64 {
+	if s.dense != nil {
+		return s.dense[b]
+	}
+	for k := range int(s.n) {
+		if int(s.bin[k]) == b {
+			return s.cnt[k]
+		}
+	}
+	return 0
 }
 
 // Merge folds o into s. Merging sketches built from disjoint sample
 // sets yields exactly the sketch of the union: bin counts, count, min
 // and max are order-independent; Sum (and so Mean) accumulates in call
-// order like any float sum. A nil or empty o is a no-op.
+// order like any float sum. Either operand may be sparse or dense; s
+// promotes to dense when o is dense or the union of their bins
+// outgrows the inline list. A nil or empty o is a no-op.
 func (s *Sketch) Merge(o *Sketch) {
 	if o == nil || o.count == 0 {
 		return
@@ -130,13 +240,30 @@ func (s *Sketch) Merge(o *Sketch) {
 	s.nonNaN += o.nonNaN
 	s.nans += o.nans
 	s.sum += o.sum
-	for i := range s.bins {
-		s.bins[i] += o.bins[i]
+	if o.dense == nil {
+		for k := range int(o.n) {
+			s.addBin(int(o.bin[k]), o.cnt[k])
+		}
+		return
+	}
+	if s.dense == nil {
+		s.promote()
+	}
+	d := s.dense
+	for i, c := range o.dense {
+		d[i] += c
 	}
 }
 
-// Reset empties the sketch in place.
-func (s *Sketch) Reset() { *s = Sketch{} }
+// Reset empties the sketch in place. A dense sketch stays dense and
+// keeps its bin array.
+func (s *Sketch) Reset() {
+	d := s.dense
+	if d != nil {
+		*d = sketchBinArray{}
+	}
+	*s = Sketch{dense: d}
+}
 
 // Saturated returns how many samples fell outside the binned
 // [1e-2, 1e8) domain: low counts samples below it (the underflow
@@ -146,7 +273,7 @@ func (s *Sketch) Reset() { *s = Sketch{} }
 // count warns a reader that the quantiles near that edge are clipped.
 // Merge sums the counts like any other bucket.
 func (s *Sketch) Saturated() (low, high uint64) {
-	return s.bins[0], s.bins[sketchBins+1]
+	return s.binCount(0), s.binCount(sketchBins + 1)
 }
 
 // Count returns the number of recorded samples, NaNs included.
@@ -185,7 +312,7 @@ func (s *Sketch) Max() float64 {
 }
 
 // Quantile returns the p-th percentile (0..100) estimate. It follows
-// Percentile's conventions where a fixed-size summary can: p outside
+// Percentile's conventions where a binned summary can: p outside
 // [0,100] (NaN included) panics; any NaN sample poisons the result to
 // NaN. Where Percentile panics on empty input, Quantile returns NaN —
 // a zero-traffic cell is an expected state for a live metrics reader,
@@ -208,8 +335,19 @@ func (s *Sketch) Quantile(p float64) float64 {
 	// samples sits at order statistic p/100*(n-1). The bucket holding
 	// that rank answers with its representative value.
 	rank := p / 100 * float64(s.count-1)
+	// The sparse walk visits the same nonzero bins in the same order as
+	// the dense one, so both modes return the same bits.
 	var cum uint64
-	for i, c := range s.bins {
+	if s.dense == nil {
+		for k := range int(s.n) {
+			cum += s.cnt[k]
+			if float64(cum) > rank {
+				return s.clamp(sketchBinValue(int(s.bin[k])))
+			}
+		}
+		return s.max
+	}
+	for i, c := range s.dense {
 		if c == 0 {
 			continue
 		}

@@ -173,10 +173,12 @@ func TestSketchSingleSampleAndClamp(t *testing.T) {
 	}
 }
 
-// TestSketchAddZeroAlloc is the allocation-flat guarantee: recording a
-// sample never touches the heap, at any fill level.
+// TestSketchAddZeroAlloc is the allocation-flat guarantee: once a
+// sketch is dense, recording a sample or merging never touches the heap,
+// at any fill level (TestSketchStaysSparse covers the sparse side and
+// the one promotion allocation).
 func TestSketchAddZeroAlloc(t *testing.T) {
-	var s Sketch
+	s := new(DenseSketch).Sketch()
 	x := 1.0
 	if allocs := testing.AllocsPerRun(1000, func() {
 		s.Add(x)

@@ -2,6 +2,7 @@ package iaclan
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"iaclan/internal/channel"
@@ -25,16 +26,34 @@ func benchSimConfig() sim.Config {
 	return cfg
 }
 
+// benchSimulate times b.N calls of run, each one whole simulation or
+// trial sweep. One untimed warm-up call first fills the sync.Pools the
+// simulator borrows its scratch from, and runtime.GC() then collects
+// the warm-up's garbage, so every timed loop starts from the same
+// warmed, collected heap. The collector stays on while timing, so ns/op
+// includes the GC cost of what the simulation allocates.
+func benchSimulate(b *testing.B, run func() error) {
+	if err := run(); err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSimulate(b *testing.B) {
 	cfg := benchSimConfig()
 	cfg.Cycles = 120
 	cfg.Trials = 1
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSimulate(b, func() error {
+		_, err := Simulate(cfg)
+		return err
+	})
 }
 
 // BenchmarkSimulateDynamics is BenchmarkSimulate with the channel-
@@ -55,12 +74,10 @@ func BenchmarkSimulateDynamics(b *testing.B) {
 		TrainSlots:      2,
 		Mobility:        true,
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSimulate(b, func() error {
+		_, err := Simulate(cfg)
+		return err
+	})
 }
 
 // BenchmarkSimulateSNR is BenchmarkSimulate with the SNR-aware link
@@ -75,12 +92,10 @@ func BenchmarkSimulateSNR(b *testing.B) {
 	cfg.Cycles = 120
 	cfg.Trials = 1
 	cfg.Link = sim.Link{NoiseDB: 8, ResidualCancel: true, MCS: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSimulate(b, func() error {
+		_, err := Simulate(cfg)
+		return err
+	})
 }
 
 // BenchmarkSimulateStream gates the closed-loop transport and streaming
@@ -98,12 +113,10 @@ func BenchmarkSimulateStream(b *testing.B) {
 	cfg.Workload = sim.Workload{Kind: sim.Streaming, PacketsPerSlot: 0.1, ChunkSlots: 30}
 	cfg.Transport = sim.Transport{Enabled: true, RTOCycles: 2}
 	cfg.Link = sim.Link{NoiseDB: 8, ResidualCancel: true, MCS: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSimulate(b, func() error {
+		_, err := Simulate(cfg)
+		return err
+	})
 }
 
 // BenchmarkSimulateCampus gates the multi-cell campus plane: two cells
@@ -119,12 +132,10 @@ func BenchmarkSimulateCampus(b *testing.B) {
 	cfg.Cycles = 60
 	cfg.Trials = 1
 	cfg.Cells = sim.Cells{Count: 2, Leak: 0.15}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := SimulateCampus(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSimulate(b, func() error {
+		_, err := SimulateCampus(cfg)
+		return err
+	})
 }
 
 // BenchmarkSimulateCampusFading gates the fading planner: the iacperf
@@ -154,19 +165,17 @@ func BenchmarkSimulateCampusFading(b *testing.B) {
 		Trials:      1,
 		Cycles:      60,
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := SimulateCampus(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSimulate(b, func() error {
+		_, err := SimulateCampus(cfg)
+		return err
+	})
 }
 
 // BenchmarkSimulateCampusSketch gates the observability plane's cost on
 // the campus path: a registry attached (so every trial flushes its
 // counters and merges its latency sketch), longer trials so the
-// allocation-flat claim is visible — latency accounting is fixed-size
-// sketches, so allocs/op must not grow with Cycles or delivered
+// allocation-flat claim is visible — latency accounting is sketches
+// of bounded size, so allocs/op must not grow with Cycles or delivered
 // packets.
 func BenchmarkSimulateCampusSketch(b *testing.B) {
 	cfg := benchSimConfig()
@@ -176,12 +185,10 @@ func BenchmarkSimulateCampusSketch(b *testing.B) {
 	cfg.Trials = 1
 	cfg.Cells = sim.Cells{Count: 2, Leak: 0.15}
 	cfg.Obs = NewObsRegistry()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := SimulateCampus(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSimulate(b, func() error {
+		_, err := SimulateCampus(cfg)
+		return err
+	})
 }
 
 func BenchmarkSimCFPCycle(b *testing.B) {
@@ -198,23 +205,19 @@ const benchSweepTrials = 4
 func BenchmarkSimTrialSweepSerial(b *testing.B) {
 	cfg := benchSimConfig()
 	cfg.Cycles = 100
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunTrials(cfg, benchSweepTrials, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSimulate(b, func() error {
+		_, err := sim.RunTrials(cfg, benchSweepTrials, 1)
+		return err
+	})
 }
 
 func BenchmarkSimTrialSweepParallel(b *testing.B) {
 	cfg := benchSimConfig()
 	cfg.Cycles = 100
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunTrials(cfg, benchSweepTrials, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSimulate(b, func() error {
+		_, err := sim.RunTrials(cfg, benchSweepTrials, 0)
+		return err
+	})
 }
 
 // benchSlotScenario builds a fixed 3-client/3-AP uplink scenario for the

@@ -178,10 +178,14 @@ type SimTrial = sim.TrialResult
 // cell plus the campus-wide aggregate.
 type SimCampusResult = sim.CampusResult
 
-// LatencySketch is the fixed-size mergeable quantile sketch latency
-// results carry (SimSummary.Latency, SimTrial.Latency): allocation-flat
-// at any packet count, ~1.2% worst-case relative quantile error, and
-// deterministic bit-identical merges across trials and cells.
+// LatencySketch is the mergeable quantile sketch latency results carry
+// (SimSummary.Latency, SimTrial.Latency): a log-spaced histogram that
+// starts as a ~100-byte sparse list of bins and turns into a dense
+// ~8 KiB bin array the first time it needs more than 4 bins. Recording
+// a sample allocates at most once per sketch, at that promotion, the
+// relative quantile error is ~1.2% at worst, and merges across trials
+// and cells are deterministic and bit-identical. A LatencySketch must
+// not be copied by value: a copy of a dense sketch shares its bins.
 type LatencySketch = stats.Sketch
 
 // ---------------------------------------------------------------------
