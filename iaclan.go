@@ -178,7 +178,7 @@ func (n *Network) Uplink(clients, aps []Node, twoPacketClient int) (SlotRates, e
 	return SlotRates{
 		Scheme:    "iac",
 		SumRate:   out.SumRate,
-		PerClient: out.PerClient,
+		PerClient: rateMap(out.PerClient),
 		Packets:   out.Plan.NumPackets(),
 	}, nil
 }
@@ -199,9 +199,18 @@ func (n *Network) Downlink(clients, aps []Node) (SlotRates, error) {
 	return SlotRates{
 		Scheme:    "iac",
 		SumRate:   out.SumRate,
-		PerClient: out.PerClient,
+		PerClient: rateMap(out.PerClient),
 		Packets:   out.Plan.NumPackets(),
 	}, nil
+}
+
+// rateMap keys per-client rates by client position.
+func rateMap(rates []float64) map[int]float64 {
+	m := make(map[int]float64, len(rates))
+	for i, r := range rates {
+		m[i] = r
+	}
+	return m
 }
 
 // Baseline runs the same client set under point-to-point 802.11-MIMO

@@ -103,6 +103,10 @@ type World struct {
 	shadow map[pairKey]float64
 	// keyBuf is Perturb's reusable sorted-key buffer.
 	keyBuf []pairKey
+	// spare holds the propagation matrices Redraw and MoveNode dropped;
+	// physFor refills one before it allocates. A spare matrix belongs
+	// to no pair, so Perturb never ages it and never draws for it.
+	spare []*cmplxmat.Matrix
 }
 
 // NewWorld creates an empty world with deterministic randomness.
@@ -203,7 +207,9 @@ func (w *World) MeanSNR(a, b *Node) float64 {
 }
 
 // physFor returns (generating on first use) the physical propagation
-// matrix for the canonical direction lo->hi of the pair.
+// matrix for the canonical direction lo->hi of the pair. A new pair's
+// matrix reuses a spare one when there is one; the draws are those of
+// RandomGaussian(...).Scale(amp) either way.
 func (w *World) physFor(a, b *Node) *cmplxmat.Matrix {
 	if a.ID == b.ID {
 		panic("channel: self channel requested")
@@ -212,10 +218,25 @@ func (w *World) physFor(a, b *Node) *cmplxmat.Matrix {
 	p, ok := w.phys[k]
 	if !ok {
 		amp := math.Sqrt(w.MeanSNR(a, b))
-		p = cmplxmat.RandomGaussian(w.rng, w.params.Antennas, w.params.Antennas).Scale(complex(amp, 0))
+		if n := len(w.spare); n > 0 {
+			p = w.spare[n-1]
+			w.spare = w.spare[:n-1]
+		} else {
+			p = cmplxmat.New(w.params.Antennas, w.params.Antennas)
+		}
+		p.FillGaussian(w.rng, complex(amp, 0))
 		w.phys[k] = p
 	}
 	return p
+}
+
+// dropPhys forgets the pair's fading realization and keeps its matrix
+// as a spare for the next pair physFor generates.
+func (w *World) dropPhys(k pairKey) {
+	if p, ok := w.phys[k]; ok {
+		delete(w.phys, k)
+		w.spare = append(w.spare, p)
+	}
 }
 
 // Propagation returns the physical over-the-air matrix for tx->rx,
@@ -234,18 +255,28 @@ func (w *World) Propagation(tx, rx *Node) *cmplxmat.Matrix {
 // receiver estimates from training symbols, and the matrix all encoding
 // and decoding math operates on.
 //
-// Only the result is allocated on the heap: the propagation matrix is
-// read in place (or transposed into pooled scratch) and the
-// intermediate product lives in a pooled workspace, with the same
-// multiplications as rx.rxChain.Mul(w.Propagation(tx, rx)).Mul(tx.txChain).
+// Only the result is allocated on the heap; see ChannelInto.
 func (w *World) Channel(tx, rx *Node) *cmplxmat.Matrix {
 	ws := cmplxmat.GetWorkspace()
 	defer cmplxmat.PutWorkspace(ws)
+	h := cmplxmat.New(rx.Antennas, tx.Antennas)
+	w.ChannelInto(h, ws, tx, rx)
+	return h
+}
+
+// ChannelInto writes Channel(tx, rx) into dst, which must be
+// rx.Antennas x tx.Antennas. The propagation matrix is read in place (or
+// transposed into ws) and the intermediate product lives in ws, released
+// before return, with the same multiplications as
+// rx.rxChain.Mul(w.Propagation(tx, rx)).Mul(tx.txChain).
+func (w *World) ChannelInto(dst *cmplxmat.Matrix, ws *cmplxmat.Workspace, tx, rx *Node) {
+	mark := ws.Mark()
+	defer ws.Release(mark)
 	p := w.physFor(tx, rx)
 	if keyOf(tx, rx).lo != tx.ID {
 		p = p.TWS(ws)
 	}
-	return rx.rxChain.MulWS(ws, p).Mul(tx.txChain)
+	rx.rxChain.MulWS(ws, p).MulInto(dst, tx.txChain)
 }
 
 // CFO returns the carrier frequency offset in Hz that rx observes on a
@@ -256,7 +287,7 @@ func (w *World) CFO(tx, rx *Node) float64 { return tx.oscHz - rx.oscHz }
 // state), keeping geometry, shadowing and hardware chains fixed.
 func (w *World) Redraw(a, b *Node) {
 	w.epoch++
-	delete(w.phys, keyOf(a, b))
+	w.dropPhys(keyOf(a, b))
 }
 
 // MoveNode relocates n and invalidates the fading and shadowing of every
@@ -265,10 +296,10 @@ func (w *World) Redraw(a, b *Node) {
 func (w *World) MoveNode(n *Node, x, y float64) {
 	w.epoch++
 	n.X, n.Y = x, y
-	//iacvet:allow maprange delete-only filter of cached pair state; no RNG draw or accumulation depends on visit order
+	//iacvet:allow maprange delete-only filter of cached pair state; the freed matrices join the spare pool in visit order, but every reuse overwrites a spare whole, so no RNG draw or value depends on it
 	for k := range w.phys {
 		if k.lo == n.ID || k.hi == n.ID {
-			delete(w.phys, k)
+			w.dropPhys(k)
 		}
 	}
 	//iacvet:allow maprange delete-only filter of cached pair state; no RNG draw or accumulation depends on visit order
@@ -323,11 +354,20 @@ func (w *World) Perturb(eps float64) {
 // standard deviation per entry (real and imaginary each sigma/sqrt(2)),
 // modeling least-squares channel estimation from a finite preamble.
 func NoisyEstimate(h *cmplxmat.Matrix, sigma float64, rng *rand.Rand) *cmplxmat.Matrix {
+	est := cmplxmat.New(h.Rows(), h.Cols())
+	NoisyEstimateInto(est, h, sigma, rng)
+	return est
+}
+
+// NoisyEstimateInto is NoisyEstimate into caller-owned storage of h's
+// shape, with the same draws and bits. sigma 0 copies h and draws
+// nothing.
+func NoisyEstimateInto(dst, h *cmplxmat.Matrix, sigma float64, rng *rand.Rand) {
 	if sigma == 0 {
-		return h.Clone()
+		dst.CopyFrom(h)
+		return
 	}
-	noise := cmplxmat.RandomGaussian(rng, h.Rows(), h.Cols()).Scale(complex(sigma, 0))
-	return h.Add(noise)
+	dst.SetNoisy(h, rng, complex(sigma, 0))
 }
 
 // EstimationSigma returns the per-entry noise standard deviation of a

@@ -379,30 +379,74 @@ var _ = cmplxmat.Vector{} // keep import if test edits drop direct uses
 // iterated the phys map in Go's randomized order while drawing the
 // innovations from the world RNG, so which pair received which draw
 // differed between runs.
+//
+// The moves case interleaves MoveNode with Perturb. A move frees the
+// moved node's propagation matrices and the next generation refills
+// them; the twin world discards its spare pool after every move, so it
+// always generates into fresh matrices. Identical channels and RNG
+// positions show that reused storage never changes a draw, and that
+// Perturb never ages a spare matrix (that would draw extra numbers).
 func TestPerturbDeterministic(t *testing.T) {
 	build := func() *World {
 		w := NewTestbed(DefaultParams(), 42, 10, 12)
-		nodes := w.Nodes()
-		for i := range nodes {
-			for j := i + 1; j < len(nodes); j++ {
-				w.Channel(nodes[i], nodes[j])
-			}
-		}
+		touchAll(w)
 		return w
 	}
-	a, b := build(), build()
-	for step := 0; step < 3; step++ {
-		a.Perturb(0.3)
-		b.Perturb(0.3)
-	}
-	na, nb := a.Nodes(), b.Nodes()
-	for i := range na {
-		for j := i + 1; j < len(na); j++ {
-			ha := a.Channel(na[i], na[j])
-			hb := b.Channel(nb[i], nb[j])
-			if !ha.Equal(hb, 0) {
-				t.Fatalf("pair (%d,%d) diverged after identical Perturb sequences", i, j)
+	compare := func(t *testing.T, a, b *World) {
+		t.Helper()
+		na, nb := a.Nodes(), b.Nodes()
+		for i := range na {
+			for j := i + 1; j < len(na); j++ {
+				ha := a.Channel(na[i], na[j])
+				hb := b.Channel(nb[i], nb[j])
+				if !ha.Equal(hb, 0) {
+					t.Fatalf("pair (%d,%d) diverged after identical Perturb sequences", i, j)
+				}
 			}
+		}
+		if a.rng.Int63() != b.rng.Int63() {
+			t.Fatal("world RNG streams diverged")
+		}
+	}
+	t.Run("static", func(t *testing.T) {
+		a, b := build(), build()
+		for step := 0; step < 3; step++ {
+			a.Perturb(0.3)
+			b.Perturb(0.3)
+		}
+		compare(t, a, b)
+	})
+	t.Run("moves", func(t *testing.T) {
+		reused, fresh := build(), build()
+		for step := 0; step < 6; step++ {
+			for _, w := range []*World{reused, fresh} {
+				n := w.Nodes()[step%3]
+				w.MoveNode(n, float64(step), float64(2*step%12))
+				fresh.spare = nil
+				if step%2 == 0 {
+					// Age before regenerating: the moved node's freed
+					// matrices sit in the spare pool during Perturb.
+					w.Perturb(0.3)
+					touchAll(w)
+				} else {
+					touchAll(w)
+					w.Perturb(0.3)
+				}
+			}
+			if len(reused.spare) != 0 {
+				t.Fatalf("step %d: %d spare matrices left after regenerating every pair", step, len(reused.spare))
+			}
+		}
+		compare(t, reused, fresh)
+	})
+}
+
+// touchAll generates every node pair's channel in a fixed order.
+func touchAll(w *World) {
+	nodes := w.Nodes()
+	for i := range nodes {
+		for j := i + 1; j < len(nodes); j++ {
+			w.Channel(nodes[i], nodes[j])
 		}
 	}
 }

@@ -94,6 +94,36 @@ func (m *Matrix) BlendGaussianInPlace(rng *rand.Rand, keep, scale complex128) {
 	}
 }
 
+// FillGaussian overwrites m with scale*W, where W is a fresh CN(0,1)
+// matrix drawn from rng. It consumes the same draws as RandomGaussian
+// and is bitwise RandomGaussian(rng, rows, cols).Scale(scale), without
+// allocating.
+func (m *Matrix) FillGaussian(rng *rand.Rand, scale complex128) {
+	for i := range m.data {
+		w := complex(rng.NormFloat64()/math.Sqrt2, rng.NormFloat64()/math.Sqrt2)
+		m.data[i] = scale * w
+	}
+}
+
+// SetNoisy overwrites m with h + scale*W, where W is a fresh CN(0,1)
+// matrix drawn from rng: bitwise h.Add(RandomGaussian(rng, rows,
+// cols).Scale(scale)), without allocating. m and h must have the same
+// shape; m may be h.
+func (m *Matrix) SetNoisy(h *Matrix, rng *rand.Rand, scale complex128) {
+	m.mustSameShape(h)
+	for i := range m.data {
+		w := complex(rng.NormFloat64()/math.Sqrt2, rng.NormFloat64()/math.Sqrt2)
+		m.data[i] = h.data[i] + complex128(scale*w)
+	}
+}
+
+// CopyFrom overwrites m with the entries of b, which must have the same
+// shape.
+func (m *Matrix) CopyFrom(b *Matrix) {
+	m.mustSameShape(b)
+	copy(m.data, b.data)
+}
+
 // RandomGaussianVector returns an n-vector with i.i.d. CN(0,1) entries.
 func RandomGaussianVector(rng *rand.Rand, n int) Vector {
 	v := NewVector(n)
@@ -115,7 +145,7 @@ func (m *Matrix) At(i, j int) complex128 {
 	return m.data[i*m.cols+j]
 }
 
-// SetAt sets the element at row i, column j. It is the only mutating method.
+// SetAt sets the element at row i, column j.
 func (m *Matrix) SetAt(i, j int, v complex128) {
 	m.check(i, j)
 	m.data[i*m.cols+j] = v
@@ -185,6 +215,18 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 		panic(fmt.Sprintf("cmplxmat: Mul shape mismatch %dx%d * %dx%d", m.rows, m.cols, b.rows, b.cols))
 	}
 	out := New(m.rows, b.cols)
+	m.MulInto(out, b)
+	return out
+}
+
+// MulInto overwrites dst with the product m*b: the same operations as
+// Mul, into caller-owned storage. dst must be m.Rows() x b.Cols() and
+// must not share storage with m or b.
+func (m *Matrix) MulInto(dst, b *Matrix) {
+	if m.cols != b.rows || dst.rows != m.rows || dst.cols != b.cols {
+		panic(fmt.Sprintf("cmplxmat: MulInto shape mismatch %dx%d * %dx%d into %dx%d", m.rows, m.cols, b.rows, b.cols, dst.rows, dst.cols))
+	}
+	clear(dst.data)
 	for i := 0; i < m.rows; i++ {
 		for k := 0; k < m.cols; k++ {
 			a := m.data[i*m.cols+k]
@@ -192,11 +234,10 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 				continue
 			}
 			for j := 0; j < b.cols; j++ {
-				out.data[i*b.cols+j] += a * b.data[k*b.cols+j]
+				dst.data[i*b.cols+j] += a * b.data[k*b.cols+j]
 			}
 		}
 	}
-	return out
 }
 
 // MulVec returns m*v. It panics if dimensions differ.

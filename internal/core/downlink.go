@@ -47,12 +47,14 @@ var (
 )
 
 // SolveDownlinkTriangleWS is SolveDownlinkTriangle with the intermediate
-// linear algebra AND the returned plan in the workspace arena (its
-// layout slices are shared read-only tables). Callers that keep the plan
-// past the workspace's lifetime must Clone it.
-func SolveDownlinkTriangleWS(ws *cmplxmat.Workspace, cs ChannelSet) (*Plan, error) {
+// linear algebra and the plan's encoding vectors in the workspace arena
+// (its layout slices are shared read-only tables). The plan comes back
+// by value, so a caller that stores it (the slot planner's candidate
+// list) allocates nothing. Callers that keep the plan past the
+// workspace's lifetime must Clone it.
+func SolveDownlinkTriangleWS(ws *cmplxmat.Workspace, cs ChannelSet) (Plan, error) {
 	if cs.NumTx() != 3 || cs.NumRx() != 3 {
-		return nil, fmt.Errorf("core: triangle needs 3 APs and 3 clients, got %dx%d", cs.NumTx(), cs.NumRx())
+		return Plan{}, fmt.Errorf("core: triangle needs 3 APs and 3 clients, got %dx%d", cs.NumTx(), cs.NumRx())
 	}
 	m := cs.Antennas()
 	inv := func(x *cmplxmat.Matrix) (*cmplxmat.Matrix, error) {
@@ -64,36 +66,35 @@ func SolveDownlinkTriangleWS(ws *cmplxmat.Workspace, cs ChannelSet) (*Plan, erro
 	}
 	h10Inv, err := inv(cs[1][0])
 	if err != nil {
-		return nil, err
+		return Plan{}, err
 	}
 	a := h10Inv.MulWS(ws, cs[2][0])
 	h01Inv, err := inv(cs[0][1])
 	if err != nil {
-		return nil, err
+		return Plan{}, err
 	}
 	b := h01Inv.MulWS(ws, cs[2][1])
 	lhs := cs[1][2].MulWS(ws, a)
 	lhsInv, err := inv(lhs)
 	if err != nil {
-		return nil, err
+		return Plan{}, err
 	}
 	prod := lhsInv.MulWS(ws, cs[0][2].MulWS(ws, b))
 	_, v2, err := prod.AnyEigenvectorWS(ws)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
+		return Plan{}, fmt.Errorf("%w: %v", ErrInfeasible, err)
 	}
 	v1 := a.MulVecWS(ws, v2).NormalizeWS(ws)
 	v0 := b.MulVecWS(ws, v2).NormalizeWS(ws)
 	enc := ws.Vectors(3)
 	enc[0], enc[1], enc[2] = v0, v1, v2.NormalizeWS(ws)
-	plan := &Plan{
+	return Plan{
 		M:        m,
 		Owner:    triangleOwners,
 		Encoding: enc,
 		Schedule: triangleSchedule,
 		Wired:    false,
-	}
-	return plan, nil
+	}, nil
 }
 
 // SolveDownlinkTwoClient builds the paper's general downlink construction

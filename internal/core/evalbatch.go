@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"iaclan/internal/cmplxmat"
 	"iaclan/internal/stats"
@@ -52,11 +51,15 @@ type EvalJob struct {
 	// Filled by EvaluateJobsWS beside the gather itself, so it cannot
 	// drift from what the kernel dispatched.
 	Products int
+	// meta is EvaluateJobsWS's gather bookkeeping for the job. It rides
+	// in the caller's job slice, so a caller that reuses its jobs
+	// reuses this scratch too; its slices point into the arena.
+	meta jobMeta
 }
 
 // jobMeta is the per-job gather bookkeeping: where the job's direction
 // table starts in the batch buffer and how its receivers map to table
-// slots.
+// slots. A zero rxSlot marks a job the current group did not gather.
 type jobMeta struct {
 	base   int   // first product index of this job's table
 	np     int   // packets in the plan
@@ -134,25 +137,10 @@ func EvaluateJobsWS(ws *cmplxmat.Workspace, jobs []EvalJob) int {
 
 // evaluateJobGroup gathers and evaluates every unprocessed job whose
 // plan has antenna count m, returning the group's product count.
-// jobMetaPool recycles the per-group meta slice; its bookkeeping slices
-// all live in the caller's arena, so clearing the entries on return is
-// what keeps pooled scratch from pinning a trial's workspace.
-var jobMetaPool = sync.Pool{New: func() any { return new([]jobMeta) }}
-
 func evaluateJobGroup(ws *cmplxmat.Workspace, jobs []EvalJob, processed []bool, m int) int {
-	mp := jobMetaPool.Get().(*[]jobMeta)
-	metas := *mp
-	if cap(metas) < len(jobs) {
-		metas = make([]jobMeta, len(jobs))
-	} else {
-		metas = metas[:len(jobs)]
-		clear(metas)
-	}
-	defer func() {
-		clear(metas)
-		*mp = metas[:0]
-		jobMetaPool.Put(mp)
-	}()
+	// inGroup reports whether pass 1 below gathered job i: a job of
+	// another antenna count keeps the meta an earlier group gave it.
+	inGroup := func(i int) bool { return jobs[i].meta.rxSlot != nil && jobs[i].Plan.M == m }
 	// Pass 1: validate and size the table. Validation failures become
 	// per-job errors before any product is gathered, matching the scalar
 	// path's early return. Jobs whose true and estimated sets are the
@@ -168,12 +156,13 @@ func evaluateJobGroup(ws *cmplxmat.Workspace, jobs []EvalJob, processed []bool, 
 			continue
 		}
 		processed[i] = true
+		j.meta = jobMeta{}
 		np := j.Plan.NumPackets()
 		if err := j.Plan.validateWith(ws.Bools(np)); err != nil {
 			j.Ev, j.Err, j.Products = Evaluation{}, err, 0
 			continue
 		}
-		jm := &metas[i]
+		jm := &j.meta
 		jm.np = np
 		numRx := j.TrueCS.NumRx()
 		jm.rxSlot = ws.Ints(numRx)
@@ -209,10 +198,10 @@ func evaluateJobGroup(ws *cmplxmat.Workspace, jobs []EvalJob, processed []bool, 
 	h := ws.Complexes(products * m * m)
 	v := ws.Complexes(products * m)
 	for i := range jobs {
-		jm := &metas[i]
-		if jm.rxSlot == nil {
+		if !inGroup(i) {
 			continue
 		}
+		jm := &jobs[i].meta
 		p := jobs[i].Plan
 		for rx, slot := range jm.rxSlot {
 			if slot < 0 {
@@ -238,11 +227,11 @@ func evaluateJobGroup(ws *cmplxmat.Workspace, jobs []EvalJob, processed []bool, 
 	// Pass 3: per-job amplitude weighting and the SINR recursion off the
 	// table.
 	for i := range jobs {
-		jm := &metas[i]
-		if jm.rxSlot == nil {
+		if !inGroup(i) {
 			continue
 		}
 		j := &jobs[i]
+		jm := &j.meta
 		jm.powers = ws.Floats(jm.np)
 		j.Plan.packetPowersInto(jm.powers, j.Opts.NodePower)
 		nslots := 0

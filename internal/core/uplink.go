@@ -43,8 +43,7 @@ var (
 // layout slices are shared read-only tables). The plan comes back by
 // value, so a caller that stores it (the slot planner's candidate list)
 // allocates nothing. Callers that keep the plan past the workspace's
-// lifetime must Clone it; the role-assignment search clones only the
-// winner.
+// lifetime must Clone it.
 func SolveUplinkThreeWS(ws *cmplxmat.Workspace, cs ChannelSet, rng *rand.Rand) (Plan, error) {
 	if cs.NumTx() != 2 || cs.NumRx() != 2 {
 		return Plan{}, fmt.Errorf("core: SolveUplinkThree needs 2 clients and 2 APs, got %dx%d", cs.NumTx(), cs.NumRx())

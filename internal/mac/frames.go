@@ -81,13 +81,22 @@ func getComplex(b []byte) complex128 {
 // Marshal encodes the poll frame:
 // type(1) fid(4) numAPs(1) dim(1) numEntries(2)
 // entries[client(2) enc(16*dim) dec(16*dim)] crc32(4).
+// It refuses every frame UnmarshalPollFrame would reject instead of
+// writing it: a zero AP count, and a vector dimension or entry count
+// past its field.
 func (p PollFrame) Marshal() ([]byte, error) {
 	if p.Type != FrameDataPoll && p.Type != FrameGrant {
 		return nil, fmt.Errorf("%w: type %d is not a poll frame", ErrBadFrame, p.Type)
 	}
+	if p.NumAPs == 0 {
+		return nil, fmt.Errorf("%w: zero AP count", ErrBadFrame)
+	}
 	dim := 0
 	if len(p.Entries) > 0 {
 		dim = p.Entries[0].Encoding.Dim()
+	}
+	if dim > math.MaxUint8 {
+		return nil, fmt.Errorf("%w: %d-dimensional vectors exceed the 1-byte dimension field", ErrBadFrame, dim)
 	}
 	for _, e := range p.Entries {
 		if e.Encoding.Dim() != dim || e.Decoding.Dim() != dim {
@@ -181,8 +190,9 @@ func ClampCFPDuration(slots int) uint16 {
 // Marshal encodes a beacon: type(1) dur(2) ackLen(2) ackMap crc(4).
 // The ack map must fit the 2-byte length field; longer maps error
 // instead of truncating into a frame that misparses. (The remaining
-// uint16 casts in this file are audited: PollFrame.Marshal guards its
-// entry count explicitly, and ClientID is already a uint16.)
+// narrowing casts in this file are audited: PollFrame.Marshal guards its
+// entry count and vector dimension explicitly, and ClientID is already
+// a uint16.)
 func (b Beacon) Marshal() ([]byte, error) {
 	if len(b.AckMap) > math.MaxUint16 {
 		return nil, fmt.Errorf("%w: %d-byte ack map exceeds the 2-byte length field", ErrBadFrame, len(b.AckMap))

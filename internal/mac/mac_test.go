@@ -1,7 +1,9 @@
 package mac
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -57,7 +59,7 @@ func TestPollFrameEmptyEntries(t *testing.T) {
 }
 
 func TestPollFrameChecksumDetectsCorruption(t *testing.T) {
-	p := PollFrame{Type: FrameDataPoll, Entries: []VectorEntry{
+	p := PollFrame{Type: FrameDataPoll, NumAPs: 1, Entries: []VectorEntry{
 		{Client: 1, Encoding: cmplxmat.Vector{1, 0}, Decoding: cmplxmat.Vector{0, 1}},
 	}}
 	raw, err := p.Marshal()
@@ -79,11 +81,33 @@ func TestPollFrameValidation(t *testing.T) {
 		t.Fatal("beacon as poll frame not rejected")
 	}
 	// Inconsistent dims.
-	p := PollFrame{Type: FrameDataPoll, Entries: []VectorEntry{
+	p := PollFrame{Type: FrameDataPoll, NumAPs: 1, Entries: []VectorEntry{
 		{Client: 1, Encoding: cmplxmat.Vector{1, 0}, Decoding: cmplxmat.Vector{0}},
 	}}
 	if _, err := p.Marshal(); err == nil {
 		t.Fatal("ragged vectors not rejected")
+	}
+	// Frames the decoder rejects must not be written: a zero AP count,
+	// and a dimension past the one-byte field (256 used to wrap to 0).
+	if _, err := (PollFrame{Type: FrameGrant, Fid: 1}).Marshal(); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("zero-AP frame: err %v, want ErrBadFrame", err)
+	}
+	for _, dim := range []int{255, 256, 300} {
+		v := make(cmplxmat.Vector, dim)
+		p := PollFrame{Type: FrameGrant, NumAPs: 2, Entries: []VectorEntry{{Client: 1, Encoding: v, Decoding: v}}}
+		raw, err := p.Marshal()
+		if dim > 255 {
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("dim %d: err %v, want ErrBadFrame", dim, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("dim %d: %v", dim, err)
+		}
+		if got, err := UnmarshalPollFrame(raw); err != nil || got.Entries[0].Encoding.Dim() != dim {
+			t.Fatalf("dim %d did not round-trip: %v", dim, err)
+		}
 	}
 }
 
@@ -386,21 +410,32 @@ func TestSimulatorAckMapReflectsPreviousCFP(t *testing.T) {
 	sim := NewSimulator(Config{GroupSize: 2, MaxRetries: 0}, FIFOPicker{}, constRate, runner)
 	sim.Enqueue(0)
 	sim.Enqueue(1)
-	b1 := sim.RunCFP() // first beacon: no previous CFP, empty map
-	if len(b1.AckMap) != 0 {
-		t.Fatalf("first beacon ack map %v", b1.AckMap)
+	// A beacon's ack map is valid until the next RunCFP: copy it to keep
+	// it across cycles.
+	runCFP := func() Beacon {
+		b := sim.RunCFP()
+		b.AckMap = slices.Clone(b.AckMap)
+		return b
 	}
+	b1 := runCFP() // first beacon: no previous CFP, empty map
 	fail = false
 	sim.Enqueue(0)
 	sim.Enqueue(1)
-	b2 := sim.RunCFP() // acks for CFP 1 (all lost -> zero bits)
+	b2 := runCFP() // acks for CFP 1 (all lost -> zero bits)
+	sim.Enqueue(0)
+	b3 := runCFP()
+	b4 := runCFP() // acks for CFP 3 (client 0 delivered)
+	if len(b1.AckMap) != 0 {
+		t.Fatalf("first beacon ack map %v", b1.AckMap)
+	}
 	if AckBit(b2.AckMap, 0) || AckBit(b2.AckMap, 1) {
 		t.Fatal("lost packets acked")
 	}
-	sim.Enqueue(0)
-	b3 := sim.RunCFP()
 	if !AckBit(b3.AckMap, 0) || !AckBit(b3.AckMap, 1) {
 		t.Fatal("delivered packets not acked")
+	}
+	if !AckBit(b4.AckMap, 0) || AckBit(b4.AckMap, 1) || len(b4.AckMap) != 1 {
+		t.Fatalf("ack map %v rebuilt in place should ack client 0 only", b4.AckMap)
 	}
 }
 

@@ -104,9 +104,11 @@ type Simulator struct {
 	// for the next beacon's ack map.
 	pendingAcks []ackEntry
 	// eligBuf is per-CFP scratch reused across cycles so the steady-state
-	// CFP loop stays off the heap. The ack map itself is allocated fresh
-	// per beacon (it escapes into the Beacon).
+	// CFP loop stays off the heap.
 	eligBuf []ClientID
+	// ackBuf backs the ack map of the beacon RunCFP returns, rebuilt in
+	// place every CFP.
+	ackBuf []byte
 }
 
 type queuedPacket struct {
@@ -271,17 +273,28 @@ func (s *Simulator) ChargeSlots(n int) {
 // with pending traffic has been served once this CFP ("the APs serve one
 // packet to each client that has pending traffic"), then CF-End and the
 // constant contention period. It returns the beacon that opened the CFP.
+//
+// The beacon's AckMap is a view of a buffer the Simulator owns, like the
+// slices of a SlotResult: it is valid until the next RunCFP, which
+// rebuilds the map in place. Copy it to keep it longer. It is nil when
+// the previous CFP acknowledged nothing.
 func (s *Simulator) RunCFP() Beacon {
-	// Build the beacon's ack map from the previous CFP, sized up front so
-	// it is the cycle's single allocation.
+	// Build the beacon's ack map from the previous CFP in the reused
+	// buffer; SetAckBit writes every byte up to the last set bit.
 	var ackMap []byte
 	for i, e := range s.pendingAcks {
 		if e.ok {
 			if ackMap == nil {
-				ackMap = make([]byte, 0, (len(s.pendingAcks)-1)/8+1)
+				if n := (len(s.pendingAcks)-1)/8 + 1; cap(s.ackBuf) < n {
+					s.ackBuf = make([]byte, 0, n)
+				}
+				ackMap = s.ackBuf[:0]
 			}
 			ackMap = SetAckBit(ackMap, i)
 		}
+	}
+	if ackMap != nil {
+		s.ackBuf = ackMap
 	}
 	s.pendingAcks = s.pendingAcks[:0]
 	beacon := Beacon{AckMap: ackMap}

@@ -1,6 +1,8 @@
 package mac
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -181,12 +183,17 @@ func TestFrameAPCountBounds(t *testing.T) {
 	if a.NumAPs != 255 {
 		t.Fatalf("NumAPs %d want 255", a.NumAPs)
 	}
-	// A zero-AP frame forged on the wire is treated as corruption.
-	zero := PollFrame{Type: FrameGrant, Fid: 1}
-	rawZero, err := zero.Marshal()
+	// Marshal refuses a zero-AP frame, and one forged on the wire (AP
+	// count patched to 0, checksum recomputed) is treated as corruption.
+	if _, err := (PollFrame{Type: FrameGrant, Fid: 1}).Marshal(); err == nil {
+		t.Fatal("zero-AP grant marshalled")
+	}
+	rawZero, err := PollFrame{Type: FrameGrant, Fid: 1, NumAPs: 1}.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rawZero[5] = 0
+	binary.BigEndian.PutUint32(rawZero[len(rawZero)-4:], crc32.ChecksumIEEE(rawZero[:len(rawZero)-4]))
 	if _, err := UnmarshalPollFrame(rawZero); err == nil {
 		t.Fatal("zero-AP grant parsed")
 	}

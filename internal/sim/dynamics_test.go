@@ -38,22 +38,23 @@ func TestPerturbInvalidatesMidTrialCaches(t *testing.T) {
 
 	group := []mac.ClientID{0, 1, 2}
 	before := e.outcome(group)
-	if !before.ok || before.planned == nil {
+	if !before.ok || !before.hasPlanned {
 		t.Fatalf("planned-rate tracking off under dynamics: %+v", before)
 	}
 	if len(e.cache) != 1 {
 		t.Fatalf("group cache holds %d entries", len(e.cache))
 	}
 	tx, rx := e.scenario.Clients[0], e.scenario.APs[0]
-	hBefore := e.chans.Channel(tx, rx)
-	estBefore := e.chans.Estimated(tx, rx, e.rng)
+	// The cache refreshes matrices in place: compare contents.
+	hBefore := e.chans.Channel(tx, rx).Clone()
+	estBefore := e.chans.Estimated(tx, rx, e.rng).Clone()
 
 	e.scenario.World.Perturb(0.6)
 
-	if e.chans.Channel(tx, rx) == hBefore {
+	if e.chans.Channel(tx, rx).Equal(hBefore, 0) {
 		t.Fatal("SlotCache kept a stale channel across the perturb")
 	}
-	if e.chans.Estimated(tx, rx, e.rng) != estBefore {
+	if !e.chans.Estimated(tx, rx, e.rng).Equal(estBefore, 0) {
 		t.Fatal("training estimates must stay pinned until Retrain")
 	}
 	after := e.outcome(group)
@@ -67,7 +68,7 @@ func TestPerturbInvalidatesMidTrialCaches(t *testing.T) {
 	// the achieved rates can only have moved because evaluation ran on
 	// the new true channels.
 	e.chans.Retrain()
-	if e.chans.Estimated(tx, rx, e.rng) == estBefore {
+	if e.chans.Estimated(tx, rx, e.rng).Equal(estBefore, 0) {
 		t.Fatal("Retrain did not refresh the survey")
 	}
 }

@@ -27,24 +27,42 @@ type arrival struct {
 	client int
 }
 
+// maxGroup is the largest transmission group the engine plans (the
+// width of groupKey).
+const maxGroup = 3
+
 // groupOutcome caches one transmission group's planned slot result so
 // the rate estimator (called combinatorially by the pickers) and the
 // slot runner share the planning work, as in the Fig. 15 experiment.
+// It is a plain value: the per-client rates sit in fixed arrays.
 type groupOutcome struct {
 	ok      bool
 	sumRate float64
-	// perClient maps scenario client index to achieved rate; a group
-	// member absent from the map was not served (fallback slots carry
-	// only the head).
-	perClient map[int]float64
-	// planned maps scenario client index to the rate the leader planned
-	// the client's packets at (from the last training survey). Non-nil
-	// under channel dynamics and under the MCS link plane, where
+	// served is how many group members the slot serves: client[i]
+	// achieved rate[i] for i < served. A member not listed was not
+	// served (fallback slots carry only the head).
+	served int
+	client [maxGroup]mac.ClientID
+	rate   [maxGroup]float64
+	// planned[i] is the rate the leader planned client[i]'s packets at
+	// (from the last training survey), valid when hasPlanned. Set under
+	// channel dynamics and under the MCS link plane, where
 	// achieved-vs-planned decides outage losses; in the legacy
-	// continuous model the head-only fallback leaves it nil (the
-	// baseline is granted ideal rate adaptation).
-	planned map[int]float64
-	packets int
+	// continuous model the head-only fallback has none (the baseline is
+	// granted ideal rate adaptation).
+	planned    [maxGroup]float64
+	hasPlanned bool
+	packets    int
+}
+
+// member returns the served slot index of client c, or -1.
+func (o *groupOutcome) member(c mac.ClientID) int {
+	for i, m := range o.client[:o.served] {
+		if m == c {
+			return i
+		}
+	}
+	return -1
 }
 
 // engine simulates one trial: one world, one MAC, one wired plane.
@@ -103,6 +121,8 @@ type engine struct {
 	// reused slot after slot.
 	slotRate []float64
 	slotLost []bool
+	// subClients backs the per-plan sub-scenario's client list.
+	subClients []*channel.Node
 
 	// Event-driven traffic plane (the default path). For
 	// timed workloads every client's next arrival is an armed timer on
@@ -331,6 +351,8 @@ func (e *engine) cycle(c int) {
 	if e.tp != nil {
 		e.admitWindows()
 	}
+	// The ack map is a view valid until the next RunCFP; the hub's
+	// queues drop it in DiscardAll below.
 	beacon := e.sim.RunCFP()
 	if len(beacon.AckMap) > 0 {
 		e.publish(backend.MsgAckMap, beacon.AckMap)
@@ -522,12 +544,13 @@ func (e *engine) runSlot(group []mac.ClientID) mac.SlotResult {
 	lost := 0
 	var achieved float64
 	for i, c := range group {
-		r, served := out.perClient[int(c)]
-		if !served {
+		m := out.member(c)
+		if m < 0 {
 			res.Lost[i] = true
 			continue
 		}
-		if p, ok := out.planned[int(c)]; ok && e.outage(r, p) {
+		r := out.rate[m]
+		if out.hasPlanned && e.outage(r, out.planned[m]) {
 			// Outage: the modulation picked from the planner's CSI
 			// outran what the realized channel carries. The AP reports
 			// the loss to the leader; the packet retries.
@@ -657,33 +680,34 @@ func (e *engine) chainOrder(stripe int8) []*channel.Node {
 // The fallback serves only the head; other members come back as lost
 // and retry next CFP, charging the grouping inefficiency to airtime.
 func (e *engine) plan(group []mac.ClientID, stripe int8) groupOutcome {
-	idx := make([]int, len(group))
-	for i, c := range group {
-		idx[i] = int(c)
+	n, na := len(group), len(e.scenario.APs)
+	sub := testbed.Scenario{World: e.scenario.World, Env: e.scenario.Env, Clients: e.subClients[:0]}
+	for _, c := range group {
+		sub.Clients = append(sub.Clients, e.scenario.Clients[c])
 	}
-	na := len(e.scenario.APs)
-	sub := testbed.Scenario{World: e.scenario.World, Env: e.scenario.Env}
-	for _, i := range idx {
-		sub.Clients = append(sub.Clients, e.scenario.Clients[i])
-	}
+	e.subClients = sub.Clients
 
+	// res is a view into the trial's workspace and slot cache, read
+	// before anything else plans.
 	var res testbed.SlotOutcome
 	var err error
 	switch {
-	case e.cfg.Uplink && len(idx) == 3 && na >= 3:
+	case e.cfg.Uplink && n == 3 && na >= 3:
 		sub.APs = e.chainOrder(stripe)
 		res, err = testbed.RunUplinkSlotWS(e.ws, e.chans, sub, 0, e.rng)
-	case e.cfg.Uplink && len(idx) == 2 && na >= 2:
+	case e.cfg.Uplink && n == 2 && na >= 2:
 		sub.APs = e.scenario.APs[:2]
 		res, err = testbed.RunUplinkSlotWS(e.ws, e.chans, sub, 0, e.rng)
-	case !e.cfg.Uplink && len(idx) == 3 && na >= 3:
+	case !e.cfg.Uplink && n == 3 && na >= 3:
 		sub.APs = e.scenario.APs[:3]
 		res, err = testbed.RunDownlinkSlotWS(e.ws, e.chans, sub, e.rng)
-	case !e.cfg.Uplink && len(idx) == 1 && na >= 2 && e.cfg.iacMode():
+	case !e.cfg.Uplink && n == 1 && na >= 2 && e.cfg.iacMode():
 		sub.APs = e.scenario.APs[:2]
 		res, err = testbed.RunDownlinkSlotWS(e.ws, e.chans, sub, e.rng)
 	default:
-		head := idx[0]
+		head := int(group[0])
+		out := groupOutcome{ok: true, served: 1, packets: 1}
+		out.client[0] = group[0]
 		if e.scenario.Env.MCS != nil {
 			// The baseline rides the same discrete table: modulation
 			// from the training estimates, outage when the realized
@@ -694,9 +718,9 @@ func (e *engine) plan(group []mac.ClientID, stripe int8) groupOutcome {
 			} else {
 				planned, achieved = e.chans.AdaptedBaselineDownlink(head, e.rng)
 			}
-			return groupOutcome{ok: true, sumRate: achieved,
-				perClient: map[int]float64{head: achieved},
-				planned:   map[int]float64{head: planned}, packets: 1}
+			out.sumRate, out.rate[0] = achieved, achieved
+			out.planned[0], out.hasPlanned = planned, true
+			return out
 		}
 		var r float64
 		if e.cfg.Uplink {
@@ -704,7 +728,8 @@ func (e *engine) plan(group []mac.ClientID, stripe int8) groupOutcome {
 		} else {
 			r = e.chans.BaselineDownlinkRate(head)
 		}
-		return groupOutcome{ok: true, sumRate: r, perClient: map[int]float64{head: r}, packets: 1}
+		out.sumRate, out.rate[0] = r, r
+		return out
 	}
 	if err != nil {
 		return groupOutcome{}
@@ -712,26 +737,18 @@ func (e *engine) plan(group []mac.ClientID, stripe int8) groupOutcome {
 	if e.met != nil && res.Batched > 0 {
 		e.batchSketch.Sketch().Add(float64(res.Batched))
 	}
-	// Iterate local indices in order rather than ranging the maps: the
-	// remap can accumulate several packets onto one client, and float
-	// accumulation order must not depend on randomized map iteration
-	// (the maprange determinism contract).
-	per := make(map[int]float64, len(res.PerClient))
-	for local := range idx {
-		if rate, ok := res.PerClient[local]; ok {
-			per[idx[local]] += rate
+	// Group members are distinct, so each local client's rate lands in
+	// its own slot, added to zero as the per-client sums always were.
+	out := groupOutcome{ok: true, sumRate: res.SumRate, served: n,
+		hasPlanned: res.PlannedPerClient != nil, packets: res.Plan.NumPackets()}
+	for local, c := range group {
+		out.client[local] = c
+		out.rate[local] += res.PerClient[local]
+		if out.hasPlanned {
+			out.planned[local] += res.PlannedPerClient[local]
 		}
 	}
-	var planned map[int]float64
-	if res.PlannedPerClient != nil {
-		planned = make(map[int]float64, len(res.PlannedPerClient))
-		for local := range idx {
-			if rate, ok := res.PlannedPerClient[local]; ok {
-				planned[idx[local]] += rate
-			}
-		}
-	}
-	return groupOutcome{ok: true, sumRate: res.SumRate, perClient: per, planned: planned, packets: res.Plan.NumPackets()}
+	return out
 }
 
 // markRefill records that the MAC drained one of the client's packets,

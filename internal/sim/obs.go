@@ -69,8 +69,8 @@ const (
 	metricStreamEnergyPerBit  = "sim_stream_energy_per_bit"
 	// metricBatchProducts distributes the per-slot batched-kernel
 	// dispatch size (direction products per planned slot), merged into
-	// the registry once per trial alongside the latency sketch. Stays
-	// empty on the scalar reference paths, which batch nothing.
+	// the registry once per trial alongside the latency sketch.
+	// Head-only fallback slots, which plan nothing, add no sample.
 	metricBatchProducts = "sim_batch_products"
 )
 

@@ -10,44 +10,70 @@ import (
 	"iaclan/internal/phy"
 )
 
-// fadingSlotAllocsPin is the allocation ceiling of one fading-shape
-// uplink plan (see TestFadingUplinkSlotAllocs): 24 for the re-derived
-// true channels (one matrix per client-AP pair), about 10 for the
-// winning plan's clone, and the rest for the slot's channel-set views,
-// rate tracking and outcome maps. The planner before the arena fast
-// paths allocated 360.
-const fadingSlotAllocsPin = 57
+// fadingSlotAllocsPin is the allocation ceiling of one fading-shape slot
+// plan (see TestFadingUplinkSlotAllocs and TestFadingDownlinkSlotAllocs).
+// The planner runs on the trial's workspace and the cache's reusable
+// scratch, the cache refreshes each pair's matrices in place and the
+// world refills the propagation matrices a move frees, so a warm plan
+// allocates nothing.
+const fadingSlotAllocsPin = 0
 
-// TestFadingUplinkSlotAllocs pins the heap allocations of the fading
-// planner's steady state: a warm workspace and SlotCache planning a
-// 3-client group on 4 APs (the chain at M=2, rotated over the four
-// receiver orderings) with noise, residual cancellation and MCS, the
-// world epoch moved by block fading before every slot, as on the
-// campus_fading shape. Estimates stay pinned between re-training
-// surveys (manual retrain), so each slot re-derives its true channels
-// and re-plans from scratch.
-func TestFadingUplinkSlotAllocs(t *testing.T) {
+// fadingSlotAllocs measures one warm slot on the campus_fading link
+// shape — noise, residual cancellation and MCS, estimates pinned between
+// re-training surveys (manual retrain) — with the world aged by block
+// fading and one client moved before every slot, so each slot
+// re-measures its true channels, regenerates the moved client's
+// propagation matrices and re-plans from scratch.
+func fadingSlotAllocs(t *testing.T, clients, aps int, plan func(*phy.Workspace, *SlotCache, Scenario, *rand.Rand) error) float64 {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	world := channel.NewTestbed(channel.DefaultParams(), 1, 20, 12)
-	s := PickScenario(world, 3, 4)
+	s := PickScenario(world, clients, aps)
 	s.Env = Env{NoisePower: math.Pow(10, 0.8), ResidualCancel: true, MCS: mimo.DefaultRateTable()}
 	ws := phy.NewWorkspace()
 	cache := NewSlotCache(s)
 	cache.SetManualRetrain(true)
 	cache.TrackPlannedRates(true)
 	rng := rand.New(rand.NewSource(5))
+	moves := 0
 	slot := func() {
 		world.Perturb(0.3)
-		if _, err := RunUplinkSlotWS(ws, cache, s, 0, rng); err != nil {
+		n := s.Clients[moves%len(s.Clients)]
+		world.MoveNode(n, float64(moves%12), float64((moves*7)%12))
+		moves++
+		if err := plan(ws, cache, s, rng); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 8; i++ {
 		slot()
 	}
-	if got := testing.AllocsPerRun(50, slot); got > fadingSlotAllocsPin {
+	return testing.AllocsPerRun(50, slot)
+}
+
+// TestFadingUplinkSlotAllocs pins the heap allocations of the fading
+// planner's steady state on the uplink chain: a 3-client group on 4 APs
+// (the chain at M=2, rotated over the four receiver orderings).
+func TestFadingUplinkSlotAllocs(t *testing.T) {
+	got := fadingSlotAllocs(t, 3, 4, func(ws *phy.Workspace, c *SlotCache, s Scenario, rng *rand.Rand) error {
+		_, err := RunUplinkSlotWS(ws, c, s, 0, rng)
+		return err
+	})
+	if got > fadingSlotAllocsPin {
 		t.Fatalf("fading uplink slot: %v allocs, pinned at most %d", got, fadingSlotAllocsPin)
+	}
+}
+
+// TestFadingDownlinkSlotAllocs is the downlink twin: the 3-AP triangle
+// over its six transmitter orderings.
+func TestFadingDownlinkSlotAllocs(t *testing.T) {
+	got := fadingSlotAllocs(t, 3, 3, func(ws *phy.Workspace, c *SlotCache, s Scenario, rng *rand.Rand) error {
+		_, err := RunDownlinkSlotWS(ws, c, s, rng)
+		return err
+	})
+	if got > fadingSlotAllocsPin {
+		t.Fatalf("fading downlink slot: %v allocs, pinned at most %d", got, fadingSlotAllocsPin)
 	}
 }

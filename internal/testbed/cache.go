@@ -20,10 +20,23 @@ import (
 //
 // Invalidation rule: every memo is keyed by the world's channel-state
 // epoch (channel.World.Epoch). Any fading mutation — Redraw, MoveNode,
-// Perturb — bumps the epoch, and the next lookup drops every cached
-// entry. Within one epoch a pair's estimate is drawn once and reused, so
-// all slots planned in that epoch see one consistent channel survey,
-// like APs sharing a measurement round over the wired backend.
+// Perturb — bumps the epoch, and every cached entry goes stale. Within
+// one epoch a pair's estimate is drawn once and reused, so all slots
+// planned in that epoch see one consistent channel survey, like APs
+// sharing a measurement round over the wired backend.
+//
+// Stale per-pair matrices are not dropped: each pair owns one channel
+// and one estimate matrix, stamped with the generation it was computed
+// in, and the first lookup after the stamp goes stale recomputes it in
+// place (channel.World.ChannelInto, channel.NoisyEstimateInto), with
+// the same draws and bits as computing a fresh matrix. Storage therefore
+// grows only with the pairs a trial actually touches, and re-planning
+// after a fading step allocates nothing. The price is the lifetime rule:
+// a matrix returned by Channel or Estimated is valid only until its pair
+// is refreshed — the next lookup of that pair after an epoch move (or,
+// for estimates, a Retrain). Holders must not keep one across a fading
+// step; the slot planner, the baselines and the survey read them within
+// one call.
 //
 // Under the traffic engine's channel dynamics the estimate memo follows
 // a different clock: SetManualRetrain pins training estimates across
@@ -41,9 +54,17 @@ import (
 type SlotCache struct {
 	scenario Scenario
 	epoch    uint64
-	chans    map[chanKey]*cmplxmat.Matrix
-	ests     map[chanKey]*cmplxmat.Matrix
-	base     map[baseKey]float64
+	// pairs indexes entries by directed node-ID pair; an entry is
+	// appended the first time its pair is looked up and never removed.
+	pairs   map[chanKey]int32
+	entries []pairEntry
+	// chanGen and estGen are the current channel and survey
+	// generations: chanGen moves with the world epoch, estGen with it
+	// too unless manual re-training pins estimates, and on Retrain. An
+	// entry is fresh while its stamp equals the current generation; both
+	// start at 1, so a zero stamp is never fresh.
+	chanGen, estGen uint64
+	base            map[baseKey]float64
 	// adapted memoizes the discrete-rate baseline (planned, achieved)
 	// per client. It depends on both the true channel (epoch clock) and
 	// the training estimates (retrain clock), so it drops on either.
@@ -61,6 +82,18 @@ type SlotCache struct {
 	// slotcache_hits / slotcache_misses metrics. Plain fields: the
 	// cache is single-owner like the rest of its state.
 	hits, misses uint64
+	// ws is the cache's own scratch for channel products and baseline
+	// math, released after each use.
+	ws cmplxmat.Workspace
+	// plan is the slot planner's reusable search state (see planSlot).
+	plan planScratch
+}
+
+// pairEntry is one directed pair's channel and estimate, each with the
+// generation it was computed in.
+type pairEntry struct {
+	h, est           *cmplxmat.Matrix
+	hStamp, estStamp uint64
 }
 
 // chanKey identifies a directed transmitter->receiver pair by node ID.
@@ -81,8 +114,9 @@ func NewSlotCache(s Scenario) *SlotCache {
 	return &SlotCache{
 		scenario: s,
 		epoch:    s.World.Epoch(),
-		chans:    map[chanKey]*cmplxmat.Matrix{},
-		ests:     map[chanKey]*cmplxmat.Matrix{},
+		pairs:    map[chanKey]int32{},
+		chanGen:  1,
+		estGen:   1,
 		base:     map[baseKey]float64{},
 		// adapted is allocated on first use: only MCS-mode trials pay
 		// for it (clear of a nil map is a no-op).
@@ -91,7 +125,7 @@ func NewSlotCache(s Scenario) *SlotCache {
 
 // SetManualRetrain selects the estimate-invalidation clock. Off (the
 // default), every epoch move implies a fresh channel survey: estimates
-// drop with the rest of the memos. On, estimates survive epoch moves and
+// go stale with the rest of the memos. On, estimates survive epoch moves and
 // refresh only when Retrain is called — planners keep working from the
 // last survey while the true channel drifts, which is exactly the stale
 // CSI the paper's Section 8 coherence measurements are about.
@@ -108,24 +142,25 @@ func (c *SlotCache) TrackPlannedRates(on bool) { c.trackPlanned = on }
 // draw, or a baseline eigendecomposition.
 func (c *SlotCache) Counters() (hits, misses uint64) { return c.hits, c.misses }
 
-// Retrain models one training round: every cached estimate is dropped,
+// Retrain models one training round: every cached estimate goes stale,
 // so the next lookups re-survey the current channel state. True channels
 // and baseline rates are keyed to the world epoch and are unaffected;
 // the adapted-baseline memo depends on the estimates and drops with
 // them.
 func (c *SlotCache) Retrain() {
-	clear(c.ests)
+	c.estGen++
 	clear(c.adapted)
 }
 
-// ensure drops the epoch-keyed memos when the world's channel epoch has
-// moved. Estimates follow the epoch too unless manual re-training pins
-// them (see SetManualRetrain).
+// ensure moves the cache to the world's channel epoch when it has moved:
+// channel entries go stale and the baseline memos drop. Estimates
+// follow the epoch too unless manual re-training pins them (see
+// SetManualRetrain).
 func (c *SlotCache) ensure() {
 	if e := c.scenario.World.Epoch(); e != c.epoch {
-		clear(c.chans)
+		c.chanGen++
 		if !c.manualRetrain {
-			clear(c.ests)
+			c.estGen++
 		}
 		clear(c.base)
 		clear(c.adapted)
@@ -133,35 +168,65 @@ func (c *SlotCache) ensure() {
 	}
 }
 
+// entry returns the pair's entry, appending an empty one on the pair's
+// first lookup. The pointer is valid until the next first lookup of
+// another pair.
+func (c *SlotCache) entry(tx, rx *channel.Node) *pairEntry {
+	k := chanKey{tx.ID, rx.ID}
+	i, ok := c.pairs[k]
+	if !ok {
+		i = int32(len(c.entries))
+		c.pairs[k] = i
+		c.entries = append(c.entries, pairEntry{})
+	}
+	return &c.entries[i]
+}
+
 // Channel returns the measured tx->rx channel matrix, computing it on
-// first use per epoch. The returned matrix is shared; treat it as
-// read-only (the package convention for all channel matrices).
+// the first lookup per epoch. The returned matrix is shared; treat it as
+// read-only (the package convention for all channel matrices). It is
+// the pair's own storage, refreshed in place by the first lookup after
+// the next epoch move, so it is valid only until then: do not keep it
+// across a fading step.
 func (c *SlotCache) Channel(tx, rx *channel.Node) *cmplxmat.Matrix {
 	c.ensure()
-	k := chanKey{tx.ID, rx.ID}
-	if h, ok := c.chans[k]; ok {
+	return c.channelOf(c.entry(tx, rx), tx, rx)
+}
+
+// channelOf is Channel on an already-resolved entry.
+func (c *SlotCache) channelOf(e *pairEntry, tx, rx *channel.Node) *cmplxmat.Matrix {
+	if e.hStamp == c.chanGen {
 		c.hits++
-		return h
+		return e.h
 	}
 	c.misses++
-	h := c.scenario.World.Channel(tx, rx)
-	c.chans[k] = h
-	return h
+	if e.h == nil {
+		e.h = cmplxmat.New(rx.Antennas, tx.Antennas)
+	}
+	c.scenario.World.ChannelInto(e.h, &c.ws, tx, rx)
+	e.hStamp = c.chanGen
+	return e.h
 }
 
 // Estimated returns the training-noise-corrupted estimate of the tx->rx
-// channel, drawing the estimation noise from rng once per pair per epoch.
+// channel, drawing the estimation noise from rng once per pair per
+// survey. Like Channel, the matrix is the pair's own storage and is
+// valid until the pair is next re-surveyed.
 func (c *SlotCache) Estimated(tx, rx *channel.Node, rng *rand.Rand) *cmplxmat.Matrix {
 	c.ensure()
-	k := chanKey{tx.ID, rx.ID}
-	if h, ok := c.ests[k]; ok {
+	e := c.entry(tx, rx)
+	if e.estStamp == c.estGen {
 		c.hits++
-		return h
+		return e.est
 	}
 	c.misses++
-	h := channel.NoisyEstimate(c.Channel(tx, rx), c.scenario.Env.EstimationSigma(), rng)
-	c.ests[k] = h
-	return h
+	h := c.channelOf(e, tx, rx)
+	if e.est == nil {
+		e.est = cmplxmat.New(h.Rows(), h.Cols())
+	}
+	channel.NoisyEstimateInto(e.est, h, c.scenario.Env.EstimationSigma(), rng)
+	e.estStamp = c.estGen
+	return e.est
 }
 
 // BaselineUplinkRate is BaselineUplinkRate for the cache's scenario,
@@ -185,8 +250,8 @@ func (c *SlotCache) baselineRate(client int, uplink bool) float64 {
 		return r
 	}
 	c.misses++
-	ws := cmplxmat.GetWorkspace()
-	defer cmplxmat.PutWorkspace(ws)
+	mark := c.ws.Mark()
+	defer c.ws.Release(mark)
 	best := math.Inf(-1)
 	for _, ap := range c.scenario.APs {
 		var h *cmplxmat.Matrix
@@ -195,7 +260,7 @@ func (c *SlotCache) baselineRate(client int, uplink bool) float64 {
 		} else {
 			h = c.Channel(ap, c.scenario.Clients[client])
 		}
-		if r := mimo.EigenmodeRateWS(ws, h, NodePower, c.scenario.Env.Noise()); r > best {
+		if r := mimo.EigenmodeRateWS(&c.ws, h, NodePower, c.scenario.Env.Noise()); r > best {
 			best = r
 		}
 	}
@@ -230,8 +295,10 @@ func (c *SlotCache) adaptedBaseline(client int, uplink bool, rng *rand.Rand) (pl
 		return r.planned, r.achieved
 	}
 	c.misses++
-	trueChans := make([]*cmplxmat.Matrix, len(c.scenario.APs))
-	estChans := make([]*cmplxmat.Matrix, len(c.scenario.APs))
+	mark := c.ws.Mark()
+	defer c.ws.Release(mark)
+	trueChans := c.ws.MatrixPtrs(len(c.scenario.APs))
+	estChans := c.ws.MatrixPtrs(len(c.scenario.APs))
 	for j, ap := range c.scenario.APs {
 		if uplink {
 			trueChans[j] = c.Channel(c.scenario.Clients[client], ap)
@@ -241,9 +308,7 @@ func (c *SlotCache) adaptedBaseline(client int, uplink bool, rng *rand.Rand) (pl
 			estChans[j] = c.Estimated(ap, c.scenario.Clients[client], rng)
 		}
 	}
-	ws := cmplxmat.GetWorkspace()
-	defer cmplxmat.PutWorkspace(ws)
-	planned, achieved = mimo.AdaptedBestAPWS(ws, table, trueChans, estChans, NodePower, c.scenario.Env.Noise())
+	planned, achieved = mimo.AdaptedBestAPWS(&c.ws, table, trueChans, estChans, NodePower, c.scenario.Env.Noise())
 	if c.adapted == nil {
 		c.adapted = map[baseKey]adaptedRate{}
 	}

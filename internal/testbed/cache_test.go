@@ -43,15 +43,18 @@ func TestSlotCacheChannelsAndEstimatesAreStable(t *testing.T) {
 }
 
 // TestSlotCacheInvalidatesOnEpochChange pins the invalidation rule: any
-// fading mutation bumps the world epoch and the cache must drop every
-// memo (new matrices, fresh estimation noise, recomputed baselines).
+// fading mutation bumps the world epoch and the cache must refresh every
+// memo (re-measured matrices, fresh estimation noise, recomputed
+// baselines). Matrices are refreshed in the pair's own storage, so the
+// test compares contents against snapshots taken before the move, and
+// the refreshed channel against a fresh measurement of the world.
 func TestSlotCacheInvalidatesOnEpochChange(t *testing.T) {
 	s := cacheScenario(t)
 	c := NewSlotCache(s)
 	rng := rand.New(rand.NewSource(6))
 	tx, rx := s.Clients[0], s.APs[0]
-	h1 := c.Channel(tx, rx)
-	e1 := c.Estimated(tx, rx, rng)
+	h1 := c.Channel(tx, rx).Clone()
+	e1 := c.Estimated(tx, rx, rng).Clone()
 	r1 := c.BaselineUplinkRate(0)
 
 	epochBefore := s.World.Epoch()
@@ -60,18 +63,67 @@ func TestSlotCacheInvalidatesOnEpochChange(t *testing.T) {
 		t.Fatal("Perturb did not bump the epoch")
 	}
 
+	_, missesBefore := c.Counters()
 	h2 := c.Channel(tx, rx)
-	if h2 == h1 {
-		t.Fatal("cache kept a stale channel across an epoch change")
+	if _, misses := c.Counters(); misses != missesBefore+1 {
+		t.Fatal("cache answered a stale channel without re-measuring it")
 	}
 	if h2.Equal(h1, 0) {
-		t.Fatal("perturbed channel should differ")
+		t.Fatal("cache kept a stale channel across an epoch change")
 	}
-	if c.Estimated(tx, rx, rng) == e1 {
+	if !h2.Equal(s.World.Channel(tx, rx), 0) {
+		t.Fatal("refreshed channel differs from a fresh measurement")
+	}
+	if c.Estimated(tx, rx, rng).Equal(e1, 0) {
 		t.Fatal("cache kept a stale estimate across an epoch change")
 	}
 	if c.BaselineUplinkRate(0) == r1 {
 		t.Fatal("cache kept a stale baseline rate across an epoch change")
+	}
+}
+
+// TestSlotCacheRefreshMatchesFreshCache pins in-place refresh against
+// the allocating memo it replaced: a cache that has lived through
+// fading steps, a mobility move and a re-training round returns, for
+// every pair, the same channel and estimate bits — and leaves the
+// estimation RNG at the same position — as a brand-new cache surveying
+// the same world state with an identically positioned RNG.
+func TestSlotCacheRefreshMatchesFreshCache(t *testing.T) {
+	s := cacheScenario(t)
+	old := NewSlotCache(s)
+	old.SetManualRetrain(true)
+	rng := rand.New(rand.NewSource(9))
+	survey := func(c *SlotCache, rng *rand.Rand) {
+		for _, cl := range s.Clients {
+			for _, ap := range s.APs {
+				c.Estimated(cl, ap, rng)
+			}
+		}
+	}
+	survey(old, rng)
+	for step := 0; step < 4; step++ {
+		s.World.Perturb(0.3)
+		if step == 1 {
+			s.World.MoveNode(s.Clients[1], 3, 4)
+		}
+		survey(old, rng) // estimates stay pinned: no draws
+	}
+	old.Retrain()
+	seed := rng.Int63()
+	rngOld, rngNew := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+	fresh := NewSlotCache(s)
+	for _, cl := range s.Clients {
+		for _, ap := range s.APs {
+			if !old.Estimated(cl, ap, rngOld).Equal(fresh.Estimated(cl, ap, rngNew), 0) {
+				t.Fatalf("pair %v->%v: refreshed estimate differs from a fresh survey", cl, ap)
+			}
+			if !old.Channel(cl, ap).Equal(fresh.Channel(cl, ap), 0) {
+				t.Fatalf("pair %v->%v: refreshed channel differs from a fresh measurement", cl, ap)
+			}
+		}
+	}
+	if rngOld.Int63() != rngNew.Int63() {
+		t.Fatal("refresh drew a different number of estimation samples")
 	}
 }
 
@@ -100,28 +152,30 @@ func TestSlotCacheManualRetrainPinsEstimates(t *testing.T) {
 	c.SetManualRetrain(true)
 	rng := rand.New(rand.NewSource(7))
 	tx, rx := s.Clients[0], s.APs[0]
-	h1 := c.Channel(tx, rx)
+	h1 := c.Channel(tx, rx).Clone()
 	e1 := c.Estimated(tx, rx, rng)
+	e1Snap := e1.Clone()
 	r1 := c.BaselineUplinkRate(0)
 
 	s.World.Perturb(0.5)
 
-	if c.Channel(tx, rx) == h1 {
+	if c.Channel(tx, rx).Equal(h1, 0) {
 		t.Fatal("true channel must track the epoch even under manual retrain")
 	}
 	if c.BaselineUplinkRate(0) == r1 {
 		t.Fatal("baseline rate must track the epoch even under manual retrain")
 	}
-	if c.Estimated(tx, rx, rng) != e1 {
+	if e := c.Estimated(tx, rx, rng); e != e1 || !e.Equal(e1Snap, 0) {
 		t.Fatal("manual retrain must pin estimates across an epoch move")
 	}
 
 	c.Retrain()
+	_, missesBefore := c.Counters()
 	e2 := c.Estimated(tx, rx, rng)
-	if e2 == e1 {
+	if _, misses := c.Counters(); misses != missesBefore+1 {
 		t.Fatal("Retrain must drop the pinned estimates")
 	}
-	if e2.Equal(e1, 0) {
+	if e2.Equal(e1Snap, 0) {
 		t.Fatal("post-retrain estimate should survey the perturbed channel")
 	}
 }
@@ -147,7 +201,7 @@ func TestSlotOutcomePlannedRatesTracked(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(outOn.PlannedPerClient) != len(outOn.PerClient) {
-		t.Fatalf("planned map covers %d clients, achieved covers %d",
+		t.Fatalf("planned rates cover %d clients, achieved cover %d",
 			len(outOn.PlannedPerClient), len(outOn.PerClient))
 	}
 	for client, achieved := range outOn.PerClient {

@@ -76,48 +76,6 @@ func (e Env) EstimationSigma() float64 {
 	return sigma
 }
 
-// planOpts are the evaluation options the leader scores candidate plans
-// with (estimates only): it anticipates its own residual floor and, in
-// MCS mode, quantizes candidate rates to the shared table and treats a
-// packet whose planned SINR misses even the lowest rung as undecodable
-// (it cannot be sent, so nothing downstream may cancel it).
-//
-// Deliberate asymmetry with the baseline: an IAC slot's packets are a
-// joint construction — the encoding vectors and the per-node power
-// split are committed together, so an unsendable packet's power still
-// rides the committed waveform and interferes, while a point-to-point
-// baseline transmitter simply omits an unsendable stream
-// (mimo.AdaptedLinkWS). This is conservative for IAC's reported
-// low-SNR gains.
-func (e Env) planOpts() core.EvalOptions {
-	opts := core.EvalOptions{NodePower: NodePower, Noise: e.Noise(), ResidualCancel: e.ResidualCancel}
-	if e.MCS != nil {
-		opts.Rate = e.MCS.Rate
-		opts.Decodes = func(_ int, sinr float64) bool {
-			_, ok := e.MCS.Select(sinr)
-			return ok
-		}
-	}
-	return opts
-}
-
-// trueOptsFor are the evaluation options for measuring a committed plan
-// on the true channels. Rates stay continuous here even in MCS mode
-// (the discrete achieved-rate rule needs the planned rung, which the
-// slot runners apply per packet); what MCS mode changes is decodability:
-// a packet whose realized SINR misses its committed rung (selected from
-// plannedSINR) fails, is never reconstructed, and keeps interfering
-// with every later step of a wired chain.
-func (e Env) trueOptsFor(plannedSINR []float64) core.EvalOptions {
-	opts := core.EvalOptions{NodePower: NodePower, Noise: e.Noise(), ResidualCancel: e.ResidualCancel}
-	if e.MCS != nil {
-		opts.Decodes = func(pkt int, sinr float64) bool {
-			return !e.MCS.Outage(plannedSINR[pkt], sinr)
-		}
-	}
-	return opts
-}
-
 // Scenario is a selected set of clients and APs within a world.
 type Scenario struct {
 	World   *channel.World

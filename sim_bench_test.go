@@ -244,7 +244,8 @@ func BenchmarkUplinkSlotFresh(b *testing.B) {
 
 // BenchmarkUplinkSlotMemoized is the "after" shape the traffic engine
 // runs: a per-trial workspace plus the epoch-keyed channel/estimate memo,
-// so steady-state slots touch the heap only for the winning plan.
+// which also lends the planner its scratch, so steady-state slots do not
+// touch the heap.
 func BenchmarkUplinkSlotMemoized(b *testing.B) {
 	s := benchSlotScenario()
 	rng := rand.New(rand.NewSource(1))
