@@ -30,12 +30,13 @@ func (m *Matrix) Solve(b Vector) (Vector, error) {
 	}
 	ws := GetWorkspace()
 	defer PutWorkspace(ws)
-	lu, perm, _, ok := m.luDecomposeWS(ws)
+	var st luStore
+	lu, perm, _, ok := st.factor(ws, m)
 	if !ok {
 		return nil, ErrSingular
 	}
 	x := NewVector(m.rows)
-	luSolveInto(lu, perm, b, x)
+	luSolveData(lu, m.rows, perm, b, x)
 	return x, nil
 }
 

@@ -54,6 +54,16 @@ func FromColumns(cols ...Vector) *Matrix {
 	return m
 }
 
+// View returns a rows x cols matrix over data, row-major, without
+// copying: the matrix and data alias each other. It lets callers run
+// the package's kernels on storage they own, such as a local array.
+func View(rows, cols int, data []complex128) Matrix {
+	if rows <= 0 || cols <= 0 || len(data) != rows*cols {
+		panic(fmt.Sprintf("cmplxmat: View of %d elements as %dx%d", len(data), rows, cols))
+	}
+	return Matrix{rows: rows, cols: cols, data: data}
+}
+
 // Identity returns the n x n identity matrix.
 func Identity(n int) *Matrix {
 	m := New(n, n)
@@ -256,6 +266,31 @@ func (m *Matrix) MulVec(v Vector) Vector {
 	return out
 }
 
+// MulVecInto writes m*v into dst, with the same operations as MulVec.
+// dst must have m.Rows() entries and must not share storage with v.
+func (m *Matrix) MulVecInto(dst, v Vector) {
+	if m.cols != len(v) || m.rows != len(dst) {
+		panic(fmt.Sprintf("cmplxmat: MulVecInto shape mismatch %dx%d * %d into %d", m.rows, m.cols, len(v), len(dst)))
+	}
+	mulVecData(m.data, m.rows, m.cols, v, dst)
+}
+
+// MulHVecInto writes m^H v into dst with the operations of
+// m.HWS(ws).MulVecWS(ws, v), without materializing m^H. dst must have
+// m.Cols() entries and must not share storage with v.
+func (m *Matrix) MulHVecInto(dst, v Vector) {
+	if m.rows != len(v) || m.cols != len(dst) {
+		panic(fmt.Sprintf("cmplxmat: MulHVecInto shape mismatch (%dx%d)^H * %d into %d", m.rows, m.cols, len(v), len(dst)))
+	}
+	for i := 0; i < m.cols; i++ {
+		var s complex128
+		for j := 0; j < m.rows; j++ {
+			s += cmplx.Conj(m.data[j*m.cols+i]) * v[j]
+		}
+		dst[i] = s
+	}
+}
+
 // T returns the (unconjugated) transpose of m. Channel reciprocity (Eq. 8
 // of the paper) relates the downlink channel to the transpose, not the
 // conjugate transpose, of the uplink channel.
@@ -311,15 +346,37 @@ func (m *Matrix) FrobeniusNorm() float64 {
 }
 
 // MaxAbs returns the largest entry magnitude.
-func (m *Matrix) MaxAbs() float64 {
+func (m *Matrix) MaxAbs() float64 { return maxAbs(m.data) }
+
+// maxAbs is MaxAbs over a flat slice. An entry whose magnitude bound
+// shows it cannot raise the running maximum skips its Hypot.
+func maxAbs(data []complex128) float64 {
 	var s float64
-	for _, v := range m.data {
+	for _, v := range data {
+		if boundBelow(v, s) {
+			continue
+		}
 		if a := cmplx.Abs(v); a > s {
 			s = a
 		}
 	}
 	return s
 }
+
+// maxPart returns max(|real(z)|, |imag(z)|), or NaN if either part is
+// NaN. It brackets cmplx.Abs(z) = Hypot(real(z), imag(z)): Hypot
+// rounds p*sqrt(1+r^2), with p this value and r <= 1, to at least p
+// and at most about 1.4143*p, so maxPart(z) <= |z| <= 2*maxPart(z)
+// whenever the parts are not NaN.
+func maxPart(z complex128) float64 {
+	return max(math.Abs(real(z)), math.Abs(imag(z)))
+}
+
+// boundBelow reports whether |z| <= s is certain from z's parts alone,
+// so that a running maximum s cannot be raised by |z| (a > s fails on
+// equality too). A NaN part always answers false: Hypot may still
+// make such an entry +Inf.
+func boundBelow(z complex128, s float64) bool { return 2*maxPart(z) <= s }
 
 // Equal reports whether m and b agree entry-wise within tol.
 func (m *Matrix) Equal(b *Matrix, tol float64) bool {

@@ -23,17 +23,24 @@ func (p Poly) Eval(z complex128) complex128 {
 // with magnitude below tol relative to the largest coefficient. The zero
 // polynomial has degree -1.
 func (p Poly) Degree(tol float64) int {
-	var maxAbs float64
+	var maxAbs, top float64
 	for _, c := range p {
-		if a := cmplx.Abs(c); a > maxAbs {
-			maxAbs = a
+		top = cmplx.Abs(c)
+		if top > maxAbs {
+			maxAbs = top
 		}
 	}
 	if maxAbs == 0 {
 		return -1
 	}
+	// The scan down from the leading coefficient starts where the scan
+	// up ended, so the leading magnitude is reused, not recomputed.
 	for i := len(p) - 1; i >= 0; i-- {
-		if cmplx.Abs(p[i]) > tol*maxAbs {
+		a := top
+		if i < len(p)-1 {
+			a = cmplx.Abs(p[i])
+		}
+		if a > tol*maxAbs {
 			return i
 		}
 	}
@@ -59,18 +66,32 @@ func (p Poly) Roots() ([]complex128, error) {
 	return roots, nil
 }
 
-// RootsWS is Roots with the returned roots and the iteration buffers in
-// the arena. Every buffer is sized by the effective degree, known before
-// the iteration starts, so the data-dependent iteration count never
-// touches the heap.
+// RootsWS is Roots with the returned roots in the arena (see
+// RootsInto). Every buffer is sized by the degree, known before the
+// iteration starts, so the data-dependent iteration count never touches
+// the heap.
 func (p Poly) RootsWS(ws *Workspace) ([]complex128, error) {
+	roots := ws.Complexes(max(len(p)-1, 0))
+	deg, err := p.RootsInto(ws, roots)
+	if err != nil {
+		return nil, err
+	}
+	return roots[:deg:deg], nil
+}
+
+// RootsInto is Roots writing the roots into roots[:deg] and returning
+// deg, the effective degree; roots needs room for len(p)-1 of them.
+// Durand-Kerner's iteration buffers live in local arrays up to degree
+// SmallDim and in the arena beyond.
+func (p Poly) RootsInto(ws *Workspace, roots []complex128) (int, error) {
 	deg := p.Degree(1e-13)
 	if deg < 1 {
-		return nil, ErrNoRoots
+		return 0, ErrNoRoots
 	}
-	roots := ws.Complexes(deg)
-	p.durandKerner(deg, Poly(ws.Complexes(deg+1)), roots, ws.Complexes(deg))
-	return roots, nil
+	var monic [SmallDim + 1]complex128
+	var next [SmallDim]complex128
+	p.durandKerner(deg, Poly(ws.VectorIn(monic[:], deg+1)), roots[:deg], ws.VectorIn(next[:], deg))
+	return deg, nil
 }
 
 // durandKerner is the iteration behind Roots and RootsWS: it normalizes
@@ -92,7 +113,11 @@ func (p Poly) durandKerner(deg int, monic Poly, roots, next []complex128) int {
 	}
 	const maxIter = 500
 	for iter := 0; iter < maxIter; iter++ {
-		var maxDelta float64
+		// settled is the absolute step test maxDelta < 1e-14, with maxDelta
+		// the largest |delta| that is not NaN (a NaN never won the >
+		// comparison). Once one step fails it, the rest need no
+		// magnitude at all.
+		settled := true
 		fixed := true
 		for i := range roots {
 			num := monic.Eval(roots[i])
@@ -111,21 +136,40 @@ func (p Poly) durandKerner(deg int, monic Poly, roots, next []complex128) int {
 			if fixed && !sameBits(next[i], roots[i]) {
 				fixed = false
 			}
-			if d := cmplx.Abs(delta); d > maxDelta {
-				maxDelta = d
+			if settled && !stepBelow(delta) {
+				settled = false
 			}
 		}
-		copy(roots, next)
+		for i := range roots {
+			roots[i] = next[i]
+		}
 		// The absolute step test cannot pass once a root is large enough
 		// that its ulp exceeds 1e-14. An iteration that leaves every root
 		// bit-identical is an exact fixed point, though: next depends
 		// only on monic and roots, so every later iteration would repeat
 		// it, and stopping there returns the same bits.
-		if maxDelta < 1e-14 || fixed {
+		if settled || fixed {
 			return iter + 1
 		}
 	}
 	return maxIter
+}
+
+// stepBelow reports whether cmplx.Abs(z) is below Durand-Kerner's 1e-14
+// step tolerance or NaN, calling Hypot only when z's parts leave it
+// open: with p = maxPart(z) not NaN, p <= |z| <= 2p, so a p at or
+// above the tolerance fails the test and a p under half of it passes.
+func stepBelow(z complex128) bool {
+	const tol = 1e-14
+	if p := maxPart(z); p == p {
+		if p >= tol {
+			return false
+		}
+		if 2*p < tol {
+			return true
+		}
+	}
+	return !(cmplx.Abs(z) >= tol)
 }
 
 // sameBits reports whether a and b have bit-identical real and
@@ -151,12 +195,23 @@ func InterpolatePoly(xs, ys []complex128) Poly {
 }
 
 // InterpolatePolyWS is InterpolatePoly with the returned coefficients
-// and every temporary in the arena.
+// in the arena (see InterpolatePolyInto).
 func InterpolatePolyWS(ws *Workspace, xs, ys []complex128) Poly {
-	n := interpolateLen(xs, ys)
-	coeffs := Poly(ws.Complexes(n))
-	newtonToMonomial(xs, ys, ws.Complexes(n), coeffs, Poly(ws.Complexes(n)), Poly(ws.Complexes(n)))
+	coeffs := Poly(ws.Complexes(interpolateLen(xs, ys)))
+	InterpolatePolyInto(ws, coeffs, xs, ys)
 	return coeffs
+}
+
+// InterpolatePolyInto is InterpolatePoly writing the coefficients into
+// coeffs, which must be zeroed and len(xs) long. Its scratch lives in
+// local arrays for up to SmallDim+1 points and in the arena beyond.
+func InterpolatePolyInto(ws *Workspace, coeffs Poly, xs, ys []complex128) {
+	n := interpolateLen(xs, ys)
+	if len(coeffs) != n {
+		panic("cmplxmat: InterpolatePolyInto needs len(xs) coefficients")
+	}
+	var dd, basis, spare [SmallDim + 1]complex128
+	newtonToMonomial(xs, ys, ws.VectorIn(dd[:], n), coeffs, Poly(ws.VectorIn(basis[:], n)), Poly(ws.VectorIn(spare[:], n)))
 }
 
 func interpolateLen(xs, ys []complex128) int {

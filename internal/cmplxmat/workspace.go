@@ -209,15 +209,6 @@ func (w *Workspace) SampleRows(rows, perRow int) [][]complex128 {
 	return hdr
 }
 
-// IdentityWS returns an arena-backed n x n identity matrix.
-func (w *Workspace) IdentityWS(n int) *Matrix {
-	m := w.Matrix(n, n)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
-	}
-	return m
-}
-
 // wsPool recycles warm workspaces process-wide. Arenas zero (or, for
 // matrix headers, fully overwrite) every allocation, so a recycled
 // workspace cannot leak state between users —

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 )
 
 // Workspace-threaded variants of the package's operations. Each *WS
@@ -55,10 +56,17 @@ func (v Vector) SubWS(ws *Workspace, w Vector) Vector {
 // ScaleWS returns s*v in the arena.
 func (v Vector) ScaleWS(ws *Workspace, s complex128) Vector {
 	out := ws.Vector(len(v))
-	for i := range v {
-		out[i] = s * v[i]
-	}
+	v.ScaleInto(out, s)
 	return out
+}
+
+// ScaleInto writes s*v into dst, which has v's length and may be v
+// itself.
+func (v Vector) ScaleInto(dst Vector, s complex128) {
+	mustSameDim(dst, v)
+	for i := range v {
+		dst[i] = s * v[i]
+	}
 }
 
 // NormalizeWS returns v scaled to unit norm, in the arena.
@@ -192,61 +200,98 @@ func FromColumnsWS(ws *Workspace, cols []Vector) *Matrix {
 // returned basis drawn from the arena.
 func OrthonormalBasisWS(ws *Workspace, tol float64, vs []Vector) []Vector {
 	basis := ws.Vectors(len(vs))
+	for i, v := range vs {
+		basis[i] = ws.Vector(len(v))
+	}
+	return basis[:OrthonormalBasisInto(basis, tol, vs)]
+}
+
+// OrthonormalBasisInto is OrthonormalBasisWS writing the basis into
+// dst and returning its size: the same projections in the same order,
+// done in place. dst needs room for len(vs) vectors of the vs'
+// dimension.
+func OrthonormalBasisInto(dst []Vector, tol float64, vs []Vector) int {
 	n := 0
 	for _, v := range vs {
 		orig := v.Norm()
 		if orig == 0 {
 			continue
 		}
-		u := v.CloneWS(ws)
-		for _, b := range basis[:n] {
-			u = u.SubWS(ws, u.ProjectOntoWS(ws, b))
+		u := dst[n]
+		mustSameDim(u, v)
+		copy(u, v)
+		for _, b := range dst[:n] {
+			u.RejectInPlace(b)
 		}
-		if u.Norm() <= tol*orig {
+		nrm := u.Norm()
+		if nrm <= tol*orig {
 			continue
 		}
-		basis[n] = u.NormalizeWS(ws)
+		if nrm != 0 {
+			u.ScaleInto(u, complex(1/nrm, 0)) // NormalizeWS, in place
+		}
 		n++
 	}
-	return basis[:n]
+	return n
+}
+
+// RejectInPlace subtracts from v its projection onto the line spanned
+// by w: v.SubWS(ws, v.ProjectOntoWS(ws, w)) without the two arena
+// temporaries, with the same operations. It panics if w is zero.
+func (v Vector) RejectInPlace(w Vector) {
+	d := w.Dot(w)
+	if d == 0 {
+		panic("cmplxmat: ProjectOnto zero vector")
+	}
+	c := w.Dot(v) / d
+	for i := range v {
+		v[i] = v[i] - c*w[i]
+	}
 }
 
 // OrthogonalComplementVectorWS is OrthogonalComplementVector over the
-// arena. The returned vector is arena-backed.
+// arena. The returned vector is arena-backed; for up to SmallDim
+// vectors of dimension up to SmallDim, the basis and the candidate
+// vectors live in local arrays.
 func OrthogonalComplementVectorWS(ws *Workspace, n int, tol float64, vs []Vector) Vector {
-	basis := OrthonormalBasisWS(ws, tol, vs)
+	var basisBuf [SmallDim][SmallDim]complex128
+	var basisHdr [SmallDim]Vector
+	var basis []Vector
+	if len(vs) <= SmallDim && small(n) {
+		for i := range vs {
+			basisHdr[i] = basisBuf[i][:n]
+		}
+		basis = basisHdr[:len(vs)]
+	} else {
+		basis = ws.Vectors(len(vs))
+		for i, v := range vs {
+			basis[i] = ws.Vector(len(v))
+		}
+	}
+	basis = basis[:OrthonormalBasisInto(basis, tol, vs)]
 	if len(basis) >= n {
 		return nil
 	}
-	var best Vector
+	// Project each standard basis vector out of the span; the one with
+	// the largest residual is the numerically safest complement seed.
+	var uBuf, bestBuf [SmallDim]complex128
+	u, best := ws.VectorIn(uBuf[:], n), ws.VectorIn(bestBuf[:], n)
 	bestNorm := -1.0
 	for i := 0; i < n; i++ {
-		e := ws.Vector(n)
-		e[i] = 1
-		u := e
+		clear(u)
+		u[i] = 1
 		for _, b := range basis {
-			u = u.SubWS(ws, u.ProjectOntoWS(ws, b))
+			u.RejectInPlace(b)
 		}
 		if nrm := u.Norm(); nrm > bestNorm {
 			bestNorm = nrm
-			best = u
+			u, best = best, u
 		}
 	}
 	if bestNorm <= tol {
 		return nil
 	}
 	return best.NormalizeWS(ws)
-}
-
-// luDecomposeWS is luDecompose with the packed LU copy and the
-// permutation drawn from the arena.
-func (m *Matrix) luDecomposeWS(ws *Workspace) (lu *Matrix, perm []int, swaps int, ok bool) {
-	m.mustSquare()
-	n := m.rows
-	lu = m.CloneWS(ws)
-	perm = ws.Ints(n)
-	swaps, ok = luFactorInPlace(lu.data, n, perm)
-	return lu, perm, swaps, ok
 }
 
 // luFactorInPlace runs the partial-pivot elimination of one n x n system
@@ -260,13 +305,20 @@ func luFactorInPlace(data []complex128, n int, perm []int) (swaps int, ok bool) 
 	}
 	ok = true
 	for k := 0; k < n; k++ {
-		p, best := k, cmplx.Abs(data[k*n+k])
-		for i := k + 1; i < n; i++ {
-			if a := cmplx.Abs(data[i*n+k]); a > best {
-				p, best = i, a
+		// Candidates compare by magnitude. The last column has a single
+		// candidate, so it skips the magnitude: the zero-pivot test
+		// reads the pivot itself, and cmplx.Abs(z) == 0 exactly when
+		// z == 0 (Hypot is 0 only for two zero parts, NaN for a NaN).
+		p := k
+		if k+1 < n {
+			best := cmplx.Abs(data[k*n+k])
+			for i := k + 1; i < n; i++ {
+				if a := cmplx.Abs(data[i*n+k]); a > best {
+					p, best = i, a
+				}
 			}
 		}
-		if best == 0 {
+		if data[p*n+k] == 0 {
 			ok = false
 			continue
 		}
@@ -289,14 +341,10 @@ func luFactorInPlace(data []complex128, n int, perm []int) (swaps int, ok bool) 
 	return swaps, ok
 }
 
-// luSolveInto runs permutation + forward/back substitution of one
-// right-hand side through a packed LU factorization, writing into x.
-func luSolveInto(lu *Matrix, perm []int, b, x Vector) {
-	luSolveData(lu.data, lu.rows, perm, b, x)
-}
-
-// luSolveData is luSolveInto over a flat packed factorization — shared
-// by the scalar path and the batched kernel (see luFactorInPlace).
+// luSolveData runs permutation + forward/back substitution of one
+// right-hand side through a packed factorization, writing into x. The
+// scalar solve, the inverse (one unit right-hand side per column) and
+// the batched kernel all run through it (see luFactorInPlace).
 func luSolveData(data []complex128, n int, perm []int, b, x Vector) {
 	for i := 0; i < n; i++ {
 		x[i] = b[perm[i]]
@@ -314,11 +362,28 @@ func luSolveData(data []complex128, n int, perm []int, b, x Vector) {
 	}
 }
 
-// DetWS returns the determinant using arena scratch only.
+// luInverseData writes the inverse of the packed factorization into
+// inv (n x n, row-major), solving for one unit right-hand side per
+// column. unit must be zeroed; it is left zeroed. col is scratch.
+func luInverseData(data []complex128, n int, perm []int, unit, col Vector, inv []complex128) {
+	for c := 0; c < n; c++ {
+		unit[c] = 1
+		luSolveData(data, n, perm, unit, col)
+		unit[c] = 0
+		for i := 0; i < n; i++ {
+			inv[i*n+c] = col[i]
+		}
+	}
+}
+
+// DetWS returns the determinant. A small m is factored on local
+// storage; a larger one on arena scratch released before returning.
 func (m *Matrix) DetWS(ws *Workspace) complex128 {
-	mark := ws.Mark()
-	defer ws.Release(mark)
-	lu, _, swaps, ok := m.luDecomposeWS(ws)
+	if !small(m.rows) {
+		defer ws.Release(ws.Mark())
+	}
+	var st luStore
+	lu, _, swaps, ok := st.factor(ws, m)
 	if !ok {
 		return 0
 	}
@@ -328,75 +393,59 @@ func (m *Matrix) DetWS(ws *Workspace) complex128 {
 		det = -det
 	}
 	for i := 0; i < n; i++ {
-		det *= lu.data[i*n+i]
+		det *= lu[i*n+i]
 	}
 	return det
 }
 
-// SolveWS solves m*x = b with all scratch and the returned x in the arena.
+// SolveWS solves m*x = b, returning x in the arena. The factorization
+// lives on local storage for a small m, in the arena otherwise.
 func (m *Matrix) SolveWS(ws *Workspace, b Vector) (Vector, error) {
 	m.mustSquare()
 	if len(b) != m.rows {
 		panic("cmplxmat: Solve dimension mismatch")
 	}
-	lu, perm, _, ok := m.luDecomposeWS(ws)
+	var st luStore
+	lu, perm, _, ok := st.factor(ws, m)
 	if !ok {
 		return nil, ErrSingular
 	}
 	x := ws.Vector(m.rows)
-	luSolveInto(lu, perm, b, x)
+	luSolveData(lu, m.rows, perm, b, x)
 	return x, nil
 }
 
-// InverseWS inverts m with all scratch and the returned matrix in the
-// arena.
+// InverseWS inverts m, returning the inverse in the arena. The
+// factorization and the column scratch live on local storage for a
+// small m, in the arena otherwise.
 func (m *Matrix) InverseWS(ws *Workspace) (*Matrix, error) {
-	m.mustSquare()
-	n := m.rows
-	lu, perm, _, ok := m.luDecomposeWS(ws)
+	var st luStore
+	lu, perm, _, ok := st.factor(ws, m)
 	if !ok {
 		return nil, ErrSingular
 	}
+	n := m.rows
 	inv := ws.Matrix(n, n)
-	col := ws.Vector(n)
-	for c := 0; c < n; c++ {
-		for i := 0; i < n; i++ {
-			if perm[i] == c {
-				col[i] = 1
-			} else {
-				col[i] = 0
-			}
-		}
-		for i := 1; i < n; i++ {
-			for j := 0; j < i; j++ {
-				col[i] -= lu.data[i*n+j] * col[j]
-			}
-		}
-		for i := n - 1; i >= 0; i-- {
-			for j := i + 1; j < n; j++ {
-				col[i] -= lu.data[i*n+j] * col[j]
-			}
-			col[i] /= lu.data[i*n+i]
-		}
-		for i := 0; i < n; i++ {
-			inv.data[i*n+c] = col[i]
-		}
-	}
+	luInverseData(lu, n, perm, ws.VectorIn(st.unit[:], n), ws.VectorIn(st.col[:], n), inv.data)
 	return inv, nil
 }
 
-// RankWS is Rank with the elimination scratch in the arena.
+// RankWS is Rank with the elimination scratch on local storage for a
+// small m and in the arena, released before returning, otherwise.
 func (m *Matrix) RankWS(ws *Workspace, tol float64) int {
-	mark := ws.Mark()
-	defer ws.Release(mark)
-	a := m.CloneWS(ws)
-	return rankOf(a, tol)
+	if !small(m.rows) || !small(m.cols) {
+		defer ws.Release(ws.Mark())
+	}
+	var st luStore
+	a := st.elim(ws, m.rows, m.cols)
+	copy(a, m.data)
+	return rankOf(a, m.rows, m.cols, tol)
 }
 
-// rankOf destroys a, returning its numerical rank (shared by Rank/RankWS).
-func rankOf(a *Matrix, tol float64) int {
-	rows, cols := a.rows, a.cols
-	scale := a.MaxAbs()
+// rankOf destroys the rows x cols matrix packed row-major in a,
+// returning its numerical rank (shared by Rank/RankWS).
+func rankOf(a []complex128, rows, cols int, tol float64) int {
+	scale := maxAbs(a)
 	if scale == 0 {
 		return 0
 	}
@@ -405,7 +454,7 @@ func rankOf(a *Matrix, tol float64) int {
 	for col := 0; col < cols && rank < rows; col++ {
 		p, best := -1, thresh
 		for i := rank; i < rows; i++ {
-			if v := cmplx.Abs(a.data[i*cols+col]); v > best {
+			if v := cmplx.Abs(a[i*cols+col]); v > best {
 				p, best = i, v
 			}
 		}
@@ -414,14 +463,14 @@ func rankOf(a *Matrix, tol float64) int {
 		}
 		if p != rank {
 			for j := 0; j < cols; j++ {
-				a.data[rank*cols+j], a.data[p*cols+j] = a.data[p*cols+j], a.data[rank*cols+j]
+				a[rank*cols+j], a[p*cols+j] = a[p*cols+j], a[rank*cols+j]
 			}
 		}
-		piv := a.data[rank*cols+col]
+		piv := a[rank*cols+col]
 		for i := rank + 1; i < rows; i++ {
-			f := a.data[i*cols+col] / piv
+			f := a[i*cols+col] / piv
 			for j := col; j < cols; j++ {
-				a.data[i*cols+j] -= f * a.data[rank*cols+j]
+				a[i*cols+j] -= f * a[rank*cols+j]
 			}
 		}
 		rank++
@@ -429,12 +478,12 @@ func rankOf(a *Matrix, tol float64) int {
 	return rank
 }
 
-// NullSpaceWS is NullSpace with every temporary and the returned basis in
-// the arena.
+// NullSpaceWS is NullSpace with the returned basis in the arena. For
+// at most SmallDim rows and columns the elimination and the raw
+// null vectors live in local arrays, in the arena otherwise.
 func (m *Matrix) NullSpaceWS(ws *Workspace, tol float64) []Vector {
 	rows, cols := m.rows, m.cols
-	a := m.CloneWS(ws)
-	scale := a.MaxAbs()
+	scale := m.MaxAbs()
 	if scale == 0 {
 		basis := ws.Vectors(cols)
 		for i := range basis {
@@ -443,13 +492,31 @@ func (m *Matrix) NullSpaceWS(ws *Workspace, tol float64) []Vector {
 		}
 		return basis
 	}
+	var st luStore
+	a := st.elim(ws, rows, cols)
+	copy(a, m.data)
+	var pivotBuf [SmallDim]int
+	var rawBuf [SmallDim][SmallDim]complex128
+	var rawHdr [SmallDim]Vector
+	var pivotCols []int
+	var raw []Vector
+	if small(rows) && small(cols) {
+		for c := 0; c < cols; c++ {
+			rawHdr[c] = rawBuf[c][:cols]
+		}
+		pivotCols, raw = pivotBuf[:cols], rawHdr[:cols]
+	} else {
+		pivotCols, raw = ws.Ints(cols), ws.Vectors(cols)
+		for c := range raw {
+			raw[c] = ws.Vector(cols)
+		}
+	}
 	thresh := tol * scale
-	pivotCols := ws.Ints(cols)[:0]
 	r := 0
 	for c := 0; c < cols && r < rows; c++ {
 		p, best := -1, thresh
 		for i := r; i < rows; i++ {
-			if v := cmplx.Abs(a.data[i*cols+c]); v > best {
+			if v := cmplx.Abs(a[i*cols+c]); v > best {
 				p, best = i, v
 			}
 		}
@@ -458,51 +525,47 @@ func (m *Matrix) NullSpaceWS(ws *Workspace, tol float64) []Vector {
 		}
 		if p != r {
 			for j := 0; j < cols; j++ {
-				a.data[r*cols+j], a.data[p*cols+j] = a.data[p*cols+j], a.data[r*cols+j]
+				a[r*cols+j], a[p*cols+j] = a[p*cols+j], a[r*cols+j]
 			}
 		}
-		piv := a.data[r*cols+c]
+		piv := a[r*cols+c]
 		for j := 0; j < cols; j++ {
-			a.data[r*cols+j] /= piv
+			a[r*cols+j] /= piv
 		}
 		for i := 0; i < rows; i++ {
 			if i == r {
 				continue
 			}
-			f := a.data[i*cols+c]
+			f := a[i*cols+c]
 			if f == 0 {
 				continue
 			}
 			for j := 0; j < cols; j++ {
-				a.data[i*cols+j] -= f * a.data[r*cols+j]
+				a[i*cols+j] -= f * a[r*cols+j]
 			}
 		}
-		pivotCols = append(pivotCols, c)
+		pivotCols[r] = c
 		r++
 	}
-	isPivot := ws.Bools(cols)
-	for _, c := range pivotCols {
-		isPivot[c] = true
-	}
-	raw := ws.Vectors(cols)
+	pivotCols = pivotCols[:r]
 	nRaw := 0
 	for c := 0; c < cols; c++ {
-		if isPivot[c] {
+		if slices.Contains(pivotCols, c) {
 			continue
 		}
-		x := ws.Vector(cols)
+		x := raw[nRaw]
 		x[c] = 1
 		for ri, pc := range pivotCols {
-			x[pc] = -a.data[ri*cols+c]
+			x[pc] = -a[ri*cols+c]
 		}
-		raw[nRaw] = x
 		nRaw++
 	}
 	return OrthonormalBasisWS(ws, 1e-12, raw[:nRaw])
 }
 
-// EigenHermitianWS is EigenHermitian with all scratch and the returned
-// eigenvalues/eigenvectors in the arena.
+// EigenHermitianWS is EigenHermitian with the returned eigenvalues and
+// eigenvectors in the arena; the Jacobi working copies live on local
+// storage for a small m and in the arena otherwise.
 func (m *Matrix) EigenHermitianWS(ws *Workspace) (vals []float64, v *Matrix) {
 	m.mustSquare()
 	n := m.rows
@@ -510,80 +573,90 @@ func (m *Matrix) EigenHermitianWS(ws *Workspace) (vals []float64, v *Matrix) {
 	if !m.equalH(1e-9 * (1 + scale)) {
 		panic("cmplxmat: EigenHermitian on a non-Hermitian matrix")
 	}
-	raw, vecs, idx := m.jacobiWS(ws, scale)
+	var st eigenStore
+	a, vecs, raw, idx := st.slices(ws, n)
+	copy(a, m.data)
+	jacobi(a, vecs, raw, idx, scale)
 	vals = ws.Floats(n)
 	sortedV := ws.Matrix(n, n)
 	for newCol, oldCol := range idx {
 		vals[newCol] = raw[oldCol]
 		for r := 0; r < n; r++ {
-			sortedV.data[r*n+newCol] = vecs.data[r*n+oldCol]
+			sortedV.data[r*n+newCol] = vecs[r*n+oldCol]
 		}
 	}
 	return vals, sortedV
 }
 
-// jacobiWS diagonalizes the Hermitian matrix m (scale = m.MaxAbs()) with
-// cyclic complex Jacobi sweeps on an arena copy. It returns the
-// eigenvalues in diagonal order, the eigenvector matrix with one column
-// per eigenvalue in that same order, and the permutation idx listing
-// the columns by descending eigenvalue. It is the one Jacobi body behind
-// EigenHermitianWS, SVDWS and LeadingLeftSingularWS; it does not check
-// that m is Hermitian.
-func (m *Matrix) jacobiWS(ws *Workspace, scale float64) (raw []float64, v *Matrix, idx []int) {
-	n := m.rows
-	a := m.CloneWS(ws)
-	v = ws.IdentityWS(n)
+// jacobi diagonalizes the n x n Hermitian matrix packed row-major in a
+// (n = len(raw), scale its largest entry magnitude) in place with
+// cyclic complex Jacobi sweeps. v must be zeroed; it receives the
+// eigenvectors, one column per eigenvalue in diagonal order. raw
+// receives the eigenvalues in that order, and idx the permutation
+// listing the columns by descending eigenvalue. It is the one Jacobi
+// body behind EigenHermitianWS, SVDWS and LeadingLeftSingularWS, on
+// whichever storage the caller chose; it does not check that a is
+// Hermitian.
+func jacobi(a, v []complex128, raw []float64, idx []int, scale float64) {
+	n := len(raw)
+	for i := 0; i < n; i++ {
+		v[i*n+i] = 1
+	}
 	const maxSweeps = 100
 	for sweep := 0; sweep < maxSweeps; sweep++ {
-		var off float64
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += cmplx.Abs(a.data[i*n+j])
-			}
-		}
-		if off < 1e-13*(1+scale) {
+		converged, abs01 := offBelow(a, n, 1e-13*(1+scale))
+		if converged {
 			break
 		}
 		for p := 0; p < n; p++ {
 			for q := p + 1; q < n; q++ {
-				apq := a.data[p*n+q]
-				absApq := cmplx.Abs(apq)
+				apq := a[p*n+q]
+				absApq := abs01
+				if p != 0 || q != 1 || abs01 < 0 {
+					absApq = cmplx.Abs(apq)
+				}
 				if absApq < 1e-15*(1+scale) {
 					continue
 				}
-				app := real(a.data[p*n+p])
-				aqq := real(a.data[q*n+q])
+				app := real(a[p*n+p])
+				aqq := real(a[q*n+q])
 				phase := apq / complex(absApq, 0)
 				theta := 0.5 * math.Atan2(2*absApq, app-aqq)
-				c := complex(math.Cos(theta), 0)
-				s := complex(math.Sin(theta), 0) * phase
+				// Sincos runs Sin's and Cos's argument reduction and
+				// polynomials once for both: the same bits, except that
+				// Sin hands a NaN argument back unchanged.
+				sinT, cosT := math.Sincos(theta)
+				if theta != theta {
+					sinT = theta
+				}
+				c := complex(cosT, 0)
+				s := complex(sinT, 0) * phase
+				sc := cmplx.Conj(s)
 				for k := 0; k < n; k++ {
-					akp := a.data[k*n+p]
-					akq := a.data[k*n+q]
-					a.data[k*n+p] = akp*c + akq*cmplx.Conj(s)
-					a.data[k*n+q] = -akq*c + akp*s
+					akp := a[k*n+p]
+					akq := a[k*n+q]
+					a[k*n+p] = akp*c + akq*sc
+					a[k*n+q] = -akq*c + akp*s
 				}
 				for k := 0; k < n; k++ {
-					apk := a.data[p*n+k]
-					aqk := a.data[q*n+k]
-					a.data[p*n+k] = apk*c + aqk*s
-					a.data[q*n+k] = -aqk*c + apk*cmplx.Conj(s)
+					apk := a[p*n+k]
+					aqk := a[q*n+k]
+					a[p*n+k] = apk*c + aqk*s
+					a[q*n+k] = -aqk*c + apk*sc
 				}
 				for k := 0; k < n; k++ {
-					vkp := v.data[k*n+p]
-					vkq := v.data[k*n+q]
-					v.data[k*n+p] = vkp*c + vkq*cmplx.Conj(s)
-					v.data[k*n+q] = -vkq*c + vkp*s
+					vkp := v[k*n+p]
+					vkq := v[k*n+q]
+					v[k*n+p] = vkp*c + vkq*sc
+					v[k*n+q] = -vkq*c + vkp*s
 				}
 			}
 		}
 	}
-	raw = ws.Floats(n)
 	for i := range raw {
-		raw[i] = real(a.data[i*n+i])
+		raw[i] = real(a[i*n+i])
 	}
 	// Sort descending (insertion sort: n <= 8).
-	idx = ws.Ints(n)
 	for i := range idx {
 		idx[i] = i
 	}
@@ -594,7 +667,46 @@ func (m *Matrix) jacobiWS(ws *Workspace, scale float64) (raw []float64, v *Matri
 			j--
 		}
 	}
-	return raw, v, idx
+}
+
+// offBelow is jacobi's convergence test: whether off, the sum of |a_ij|
+// over the strict upper triangle of the n x n matrix a in row order, is
+// below thr. The sum is bracketed first without a Hypot: each term lies
+// between its maxPart p and 2p, and a rounded sum of non-negative terms
+// does not decrease when a term grows, so the sums of the p and of the
+// 2p bracket off. Only a bracket that straddles thr, or a NaN part,
+// computes off itself. Then abs01 is the |a_01| summed into it, which
+// the sweep's first rotation, the pair (0, 1), reuses: nothing changes
+// a in between, so it is the same Hypot of the same bits. Otherwise
+// abs01 is -1.
+func offBelow(a []complex128, n int, thr float64) (below bool, abs01 float64) {
+	var lo, hi float64
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			p := maxPart(a[i*n+j])
+			lo += p
+			hi += 2 * p
+		}
+	}
+	if lo == lo && hi == hi {
+		if lo >= thr {
+			return false, -1
+		}
+		if hi < thr {
+			return true, -1
+		}
+	}
+	var off float64
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			h := cmplx.Abs(a[i*n+j])
+			if i == 0 && j == 1 {
+				abs01 = h
+			}
+			off += h
+		}
+	}
+	return off < thr, abs01
 }
 
 // equalH reports whether m equals its own conjugate transpose within tol,
@@ -614,13 +726,12 @@ func (m *Matrix) equalH(tol float64) bool {
 	return true
 }
 
-// gramWS returns m^H m in the arena. It runs MulWS's loop on the
-// conjugate transpose — same products, same accumulation order, same
-// skip of zero left factors — without materializing m^H, so the result
-// is bitwise m.HWS(ws).MulWS(ws, m).
-func (m *Matrix) gramWS(ws *Workspace) *Matrix {
+// gramInto writes m^H m into g (zeroed, m.cols x m.cols). It runs
+// MulWS's loop on the conjugate transpose — same products, same
+// accumulation order, same skip of zero left factors — without
+// materializing m^H, so the result is bitwise m.HWS(ws).MulWS(ws, m).
+func (m *Matrix) gramInto(g []complex128) {
 	r, c := m.rows, m.cols
-	out := ws.Matrix(c, c)
 	for i := 0; i < c; i++ {
 		for k := 0; k < r; k++ {
 			a := cmplx.Conj(m.data[k*c+i])
@@ -628,21 +739,83 @@ func (m *Matrix) gramWS(ws *Workspace) *Matrix {
 				continue
 			}
 			for j := 0; j < c; j++ {
-				out.data[i*c+j] += a * m.data[k*c+j]
+				g[i*c+j] += a * m.data[k*c+j]
 			}
 		}
 	}
-	return out
 }
 
-// rightSingularWS is the shared front half of the SVD: the Jacobi
-// eigendecomposition of the Gram matrix m^H m (Hermitian by
-// construction, so the Hermitian guard is skipped) and the null
-// threshold below which a singular value has no left vector.
-func (m *Matrix) rightSingularWS(ws *Workspace) (raw []float64, vecs *Matrix, idx []int, nullTol float64) {
-	gram := m.gramWS(ws)
-	raw, vecs, idx = gram.jacobiWS(ws, gram.MaxAbs())
-	return raw, vecs, idx, 1e-12 * (1 + m.MaxAbs())
+// gramMaxAbs returns MaxAbs of the n x n Gram matrix g that gramInto
+// built from m, reading the diagonal's real parts and computing one
+// Hypot per off-diagonal pair instead of one per entry. For a NaN-free
+// m the result has the same bits:
+//   - Each diagonal term conj(x)*x has the real part xr*xr - (-xi)*xi,
+//     which is >= +0 or +Inf, and the imaginary part xr*xi + (-xi)*xr,
+//     which is exactly +0 unless xr*xi overflows, and then the real
+//     part is +Inf. So g_ii is (re, +0) with Hypot(re, +0) = re, or
+//     (+Inf, NaN) with Hypot = +Inf = re.
+//   - If m holds an Inf, the diagonal holds +Inf and both scans
+//     return +Inf.
+//   - Otherwise g_ji is conj(g_ij) up to the signs of zeros: the terms
+//     pair up as conjugates (their real parts are the same products,
+//     their imaginary parts a-b and b-a, exact negations under
+//     round-to-nearest, NaN together), and a term one side skips as a
+//     zero left factor is a finite factor times 0, a signed zero, on
+//     the other. Hypot ignores signs, so |g_ji| has the bits of |g_ij|.
+//   - A maximum does not depend on scan order, and a NaN never wins
+//     the > comparison in either scan.
+//
+// A NaN in column j of m makes g_jj's real part NaN, so a NaN on the
+// diagonal sends the scan to the full maxAbs.
+func gramMaxAbs(g []complex128, n int) float64 {
+	var s float64
+	for i := 0; i < n; i++ {
+		d := real(g[i*n+i])
+		if d != d {
+			return maxAbs(g)
+		}
+		if d > s {
+			s = d
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if !boundBelow(g[i*n+j], s) {
+				if a := cmplx.Abs(g[i*n+j]); a > s {
+					s = a
+				}
+			}
+		}
+	}
+	return s
+}
+
+// rightSingular is the shared front half of the SVD: it builds the
+// Gram matrix m^H m in a (zeroed, m.cols x m.cols) and runs its Jacobi
+// eigendecomposition into v, raw and idx (see jacobi), skipping the
+// Hermitian guard because the Gram matrix is Hermitian by
+// construction.
+func (m *Matrix) rightSingular(a, v []complex128, raw []float64, idx []int) {
+	m.gramInto(a)
+	jacobi(a, v, raw, idx, gramMaxAbs(a, m.cols))
+}
+
+// nullTol is the threshold at or below which a singular value of m has
+// no left vector.
+func (m *Matrix) nullTol() float64 { return 1e-12 * (1 + m.MaxAbs()) }
+
+// aboveNull reports whether s > m.nullTol(), taking MaxAbs's Hypot per
+// entry only when a cheaper bound cannot decide. With p the largest
+// maxPart over m, 2p bounds MaxAbs from above when no part is NaN, and
+// rounding is monotone, so 1e-12*(1+x) does not decrease as x grows: a
+// singular value above the threshold built from 2p is above the exact
+// one. A NaN part makes p NaN and leaves the decision to nullTol.
+func (m *Matrix) aboveNull(s float64) bool {
+	var p float64
+	for _, z := range m.data {
+		p = max(p, maxPart(z))
+	}
+	return s > 1e-12*(1+2*p) || s > m.nullTol()
 }
 
 // singularValue maps a Gram eigenvalue to its singular value, clamping
@@ -654,34 +827,43 @@ func singularValue(ev float64) float64 {
 	return math.Sqrt(ev)
 }
 
-// leftColumnWS returns the left singular vector m v / s for the right
-// singular vector stored in column col of vecs.
-func (m *Matrix) leftColumnWS(ws *Workspace, vecs *Matrix, col int, s float64) Vector {
-	vc := ws.Vector(vecs.rows)
+// leftColumnInto writes into dst the left singular vector m v / s for
+// the right singular vector v in column col of the m.cols x m.cols
+// eigenvector matrix vecs.
+func (m *Matrix) leftColumnInto(ws *Workspace, dst Vector, vecs []complex128, col int, s float64) {
+	var buf [SmallDim]complex128
+	vc := ws.VectorIn(buf[:], m.cols)
 	for i := range vc {
-		vc[i] = vecs.data[i*vecs.cols+col]
+		vc[i] = vecs[i*m.cols+col]
 	}
-	return m.MulVecWS(ws, vc).ScaleWS(ws, complex(1/s, 0))
+	mulVecData(m.data, m.rows, m.cols, vc, dst)
+	dst.ScaleInto(dst, complex(1/s, 0))
 }
 
-// SVDWS is SVD with all scratch and the returned factors in the arena.
+// SVDWS is SVD with the returned factors and the null completion's
+// scratch in the arena; the Gram matrix and its Jacobi working copies
+// live on local storage when m has at most SmallDim columns.
 func (m *Matrix) SVDWS(ws *Workspace) (u *Matrix, s []float64, v *Matrix) {
 	rows, cols := m.rows, m.cols
 	k := rows
 	if cols < k {
 		k = cols
 	}
-	raw, vecs, idx, nullTol := m.rightSingularWS(ws)
+	var st eigenStore
+	a, vecs, raw, idx := st.slices(ws, cols)
+	m.rightSingular(a, vecs, raw, idx)
+	nullTol := m.nullTol()
 	s = ws.Floats(k)
 	v = ws.Matrix(cols, k)
 	u = ws.Matrix(rows, k)
 	for j := 0; j < k; j++ {
 		s[j] = singularValue(raw[idx[j]])
 		for i := 0; i < cols; i++ {
-			v.data[i*k+j] = vecs.data[i*cols+idx[j]]
+			v.data[i*k+j] = vecs[i*cols+idx[j]]
 		}
 		if s[j] > nullTol {
-			uc := m.leftColumnWS(ws, vecs, idx[j], s[j])
+			uc := ws.Vector(rows)
+			m.leftColumnInto(ws, uc, vecs, idx[j], s[j])
 			for i := 0; i < rows; i++ {
 				u.data[i*k+j] = uc[i]
 			}
@@ -720,50 +902,74 @@ func (m *Matrix) SVDWS(ws *Workspace) (u *Matrix, s []float64, v *Matrix) {
 // in descending singular-value order: at most n of them, stopping before
 // the first whose singular value is at or below rel times the largest.
 // Each returned vector is bitwise the corresponding column of SVDWS's U.
-// It computes only those columns, not V or the rest of U; when one of
-// them would come from SVDWS's null-column completion (a singular value
-// at the null threshold, or a left vector too short to keep), it falls
-// back to SVDWS itself. The vectors and scratch live in the arena.
+// The vectors live in the arena; see LeadingLeftSingularInto.
 func (m *Matrix) LeadingLeftSingularWS(ws *Workspace, n int, rel float64) []Vector {
-	k := m.rows
-	if m.cols < k {
-		k = m.cols
-	}
-	if n > k {
-		n = k
-	}
+	n = min(n, m.rows, m.cols)
 	if n <= 0 {
 		return nil
 	}
-	mark := ws.Mark()
-	raw, vecs, idx, nullTol := m.rightSingularWS(ws)
 	out := ws.Vectors(n)
+	for j := range out {
+		out[j] = ws.Vector(m.rows)
+	}
+	return out[:m.LeadingLeftSingularInto(ws, out, rel)]
+}
+
+// LeadingLeftSingularInto is LeadingLeftSingularWS writing the vectors
+// into dst, one m.Rows()-vector each, and returning how many it wrote:
+// at most len(dst) and min(m.Rows(), m.Cols()). It computes only those
+// columns, not V or the rest of U; when one of them would come from
+// SVDWS's null-column completion (a singular value at the null
+// threshold, or a left vector too short to keep), it falls back to
+// SVDWS itself. For at most SmallDim columns the Gram matrix and its
+// Jacobi working copies live in local arrays; any arena scratch is
+// released before it returns.
+func (m *Matrix) LeadingLeftSingularInto(ws *Workspace, dst []Vector, rel float64) int {
+	n := min(len(dst), m.rows, m.cols)
+	if n <= 0 {
+		return 0
+	}
+	if !small(m.cols) {
+		defer ws.Release(ws.Mark())
+	}
+	var st eigenStore
+	a, vecs, raw, idx := st.slices(ws, m.cols)
+	m.rightSingular(a, vecs, raw, idx)
 	s0 := singularValue(raw[idx[0]])
 	for j := 0; j < n; j++ {
 		sj := singularValue(raw[idx[j]])
 		if sj <= rel*s0 {
-			return out[:j]
+			return j
 		}
-		if !(sj > nullTol) {
+		if !m.aboveNull(sj) {
 			break
 		}
-		if out[j] = m.leftColumnWS(ws, vecs, idx[j], sj); out[j].Norm() <= 0.5 {
+		m.leftColumnInto(ws, dst[j], vecs, idx[j], sj)
+		if dst[j].Norm() <= 0.5 {
 			break
 		}
 		if j == n-1 {
-			return out
+			return n
 		}
 	}
-	ws.Release(mark)
+	return m.svdLeadingInto(ws, dst[:n], rel)
+}
+
+// svdLeadingInto is LeadingLeftSingularInto's fallback: it copies the
+// leading columns of SVDWS's U into dst under the same stopping rule,
+// releasing the SVD's arena storage before it returns.
+func (m *Matrix) svdLeadingInto(ws *Workspace, dst []Vector, rel float64) int {
+	defer ws.Release(ws.Mark())
 	u, s, _ := m.SVDWS(ws)
-	out = ws.Vectors(n)
-	for j := 0; j < n; j++ {
+	for j := range dst {
 		if s[j] <= rel*s[0] {
-			return out[:j]
+			return j
 		}
-		out[j] = u.ColWS(ws, j)
+		for i := range dst[j] {
+			dst[j][i] = u.data[i*u.cols+j]
+		}
 	}
-	return out
+	return len(dst)
 }
 
 // CharPolyWS is CharPoly with matrix scratch in the arena. The returned

@@ -1,0 +1,47 @@
+package core
+
+import (
+	"math/rand"
+	"testing"
+
+	"iaclan/internal/cmplxmat"
+)
+
+// TestM2KernelsZeroAlloc pins the M = 2 zero-forcing decoder (one, two
+// and three interferers: the Gram-Schmidt branch and the 2x2 and 2x3
+// principal-component branches) and the alignment solver's dependent
+// direction at zero heap allocations on a warm workspace. Their working
+// storage lives in local arrays, so a local that escapes to the heap
+// fails this test.
+func TestM2KernelsZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	sig := cmplxmat.RandomGaussianVector(rng, 2)
+	interf := make([]cmplxmat.Vector, 3)
+	for i := range interf {
+		interf[i] = cmplxmat.RandomGaussianVector(rng, 2)
+	}
+	g := []*cmplxmat.Matrix{cmplxmat.RandomGaussian(rng, 2, 2), cmplxmat.RandomGaussian(rng, 2, 2)}
+	ws := cmplxmat.NewWorkspace()
+	cases := []struct {
+		name string
+		run  func()
+	}{
+		{"zfDecodingVectorWS, 1 interferer", func() { zfDecodingVectorWS(ws, sig, interf[:1], 2) }},
+		{"zfDecodingVectorWS, 2 interferers", func() { zfDecodingVectorWS(ws, sig, interf[:2], 2) }},
+		{"zfDecodingVectorWS, 3 interferers", func() { zfDecodingVectorWS(ws, sig, interf, 2) }},
+		{"dependentDirectionWS", func() {
+			if _, err := dependentDirectionWS(ws, g, rng); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, c := range cases {
+		allocs := testing.AllocsPerRun(100, func() {
+			ws.Reset()
+			c.run()
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per call on a warm workspace, want 0", c.name, allocs)
+		}
+	}
+}

@@ -538,26 +538,60 @@ func cmplxAbs2(c complex128) float64 {
 // dimensions and this reduces to the paper's orthogonal projection; with
 // estimation noise it nulls the strongest M-1 principal components, the
 // least-squares interference suppressor.
+//
+// Up to cmplxmat.SmallDim antennas the stacked interference matrix, the
+// basis and the projected signal direction live in local arrays; only
+// the returned decoder is arena-backed.
 func zfDecodingVectorWS(ws *cmplxmat.Workspace, sigDir cmplxmat.Vector, interf []cmplxmat.Vector, m int) cmplxmat.Vector {
-	if sigDir.Norm() == 0 {
+	sigNorm := sigDir.Norm()
+	if sigNorm == 0 {
 		return nil
 	}
-	var basis []cmplxmat.Vector
-	switch {
-	case len(interf) == 0:
+	if len(interf) == 0 {
 		return sigDir.NormalizeWS(ws) // matched filter: no interference
-	case len(interf) <= m-1:
-		basis = cmplxmat.OrthonormalBasisWS(ws, 1e-12, interf)
-	default:
+	}
+	const sd = cmplxmat.SmallDim
+	var stackedBuf [sd * sd]complex128
+	var basisBuf [sd - 1][sd]complex128
+	var basisHdr [sd - 1]cmplxmat.Vector
+	var wBuf [sd]complex128
+	var basis []cmplxmat.Vector
+	if m <= sd {
+		// Filled through basisHdr itself: a stack pointer stored through
+		// basis, which may hold arena memory, would move basisBuf to the
+		// heap.
+		for i := 0; i < m-1; i++ {
+			basisHdr[i] = basisBuf[i][:m]
+		}
+		basis = basisHdr[:m-1]
+	} else {
+		basis = ws.Vectors(m - 1)
+		for i := range basis {
+			basis[i] = ws.Vector(m)
+		}
+	}
+	var nb int
+	if len(interf) <= m-1 {
+		nb = cmplxmat.OrthonormalBasisInto(basis, 1e-12, interf)
+	} else {
 		// Principal components of the stacked interference matrix: null
 		// the strongest m-1 directions, skipping numerically null ones.
-		basis = cmplxmat.FromColumnsWS(ws, interf).LeadingLeftSingularWS(ws, m-1, 1e-12)
+		k := len(interf)
+		data := ws.VectorIn(stackedBuf[:], m*k)
+		for j, c := range interf {
+			for i := 0; i < m; i++ {
+				data[i*k+j] = c[i]
+			}
+		}
+		stacked := cmplxmat.View(m, k, data)
+		nb = stacked.LeadingLeftSingularInto(ws, basis, 1e-12)
 	}
-	w := sigDir.CloneWS(ws)
-	for _, b := range basis {
-		w = w.SubWS(ws, w.ProjectOntoWS(ws, b))
+	w := ws.VectorIn(wBuf[:], m)
+	copy(w, sigDir)
+	for _, b := range basis[:nb] {
+		w.RejectInPlace(b)
 	}
-	if w.Norm() < 1e-9*sigDir.Norm() {
+	if w.Norm() < 1e-9*sigNorm {
 		return nil
 	}
 	return w.NormalizeWS(ws)

@@ -241,13 +241,15 @@ func evaluateJobGroup(ws *cmplxmat.Workspace, jobs []EvalJob, processed []bool, 
 			}
 		}
 		jm.scaled = ws.Vectors(nslots * jm.np)
+		flat := ws.Complexes(nslots * jm.np * m)
 		for rx, slot := range jm.rxSlot {
 			if slot < 0 {
 				continue
 			}
 			for pkt := 0; pkt < jm.np; pkt++ {
-				d := jm.dir(y, m, kindEst, pkt, rx)
-				jm.scaled[slot*jm.np+pkt] = d.ScaleWS(ws, complex(math.Sqrt(jm.powers[pkt]), 0))
+				at := slot*jm.np + pkt
+				jm.scaled[at] = flat[at*m : (at+1)*m : (at+1)*m]
+				jm.dir(y, m, kindEst, pkt, rx).ScaleInto(jm.scaled[at], complex(math.Sqrt(jm.powers[pkt]), 0))
 			}
 		}
 		j.Ev, j.Err = evalFromDirs(ws, j.Plan, j.Opts, jm, y, m)

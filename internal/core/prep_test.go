@@ -186,11 +186,12 @@ func planBitEqual(a, b *Plan) error {
 // TestPreparedChainMatchesOneShot runs the role search's pattern — one
 // PrepareUplinkChainWS per channel set, three SolveWS attempts — against
 // three calls of the historical one-shot solver with a twin RNG, for
-// M = 2..4 and 3..6 APs, plus channel sets whose aligned-packet channel
-// is singular. Plans, errors and the RNG streams must agree exactly.
+// M = 2..5 (M = 5 runs past the local-storage limit) and 3..6 APs,
+// plus channel sets whose aligned-packet channel is singular. Plans,
+// errors and the RNG streams must agree exactly.
 func TestPreparedChainMatchesOneShot(t *testing.T) {
 	setRNG := rand.New(rand.NewSource(61))
-	for m := 2; m <= 4; m++ {
+	for m := 2; m <= 5; m++ {
 		clients := UplinkChainAssignment{M: m}.NumClients()
 		for aps := 3; aps <= 6; aps++ {
 			for trial := 0; trial < 6; trial++ {
@@ -229,11 +230,12 @@ func TestPreparedChainMatchesOneShot(t *testing.T) {
 // TestZFDecodingVectorMatchesSVD pins the leading-singular zero-forcing
 // path against the full-SVDWS routine on interference sets wider than
 // M-1 — generic, rank-deficient (repeated or aligned directions) and
-// with a zero direction.
+// with a zero direction — and the Gram-Schmidt path on narrower ones,
+// from M = 2 up to M = 5, past the local-storage limit.
 func TestZFDecodingVectorMatchesSVD(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
-	for m := 2; m <= 4; m++ {
-		for nInt := m; nInt <= 2*m+1; nInt++ {
+	for m := 2; m <= 5; m++ {
+		for nInt := 1; nInt <= 2*m+1; nInt++ {
 			for trial := 0; trial < 8; trial++ {
 				interf := make([]cmplxmat.Vector, nInt)
 				for i := range interf {
@@ -241,7 +243,9 @@ func TestZFDecodingVectorMatchesSVD(t *testing.T) {
 				}
 				switch trial {
 				case 5:
-					interf[1] = interf[0].Scale(complex(0, 2))
+					if nInt > 1 {
+						interf[1] = interf[0].Scale(complex(0, 2))
+					}
 				case 6:
 					for i := range interf {
 						interf[i] = interf[0].Scale(complex(float64(i+1), 0))

@@ -350,16 +350,37 @@ func (prep *UplinkPrep) SolveWS(ws *cmplxmat.Workspace, rng *rand.Rand) (Plan, e
 		return Plan{}, err
 	}
 
+	// Up to cmplxmat.SmallDim antennas the products, the aligned
+	// subspace's basis and the B-set rows live in local arrays; only the
+	// encoding vectors and u1 go to the arena.
+	const sd = cmplxmat.SmallDim
+	var tmpBuf [sd]complex128
+	var dirBuf, basisBuf [sd][sd]complex128
+	var dirHdr, basisHdr [sd]cmplxmat.Vector
+	tmp := ws.VectorIn(tmpBuf[:], m)
+	var ap0Dirs, basis []cmplxmat.Vector
+	if n := len(aSet); n <= sd && m <= sd {
+		for i := 0; i < n; i++ {
+			dirHdr[i], basisHdr[i] = dirBuf[i][:m], basisBuf[i][:m]
+		}
+		ap0Dirs, basis = dirHdr[:n], basisHdr[:n]
+	} else {
+		ap0Dirs, basis = ws.Vectors(n), ws.Vectors(n)
+		for i := range ap0Dirs {
+			ap0Dirs[i], basis[i] = ws.Vector(m), ws.Vector(m)
+		}
+	}
+
 	enc := ws.Vectors(2 * m)
 	// Aligned packets.
-	ap0Dirs := ws.Vectors(m)[:0]
 	for i, a := range aSet {
-		enc[a] = prep.invs[i].MulVecWS(ws, d).NormalizeWS(ws)
-		ap0Dirs = append(ap0Dirs, gs[i].MulVecWS(ws, d))
+		prep.invs[i].MulVecInto(tmp, d)
+		enc[a] = tmp.NormalizeWS(ws)
+		gs[i].MulVecInto(ap0Dirs[i], d)
 	}
 
 	// Step 3: normal of the aligned subspace at AP 0.
-	basis := cmplxmat.OrthonormalBasisWS(ws, 1e-9, ap0Dirs)
+	basis = basis[:cmplxmat.OrthonormalBasisInto(basis, 1e-9, ap0Dirs)]
 	if len(basis) != m-1 {
 		return Plan{}, fmt.Errorf("%w: aligned subspace has dim %d, want %d", ErrInfeasible, len(basis), m-1)
 	}
@@ -369,29 +390,38 @@ func (prep *UplinkPrep) SolveWS(ws *cmplxmat.Workspace, rng *rand.Rand) (Plan, e
 	}
 
 	// B-set packets: v_b in the null space of the row u1^H * H[c(b)][0].
+	var rowBuf, vBuf [sd]complex128
+	rowData := ws.VectorIn(rowBuf[:], m)
+	v := ws.VectorIn(vBuf[:], m)
 	for _, b := range bSet {
-		row := ws.Matrix(1, m)
 		hb := cs[owners[b]][0]
 		for j := 0; j < m; j++ {
-			row.SetAt(0, j, u1.Dot(hb.ColWS(ws, j)))
+			for i := range tmp {
+				tmp[i] = hb.At(i, j)
+			}
+			rowData[j] = u1.Dot(tmp)
 		}
+		row := cmplxmat.View(1, m, rowData)
 		ns := row.NullSpaceWS(ws, 1e-9)
 		if len(ns) == 0 {
 			return Plan{}, fmt.Errorf("%w: empty null space for packet %d", ErrInfeasible, b)
 		}
 		// Random combination within the null space avoids pathological
 		// overlaps between B-set directions at AP 1.
-		v := ws.Vector(m)
+		clear(v)
 		for _, n := range ns {
 			c := complex(rng.NormFloat64()/math.Sqrt2, rng.NormFloat64()/math.Sqrt2)
-			v = v.AddWS(ws, n.ScaleWS(ws, c))
+			for i := range v {
+				v[i] = v[i] + c*n[i]
+			}
 		}
 		enc[b] = v.NormalizeWS(ws)
 	}
 
 	// Packet 0: beamformed at AP 0's decoding direction u1 (the normal of
 	// the aligned subspace): v0 = H^H u1 maximizes |u1^H H v0|.
-	enc[0] = cs[owners[0]][0].HWS(ws).MulVecWS(ws, u1).NormalizeWS(ws)
+	cs[owners[0]][0].MulHVecInto(tmp, u1)
+	enc[0] = tmp.NormalizeWS(ws)
 	if enc[0].Norm() == 0 {
 		enc[0] = randUnitWS(ws, rng, m)
 	}
@@ -410,7 +440,9 @@ func (prep *UplinkPrep) SolveWS(ws *cmplxmat.Workspace, rng *rand.Rand) (Plan, e
 // random complex line, interpolates the degree-k determinant polynomial
 // from k+1 point evaluations, and roots it with Durand-Kerner. Roots are
 // screened so the resulting column family has rank exactly k-1. The
-// returned direction is workspace-backed.
+// returned direction is workspace-backed; up to cmplxmat.SmallDim the
+// product matrices, the sample points and the polynomial live in local
+// arrays.
 func dependentDirectionWS(ws *cmplxmat.Workspace, g []*cmplxmat.Matrix, rng *rand.Rand) (cmplxmat.Vector, error) {
 	m := g[0].Rows()
 	if len(g) != m {
@@ -419,46 +451,70 @@ func dependentDirectionWS(ws *cmplxmat.Workspace, g []*cmplxmat.Matrix, rng *ran
 	if m == 1 {
 		return nil, fmt.Errorf("%w: no nontrivial dependence in dimension 1", ErrInfeasible)
 	}
-	detAt := func(d cmplxmat.Vector) complex128 {
-		cols := ws.Vectors(m)
-		for i := range g {
-			cols[i] = g[i].MulVecWS(ws, d)
-		}
-		return cmplxmat.FromColumnsWS(ws, cols).DetWS(ws)
-	}
+	const sd = cmplxmat.SmallDim
+	var prodBuf [sd * sd]complex128
+	var colBuf, dBuf, rootBuf [sd]complex128
+	var tsBuf, valBuf, coeffBuf [sd + 1]complex128
+	prod := ws.VectorIn(prodBuf[:], m*m)
+	col := ws.VectorIn(colBuf[:], m)
+	d := ws.VectorIn(dBuf[:], m)
+	roots := ws.VectorIn(rootBuf[:], m)
+	ts := ws.VectorIn(tsBuf[:], m+1)
+	vals := ws.VectorIn(valBuf[:], m+1)
+	coeffs := cmplxmat.Poly(ws.VectorIn(coeffBuf[:], m+1))
 	const maxAttempts = 8
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		x := cmplxmat.RandomGaussianVectorWS(ws, rng, m)
 		y := cmplxmat.RandomGaussianVectorWS(ws, rng, m)
 		// Sample at m+1 points and interpolate the degree-m polynomial.
-		ts := ws.Complexes(m + 1)
-		vals := ws.Complexes(m + 1)
 		for i := range ts {
 			// Deterministic, well-separated sample points.
 			ts[i] = complex(float64(i)-float64(m)/2, float64(i%2)+0.5)
-			vals[i] = detAt(x.AddWS(ws, y.ScaleWS(ws, ts[i])))
+			alongLine(d, x, y, ts[i])
+			h := productColumns(prod, col, g, d)
+			vals[i] = h.DetWS(ws)
 		}
-		poly := cmplxmat.InterpolatePolyWS(ws, ts, vals)
-		roots, err := poly.RootsWS(ws)
+		clear(coeffs)
+		cmplxmat.InterpolatePolyInto(ws, coeffs, ts, vals)
+		nr, err := coeffs.RootsInto(ws, roots)
 		if err != nil {
 			continue
 		}
-		for _, t := range roots {
-			d := x.AddWS(ws, y.ScaleWS(ws, t))
+		for _, t := range roots[:nr] {
+			alongLine(d, x, y, t)
 			if d.Norm() < 1e-9 {
 				continue
 			}
-			d = d.NormalizeWS(ws)
-			cols := ws.Vectors(m)
-			for i := range g {
-				cols[i] = g[i].MulVecWS(ws, d)
-			}
-			if cmplxmat.FromColumnsWS(ws, cols).RankWS(ws, 1e-7) == m-1 {
-				return d, nil
+			dn := d.NormalizeWS(ws)
+			h := productColumns(prod, col, g, dn)
+			if h.RankWS(ws, 1e-7) == m-1 {
+				return dn, nil
 			}
 		}
 	}
 	return nil, fmt.Errorf("%w: no dependent direction found", ErrInfeasible)
+}
+
+// alongLine writes x + t*y into d: the entries of
+// x.AddWS(ws, y.ScaleWS(ws, t)), without the arena.
+func alongLine(d, x, y cmplxmat.Vector, t complex128) {
+	for i := range d {
+		d[i] = x[i] + t*y[i]
+	}
+}
+
+// productColumns writes the square matrix [g[0]d, ..., g[k-1]d] into
+// prod (row-major, k*k long), computing each column into col, and
+// returns it as a matrix over prod.
+func productColumns(prod []complex128, col cmplxmat.Vector, g []*cmplxmat.Matrix, d cmplxmat.Vector) cmplxmat.Matrix {
+	k := len(g)
+	for j, gj := range g {
+		gj.MulVecInto(col, d)
+		for i, c := range col {
+			prod[i*k+j] = c
+		}
+	}
+	return cmplxmat.View(k, k, prod)
 }
 
 // matchedFreeVectorWS beamforms an unconstrained packet at the projection
@@ -475,7 +531,9 @@ func matchedFreeVectorWS(ws *cmplxmat.Workspace, h *cmplxmat.Matrix, alignedDir 
 	if w == nil {
 		return randUnitWS(ws, rng, m)
 	}
-	v := h.HWS(ws).MulVecWS(ws, w)
+	var vBuf [cmplxmat.SmallDim]complex128
+	v := ws.VectorIn(vBuf[:], h.Cols())
+	h.MulHVecInto(v, w)
 	if v.Norm() < 1e-12 {
 		return randUnitWS(ws, rng, m)
 	}

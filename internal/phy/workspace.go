@@ -48,19 +48,43 @@ func (w *Workspace) AntSamples(ants, perAnt int) [][]complex128 {
 	return w.Mat.SampleRows(ants, perAnt)
 }
 
-// pool recycles warm sample-plane workspaces process-wide. The public
-// entry points that keep their allocation-free guts internal (Cancel
-// searches, slot evaluation wrappers) borrow from here. poolGets and
-// poolPuts count the pool's churn for the observability plane.
+// maxFreeWorkspaces bounds the free list. A trial holds one workspace
+// and each runner worker runs one trial at a time, so the bound covers
+// a runner of up to 64 workers; past it, returned workspaces go to the
+// collector.
+const maxFreeWorkspaces = 64
+
+// The pool recycles warm sample-plane workspaces process-wide: a LIFO
+// free list of at most maxFreeWorkspaces entries behind a mutex. The
+// public entry points that keep their allocation-free guts internal
+// (Cancel searches, slot evaluation wrappers) and every simulation
+// trial borrow from here. Unlike a sync.Pool, a garbage collection
+// cannot drain it, so a run borrows the same warm arenas from start to
+// end instead of regrowing one after a collection, and its heap
+// allocation count repeats exactly. The cost is that the arenas of the
+// largest number of workspaces ever out at once stay allocated. A
+// workspace returned to a full list is left to the collector. poolGets
+// and poolPuts count the pool's churn for the observability plane.
 var (
-	pool               = sync.Pool{New: func() any { return NewWorkspace() }}
+	poolMu             sync.Mutex
+	poolFree           = make([]*Workspace, 0, maxFreeWorkspaces)
 	poolGets, poolPuts atomic.Uint64
 )
 
-// GetWorkspace borrows a warm workspace from the process-wide pool.
+// GetWorkspace borrows a warm workspace from the process-wide pool, or
+// returns a new one when the pool is empty.
 func GetWorkspace() *Workspace {
 	poolGets.Add(1)
-	return pool.Get().(*Workspace)
+	poolMu.Lock()
+	defer poolMu.Unlock()
+	n := len(poolFree)
+	if n == 0 {
+		return NewWorkspace()
+	}
+	ws := poolFree[n-1]
+	poolFree[n-1] = nil
+	poolFree = poolFree[:n-1]
+	return ws
 }
 
 // PutWorkspace resets ws and returns it to the pool. ws must not be used
@@ -68,7 +92,11 @@ func GetWorkspace() *Workspace {
 func PutWorkspace(ws *Workspace) {
 	ws.Reset()
 	poolPuts.Add(1)
-	pool.Put(ws)
+	poolMu.Lock()
+	defer poolMu.Unlock()
+	if len(poolFree) < maxFreeWorkspaces {
+		poolFree = append(poolFree, ws)
+	}
 }
 
 // PoolCounters reports the process-wide workspace pool's cumulative

@@ -3,6 +3,8 @@ package phy
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"iaclan/internal/cmplxmat"
@@ -117,4 +119,70 @@ func TestWorkspacePoolZeroesBetweenUsers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWorkspacePoolSurvivesGC pins the free list's point: a returned
+// workspace is still there to borrow after garbage collections, where
+// a sync.Pool would have dropped it and the next borrower would regrow
+// its arenas.
+func TestWorkspacePoolSurvivesGC(t *testing.T) {
+	ws := GetWorkspace()
+	PutWorkspace(ws)
+	runtime.GC()
+	runtime.GC()
+	got := GetWorkspace()
+	defer PutWorkspace(got)
+	if got != ws {
+		t.Fatal("a garbage collection drained the workspace pool")
+	}
+}
+
+// TestWorkspacePoolBounded checks that the free list keeps at most
+// maxFreeWorkspaces workspaces and drops the rest.
+func TestWorkspacePoolBounded(t *testing.T) {
+	out := make([]*Workspace, maxFreeWorkspaces+8)
+	for i := range out {
+		out[i] = GetWorkspace()
+	}
+	for _, ws := range out {
+		PutWorkspace(ws)
+	}
+	poolMu.Lock()
+	n := len(poolFree)
+	poolMu.Unlock()
+	if n != maxFreeWorkspaces {
+		t.Fatalf("free list holds %d workspaces, want the bound %d", n, maxFreeWorkspaces)
+	}
+}
+
+// TestWorkspacePoolConcurrent borrows and returns workspaces from
+// several goroutines at once, as the campus runner's workers do; run it
+// under -race. No workspace may be handed to two borrowers at a time.
+func TestWorkspacePoolConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	out := map[*Workspace]bool{}
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				ws := GetWorkspace()
+				mu.Lock()
+				if out[ws] {
+					mu.Unlock()
+					t.Error("a workspace was borrowed twice at once")
+					return
+				}
+				out[ws] = true
+				mu.Unlock()
+				ws.Samples(16)[0] = 1
+				mu.Lock()
+				delete(out, ws)
+				mu.Unlock()
+				PutWorkspace(ws)
+			}
+		}()
+	}
+	wg.Wait()
 }
