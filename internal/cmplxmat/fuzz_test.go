@@ -105,9 +105,7 @@ func bitEqualM(a, b *Matrix) bool {
 
 // FuzzSolveWS cross-checks SolveWS against Solve bitwise — same
 // solution entries, same error behavior, for arbitrary (including
-// singular and badly scaled) systems — and then drives the same fuzzed
-// system through SolveBatchWS alongside a shifted copy, pinning the
-// batched SoA kernel to the identical contract.
+// singular and badly scaled) systems.
 func FuzzSolveWS(f *testing.F) {
 	f.Add(byte(0), 1.0, 0.5, -0.25, 2.0, -1.0, 0.125, 3.0, -0.5)
 	f.Add(byte(1), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)                  // singular: all zeros
@@ -128,32 +126,6 @@ func FuzzSolveWS(f *testing.F) {
 		}
 		if gotErr == nil && !bitEqualC(gotX, wantX) {
 			t.Fatalf("SolveWS diverged from Solve:\n ws=%v\n heap=%v", gotX, wantX)
-		}
-
-		// Batch kernel: the fuzzed system plus a shifted sibling packed
-		// into one strided buffer must reproduce the scalar bits (and the
-		// scalar error behavior as ok flags) system by system.
-		m2 := fuzzMatrix(n, pool[1:])
-		rhs2 := fuzzVector(n, pool, 5)
-		packA := make([]complex128, 2*n*n)
-		packB := make([]complex128, 2*n)
-		m.PackInto(packA[:n*n])
-		m2.PackInto(packA[n*n:])
-		PackVecInto(packB[:n], rhs)
-		PackVecInto(packB[n:], rhs2)
-		x, ok := SolveBatchWS(NewWorkspace(), n, 2, packA, packB)
-		if ok[0] != (gotErr == nil) {
-			t.Fatalf("batch ok[0]=%v, scalar err=%v", ok[0], gotErr)
-		}
-		if ok[0] && !bitEqualC(x[:n], gotX) {
-			t.Fatalf("SolveBatchWS system 0 diverged from SolveWS:\n batch=%v\n scalar=%v", x[:n], gotX)
-		}
-		want2, err2 := m2.SolveWS(NewWorkspace(), rhs2)
-		if ok[1] != (err2 == nil) {
-			t.Fatalf("batch ok[1]=%v, scalar err=%v", ok[1], err2)
-		}
-		if ok[1] && !bitEqualC(x[n:], want2) {
-			t.Fatalf("SolveBatchWS system 1 diverged from SolveWS:\n batch=%v\n scalar=%v", x[n:], want2)
 		}
 	})
 }

@@ -210,6 +210,16 @@ func (m *Matrix) Sub(b *Matrix) *Matrix {
 	return out
 }
 
+// SubInto overwrites dst with m - b: the same operations as Sub, into
+// caller-owned storage. All three must have the same shape.
+func (m *Matrix) SubInto(dst, b *Matrix) {
+	m.mustSameShape(b)
+	m.mustSameShape(dst)
+	for i := range m.data {
+		dst.data[i] = m.data[i] - b.data[i]
+	}
+}
+
 // Scale returns s*m.
 func (m *Matrix) Scale(s complex128) *Matrix {
 	out := New(m.rows, m.cols)

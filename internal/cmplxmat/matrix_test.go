@@ -203,6 +203,27 @@ func TestMulVec(t *testing.T) {
 	approxEq(t, v[1], 7, tol, "mulvec 1")
 }
 
+// TestIntoKernelsMatchHeap pins SubInto and MulVecInto, the slot
+// evaluator's direction-table products, to Sub and MulVec bit for bit,
+// on local-sized and arena-sized shapes.
+func TestIntoKernelsMatchHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 1; n <= SmallDim+1; n++ {
+		a, b := RandomGaussian(rng, n, n), RandomGaussian(rng, n, n)
+		v := RandomGaussianVector(rng, n)
+		d := View(n, n, make([]complex128, n*n))
+		a.SubInto(&d, b)
+		if !bitEqualC(d.data, a.Sub(b).data) {
+			t.Fatalf("n=%d: SubInto diverged from Sub", n)
+		}
+		y := NewVector(n)
+		d.MulVecInto(y, v)
+		if !bitEqualC(y, a.Sub(b).MulVec(v)) {
+			t.Fatalf("n=%d: MulVecInto diverged from MulVec", n)
+		}
+	}
+}
+
 func TestTransposeHermitian(t *testing.T) {
 	a := FromRows([][]complex128{{1 + 1i, 2}, {3, 4 - 1i}})
 	at := a.T()

@@ -145,8 +145,7 @@ func (m *Matrix) MulVecWS(ws *Workspace, v Vector) Vector {
 }
 
 // mulVecData is the y = H v inner loop over flat row-major storage,
-// shared by MulVecWS and the batched EvaluateBatchWS kernel so the two
-// stay bitwise-identical.
+// shared by MulVecWS and MulVecInto so the two stay bitwise-identical.
 func mulVecData(h []complex128, rows, cols int, v, y []complex128) {
 	for i := 0; i < rows; i++ {
 		var s complex128
@@ -296,9 +295,8 @@ func OrthogonalComplementVectorWS(ws *Workspace, n int, tol float64, vs []Vector
 
 // luFactorInPlace runs the partial-pivot elimination of one n x n system
 // packed row-major in data, recording the row permutation in perm
-// (length n). It is the single elimination loop the scalar LU path and
-// the batched SolveBatchWS kernel share, which is what makes the two
-// bitwise-identical: same floating-point operations, same order.
+// (length n). It is the single elimination loop of every LU path
+// (determinant, rank, solve, inverse), on local or arena storage alike.
 func luFactorInPlace(data []complex128, n int, perm []int) (swaps int, ok bool) {
 	for i := range perm {
 		perm[i] = i
@@ -343,8 +341,8 @@ func luFactorInPlace(data []complex128, n int, perm []int) (swaps int, ok bool) 
 
 // luSolveData runs permutation + forward/back substitution of one
 // right-hand side through a packed factorization, writing into x. The
-// scalar solve, the inverse (one unit right-hand side per column) and
-// the batched kernel all run through it (see luFactorInPlace).
+// solve and the inverse (one unit right-hand side per column) both run
+// through it.
 func luSolveData(data []complex128, n int, perm []int, b, x Vector) {
 	for i := 0; i < n; i++ {
 		x[i] = b[perm[i]]

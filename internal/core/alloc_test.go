@@ -9,8 +9,9 @@ import (
 
 // TestM2KernelsZeroAlloc pins the M = 2 zero-forcing decoder (one, two
 // and three interferers: the Gram-Schmidt branch and the 2x2 and 2x3
-// principal-component branches) and the alignment solver's dependent
-// direction at zero heap allocations on a warm workspace. Their working
+// principal-component branches), the alignment solver's dependent
+// direction and the slot evaluator (collapsed and full direction
+// tables) at zero heap allocations on a warm workspace. Their working
 // storage lives in local arrays, so a local that escapes to the heap
 // fails this test.
 func TestM2KernelsZeroAlloc(t *testing.T) {
@@ -22,6 +23,20 @@ func TestM2KernelsZeroAlloc(t *testing.T) {
 	}
 	g := []*cmplxmat.Matrix{cmplxmat.RandomGaussian(rng, 2, 2), cmplxmat.RandomGaussian(rng, 2, 2)}
 	ws := cmplxmat.NewWorkspace()
+	cs := RandomChannelSet(rng, UplinkChainAssignment{M: 2}.NumClients(), 3, 2, testSNR)
+	plan, err := SolveUplinkChain(cs, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := perturbedEstimate(rng, cs)
+	opts := EvalOptions{NodePower: 1.0, Noise: testNoise / testSNR, ResidualCancel: true}
+	evaluate := func(trueCS ChannelSet) func() {
+		return func() {
+			if _, err := plan.EvaluateWS(ws, trueCS, est, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	cases := []struct {
 		name string
 		run  func()
@@ -34,6 +49,8 @@ func TestM2KernelsZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"EvaluateWS, estimates only", evaluate(est)},
+		{"EvaluateWS, true channels", evaluate(cs)},
 	}
 	for _, c := range cases {
 		allocs := testing.AllocsPerRun(100, func() {

@@ -132,8 +132,9 @@ func (p *Plan) Clone() *Plan {
 }
 
 // Validate checks structural invariants: every packet appears exactly once
-// in the schedule, owners are in range, and encoding vectors have the
-// right dimension and are unit norm.
+// in the schedule, owners and receivers are non-negative, and encoding
+// vectors have the right dimension and are unit norm. Their upper bounds
+// depend on the channel set, so the evaluator checks those.
 func (p *Plan) Validate() error {
 	return p.validateWith(make([]bool, len(p.Owner)))
 }
@@ -144,7 +145,15 @@ func (p *Plan) validateWith(seen []bool) error {
 	if len(p.Encoding) != len(p.Owner) {
 		return fmt.Errorf("core: %d encodings for %d packets", len(p.Encoding), len(p.Owner))
 	}
+	for i, o := range p.Owner {
+		if o < 0 {
+			return fmt.Errorf("core: packet %d has owner %d", i, o)
+		}
+	}
 	for _, step := range p.Schedule {
+		if step.Rx < 0 {
+			return fmt.Errorf("core: schedule references receiver %d", step.Rx)
+		}
 		for _, pkt := range step.Packets {
 			if pkt < 0 || pkt >= len(p.Owner) {
 				return fmt.Errorf("core: schedule references packet %d", pkt)
@@ -347,6 +356,12 @@ type Evaluation struct {
 	SumRate float64
 	// Decoding holds the unit decoding vector used for each packet.
 	Decoding []cmplxmat.Vector
+	// Products is how many channel-direction products the evaluation
+	// computed for its direction table: one per (packet, visited
+	// receiver) and kind — est, true and (true - est), or est alone when
+	// the true set is the estimate set. It is set on a decoding failure
+	// too, since the table was built before the recursion failed.
+	Products int
 }
 
 // EvalOptions parametrizes Plan evaluation beyond the basic power and
@@ -389,11 +404,12 @@ type EvalOptions struct {
 // packets); noise is the receiver noise power. Cancellation uses the
 // estimated channels to reconstruct decoded packets, so channel estimation
 // error leaves residual interference — the same imperfection the paper's
-// implementation faces (Section 8a).
+// implementation faces (Section 8a). Evaluate is EvaluateWS on a pooled
+// workspace with the result copied onto the heap.
 func (p *Plan) Evaluate(trueCS, estCS ChannelSet, nodePower, noise float64) (Evaluation, error) {
 	ws := cmplxmat.GetWorkspace()
 	defer cmplxmat.PutWorkspace(ws)
-	wev, err := p.EvaluateWS(ws, trueCS, estCS, nodePower, noise)
+	wev, err := p.EvaluateWS(ws, trueCS, estCS, EvalOptions{NodePower: nodePower, Noise: noise})
 	if err != nil {
 		return Evaluation{}, err
 	}
@@ -403,6 +419,7 @@ func (p *Plan) Evaluate(trueCS, estCS ChannelSet, nodePower, noise float64) (Eva
 		PacketRate: append([]float64(nil), wev.PacketRate...),
 		SumRate:    wev.SumRate,
 		Decoding:   make([]cmplxmat.Vector, len(wev.Decoding)),
+		Products:   wev.Products,
 	}
 	for i, d := range wev.Decoding {
 		ev.Decoding[i] = d.Clone()
@@ -410,32 +427,178 @@ func (p *Plan) Evaluate(trueCS, estCS ChannelSet, nodePower, noise float64) (Eva
 	return ev, nil
 }
 
-// EvaluateWS is Evaluate with every temporary and the returned evaluation
-// in the workspace arena — the form the slot-planning hot loop calls
-// between Mark/Release pairs. The result is valid until the workspace is
-// reset; copy anything that must outlive it.
-func (p *Plan) EvaluateWS(ws *cmplxmat.Workspace, trueCS, estCS ChannelSet, nodePower, noise float64) (Evaluation, error) {
-	return p.EvaluateOptsWS(ws, trueCS, estCS, EvalOptions{NodePower: nodePower, Noise: noise})
+// Direction kinds in an evaluation's direction table.
+const (
+	kindEst  = 0 // estimated channel product (zero-forcing inputs)
+	kindTrue = 1 // true channel product (realized signal/interference)
+	kindDiff = 2 // (true - est) product (cancellation leakage)
+	numKinds = 3
+)
+
+// dirTable is one evaluation's (packet, receiver) direction table: the
+// products H v of every packet at every receiver the schedule visits,
+// computed once. The SINR recursion reads the same interference
+// direction at every packet of a step and every decoded packet's
+// leakage at every later step, so the table is what keeps the
+// recursion from re-deriving them.
+type dirTable struct {
+	m, np  int
+	kinds  int   // numKinds, or 1 when the true set is the estimate set
+	rxSlot []int // receiver index -> dense table slot, -1 if unvisited
+	y      []complex128
+	// scaled holds the amplitude-weighted est directions, slot*np+pkt.
+	scaled []complex128
+	zero   cmplxmat.Vector // the diff direction of a collapsed table
 }
 
-// EvaluateOptsWS is EvaluateWS with the full option set: receiver noise
-// as an operating point, the imperfect-cancellation residual model, and
-// a pluggable SINR→rate mapping. With the optional fields zero it
-// performs the identical floating-point operations in the identical
-// order as the historical EvaluateWS.
-func (p *Plan) EvaluateOptsWS(ws *cmplxmat.Workspace, trueCS, estCS ChannelSet, opts EvalOptions) (Evaluation, error) {
-	nodePower, noise := opts.NodePower, opts.Noise
+// dir returns the direction of the given kind for (packet, receiver).
+func (t *dirTable) dir(kind, pkt, rx int) cmplxmat.Vector {
+	if kind >= t.kinds {
+		// Collapsed table (the true set is the estimate set): the true
+		// direction IS the est direction — the same operands through the
+		// same kernel give the same bits — and every diff product is
+		// exactly zero, the product of the (t - t) zero matrix.
+		if kind == kindDiff {
+			return t.zero
+		}
+		kind = kindEst
+	}
+	off := ((t.rxSlot[rx]*t.np+pkt)*t.kinds + kind) * t.m
+	return cmplxmat.Vector(t.y[off : off+t.m : off+t.m])
+}
+
+// scaledDir returns the packet's est direction at rx weighted by its
+// transmit amplitude.
+func (t *dirTable) scaledDir(pkt, rx int) cmplxmat.Vector {
+	off := (t.rxSlot[rx]*t.np + pkt) * t.m
+	return cmplxmat.Vector(t.scaled[off : off+t.m : off+t.m])
+}
+
+// sameChannels reports whether two channel sets hold identical matrices,
+// entry by pointer-equal entry. Scoring measures a plan under the
+// planner's own estimates — the same set passed as both TrueCS and
+// EstCS — and the table then holds the est kind alone.
+func sameChannels(a, b ChannelSet) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if a[i][j] != b[i][j] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// checkChannels rejects channel sets the plan cannot be evaluated on:
+// an estimate set shaped unlike the true set, an owner or receiver out
+// of range, or a channel that is not M x M.
+func (p *Plan) checkChannels(trueCS, estCS ChannelSet) error {
+	numRx := trueCS.NumRx()
+	if len(estCS) != len(trueCS) {
+		return fmt.Errorf("core: estimate set has %d transmitters, true set %d", len(estCS), len(trueCS))
+	}
+	for tx := range trueCS {
+		if len(trueCS[tx]) != numRx || len(estCS[tx]) != numRx {
+			return fmt.Errorf("core: channel sets are not %dx%d at transmitter %d", len(trueCS), numRx, tx)
+		}
+	}
+	for pkt, o := range p.Owner {
+		if o >= len(trueCS) {
+			return fmt.Errorf("core: packet %d owner %d out of range (%d transmitters)", pkt, o, len(trueCS))
+		}
+	}
+	for _, step := range p.Schedule {
+		if step.Rx >= numRx {
+			return fmt.Errorf("core: receiver %d out of range (%d receivers)", step.Rx, numRx)
+		}
+		for _, o := range p.Owner {
+			for _, h := range [2]*cmplxmat.Matrix{trueCS[o][step.Rx], estCS[o][step.Rx]} {
+				if h == nil || h.Rows() != p.M || h.Cols() != p.M {
+					return fmt.Errorf("core: channel %d->%d is not %dx%d", o, step.Rx, p.M, p.M)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// EvaluateWS is the slot evaluator: it computes decoding vectors from
+// the estimated channels and measures the resulting SINRs under the
+// true channels, with the full option set — receiver noise as an
+// operating point, the imperfect-cancellation residual model, and a
+// pluggable SINR->rate mapping. Every temporary and the returned
+// evaluation live in the workspace arena; the result is valid until the
+// workspace is reset, so copy anything that must outlive it.
+//
+// It first builds the plan's direction table with one product per
+// (packet, receiver, kind), then runs the SINR recursion off the table.
+// When trueCS and estCS hold the same matrices (every candidate
+// scoring), the table holds the est products alone.
+func (p *Plan) EvaluateWS(ws *cmplxmat.Workspace, trueCS, estCS ChannelSet, opts EvalOptions) (Evaluation, error) {
 	k := p.NumPackets()
 	if err := p.validateWith(ws.Bools(k)); err != nil {
 		return Evaluation{}, err
 	}
+	if err := p.checkChannels(trueCS, estCS); err != nil {
+		return Evaluation{}, err
+	}
+	m := p.M
+	powers := ws.Floats(k)
+	p.packetPowersInto(powers, opts.NodePower)
+
+	t := dirTable{m: m, np: k, kinds: numKinds, rxSlot: ws.Ints(trueCS.NumRx())}
+	for r := range t.rxSlot {
+		t.rxSlot[r] = -1
+	}
+	nrx := 0
+	for _, step := range p.Schedule {
+		if t.rxSlot[step.Rx] < 0 {
+			t.rxSlot[step.Rx] = nrx
+			nrx++
+		}
+	}
+	if sameChannels(trueCS, estCS) {
+		t.kinds = 1
+		t.zero = cmplxmat.Vector(ws.Complexes(m))
+	}
+	products := nrx * k * t.kinds
+	t.y = ws.Complexes(products * m)
+	t.scaled = ws.Complexes(nrx * k * m)
+	// The (true - est) matrix of each diff product, on local storage up
+	// to cmplxmat.SmallDim antennas.
+	const sd = cmplxmat.SmallDim
+	var diffBuf [sd * sd]complex128
+	diff := cmplxmat.View(m, m, ws.VectorIn(diffBuf[:], m*m))
+	for rx, slot := range t.rxSlot {
+		if slot < 0 {
+			continue
+		}
+		for pkt, o := range p.Owner {
+			e, enc, d := estCS[o][rx], p.Encoding[pkt], t.dir(kindEst, pkt, rx)
+			e.MulVecInto(d, enc)
+			d.ScaleInto(t.scaledDir(pkt, rx), complex(math.Sqrt(powers[pkt]), 0))
+			if t.kinds == numKinds {
+				tr := trueCS[o][rx]
+				tr.MulVecInto(t.dir(kindTrue, pkt, rx), enc)
+				tr.SubInto(&diff, e)
+				diff.MulVecInto(t.dir(kindDiff, pkt, rx), enc)
+			}
+		}
+	}
+
+	noise := opts.Noise
 	ev := Evaluation{
 		SINR:       ws.Floats(k),
 		PacketRate: ws.Floats(k),
 		Decoding:   ws.Vectors(k),
+		Products:   products,
 	}
-	powers := ws.Floats(k)
-	p.packetPowersInto(powers, nodePower)
 	decoded := ws.Bools(k)
 	residual := ws.Ints(k)
 	interfDirs := ws.Vectors(k)
@@ -462,27 +625,24 @@ func (p *Plan) EvaluateOptsWS(ws *cmplxmat.Workspace, trueCS, estCS ChannelSet, 
 				if q == pkt {
 					continue
 				}
-				d := estCS[p.Owner[q]][step.Rx].MulVecWS(ws, p.Encoding[q])
-				interfDirs[nInt] = d.ScaleWS(ws, complex(math.Sqrt(powers[q]), 0))
+				interfDirs[nInt] = t.scaledDir(q, step.Rx)
 				nInt++
 			}
-			sigDir := estCS[p.Owner[pkt]][step.Rx].MulVecWS(ws, p.Encoding[pkt])
-			w := zfDecodingVectorWS(ws, sigDir, interfDirs[:nInt], p.M)
+			w := zfDecodingVectorWS(ws, t.dir(kindEst, pkt, step.Rx), interfDirs[:nInt], m)
 			if w == nil {
-				return Evaluation{}, fmt.Errorf("%w: no decoding vector for packet %d at rx %d", ErrInfeasible, pkt, step.Rx)
+				// The table is built: its products still count.
+				return Evaluation{Products: products}, fmt.Errorf("%w: no decoding vector for packet %d at rx %d", ErrInfeasible, pkt, step.Rx)
 			}
 			ev.Decoding[pkt] = w
 
 			// True post-projection powers.
-			hTrue := trueCS[p.Owner[pkt]][step.Rx]
-			sig := cmplxAbs2(w.Dot(hTrue.MulVecWS(ws, p.Encoding[pkt]))) * powers[pkt]
+			sig := cmplxAbs2(w.Dot(t.dir(kindTrue, pkt, step.Rx))) * powers[pkt]
 			interf := 0.0
 			for _, q := range residual[:nRes] {
 				if q == pkt {
 					continue
 				}
-				d := trueCS[p.Owner[q]][step.Rx].MulVecWS(ws, p.Encoding[q])
-				interf += cmplxAbs2(w.Dot(d)) * powers[q]
+				interf += cmplxAbs2(w.Dot(t.dir(kindTrue, q, step.Rx))) * powers[q]
 			}
 			// Cancellation residual: packets subtracted using estimated
 			// channels leave (Htrue - Hest) v of leakage, and — under the
@@ -496,11 +656,9 @@ func (p *Plan) EvaluateOptsWS(ws *cmplxmat.Workspace, trueCS, estCS ChannelSet, 
 					if !decoded[q] {
 						continue
 					}
-					diff := trueCS[p.Owner[q]][step.Rx].SubWS(ws, estCS[p.Owner[q]][step.Rx])
-					interf += cmplxAbs2(w.Dot(diff.MulVecWS(ws, p.Encoding[q]))) * powers[q]
+					interf += cmplxAbs2(w.Dot(t.dir(kindDiff, q, step.Rx))) * powers[q]
 					if opts.ResidualCancel {
-						d := trueCS[p.Owner[q]][step.Rx].MulVecWS(ws, p.Encoding[q])
-						interf += cmplxAbs2(w.Dot(d)) * powers[q] / (1 + ev.SINR[q])
+						interf += cmplxAbs2(w.Dot(t.dir(kindTrue, q, step.Rx))) * powers[q] / (1 + ev.SINR[q])
 					}
 				}
 			}

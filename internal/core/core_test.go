@@ -497,9 +497,11 @@ func TestSolveDownlinkDiversityPicksBest(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	var gains int
 	const trials = 30
+	ws := cmplxmat.NewWorkspace()
 	for trial := 0; trial < trials; trial++ {
+		ws.Reset()
 		cs := RandomChannelSet(rng, 2, 1, 2, testSNR)
-		plan, err := SolveDownlinkDiversity(cs, rng, 1.0, testNoise/testSNR)
+		plan, err := SolveDownlinkDiversityWS(ws, cs, rng, 1.0, testNoise/testSNR)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -168,42 +168,45 @@ func SolveDownlink(cs ChannelSet, rng *rand.Rand) (*Plan, error) {
 	return SolveDownlinkTwoClient(cs, rng)
 }
 
-// SolveDownlinkDiversity builds the paper's single-client diversity plan
-// (Section 10.2, Fig. 14): one client, two APs, two packets. The leader
-// compares three options — both packets from AP 0, both from AP 1, or one
-// from each — and returns the plan whose estimated sum rate is highest.
-// This is pure selection diversity across APs; no alignment is needed
-// because the client has as many antennas as there are packets.
+// The diversity options' owners and their shared decode step: read-only
+// tables referenced by every candidate plan and deep-copied only on
+// Clone.
+var (
+	diversityOwners   = [][]int{{0, 0}, {1, 1}, {0, 1}}
+	diversitySchedule = []DecodeStep{{Rx: 0, Packets: []int{0, 1}}}
+)
+
+// SolveDownlinkDiversityWS builds the paper's single-client diversity
+// plan (Section 10.2, Fig. 14): one client, two APs, two packets. The
+// leader compares three options — both packets from AP 0, both from AP
+// 1, or one from each — and returns the plan whose estimated sum rate is
+// highest. This is pure selection diversity across APs; no alignment is
+// needed because the client has as many antennas as there are packets.
 //
 // cs is a 2-transmitter (APs) by 1-receiver (client) downlink set.
-// nodePower and noise parametrize the rate estimates.
-func SolveDownlinkDiversity(cs ChannelSet, rng *rand.Rand, nodePower, noise float64) (*Plan, error) {
+// nodePower and noise parametrize the rate estimates, which run through
+// EvaluateWS. The plan's encoding vectors and every temporary live in
+// the workspace arena and the plan comes back by value; callers that
+// keep it past the workspace's lifetime must Clone it.
+func SolveDownlinkDiversityWS(ws *cmplxmat.Workspace, cs ChannelSet, rng *rand.Rand, nodePower, noise float64) (Plan, error) {
 	if cs.NumTx() != 2 || cs.NumRx() != 1 {
-		return nil, fmt.Errorf("core: diversity needs 2 APs and 1 client, got %dx%d", cs.NumTx(), cs.NumRx())
+		return Plan{}, fmt.Errorf("core: diversity needs 2 APs and 1 client, got %dx%d", cs.NumTx(), cs.NumRx())
 	}
 	m := cs.Antennas()
-	options := [][]int{{0, 0}, {1, 1}, {0, 1}}
-	var best *Plan
+	opts := EvalOptions{NodePower: nodePower, Noise: noise}
+	var best Plan
 	bestRate := -1.0
-	for _, owners := range options {
-		plan := &Plan{
-			M:     m,
-			Owner: append([]int(nil), owners...),
-			Encoding: []cmplxmat.Vector{
-				randUnit(rng, m),
-				randUnit(rng, m),
-			},
-			Schedule: []DecodeStep{{Rx: 0, Packets: []int{0, 1}}},
-			Wired:    false,
-		}
+	for _, owners := range diversityOwners {
+		enc := ws.Vectors(2)
+		enc[0], enc[1] = randUnitWS(ws, rng, m), randUnitWS(ws, rng, m)
 		if owners[0] == owners[1] {
 			// Same AP: use its two eigenmodes instead of random vectors,
 			// matching what a point-to-point MIMO transmitter would do.
-			_, _, v := cs[owners[0]][0].SVD()
-			plan.Encoding[0] = v.Col(0)
-			plan.Encoding[1] = v.Col(1)
+			_, _, v := cs[owners[0]][0].SVDWS(ws)
+			enc[0], enc[1] = v.ColWS(ws, 0), v.ColWS(ws, 1)
 		}
-		ev, err := plan.Evaluate(cs, cs, nodePower, noise)
+		plan := Plan{M: m, Owner: owners, Encoding: enc, Schedule: diversitySchedule}
+		ev, err := plan.EvaluateWS(ws, cs, cs, opts)
 		if err != nil {
 			continue
 		}
@@ -212,8 +215,8 @@ func SolveDownlinkDiversity(cs ChannelSet, rng *rand.Rand, nodePower, noise floa
 			best = plan
 		}
 	}
-	if best == nil {
-		return nil, ErrInfeasible
+	if best.Owner == nil {
+		return Plan{}, ErrInfeasible
 	}
 	return best, nil
 }

@@ -8,9 +8,9 @@ import (
 	"iaclan/internal/cmplxmat"
 )
 
-// TestEvaluateOptsDefaultsMatchEvaluate pins the refactor contract:
-// EvaluateOptsWS with only power and noise set is the same computation
-// as the historical Evaluate, bit for bit.
+// TestEvaluateOptsDefaultsMatchEvaluate pins the heap convenience:
+// EvaluateWS with only power and noise set is the same computation as
+// Evaluate, bit for bit.
 func TestEvaluateOptsDefaultsMatchEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	cs := RandomChannelSet(rng, 2, 2, 2, 100)
@@ -24,7 +24,7 @@ func TestEvaluateOptsDefaultsMatchEvaluate(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := cmplxmat.NewWorkspace()
-	opts, err := plan.EvaluateOptsWS(ws, cs, est, EvalOptions{NodePower: 1.0, Noise: 1.0})
+	opts, err := plan.EvaluateWS(ws, cs, est, EvalOptions{NodePower: 1.0, Noise: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestResidualCancelOnlyHurtsCancelledPackets(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := cmplxmat.NewWorkspace()
-	resid, err := plan.EvaluateOptsWS(ws, cs, cs, EvalOptions{NodePower: 1.0, Noise: 1.0, ResidualCancel: true})
+	resid, err := plan.EvaluateWS(ws, cs, cs, EvalOptions{NodePower: 1.0, Noise: 1.0, ResidualCancel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestResidualCancelNoOpWithoutWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := cmplxmat.NewWorkspace()
-	resid, err := plan.EvaluateOptsWS(ws, cs, cs, EvalOptions{NodePower: 1.0, Noise: 1.0, ResidualCancel: true})
+	resid, err := plan.EvaluateWS(ws, cs, cs, EvalOptions{NodePower: 1.0, Noise: 1.0, ResidualCancel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +113,12 @@ func TestUndecodedPacketIsNotCancelled(t *testing.T) {
 		inFirst[pkt] = true
 	}
 	ws := cmplxmat.NewWorkspace()
-	all, err := plan.EvaluateOptsWS(ws, cs, cs, EvalOptions{NodePower: 1.0, Noise: 1.0})
+	all, err := plan.EvaluateWS(ws, cs, cs, EvalOptions{NodePower: 1.0, Noise: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ws2 := cmplxmat.NewWorkspace()
-	failed, err := plan.EvaluateOptsWS(ws2, cs, cs, EvalOptions{
+	failed, err := plan.EvaluateWS(ws2, cs, cs, EvalOptions{
 		NodePower: 1.0, Noise: 1.0,
 		Decodes: func(pkt int, _ float64) bool { return !inFirst[pkt] },
 	})
@@ -160,7 +160,7 @@ func TestEvalOptionsRateHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := cmplxmat.NewWorkspace()
-	ev, err := plan.EvaluateOptsWS(ws, cs, cs, EvalOptions{NodePower: 1.0, Noise: 1.0, Rate: func(float64) float64 { return 2 }})
+	ev, err := plan.EvaluateWS(ws, cs, cs, EvalOptions{NodePower: 1.0, Noise: 1.0, Rate: func(float64) float64 { return 2 }})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ const roomMeters = 12
 // (mac.Simulator.ChargeSlots). Between surveys planners keep working
 // from the last one — stale CSI — while slots are evaluated on the true,
 // drifted channel; a packet whose achieved rate falls below
-// OutageFraction of its planned rate is lost.
+// outageFraction of its planned rate is lost.
 type Dynamics struct {
 	// Eps is the block-fading innovation per coherence interval, in
 	// [0, 1]: H' = sqrt(1-Eps^2) H + Eps W with W fresh. 0 keeps the
@@ -40,11 +40,6 @@ type Dynamics struct {
 	RetrainCycles int
 	// TrainSlots is the airtime charged per re-training round.
 	TrainSlots int
-	// OutageFraction is the loss threshold under dynamics: a packet
-	// whose achieved rate falls below OutageFraction times the rate it
-	// was planned at is lost (the modulation chosen from the last survey
-	// outran the drifted channel). Zero means the default 0.5.
-	OutageFraction float64
 	// Mobility moves every client by random waypoint: each coherence
 	// interval the client advances SpeedMetersPerInterval toward its
 	// waypoint, drawing a fresh uniform waypoint in the room on arrival.
@@ -54,6 +49,12 @@ type Dynamics struct {
 	// in meters. Zero means the default 0.5 m.
 	SpeedMetersPerInterval float64
 }
+
+// outageFraction is the loss threshold under dynamics: a packet whose
+// achieved rate falls below outageFraction times the rate it was
+// planned at is lost (the modulation chosen from the last survey outran
+// the drifted channel).
+const outageFraction = 0.5
 
 // enabled reports whether the trial has any channel dynamics to apply.
 // Scheduled training (TrainSlots alone) counts: the APs cannot know the
@@ -76,9 +77,6 @@ func (d Dynamics) validate() error {
 	if d.TrainSlots < 0 {
 		return fmt.Errorf("sim: Dynamics.TrainSlots must be >= 0")
 	}
-	if d.OutageFraction < 0 || d.OutageFraction > 1 {
-		return fmt.Errorf("sim: Dynamics.OutageFraction %v outside [0, 1]", d.OutageFraction)
-	}
 	if d.SpeedMetersPerInterval < 0 {
 		return fmt.Errorf("sim: Dynamics.SpeedMetersPerInterval must be >= 0")
 	}
@@ -92,9 +90,6 @@ func (d Dynamics) normalized() Dynamics {
 	}
 	if d.RetrainCycles == 0 {
 		d.RetrainCycles = d.CoherenceCycles
-	}
-	if d.OutageFraction == 0 {
-		d.OutageFraction = 0.5
 	}
 	if d.Mobility && d.SpeedMetersPerInterval == 0 {
 		d.SpeedMetersPerInterval = 0.5

@@ -164,8 +164,8 @@ type engine struct {
 	lostPackets int
 	retrains    int
 	retrainCost int
-	// batchSketch locally distributes the batched slot planner's
-	// per-plan dispatch sizes (SlotOutcome.Batched); merged into the
+	// batchSketch locally distributes the slot planner's per-plan
+	// direction-product counts (SlotOutcome.Batched); merged into the
 	// registry's sim_batch_products distribution at trial end, so the
 	// hot path touches no shared state. Untouched when met is nil.
 	// Dense and stored inline, so it costs the trial no allocation.
@@ -583,13 +583,13 @@ func (e *engine) runSlot(group []mac.ClientID) mac.SlotResult {
 // (achieved falls short of planned) or when even the lowest rung was
 // out of reach at planning time (planned 0). In the legacy continuous
 // model — where planned rates exist only under channel dynamics — a
-// packet is lost when the achieved rate falls below OutageFraction of
+// packet is lost when the achieved rate falls below outageFraction of
 // the planned one.
 func (e *engine) outage(achieved, planned float64) bool {
 	if e.scenario.Env.MCS != nil {
 		return planned <= 0 || achieved < planned
 	}
-	return achieved < e.dyn.OutageFraction*planned
+	return achieved < outageFraction*planned
 }
 
 func (e *engine) publish(t backend.MsgType, payload []byte) {

@@ -32,7 +32,7 @@ type Link struct {
 	// (estimate-derived) SINRs, and a packet whose realized SINR falls
 	// below its selected rung's threshold is lost — the unified
 	// rate/outage model that also subsumes the dynamics-only
-	// OutageFraction rule.
+	// outageFraction rule.
 	MCS bool
 }
 

@@ -57,7 +57,7 @@ func TestLinkSerialMatchesSharded(t *testing.T) {
 
 func TestLinkAndDynamicsCompose(t *testing.T) {
 	// The operating-point axis must compose with the coherence axis: the
-	// MCS outage rule subsumes OutageFraction under dynamics, and the
+	// MCS outage rule subsumes outageFraction under dynamics, and the
 	// run stays bit-deterministic.
 	cfg := linkCfg()
 	cfg.Link.NoiseDB = 6

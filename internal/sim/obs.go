@@ -67,8 +67,8 @@ const (
 	metricStreamSleepSlots    = "sim_stream_sleep_slots"
 	metricStreamStartupSlots  = "sim_stream_startup_slots"
 	metricStreamEnergyPerBit  = "sim_stream_energy_per_bit"
-	// metricBatchProducts distributes the per-slot batched-kernel
-	// dispatch size (direction products per planned slot), merged into
+	// metricBatchProducts distributes the direction products the slot
+	// evaluator computed per planned slot (SlotOutcome.Batched), merged into
 	// the registry once per trial alongside the latency sketch.
 	// Head-only fallback slots, which plan nothing, add no sample.
 	metricBatchProducts = "sim_batch_products"

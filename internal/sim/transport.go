@@ -30,8 +30,6 @@ type Transport struct {
 	Enabled bool
 	// Window is the initial congestion window in packets. Zero means 4.
 	Window int
-	// MaxWindow caps the congestion window. Zero means 64.
-	MaxWindow int
 	// RTOCycles is the base retransmit timeout in CFP cycles; attempt k
 	// waits RTOCycles<<min(k-1, 6). Zero means 8.
 	RTOCycles int
@@ -45,6 +43,9 @@ type Transport struct {
 	// uplink and at most APs stripes.
 	Stripes int
 }
+
+// maxWindow caps the congestion window, in packets.
+const maxWindow = 64
 
 // enabled reports whether the closed transport loop runs.
 func (t Transport) enabled() bool { return t.Enabled }
@@ -63,7 +64,6 @@ func (t Transport) validate() error {
 		v    int
 	}{
 		{"Window", t.Window},
-		{"MaxWindow", t.MaxWindow},
 		{"RTOCycles", t.RTOCycles},
 		{"MaxRetransmits", t.MaxRetransmits},
 		{"Stripes", t.Stripes},
@@ -73,8 +73,8 @@ func (t Transport) validate() error {
 		}
 	}
 	n := t.normalized()
-	if n.Window > n.MaxWindow {
-		return fmt.Errorf("sim: Transport.Window %d exceeds MaxWindow %d", n.Window, n.MaxWindow)
+	if n.Window > maxWindow {
+		return fmt.Errorf("sim: Transport.Window %d exceeds the window cap %d", n.Window, maxWindow)
 	}
 	return nil
 }
@@ -86,9 +86,6 @@ func (t Transport) normalized() Transport {
 	}
 	if t.Window == 0 {
 		t.Window = 4
-	}
-	if t.MaxWindow == 0 {
-		t.MaxWindow = 64
 	}
 	if t.RTOCycles == 0 {
 		t.RTOCycles = 8
@@ -180,7 +177,7 @@ type transportState struct {
 
 	// inflight mirrors each client's packets currently inside the MAC
 	// (admission order). The MAC can serve retried packets out of that
-	// order, so lookups match by born; sizes stay <= MaxWindow.
+	// order, so lookups match by born; sizes stay <= maxWindow.
 	inflight [][]tpPkt
 
 	// Beacon tallies: outcomes the tracer hooks record during RunCFP,
@@ -314,7 +311,7 @@ func (e *engine) beaconClock(c int) {
 		return
 	}
 	slices.Sort(tp.touched)
-	maxW := float64(tp.cfg.MaxWindow)
+	maxW := float64(maxWindow)
 	for _, id := range tp.touched {
 		i := int(id)
 		tp.touchMark[i] = false

@@ -29,7 +29,7 @@ func TestTransportValidation(t *testing.T) {
 		func() Config { c := Default(); c.Transport = Transport{Enabled: true, Window: -1}; return c }(),
 		func() Config {
 			c := Default()
-			c.Transport = Transport{Enabled: true, Window: 9, MaxWindow: 4}
+			c.Transport = Transport{Enabled: true, Window: maxWindow + 1}
 			return c
 		}(),
 		func() Config {

@@ -10,46 +10,30 @@ import (
 	"iaclan/internal/phy"
 )
 
-// Slot planning. The leader's role-assignment search runs every
-// (role permutation, solver attempt) candidate with its scoring deferred
-// and gathered into one core.EvaluateJobsWS dispatch, then measures the
-// winner under the true channels in a second. The RNG stream is
-// preserved exactly — channel gathers and solver attempts (the only
-// randomness) run in search order, and evaluations draw no randomness —
-// so the planner is bitwise-identical to scoring each attempt as it is
-// solved. That scalar search is kept as the test-only oracle the
-// equivalence tests pin the planner against.
+// Slot planning. The leader's role-assignment search scores every
+// (role permutation, solver attempt) candidate as soon as it is solved,
+// keeping only the running winner and the last error, then measures the
+// winner under the true channels. Scoring draws no randomness, so the
+// RNG stream is the solver attempts' alone. The scalar search in
+// oracle_test.go, which clones each new winner onto the heap and builds
+// its own heap channel sets, is the test-only oracle the equivalence
+// tests pin the planner against.
 //
 // One plan runs under one arena Mark of the caller's workspace: the
 // channel-set views, every candidate, both evaluations and the outcome's
 // per-client rates live in the arena, and the winner is read in place
 // rather than copied out. The Mark is released on return, so the outcome
-// is a view (see SlotOutcome). The candidate list and scoring jobs are
-// the planner's reusable scratch, owned by the SlotCache the slot runs
-// through (one per simulation trial), so a warm plan allocates nothing.
+// is a view (see SlotOutcome). The winner's plan header and the MCS
+// option closures are the planner's reusable scratch, owned by the
+// SlotCache the slot runs through (one per simulation trial), so a warm
+// plan allocates nothing.
 
-// slotCandidate is one (role permutation, solver attempt) of a slot's
-// assignment search, recorded in the order the search visits them so
-// winner and last-error selection replay the scalar search. The plan
-// header is held by value and est is an arena set, so recording a
-// candidate allocates nothing. job indexes the candidate's entry in the
-// scoring batch; -1 when the solve already failed.
-type slotCandidate struct {
-	plan core.Plan
-	est  core.ChannelSet
-	perm []int
-	err  error
-	job  int
-}
-
-// planScratch is the planner's reusable search state: the candidate list
-// and the scoring jobs, which grow to a slot shape's high-water mark and
-// are then reused, and the MCS evaluation-option closures, built once
-// and reading the current table and committed SINRs through the scratch
-// so that no plan builds a closure.
+// planScratch is the planner's reusable state: the winning plan's header,
+// which the outcome's Plan points at, and the MCS evaluation-option
+// closures, built once and reading the current table and committed
+// SINRs through the scratch so that no plan builds a closure.
 type planScratch struct {
-	cands []slotCandidate
-	jobs  []core.EvalJob
+	win core.Plan
 
 	mcs         *mimo.RateTable
 	plannedSINR []float64
@@ -155,19 +139,15 @@ func (sv *shapeSolver) attempt(ws *cmplxmat.Workspace) (core.Plan, error) {
 	case shapeDownlinkTriangle:
 		return core.SolveDownlinkTriangleWS(ws, sv.est)
 	case shapeDownlinkDiversity:
-		plan, err := core.SolveDownlinkDiversity(sv.est, sv.rng, NodePower, sv.noise)
-		if err != nil {
-			return core.Plan{}, err
-		}
-		return *plan, nil
+		return core.SolveDownlinkDiversityWS(ws, sv.est, sv.rng, NodePower, sv.noise)
 	}
 	return core.Plan{}, sv.err
 }
 
 // planSlot plans and evaluates one slot: gather the true and estimated
 // channels (through the cache, or fresh per-slot training without one),
-// run the role-assignment search with every candidate scored in one
-// batch, and measure the winner — decoding vectors from the planner's
+// run the role-assignment search scoring each candidate as it is solved,
+// and measure the winner — decoding vectors from the planner's
 // estimates, SINRs from the true channels. On the uplink role is the
 // client holding the two-packet role; the downlink ignores it.
 func planSlot(ws *phy.Workspace, cache *SlotCache, s Scenario, downlink bool, role int, rng *rand.Rand) (SlotOutcome, error) {
@@ -249,67 +229,45 @@ func planSlot(ws *phy.Workspace, cache *SlotCache, s Scenario, downlink bool, ro
 		perms = rxOrders(trueCS.NumRx())
 	}
 
-	// Solver attempts in search order, scoring deferred: each successful
-	// candidate contributes one job to the batch. The job's plan pointer
-	// is filled in once the candidate list has stopped growing. The
-	// scratch is sized for the search up front (plus the final job), so
-	// it never grows mid-plan.
-	if n := len(perms) * solveCandidates; cap(sc.cands) < n {
-		sc.cands = make([]slotCandidate, 0, n)
-		sc.jobs = make([]core.EvalJob, 0, n+1)
-	}
-	cands, jobs := sc.cands[:0], sc.jobs[:0]
+	// Solver attempts in search order, each scored with the planner's
+	// knowledge only (estimates). The winner is the first candidate to
+	// strictly beat the best estimated sum rate so far; the last error
+	// seen (solve or score) is the slot's error when none survives.
 	opts := sc.planOpts(s.Env)
+	var winEst core.ChannelSet
+	var winPerm []int // nil until a candidate wins
+	var scored core.Evaluation
+	bestRate := -1.0
+	var lastErr error
+	batched := 0
 	for _, perm := range perms {
 		est := permuteCandidateWS(mat, estCS, perm, downlink)
 		sv.prepare(mat, est)
 		for attempt := 0; attempt < solveCandidates; attempt++ {
 			plan, err := sv.attempt(mat)
-			c := slotCandidate{plan: plan, est: est, perm: perm, err: err, job: -1}
-			if err == nil {
-				c.job = len(jobs)
-				// Score with the planner's knowledge only (estimates).
-				jobs = append(jobs, core.EvalJob{TrueCS: est, EstCS: est, Opts: opts})
+			if err != nil {
+				lastErr = err
+				continue
 			}
-			cands = append(cands, c)
+			ev, err := plan.EvaluateWS(mat, est, est, opts)
+			batched += ev.Products
+			if err != nil {
+				lastErr = err
+				continue
+			}
+			if ev.SumRate > bestRate {
+				bestRate, scored = ev.SumRate, ev
+				sc.win, winEst, winPerm = plan, est, perm
+			}
 		}
 	}
-	sc.cands, sc.jobs = cands, jobs
-	for i := range cands {
-		if c := &cands[i]; c.job >= 0 {
-			jobs[c.job].Plan = &c.plan
-		}
-	}
-	batched := core.EvaluateJobsWS(mat, jobs)
-
-	// The winner is the first candidate in search order to strictly beat
-	// the best estimated sum rate so far; each candidate carries at most
-	// one error (solve or score), and the last one seen is the slot's
-	// error when no candidate survives.
-	best := -1
-	bestRate := -1.0
-	var lastErr error
-	for i := range cands {
-		c := &cands[i]
-		if c.err != nil {
-			lastErr = c.err
-			continue
-		}
-		if j := &jobs[c.job]; j.Err != nil {
-			lastErr = j.Err
-		} else if j.Ev.SumRate > bestRate {
-			bestRate = j.Ev.SumRate
-			best = i
-		}
-	}
-	if best < 0 {
+	if winPerm == nil {
 		return SlotOutcome{}, lastErr
 	}
 
 	// Measure the winner in place: its plan, estimate set and scored
 	// rates are still in the arena.
-	win := &cands[best]
-	scored := jobs[win.job].Ev
+	win := &sc.win
 	var plannedRate, plannedSINR []float64
 	if (cache != nil && cache.trackPlanned) || s.Env.MCS != nil {
 		plannedRate = scored.PacketRate
@@ -319,20 +277,13 @@ func planSlot(ws *phy.Workspace, cache *SlotCache, s Scenario, downlink bool, ro
 			plannedSINR = scored.SINR
 		}
 	}
-	jobs = append(jobs, core.EvalJob{
-		Plan:   &win.plan,
-		TrueCS: permuteCandidateWS(mat, trueCS, win.perm, downlink),
-		EstCS:  win.est,
-		Opts:   sc.trueOpts(s.Env, plannedSINR),
-	})
-	sc.jobs = jobs
-	final := &jobs[len(jobs)-1]
-	batched += core.EvaluateJobsWS(mat, jobs[len(jobs)-1:])
-	if final.Err != nil {
-		return SlotOutcome{}, final.Err
+	final, err := win.EvaluateWS(mat, permuteCandidateWS(mat, trueCS, winPerm, downlink), winEst, sc.trueOpts(s.Env, plannedSINR))
+	batched += final.Products
+	if err != nil {
+		return SlotOutcome{}, err
 	}
 
-	out := SlotOutcome{SumRate: final.Ev.SumRate, PerClient: mat.Floats(nc), Plan: &win.plan, Batched: batched}
+	out := SlotOutcome{SumRate: final.SumRate, PerClient: mat.Floats(nc), Plan: win, Batched: batched}
 	if plannedRate != nil {
 		out.PlannedPerClient = mat.Floats(nc)
 	}
@@ -340,12 +291,12 @@ func planSlot(ws *phy.Workspace, cache *SlotCache, s Scenario, downlink bool, ro
 	if mcs != nil {
 		out.SumRate = 0
 	}
-	for pkt, owner := range win.plan.Owner {
+	for pkt, owner := range win.Owner {
 		// Uplink packets belong to their transmitter (through the role
 		// order); downlink packets to the receiver that decodes them.
 		var client int
 		if downlink {
-			client = downlinkDestination(&win.plan, pkt)
+			client = downlinkDestination(win, pkt)
 		} else {
 			client = order[owner]
 		}
@@ -354,11 +305,11 @@ func planSlot(ws *phy.Workspace, cache *SlotCache, s Scenario, downlink bool, ro
 			// rung its planned SINR selected; it delivers that rung's
 			// bits when the realized SINR clears the threshold, nothing
 			// on outage.
-			r := mcs.AchievedRate(plannedSINR[pkt], final.Ev.SINR[pkt])
+			r := mcs.AchievedRate(plannedSINR[pkt], final.SINR[pkt])
 			out.PerClient[client] += r
 			out.SumRate += r
 		} else {
-			out.PerClient[client] += final.Ev.PacketRate[pkt]
+			out.PerClient[client] += final.PacketRate[pkt]
 		}
 		if plannedRate != nil {
 			out.PlannedPerClient[client] += plannedRate[pkt]

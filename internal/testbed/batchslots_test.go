@@ -29,7 +29,7 @@ func antennaScenario(seed int64, clients, aps, antennas int) Scenario {
 // leakage, the discrete MCS table) and both channel paths (fresh
 // per-slot training and the epoch cache). Identically seeded runs must
 // produce identical outcomes AND identical RNG streams afterwards; any
-// re-ordered or extra draw in the batched search would desynchronize
+// re-ordered or extra draw in the planner's search would desynchronize
 // every later slot of a trial.
 func TestBatchedSlotRunnerMatchesScalar(t *testing.T) {
 	chainClients := func(m int) int { return core.UplinkChainAssignment{M: m}.NumClients() }
@@ -69,7 +69,7 @@ func TestBatchedSlotRunnerMatchesScalar(t *testing.T) {
 					s.Env = ec.env
 					seed := int64(91)
 
-					run := func(batched bool) (SlotOutcome, error, int64) {
+					run := func(planner bool) (SlotOutcome, error, int64) {
 						ws := phy.GetWorkspace()
 						defer phy.PutWorkspace(ws)
 						var cache *SlotCache
@@ -81,9 +81,9 @@ func TestBatchedSlotRunnerMatchesScalar(t *testing.T) {
 						var out SlotOutcome
 						var err error
 						switch {
-						case batched && sh.downlink:
+						case planner && sh.downlink:
 							out, err = RunDownlinkSlotWS(ws, cache, s, rng)
-						case batched:
+						case planner:
 							out, err = RunUplinkSlotWS(ws, cache, s, sh.role, rng)
 						case sh.downlink:
 							out, err = runDownlinkSlotScalarWS(ws, cache, s, rng)
@@ -100,26 +100,26 @@ func TestBatchedSlotRunnerMatchesScalar(t *testing.T) {
 					got, gotErr, gotDraw := run(true)
 
 					if (gotErr == nil) != (wantErr == nil) {
-						t.Fatalf("error behavior diverged: batched=%v scalar=%v", gotErr, wantErr)
+						t.Fatalf("error behavior diverged: planner=%v scalar=%v", gotErr, wantErr)
 					}
 					if gotDraw != wantDraw {
-						t.Fatal("RNG stream diverged: batched planner drew differently than the scalar path")
+						t.Fatal("RNG stream diverged: the planner drew differently than the scalar path")
 					}
 					if wantErr != nil {
 						if gotErr.Error() != wantErr.Error() {
-							t.Fatalf("error text diverged: batched=%q scalar=%q", gotErr, wantErr)
+							t.Fatalf("error text diverged: planner=%q scalar=%q", gotErr, wantErr)
 						}
 						return
 					}
 					if got.Batched <= 0 {
-						t.Fatal("batched path reported no batched products")
+						t.Fatal("planner reported no direction products")
 					}
 					got.Batched = 0 // scalar reference reports none
 					if math.Float64bits(got.SumRate) != math.Float64bits(want.SumRate) {
-						t.Fatalf("SumRate diverged: batched=%v scalar=%v", got.SumRate, want.SumRate)
+						t.Fatalf("SumRate diverged: planner=%v scalar=%v", got.SumRate, want.SumRate)
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("outcome diverged:\n batched=%+v\n scalar=%+v", got, want)
+						t.Fatalf("outcome diverged:\n planner=%+v\n scalar=%+v", got, want)
 					}
 				})
 			}

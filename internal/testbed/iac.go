@@ -31,10 +31,10 @@ type SlotOutcome struct {
 	PlannedPerClient []float64
 	// Plan is the IAC plan that produced the outcome.
 	Plan *core.Plan
-	// Batched is how many direction products the planner gathered into
-	// strided kernel dispatches producing this outcome — candidate
-	// scorings plus the final evaluation. The observability plane
-	// distributes it as the batch size.
+	// Batched is how many channel-direction products the planner's
+	// evaluations computed for this outcome (core.Evaluation.Products):
+	// every candidate scoring plus the final evaluation. The
+	// observability plane distributes it as sim_batch_products.
 	Batched int
 }
 

@@ -9,11 +9,14 @@ import (
 	"iaclan/internal/phy"
 )
 
-// The scalar slot search: the planner's test-only oracle. It scores each
-// solver attempt as it is solved, keeps the winner by cloning it out of
-// the arena, and allocates its outcome on the heap. The slot planner
-// (planSlot) batches the same search and reads the winner in place;
-// TestBatchedSlotRunnerMatchesScalar pins the two bit for bit.
+// The scalar slot search: the planner's test-only oracle. Like the
+// planner it scores each solver attempt as it is solved, through the one
+// slot evaluator (core.Plan.EvaluateWS, itself pinned against core's
+// scalar SINR recursion). Its independence lies in the search: heap
+// channel sets built by Permute/PermuteRx instead of arena views, a
+// Mark/Release per attempt, each new winner cloned out of the arena and
+// the outcome allocated on the heap, where the planner reads its winner
+// in place. TestBatchedSlotRunnerMatchesScalar pins the two bit for bit.
 
 // planOpts is planScratch.planOpts as the scalar search builds it, one
 // closure set per slot. The options the leader scores candidate plans
@@ -116,7 +119,7 @@ func runUplinkSlotScalarWS(ws *phy.Workspace, cache *SlotCache, s Scenario, twoP
 	}
 	mark := ws.Mat.Mark()
 	defer ws.Mat.Release(mark)
-	ev, err := plan.EvaluateOptsWS(ws.Mat, trueCS, plan.PlannedChannels, s.Env.trueOptsFor(plan.PlannedSINR))
+	ev, err := plan.EvaluateWS(ws.Mat, trueCS, plan.PlannedChannels, s.Env.trueOptsFor(plan.PlannedSINR))
 	if err != nil {
 		return SlotOutcome{}, err
 	}
@@ -184,7 +187,7 @@ func bestTxAssignment(ws *cmplxmat.Workspace, trueCS, estCS core.ChannelSet, sol
 				ws.Release(mark)
 				continue
 			}
-			ev, err := plan.EvaluateOptsWS(ws, est, est, opts)
+			ev, err := plan.EvaluateWS(ws, est, est, opts)
 			if err != nil {
 				lastErr = err
 				ws.Release(mark)
@@ -242,7 +245,7 @@ func bestRxAssignment(ws *cmplxmat.Workspace, trueCS, estCS core.ChannelSet, sol
 				continue
 			}
 			// Score with the planner's knowledge only (estimates).
-			ev, err := plan.EvaluateOptsWS(ws, est, est, opts)
+			ev, err := plan.EvaluateWS(ws, est, est, opts)
 			if err != nil {
 				lastErr = err
 				ws.Release(mark)
@@ -300,7 +303,11 @@ func runDownlinkSlotScalarWS(ws *phy.Workspace, cache *SlotCache, s Scenario, rn
 			}
 			return &plan, nil
 		case nc == 1 && na == 2:
-			return core.SolveDownlinkDiversity(est, rng, NodePower, s.Env.Noise())
+			plan, err := core.SolveDownlinkDiversityWS(ws, est, rng, NodePower, s.Env.Noise())
+			if err != nil {
+				return nil, err
+			}
+			return &plan, nil
 		default:
 			return nil, fmt.Errorf("testbed: unsupported downlink shape %dx%d clients/APs", nc, na)
 		}
@@ -314,7 +321,7 @@ func runDownlinkSlotScalarWS(ws *phy.Workspace, cache *SlotCache, s Scenario, rn
 	}
 	mark := ws.Mat.Mark()
 	defer ws.Mat.Release(mark)
-	ev, err := plan.EvaluateOptsWS(ws.Mat, trueCS, plan.PlannedChannels, s.Env.trueOptsFor(plan.PlannedSINR))
+	ev, err := plan.EvaluateWS(ws.Mat, trueCS, plan.PlannedChannels, s.Env.trueOptsFor(plan.PlannedSINR))
 	if err != nil {
 		return SlotOutcome{}, err
 	}
