@@ -164,8 +164,9 @@ func (n *Network) scenario(clients, aps []Node) (testbed.Scenario, error) {
 // the APs, which decode cooperatively over the wired backend.
 // twoPacketClient indexes into clients and selects who uploads two
 // packets this slot (rotate it across slots for fairness, as the paper
-// does). Supported shapes: 2 clients with 2 APs (3 packets) and
-// 3 clients with 3 APs (4 packets).
+// does). Supported shapes: 2 clients with 2 APs (3 packets) and the
+// uplink chain, 3 clients with 3 or more APs (4 packets, successive
+// cancellation spread across the APs).
 func (n *Network) Uplink(clients, aps []Node, twoPacketClient int) (SlotRates, error) {
 	s, err := n.scenario(clients, aps)
 	if err != nil {

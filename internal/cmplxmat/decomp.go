@@ -79,51 +79,3 @@ func (m *Matrix) NullSpace(tol float64) []Vector {
 	}
 	return out
 }
-
-// QR computes a (thin) QR decomposition of m via modified Gram-Schmidt:
-// m = Q*R with Q having orthonormal columns (rows x k) and R upper
-// triangular (k x cols), where k = min(rows, cols). Rank-deficient input
-// yields zero rows in R; the corresponding Q columns are filled with an
-// arbitrary orthonormal completion.
-func (m *Matrix) QR() (q, r *Matrix) {
-	rows, cols := m.rows, m.cols
-	k := rows
-	if cols < k {
-		k = cols
-	}
-	q = New(rows, k)
-	r = New(k, cols)
-	var qcols []Vector
-	for j := 0; j < cols; j++ {
-		v := m.Col(j)
-		for i := 0; i < len(qcols) && i < k; i++ {
-			c := qcols[i].Dot(v)
-			r.data[i*cols+j] = c
-			v = v.Sub(qcols[i].Scale(c))
-		}
-		if len(qcols) < k {
-			nrm := v.Norm()
-			if nrm > 1e-14*(1+m.MaxAbs()) {
-				r.data[len(qcols)*cols+j] = complex(nrm, 0)
-				qcols = append(qcols, v.Scale(complex(1/nrm, 0)))
-			}
-		}
-	}
-	// Complete Q to k orthonormal columns if rank deficient.
-	for e := 0; len(qcols) < k && e < rows; e++ {
-		v := NewVector(rows)
-		v[e] = 1
-		for _, qc := range qcols {
-			v = v.Sub(v.ProjectOnto(qc))
-		}
-		if v.Norm() > 1e-10 {
-			qcols = append(qcols, v.Normalize())
-		}
-	}
-	for j, qc := range qcols {
-		for i := 0; i < rows; i++ {
-			q.data[i*k+j] = qc[i]
-		}
-	}
-	return q, r
-}

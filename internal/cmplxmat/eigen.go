@@ -8,56 +8,10 @@ import (
 var ErrEigenFailed = errors.New("cmplxmat: eigen computation failed")
 
 // The eigendecomposition entry points below are thin wrappers over the
-// workspace variants in workspace_ops.go: all Jacobi / Faddeev-LeVerrier /
-// inverse-iteration scratch comes from a pooled Workspace, and only the
-// results the caller keeps are copied onto the heap.
-
-// CharPoly returns the characteristic polynomial det(zI - m) of a square
-// matrix using the Faddeev-LeVerrier recursion, in ascending-power form.
-// The result has degree n with leading coefficient 1.
-func (m *Matrix) CharPoly() Poly {
-	ws := GetWorkspace()
-	defer PutWorkspace(ws)
-	p := m.CharPolyWS(ws)
-	out := make(Poly, len(p))
-	copy(out, p)
-	return out
-}
-
-// Eigenvalues returns all eigenvalues of a square matrix by rooting its
-// characteristic polynomial. This is numerically adequate for the small
-// (n <= 8) matrices MIMO systems use.
-func (m *Matrix) Eigenvalues() ([]complex128, error) {
-	return m.CharPoly().Roots()
-}
-
-// Eigenvector returns a unit eigenvector associated with the eigenvalue
-// lambda, via the null space of (m - lambda*I). If the null space is
-// numerically empty the eigenvalue estimate is refined by one inverse
-// iteration step before giving up.
-func (m *Matrix) Eigenvector(lambda complex128) (Vector, error) {
-	ws := GetWorkspace()
-	defer PutWorkspace(ws)
-	v, err := m.EigenvectorWS(ws, lambda)
-	if err != nil {
-		return nil, err
-	}
-	return v.Clone(), nil
-}
-
-// AnyEigenvector returns some (eigenvalue, unit eigenvector) pair of a
-// square matrix, preferring the eigenvalue of largest magnitude, which is
-// the numerically best conditioned for the alignment products the paper's
-// closed forms use (footnote 4: v4 = eig(H32^-1 H22 H21^-1 H31)).
-func (m *Matrix) AnyEigenvector() (complex128, Vector, error) {
-	ws := GetWorkspace()
-	defer PutWorkspace(ws)
-	lambda, v, err := m.AnyEigenvectorWS(ws)
-	if err != nil {
-		return 0, nil, err
-	}
-	return lambda, v.Clone(), nil
-}
+// workspace forms in workspace_ops.go: the Jacobi scratch comes from a
+// pooled Workspace, and only the results the caller keeps are copied
+// onto the heap. The general (non-Hermitian) eigenvector path has only
+// its workspace forms, CharPolyWS and AnyEigenvectorWS.
 
 // EigenHermitian diagonalizes a Hermitian matrix with the cyclic complex
 // Jacobi method. It returns eigenvalues in descending order and the

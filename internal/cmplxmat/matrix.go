@@ -39,10 +39,22 @@ func FromRows(rows [][]complex128) *Matrix {
 
 // FromColumns builds a matrix whose columns are the given vectors.
 func FromColumns(cols ...Vector) *Matrix {
+	m := New(columnsShape(cols))
+	m.setColumns(cols)
+	return m
+}
+
+// columnsShape returns the shape of the matrix whose columns are cols.
+func columnsShape(cols []Vector) (rows, n int) {
 	if len(cols) == 0 || len(cols[0]) == 0 {
 		panic("cmplxmat: FromColumns with empty input")
 	}
-	m := New(len(cols[0]), len(cols))
+	return len(cols[0]), len(cols)
+}
+
+// setColumns overwrites m's columns with cols, which must be m.Cols()
+// vectors of m.Rows() entries.
+func (m *Matrix) setColumns(cols []Vector) {
 	for j, c := range cols {
 		if len(c) != m.rows {
 			panic("cmplxmat: FromColumns with ragged columns")
@@ -51,7 +63,6 @@ func FromColumns(cols ...Vector) *Matrix {
 			m.data[i*m.cols+j] = c[i]
 		}
 	}
-	return m
 }
 
 // View returns a rows x cols matrix over data, row-major, without
@@ -87,10 +98,17 @@ func Diagonal(d ...complex128) *Matrix {
 // standard Rayleigh flat-fading channel model.
 func RandomGaussian(rng *rand.Rand, rows, cols int) *Matrix {
 	m := New(rows, cols)
-	for i := range m.data {
-		m.data[i] = complex(rng.NormFloat64()/math.Sqrt2, rng.NormFloat64()/math.Sqrt2)
-	}
+	fillCN(m.data, rng)
 	return m
+}
+
+// fillCN overwrites dst with i.i.d. CN(0,1) samples drawn from rng in
+// index order, each the real part's normal draw, then the imaginary
+// part's.
+func fillCN(dst []complex128, rng *rand.Rand) {
+	for i := range dst {
+		dst[i] = complex(rng.NormFloat64()/math.Sqrt2, rng.NormFloat64()/math.Sqrt2)
+	}
 }
 
 // BlendGaussianInPlace overwrites m with keep*m + scale*W, where W is a
@@ -137,9 +155,7 @@ func (m *Matrix) CopyFrom(b *Matrix) {
 // RandomGaussianVector returns an n-vector with i.i.d. CN(0,1) entries.
 func RandomGaussianVector(rng *rand.Rand, n int) Vector {
 	v := NewVector(n)
-	for i := range v {
-		v[i] = complex(rng.NormFloat64()/math.Sqrt2, rng.NormFloat64()/math.Sqrt2)
-	}
+	fillCN(v, rng)
 	return v
 }
 
@@ -174,74 +190,60 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Row returns a copy of row i as a Vector.
-func (m *Matrix) Row(i int) Vector {
-	v := NewVector(m.cols)
-	copy(v, m.data[i*m.cols:(i+1)*m.cols])
-	return v
-}
-
 // Col returns a copy of column j as a Vector.
 func (m *Matrix) Col(j int) Vector {
 	v := NewVector(m.rows)
-	for i := 0; i < m.rows; i++ {
-		v[i] = m.data[i*m.cols+j]
-	}
+	m.colInto(v, j)
 	return v
+}
+
+// colInto writes column j of m into dst, which has m.Rows() entries.
+func (m *Matrix) colInto(dst Vector, j int) {
+	for i := 0; i < m.rows; i++ {
+		dst[i] = m.data[i*m.cols+j]
+	}
 }
 
 // Add returns m + b. It panics if shapes differ.
 func (m *Matrix) Add(b *Matrix) *Matrix {
 	m.mustSameShape(b)
 	out := New(m.rows, m.cols)
-	for i := range m.data {
-		out.data[i] = m.data[i] + b.data[i]
-	}
+	Vector(m.data).addInto(out.data, b.data)
 	return out
 }
 
 // Sub returns m - b. It panics if shapes differ.
 func (m *Matrix) Sub(b *Matrix) *Matrix {
-	m.mustSameShape(b)
 	out := New(m.rows, m.cols)
-	for i := range m.data {
-		out.data[i] = m.data[i] - b.data[i]
-	}
+	m.SubInto(out, b)
 	return out
 }
 
-// SubInto overwrites dst with m - b: the same operations as Sub, into
-// caller-owned storage. All three must have the same shape.
+// SubInto overwrites dst with m - b, into caller-owned storage. All
+// three must have the same shape.
 func (m *Matrix) SubInto(dst, b *Matrix) {
 	m.mustSameShape(b)
 	m.mustSameShape(dst)
-	for i := range m.data {
-		dst.data[i] = m.data[i] - b.data[i]
-	}
+	Vector(m.data).subInto(dst.data, b.data)
 }
 
 // Scale returns s*m.
 func (m *Matrix) Scale(s complex128) *Matrix {
 	out := New(m.rows, m.cols)
-	for i := range m.data {
-		out.data[i] = s * m.data[i]
-	}
+	Vector(m.data).ScaleInto(out.data, s)
 	return out
 }
 
 // Mul returns the matrix product m*b. It panics if inner dimensions differ.
 func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.cols != b.rows {
-		panic(fmt.Sprintf("cmplxmat: Mul shape mismatch %dx%d * %dx%d", m.rows, m.cols, b.rows, b.cols))
-	}
 	out := New(m.rows, b.cols)
 	m.MulInto(out, b)
 	return out
 }
 
-// MulInto overwrites dst with the product m*b: the same operations as
-// Mul, into caller-owned storage. dst must be m.Rows() x b.Cols() and
-// must not share storage with m or b.
+// MulInto overwrites dst with the product m*b, into caller-owned
+// storage. dst must be m.Rows() x b.Cols() and must not share storage
+// with m or b.
 func (m *Matrix) MulInto(dst, b *Matrix) {
 	if m.cols != b.rows || dst.rows != m.rows || dst.cols != b.cols {
 		panic(fmt.Sprintf("cmplxmat: MulInto shape mismatch %dx%d * %dx%d into %dx%d", m.rows, m.cols, b.rows, b.cols, dst.rows, dst.cols))
@@ -262,27 +264,31 @@ func (m *Matrix) MulInto(dst, b *Matrix) {
 
 // MulVec returns m*v. It panics if dimensions differ.
 func (m *Matrix) MulVec(v Vector) Vector {
-	if m.cols != len(v) {
-		panic(fmt.Sprintf("cmplxmat: MulVec shape mismatch %dx%d * %d", m.rows, m.cols, len(v)))
-	}
 	out := NewVector(m.rows)
-	for i := 0; i < m.rows; i++ {
-		var s complex128
-		for j := 0; j < m.cols; j++ {
-			s += m.data[i*m.cols+j] * v[j]
-		}
-		out[i] = s
-	}
+	m.MulVecInto(out, v)
 	return out
 }
 
-// MulVecInto writes m*v into dst, with the same operations as MulVec.
-// dst must have m.Rows() entries and must not share storage with v.
+// MulVecInto writes m*v into dst, which must have m.Rows() entries and
+// must not share storage with v.
 func (m *Matrix) MulVecInto(dst, v Vector) {
 	if m.cols != len(v) || m.rows != len(dst) {
-		panic(fmt.Sprintf("cmplxmat: MulVecInto shape mismatch %dx%d * %d into %d", m.rows, m.cols, len(v), len(dst)))
+		panic(fmt.Sprintf("cmplxmat: MulVec shape mismatch %dx%d * %d into %d", m.rows, m.cols, len(v), len(dst)))
 	}
 	mulVecData(m.data, m.rows, m.cols, v, dst)
+}
+
+// mulVecData is the y = H v kernel over flat row-major storage: the one
+// loop behind MulVec, MulVecWS and MulVecInto. Taking the storage as
+// slices keeps the hot loop off the matrix header's fields.
+func mulVecData(h []complex128, rows, cols int, v, y []complex128) {
+	for i := 0; i < rows; i++ {
+		var s complex128
+		for j := 0; j < cols; j++ {
+			s += h[i*cols+j] * v[j]
+		}
+		y[i] = s
+	}
 }
 
 // MulHVecInto writes m^H v into dst with the operations of
@@ -306,32 +312,29 @@ func (m *Matrix) MulHVecInto(dst, v Vector) {
 // conjugate transpose, of the uplink channel.
 func (m *Matrix) T() *Matrix {
 	out := New(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.data[j*out.cols+i] = m.data[i*m.cols+j]
-		}
-	}
+	m.transposeInto(out, false)
 	return out
 }
 
 // H returns the conjugate (Hermitian) transpose of m.
 func (m *Matrix) H() *Matrix {
 	out := New(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.data[j*out.cols+i] = cmplx.Conj(m.data[i*m.cols+j])
-		}
-	}
+	m.transposeInto(out, true)
 	return out
 }
 
-// Conj returns the element-wise conjugate of m.
-func (m *Matrix) Conj() *Matrix {
-	out := New(m.rows, m.cols)
-	for i := range m.data {
-		out.data[i] = cmplx.Conj(m.data[i])
+// transposeInto writes the transpose of m into dst (m.Cols() x
+// m.Rows()), conjugating each entry when conj is set.
+func (m *Matrix) transposeInto(dst *Matrix, conj bool) {
+	for i := 0; i < m.rows; i++ {
+		for j := 0; j < m.cols; j++ {
+			x := m.data[i*m.cols+j]
+			if conj {
+				x = cmplx.Conj(x)
+			}
+			dst.data[j*dst.cols+i] = x
+		}
 	}
-	return out
 }
 
 // Trace returns the sum of the diagonal entries of a square matrix.
@@ -346,14 +349,7 @@ func (m *Matrix) Trace() complex128 {
 
 // FrobeniusNorm returns sqrt(sum |m_ij|^2). The paper's reciprocity
 // experiment (Fig. 16) measures fractional error in this norm.
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.data {
-		re, im := real(v), imag(v)
-		s += re*re + im*im
-	}
-	return math.Sqrt(s)
-}
+func (m *Matrix) FrobeniusNorm() float64 { return Vector(m.data).Norm() }
 
 // MaxAbs returns the largest entry magnitude.
 func (m *Matrix) MaxAbs() float64 { return maxAbs(m.data) }

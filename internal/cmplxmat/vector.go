@@ -3,12 +3,15 @@
 //
 // The package provides the operations interference alignment needs and the
 // Go standard library lacks: Gaussian-elimination inverses, determinants,
-// null spaces, QR and Hermitian eigendecompositions, singular values, and
+// null spaces, Hermitian eigendecompositions, singular values, and
 // polynomial root finding for the alignment determinant equations.
 //
 // All types use complex128. Matrices are immutable by convention: every
-// operation returns a fresh value and never mutates its receiver or
-// arguments unless the method name says otherwise (e.g. SetAt).
+// operation returns a fresh value (on the heap, or in a Workspace for
+// the *WS forms) and never mutates its receiver or arguments, except
+// the forms whose name says so: the *Into forms write into a
+// caller-owned destination, the *InPlace forms and setters such as
+// SetAt overwrite their receiver.
 package cmplxmat
 
 import (
@@ -36,31 +39,50 @@ func (v Vector) Dim() int { return len(v) }
 
 // Add returns v + w. It panics if dimensions differ.
 func (v Vector) Add(w Vector) Vector {
-	mustSameDim(v, w)
 	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] + w[i]
-	}
+	v.addInto(out, w)
 	return out
+}
+
+// addInto writes v + w into dst, which has v's length.
+func (v Vector) addInto(dst, w Vector) {
+	mustSameDim(v, w)
+	mustSameDim(dst, v)
+	for i := range v {
+		dst[i] = v[i] + w[i]
+	}
 }
 
 // Sub returns v - w. It panics if dimensions differ.
 func (v Vector) Sub(w Vector) Vector {
-	mustSameDim(v, w)
 	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] - w[i]
-	}
+	v.subInto(out, w)
 	return out
+}
+
+// subInto writes v - w into dst, which has v's length.
+func (v Vector) subInto(dst, w Vector) {
+	mustSameDim(v, w)
+	mustSameDim(dst, v)
+	for i := range v {
+		dst[i] = v[i] - w[i]
+	}
 }
 
 // Scale returns s*v.
 func (v Vector) Scale(s complex128) Vector {
 	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = s * v[i]
-	}
+	v.ScaleInto(out, s)
 	return out
+}
+
+// ScaleInto writes s*v into dst, which has v's length and may be v
+// itself.
+func (v Vector) ScaleInto(dst Vector, s complex128) {
+	mustSameDim(dst, v)
+	for i := range v {
+		dst[i] = s * v[i]
+	}
 }
 
 // Dot returns the Hermitian inner product <v, w> = sum conj(v_i) * w_i.
@@ -70,18 +92,6 @@ func (v Vector) Dot(w Vector) complex128 {
 	var s complex128
 	for i := range v {
 		s += cmplx.Conj(v[i]) * w[i]
-	}
-	return s
-}
-
-// DotU returns the unconjugated bilinear product sum v_i * w_i.
-// This is the product that appears in the paper's rate estimate
-// v^T H w (Section 7.2), which transposes rather than conjugates.
-func (v Vector) DotU(w Vector) complex128 {
-	mustSameDim(v, w)
-	var s complex128
-	for i := range v {
-		s += v[i] * w[i]
 	}
 	return s
 }
@@ -99,41 +109,20 @@ func (v Vector) Norm() float64 {
 // Normalize returns v scaled to unit norm. The zero vector is returned
 // unchanged.
 func (v Vector) Normalize() Vector {
-	n := v.Norm()
-	if n == 0 {
-		return v.Clone()
-	}
-	return v.Scale(complex(1/n, 0))
-}
-
-// Conj returns the element-wise complex conjugate of v.
-func (v Vector) Conj() Vector {
 	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = cmplx.Conj(v[i])
-	}
+	v.normalizeInto(out)
 	return out
 }
 
-// Outer returns the outer product v * w^H (dim(v) x dim(w) matrix).
-func (v Vector) Outer(w Vector) *Matrix {
-	m := New(len(v), len(w))
-	for i := range v {
-		for j := range w {
-			m.data[i*m.cols+j] = v[i] * cmplx.Conj(w[j])
-		}
+// normalizeInto writes v scaled to unit norm into dst, which has v's
+// length; a zero v is copied unchanged.
+func (v Vector) normalizeInto(dst Vector) {
+	if n := v.Norm(); n != 0 {
+		v.ScaleInto(dst, complex(1/n, 0))
+		return
 	}
-	return m
-}
-
-// IsZero reports whether every entry of v is smaller than tol in magnitude.
-func (v Vector) IsZero(tol float64) bool {
-	for i := range v {
-		if cmplx.Abs(v[i]) > tol {
-			return false
-		}
-	}
-	return true
+	mustSameDim(dst, v)
+	copy(dst, v)
 }
 
 // ParallelTo reports whether v and w point along the same complex line,
@@ -169,16 +158,27 @@ func (v Vector) AngleTo(w Vector) float64 {
 // ProjectOnto returns the orthogonal projection of v onto the line
 // spanned by w. It panics if w is zero.
 func (v Vector) ProjectOnto(w Vector) Vector {
+	return w.Scale(v.projectCoef(w))
+}
+
+// projectCoef returns the coefficient c of the projection c*w of v onto
+// the line spanned by w: <w,v>/<w,w>. It panics if w is zero.
+func (v Vector) projectCoef(w Vector) complex128 {
 	d := w.Dot(w)
 	if d == 0 {
 		panic("cmplxmat: ProjectOnto zero vector")
 	}
-	return w.Scale(w.Dot(v) / d)
+	return w.Dot(v) / d
 }
 
-// RejectFrom returns the component of v orthogonal to w: v - proj_w(v).
-func (v Vector) RejectFrom(w Vector) Vector {
-	return v.Sub(v.ProjectOnto(w))
+// RejectInPlace subtracts from v its projection onto the line spanned
+// by w, with the operations of v.Sub(v.ProjectOnto(w)). It panics if w
+// is zero.
+func (v Vector) RejectInPlace(w Vector) {
+	c := v.projectCoef(w)
+	for i := range v {
+		v[i] = v[i] - c*w[i]
+	}
 }
 
 // String formats v for debugging.
@@ -206,22 +206,11 @@ func mustSameDim(v, w Vector) {
 // falls below tol (relative to their original norm) are dropped as linearly
 // dependent.
 func OrthonormalBasis(tol float64, vs ...Vector) []Vector {
-	var basis []Vector
-	for _, v := range vs {
-		orig := v.Norm()
-		if orig == 0 {
-			continue
-		}
-		u := v.Clone()
-		for _, b := range basis {
-			u = u.Sub(u.ProjectOnto(b))
-		}
-		if u.Norm() <= tol*orig {
-			continue
-		}
-		basis = append(basis, u.Normalize())
+	basis := make([]Vector, len(vs))
+	for i, v := range vs {
+		basis[i] = make(Vector, len(v))
 	}
-	return basis
+	return basis[:OrthonormalBasisInto(basis, tol, vs)]
 }
 
 // OrthogonalComplementVector returns a unit vector orthogonal to every
@@ -232,28 +221,10 @@ func OrthonormalBasis(tol float64, vs ...Vector) []Vector {
 // This is the paper's "decoding vector" construction: to decode a packet
 // an AP projects on a direction orthogonal to all interference (Section 4).
 func OrthogonalComplementVector(n int, tol float64, vs ...Vector) Vector {
-	basis := OrthonormalBasis(tol, vs...)
-	if len(basis) >= n {
-		return nil
+	ws := GetWorkspace()
+	defer PutWorkspace(ws)
+	if c := OrthogonalComplementVectorWS(ws, n, tol, vs); c != nil {
+		return c.Clone()
 	}
-	// Project each standard basis vector out of the span; the one with the
-	// largest residual is the numerically safest complement seed.
-	var best Vector
-	bestNorm := -1.0
-	for i := 0; i < n; i++ {
-		e := NewVector(n)
-		e[i] = 1
-		u := e
-		for _, b := range basis {
-			u = u.Sub(u.ProjectOnto(b))
-		}
-		if nrm := u.Norm(); nrm > bestNorm {
-			bestNorm = nrm
-			best = u
-		}
-	}
-	if bestNorm <= tol {
-		return nil
-	}
-	return best.Normalize()
+	return nil
 }

@@ -7,22 +7,23 @@ import (
 	"slices"
 )
 
-// Workspace-threaded variants of the package's operations. Each *WS
-// function computes exactly the same floating-point result as its heap
-// counterpart (same operations in the same order) but draws results and
-// temporaries from the workspace arena, so hot loops — a slot evaluation,
-// a solver attempt, an eigendecomposition — run without heap allocation.
-// The heap methods are retained as thin wrappers where results must
-// outlive any workspace (public API compatibility).
+// Workspace-threaded forms of the package's operations: results and
+// temporaries come from the workspace arena, so hot loops — a slot
+// evaluation, a solver attempt, an eigendecomposition — run without
+// heap allocation. Every operation has one kernel that does its
+// arithmetic: an *Into form, an unexported *Into or *Data function, or
+// the *WS form itself. A heap form and a *WS form only allocate their
+// result (New/make, or ws.Matrix/ws.Vector) and call that kernel; a
+// heap form whose kernel needs scratch borrows a pooled workspace and
+// copies its result out. Each operation therefore has the same bits in
+// every form by construction.
 
 // RandomGaussianVectorWS returns an arena-backed n-vector with i.i.d.
 // CN(0,1) entries drawn from rng, consuming the same rng draws as
 // RandomGaussianVector.
 func RandomGaussianVectorWS(ws *Workspace, rng *rand.Rand, n int) Vector {
 	v := ws.Vector(n)
-	for i := range v {
-		v[i] = complex(rng.NormFloat64()/math.Sqrt2, rng.NormFloat64()/math.Sqrt2)
-	}
+	fillCN(v, rng)
 	return v
 }
 
@@ -35,21 +36,15 @@ func (v Vector) CloneWS(ws *Workspace) Vector {
 
 // AddWS returns v + w in the arena.
 func (v Vector) AddWS(ws *Workspace, w Vector) Vector {
-	mustSameDim(v, w)
 	out := ws.Vector(len(v))
-	for i := range v {
-		out[i] = v[i] + w[i]
-	}
+	v.addInto(out, w)
 	return out
 }
 
 // SubWS returns v - w in the arena.
 func (v Vector) SubWS(ws *Workspace, w Vector) Vector {
-	mustSameDim(v, w)
 	out := ws.Vector(len(v))
-	for i := range v {
-		out[i] = v[i] - w[i]
-	}
+	v.subInto(out, w)
 	return out
 }
 
@@ -60,32 +55,17 @@ func (v Vector) ScaleWS(ws *Workspace, s complex128) Vector {
 	return out
 }
 
-// ScaleInto writes s*v into dst, which has v's length and may be v
-// itself.
-func (v Vector) ScaleInto(dst Vector, s complex128) {
-	mustSameDim(dst, v)
-	for i := range v {
-		dst[i] = s * v[i]
-	}
-}
-
 // NormalizeWS returns v scaled to unit norm, in the arena.
 func (v Vector) NormalizeWS(ws *Workspace) Vector {
-	n := v.Norm()
-	if n == 0 {
-		return v.CloneWS(ws)
-	}
-	return v.ScaleWS(ws, complex(1/n, 0))
+	out := ws.Vector(len(v))
+	v.normalizeInto(out)
+	return out
 }
 
 // ProjectOntoWS returns the projection of v onto the line spanned by w,
 // in the arena.
 func (v Vector) ProjectOntoWS(ws *Workspace, w Vector) Vector {
-	d := w.Dot(w)
-	if d == 0 {
-		panic("cmplxmat: ProjectOnto zero vector")
-	}
-	return w.ScaleWS(ws, w.Dot(v)/d)
+	return w.ScaleWS(ws, v.projectCoef(w))
 }
 
 // CloneWS returns an arena-backed copy of m.
@@ -98,105 +78,54 @@ func (m *Matrix) CloneWS(ws *Workspace) *Matrix {
 // ColWS returns column j of m in the arena.
 func (m *Matrix) ColWS(ws *Workspace, j int) Vector {
 	v := ws.Vector(m.rows)
-	for i := 0; i < m.rows; i++ {
-		v[i] = m.data[i*m.cols+j]
-	}
+	m.colInto(v, j)
 	return v
 }
 
 // SubWS returns m - b in the arena.
 func (m *Matrix) SubWS(ws *Workspace, b *Matrix) *Matrix {
-	m.mustSameShape(b)
 	out := ws.Matrix(m.rows, m.cols)
-	for i := range m.data {
-		out.data[i] = m.data[i] - b.data[i]
-	}
+	m.SubInto(out, b)
 	return out
 }
 
 // MulWS returns m*b in the arena.
 func (m *Matrix) MulWS(ws *Workspace, b *Matrix) *Matrix {
-	if m.cols != b.rows {
-		panic("cmplxmat: MulWS shape mismatch")
-	}
 	out := ws.Matrix(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.data[i*m.cols+k]
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < b.cols; j++ {
-				out.data[i*b.cols+j] += a * b.data[k*b.cols+j]
-			}
-		}
-	}
+	m.MulInto(out, b)
 	return out
 }
 
 // MulVecWS returns m*v in the arena.
 func (m *Matrix) MulVecWS(ws *Workspace, v Vector) Vector {
-	if m.cols != len(v) {
-		panic("cmplxmat: MulVecWS shape mismatch")
-	}
 	out := ws.Vector(m.rows)
-	mulVecData(m.data, m.rows, m.cols, v, out)
+	m.MulVecInto(out, v)
 	return out
-}
-
-// mulVecData is the y = H v inner loop over flat row-major storage,
-// shared by MulVecWS and MulVecInto so the two stay bitwise-identical.
-func mulVecData(h []complex128, rows, cols int, v, y []complex128) {
-	for i := 0; i < rows; i++ {
-		var s complex128
-		for j := 0; j < cols; j++ {
-			s += h[i*cols+j] * v[j]
-		}
-		y[i] = s
-	}
 }
 
 // TWS returns the (unconjugated) transpose of m in the arena.
 func (m *Matrix) TWS(ws *Workspace) *Matrix {
 	out := ws.Matrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.data[j*out.cols+i] = m.data[i*m.cols+j]
-		}
-	}
+	m.transposeInto(out, false)
 	return out
 }
 
 // HWS returns the conjugate transpose of m in the arena.
 func (m *Matrix) HWS(ws *Workspace) *Matrix {
 	out := ws.Matrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.data[j*out.cols+i] = cmplx.Conj(m.data[i*m.cols+j])
-		}
-	}
+	m.transposeInto(out, true)
 	return out
 }
 
 // FromColumnsWS builds an arena matrix whose columns are the given vectors.
 func FromColumnsWS(ws *Workspace, cols []Vector) *Matrix {
-	if len(cols) == 0 || len(cols[0]) == 0 {
-		panic("cmplxmat: FromColumnsWS with empty input")
-	}
-	m := ws.Matrix(len(cols[0]), len(cols))
-	for j, c := range cols {
-		if len(c) != m.rows {
-			panic("cmplxmat: FromColumnsWS with ragged columns")
-		}
-		for i := range c {
-			m.data[i*m.cols+j] = c[i]
-		}
-	}
+	m := ws.Matrix(columnsShape(cols))
+	m.setColumns(cols)
 	return m
 }
 
-// OrthonormalBasisWS is OrthonormalBasis with every temporary and the
-// returned basis drawn from the arena.
+// OrthonormalBasisWS is OrthonormalBasis with the returned basis drawn
+// from the arena.
 func OrthonormalBasisWS(ws *Workspace, tol float64, vs []Vector) []Vector {
 	basis := ws.Vectors(len(vs))
 	for i, v := range vs {
@@ -205,10 +134,11 @@ func OrthonormalBasisWS(ws *Workspace, tol float64, vs []Vector) []Vector {
 	return basis[:OrthonormalBasisInto(basis, tol, vs)]
 }
 
-// OrthonormalBasisInto is OrthonormalBasisWS writing the basis into
-// dst and returning its size: the same projections in the same order,
-// done in place. dst needs room for len(vs) vectors of the vs'
-// dimension.
+// OrthonormalBasisInto is the modified Gram-Schmidt kernel behind
+// OrthonormalBasis and OrthonormalBasisWS: it writes the basis into dst
+// and returns its size, each vector rejected in place from the basis
+// vectors before it and then normalized. dst needs room for len(vs)
+// vectors of the vs' dimension.
 func OrthonormalBasisInto(dst []Vector, tol float64, vs []Vector) int {
 	n := 0
 	for _, v := range vs {
@@ -227,31 +157,17 @@ func OrthonormalBasisInto(dst []Vector, tol float64, vs []Vector) int {
 			continue
 		}
 		if nrm != 0 {
-			u.ScaleInto(u, complex(1/nrm, 0)) // NormalizeWS, in place
+			u.ScaleInto(u, complex(1/nrm, 0)) // normalizeInto, reusing nrm
 		}
 		n++
 	}
 	return n
 }
 
-// RejectInPlace subtracts from v its projection onto the line spanned
-// by w: v.SubWS(ws, v.ProjectOntoWS(ws, w)) without the two arena
-// temporaries, with the same operations. It panics if w is zero.
-func (v Vector) RejectInPlace(w Vector) {
-	d := w.Dot(w)
-	if d == 0 {
-		panic("cmplxmat: ProjectOnto zero vector")
-	}
-	c := w.Dot(v) / d
-	for i := range v {
-		v[i] = v[i] - c*w[i]
-	}
-}
-
-// OrthogonalComplementVectorWS is OrthogonalComplementVector over the
-// arena. The returned vector is arena-backed; for up to SmallDim
-// vectors of dimension up to SmallDim, the basis and the candidate
-// vectors live in local arrays.
+// OrthogonalComplementVectorWS is the kernel of
+// OrthogonalComplementVector. The returned vector is arena-backed; for
+// up to SmallDim vectors of dimension up to SmallDim, the basis and the
+// candidate vectors live in local arrays.
 func OrthogonalComplementVectorWS(ws *Workspace, n int, tol float64, vs []Vector) Vector {
 	var basisBuf [SmallDim][SmallDim]complex128
 	var basisHdr [SmallDim]Vector
@@ -260,14 +176,10 @@ func OrthogonalComplementVectorWS(ws *Workspace, n int, tol float64, vs []Vector
 		for i := range vs {
 			basisHdr[i] = basisBuf[i][:n]
 		}
-		basis = basisHdr[:len(vs)]
+		basis = basisHdr[:OrthonormalBasisInto(basisHdr[:len(vs)], tol, vs)]
 	} else {
-		basis = ws.Vectors(len(vs))
-		for i, v := range vs {
-			basis[i] = ws.Vector(len(v))
-		}
+		basis = OrthonormalBasisWS(ws, tol, vs)
 	}
-	basis = basis[:OrthonormalBasisInto(basis, tol, vs)]
 	if len(basis) >= n {
 		return nil
 	}
@@ -881,7 +793,7 @@ func (m *Matrix) SVDWS(ws *Workspace) (u *Matrix, s []float64, v *Matrix) {
 			cand[e] = 1
 			for jj := 0; jj < k; jj++ {
 				if jj != j && ucols[jj].Norm() > 0.5 {
-					cand = cand.SubWS(ws, cand.ProjectOntoWS(ws, ucols[jj]))
+					cand.RejectInPlace(ucols[jj])
 				}
 			}
 			if cand.Norm() > 1e-6 {
@@ -970,8 +882,10 @@ func (m *Matrix) svdLeadingInto(ws *Workspace, dst []Vector, rel float64) int {
 	return len(dst)
 }
 
-// CharPolyWS is CharPoly with matrix scratch in the arena. The returned
-// polynomial is arena-backed.
+// CharPolyWS returns the characteristic polynomial det(zI - m) of a
+// square matrix using the Faddeev-LeVerrier recursion, in
+// ascending-power form: degree n, leading coefficient 1. The
+// polynomial and the matrix scratch live in the arena.
 func (m *Matrix) CharPolyWS(ws *Workspace) Poly {
 	m.mustSquare()
 	n := m.rows
@@ -992,8 +906,11 @@ func (m *Matrix) CharPolyWS(ws *Workspace) Poly {
 	return p
 }
 
-// EigenvectorWS is Eigenvector with null-space and iteration scratch in
-// the arena. The returned vector is arena-backed.
+// EigenvectorWS returns a unit eigenvector associated with the
+// eigenvalue lambda, via the null space of (m - lambda*I). If the null
+// space is numerically empty the eigenvalue estimate is refined by
+// inverse iteration before giving up. The vector and the null-space
+// and iteration scratch live in the arena.
 func (m *Matrix) EigenvectorWS(ws *Workspace, lambda complex128) (Vector, error) {
 	m.mustSquare()
 	n := m.rows
@@ -1034,9 +951,13 @@ func (m *Matrix) EigenvectorWS(ws *Workspace, lambda complex128) (Vector, error)
 	return nil, ErrEigenFailed
 }
 
-// AnyEigenvectorWS is AnyEigenvector with decomposition and
-// root-finding scratch in the arena. The returned eigenvector is
-// arena-backed. Durand-Kerner's iteration count is data-dependent, but
+// AnyEigenvectorWS returns some (eigenvalue, unit eigenvector) pair of
+// a square matrix, preferring the eigenvalue of largest magnitude,
+// which is the numerically best conditioned for the alignment products
+// the paper's closed forms use (footnote 4: v4 = eig(H32^-1 H22 H21^-1
+// H31)). The eigenvalues are the roots of CharPolyWS. The eigenvector
+// and the decomposition and root-finding scratch live in the arena.
+// Durand-Kerner's iteration count is data-dependent, but
 // its buffers are sized by the polynomial's degree (Poly.RootsWS), so
 // root finding allocates nothing on the heap either.
 func (m *Matrix) AnyEigenvectorWS(ws *Workspace) (complex128, Vector, error) {

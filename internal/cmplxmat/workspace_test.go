@@ -1,6 +1,8 @@
 package cmplxmat
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -132,6 +134,71 @@ func TestWorkspacePoolRoundTrip(t *testing.T) {
 	for i, x := range v2 {
 		if x != 0 {
 			t.Fatalf("pooled workspace leaked state at %d: %v", i, x)
+		}
+	}
+}
+
+// TestHeapFormsOwnTheirResults pins the copy-out contract of the heap
+// forms that run their kernel on a pooled workspace: once the call
+// returns, the workspace is back in the pool, and whoever borrows it
+// next overwrites its arena. A heap form that returned arena memory
+// instead of a copy would see its result change underneath the caller.
+func TestHeapFormsOwnTheirResults(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	m := RandomGaussian(rng, 3, 3)
+	wide := RandomGaussian(rng, 2, 4)
+	b := RandomGaussianVector(rng, 3)
+	span := []Vector{RandomGaussianVector(rng, 3), RandomGaussianVector(rng, 3)}
+
+	comp := OrthogonalComplementVector(3, 1e-9, span...)
+	inv, err := m.Inverse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := m.Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	null := wide.NullSpace(1e-9)
+	vals, vecs := m.H().Mul(m).EigenHermitian()
+	u, s, v := wide.SVD()
+
+	results := []any{comp, inv, x, null, vals, vecs, u, s, v}
+	want := make([]string, len(results))
+	for i, r := range results {
+		want[i] = fmt.Sprint(r)
+	}
+
+	// Borrow several workspaces at once, so the ones the calls above
+	// used come back out of the pool, and overwrite their arenas.
+	nan := complex(math.NaN(), math.NaN())
+	borrowed := make([]*Workspace, 4)
+	for i := range borrowed {
+		ws := GetWorkspace()
+		for k := 0; k < 256; k++ {
+			for _, c := range [][]complex128{ws.Vector(8), ws.Complexes(8), ws.Matrix(2, 4).data} {
+				for j := range c {
+					c[j] = nan
+				}
+			}
+			f := ws.Floats(8)
+			for j := range f {
+				f[j] = math.NaN()
+			}
+			hdr := ws.Vectors(4)
+			for j := range hdr {
+				hdr[j] = Vector{nan}
+			}
+		}
+		borrowed[i] = ws
+	}
+	for _, ws := range borrowed {
+		PutWorkspace(ws)
+	}
+
+	for i, r := range results {
+		if got := fmt.Sprint(r); got != want[i] {
+			t.Errorf("result %d changed after its workspace was reused:\n was %s\n now %s", i, want[i], got)
 		}
 	}
 }

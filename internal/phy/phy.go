@@ -32,11 +32,8 @@ func PrecodeSamples(s []complex128, v cmplxmat.Vector, amp float64) [][]complex1
 	out := make([][]complex128, v.Dim())
 	for a := range out {
 		out[a] = make([]complex128, len(s))
-		g := v[a] * complex(amp, 0)
-		for t, x := range s {
-			out[a][t] = g * x
-		}
 	}
+	precodeInto(out, s, v, amp)
 	return out
 }
 

@@ -1,7 +1,6 @@
 package phy
 
 import (
-	"hash/crc32"
 	"math"
 	"math/cmplx"
 	"sync"
@@ -106,51 +105,31 @@ func PoolCounters() (gets, puts uint64) {
 	return poolGets.Load(), poolPuts.Load()
 }
 
-// preambleSamples is the fixed pseudo-noise preamble, modulated once.
-var preambleSamples = sig.Preamble()
-
-// frameSamplesWS modulates a full frame (preamble + payload + CRC-32)
-// directly into the workspace arena — the allocation-free equivalent of
-// sig.FrameSamples.
+// frameSamplesWS modulates a full frame (sig.FrameSamplesInto) into
+// the workspace arena: the allocation-free sig.FrameSamples.
 func frameSamplesWS(ws *Workspace, payload []byte) []complex128 {
 	out := ws.Samples(sig.FrameLenBits(len(payload)))
-	n := copy(out, preambleSamples)
-	n += modulateBytesInto(out[n:], payload)
-	crc := crc32.ChecksumIEEE(payload)
-	var cb [4]byte
-	cb[0], cb[1], cb[2], cb[3] = byte(crc>>24), byte(crc>>16), byte(crc>>8), byte(crc)
-	modulateBytesInto(out[n:], cb[:])
+	sig.FrameSamplesInto(out, payload)
 	return out
-}
-
-// modulateBytesInto writes the BPSK samples of data's bits (MSB first,
-// 0 -> +1, 1 -> -1) into dst and returns the sample count.
-func modulateBytesInto(dst []complex128, data []byte) int {
-	i := 0
-	for _, b := range data {
-		for s := 7; s >= 0; s-- {
-			if (b>>uint(s))&1 == 1 {
-				dst[i] = -1
-			} else {
-				dst[i] = 1
-			}
-			i++
-		}
-	}
-	return i
 }
 
 // PrecodeSamplesWS is PrecodeSamples with the output in the workspace
 // arena: antenna a carries amp * v[a] * s[t].
 func PrecodeSamplesWS(ws *Workspace, s []complex128, v cmplxmat.Vector, amp float64) [][]complex128 {
 	out := ws.AntSamples(v.Dim(), len(s))
+	precodeInto(out, s, v, amp)
+	return out
+}
+
+// precodeInto writes amp * v[a] * s[t] into out[a][t]; out has one row
+// of len(s) samples per entry of v.
+func precodeInto(out [][]complex128, s []complex128, v cmplxmat.Vector, amp float64) {
 	for a := range out {
 		g := v[a] * complex(amp, 0)
 		for t, x := range s {
 			out[a][t] = g * x
 		}
 	}
-	return out
 }
 
 // ProjectWS is Project with the output in the workspace arena.

@@ -32,6 +32,9 @@ func Preamble() []complex128 {
 	return ModulateBPSK(bits)
 }
 
+// preambleSamples is the preamble, modulated once for FrameSamplesInto.
+var preambleSamples = Preamble()
+
 func preambleBits() []byte {
 	// 5-stage LFSR (taps 5,3), period 31, plus one extra bit to reach 32.
 	bits := make([]byte, PreambleBits)
@@ -104,21 +107,37 @@ func BitsToBytes(bits []byte) ([]byte, error) {
 // ErrBadCRC is returned when a decoded frame fails its checksum.
 var ErrBadCRC = errors.New("sig: frame CRC mismatch")
 
-// FrameBits builds the on-air bit stream for a payload: preamble bits,
-// then payload bits, then a CRC-32 (IEEE) of the payload. The preamble
-// doubles as the channel-estimation training sequence.
-func FrameBits(payload []byte) []byte {
-	bits := append([]byte(nil), preambleBits()...)
-	bits = append(bits, BytesToBits(payload)...)
-	crc := crc32.ChecksumIEEE(payload)
-	crcBytes := []byte{byte(crc >> 24), byte(crc >> 16), byte(crc >> 8), byte(crc)}
-	bits = append(bits, BytesToBits(crcBytes)...)
-	return bits
-}
-
 // FrameSamples modulates a full frame for a payload.
 func FrameSamples(payload []byte) []complex128 {
-	return ModulateBPSK(FrameBits(payload))
+	out := make([]complex128, FrameLenBits(len(payload)))
+	FrameSamplesInto(out, payload)
+	return out
+}
+
+// FrameSamplesInto writes the BPSK samples of the frame for a payload
+// into dst, which must hold exactly FrameLenBits(len(payload)) samples.
+// This is the one encoding of the frame layout: preamble, then the
+// payload bits, then the big-endian CRC-32 (IEEE) of the payload, each
+// byte most significant bit first. The preamble doubles as the
+// channel-estimation training sequence.
+func FrameSamplesInto(dst []complex128, payload []byte) {
+	if len(dst) != FrameLenBits(len(payload)) {
+		panic(fmt.Sprintf("sig: frame of %d bytes into %d samples", len(payload), len(dst)))
+	}
+	crc := crc32.ChecksumIEEE(payload)
+	cb := [4]byte{byte(crc >> 24), byte(crc >> 16), byte(crc >> 8), byte(crc)}
+	n := copy(dst, preambleSamples)
+	for _, part := range [2][]byte{payload, cb[:]} {
+		for _, b := range part {
+			for s := 7; s >= 0; s-- {
+				dst[n] = 1 // ModulateBPSK's 0 -> +1, 1 -> -1
+				if b>>s&1 == 1 {
+					dst[n] = -1
+				}
+				n++
+			}
+		}
+	}
 }
 
 // FrameLenBits returns the total frame length in bits for a payload of n

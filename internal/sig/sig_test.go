@@ -108,7 +108,7 @@ func TestQuickBytesBitsRoundTrip(t *testing.T) {
 
 func TestFrameDeframeRoundTrip(t *testing.T) {
 	payload := []byte("hello, interference alignment")
-	bits := FrameBits(payload)
+	bits := DemodulateBPSK(FrameSamples(payload))
 	if len(bits) != FrameLenBits(len(payload)) {
 		t.Fatalf("frame length %d want %d", len(bits), FrameLenBits(len(payload)))
 	}
@@ -123,7 +123,7 @@ func TestFrameDeframeRoundTrip(t *testing.T) {
 
 func TestDeframeDetectsCorruption(t *testing.T) {
 	payload := []byte("packet data here")
-	bits := FrameBits(payload)
+	bits := DemodulateBPSK(FrameSamples(payload))
 	// Flip a payload bit.
 	bits[PreambleBits+5] ^= 1
 	if _, err := DeframeBits(bits); !errors.Is(err, ErrBadCRC) {
@@ -141,7 +141,7 @@ func TestDeframeDetectsCorruption(t *testing.T) {
 
 func TestQuickFrameRoundTrip(t *testing.T) {
 	f := func(payload []byte) bool {
-		got, err := DeframeBits(FrameBits(payload))
+		got, err := DeframeBits(DemodulateBPSK(FrameSamples(payload)))
 		return err == nil && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 )
@@ -65,6 +66,12 @@ func (d Dynamics) enabled() bool {
 
 // validate rejects parameters outside the model.
 func (d Dynamics) validate() error {
+	if err := cmp.Or(
+		finite("Dynamics.Eps", d.Eps),
+		finite("Dynamics.SpeedMetersPerInterval", d.SpeedMetersPerInterval),
+	); err != nil {
+		return err
+	}
 	if d.Eps < 0 || d.Eps > 1 {
 		return fmt.Errorf("sim: Dynamics.Eps %v outside [0, 1]", d.Eps)
 	}

@@ -43,8 +43,8 @@ func (l Link) enabled() bool {
 
 // validate rejects parameters outside the model.
 func (l Link) validate() error {
-	if math.IsNaN(l.NoiseDB) || math.IsInf(l.NoiseDB, 0) {
-		return fmt.Errorf("sim: Link.NoiseDB must be finite, got %v", l.NoiseDB)
+	if err := finite("Link.NoiseDB", l.NoiseDB); err != nil {
+		return err
 	}
 	if l.NoiseDB < -40 || l.NoiseDB > 60 {
 		return fmt.Errorf("sim: Link.NoiseDB %v outside [-40, 60]", l.NoiseDB)

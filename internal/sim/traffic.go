@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -61,6 +63,14 @@ type Workload struct {
 	SleepFraction float64
 }
 
+// burstyDuty is Bursty's on-fraction with its default applied.
+func (w Workload) burstyDuty() float64 {
+	if w.Duty == 0 {
+		return 0.2
+	}
+	return w.Duty
+}
+
 // streamBurstPackets is the packets per chunk burst: the chunk period's
 // worth of offered load, at least one packet.
 func (w Workload) streamBurstPackets() int {
@@ -99,13 +109,43 @@ func (w Workload) streamSleepFraction() float64 {
 	return w.SleepFraction
 }
 
+// maxArrivalRate bounds, in packets per slot, the rate an arrival
+// process runs at: PacketsPerSlot for CBR and Poisson, and
+// PacketsPerSlot/Duty inside a Bursty on-period. The arrival loops
+// advance a float64 clock in slots by each gap, and a gap below the
+// clock's ulp never advances it; at this rate the mean gap is 2^-10
+// slots, which advances the clock for the first 2^42 slots of a run.
+// Unbounded demand is what the Saturated workload models.
+const maxArrivalRate = 1 << 10
+
+// finite returns an error naming the float knob field when v is NaN or
+// infinite.
+func finite(field string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("sim: %s must be finite, got %v", field, v)
+	}
+	return nil
+}
+
 func (w Workload) validate() error {
+	if err := cmp.Or(
+		finite("Workload.PacketsPerSlot", w.PacketsPerSlot),
+		finite("Workload.Duty", w.Duty),
+		finite("Workload.MeanBurstSlots", w.MeanBurstSlots),
+		finite("Workload.ChunkSlots", w.ChunkSlots),
+		finite("Workload.SleepFraction", w.SleepFraction),
+	); err != nil {
+		return err
+	}
 	switch w.Kind {
 	case Saturated:
 		return nil
 	case CBR, Poisson:
 		if !(w.PacketsPerSlot > 0) {
 			return fmt.Errorf("sim: %s workload needs PacketsPerSlot > 0", w.Kind)
+		}
+		if w.PacketsPerSlot > maxArrivalRate {
+			return fmt.Errorf("sim: %s Workload.PacketsPerSlot %v exceeds %d packets/slot; use the saturated workload", w.Kind, w.PacketsPerSlot, maxArrivalRate)
 		}
 		return nil
 	case Bursty:
@@ -117,6 +157,9 @@ func (w Workload) validate() error {
 		}
 		if w.MeanBurstSlots < 0 {
 			return fmt.Errorf("sim: bursty MeanBurstSlots must be >= 0")
+		}
+		if r := w.PacketsPerSlot / w.burstyDuty(); r > maxArrivalRate {
+			return fmt.Errorf("sim: bursty on-period rate Workload.PacketsPerSlot/Duty = %v exceeds %d packets/slot", r, maxArrivalRate)
 		}
 		return nil
 	case Streaming:
@@ -172,10 +215,7 @@ func (w Workload) NewGenerator() (Generator, error) {
 	case Poisson:
 		return &poissonGen{mean: 1 / w.PacketsPerSlot}, nil
 	case Bursty:
-		duty := w.Duty
-		if duty == 0 {
-			duty = 0.2
-		}
+		duty := w.burstyDuty()
 		onMean := w.MeanBurstSlots
 		if onMean == 0 {
 			onMean = 20
