@@ -360,8 +360,12 @@ type Evaluation struct {
 	// computed for its direction table: one per (packet, visited
 	// receiver) and kind — est, true and (true - est), or est alone when
 	// the true set is the estimate set. It is set on a decoding failure
-	// too, since the table was built before the recursion failed.
+	// and on a pruned evaluation too, since the table was built first.
 	Products int
+	// Pruned reports that the evaluation stopped early because the
+	// plan's sum rate provably cannot exceed EvalOptions.PruneAt; only
+	// Products is set then.
+	Pruned bool
 }
 
 // EvalOptions parametrizes Plan evaluation beyond the basic power and
@@ -395,6 +399,55 @@ type EvalOptions struct {
 	// outage cascades down the chain. Nil means every packet decodes —
 	// the continuous model, where any SINR carries log2(1+SINR).
 	Decodes func(pkt int, sinr float64) bool
+	// Prune lets the evaluator stop as soon as the plan's SumRate
+	// provably cannot exceed PruneAt, reporting Evaluation.Pruned
+	// instead of rates: a search that keeps only candidates strictly
+	// above its best so far sets PruneAt to that best. Before each
+	// packet's zero-forcing, the rates already computed plus an upper
+	// bound on every remaining packet's rate are summed in schedule
+	// order; the evaluation stops when that sum is <= PruneAt (see
+	// rateBound). It prunes only with positive NodePower and Noise,
+	// where every interference term is non-negative.
+	Prune   bool
+	PruneAt float64
+}
+
+// rate maps a SINR to a packet rate under the options.
+func (o *EvalOptions) rate(sinr float64) float64 {
+	if o.Rate != nil {
+		return o.Rate(sinr)
+	}
+	return stats.ShannonRate(sinr)
+}
+
+// boundMargin is the relative slack on the interference-free SNR in
+// rateBound. The computed SINR can exceed the exact Cauchy-Schwarz bound
+// only by rounding, a few ulps (~1e-15) at the antenna counts the
+// solvers support; 1e-9 covers that many times over and costs the bound
+// at most ~1.5e-9 bit per packet.
+const boundMargin = 1e-9
+
+// minBoundScale is where rateBound stops trusting relative error
+// arguments: below 2^54 times the smallest normal float64, a squared
+// norm or a power product may have lost its low bits to underflow, and
+// the bound gives up (+Inf). The Shannon rate of any SNR below 2^-53 is
+// exactly 0 anyway (1 + snr rounds to 1), so nothing real is lost.
+const minBoundScale = 0x1p-968
+
+// rateBound is an upper bound on the rate a packet of power p can
+// score when its true received direction d = H v has squared norm g,
+// at receiver noise `noise` > 0: with a unit-norm decoding vector w,
+// |w·d|^2 <= g (Cauchy-Schwarz), interference, leakage and the
+// ResidualCancel residual only add to the denominator, and the rate map
+// is non-decreasing, so rate(p g / noise · (1 + boundMargin)) bounds
+// the computed rate, rounding included. Underflowing inputs get +Inf.
+func (o *EvalOptions) rateBound(p, g, noise float64) float64 {
+	pg := p * g
+	x := pg / noise * (1 + boundMargin)
+	if !(g >= minBoundScale && pg >= minBoundScale && x >= minBoundScale) {
+		return math.Inf(1)
+	}
+	return o.rate(x)
 }
 
 // Evaluate computes decoding vectors from the estimated channels and then
@@ -593,6 +646,23 @@ func (p *Plan) EvaluateWS(ws *cmplxmat.Workspace, trueCS, estCS ChannelSet, opts
 	}
 
 	noise := opts.Noise
+	// bound[i] bounds the rate of the i-th packet in schedule order.
+	var bound []float64
+	if opts.Prune && noise > 0 && opts.NodePower > 0 {
+		bound = ws.Floats(k)
+		i := 0
+		for _, step := range p.Schedule {
+			for _, pkt := range step.Packets {
+				g := 0.0
+				for _, c := range t.dir(kindTrue, pkt, step.Rx) {
+					g += cmplxAbs2(c)
+				}
+				bound[i] = opts.rateBound(powers[pkt], g, noise)
+				i++
+			}
+		}
+	}
+	pos := 0 // schedule position of the packet being decoded
 	ev := Evaluation{
 		SINR:       ws.Floats(k),
 		PacketRate: ws.Floats(k),
@@ -613,6 +683,19 @@ func (p *Plan) EvaluateWS(ws *cmplxmat.Workspace, trueCS, estCS ChannelSet, opts
 			nRes++
 		}
 		for _, pkt := range step.Packets {
+			if bound != nil {
+				// Rounded additions are monotone, so adding the bounds
+				// in the order the rates will be added keeps the sum an
+				// upper bound on the final SumRate.
+				ub := ev.SumRate
+				for _, b := range bound[pos:] {
+					ub += b
+				}
+				if ub <= opts.PruneAt {
+					return Evaluation{Products: products, Pruned: true}, nil
+				}
+			}
+			pos++
 			// Decoding vector: project the estimated signal direction off
 			// the estimated interference subspace (zero forcing). The
 			// interference directions are weighted by transmit amplitude
@@ -664,11 +747,7 @@ func (p *Plan) EvaluateWS(ws *cmplxmat.Workspace, trueCS, estCS ChannelSet, opts
 			}
 			sinr := sig / (noise + interf)
 			ev.SINR[pkt] = sinr
-			if opts.Rate != nil {
-				ev.PacketRate[pkt] = opts.Rate(sinr)
-			} else {
-				ev.PacketRate[pkt] = stats.ShannonRate(sinr)
-			}
+			ev.PacketRate[pkt] = opts.rate(sinr)
 			ev.SumRate += ev.PacketRate[pkt]
 		}
 		for _, pkt := range step.Packets {

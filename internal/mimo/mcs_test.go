@@ -56,7 +56,7 @@ func TestAdaptedLinkPerfectCSIMatchesPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		h := cmplxmat.RandomGaussian(rng, 2, 2).Scale(complex(math.Sqrt(100), 0))
-		planned, achieved := AdaptedLink(tb, h, h, 1.0, 1.0)
+		planned, achieved := AdaptedLinkWS(cmplxmat.NewWorkspace(), tb, h, h, 1.0, 1.0)
 		if planned != achieved {
 			t.Fatalf("perfect CSI: achieved %v != planned %v", achieved, planned)
 		}
@@ -75,7 +75,7 @@ func TestAdaptedLinkBadCSICausesOutages(t *testing.T) {
 		hTrue := cmplxmat.RandomGaussian(rng, 2, 2).Scale(complex(math.Sqrt(50), 0))
 		// A grossly wrong estimate: an independent draw.
 		hEst := cmplxmat.RandomGaussian(rng, 2, 2).Scale(complex(math.Sqrt(50), 0))
-		planned, achieved := AdaptedLink(tb, hTrue, hEst, 1.0, 1.0)
+		planned, achieved := AdaptedLinkWS(cmplxmat.NewWorkspace(), tb, hTrue, hEst, 1.0, 1.0)
 		if achieved > planned {
 			t.Fatalf("achieved %v above planned %v", achieved, planned)
 		}
@@ -93,8 +93,8 @@ func TestAdaptedBestAPPicksByPlannedRate(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	weak := cmplxmat.RandomGaussian(rng, 2, 2).Scale(complex(math.Sqrt(2), 0))
 	strong := cmplxmat.RandomGaussian(rng, 2, 2).Scale(complex(math.Sqrt(500), 0))
-	planned, achieved := AdaptedBestAP(tb, []*cmplxmat.Matrix{weak, strong}, []*cmplxmat.Matrix{weak, strong}, 1.0, 1.0)
-	wantPlanned, _ := AdaptedLink(tb, strong, strong, 1.0, 1.0)
+	planned, achieved := AdaptedBestAPWS(cmplxmat.NewWorkspace(), tb, []*cmplxmat.Matrix{weak, strong}, []*cmplxmat.Matrix{weak, strong}, 1.0, 1.0)
+	wantPlanned, _ := AdaptedLinkWS(cmplxmat.NewWorkspace(), tb, strong, strong, 1.0, 1.0)
 	if planned != wantPlanned || achieved != wantPlanned {
 		t.Fatalf("best-AP (%v, %v), want the strong AP's %v", planned, achieved, wantPlanned)
 	}

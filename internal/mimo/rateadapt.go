@@ -1,6 +1,10 @@
 package mimo
 
 import (
+	"math"
+	"slices"
+	"sync"
+
 	"iaclan/internal/cmplxmat"
 	"iaclan/internal/sig"
 	"iaclan/internal/stats"
@@ -43,59 +47,134 @@ func Ladder80211() []MCS {
 	}
 }
 
-// PickMCS returns the fastest rung of the ladder the SNR supports, and
-// false if even the lowest rung is out of reach (the packet would not
-// decode at all).
-func PickMCS(ladder []MCS, snrDB float64) (MCS, bool) {
-	best := MCS{}
-	ok := false
-	for _, m := range ladder {
-		if snrDB >= m.MinSNRdB && (!ok || m.BitsPerSymbol() > best.BitsPerSymbol()) {
-			best = m
-			ok = true
-		}
-	}
-	return best, ok
-}
-
 // RateTable is a discrete rate-adaptation table over an MCS ladder,
 // shared by IAC and the 802.11-MIMO baseline so both schemes quantize
 // to the same rungs (Section 10f): a transmitter selects the fastest
 // rung its planned (estimate-derived) SINR supports, and the packet
 // decodes only if the realized SINR still clears that rung's threshold.
+//
+// A table is immutable once built. Its rules are stated in dB (a rung
+// is supported when stats.DB(sinr) >= MinSNRdB) but run on linear
+// SINRs: each rung's threshold is converted once, so selection costs
+// comparisons and no logarithm.
 type RateTable struct {
-	// ladder is sorted by ascending MinSNRdB and ascending rate, the
-	// order Ladder80211 provides.
+	// ladder is the rungs as given; selection does not need it sorted.
 	ladder []MCS
+	// minSINR[i] is the smallest float64 x with stats.DB(x) >=
+	// ladder[i].MinSNRdB (see linearThreshold), and bits[i] is
+	// ladder[i].BitsPerSymbol().
+	minSINR, bits []float64
+	// steps are the distinct non-NaN thresholds in ascending order.
+	// The rungs a SINR supports are those whose threshold is at most
+	// the SINR, and choice[j] is the rung selected from the rungs whose
+	// threshold is at most steps[j].
+	steps  []float64
+	choice []int
 }
 
-// NewRateTable wraps an MCS ladder. The ladder must be non-empty.
+// NewRateTable builds a table over a copy of an MCS ladder. The ladder
+// must be non-empty.
 func NewRateTable(ladder []MCS) *RateTable {
 	if len(ladder) == 0 {
 		panic("mimo: empty MCS ladder")
 	}
-	return &RateTable{ladder: ladder}
+	ladder = slices.Clone(ladder)
+	t := &RateTable{ladder: ladder, minSINR: make([]float64, len(ladder)), bits: make([]float64, len(ladder))}
+	for i, m := range ladder {
+		t.minSINR[i] = linearThreshold(m.MinSNRdB)
+		t.bits[i] = m.BitsPerSymbol()
+		if !math.IsNaN(t.minSINR[i]) && !slices.Contains(t.steps, t.minSINR[i]) {
+			t.steps = append(t.steps, t.minSINR[i])
+		}
+	}
+	slices.Sort(t.steps)
+	for _, step := range t.steps {
+		// The fastest supported rung; of equally fast rungs the
+		// earliest wins.
+		best := -1
+		for i, thr := range t.minSINR {
+			if thr <= step && (best < 0 || t.bits[i] > t.bits[best]) {
+				best = i
+			}
+		}
+		t.choice = append(t.choice, best)
+	}
+	return t
 }
 
+// defaultRateTable is built once per process: a table is immutable, so
+// every engine can share it.
+var defaultRateTable = sync.OnceValue(func() *RateTable { return NewRateTable(Ladder80211()) })
+
 // DefaultRateTable returns the shared 802.11a/g-style table every
-// SNR-aware experiment uses.
-func DefaultRateTable() *RateTable { return NewRateTable(Ladder80211()) }
+// SNR-aware experiment uses. Every call returns the same table.
+func DefaultRateTable() *RateTable { return defaultRateTable() }
+
+// linearThreshold returns the smallest float64 x with stats.DB(x) >=
+// minDB, found by bisection on the bits of the non-negative floats
+// (their order as integers is their order as values). It is 0 when
+// every non-negative x qualifies (minDB = -Inf), +Inf when only +Inf
+// does, and NaN when none does (minDB = NaN). Then for every x,
+// stats.DB(x) >= minDB exactly when x >= the threshold, provided
+// stats.DB does not decrease anywhere near it; TestRateTableLinearThresholds
+// checks every float within 2^20 ulps of each rung.
+func linearThreshold(minDB float64) float64 {
+	meets := func(x float64) bool { return stats.DB(x) >= minDB }
+	if !meets(math.Inf(1)) {
+		return math.NaN()
+	}
+	if meets(0) {
+		return 0
+	}
+	lo, hi := uint64(0), math.Float64bits(math.Inf(1)) // meets(lo) is false, meets(hi) true
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if meets(math.Float64frombits(mid)) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return math.Float64frombits(hi)
+}
+
+// pick returns the index of the fastest rung the linear SINR supports,
+// or -1 when even the lowest is out of reach.
+func (t *RateTable) pick(sinr float64) int {
+	for j := len(t.steps) - 1; j >= 0; j-- {
+		if sinr >= t.steps[j] {
+			return t.choice[j]
+		}
+	}
+	return -1
+}
+
+// misses reports stats.DB(sinr) < ladder[i].MinSNRdB on the linear
+// threshold: a negative or NaN SINR has a NaN dB value, which misses no
+// threshold.
+func (t *RateTable) misses(sinr float64, i int) bool {
+	return sinr >= 0 && sinr < t.minSINR[i]
+}
 
 // Select returns the fastest rung the linear SINR supports, and false
 // when even the lowest rung is out of reach.
 func (t *RateTable) Select(sinr float64) (MCS, bool) {
-	return PickMCS(t.ladder, stats.DB(sinr))
+	i := t.pick(sinr)
+	if i < 0 {
+		return MCS{}, false
+	}
+	return t.ladder[i], true
 }
 
 // Rate maps a linear SINR to the selected rung's bit/s/Hz (bits per
 // symbol per stream), 0 below the lowest rung — the discrete analogue
 // of log2(1+SINR), usable as a core.EvalOptions.Rate.
 func (t *RateTable) Rate(sinr float64) float64 {
-	m, ok := t.Select(sinr)
-	if !ok {
+	i := t.pick(sinr)
+	if i < 0 {
 		return 0
 	}
-	return m.BitsPerSymbol()
+	return t.bits[i]
 }
 
 // Outage reports whether a packet sent at the rung selected from
@@ -103,11 +182,8 @@ func (t *RateTable) Rate(sinr float64) float64 {
 // A packet whose planned SINR misses even the lowest rung cannot be
 // sent and counts as an outage too.
 func (t *RateTable) Outage(plannedSINR, realizedSINR float64) bool {
-	m, ok := t.Select(plannedSINR)
-	if !ok {
-		return true
-	}
-	return stats.DB(realizedSINR) < m.MinSNRdB
+	i := t.pick(plannedSINR)
+	return i < 0 || t.misses(realizedSINR, i)
 }
 
 // AchievedRate returns what a packet planned at plannedSINR actually
@@ -115,29 +191,21 @@ func (t *RateTable) Outage(plannedSINR, realizedSINR float64) bool {
 // SINR clears its threshold, 0 on outage. Extra realized SNR never
 // yields extra bits — the modulation was fixed at planning time.
 func (t *RateTable) AchievedRate(plannedSINR, realizedSINR float64) float64 {
-	m, ok := t.Select(plannedSINR)
-	if !ok || stats.DB(realizedSINR) < m.MinSNRdB {
+	i := t.pick(plannedSINR)
+	if i < 0 || t.misses(realizedSINR, i) {
 		return 0
 	}
-	return m.BitsPerSymbol()
+	return t.bits[i]
 }
 
-// AdaptedLink is the 802.11-MIMO point-to-point link under the discrete
-// table: eigenmode precoding and per-stream MCS selection run on the
-// estimated channel (the CSI the transmitter actually has), while each
-// stream's realized SINR is measured on the true channel with those
+// AdaptedLinkWS is the 802.11-MIMO point-to-point link under the
+// discrete table: eigenmode precoding and per-stream MCS selection run
+// on the estimated channel (the CSI the transmitter actually has), while
+// each stream's realized SINR is measured on the true channel with those
 // estimated vectors — streams whose selected rung outruns the realized
 // SINR deliver nothing. Returns the planned and achieved sum rates in
 // bit/s/Hz. With hTrue == hEst (perfect CSI) achieved always equals
-// planned.
-func AdaptedLink(t *RateTable, hTrue, hEst *cmplxmat.Matrix, totalPower, noise float64) (planned, achieved float64) {
-	ws := cmplxmat.GetWorkspace()
-	defer cmplxmat.PutWorkspace(ws)
-	return AdaptedLinkWS(ws, t, hTrue, hEst, totalPower, noise)
-}
-
-// AdaptedLinkWS is AdaptedLink over workspace scratch, releasing
-// everything it allocated before returning.
+// planned. Its scratch lives in ws and is released before returning.
 func AdaptedLinkWS(ws *cmplxmat.Workspace, t *RateTable, hTrue, hEst *cmplxmat.Matrix, totalPower, noise float64) (planned, achieved float64) {
 	mark := ws.Mark()
 	defer ws.Release(mark)
@@ -153,7 +221,7 @@ func AdaptedLinkWS(ws *cmplxmat.Workspace, t *RateTable, hTrue, hEst *cmplxmat.M
 		if pj <= 0 {
 			continue
 		}
-		if _, sent := t.Select(pj * p.Gains[j]); sent {
+		if t.pick(pj*p.Gains[j]) >= 0 {
 			dirs[j] = hTrue.MulVecWS(ws, p.TxVectors[j])
 		}
 	}
@@ -161,9 +229,8 @@ func AdaptedLinkWS(ws *cmplxmat.Workspace, t *RateTable, hTrue, hEst *cmplxmat.M
 		if pw <= 0 || dirs[i] == nil {
 			continue
 		}
-		plannedSINR := pw * p.Gains[i]
-		m, _ := t.Select(plannedSINR) // dirs[i] != nil implies a rung
-		planned += m.BitsPerSymbol()
+		rung := t.pick(pw * p.Gains[i]) // dirs[i] != nil implies a rung
+		planned += t.bits[rung]
 		// Realized per-stream SINR: the receiver projects the true
 		// channel's output onto the estimated left singular vector, so
 		// estimate error both attenuates the signal and leaks the other
@@ -176,8 +243,8 @@ func AdaptedLinkWS(ws *cmplxmat.Workspace, t *RateTable, hTrue, hEst *cmplxmat.M
 			}
 			interf += cmplxAbs2(p.RxVectors[i].Dot(dirs[j])) * pj
 		}
-		if stats.DB(sig/(noise+interf)) >= m.MinSNRdB {
-			achieved += m.BitsPerSymbol()
+		if sig/(noise+interf) >= t.minSINR[rung] {
+			achieved += t.bits[rung]
 		}
 	}
 	return planned, achieved
@@ -187,20 +254,13 @@ func cmplxAbs2(c complex128) float64 {
 	return real(c)*real(c) + imag(c)*imag(c)
 }
 
-// AdaptedBestAP picks the AP with the highest planned discrete rate —
+// AdaptedBestAPWS picks the AP with the highest planned discrete rate —
 // the client associates by the CSI it has — and returns that link's
-// planned and achieved rates. trueChans and estChans must be parallel
-// non-empty slices.
-func AdaptedBestAP(t *RateTable, trueChans, estChans []*cmplxmat.Matrix, totalPower, noise float64) (planned, achieved float64) {
-	ws := cmplxmat.GetWorkspace()
-	defer cmplxmat.PutWorkspace(ws)
-	return AdaptedBestAPWS(ws, t, trueChans, estChans, totalPower, noise)
-}
-
-// AdaptedBestAPWS is AdaptedBestAP over workspace scratch.
+// planned and achieved rates, with its scratch in ws. trueChans and
+// estChans must be parallel non-empty slices.
 func AdaptedBestAPWS(ws *cmplxmat.Workspace, t *RateTable, trueChans, estChans []*cmplxmat.Matrix, totalPower, noise float64) (planned, achieved float64) {
 	if len(trueChans) == 0 || len(trueChans) != len(estChans) {
-		panic("mimo: AdaptedBestAP channel slices empty or mismatched")
+		panic("mimo: AdaptedBestAPWS channel slices empty or mismatched")
 	}
 	best := -1.0
 	for i := range estChans {
@@ -210,30 +270,4 @@ func AdaptedBestAPWS(ws *cmplxmat.Workspace, t *RateTable, trueChans, estChans [
 		}
 	}
 	return planned, achieved
-}
-
-// AdaptedThroughput maps a set of per-packet linear SINRs onto ladder
-// throughput: the sum of chosen bits/symbol over all packets, the
-// discrete analogue of the paper's sum log2(1+SNR) metric. Packets whose
-// SINR misses the lowest rung contribute zero.
-func AdaptedThroughput(ladder []MCS, sinrs []float64) float64 {
-	var total float64
-	for _, s := range sinrs {
-		if m, ok := PickMCS(ladder, stats.DB(s)); ok {
-			total += m.BitsPerSymbol()
-		}
-	}
-	return total
-}
-
-// ShannonThroughput is the paper's continuous metric over the same
-// SINRs, for comparing against AdaptedThroughput. The ladder throughput
-// is always below it (coding/modulation quantization), and the two move
-// together: an SNR advantage translates into real rate.
-func ShannonThroughput(sinrs []float64) float64 {
-	var total float64
-	for _, s := range sinrs {
-		total += stats.ShannonRate(s)
-	}
-	return total
 }

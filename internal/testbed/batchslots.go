@@ -35,6 +35,10 @@ import (
 type planScratch struct {
 	win core.Plan
 
+	// attempts and pruned count the solver attempts the search ran and
+	// the candidates whose scoring was pruned, for the tests.
+	attempts, pruned int
+
 	mcs         *mimo.RateTable
 	plannedSINR []float64
 	rate        func(sinr float64) float64
@@ -144,19 +148,35 @@ func (sv *shapeSolver) attempt(ws *cmplxmat.Workspace) (core.Plan, error) {
 	return core.Plan{}, sv.err
 }
 
-// planSlot plans and evaluates one slot: gather the true and estimated
-// channels (through the cache, or fresh per-slot training without one),
-// run the role-assignment search scoring each candidate as it is solved,
-// and measure the winner — decoding vectors from the planner's
-// estimates, SINRs from the true channels. On the uplink role is the
-// client holding the two-packet role; the downlink ignores it.
-func planSlot(ws *phy.Workspace, cache *SlotCache, s Scenario, downlink bool, role int, rng *rand.Rand) (SlotOutcome, error) {
-	var sc *planScratch
-	if cache != nil {
-		sc = &cache.plan
-	} else {
-		sc = new(planScratch)
+// candidates is how many attempts the search runs per role assignment:
+// solveCandidates for the shapes whose solver draws free vectors from
+// rng, and one for the downlink triangle, whose solve is a function of
+// the estimates alone. A repeat of a deterministic attempt returns the
+// same plan at the same score, which can never strictly beat the first,
+// and draws nothing, so skipping it changes neither the winner, the
+// slot's error nor the RNG stream.
+func (sv *shapeSolver) candidates() int {
+	if sv.shape == shapeDownlinkTriangle {
+		return 1
 	}
+	return solveCandidates
+}
+
+// planSlot plans and evaluates one slot: gather the true and estimated
+// channels through the cache, run the role-assignment search scoring
+// each candidate as it is solved, and measure the winner — decoding
+// vectors from the planner's estimates, SINRs from the true channels.
+// On the uplink role is the client holding the two-packet role; the
+// downlink ignores it.
+//
+// Once a candidate has won, each later one is scored with pruning at
+// the best rate so far (core.EvalOptions.Prune): its evaluation stops
+// as soon as a sound upper bound on its sum rate shows it cannot
+// strictly beat the winner. Its solver attempt has already run, so the
+// RNG stream is unchanged, and the last error matters only when no
+// candidate wins, so a pruned candidate changes no result.
+func planSlot(ws *phy.Workspace, cache *SlotCache, s Scenario, downlink bool, role int, rng *rand.Rand) (SlotOutcome, error) {
+	sc := &cache.plan
 	mat := ws.Mat
 	mark := mat.Mark()
 	defer mat.Release(mark)
@@ -167,17 +187,12 @@ func planSlot(ws *phy.Workspace, cache *SlotCache, s Scenario, downlink bool, ro
 	sv := shapeSolver{rng: rng}
 	var perms [][]int
 	if downlink {
-		if cache == nil {
-			trueCS = s.DownlinkChannels()
-			estCS = EstimateEnv(trueCS, s.Env, rng)
-		} else {
-			trueCS = core.NewChannelSetWS(mat, na, nc)
-			estCS = core.NewChannelSetWS(mat, na, nc)
-			for i, ap := range s.APs {
-				for j, c := range s.Clients {
-					trueCS[i][j] = cache.Channel(ap, c)
-					estCS[i][j] = cache.Estimated(ap, c, rng)
-				}
+		trueCS = core.NewChannelSetWS(mat, na, nc)
+		estCS = core.NewChannelSetWS(mat, na, nc)
+		for i, ap := range s.APs {
+			for j, c := range s.Clients {
+				trueCS[i][j] = cache.Channel(ap, c)
+				estCS[i][j] = cache.Estimated(ap, c, rng)
 			}
 		}
 		switch {
@@ -204,18 +219,25 @@ func planSlot(ws *phy.Workspace, cache *SlotCache, s Scenario, downlink bool, ro
 				k++
 			}
 		}
-		if cache == nil {
-			trueCS = Permute(s.UplinkChannels(), order)
-			estCS = EstimateEnv(trueCS, s.Env, rng)
-		} else {
-			trueCS = core.NewChannelSetWS(mat, nc, na)
-			estCS = core.NewChannelSetWS(mat, nc, na)
-			for i, o := range order {
-				c := s.Clients[o]
-				for j, ap := range s.APs {
-					trueCS[i][j] = cache.Channel(c, ap)
-					estCS[i][j] = cache.Estimated(c, ap, rng)
-				}
+		trueCS = core.NewChannelSetWS(mat, nc, na)
+		estCS = core.NewChannelSetWS(mat, nc, na)
+		// True channels in scenario order, estimates in role order: a
+		// pair's first measurement draws its fading from the world and
+		// its estimate draws from rng, each in the order of surveying
+		// the whole scenario and then estimating the role-ordered set.
+		rowOf := mat.Ints(nc)
+		for r, o := range order {
+			rowOf[o] = r
+		}
+		for i, c := range s.Clients {
+			for j, ap := range s.APs {
+				trueCS[rowOf[i]][j] = cache.Channel(c, ap)
+			}
+		}
+		for i, o := range order {
+			c := s.Clients[o]
+			for j, ap := range s.APs {
+				estCS[i][j] = cache.Estimated(c, ap, rng)
 			}
 		}
 		switch {
@@ -243,16 +265,22 @@ func planSlot(ws *phy.Workspace, cache *SlotCache, s Scenario, downlink bool, ro
 	for _, perm := range perms {
 		est := permuteCandidateWS(mat, estCS, perm, downlink)
 		sv.prepare(mat, est)
-		for attempt := 0; attempt < solveCandidates; attempt++ {
+		for attempt := 0; attempt < sv.candidates(); attempt++ {
 			plan, err := sv.attempt(mat)
+			sc.attempts++
 			if err != nil {
 				lastErr = err
 				continue
 			}
+			opts.Prune, opts.PruneAt = winPerm != nil, bestRate
 			ev, err := plan.EvaluateWS(mat, est, est, opts)
 			batched += ev.Products
 			if err != nil {
 				lastErr = err
+				continue
+			}
+			if ev.Pruned {
+				sc.pruned++
 				continue
 			}
 			if ev.SumRate > bestRate {
@@ -269,7 +297,7 @@ func planSlot(ws *phy.Workspace, cache *SlotCache, s Scenario, downlink bool, ro
 	// rates are still in the arena.
 	win := &sc.win
 	var plannedRate, plannedSINR []float64
-	if (cache != nil && cache.trackPlanned) || s.Env.MCS != nil {
+	if cache.trackPlanned || s.Env.MCS != nil {
 		plannedRate = scored.PacketRate
 		if s.Env.MCS != nil {
 			// Planner SINRs feed the MCS outage rule only; dynamics-mode

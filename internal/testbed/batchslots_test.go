@@ -26,11 +26,19 @@ func antennaScenario(seed int64, clients, aps, antennas int) Scenario {
 // against the scalar oracle (oracle_test.go) across every supported slot
 // shape — uplink three, N-AP chains at M = 2..4, downlink triangle and
 // diversity — crossed with the link-plane variants (residual-cancel
-// leakage, the discrete MCS table) and both channel paths (fresh
-// per-slot training and the epoch cache). Identically seeded runs must
-// produce identical outcomes AND identical RNG streams afterwards; any
-// re-ordered or extra draw in the planner's search would desynchronize
-// every later slot of a trial.
+// leakage, the discrete MCS table), both channel paths (a one-slot
+// cache, the per-slot training of RunUplinkSlot, and a trial's epoch
+// cache) and 30 scenario and RNG seeds. Each run builds its world
+// afresh, so the order in which a plan first measures channel pairs
+// (which draws their fading from the world) is pinned too. Identically
+// seeded runs must produce identical outcomes AND identical RNG streams
+// afterwards; any re-ordered or extra draw in the planner's search
+// would desynchronize every later slot of a trial.
+//
+// The oracle runs the full search: three attempts per role assignment
+// for every shape and every candidate scored to the end. The planner
+// runs one attempt per assignment of the draw-free triangle and prunes
+// candidates that cannot win, and the test checks that both happened.
 func TestBatchedSlotRunnerMatchesScalar(t *testing.T) {
 	chainClients := func(m int) int { return core.UplinkChainAssignment{M: m}.NumClients() }
 	shapes := []struct {
@@ -39,14 +47,18 @@ func TestBatchedSlotRunnerMatchesScalar(t *testing.T) {
 		antennas     int
 		downlink     bool
 		role         int
+		// attempts is the planner's solver attempts per slot: three per
+		// role assignment, one for the draw-free triangle.
+		attempts  int
+		mustPrune bool // pruning must fire somewhere across the cases
 	}{
-		{"uplink-three", 2, 2, 2, false, 1},
-		{"uplink-chain-3ap", chainClients(2), 3, 2, false, 0},
-		{"uplink-chain-5ap", chainClients(2), 5, 2, false, 2},
-		{"uplink-chain-m3", chainClients(3), core.UplinkAPsNeeded(3), 3, false, 0},
-		{"uplink-chain-m4", chainClients(4), core.UplinkAPsNeeded(4), 4, false, 0},
-		{"downlink-triangle", 3, 3, 2, true, 0},
-		{"downlink-diversity", 1, 2, 2, true, 0},
+		{"uplink-three", 2, 2, 2, false, 1, 2 * 3, true},
+		{"uplink-chain-3ap", chainClients(2), 3, 2, false, 0, 6 * 3, true},
+		{"uplink-chain-5ap", chainClients(2), 5, 2, false, 2, 5 * 3, true},
+		{"uplink-chain-m3", chainClients(3), core.UplinkAPsNeeded(3), 3, false, 0, 6 * 3, true},
+		{"uplink-chain-m4", chainClients(4), core.UplinkAPsNeeded(4), 4, false, 0, 6 * 3, true},
+		{"downlink-triangle", 3, 3, 2, true, 0, 6, false},
+		{"downlink-diversity", 1, 2, 2, true, 0, 2 * 3, false},
 	}
 	envs := []struct {
 		name string
@@ -57,7 +69,9 @@ func TestBatchedSlotRunnerMatchesScalar(t *testing.T) {
 		{"mcs", Env{MCS: mimo.DefaultRateTable()}},
 		{"mcs-residual", Env{ResidualCancel: true, MCS: mimo.DefaultRateTable()}},
 	}
+	const seeds = 30
 	for _, sh := range shapes {
+		pruned := 0
 		for _, ec := range envs {
 			for _, cached := range []bool{false, true} {
 				name := sh.name + "/" + ec.name
@@ -65,64 +79,78 @@ func TestBatchedSlotRunnerMatchesScalar(t *testing.T) {
 					name += "/cached"
 				}
 				t.Run(name, func(t *testing.T) {
-					s := antennaScenario(21, sh.clients, sh.aps, sh.antennas)
-					s.Env = ec.env
-					seed := int64(91)
-
-					run := func(planner bool) (SlotOutcome, error, int64) {
-						ws := phy.GetWorkspace()
-						defer phy.PutWorkspace(ws)
-						var cache *SlotCache
-						if cached {
-							cache = NewSlotCache(s)
-							cache.TrackPlannedRates(true)
+					for seed := int64(0); seed < seeds; seed++ {
+						run := func(planner bool) (SlotOutcome, error, int64, planScratch) {
+							s := antennaScenario(21+seed, sh.clients, sh.aps, sh.antennas)
+							s.Env = ec.env
+							ws := phy.GetWorkspace()
+							defer phy.PutWorkspace(ws)
+							var cache *SlotCache
+							if cached {
+								cache = NewSlotCache(s)
+								cache.TrackPlannedRates(true)
+							} else if planner {
+								cache = slotCache(ws, s)
+							}
+							rng := rand.New(rand.NewSource(91 + seed))
+							var out SlotOutcome
+							var err error
+							switch {
+							case planner && sh.downlink:
+								out, err = RunDownlinkSlotWS(ws, cache, s, rng)
+							case planner:
+								out, err = RunUplinkSlotWS(ws, cache, s, sh.role, rng)
+							case sh.downlink:
+								out, err = runDownlinkSlotScalarWS(ws, cache, s, rng)
+							default:
+								out, err = runUplinkSlotScalarWS(ws, cache, s, sh.role, rng)
+							}
+							var sc planScratch
+							if planner {
+								sc = cache.plan
+							}
+							// The post-run draw witnesses the RNG stream position;
+							// the planner's outcome is a view of ws, copied out
+							// before ws goes back to the pool.
+							return out.detach(), err, rng.Int63(), sc
 						}
-						rng := rand.New(rand.NewSource(seed))
-						var out SlotOutcome
-						var err error
-						switch {
-						case planner && sh.downlink:
-							out, err = RunDownlinkSlotWS(ws, cache, s, rng)
-						case planner:
-							out, err = RunUplinkSlotWS(ws, cache, s, sh.role, rng)
-						case sh.downlink:
-							out, err = runDownlinkSlotScalarWS(ws, cache, s, rng)
-						default:
-							out, err = runUplinkSlotScalarWS(ws, cache, s, sh.role, rng)
-						}
-						// The post-run draw witnesses the RNG stream position;
-						// the planner's outcome is a view of ws, copied out
-						// before ws goes back to the pool.
-						return out.detach(), err, rng.Int63()
-					}
 
-					want, wantErr, wantDraw := run(false)
-					got, gotErr, gotDraw := run(true)
+						want, wantErr, wantDraw, _ := run(false)
+						got, gotErr, gotDraw, sc := run(true)
 
-					if (gotErr == nil) != (wantErr == nil) {
-						t.Fatalf("error behavior diverged: planner=%v scalar=%v", gotErr, wantErr)
-					}
-					if gotDraw != wantDraw {
-						t.Fatal("RNG stream diverged: the planner drew differently than the scalar path")
-					}
-					if wantErr != nil {
-						if gotErr.Error() != wantErr.Error() {
-							t.Fatalf("error text diverged: planner=%q scalar=%q", gotErr, wantErr)
+						if (gotErr == nil) != (wantErr == nil) {
+							t.Fatalf("seed %d: error behavior diverged: planner=%v scalar=%v", seed, gotErr, wantErr)
 						}
-						return
-					}
-					if got.Batched <= 0 {
-						t.Fatal("planner reported no direction products")
-					}
-					got.Batched = 0 // scalar reference reports none
-					if math.Float64bits(got.SumRate) != math.Float64bits(want.SumRate) {
-						t.Fatalf("SumRate diverged: planner=%v scalar=%v", got.SumRate, want.SumRate)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("outcome diverged:\n planner=%+v\n scalar=%+v", got, want)
+						if gotDraw != wantDraw {
+							t.Fatalf("seed %d: RNG stream diverged: the planner drew differently than the scalar path", seed)
+						}
+						if sc.attempts != sh.attempts {
+							t.Fatalf("seed %d: planner ran %d solver attempts, want %d", seed, sc.attempts, sh.attempts)
+						}
+						pruned += sc.pruned
+						if wantErr != nil {
+							if gotErr.Error() != wantErr.Error() {
+								t.Fatalf("seed %d: error text diverged: planner=%q scalar=%q", seed, gotErr, wantErr)
+							}
+							continue
+						}
+						if got.Batched <= 0 {
+							t.Fatalf("seed %d: planner reported no direction products", seed)
+						}
+						got.Batched = 0 // scalar reference reports none
+						if math.Float64bits(got.SumRate) != math.Float64bits(want.SumRate) {
+							t.Fatalf("seed %d: SumRate diverged: planner=%v scalar=%v", seed, got.SumRate, want.SumRate)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("seed %d: outcome diverged:\n planner=%+v\n scalar=%+v", seed, got, want)
+						}
 					}
 				})
 			}
+		}
+		t.Logf("%s: %d candidate scorings pruned in %d slots", sh.name, pruned, seeds*len(envs)*2)
+		if sh.mustPrune && pruned == 0 && !t.Failed() {
+			t.Errorf("%s: no candidate scoring was pruned in %d slots", sh.name, seeds*len(envs)*2)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"iaclan/internal/channel"
 	"iaclan/internal/cmplxmat"
 	"iaclan/internal/mimo"
+	"iaclan/internal/phy"
 )
 
 // SlotCache memoizes the per-(tx,rx) quantities slot planning derives
@@ -82,9 +83,11 @@ type SlotCache struct {
 	// slotcache_hits / slotcache_misses metrics. Plain fields: the
 	// cache is single-owner like the rest of its state.
 	hits, misses uint64
-	// ws is the cache's own scratch for channel products and baseline
-	// math, released after each use.
-	ws cmplxmat.Workspace
+	// ws is the scratch for channel products and baseline math,
+	// released after each use: own, or for a one-slot cache the
+	// planner's workspace.
+	ws  *cmplxmat.Workspace
+	own cmplxmat.Workspace
 	// plan is the slot planner's reusable search state (see planSlot).
 	plan planScratch
 }
@@ -111,16 +114,37 @@ type adaptedRate struct{ planned, achieved float64 }
 // NewSlotCache creates an empty cache bound to the scenario's world and
 // AP set.
 func NewSlotCache(s Scenario) *SlotCache {
-	return &SlotCache{
+	return newSlotCache(s, nil, 0)
+}
+
+// newSlotCache is NewSlotCache with room for pairs channel pairs and
+// the scratch workspace ws, or its own when ws is nil. A cache for one
+// slot's per-slot training sizes itself to the scenario's pairs and
+// borrows the planner's workspace, so it allocates little beyond the
+// matrices themselves.
+func newSlotCache(s Scenario, ws *cmplxmat.Workspace, pairs int) *SlotCache {
+	c := &SlotCache{
 		scenario: s,
 		epoch:    s.World.Epoch(),
-		pairs:    map[chanKey]int32{},
+		pairs:    make(map[chanKey]int32, pairs),
+		entries:  make([]pairEntry, 0, pairs),
 		chanGen:  1,
 		estGen:   1,
-		base:     map[baseKey]float64{},
-		// adapted is allocated on first use: only MCS-mode trials pay
-		// for it (clear of a nil map is a no-op).
+		ws:       ws,
+		// base and adapted are allocated on first use: a one-slot
+		// cache never needs them, and only MCS-mode trials pay for
+		// adapted (clear of a nil map is a no-op).
 	}
+	if ws == nil {
+		c.ws = &c.own
+	}
+	return c
+}
+
+// slotCache returns the one-slot cache of the paper's per-slot
+// training for s, on the planner's workspace ws.
+func slotCache(ws *phy.Workspace, s Scenario) *SlotCache {
+	return newSlotCache(s, ws.Mat, len(s.Clients)*len(s.APs))
 }
 
 // SetManualRetrain selects the estimate-invalidation clock. Off (the
@@ -203,7 +227,7 @@ func (c *SlotCache) channelOf(e *pairEntry, tx, rx *channel.Node) *cmplxmat.Matr
 	if e.h == nil {
 		e.h = cmplxmat.New(rx.Antennas, tx.Antennas)
 	}
-	c.scenario.World.ChannelInto(e.h, &c.ws, tx, rx)
+	c.scenario.World.ChannelInto(e.h, c.ws, tx, rx)
 	e.hStamp = c.chanGen
 	return e.h
 }
@@ -260,9 +284,12 @@ func (c *SlotCache) baselineRate(client int, uplink bool) float64 {
 		} else {
 			h = c.Channel(ap, c.scenario.Clients[client])
 		}
-		if r := mimo.EigenmodeRateWS(&c.ws, h, NodePower, c.scenario.Env.Noise()); r > best {
+		if r := mimo.EigenmodeRateWS(c.ws, h, NodePower, c.scenario.Env.Noise()); r > best {
 			best = r
 		}
+	}
+	if c.base == nil {
+		c.base = map[baseKey]float64{}
 	}
 	c.base[k] = best
 	return best
@@ -308,7 +335,7 @@ func (c *SlotCache) adaptedBaseline(client int, uplink bool, rng *rand.Rand) (pl
 			estChans[j] = c.Estimated(ap, c.scenario.Clients[client], rng)
 		}
 	}
-	planned, achieved = mimo.AdaptedBestAPWS(&c.ws, table, trueChans, estChans, NodePower, c.scenario.Env.Noise())
+	planned, achieved = mimo.AdaptedBestAPWS(c.ws, table, trueChans, estChans, NodePower, c.scenario.Env.Noise())
 	if c.adapted == nil {
 		c.adapted = map[baseKey]adaptedRate{}
 	}

@@ -56,27 +56,29 @@ func (o SlotOutcome) detach() SlotOutcome {
 // Fig. 5/Fig. 8, successive cancellation spread across up to M+2 APs).
 //
 // Planning runs on estimated channels; SINRs are measured on the true
-// ones. All intermediate math runs on a pooled workspace, and the
-// returned outcome is a heap copy.
+// ones. The slot draws fresh channel estimates (the paper's per-slot
+// training) through a cache of its own. All intermediate math runs on
+// a pooled workspace, and the returned outcome is a heap copy.
 func RunUplinkSlot(s Scenario, twoPacketRole int, rng *rand.Rand) (SlotOutcome, error) {
 	ws := phy.GetWorkspace()
 	defer phy.PutWorkspace(ws)
-	out, err := RunUplinkSlotWS(ws, nil, s, twoPacketRole, rng)
+	out, err := RunUplinkSlotWS(ws, slotCache(ws, s), s, twoPacketRole, rng)
 	return out.detach(), err
 }
 
-// RunUplinkSlotWS is RunUplinkSlot with an explicit workspace and an
-// optional channel memo. A nil cache draws fresh channel estimates for
-// the slot (the paper's per-slot training); a non-nil cache reuses the
-// epoch's per-pair estimates and skips re-deriving channel matrices,
-// and lends the planner its reusable scratch. The outcome is a view
-// (see SlotOutcome).
+// RunUplinkSlotWS is RunUplinkSlot with an explicit workspace and the
+// channel memo the slot plans through, which must not be nil. A cache
+// reused across slots reuses the epoch's per-pair estimates and channel
+// matrices; a fresh NewSlotCache(s) per slot is the paper's per-slot
+// training. The cache also lends the planner its reusable scratch. The
+// outcome is a view (see SlotOutcome).
 func RunUplinkSlotWS(ws *phy.Workspace, cache *SlotCache, s Scenario, twoPacketRole int, rng *rand.Rand) (SlotOutcome, error) {
 	return planSlot(ws, cache, s, false, twoPacketRole, rng)
 }
 
 // solveCandidates is how many random-seeded solver attempts the leader
-// evaluates per role assignment before committing to a plan.
+// evaluates per role assignment before committing to a plan. A shape
+// whose solver draws no randomness runs one (shapeSolver.candidates).
 const solveCandidates = 3
 
 // RunDownlinkSlot plans and evaluates one IAC downlink slot. Supported
@@ -85,12 +87,12 @@ const solveCandidates = 3
 func RunDownlinkSlot(s Scenario, rng *rand.Rand) (SlotOutcome, error) {
 	ws := phy.GetWorkspace()
 	defer phy.PutWorkspace(ws)
-	out, err := RunDownlinkSlotWS(ws, nil, s, rng)
+	out, err := RunDownlinkSlotWS(ws, slotCache(ws, s), s, rng)
 	return out.detach(), err
 }
 
-// RunDownlinkSlotWS is RunDownlinkSlot with an explicit workspace and an
-// optional channel memo (see RunUplinkSlotWS). The outcome is a view.
+// RunDownlinkSlotWS is RunDownlinkSlot with an explicit workspace and a
+// non-nil channel memo (see RunUplinkSlotWS). The outcome is a view.
 func RunDownlinkSlotWS(ws *phy.Workspace, cache *SlotCache, s Scenario, rng *rand.Rand) (SlotOutcome, error) {
 	return planSlot(ws, cache, s, true, 0, rng)
 }
@@ -108,14 +110,15 @@ func downlinkDestination(plan *core.Plan, pkt int) int {
 }
 
 // AverageUplinkIAC runs one slot per two-packet role (the paper's
-// round-robin) and returns the average sum rate.
+// round-robin), each with fresh channel estimates, and returns the
+// average sum rate.
 func AverageUplinkIAC(s Scenario, rng *rand.Rand) (float64, error) {
 	ws := phy.GetWorkspace()
 	defer phy.PutWorkspace(ws)
 	var total float64
 	n := 0
 	for role := 0; role < len(s.Clients); role++ {
-		out, err := RunUplinkSlotWS(ws, nil, s, role, rng)
+		out, err := RunUplinkSlotWS(ws, slotCache(ws, s), s, role, rng)
 		if err != nil {
 			return 0, err
 		}

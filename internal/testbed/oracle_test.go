@@ -18,6 +18,51 @@ import (
 // the outcome allocated on the heap, where the planner reads its winner
 // in place. TestBatchedSlotRunnerMatchesScalar pins the two bit for bit.
 
+// The scalar search's heap channel sets: the scenario's uplink set
+// straight from the world, fresh estimates of a whole set, and the
+// role permutations along either axis.
+
+// UplinkChannels returns the true client->AP channel set.
+func (s Scenario) UplinkChannels() core.ChannelSet {
+	cs := core.NewChannelSet(len(s.Clients), len(s.APs))
+	for i, c := range s.Clients {
+		for j, ap := range s.APs {
+			cs[i][j] = s.World.Channel(c, ap)
+		}
+	}
+	return cs
+}
+
+// EstimateEnv is Estimate at an explicit operating point: the estimate
+// noise scales with the environment's receiver noise power.
+func EstimateEnv(cs core.ChannelSet, env Env, rng *rand.Rand) core.ChannelSet {
+	return estimateWith(cs, env.EstimationSigma(), rng)
+}
+
+// Permute reorders the transmitter axis of a channel set, used to rotate
+// which client plays the two-packet role across slots.
+func Permute(cs core.ChannelSet, order []int) core.ChannelSet {
+	out := make(core.ChannelSet, len(order))
+	for i, o := range order {
+		out[i] = cs[o]
+	}
+	return out
+}
+
+// PermuteRx reorders the receiver axis of a channel set, used to choose
+// which AP plays which role in a construction (the concurrency algorithm
+// "decides which AP serves which client in a transmission group",
+// Section 7.1).
+func PermuteRx(cs core.ChannelSet, order []int) core.ChannelSet {
+	out := core.NewChannelSet(cs.NumTx(), len(order))
+	for t := range cs {
+		for j, o := range order {
+			out[t][j] = cs[t][o]
+		}
+	}
+	return out
+}
+
 // planOpts is planScratch.planOpts as the scalar search builds it, one
 // closure set per slot. The options the leader scores candidate plans
 // with (estimates only): it anticipates its own residual floor and, in
@@ -84,11 +129,19 @@ func runUplinkSlotScalarWS(ws *phy.Workspace, cache *SlotCache, s Scenario, twoP
 		baseTrue = Permute(s.UplinkChannels(), order)
 		baseEst = EstimateEnv(baseTrue, s.Env, rng)
 	} else {
-		baseTrue, baseEst = core.NewChannelSet(nc, na), core.NewChannelSet(nc, na)
+		// Survey the scenario in its own order, as the uncached path
+		// does, then estimate the role-ordered set.
+		var all core.ChannelSet
+		all, baseEst = core.NewChannelSet(nc, na), core.NewChannelSet(nc, na)
+		for i, c := range s.Clients {
+			for j, ap := range s.APs {
+				all[i][j] = cache.Channel(c, ap)
+			}
+		}
+		baseTrue = Permute(all, order)
 		for i, o := range order {
 			c := s.Clients[o]
 			for j, ap := range s.APs {
-				baseTrue[i][j] = cache.Channel(c, ap)
 				baseEst[i][j] = cache.Estimated(c, ap, rng)
 			}
 		}

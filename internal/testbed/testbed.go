@@ -93,17 +93,6 @@ func PickScenario(w *channel.World, numClients, numAPs int) Scenario {
 	return Scenario{World: w, Clients: nodes[:numClients], APs: nodes[numClients:]}
 }
 
-// UplinkChannels returns the true client->AP channel set.
-func (s Scenario) UplinkChannels() core.ChannelSet {
-	cs := core.NewChannelSet(len(s.Clients), len(s.APs))
-	for i, c := range s.Clients {
-		for j, ap := range s.APs {
-			cs[i][j] = s.World.Channel(c, ap)
-		}
-	}
-	return cs
-}
-
 // DownlinkChannels returns the true AP->client channel set.
 func (s Scenario) DownlinkChannels() core.ChannelSet {
 	cs := core.NewChannelSet(len(s.APs), len(s.Clients))
@@ -118,41 +107,15 @@ func (s Scenario) DownlinkChannels() core.ChannelSet {
 // Estimate corrupts a channel set with training-length-limited estimation
 // noise, giving the planner the same imperfect knowledge a real AP has.
 func Estimate(cs core.ChannelSet, rng *rand.Rand) core.ChannelSet {
-	return EstimateEnv(cs, Env{}, rng)
+	return estimateWith(cs, Env{}.EstimationSigma(), rng)
 }
 
-// EstimateEnv is Estimate at an explicit operating point: the estimate
-// noise scales with the environment's receiver noise power.
-func EstimateEnv(cs core.ChannelSet, env Env, rng *rand.Rand) core.ChannelSet {
-	sigma := env.EstimationSigma()
+// estimateWith is Estimate at per-entry noise sigma.
+func estimateWith(cs core.ChannelSet, sigma float64, rng *rand.Rand) core.ChannelSet {
 	out := core.NewChannelSet(cs.NumTx(), cs.NumRx())
 	for t := range cs {
 		for r := range cs[t] {
 			out[t][r] = channel.NoisyEstimate(cs[t][r], sigma, rng)
-		}
-	}
-	return out
-}
-
-// Permute reorders the transmitter axis of a channel set, used to rotate
-// which client plays the two-packet role across slots.
-func Permute(cs core.ChannelSet, order []int) core.ChannelSet {
-	out := make(core.ChannelSet, len(order))
-	for i, o := range order {
-		out[i] = cs[o]
-	}
-	return out
-}
-
-// PermuteRx reorders the receiver axis of a channel set, used to choose
-// which AP plays which role in a construction (the concurrency algorithm
-// "decides which AP serves which client in a transmission group",
-// Section 7.1).
-func PermuteRx(cs core.ChannelSet, order []int) core.ChannelSet {
-	out := core.NewChannelSet(cs.NumTx(), len(order))
-	for t := range cs {
-		for j, o := range order {
-			out[t][j] = cs[t][o]
 		}
 	}
 	return out
