@@ -12,6 +12,7 @@
 package channel
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -19,6 +20,7 @@ import (
 	"slices"
 
 	"iaclan/internal/cmplxmat"
+	"iaclan/internal/flat"
 )
 
 // Params configures a World.
@@ -70,23 +72,72 @@ type Node struct {
 	// oscHz is this node's oscillator offset from the nominal carrier.
 	oscHz float64
 	// txChain and rxChain are the constant diagonal hardware matrices of
-	// this node's transmit and receive paths (Eq. 8 calibration inputs).
-	txChain, rxChain *cmplxmat.Matrix
+	// this node's transmit and receive paths (Eq. 8 calibration inputs),
+	// views into the world's chain slab.
+	txChain, rxChain cmplxmat.Matrix
+	// pairs heads the list of this node's pair rows (noRow when empty).
+	pairs int32
 }
 
-// pairKey canonically orders a node pair.
-type pairKey struct{ lo, hi int }
+const (
+	// maxNodes bounds a world's node count, so node IDs fit an int32
+	// and the 32-bit fields of a pair key.
+	maxNodes = 1 << 31
+	// noRow ends a pair-row list.
+	noRow = -1
+)
 
-func keyOf(a, b *Node) pairKey {
-	if a.ID < b.ID {
-		return pairKey{a.ID, b.ID}
+// keyField returns a node ID as a pair-key field, panicking unless the
+// ID lies in [0, maxNodes).
+func keyField(id int) uint64 {
+	if id < 0 || id >= maxNodes {
+		panic(fmt.Sprintf("channel: node ID %d outside [0, %d)", id, maxNodes))
 	}
-	return pairKey{b.ID, a.ID}
+	return uint64(id)
+}
+
+// pairKey packs a node pair, lower ID first, into one index key.
+func pairKey(a, b int) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return keyField(a)<<32 | keyField(b)
+}
+
+// The live bits of a pair row.
+const (
+	physLive = 1 << iota
+	shadowLive
+)
+
+// pairRow is one node pair's fading state. next links the row into
+// its two nodes' pair lists: next[0] in the lower ID's list, next[1] in
+// the higher ID's.
+type pairRow struct {
+	key uint64
+	// shadow is the pair's log-normal shadowing gain in dB.
+	shadow float64
+	// phys is the index in the world's propagation slab of the physical
+	// propagation matrix P for the lo->hi direction (hi.Antennas x
+	// lo.Antennas), or noRow before the row's first one; the hi->lo
+	// channel is P^T by electromagnetic reciprocity.
+	phys int32
+	live uint8
+	next [2]int32
 }
 
 // World owns the nodes and the fading state of every node pair.
 // It is deterministic given its seed. World is not safe for concurrent
 // mutation; the experiment harness runs each world on one goroutine.
+//
+// Storage is flat: nodes and their hardware chains come from chunked
+// slabs, and each node pair the world has generated state for is one
+// row of a slab, found through an index keyed by the packed (lo, hi)
+// node IDs. A row carries the pair's propagation matrix (stored in a
+// third slab), its shadowing and which of the two are live, and sits on
+// both nodes' intrusive pair lists, so MoveNode visits only the moved
+// node's pairs. Rows are never removed: Redraw and MoveNode mark fading
+// dead, and the pair's next use redraws it into the row's own storage.
 type World struct {
 	params Params
 	rng    *rand.Rand
@@ -95,18 +146,20 @@ type World struct {
 	// Layers that memoize per-pair channel matrices or estimates key
 	// their caches on it and drop everything when it moves.
 	epoch uint64
-	// phys maps a canonical pair to the physical propagation matrix P for
-	// the lo->hi direction (hi.Antennas x lo.Antennas). The hi->lo channel
-	// is P^T by electromagnetic reciprocity.
-	phys map[pairKey]*cmplxmat.Matrix
-	// shadow maps a canonical pair to its log-normal shadowing gain.
-	shadow map[pairKey]float64
-	// keyBuf is Perturb's reusable sorted-key buffer.
-	keyBuf []pairKey
-	// spare holds the propagation matrices Redraw and MoveNode dropped;
-	// physFor refills one before it allocates. A spare matrix belongs
-	// to no pair, so Perturb never ages it and never draws for it.
-	spare []*cmplxmat.Matrix
+	// nodeSlab and chains hold the nodes and their hardware chains;
+	// props holds the propagation matrices of the pair rows.
+	nodeSlab      flat.Slab[Node]
+	chains, props flat.Slab[complex128]
+	rows          flat.Slab[pairRow]
+	index         flat.Index // pair key -> row
+	// order is Perturb's reusable sort scratch.
+	order []rowKey
+}
+
+// rowKey is a pair row and its key, sorted by key.
+type rowKey struct {
+	key uint64
+	row int32
 }
 
 // NewWorld creates an empty world with deterministic randomness.
@@ -120,8 +173,6 @@ func NewWorld(params Params, seed int64) *World {
 	return &World{
 		params: params,
 		rng:    rand.New(rand.NewSource(seed)),
-		phys:   make(map[pairKey]*cmplxmat.Matrix),
-		shadow: make(map[pairKey]float64),
 	}
 }
 
@@ -138,33 +189,47 @@ func (w *World) Epoch() uint64 { return w.epoch }
 // as read-only.
 func (w *World) Nodes() []*Node { return w.nodes }
 
+// reserve sizes the node and chain storage for n nodes in all.
+func (w *World) reserve(n int) {
+	m := w.params.Antennas
+	w.nodeSlab.Reserve(n)
+	w.chains.Reserve(2 * n * m * m)
+	w.nodes = slices.Grow(w.nodes, n-len(w.nodes))
+}
+
 // AddNode places a new node at (x, y) and returns it.
 func (w *World) AddNode(x, y float64) *Node {
-	n := &Node{
+	keyField(len(w.nodes)) // the new node's ID must fit the pair keys
+	m := w.params.Antennas
+	_, run := w.nodeSlab.Take(1)
+	n := &run[0]
+	*n = Node{
 		ID:       len(w.nodes),
 		X:        x,
 		Y:        y,
-		Antennas: w.params.Antennas,
+		Antennas: m,
 		oscHz:    w.rng.NormFloat64() * w.params.CFOStdHz,
-		txChain:  w.randomChain(),
-		rxChain:  w.randomChain(),
+		pairs:    noRow,
 	}
+	w.randomChain(&n.txChain)
+	w.randomChain(&n.rxChain)
 	w.nodes = append(w.nodes, n)
 	return n
 }
 
-// randomChain builds a diagonal hardware chain matrix: per-antenna gain
-// within HardwareSpreadDB of unity and uniform random phase.
-func (w *World) randomChain() *cmplxmat.Matrix {
+// randomChain sets c to a diagonal hardware chain matrix on fresh slab
+// storage: per-antenna gain within HardwareSpreadDB of unity and
+// uniform random phase.
+func (w *World) randomChain(c *cmplxmat.Matrix) {
 	m := w.params.Antennas
-	d := make([]complex128, m)
-	for i := range d {
+	_, d := w.chains.Take(m * m)
+	for i := 0; i < m; i++ {
 		gainDB := (w.rng.Float64()*2 - 1) * w.params.HardwareSpreadDB
 		gain := math.Pow(10, gainDB/20)
 		phase := w.rng.Float64() * 2 * math.Pi
-		d[i] = cmplx.Rect(gain, phase)
+		d[i*m+i] = cmplx.Rect(gain, phase)
 	}
-	return cmplxmat.Diagonal(d...)
+	*c = cmplxmat.View(m, m, d)
 }
 
 // Distance returns the Euclidean distance between two nodes, floored at
@@ -191,13 +256,12 @@ func (w *World) shadowOf(a, b *Node) float64 {
 	if w.params.ShadowSigmaDB == 0 {
 		return 0
 	}
-	k := keyOf(a, b)
-	s, ok := w.shadow[k]
-	if !ok {
-		s = w.rng.NormFloat64() * w.params.ShadowSigmaDB
-		w.shadow[k] = s
+	r := w.row(a, b)
+	if r.live&shadowLive == 0 {
+		r.shadow = w.rng.NormFloat64() * w.params.ShadowSigmaDB
+		r.live |= shadowLive
 	}
-	return s
+	return r.shadow
 }
 
 // MeanSNR returns the linear mean per-antenna SNR of the pair at unit
@@ -206,37 +270,53 @@ func (w *World) MeanSNR(a, b *Node) float64 {
 	return math.Pow(10, w.PathGainDB(a, b)/10)
 }
 
-// physFor returns (generating on first use) the physical propagation
-// matrix for the canonical direction lo->hi of the pair. A new pair's
-// matrix reuses a spare one when there is one; the draws are those of
-// RandomGaussian(...).Scale(amp) either way.
-func (w *World) physFor(a, b *Node) *cmplxmat.Matrix {
+// row returns the pair's row, adding one with nothing live, at the
+// head of both nodes' pair lists, on the pair's first use.
+func (w *World) row(a, b *Node) *pairRow {
 	if a.ID == b.ID {
 		panic("channel: self channel requested")
 	}
-	k := keyOf(a, b)
-	p, ok := w.phys[k]
-	if !ok {
-		amp := math.Sqrt(w.MeanSNR(a, b))
-		if n := len(w.spare); n > 0 {
-			p = w.spare[n-1]
-			w.spare = w.spare[:n-1]
-		} else {
-			p = cmplxmat.New(w.params.Antennas, w.params.Antennas)
-		}
-		p.FillGaussian(w.rng, complex(amp, 0))
-		w.phys[k] = p
+	k := pairKey(a.ID, b.ID)
+	if r, ok := w.index.Get(k); ok {
+		return w.rows.At(int(r))
 	}
-	return p
+	i, row := w.rows.Take(1)
+	r := int32(i) // past MaxInt32 rows this wraps, and Put panics
+	w.index.Put(k, r)
+	lo, hi := a, b
+	if lo.ID > hi.ID {
+		lo, hi = hi, lo
+	}
+	row[0] = pairRow{key: k, phys: noRow, next: [2]int32{lo.pairs, hi.pairs}}
+	lo.pairs, hi.pairs = r, r
+	return &row[0]
 }
 
-// dropPhys forgets the pair's fading realization and keeps its matrix
-// as a spare for the next pair physFor generates.
-func (w *World) dropPhys(k pairKey) {
-	if p, ok := w.phys[k]; ok {
-		delete(w.phys, k)
-		w.spare = append(w.spare, p)
+// propagation returns a view of the row's propagation matrix.
+func (w *World) propagation(row *pairRow) cmplxmat.Matrix {
+	m := w.params.Antennas
+	return cmplxmat.View(m, m, w.props.Run(int(row.phys), m*m))
+}
+
+// physFor returns (generating on first use) the physical propagation
+// matrix for the canonical direction lo->hi of the pair, as a view of
+// the world's storage. A pair's first draw takes slab storage and every
+// redraw refills it; the draws are those of
+// RandomGaussian(...).Scale(amp) either way.
+func (w *World) physFor(a, b *Node) cmplxmat.Matrix {
+	row := w.row(a, b)
+	if row.live&physLive == 0 {
+		amp := math.Sqrt(w.MeanSNR(a, b))
+		if row.phys == noRow {
+			m := w.params.Antennas
+			i, _ := w.props.Take(m * m)
+			row.phys = int32(i)
+		}
+		p := w.propagation(row)
+		p.FillGaussian(w.rng, complex(amp, 0))
+		row.live |= physLive
 	}
+	return w.propagation(row)
 }
 
 // Propagation returns the physical over-the-air matrix for tx->rx,
@@ -244,7 +324,7 @@ func (w *World) dropPhys(k pairKey) {
 // Propagation(a,b) == Propagation(b,a)^T.
 func (w *World) Propagation(tx, rx *Node) *cmplxmat.Matrix {
 	p := w.physFor(tx, rx)
-	if keyOf(tx, rx).lo == tx.ID {
+	if tx.ID < rx.ID {
 		return p.Clone()
 	}
 	return p.T()
@@ -272,11 +352,12 @@ func (w *World) Channel(tx, rx *Node) *cmplxmat.Matrix {
 func (w *World) ChannelInto(dst *cmplxmat.Matrix, ws *cmplxmat.Workspace, tx, rx *Node) {
 	mark := ws.Mark()
 	defer ws.Release(mark)
-	p := w.physFor(tx, rx)
-	if keyOf(tx, rx).lo != tx.ID {
+	phys := w.physFor(tx, rx)
+	p := &phys
+	if tx.ID > rx.ID {
 		p = p.TWS(ws)
 	}
-	rx.rxChain.MulWS(ws, p).MulInto(dst, tx.txChain)
+	rx.rxChain.MulWS(ws, p).MulInto(dst, &tx.txChain)
 }
 
 // CFO returns the carrier frequency offset in Hz that rx observes on a
@@ -287,66 +368,60 @@ func (w *World) CFO(tx, rx *Node) float64 { return tx.oscHz - rx.oscHz }
 // state), keeping geometry, shadowing and hardware chains fixed.
 func (w *World) Redraw(a, b *Node) {
 	w.epoch++
-	w.dropPhys(keyOf(a, b))
+	if r, ok := w.index.Get(pairKey(a.ID, b.ID)); ok {
+		w.rows.At(int(r)).live &^= physLive
+	}
 }
 
 // MoveNode relocates n and invalidates the fading and shadowing of every
 // pair involving n. The paper's reciprocity experiment moves the client
-// between calibration and use (Section 10.4).
+// between calibration and use (Section 10.4). It walks n's pair list
+// only.
 func (w *World) MoveNode(n *Node, x, y float64) {
 	w.epoch++
 	n.X, n.Y = x, y
-	//iacvet:allow maprange delete-only filter of cached pair state; the freed matrices join the spare pool in visit order, but every reuse overwrites a spare whole, so no RNG draw or value depends on it
-	for k := range w.phys {
-		if k.lo == n.ID || k.hi == n.ID {
-			w.dropPhys(k)
-		}
-	}
-	//iacvet:allow maprange delete-only filter of cached pair state; no RNG draw or accumulation depends on visit order
-	for k := range w.shadow {
-		if k.lo == n.ID || k.hi == n.ID {
-			delete(w.shadow, k)
+	for r := n.pairs; r != noRow; {
+		row := w.rows.At(int(r))
+		row.live = 0
+		if int(row.key>>32) == n.ID {
+			r = row.next[0]
+		} else {
+			r = row.next[1]
 		}
 	}
 }
-
-// node resolves a node ID to its Node. AddNode assigns IDs as creation
-// indices, so the node slice doubles as the ID map.
-func (w *World) node(id int) *Node { return w.nodes[id] }
 
 // Perturb ages the fading of every generated pair by the innovation factor
 // eps in [0,1]: H' = sqrt(1-eps^2) H + eps W with W fresh CN(0,g). eps=0
 // is a static channel; eps=1 a full redraw. This is the block-fading step
 // of the traffic engine's channel dynamics.
 //
-// Pairs are aged in sorted key order: every innovation draw must land on
-// the same pair in every run, so Go's randomized map iteration order can
-// never reach the world RNG stream (the bit-for-bit-given-a-seed
-// contract; pinned by TestPerturbDeterministic). The physical matrices
-// are private to the world (Propagation and Channel hand out copies), so
-// each is aged in place, with the same draws and complex operations as
-// building H' afresh.
+// Pairs are aged in sorted (lo, hi) key order, whatever order their rows
+// were added in: every innovation draw must land on the same pair as it
+// always has (the bit-for-bit-given-a-seed contract; pinned by
+// TestPerturbDeterministic). The physical matrices are private
+// to the world (Propagation and Channel hand out copies), so each is
+// aged in place, with the same draws and complex operations as building
+// H' afresh.
 func (w *World) Perturb(eps float64) {
 	if eps < 0 || eps > 1 {
 		panic("channel: Perturb eps out of [0,1]")
 	}
 	w.epoch++
 	keep := complex(math.Sqrt(1-eps*eps), 0)
-	keys := w.keyBuf[:0]
-	for k := range w.phys {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(a, b pairKey) int {
-		if a.lo != b.lo {
-			return a.lo - b.lo
+	order := w.order[:0]
+	for r := range w.rows.Len() {
+		if row := w.rows.At(r); row.live&physLive != 0 {
+			order = append(order, rowKey{row.key, int32(r)})
 		}
-		return a.hi - b.hi
-	})
-	w.keyBuf = keys
-	for _, k := range keys {
-		a, b := w.node(k.lo), w.node(k.hi)
+	}
+	slices.SortFunc(order, func(a, b rowKey) int { return cmp.Compare(a.key, b.key) })
+	w.order = order
+	for _, o := range order {
+		a, b := w.nodes[o.key>>32], w.nodes[uint32(o.key)]
 		amp := math.Sqrt(w.MeanSNR(a, b))
-		w.phys[k].BlendGaussianInPlace(w.rng, keep, complex(amp*eps, 0))
+		p := w.propagation(w.rows.At(int(o.row)))
+		p.BlendGaussianInPlace(w.rng, keep, complex(amp*eps, 0))
 	}
 }
 

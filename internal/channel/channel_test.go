@@ -2,7 +2,9 @@ package channel
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -380,33 +382,17 @@ var _ = cmplxmat.Vector{} // keep import if test edits drop direct uses
 // innovations from the world RNG, so which pair received which draw
 // differed between runs.
 //
-// The moves case interleaves MoveNode with Perturb. A move frees the
-// moved node's propagation matrices and the next generation refills
-// them; the twin world discards its spare pool after every move, so it
-// always generates into fresh matrices. Identical channels and RNG
-// positions show that reused storage never changes a draw, and that
-// Perturb never ages a spare matrix (that would draw extra numbers).
+// The moves case interleaves MoveNode with Perturb. A move marks the
+// moved node's pair rows dead and the next generation redraws into
+// them; the map-based oracle always generates into fresh matrices.
+// Identical channels and RNG positions show that reused rows never
+// change a draw, and that Perturb never ages a dead row (that would
+// draw extra numbers).
 func TestPerturbDeterministic(t *testing.T) {
 	build := func() *World {
 		w := NewTestbed(DefaultParams(), 42, 10, 12)
 		touchAll(w)
 		return w
-	}
-	compare := func(t *testing.T, a, b *World) {
-		t.Helper()
-		na, nb := a.Nodes(), b.Nodes()
-		for i := range na {
-			for j := i + 1; j < len(na); j++ {
-				ha := a.Channel(na[i], na[j])
-				hb := b.Channel(nb[i], nb[j])
-				if !ha.Equal(hb, 0) {
-					t.Fatalf("pair (%d,%d) diverged after identical Perturb sequences", i, j)
-				}
-			}
-		}
-		if a.rng.Int63() != b.rng.Int63() {
-			t.Fatal("world RNG streams diverged")
-		}
 	}
 	t.Run("static", func(t *testing.T) {
 		a, b := build(), build()
@@ -414,18 +400,28 @@ func TestPerturbDeterministic(t *testing.T) {
 			a.Perturb(0.3)
 			b.Perturb(0.3)
 		}
-		compare(t, a, b)
+		na, nb := a.Nodes(), b.Nodes()
+		for i := range na {
+			for j := i + 1; j < len(na); j++ {
+				if !a.Channel(na[i], na[j]).Equal(b.Channel(nb[i], nb[j]), 0) {
+					t.Fatalf("pair (%d,%d) diverged after identical Perturb sequences", i, j)
+				}
+			}
+		}
+		if a.rng.Int63() != b.rng.Int63() {
+			t.Fatal("world RNG streams diverged")
+		}
 	})
 	t.Run("moves", func(t *testing.T) {
-		reused, fresh := build(), build()
+		reused := build()
+		fresh := newTestbedOracle(DefaultParams(), 42, 10, 12)
+		touchAll(fresh)
 		for step := 0; step < 6; step++ {
-			for _, w := range []*World{reused, fresh} {
-				n := w.Nodes()[step%3]
-				w.MoveNode(n, float64(step), float64(2*step%12))
-				fresh.spare = nil
+			for _, w := range []worldOps{reused, fresh} {
+				w.MoveNode(w.node(step%3), float64(step), float64(2*step%12))
 				if step%2 == 0 {
-					// Age before regenerating: the moved node's freed
-					// matrices sit in the spare pool during Perturb.
+					// Age before regenerating: the moved node's rows are
+					// dead during Perturb.
 					w.Perturb(0.3)
 					touchAll(w)
 				} else {
@@ -433,104 +429,268 @@ func TestPerturbDeterministic(t *testing.T) {
 					w.Perturb(0.3)
 				}
 			}
-			if len(reused.spare) != 0 {
-				t.Fatalf("step %d: %d spare matrices left after regenerating every pair", step, len(reused.spare))
+			if n := reused.rows.Len(); n != 45 {
+				t.Fatalf("step %d: %d pair rows for 45 pairs", step, n)
 			}
 		}
-		compare(t, reused, fresh)
+		compareWorlds(t, reused, fresh, 10)
 	})
 }
 
+// worldOps is the surface World and its map-based oracle share, by node
+// index, for the differential tests.
+type worldOps interface {
+	addNode(x, y float64)
+	node(id int) *Node
+	numNodes() int
+	Channel(tx, rx *Node) *cmplxmat.Matrix
+	Propagation(tx, rx *Node) *cmplxmat.Matrix
+	MeanSNR(a, b *Node) float64
+	Redraw(a, b *Node)
+	MoveNode(n *Node, x, y float64)
+	Perturb(eps float64)
+	Epoch() uint64
+	nextDraw() int64
+}
+
+func (w *World) addNode(x, y float64) { w.AddNode(x, y) }
+func (w *World) node(id int) *Node    { return w.nodes[id] }
+func (w *World) numNodes() int        { return len(w.nodes) }
+func (w *World) nextDraw() int64      { return w.rng.Int63() }
+
 // touchAll generates every node pair's channel in a fixed order.
-func touchAll(w *World) {
-	nodes := w.Nodes()
-	for i := range nodes {
-		for j := i + 1; j < len(nodes); j++ {
-			w.Channel(nodes[i], nodes[j])
+func touchAll(w worldOps) {
+	for i := 0; i < w.numNodes(); i++ {
+		for j := i + 1; j < w.numNodes(); j++ {
+			w.Channel(w.node(i), w.node(j))
 		}
 	}
 }
 
-// perturbHeapOracle is World.Perturb as it was before aging in place:
-// each pair's matrix is replaced by a freshly allocated
-// keep*P + amp*eps*W.
-func perturbHeapOracle(w *World, eps float64) {
+// compareWorlds fails unless the first n nodes of a and b have bitwise
+// equal channels and propagation matrices in both directions of every
+// pair, equal epochs, and equal next RNG draws. It generates any pair
+// neither has yet, in the same order on both.
+func compareWorlds(t *testing.T, a, b worldOps, n int) {
+	t.Helper()
+	if a.Epoch() != b.Epoch() {
+		t.Fatalf("epochs %d and %d", a.Epoch(), b.Epoch())
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == j {
+				continue
+			}
+			mustBitEqual(t, "channel", a.Channel(a.node(i), a.node(j)), b.Channel(b.node(i), b.node(j)))
+			mustBitEqual(t, "propagation", a.Propagation(a.node(i), a.node(j)), b.Propagation(b.node(i), b.node(j)))
+		}
+	}
+	if a.nextDraw() != b.nextDraw() {
+		t.Fatal("world RNG streams diverged")
+	}
+}
+
+func mustBitEqual(t *testing.T, what string, x, y *cmplxmat.Matrix) {
+	t.Helper()
+	if x.Rows() != y.Rows() || x.Cols() != y.Cols() {
+		t.Fatalf("%s: shapes %dx%d and %dx%d", what, x.Rows(), x.Cols(), y.Rows(), y.Cols())
+	}
+	for r := 0; r < x.Rows(); r++ {
+		for c := 0; c < x.Cols(); c++ {
+			u, v := x.At(r, c), y.At(r, c)
+			if math.Float64bits(real(u)) != math.Float64bits(real(v)) || math.Float64bits(imag(u)) != math.Float64bits(imag(v)) {
+				t.Fatalf("%s entry (%d,%d): %v vs %v", what, r, c, u, v)
+			}
+		}
+	}
+}
+
+// mapWorld is World as it was before flat storage, kept as the
+// differential oracle: a heap Node with heap chain matrices per node,
+// and maps of heap propagation matrices and shadowing gains per pair.
+// MoveNode scans every pair; Perturb sorts the pair keys and replaces
+// each matrix with a freshly allocated keep*P + amp*eps*W. Its nodes
+// are World Nodes with chain views over heap matrices.
+type mapWorld struct {
+	params Params
+	rng    *rand.Rand
+	nodes  []*Node
+	epoch  uint64
+	phys   map[oraclePair]*cmplxmat.Matrix
+	shadow map[oraclePair]float64
+}
+
+type oraclePair struct{ lo, hi int }
+
+func oracleKey(a, b *Node) oraclePair {
+	if a.ID < b.ID {
+		return oraclePair{a.ID, b.ID}
+	}
+	return oraclePair{b.ID, a.ID}
+}
+
+func newMapWorld(params Params, seed int64) *mapWorld {
+	return &mapWorld{
+		params: params,
+		rng:    rand.New(rand.NewSource(seed)),
+		phys:   map[oraclePair]*cmplxmat.Matrix{},
+		shadow: map[oraclePair]float64{},
+	}
+}
+
+func newTestbedOracle(params Params, seed int64, n int, roomSize float64) *mapWorld {
+	w := newMapWorld(params, seed)
+	for i := 0; i < n; i++ {
+		x := w.rng.Float64() * roomSize
+		y := w.rng.Float64() * roomSize
+		w.addNode(x, y)
+	}
+	return w
+}
+
+func (w *mapWorld) addNode(x, y float64) {
+	n := &Node{ID: len(w.nodes), X: x, Y: y, Antennas: w.params.Antennas,
+		oscHz: w.rng.NormFloat64() * w.params.CFOStdHz}
+	n.txChain = *w.randomChain()
+	n.rxChain = *w.randomChain()
+	w.nodes = append(w.nodes, n)
+}
+
+func (w *mapWorld) randomChain() *cmplxmat.Matrix {
+	d := make([]complex128, w.params.Antennas)
+	for i := range d {
+		gainDB := (w.rng.Float64()*2 - 1) * w.params.HardwareSpreadDB
+		gain := math.Pow(10, gainDB/20)
+		phase := w.rng.Float64() * 2 * math.Pi
+		d[i] = cmplx.Rect(gain, phase)
+	}
+	return cmplxmat.Diagonal(d...)
+}
+
+func (w *mapWorld) node(id int) *Node { return w.nodes[id] }
+func (w *mapWorld) numNodes() int     { return len(w.nodes) }
+func (w *mapWorld) nextDraw() int64   { return w.rng.Int63() }
+func (w *mapWorld) Epoch() uint64     { return w.epoch }
+
+func (w *mapWorld) MeanSNR(a, b *Node) float64 {
+	dx, dy := a.X-b.X, a.Y-b.Y
+	d := max(math.Sqrt(dx*dx+dy*dy), w.params.RefDist)
+	g := w.params.RefSNRdB - 10*w.params.PathLossExp*math.Log10(d/w.params.RefDist)
+	if w.params.ShadowSigmaDB != 0 {
+		k := oracleKey(a, b)
+		s, ok := w.shadow[k]
+		if !ok {
+			s = w.rng.NormFloat64() * w.params.ShadowSigmaDB
+			w.shadow[k] = s
+		}
+		g += s
+	}
+	return math.Pow(10, g/10)
+}
+
+func (w *mapWorld) physFor(a, b *Node) *cmplxmat.Matrix {
+	if a.ID == b.ID {
+		panic("oracle: self channel requested")
+	}
+	k := oracleKey(a, b)
+	p, ok := w.phys[k]
+	if !ok {
+		amp := math.Sqrt(w.MeanSNR(a, b))
+		p = cmplxmat.RandomGaussian(w.rng, w.params.Antennas, w.params.Antennas).Scale(complex(amp, 0))
+		w.phys[k] = p
+	}
+	return p
+}
+
+func (w *mapWorld) Propagation(tx, rx *Node) *cmplxmat.Matrix {
+	p := w.physFor(tx, rx)
+	if tx.ID < rx.ID {
+		return p.Clone()
+	}
+	return p.T()
+}
+
+func (w *mapWorld) Channel(tx, rx *Node) *cmplxmat.Matrix {
+	return rx.rxChain.Mul(w.Propagation(tx, rx)).Mul(&tx.txChain)
+}
+
+func (w *mapWorld) Redraw(a, b *Node) {
+	w.epoch++
+	delete(w.phys, oracleKey(a, b))
+}
+
+func (w *mapWorld) MoveNode(n *Node, x, y float64) {
+	w.epoch++
+	n.X, n.Y = x, y
+	for k := range w.phys {
+		if k.lo == n.ID || k.hi == n.ID {
+			delete(w.phys, k)
+		}
+	}
+	for k := range w.shadow {
+		if k.lo == n.ID || k.hi == n.ID {
+			delete(w.shadow, k)
+		}
+	}
+}
+
+func (w *mapWorld) Perturb(eps float64) {
 	w.epoch++
 	keep := math.Sqrt(1 - eps*eps)
-	keys := make([]pairKey, 0, len(w.phys))
+	keys := make([]oraclePair, 0, len(w.phys))
 	for k := range w.phys {
 		keys = append(keys, k)
 	}
-	slices.SortFunc(keys, func(a, b pairKey) int {
+	slices.SortFunc(keys, func(a, b oraclePair) int {
 		if a.lo != b.lo {
 			return a.lo - b.lo
 		}
 		return a.hi - b.hi
 	})
 	for _, k := range keys {
-		a, b := w.node(k.lo), w.node(k.hi)
+		a, b := w.nodes[k.lo], w.nodes[k.hi]
 		amp := math.Sqrt(w.MeanSNR(a, b))
 		wnew := cmplxmat.RandomGaussian(w.rng, w.params.Antennas, w.params.Antennas).Scale(complex(amp*eps, 0))
 		w.phys[k] = w.phys[k].Scale(complex(keep, 0)).Add(wnew)
 	}
 }
 
-// TestPerturbInPlaceMatchesHeap pins the in-place World.Perturb against
-// the allocating version bit for bit: two twin worlds, every pair's
-// propagation matrix and the world RNG stream compared after each of a
-// sequence of perturbations (static, full redraw and in between), with
-// a mobility move in the middle dropping and regenerating pairs.
-func TestPerturbInPlaceMatchesHeap(t *testing.T) {
-	build := func() (*World, []*Node) {
-		w := NewWorld(DefaultParams(), 29)
-		var nodes []*Node
-		for i := 0; i < 6; i++ {
-			nodes = append(nodes, w.AddNode(float64(i), float64(i%3)))
+// livePairs counts the pairs with a live propagation matrix.
+func (w *World) livePairs() int {
+	n := 0
+	for r := range w.rows.Len() {
+		if w.rows.At(r).live&physLive != 0 {
+			n++
 		}
-		return w, nodes
 	}
-	fast, fn := build()
-	slow, sn := build()
-	touch := func(w *World, nodes []*Node) {
-		for i := range nodes {
-			for j := range nodes {
-				if i != j {
-					w.Channel(nodes[i], nodes[j])
-				}
-			}
-		}
+	return n
+}
+
+// TestPerturbInPlaceMatchesHeap pins the in-place World.Perturb against
+// the map oracle's allocating version bit for bit: every pair's
+// propagation and channel matrix and the world RNG stream compared after
+// each of a sequence of perturbations (static, full redraw and in
+// between), with a mobility move in the middle dropping and
+// regenerating pairs.
+func TestPerturbInPlaceMatchesHeap(t *testing.T) {
+	fast, slow := NewWorld(DefaultParams(), 29), newMapWorld(DefaultParams(), 29)
+	for i := 0; i < 6; i++ {
+		fast.addNode(float64(i), float64(i%3))
+		slow.addNode(float64(i), float64(i%3))
 	}
 	for round, eps := range []float64{0.3, 0, 1, 0.05, 0.3, 0.7} {
-		touch(fast, fn)
-		touch(slow, sn)
+		touchAll(fast)
+		touchAll(slow)
 		fast.Perturb(eps)
-		perturbHeapOracle(slow, eps)
+		slow.Perturb(eps)
 		if round == 3 {
-			fast.MoveNode(fn[2], 7, 1)
-			slow.MoveNode(sn[2], 7, 1)
+			fast.MoveNode(fast.node(2), 7, 1)
+			slow.MoveNode(slow.node(2), 7, 1)
 		}
-		if fast.Epoch() != slow.Epoch() || len(fast.phys) != len(slow.phys) {
-			t.Fatalf("round %d: epoch %d/%d, pairs %d/%d", round, fast.Epoch(), slow.Epoch(), len(fast.phys), len(slow.phys))
+		if fast.livePairs() != len(slow.phys) {
+			t.Fatalf("round %d: pairs %d/%d", round, fast.livePairs(), len(slow.phys))
 		}
-		for i := range fn {
-			for j := range fn {
-				if i == j {
-					continue
-				}
-				a, b := fast.Propagation(fn[i], fn[j]), slow.Propagation(sn[i], sn[j])
-				for r := 0; r < a.Rows(); r++ {
-					for c := 0; c < a.Cols(); c++ {
-						x, y := a.At(r, c), b.At(r, c)
-						if math.Float64bits(real(x)) != math.Float64bits(real(y)) || math.Float64bits(imag(x)) != math.Float64bits(imag(y)) {
-							t.Fatalf("round %d eps %v: pair %d->%d entry (%d,%d) %v vs %v", round, eps, i, j, r, c, x, y)
-						}
-					}
-				}
-			}
-		}
-		if fast.rng.Int63() != slow.rng.Int63() {
-			t.Fatalf("round %d: world RNG streams diverged", round)
-		}
+		compareWorlds(t, fast, slow, 6)
 	}
 }
 
@@ -549,7 +709,7 @@ func TestChannelMatchesChainProduct(t *testing.T) {
 				continue
 			}
 			got := w.Channel(tx, rx)
-			want := rx.rxChain.Mul(w.Propagation(tx, rx)).Mul(tx.txChain)
+			want := rx.rxChain.Mul(w.Propagation(tx, rx)).Mul(&tx.txChain)
 			for r := 0; r < want.Rows(); r++ {
 				for c := 0; c < want.Cols(); c++ {
 					x, y := got.At(r, c), want.At(r, c)
@@ -559,5 +719,174 @@ func TestChannelMatchesChainProduct(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// FuzzWorldOps runs one random sequence of world operations on World
+// and on the map-based oracle: node additions, channel, propagation and
+// mean-SNR lookups, redraws, moves (whose dropped rows later pairs
+// reuse) and perturbations. Every returned matrix and SNR must be
+// bitwise equal, and so must the next RNG draw at the end.
+func FuzzWorldOps(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 1, 6, 0, 9, 9, 1, 1, 2, 7, 80, 1, 0, 2})
+	f.Add([]byte{1, 0, 1, 2, 0, 3, 4, 0, 5, 6, 1, 0, 2, 7, 255, 6, 2, 1, 1, 0, 0, 4, 2, 1, 5, 0, 1})
+	f.Add([]byte{2, 1, 0, 2, 0, 1, 6, 1, 3, 4, 1, 2, 0, 6, 0, 8, 8, 3, 1, 0, 7, 30, 2, 2, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		params := DefaultParams()
+		if ops[0]%2 == 1 {
+			params.ShadowSigmaDB = 0
+		}
+		seed := int64(ops[0])
+		w, o := NewWorld(params, seed), newMapWorld(params, seed)
+		if ops[0]%3 == 2 {
+			w.reserve(5)
+		}
+		for i := 0; i < 3; i++ {
+			w.addNode(float64(3*i), float64(i))
+			o.addNode(float64(3*i), float64(i))
+		}
+		ws := cmplxmat.NewWorkspace()
+		next := func() int {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return int(b)
+		}
+		ops = ops[1:]
+		for len(ops) > 0 {
+			op := next() % 8
+			i, j := next()%w.numNodes(), next()%w.numNodes()
+			if op != 0 && op != 6 && op != 7 && i == j {
+				j = (i + 1) % w.numNodes()
+			}
+			a, b := w.node(i), w.node(j)
+			oa, ob := o.node(i), o.node(j)
+			switch op {
+			case 0:
+				if w.numNodes() < 40 {
+					w.addNode(float64(i), float64(j))
+					o.addNode(float64(i), float64(j))
+				}
+			case 1:
+				mustBitEqual(t, "channel", w.Channel(a, b), o.Channel(oa, ob))
+			case 2:
+				h := cmplxmat.New(b.Antennas, a.Antennas)
+				w.ChannelInto(h, ws, a, b)
+				mustBitEqual(t, "ChannelInto", h, o.Channel(oa, ob))
+			case 3:
+				mustBitEqual(t, "propagation", w.Propagation(a, b), o.Propagation(oa, ob))
+			case 4:
+				if x, y := w.MeanSNR(a, b), o.MeanSNR(oa, ob); math.Float64bits(x) != math.Float64bits(y) {
+					t.Fatalf("MeanSNR %v vs %v", x, y)
+				}
+			case 5:
+				w.Redraw(a, b)
+				o.Redraw(oa, ob)
+			case 6:
+				x, y := float64(next()%16), float64(next()%16)
+				w.MoveNode(a, x, y)
+				o.MoveNode(oa, x, y)
+			case 7:
+				eps := float64(i*w.numNodes()+j) / float64(w.numNodes()*w.numNodes())
+				w.Perturb(eps)
+				o.Perturb(eps)
+			}
+		}
+		if w.livePairs() != len(o.phys) {
+			t.Fatalf("live pairs %d vs %d", w.livePairs(), len(o.phys))
+		}
+		checkPairLists(t, w)
+		if w.nextDraw() != o.nextDraw() {
+			t.Fatal("world RNG streams diverged")
+		}
+	})
+}
+
+// checkPairLists fails unless every node's pair list holds exactly the
+// rows that name the node, each indexed under its key.
+func checkPairLists(t *testing.T, w *World) {
+	t.Helper()
+	onLists := 0
+	for _, n := range w.nodes {
+		for r := n.pairs; r != noRow; {
+			row := w.rows.At(int(r))
+			lo, hi := int(row.key>>32), int(uint32(row.key))
+			if lo != n.ID && hi != n.ID {
+				t.Fatalf("row %d (%d, %d) on node %d's list", r, lo, hi, n.ID)
+			}
+			if got, ok := w.index.Get(row.key); !ok || got != r {
+				t.Fatalf("listed row %d not indexed", r)
+			}
+			onLists++
+			if lo == n.ID {
+				r = row.next[0]
+			} else {
+				r = row.next[1]
+			}
+		}
+	}
+	if onLists != 2*w.index.Len() || w.index.Len() != w.rows.Len() {
+		t.Fatalf("%d list entries for %d indexed rows of %d", onLists, w.index.Len(), w.rows.Len())
+	}
+}
+
+// TestNewTestbedAllocsConstant pins flat node storage: a testbed of n
+// nodes takes one chunk for the nodes and one for their hardware
+// chains, so building 5000 nodes allocates no more than building 20.
+// The collector is off while counting: a collection lets the runtime
+// and test harness allocate on their own account.
+func TestNewTestbedAllocsConstant(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	build := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() { NewTestbed(DefaultParams(), 1, n, 12) })
+	}
+	small, large := build(20), build(5000)
+	if large > small || large > 8 {
+		t.Fatalf("NewTestbed: %v allocations for 20 nodes, %v for 5000; want the same, at most 8", small, large)
+	}
+}
+
+// TestPairKeyBounds pins the pair key's field bounds: node IDs must lie
+// in [0, maxNodes) so both fit their 32-bit fields; anything else panics
+// instead of aliasing another pair.
+func TestPairKeyBounds(t *testing.T) {
+	if got := pairKey(7, 3); got != 3<<32|7 {
+		t.Fatalf("pairKey(7, 3) = %#x", got)
+	}
+	if got := pairKey(0, maxNodes-1); got != maxNodes-1 {
+		t.Fatalf("pairKey(0, max) = %#x", got)
+	}
+	for _, p := range [][2]int{{-1, 2}, {0, maxNodes}, {maxNodes, maxNodes + 1}, {1 << 32, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("pairKey(%d, %d) did not panic", p[0], p[1])
+				}
+			}()
+			pairKey(p[0], p[1])
+		}()
+	}
+}
+
+// TestNodeIDBound pins the bound AddNode checks each new ID against:
+// only IDs in [0, maxNodes) become pair-key fields.
+func TestNodeIDBound(t *testing.T) {
+	if keyField(maxNodes-1) != maxNodes-1 {
+		t.Fatal("largest node ID changed")
+	}
+	for _, id := range []int{-1, maxNodes, 1 << 40} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("node ID %d accepted", id)
+				}
+			}()
+			keyField(id)
+		}()
 	}
 }

@@ -43,7 +43,7 @@ func IdealCalibration(client, ap *Node) (Calibration, error) {
 	}
 	return Calibration{
 		Left:  ap.txChain.Mul(rxAPInv),
-		Right: txClientInv.Mul(client.rxChain),
+		Right: txClientInv.Mul(&client.rxChain),
 	}, nil
 }
 

@@ -10,6 +10,7 @@ func NewTestbed(params Params, seed int64, n int, roomSize float64) *World {
 		panic("channel: testbed needs at least one node")
 	}
 	w := NewWorld(params, seed)
+	w.reserve(n)
 	for i := 0; i < n; i++ {
 		x := w.rng.Float64() * roomSize
 		y := w.rng.Float64() * roomSize

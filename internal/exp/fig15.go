@@ -145,8 +145,9 @@ func fig15Gains(cfg Config, uplink bool, mkPicker func(run int) mac.GroupPicker)
 				sim.Enqueue(c) // immediately re-queue: infinite demand
 			}
 		}
+		stats := sim.Stats()
 		for i := 0; i < fig15Clients; i++ {
-			if st, ok := sim.Stats()[mac.ClientID(i)]; ok {
+			if st := stats[i]; st.Slots > 0 {
 				iacThroughput[i] += st.RateSum / float64(cfg.Slots)
 			}
 			var b float64

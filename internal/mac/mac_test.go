@@ -3,6 +3,8 @@ package mac
 import (
 	"errors"
 	"math"
+	"math/bits"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -638,4 +640,41 @@ func TestChargeSlotsAdvancesAirtimeOnly(t *testing.T) {
 		}
 	}()
 	sim.ChargeSlots(-1)
+}
+
+// TestFirstSeenClientAllocs pins the MAC's flat per-client tables:
+// over N clients never seen before, enqueueing their first packets and
+// running the CFPs that serve them cost O(log N) allocations in all
+// (per-client table, deque-run slab and picker table growth), not one
+// per client: a client's stats row sits beside its queue.
+func TestFirstSeenClientAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	rate, lost := []float64{1, 1, 1}, []bool{false, false, false}
+	sim := NewSimulator(Config{GroupSize: 3}, NewBestOfTwoPicker(1, 8), constRate,
+		func(g []ClientID) SlotResult { return SlotResult{Rate: rate[:len(g)], Lost: lost[:len(g)]} })
+	const rounds = 1 << 10
+	var cfp, enqueue uint64
+	var m0, m1 runtime.MemStats
+	for i := range rounds {
+		runtime.ReadMemStats(&m0)
+		for j := range 3 {
+			sim.Enqueue(ClientID(3*i + j))
+		}
+		runtime.ReadMemStats(&m1)
+		enqueue += m1.Mallocs - m0.Mallocs
+		sim.RunCFP()
+		runtime.ReadMemStats(&m0)
+		cfp += m0.Mallocs - m1.Mallocs
+	}
+	bound := uint64(16 * bits.Len(3*rounds))
+	if cfp > bound || enqueue > bound {
+		t.Fatalf("%d first-seen clients: %d allocations enqueueing, %d in CFPs; want at most %d each", 3*rounds, enqueue, cfp, bound)
+	}
+	for c, st := range sim.Stats() {
+		if st.Slots != 1 || st.Delivered != 1 {
+			t.Fatalf("client %d stats %+v", c, st)
+		}
+	}
 }

@@ -3,6 +3,8 @@ package mac
 import (
 	"fmt"
 	"slices"
+
+	"iaclan/internal/flat"
 )
 
 // SlotResult reports what one concurrent transmission slot achieved for
@@ -82,20 +84,24 @@ type Simulator struct {
 	est    RateEstimator
 	run    SlotRunner
 
-	// queues is indexed by ClientID (grown on demand); active lists the
-	// clients that may have queued packets, each at most once (inActive
-	// is the membership flag). Clients whose deque drained stay in
-	// active until the next eligible-set build sweeps them out.
+	// queues, inActive and stats are indexed by ClientID (grown on
+	// demand by grow); active lists the clients that may have queued
+	// packets, each at most once (inActive is the membership flag).
+	// Clients whose deque drained stay in active until the next
+	// eligible-set build sweeps them out. A deque's first backing array
+	// is a run of the runs slab, so a client's first packet allocates
+	// nothing.
 	queues   []clientQueue
 	active   []ClientID
 	inActive []bool
+	stats    []ClientStats
+	runs     flat.Slab[queuedPacket]
 	queueLen int
 	// seq stamps each enqueued packet with its global arrival order; the
 	// eligible view sorts clients by their head packet's stamp, which is
 	// exactly the first-occurrence order a flat FIFO queue would yield.
 	seq uint64
 
-	stats      map[ClientID]*ClientStats
 	beacons    int
 	slots      int
 	wireClamps int
@@ -168,7 +174,6 @@ func NewSimulator(cfg Config, picker GroupPicker, est RateEstimator, run SlotRun
 		picker: picker,
 		est:    est,
 		run:    run,
-		stats:  make(map[ClientID]*ClientStats),
 	}
 }
 
@@ -185,6 +190,10 @@ func (s *Simulator) Enqueue(c ClientID) { s.EnqueueBorn(c, s.slots) }
 func (s *Simulator) EnqueueBorn(c ClientID, born int) {
 	s.grow(c)
 	s.seq++
+	if q := &s.queues[c]; q.pkts == nil {
+		_, run := s.runs.Take(firstRun)
+		q.pkts = run[:0]
+	}
 	s.queues[c].push(queuedPacket{client: c, born: born, seq: s.seq})
 	s.queueLen++
 	if !s.inActive[c] {
@@ -193,16 +202,19 @@ func (s *Simulator) EnqueueBorn(c ClientID, born int) {
 	}
 }
 
+// firstRun is the capacity of a deque's first backing array: a packet
+// and its retry.
+const firstRun = 2
+
 // grow sizes the per-client tables to cover id c.
 func (s *Simulator) grow(c ClientID) {
 	if int(c) < len(s.queues) {
 		return
 	}
 	n := int(c) + 1
-	for len(s.queues) < n {
-		s.queues = append(s.queues, clientQueue{})
-		s.inActive = append(s.inActive, false)
-	}
+	s.queues = append(s.queues, make([]clientQueue, n-len(s.queues))...)
+	s.inActive = append(s.inActive, make([]bool, n-len(s.inActive))...)
+	s.stats = append(s.stats, make([]ClientStats, n-len(s.stats))...)
 }
 
 // QueueLen returns the number of queued packets.
@@ -239,8 +251,10 @@ func (s *Simulator) eligible() []ClientID {
 	return elig
 }
 
-// Stats returns the accumulated per-client statistics map (live view).
-func (s *Simulator) Stats() map[ClientID]*ClientStats { return s.stats }
+// Stats returns the accumulated per-client statistics, indexed by
+// ClientID up to the highest ID enqueued so far (live view). A client
+// that never took part in a slot has zero Slots.
+func (s *Simulator) Stats() []ClientStats { return s.stats }
 
 // Beacons returns how many CFPs have run.
 func (s *Simulator) Beacons() int { return s.beacons }
@@ -319,7 +333,7 @@ func (s *Simulator) RunCFP() Beacon {
 		cfpSlots++
 		now := s.slots + cfpSlots
 		for i, c := range group {
-			st := s.statFor(c)
+			st := &s.stats[c]
 			st.Slots++
 			born, dropped := s.dequeueOne(c, res.Lost[i])
 			if res.Lost[i] {
@@ -380,7 +394,7 @@ func (s *Simulator) RunSlot() []ClientID {
 	}
 	s.slots++
 	for i, c := range group {
-		st := s.statFor(c)
+		st := &s.stats[c]
 		st.Slots++
 		born, dropped := s.dequeueOne(c, res.Lost[i])
 		if res.Lost[i] {
@@ -421,13 +435,4 @@ func (s *Simulator) dequeueOne(c ClientID, lost bool) (born int, dropped bool) {
 		return qp.born, true
 	}
 	return qp.born, false
-}
-
-func (s *Simulator) statFor(c ClientID) *ClientStats {
-	st, ok := s.stats[c]
-	if !ok {
-		st = &ClientStats{}
-		s.stats[c] = st
-	}
-	return st
 }

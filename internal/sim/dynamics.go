@@ -154,7 +154,7 @@ func (e *engine) applyDynamics(cycle int) {
 		// outcomes) invalidate separately, the moment the epoch moves.
 		e.chans.Retrain()
 		e.surveyAll()
-		clear(e.cache)
+		e.planGen++
 		e.sim.ChargeSlots(e.dyn.TrainSlots)
 		e.retrains++
 		e.retrainCost += e.dyn.TrainSlots

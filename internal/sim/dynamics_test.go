@@ -41,8 +41,8 @@ func TestPerturbInvalidatesMidTrialCaches(t *testing.T) {
 	if !before.ok || !before.hasPlanned {
 		t.Fatalf("planned-rate tracking off under dynamics: %+v", before)
 	}
-	if len(e.cache) != 1 {
-		t.Fatalf("group cache holds %d entries", len(e.cache))
+	if e.outcomes.Len() != 1 {
+		t.Fatalf("group cache holds %d entries", e.outcomes.Len())
 	}
 	tx, rx := e.scenario.Clients[0], e.scenario.APs[0]
 	// The cache refreshes matrices in place: compare contents.
@@ -58,8 +58,8 @@ func TestPerturbInvalidatesMidTrialCaches(t *testing.T) {
 		t.Fatal("training estimates must stay pinned until Retrain")
 	}
 	after := e.outcome(group)
-	if len(e.cache) != 1 {
-		t.Fatalf("group cache not rebuilt: %d entries", len(e.cache))
+	if e.outcomes.Len() != 1 {
+		t.Fatalf("group cache not rebuilt: %d entries", e.outcomes.Len())
 	}
 	if before.sumRate == after.sumRate {
 		t.Fatal("post-perturb plan identical to pre-perturb plan")

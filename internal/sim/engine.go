@@ -8,6 +8,7 @@ import (
 	"iaclan/internal/backend"
 	"iaclan/internal/channel"
 	"iaclan/internal/core"
+	"iaclan/internal/flat"
 	"iaclan/internal/mac"
 	"iaclan/internal/phy"
 	"iaclan/internal/sched"
@@ -28,7 +29,7 @@ type arrival struct {
 }
 
 // maxGroup is the largest transmission group the engine plans (the
-// width of groupKey).
+// width of planKey).
 const maxGroup = 3
 
 // groupOutcome caches one transmission group's planned slot result so
@@ -36,14 +37,13 @@ const maxGroup = 3
 // slot runner share the planning work, as in the Fig. 15 experiment.
 // It is a plain value: the per-client rates sit in fixed arrays.
 type groupOutcome struct {
-	ok      bool
 	sumRate float64
 	// served is how many group members the slot serves: client[i]
 	// achieved rate[i] for i < served. A member not listed was not
 	// served (fallback slots carry only the head).
-	served int
-	client [maxGroup]mac.ClientID
-	rate   [maxGroup]float64
+	served  int
+	packets int
+	rate    [maxGroup]float64
 	// planned[i] is the rate the leader planned client[i]'s packets at
 	// (from the last training survey), valid when hasPlanned. Set under
 	// channel dynamics and under the MCS link plane, where
@@ -51,8 +51,9 @@ type groupOutcome struct {
 	// continuous model the head-only fallback has none (the baseline is
 	// granted ideal rate adaptation).
 	planned    [maxGroup]float64
+	client     [maxGroup]mac.ClientID
+	ok         bool
 	hasPlanned bool
-	packets    int
 }
 
 // member returns the served slot index of client c, or -1.
@@ -87,13 +88,14 @@ type engine struct {
 	// chans memoizes per-(tx,rx) channel matrices, training estimates,
 	// and per-client baseline rates, keyed by the world's channel epoch.
 	chans *testbed.SlotCache
-	// cache memoizes each transmission group's planned outcome — the
+	// outcomes memoizes each transmission group's planned outcome — the
 	// precoding/zero-forcing work the combinatorial pickers would
-	// otherwise redo per candidate evaluation. cacheEpoch tracks the
-	// world epoch the entries were planned under; a fading change drops
-	// them all.
-	cache      map[planKey]groupOutcome
-	cacheEpoch uint64
+	// otherwise redo per candidate evaluation — keyed by planKey, in
+	// plan generation planGen: it moves when the world epoch leaves
+	// planEpoch (a fading change) and on a retrain, and the memo's first
+	// lookup in a new generation drops every row.
+	outcomes           flat.Memo[groupOutcome]
+	planGen, planEpoch uint64
 
 	// Channel-dynamics state: the normalized Dynamics block, a dedicated
 	// RNG for waypoint draws (so mobility never re-orders the traffic or
@@ -189,9 +191,7 @@ func newEngine(cfg Config) (*engine, error) {
 		scenario:  scenario,
 		rng:       rand.New(rand.NewSource(cfg.Seed + 7)),
 		hub:       backend.NewMemHub(cfg.APs),
-		cache:     map[planKey]groupOutcome{},
 		payload:   make([]byte, cfg.PacketBytes),
-		gens:      make([]Generator, cfg.Clients),
 		next:      make([]float64, cfg.Clients),
 		pending:   make([]int, cfg.Clients),
 		offered:   make([]int, cfg.Clients),
@@ -206,7 +206,7 @@ func newEngine(cfg Config) (*engine, error) {
 		trial:     cfg.trial,
 	}
 	e.chans = testbed.NewSlotCache(e.scenario)
-	e.cacheEpoch = e.scenario.World.Epoch()
+	e.planEpoch = e.scenario.World.Epoch()
 	e.chainAPs = cfg.APs
 	if max := core.UplinkChainMaxAPs(world.Params().Antennas); e.chainAPs > max {
 		e.chainAPs = max
@@ -234,12 +234,12 @@ func newEngine(cfg Config) (*engine, error) {
 			}
 		}
 	}
-	for i := range e.gens {
-		g, err := cfg.Workload.NewGenerator()
-		if err != nil {
-			return nil, err
-		}
-		e.gens[i] = g
+	gens, err := cfg.Workload.newGenerators(cfg.Clients)
+	if err != nil {
+		return nil, err
+	}
+	e.gens = gens
+	for i, g := range e.gens {
 		if cfg.Workload.Kind != Saturated {
 			// Stagger the sources: the first arrival lands a random
 			// fraction of one inter-arrival gap into the run.
@@ -599,31 +599,27 @@ func (e *engine) publish(t backend.MsgType, payload []byte) {
 	_ = e.hub.Publish(0, backend.Message{Type: t, From: 0, Seq: e.seq, Payload: payload})
 }
 
-// groupKey identifies a group (max size 3) up to reordering of the
-// non-head members: the head is role-asymmetric (it transmits two
-// packets on the uplink). The fixed-size comparable key keeps the
-// pickers' combinatorial est() calls allocation-free on cache hits;
-// unused slots hold -1.
-type groupKey [3]int32
-
-func makeGroupKey(group []mac.ClientID) groupKey {
-	k := groupKey{-1, -1, -1}
-	k[0] = int32(group[0])
-	for i, c := range group[1:] {
-		k[i+1] = int32(c)
+// planKey packs the plan cache's key: the group, up to reordering of
+// the non-head members (the head is role-asymmetric: it transmits two
+// packets on the uplink), plus the AP-rotation stripe the slot runs
+// under (always 0 without striping). Each member takes a 17-bit field
+// holding its ID plus one, so an unused field (0) never matches a
+// client; the stripe takes the bits above them. A plain integer key
+// keeps the pickers' combinatorial est() calls allocation-free on cache
+// hits.
+func planKey(group []mac.ClientID, stripe int8) uint64 {
+	const idBits = 17
+	if len(group) == 0 || len(group) > maxGroup || stripe < 0 {
+		panic(fmt.Sprintf("sim: plan key of a %d-client group, stripe %d", len(group), stripe))
 	}
-	if len(group) == 3 && k[1] > k[2] {
-		k[1], k[2] = k[2], k[1]
+	var f [maxGroup]uint64
+	for i, c := range group {
+		f[i] = uint64(c) + 1 // a ClientID is 16 bits, so this fits idBits
 	}
-	return k
-}
-
-// planKey is the plan cache's key: the group plus the AP-rotation
-// stripe the slot runs under. Without striping the stripe is always 0,
-// so the key degenerates to the plain group key.
-type planKey struct {
-	g      groupKey
-	stripe int8
+	if f[1] > f[2] && f[2] != 0 {
+		f[1], f[2] = f[2], f[1]
+	}
+	return uint64(stripe)<<(maxGroup*idBits) | f[2]<<(2*idBits) | f[1]<<idBits | f[0]
 }
 
 // stripeFor picks the AP rotation for a group this cycle: the head
@@ -641,16 +637,17 @@ func (e *engine) outcome(group []mac.ClientID) groupOutcome {
 	// world's channel state; any fading mutation bumps the epoch and
 	// drops every memoized outcome (the SlotCache invalidates itself the
 	// same way).
-	if ep := e.scenario.World.Epoch(); ep != e.cacheEpoch {
-		clear(e.cache)
-		e.cacheEpoch = ep
+	if ep := e.scenario.World.Epoch(); ep != e.planEpoch {
+		e.planGen++
+		e.planEpoch = ep
 	}
-	k := planKey{g: makeGroupKey(group), stripe: e.stripeFor(group)}
-	if out, ok := e.cache[k]; ok {
-		return out
+	stripe := e.stripeFor(group)
+	row, fresh := e.outcomes.Row(planKey(group, stripe), e.planGen)
+	if fresh {
+		return *row
 	}
-	out := e.plan(group, k.stripe)
-	e.cache[k] = out
+	out := e.plan(group, stripe)
+	*row = out
 	e.emit(Event{Kind: EventSlotPlanned, Cycle: e.cycleNo,
 		Slot: e.sim.Slots(), Group: len(group), Value: out.sumRate})
 	return out

@@ -3,6 +3,8 @@ package sim
 import (
 	"reflect"
 	"testing"
+
+	"iaclan/internal/mac"
 )
 
 // quickCfg is a scaled-down run that still exercises grouping, losses,
@@ -199,5 +201,43 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Fatalf("bad config %d accepted", i)
 		}
+	}
+}
+
+// TestPlanKeyBounds pins the packed plan-cache key: non-head members
+// commute, the head and the stripe do not, every field holds the
+// largest ClientID without touching its neighbour, and a group or
+// stripe outside the packing's range panics instead of aliasing another
+// group's plan.
+func TestPlanKeyBounds(t *testing.T) {
+	const top = mac.ClientID(1<<16 - 1)
+	if planKey([]mac.ClientID{5, 9, 2}, 0) != planKey([]mac.ClientID{5, 2, 9}, 0) {
+		t.Fatal("non-head members must commute")
+	}
+	keys := map[uint64][]mac.ClientID{}
+	for _, g := range [][]mac.ClientID{
+		{0}, {1}, {0, 1}, {1, 0}, {0, 1, 2}, {2, 0, 1}, {top}, {top, top - 1},
+		{top, top - 1, top - 2}, {top - 2, top - 1, top}, {0, top}, {top, 0},
+	} {
+		for _, stripe := range []int8{0, 1, 127} {
+			k := planKey(g, stripe)
+			if prev, ok := keys[k]; ok {
+				t.Fatalf("groups %v and %v (stripe %d) share key %#x", prev, g, stripe, k)
+			}
+			keys[k] = g
+		}
+	}
+	for _, bad := range []struct {
+		group  []mac.ClientID
+		stripe int8
+	}{{nil, 0}, {[]mac.ClientID{1, 2, 3, 4}, 0}, {[]mac.ClientID{1}, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("planKey(%v, %d) did not panic", bad.group, bad.stripe)
+				}
+			}()
+			planKey(bad.group, bad.stripe)
+		}()
 	}
 }

@@ -193,7 +193,7 @@ func (w Workload) validate() error {
 // Generator produces one client's packet arrival process in slot time.
 // Implementations may be stateful (Bursty tracks its burst phase) and
 // are not safe for concurrent use; each client of each trial gets its
-// own instance.
+// own instance of a stateful kind (see newGenerators).
 type Generator interface {
 	Name() string
 	// Next returns the gap in slots between the previous arrival and the
@@ -232,6 +232,25 @@ func (w Workload) NewGenerator() (Generator, error) {
 		}, nil
 	}
 	return nil, fmt.Errorf("sim: unknown workload kind %q", w.Kind)
+}
+
+// newGenerators returns n clients' arrival processes. Saturated, CBR
+// and Poisson generators keep no state, so one instance serves all n;
+// every other kind gets one per client.
+func (w Workload) newGenerators(n int) ([]Generator, error) {
+	gens := make([]Generator, n)
+	shared := w.Kind == Saturated || w.Kind == CBR || w.Kind == Poisson
+	for i := range gens {
+		if i > 0 && shared {
+			gens[i] = gens[0]
+			continue
+		}
+		var err error
+		if gens[i], err = w.NewGenerator(); err != nil {
+			return nil, err
+		}
+	}
+	return gens, nil
 }
 
 type saturatedGen struct{}

@@ -2,7 +2,9 @@ package testbed
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"iaclan/internal/channel"
@@ -75,5 +77,41 @@ func TestFadingDownlinkSlotAllocs(t *testing.T) {
 	})
 	if got > fadingSlotAllocsPin {
 		t.Fatalf("fading downlink slot: %v allocs, pinned at most %d", got, fadingSlotAllocsPin)
+	}
+}
+
+// TestColdPairsAllocateLogarithmically pins flat per-pair storage:
+// planning uplink slots whose pairs neither the world nor the cache has
+// seen grows the world's pair table and the cache's pair rows and
+// matrix slab by chunks, so N new pairs cost O(log N) allocations in
+// all, not a few per pair.
+func TestColdPairsAllocateLogarithmically(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const groups = 512
+	world := channel.NewTestbed(channel.DefaultParams(), 1, 3*groups+3, 12)
+	s := PickScenario(world, 3*groups, 3)
+	ws := phy.NewWorkspace()
+	cache := NewSlotCache(s)
+	rng := rand.New(rand.NewSource(3))
+	plan := func(g int) {
+		sub := Scenario{World: world, Env: s.Env, Clients: s.Clients[3*g : 3*g+3], APs: s.APs}
+		if _, err := RunUplinkSlotWS(ws, cache, sub, 0, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan(0) // size the planner's scratch
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for g := 1; g < groups; g++ {
+		plan(g)
+	}
+	runtime.ReadMemStats(&m1)
+	pairs := 3 * 3 * (groups - 1)
+	allocs := m1.Mallocs - m0.Mallocs
+	t.Logf("%d allocations for %d new pairs", allocs, pairs)
+	if bound := uint64(8 * bits.Len(uint(pairs))); allocs > bound {
+		t.Fatalf("%d allocations planning over %d new pairs, want at most %d", allocs, pairs, bound)
 	}
 }

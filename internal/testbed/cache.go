@@ -1,11 +1,13 @@
 package testbed
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
 	"iaclan/internal/channel"
 	"iaclan/internal/cmplxmat"
+	"iaclan/internal/flat"
 	"iaclan/internal/mimo"
 	"iaclan/internal/phy"
 )
@@ -26,18 +28,22 @@ import (
 // planned in that epoch see one consistent channel survey, like APs
 // sharing a measurement round over the wired backend.
 //
-// Stale per-pair matrices are not dropped: each pair owns one channel
-// and one estimate matrix, stamped with the generation it was computed
-// in, and the first lookup after the stamp goes stale recomputes it in
-// place (channel.World.ChannelInto, channel.NoisyEstimateInto), with
-// the same draws and bits as computing a fresh matrix. Storage therefore
-// grows only with the pairs a trial actually touches, and re-planning
-// after a fading step allocates nothing. The price is the lifetime rule:
-// a matrix returned by Channel or Estimated is valid only until its pair
-// is refreshed — the next lookup of that pair after an epoch move (or,
-// for estimates, a Retrain). Holders must not keep one across a fading
-// step; the slot planner, the baselines and the survey read them within
-// one call.
+// Storage is flat and nothing is dropped. Each directed pair the cache
+// has seen owns one row of a chunked slab, found through an
+// open-addressed index keyed by the packed (tx, rx) node IDs; the row's
+// channel and estimate are cmplxmat.Views into one matrix slab, each
+// stamped with the generation it was computed in. The first lookup
+// after a stamp goes stale recomputes the matrix in place
+// (channel.World.ChannelInto, channel.NoisyEstimateInto), with the same
+// draws and bits as computing a fresh matrix. The per-client baseline
+// rates are likewise stamped rows, one per client and direction. Storage
+// therefore grows only with the pairs a trial actually touches, in
+// O(log N) allocations for N pairs, and re-planning after a fading step
+// allocates nothing. The price is the lifetime rule: a matrix returned
+// by Channel or Estimated is valid only until its pair is refreshed —
+// the next lookup of that pair after an epoch move (or, for estimates,
+// a Retrain). Holders must not keep one across a fading step; the slot
+// planner, the baselines and the survey read them within one call.
 //
 // Under the traffic engine's channel dynamics the estimate memo follows
 // a different clock: SetManualRetrain pins training estimates across
@@ -55,21 +61,24 @@ import (
 type SlotCache struct {
 	scenario Scenario
 	epoch    uint64
-	// pairs indexes entries by directed node-ID pair; an entry is
-	// appended the first time its pair is looked up and never removed.
-	pairs   map[chanKey]int32
-	entries []pairEntry
+	// pairs indexes entries by packed directed node-ID pair; an entry is
+	// added the first time its pair is looked up and never removed. The
+	// entries' matrices are views into mats.
+	pairs   flat.Index
+	entries flat.Slab[pairEntry]
+	mats    flat.Slab[complex128]
 	// chanGen and estGen are the current channel and survey
 	// generations: chanGen moves with the world epoch, estGen with it
-	// too unless manual re-training pins estimates, and on Retrain. An
-	// entry is fresh while its stamp equals the current generation; both
-	// start at 1, so a zero stamp is never fresh.
-	chanGen, estGen uint64
-	base            map[baseKey]float64
-	// adapted memoizes the discrete-rate baseline (planned, achieved)
-	// per client. It depends on both the true channel (epoch clock) and
-	// the training estimates (retrain clock), so it drops on either.
-	adapted map[baseKey]adaptedRate
+	// too unless manual re-training pins estimates, and on Retrain.
+	// adaptGen moves on either, for the adapted baselines that read
+	// both. An entry is fresh while its stamp equals the current
+	// generation; all start at 1, so a zero stamp is never fresh.
+	chanGen, estGen, adaptGen uint64
+	// base and adapted memoize the per-client baseline rates, at
+	// 2*client+uplink, stamped with chanGen and adaptGen. Each is sized
+	// to the scenario's clients on first use: a one-slot cache never
+	// needs them, and only MCS-mode trials use adapted.
+	base, adapted []rateMemo
 	// manualRetrain decouples the estimate memo from the world epoch:
 	// estimates survive fading mutations and drop only on Retrain.
 	manualRetrain bool
@@ -93,47 +102,45 @@ type SlotCache struct {
 }
 
 // pairEntry is one directed pair's channel and estimate, each with the
-// generation it was computed in.
+// generation it was computed in (0 before the first computation, when
+// the view is still empty).
 type pairEntry struct {
-	h, est           *cmplxmat.Matrix
+	h, est           cmplxmat.Matrix
 	hStamp, estStamp uint64
 }
 
-// chanKey identifies a directed transmitter->receiver pair by node ID.
-type chanKey struct{ tx, rx int }
-
-// baseKey identifies a per-client baseline-rate memo.
-type baseKey struct {
-	client int
-	uplink bool
+// pairID packs a directed transmitter->receiver pair of node IDs into
+// one index key.
+func pairID(tx, rx int) uint64 {
+	if uint(tx) > math.MaxUint32 || uint(rx) > math.MaxUint32 {
+		panic(fmt.Sprintf("testbed: node pair (%d, %d) outside the 32-bit key fields", tx, rx))
+	}
+	return uint64(tx)<<32 | uint64(rx)
 }
 
-// adaptedRate is one memoized discrete-rate baseline outcome.
-type adaptedRate struct{ planned, achieved float64 }
+// rateMemo is one memoized baseline: the rate (planned, for an adapted
+// baseline, with the achieved one) and the generation it holds for.
+type rateMemo struct {
+	planned, achieved float64
+	gen               uint64
+}
 
 // NewSlotCache creates an empty cache bound to the scenario's world and
 // AP set.
 func NewSlotCache(s Scenario) *SlotCache {
-	return newSlotCache(s, nil, 0)
+	return newSlotCache(s, nil)
 }
 
-// newSlotCache is NewSlotCache with room for pairs channel pairs and
-// the scratch workspace ws, or its own when ws is nil. A cache for one
-// slot's per-slot training sizes itself to the scenario's pairs and
-// borrows the planner's workspace, so it allocates little beyond the
-// matrices themselves.
-func newSlotCache(s Scenario, ws *cmplxmat.Workspace, pairs int) *SlotCache {
+// newSlotCache is NewSlotCache on the scratch workspace ws, or its own
+// when ws is nil.
+func newSlotCache(s Scenario, ws *cmplxmat.Workspace) *SlotCache {
 	c := &SlotCache{
 		scenario: s,
 		epoch:    s.World.Epoch(),
-		pairs:    make(map[chanKey]int32, pairs),
-		entries:  make([]pairEntry, 0, pairs),
 		chanGen:  1,
 		estGen:   1,
+		adaptGen: 1,
 		ws:       ws,
-		// base and adapted are allocated on first use: a one-slot
-		// cache never needs them, and only MCS-mode trials pay for
-		// adapted (clear of a nil map is a no-op).
 	}
 	if ws == nil {
 		c.ws = &c.own
@@ -142,9 +149,10 @@ func newSlotCache(s Scenario, ws *cmplxmat.Workspace, pairs int) *SlotCache {
 }
 
 // slotCache returns the one-slot cache of the paper's per-slot
-// training for s, on the planner's workspace ws.
+// training for s, on the planner's workspace ws, so it allocates little
+// beyond its first slab chunks.
 func slotCache(ws *phy.Workspace, s Scenario) *SlotCache {
-	return newSlotCache(s, ws.Mat, len(s.Clients)*len(s.APs))
+	return newSlotCache(s, ws.Mat)
 }
 
 // SetManualRetrain selects the estimate-invalidation clock. Off (the
@@ -173,37 +181,42 @@ func (c *SlotCache) Counters() (hits, misses uint64) { return c.hits, c.misses }
 // them.
 func (c *SlotCache) Retrain() {
 	c.estGen++
-	clear(c.adapted)
+	c.adaptGen++
 }
 
 // ensure moves the cache to the world's channel epoch when it has moved:
-// channel entries go stale and the baseline memos drop. Estimates
-// follow the epoch too unless manual re-training pins them (see
-// SetManualRetrain).
+// channel entries and baseline memos go stale. Estimates follow the
+// epoch too unless manual re-training pins them (see SetManualRetrain).
 func (c *SlotCache) ensure() {
 	if e := c.scenario.World.Epoch(); e != c.epoch {
 		c.chanGen++
 		if !c.manualRetrain {
 			c.estGen++
 		}
-		clear(c.base)
-		clear(c.adapted)
+		c.adaptGen++
 		c.epoch = e
 	}
 }
 
-// entry returns the pair's entry, appending an empty one on the pair's
-// first lookup. The pointer is valid until the next first lookup of
-// another pair.
+// entry returns the pair's entry, adding an empty one on the pair's
+// first lookup. Entries never move.
 func (c *SlotCache) entry(tx, rx *channel.Node) *pairEntry {
-	k := chanKey{tx.ID, rx.ID}
-	i, ok := c.pairs[k]
+	k := pairID(tx.ID, rx.ID)
+	i, ok := c.pairs.Get(k)
 	if !ok {
-		i = int32(len(c.entries))
-		c.pairs[k] = i
-		c.entries = append(c.entries, pairEntry{})
+		n, _ := c.entries.Take(1)
+		i = int32(n) // past MaxInt32 entries this wraps, and Put panics
+		c.pairs.Put(k, i)
 	}
-	return &c.entries[i]
+	return c.entries.At(int(i))
+}
+
+// view sets m, on first use, to a rows x cols view of fresh slab storage.
+func (c *SlotCache) view(m *cmplxmat.Matrix, rows, cols int) {
+	if m.Rows() == 0 {
+		_, d := c.mats.Take(rows * cols)
+		*m = cmplxmat.View(rows, cols, d)
+	}
 }
 
 // Channel returns the measured tx->rx channel matrix, computing it on
@@ -221,15 +234,13 @@ func (c *SlotCache) Channel(tx, rx *channel.Node) *cmplxmat.Matrix {
 func (c *SlotCache) channelOf(e *pairEntry, tx, rx *channel.Node) *cmplxmat.Matrix {
 	if e.hStamp == c.chanGen {
 		c.hits++
-		return e.h
+		return &e.h
 	}
 	c.misses++
-	if e.h == nil {
-		e.h = cmplxmat.New(rx.Antennas, tx.Antennas)
-	}
-	c.scenario.World.ChannelInto(e.h, c.ws, tx, rx)
+	c.view(&e.h, rx.Antennas, tx.Antennas)
+	c.scenario.World.ChannelInto(&e.h, c.ws, tx, rx)
 	e.hStamp = c.chanGen
-	return e.h
+	return &e.h
 }
 
 // Estimated returns the training-noise-corrupted estimate of the tx->rx
@@ -241,16 +252,29 @@ func (c *SlotCache) Estimated(tx, rx *channel.Node, rng *rand.Rand) *cmplxmat.Ma
 	e := c.entry(tx, rx)
 	if e.estStamp == c.estGen {
 		c.hits++
-		return e.est
+		return &e.est
 	}
 	c.misses++
 	h := c.channelOf(e, tx, rx)
-	if e.est == nil {
-		e.est = cmplxmat.New(h.Rows(), h.Cols())
-	}
-	channel.NoisyEstimateInto(e.est, h, c.scenario.Env.EstimationSigma(), rng)
+	c.view(&e.est, h.Rows(), h.Cols())
+	channel.NoisyEstimateInto(&e.est, h, c.scenario.Env.EstimationSigma(), rng)
 	e.estStamp = c.estGen
-	return e.est
+	return &e.est
+}
+
+// memo returns the client's baseline row in rows (sizing rows to the
+// scenario's clients on first use, so rows never move) and whether it
+// holds for gen.
+func (c *SlotCache) memo(rows *[]rateMemo, client int, uplink bool, gen uint64) (*rateMemo, bool) {
+	if *rows == nil {
+		*rows = make([]rateMemo, 2*len(c.scenario.Clients))
+	}
+	i := 2 * client
+	if uplink {
+		i++
+	}
+	m := &(*rows)[i]
+	return m, m.gen == gen
 }
 
 // BaselineUplinkRate is BaselineUplinkRate for the cache's scenario,
@@ -268,10 +292,10 @@ func (c *SlotCache) BaselineDownlinkRate(client int) float64 {
 
 func (c *SlotCache) baselineRate(client int, uplink bool) float64 {
 	c.ensure()
-	k := baseKey{client, uplink}
-	if r, ok := c.base[k]; ok {
+	m, ok := c.memo(&c.base, client, uplink, c.chanGen)
+	if ok {
 		c.hits++
-		return r
+		return m.planned
 	}
 	c.misses++
 	mark := c.ws.Mark()
@@ -288,10 +312,7 @@ func (c *SlotCache) baselineRate(client int, uplink bool) float64 {
 			best = r
 		}
 	}
-	if c.base == nil {
-		c.base = map[baseKey]float64{}
-	}
-	c.base[k] = best
+	*m = rateMemo{planned: best, gen: c.chanGen}
 	return best
 }
 
@@ -316,10 +337,10 @@ func (c *SlotCache) adaptedBaseline(client int, uplink bool, rng *rand.Rand) (pl
 		panic("testbed: adapted baseline needs Env.MCS")
 	}
 	c.ensure()
-	k := baseKey{client, uplink}
-	if r, ok := c.adapted[k]; ok {
+	m, ok := c.memo(&c.adapted, client, uplink, c.adaptGen)
+	if ok {
 		c.hits++
-		return r.planned, r.achieved
+		return m.planned, m.achieved
 	}
 	c.misses++
 	mark := c.ws.Mark()
@@ -336,9 +357,6 @@ func (c *SlotCache) adaptedBaseline(client int, uplink bool, rng *rand.Rand) (pl
 		}
 	}
 	planned, achieved = mimo.AdaptedBestAPWS(c.ws, table, trueChans, estChans, NodePower, c.scenario.Env.Noise())
-	if c.adapted == nil {
-		c.adapted = map[baseKey]adaptedRate{}
-	}
-	c.adapted[k] = adaptedRate{planned, achieved}
+	*m = rateMemo{planned, achieved, c.adaptGen}
 	return planned, achieved
 }

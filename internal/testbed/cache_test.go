@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -222,4 +223,26 @@ func phyWorkspace(t *testing.T) *phy.Workspace {
 	ws := phy.GetWorkspace()
 	t.Cleanup(func() { phy.PutWorkspace(ws) })
 	return ws
+}
+
+// TestPairIDBounds pins the directed pair key: tx and rx take one
+// 32-bit field each, so (a, b) and (b, a) differ, and an ID outside
+// the fields panics instead of aliasing another pair's row.
+func TestPairIDBounds(t *testing.T) {
+	if pairID(1, 2) == pairID(2, 1) {
+		t.Fatal("directions share a key")
+	}
+	if got := pairID(math.MaxUint32, 0); got != math.MaxUint32<<32 {
+		t.Fatalf("pairID(max, 0) = %#x", got)
+	}
+	for _, p := range [][2]int{{-1, 0}, {0, -1}, {math.MaxUint32 + 1, 0}, {0, math.MaxUint32 + 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("pairID(%d, %d) did not panic", p[0], p[1])
+				}
+			}()
+			pairID(p[0], p[1])
+		}()
+	}
 }
