@@ -360,6 +360,13 @@ func (w *World) ChannelInto(dst *cmplxmat.Matrix, ws *cmplxmat.Workspace, tx, rx
 	rx.rxChain.MulWS(ws, p).MulInto(dst, &tx.txChain)
 }
 
+// ChannelWS is Channel with the result in ws's arena.
+func (w *World) ChannelWS(ws *cmplxmat.Workspace, tx, rx *Node) *cmplxmat.Matrix {
+	h := ws.Matrix(rx.Antennas, tx.Antennas)
+	w.ChannelInto(h, ws, tx, rx)
+	return h
+}
+
 // CFO returns the carrier frequency offset in Hz that rx observes on a
 // transmission from tx: the difference of the two oscillators.
 func (w *World) CFO(tx, rx *Node) float64 { return tx.oscHz - rx.oscHz }

@@ -148,13 +148,12 @@ func (e *engine) applyDynamics(cycle int) {
 	}
 	if cycle%e.dyn.RetrainCycles == 0 {
 		// One training round: every pair the planners touch is
-		// re-surveyed (fresh estimates), every estimate-derived group
-		// plan is dropped, and the airtime bill lands on the MAC clock.
-		// The epoch-keyed memos (true channels, baselines, group
-		// outcomes) invalidate separately, the moment the epoch moves.
+		// re-surveyed (fresh estimates), the cache's generation moves so
+		// every estimate-derived group plan drops, and the airtime bill
+		// lands on the MAC clock. The epoch moves the same generation
+		// on its own.
 		e.chans.Retrain()
 		e.surveyAll()
-		e.planGen++
 		e.sim.ChargeSlots(e.dyn.TrainSlots)
 		e.retrains++
 		e.retrainCost += e.dyn.TrainSlots

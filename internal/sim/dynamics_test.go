@@ -23,10 +23,11 @@ func dynCfg() Config {
 }
 
 // TestPerturbInvalidatesMidTrialCaches pins the invalidation flow the
-// dynamics subsystem leans on: a Perturb between cycles must drop both
-// the SlotCache's epoch-keyed memos and the engine's group-outcome
-// cache, so post-perturb plans are re-derived against the drifted
-// channel — while the pinned training estimates survive until Retrain.
+// dynamics subsystem leans on: a Perturb between cycles must drop the
+// engine's group-outcome cache, so post-perturb plans are re-derived
+// against the drifted channel — while the pinned training estimates
+// survive until Retrain. A retrain that moves no epoch must drop the
+// group outcomes too: they derive from the estimates it replaces.
 func TestPerturbInvalidatesMidTrialCaches(t *testing.T) {
 	cfg := dynCfg().withDefaults()
 	e, err := newEngine(cfg)
@@ -45,14 +46,14 @@ func TestPerturbInvalidatesMidTrialCaches(t *testing.T) {
 		t.Fatalf("group cache holds %d entries", e.outcomes.Len())
 	}
 	tx, rx := e.scenario.Clients[0], e.scenario.APs[0]
-	// The cache refreshes matrices in place: compare contents.
-	hBefore := e.chans.Channel(tx, rx).Clone()
+	// The cache refreshes estimates in place: compare contents.
+	hBefore := e.scenario.World.Channel(tx, rx)
 	estBefore := e.chans.Estimated(tx, rx, e.rng).Clone()
 
 	e.scenario.World.Perturb(0.6)
 
-	if e.chans.Channel(tx, rx).Equal(hBefore, 0) {
-		t.Fatal("SlotCache kept a stale channel across the perturb")
+	if e.scenario.World.Channel(tx, rx).Equal(hBefore, 0) {
+		t.Fatal("the world kept a stale channel across the perturb")
 	}
 	if !e.chans.Estimated(tx, rx, e.rng).Equal(estBefore, 0) {
 		t.Fatal("training estimates must stay pinned until Retrain")
@@ -71,6 +72,33 @@ func TestPerturbInvalidatesMidTrialCaches(t *testing.T) {
 	if e.chans.Estimated(tx, rx, e.rng).Equal(estBefore, 0) {
 		t.Fatal("Retrain did not refresh the survey")
 	}
+
+	t.Run("retrain only", func(t *testing.T) {
+		cfg := dynCfg()
+		cfg.Dynamics.CoherenceCycles, cfg.Dynamics.RetrainCycles = 2, 1
+		e, err := newEngine(cfg.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.ws = phy.GetWorkspace()
+		defer phy.PutWorkspace(e.ws)
+		tr := newCountingTracer()
+		e.trace = tr
+		e.outcome(group)
+		e.outcome(group)
+		if n := tr.count(EventSlotPlanned); n != 1 {
+			t.Fatalf("%d plans before the retrain, want 1 (a memo hit)", n)
+		}
+		epoch := e.scenario.World.Epoch()
+		e.applyDynamics(1)
+		if tr.count(EventRetrain) != 1 || e.scenario.World.Epoch() != epoch {
+			t.Fatal("cycle 1 should retrain without moving the epoch")
+		}
+		e.outcome(group)
+		if n := tr.count(EventSlotPlanned); n != 2 {
+			t.Fatalf("%d plans after the retrain, want 2: the group plan outlived its estimates", n)
+		}
+	})
 }
 
 // TestDynamicsSerialMatchesSharded pins the acceptance contract: with

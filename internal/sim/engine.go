@@ -85,17 +85,15 @@ type engine struct {
 	// evaluation runs its linear algebra on this arena, borrowed from
 	// the process-wide pool for the trial's lifetime.
 	ws *phy.Workspace
-	// chans memoizes per-(tx,rx) channel matrices, training estimates,
-	// and per-client baseline rates, keyed by the world's channel epoch.
+	// chans memoizes per-(tx,rx) training estimates and per-client
+	// baseline rates, keyed by the world's channel epoch.
 	chans *testbed.SlotCache
 	// outcomes memoizes each transmission group's planned outcome — the
 	// precoding/zero-forcing work the combinatorial pickers would
 	// otherwise redo per candidate evaluation — keyed by planKey, in
-	// plan generation planGen: it moves when the world epoch leaves
-	// planEpoch (a fading change) and on a retrain, and the memo's first
-	// lookup in a new generation drops every row.
-	outcomes           flat.Memo[groupOutcome]
-	planGen, planEpoch uint64
+	// chans' generation: it moves on a fading change and on a retrain,
+	// and the memo's first lookup in a new generation drops every row.
+	outcomes flat.Memo[groupOutcome]
 
 	// Channel-dynamics state: the normalized Dynamics block, a dedicated
 	// RNG for waypoint draws (so mobility never re-orders the traffic or
@@ -206,7 +204,6 @@ func newEngine(cfg Config) (*engine, error) {
 		trial:     cfg.trial,
 	}
 	e.chans = testbed.NewSlotCache(e.scenario)
-	e.planEpoch = e.scenario.World.Epoch()
 	e.chainAPs = cfg.APs
 	if max := core.UplinkChainMaxAPs(world.Params().Antennas); e.chainAPs > max {
 		e.chainAPs = max
@@ -633,16 +630,11 @@ func (e *engine) stripeFor(group []mac.ClientID) int8 {
 }
 
 func (e *engine) outcome(group []mac.ClientID) groupOutcome {
-	// Invalidation rule: group plans are valid exactly as long as the
-	// world's channel state; any fading mutation bumps the epoch and
-	// drops every memoized outcome (the SlotCache invalidates itself the
-	// same way).
-	if ep := e.scenario.World.Epoch(); ep != e.planEpoch {
-		e.planGen++
-		e.planEpoch = ep
-	}
+	// Invalidation rule: a group plan derives from the estimates and the
+	// true channels, so it holds for one SlotCache generation; a fading
+	// mutation or a retrain moves it and drops every memoized outcome.
 	stripe := e.stripeFor(group)
-	row, fresh := e.outcomes.Row(planKey(group, stripe), e.planGen)
+	row, fresh := e.outcomes.Row(planKey(group, stripe), e.chans.Generation())
 	if fresh {
 		return *row
 	}

@@ -113,25 +113,105 @@ func FuzzSimConfig(f *testing.F) {
 		if cfg.Validate() != nil {
 			return
 		}
-		cfg = cfg.cellConfig(1)
+		checkAdmitted(t, cfg.cellConfig(1))
+	})
+}
+
+// fuzzPacketBudget caps the packets FuzzSimConfigInts lets one input
+// offer, so the integer knobs that stretch airtime (CPSlots,
+// TrainSlots, MaxQueue) stay cheap to fuzz. It bounds the harness, not
+// the admitted Config space: Validate knows nothing of it.
+const fuzzPacketBudget = 1 << 16
+
+// FuzzSimConfigInts fuzzes the admitted integer and Transport knob
+// space — CPSlots, MaxRetries, MaxQueue, GroupSize, Uplink, Picker,
+// PacketBytes, the Dynamics cycle counts and every Transport field —
+// on the tiny sweep of FuzzSimConfig, under its contract: Validate
+// rejects the input, or one worker and two agree under DeepEqual with
+// every exported float finite. Inputs whose offered-packet bound
+// (clients x arrival rate x an airtime bound per cycle x cycles x
+// trials) passes fuzzPacketBudget are skipped unrun.
+func FuzzSimConfigInts(f *testing.F) {
+	type in struct {
+		kind                                 uint8
+		cpSlots, maxRetries, maxQueue, group int
+		uplink                               bool
+		picker                               string
+		packetBytes                          int
+		fading                               bool
+		coherence, retrain, trainSlots       int
+		transport                            bool
+		window, rto, retransmits, stripes    int
+	}
+	for _, s := range []in{
+		{cpSlots: 2, maxRetries: 1, maxQueue: 64, group: 3, uplink: true, picker: PickerBestOfTwo, packetBytes: 1440},
+		{kind: 1, cpSlots: 1, maxQueue: 1, group: 2, uplink: true, picker: PickerFIFO, packetBytes: 1},
+		{kind: 4, group: 3, picker: PickerBruteForce, packetBytes: 64 << 10},
+		{kind: 4, group: 2, picker: PickerBestOfTwo, packetBytes: 64<<10 + 1},
+		{group: 1, picker: "psychic"},
+		{kind: 2, uplink: true, fading: true, coherence: 2, retrain: 1, trainSlots: 3},
+		{kind: 3, fading: true, coherence: 1, retrain: 4, trainSlots: -1},
+		{uplink: true, transport: true, window: 64, rto: 1, retransmits: 1, stripes: 3},
+		{uplink: true, transport: true, window: 65},
+		{transport: true, stripes: 2},
+		{kind: 4, uplink: true, transport: true},
+		{window: 4},
+		{cpSlots: -1, maxRetries: -1, maxQueue: -1, group: 4},
+	} {
+		f.Add(s.kind, s.cpSlots, s.maxRetries, s.maxQueue, s.group, s.uplink, s.picker, s.packetBytes,
+			s.fading, s.coherence, s.retrain, s.trainSlots, s.transport, s.window, s.rto, s.retransmits, s.stripes)
+	}
+	kinds := []WorkloadKind{Poisson, CBR, Bursty, Streaming, Saturated}
+	f.Fuzz(func(t *testing.T, kind uint8, cpSlots, maxRetries, maxQueue, group int, uplink bool, picker string, packetBytes int,
+		fading bool, coherence, retrain, trainSlots int, transport bool, window, rto, retransmits, stripes int) {
+		cfg := tinyFuzzCfg()
+		cfg.Workload = Workload{Kind: kinds[int(kind)%len(kinds)], PacketsPerSlot: 0.3}
+		cfg.CPSlots, cfg.MaxRetries, cfg.MaxQueue, cfg.GroupSize = cpSlots, maxRetries, maxQueue, group
+		cfg.Uplink, cfg.Picker, cfg.PacketBytes = uplink, picker, packetBytes
+		cfg.Dynamics = Dynamics{CoherenceCycles: coherence, RetrainCycles: retrain, TrainSlots: trainSlots}
+		if fading {
+			cfg.Dynamics.Eps = 0.3
+		}
+		cfg.Transport = Transport{Enabled: transport, Window: window, RTOCycles: rto,
+			MaxRetransmits: retransmits, Stripes: stripes}
 		if cfg.Validate() != nil {
 			return
 		}
-		serial, err := RunTrials(cfg, 0, 1)
-		if err != nil {
-			t.Fatalf("validated config failed on one worker: %v", err)
+		// Airtime per cycle is at most a contention period, a training
+		// round and a contention-free period serving every queued
+		// packet; the bound is in floats so huge knobs cannot wrap it.
+		c := cfg.withDefaults()
+		queued := float64(c.Clients) * float64(max(c.MaxQueue, saturatedDepth))
+		perCycle := float64(c.CPSlots) + float64(c.Dynamics.TrainSlots) + queued*float64(c.MaxRetries+1)
+		if float64(c.Clients)*c.Workload.PacketsPerSlot*perCycle*float64(c.Cycles*c.Trials) > fuzzPacketBudget {
+			t.Skip("offered-packet bound over the fuzz budget")
 		}
-		sharded, err := RunTrials(cfg, 0, 2)
-		if err != nil {
-			t.Fatalf("validated config failed on two workers: %v", err)
-		}
-		if !reflect.DeepEqual(serial, sharded) {
-			t.Fatal("one worker and two workers disagree")
-		}
-		if path, ok := allFinite(reflect.ValueOf(serial), "results"); !ok {
-			t.Fatalf("non-finite %s", path)
-		}
+		checkAdmitted(t, cfg)
 	})
+}
+
+// checkAdmitted is the fuzz targets' contract: a Config that Validate
+// admits must run through RunTrials on one worker and on two without a
+// panic, with DeepEqual results whose every exported float is finite.
+func checkAdmitted(t *testing.T, cfg Config) {
+	t.Helper()
+	if cfg.Validate() != nil {
+		return
+	}
+	serial, err := RunTrials(cfg, 0, 1)
+	if err != nil {
+		t.Fatalf("validated config failed on one worker: %v", err)
+	}
+	sharded, err := RunTrials(cfg, 0, 2)
+	if err != nil {
+		t.Fatalf("validated config failed on two workers: %v", err)
+	}
+	if !reflect.DeepEqual(serial, sharded) {
+		t.Fatal("one worker and two workers disagree")
+	}
+	if path, ok := allFinite(reflect.ValueOf(serial), "results"); !ok {
+		t.Fatalf("non-finite %s", path)
+	}
 }
 
 // allFinite walks v's exported fields, elements and pointees and

@@ -20,9 +20,9 @@ import (
 // tests pin the planner against.
 //
 // One plan runs under one arena Mark of the caller's workspace: the
-// channel-set views, every candidate, both evaluations and the outcome's
-// per-client rates live in the arena, and the winner is read in place
-// rather than copied out. The Mark is released on return, so the outcome
+// true channels, the channel-set views, every candidate, both
+// evaluations and the outcome's per-client rates live in the arena, and
+// the winner is read in place rather than copied out. The Mark is released on return, so the outcome
 // is a view (see SlotOutcome). The winner's plan header and the MCS
 // option closures are the planner's reusable scratch, owned by the
 // SlotCache the slot runs through (one per simulation trial), so a warm
@@ -162,10 +162,11 @@ func (sv *shapeSolver) candidates() int {
 	return solveCandidates
 }
 
-// planSlot plans and evaluates one slot: gather the true and estimated
-// channels through the cache, run the role-assignment search scoring
-// each candidate as it is solved, and measure the winner — decoding
-// vectors from the planner's estimates, SINRs from the true channels.
+// planSlot plans and evaluates one slot: measure the true channels from
+// the world into the arena, gather the estimates through the cache, run
+// the role-assignment search scoring each candidate as it is solved, and
+// measure the winner — decoding vectors from the planner's estimates,
+// SINRs from the true channels.
 // On the uplink role is the client holding the two-packet role; the
 // downlink ignores it.
 //
@@ -191,7 +192,7 @@ func planSlot(ws *phy.Workspace, cache *SlotCache, s Scenario, downlink bool, ro
 		estCS = core.NewChannelSetWS(mat, na, nc)
 		for i, ap := range s.APs {
 			for j, c := range s.Clients {
-				trueCS[i][j] = cache.Channel(ap, c)
+				trueCS[i][j] = s.World.ChannelWS(mat, ap, c)
 				estCS[i][j] = cache.Estimated(ap, c, rng)
 			}
 		}
@@ -231,7 +232,7 @@ func planSlot(ws *phy.Workspace, cache *SlotCache, s Scenario, downlink bool, ro
 		}
 		for i, c := range s.Clients {
 			for j, ap := range s.APs {
-				trueCS[rowOf[i]][j] = cache.Channel(c, ap)
+				trueCS[rowOf[i]][j] = s.World.ChannelWS(mat, c, ap)
 			}
 		}
 		for i, o := range order {

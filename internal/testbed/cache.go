@@ -12,70 +12,73 @@ import (
 	"iaclan/internal/phy"
 )
 
-// SlotCache memoizes the per-(tx,rx) quantities slot planning derives
-// from a scenario's channel state: measured channel matrices (which cost
-// two hardware-chain multiplications per lookup in the world), training
-// estimates (one noise draw per pair), and per-client best-AP baseline
-// rates (one SVD per AP). The combinatorial group pickers evaluate the
-// same pairs across hundreds of candidate groups per contention-free
-// period; with the cache, each eigendecomposition the planner needs runs
-// once per channel epoch instead of once per candidate.
+// SlotCache memoizes what slot planning derives from a scenario's
+// channel state at the cost of a draw or an eigendecomposition: training
+// estimates (one noise draw per pair) and per-client best-AP baseline
+// rates (one SVD per AP). True channels have one home, the world; every
+// reader measures them from it (channel.World.ChannelInto).
+// The group pickers evaluate the same pairs across hundreds of
+// candidate groups per contention-free period; with the cache, each
+// estimate and baseline is computed once per channel epoch instead.
 //
 // Invalidation rule: every memo is keyed by the world's channel-state
 // epoch (channel.World.Epoch). Any fading mutation — Redraw, MoveNode,
 // Perturb — bumps the epoch, and every cached entry goes stale. Within
 // one epoch a pair's estimate is drawn once and reused, so all slots
 // planned in that epoch see one consistent channel survey, like APs
-// sharing a measurement round over the wired backend.
+// sharing a measurement round over the wired backend. Generation is
+// the clock that moves on an epoch move or a Retrain, which callers'
+// estimate-derived memos (the engine's group plans) key on.
 //
 // Storage is flat and nothing is dropped. Each directed pair the cache
 // has seen owns one row of a chunked slab, found through an
 // open-addressed index keyed by the packed (tx, rx) node IDs; the row's
-// channel and estimate are cmplxmat.Views into one matrix slab, each
-// stamped with the generation it was computed in. The first lookup
-// after a stamp goes stale recomputes the matrix in place
-// (channel.World.ChannelInto, channel.NoisyEstimateInto), with the same
-// draws and bits as computing a fresh matrix. The per-client baseline
-// rates are likewise stamped rows, one per client and direction. Storage
-// therefore grows only with the pairs a trial actually touches, in
-// O(log N) allocations for N pairs, and re-planning after a fading step
-// allocates nothing. The price is the lifetime rule: a matrix returned
-// by Channel or Estimated is valid only until its pair is refreshed —
-// the next lookup of that pair after an epoch move (or, for estimates,
-// a Retrain). Holders must not keep one across a fading step; the slot
-// planner, the baselines and the survey read them within one call.
+// estimate is a cmplxmat.View into one matrix slab, stamped with the
+// survey generation it was drawn in. The first lookup after a stamp
+// goes stale redraws the estimate in place (channel.NoisyEstimateInto),
+// with the same draws and bits as drawing a fresh matrix. The
+// per-client baseline rates are likewise stamped rows, one per client
+// and direction. Storage therefore grows only with the pairs a trial
+// actually touches, in O(log N) allocations for N pairs, and re-planning
+// after a fading step allocates nothing. The price is the lifetime
+// rule: a matrix returned by Estimated is valid only until its pair is
+// re-surveyed — the next lookup of that pair after an epoch move (or,
+// under manual re-training, a Retrain). Holders must not keep one across
+// a fading step; the slot planner, the baselines and the survey read
+// them within one call.
 //
 // Under the traffic engine's channel dynamics the estimate memo follows
 // a different clock: SetManualRetrain pins training estimates across
 // epoch moves so they refresh only on Retrain — the stale-CSI model
 // where the channel decorrelates faster than the APs re-survey it.
-// True channels and baseline rates always track the world epoch.
+// Baseline rates always track the world epoch.
 //
 // A SlotCache is scoped to one scenario (its AP set anchors the baseline
 // rates) and is not safe for concurrent use; each simulation trial owns
 // one, which keeps sharded trial sweeps bit-identical to serial runs. In
 // a multi-cell campus every cell is its own scenario with its own cache.
-// The channel and estimate memos are keyed by node-ID pair, so slot
-// runners handed any subset of the scenario's AP set (the N-AP chain
-// uses up to M+2 of them per slot) share one consistent survey.
+// The estimate memo is keyed by node-ID pair, so slot runners handed
+// any subset of the scenario's AP set (the N-AP chain uses up to M+2 of
+// them per slot) share one consistent survey.
 type SlotCache struct {
 	scenario Scenario
 	epoch    uint64
 	// pairs indexes entries by packed directed node-ID pair; an entry is
 	// added the first time its pair is looked up and never removed. The
-	// entries' matrices are views into mats.
+	// entries' estimates are views into mats.
 	pairs   flat.Index
 	entries flat.Slab[pairEntry]
 	mats    flat.Slab[complex128]
 	// chanGen and estGen are the current channel and survey
 	// generations: chanGen moves with the world epoch, estGen with it
-	// too unless manual re-training pins estimates, and on Retrain.
-	// adaptGen moves on either, for the adapted baselines that read
-	// both. An entry is fresh while its stamp equals the current
-	// generation; all start at 1, so a zero stamp is never fresh.
-	chanGen, estGen, adaptGen uint64
+	// too unless manual re-training pins estimates, and on Retrain. gen
+	// moves on either, for the adapted baselines that read both (and
+	// for Generation's callers). A memo is fresh while its stamp equals
+	// the current generation; all start at 1, so a zero stamp is never
+	// fresh.
+	chanGen, estGen, gen uint64
 	// base and adapted memoize the per-client baseline rates, at
-	// 2*client+uplink, stamped with chanGen and adaptGen. Each is sized
+	// 2*client+uplink, stamped with chanGen and gen. Each is sized
 	// to the scenario's clients on first use: a one-slot cache never
 	// needs them, and only MCS-mode trials use adapted.
 	base, adapted []rateMemo
@@ -86,13 +89,13 @@ type SlotCache struct {
 	// estimate-derived rates alongside the achieved ones (see
 	// SlotOutcome.PlannedPerClient), so a MAC can detect outages.
 	trackPlanned bool
-	// hits and misses count memo lookups across every memo (channels,
-	// estimates, baseline rates, adapted baselines) — the cache's
-	// effectiveness signal the traffic engine surfaces as the
-	// slotcache_hits / slotcache_misses metrics. Plain fields: the
-	// cache is single-owner like the rest of its state.
+	// hits and misses count memo lookups across every memo (estimates,
+	// baseline rates, adapted baselines) — the cache's effectiveness
+	// signal the traffic engine surfaces as the slotcache_hits /
+	// slotcache_misses metrics. Plain fields: the cache is single-owner
+	// like the rest of its state.
 	hits, misses uint64
-	// ws is the scratch for channel products and baseline math,
+	// ws is the scratch for channel measurements and baseline math,
 	// released after each use: own, or for a one-slot cache the
 	// planner's workspace.
 	ws  *cmplxmat.Workspace
@@ -101,12 +104,12 @@ type SlotCache struct {
 	plan planScratch
 }
 
-// pairEntry is one directed pair's channel and estimate, each with the
-// generation it was computed in (0 before the first computation, when
-// the view is still empty).
+// pairEntry is one directed pair's estimate and the survey generation
+// it was drawn in (0 before the first draw, when the view is still
+// empty).
 type pairEntry struct {
-	h, est           cmplxmat.Matrix
-	hStamp, estStamp uint64
+	est   cmplxmat.Matrix
+	stamp uint64
 }
 
 // pairID packs a directed transmitter->receiver pair of node IDs into
@@ -139,7 +142,7 @@ func newSlotCache(s Scenario, ws *cmplxmat.Workspace) *SlotCache {
 		epoch:    s.World.Epoch(),
 		chanGen:  1,
 		estGen:   1,
-		adaptGen: 1,
+		gen:      1,
 		ws:       ws,
 	}
 	if ws == nil {
@@ -170,30 +173,37 @@ func (c *SlotCache) TrackPlannedRates(on bool) { c.trackPlanned = on }
 
 // Counters reports the cumulative memo hit and miss totals over the
 // cache's lifetime (invalidations do not reset them). A miss is a
-// lookup that had to compute — a channel measurement, an estimate
-// draw, or a baseline eigendecomposition.
+// lookup that had to compute — an estimate draw or a baseline
+// eigendecomposition.
 func (c *SlotCache) Counters() (hits, misses uint64) { return c.hits, c.misses }
 
 // Retrain models one training round: every cached estimate goes stale,
-// so the next lookups re-survey the current channel state. True channels
-// and baseline rates are keyed to the world epoch and are unaffected;
-// the adapted-baseline memo depends on the estimates and drops with
-// them.
+// so the next lookups re-survey the current channel state. Baseline
+// rates are keyed to the world epoch and are unaffected; the
+// adapted-baseline memo depends on the estimates and drops with them.
 func (c *SlotCache) Retrain() {
 	c.estGen++
-	c.adaptGen++
+	c.gen++
+}
+
+// Generation returns the clock every estimate-derived result is valid
+// under: it moves when the world's channel epoch moves and on Retrain.
+// A memo stamped with one generation is stale under any other.
+func (c *SlotCache) Generation() uint64 {
+	c.ensure()
+	return c.gen
 }
 
 // ensure moves the cache to the world's channel epoch when it has moved:
-// channel entries and baseline memos go stale. Estimates follow the
-// epoch too unless manual re-training pins them (see SetManualRetrain).
+// baseline memos go stale. Estimates follow the epoch too unless manual
+// re-training pins them (see SetManualRetrain).
 func (c *SlotCache) ensure() {
 	if e := c.scenario.World.Epoch(); e != c.epoch {
 		c.chanGen++
 		if !c.manualRetrain {
 			c.estGen++
 		}
-		c.adaptGen++
+		c.gen++
 		c.epoch = e
 	}
 }
@@ -211,54 +221,28 @@ func (c *SlotCache) entry(tx, rx *channel.Node) *pairEntry {
 	return c.entries.At(int(i))
 }
 
-// view sets m, on first use, to a rows x cols view of fresh slab storage.
-func (c *SlotCache) view(m *cmplxmat.Matrix, rows, cols int) {
-	if m.Rows() == 0 {
-		_, d := c.mats.Take(rows * cols)
-		*m = cmplxmat.View(rows, cols, d)
-	}
-}
-
-// Channel returns the measured tx->rx channel matrix, computing it on
-// the first lookup per epoch. The returned matrix is shared; treat it as
-// read-only (the package convention for all channel matrices). It is
-// the pair's own storage, refreshed in place by the first lookup after
-// the next epoch move, so it is valid only until then: do not keep it
-// across a fading step.
-func (c *SlotCache) Channel(tx, rx *channel.Node) *cmplxmat.Matrix {
-	c.ensure()
-	return c.channelOf(c.entry(tx, rx), tx, rx)
-}
-
-// channelOf is Channel on an already-resolved entry.
-func (c *SlotCache) channelOf(e *pairEntry, tx, rx *channel.Node) *cmplxmat.Matrix {
-	if e.hStamp == c.chanGen {
-		c.hits++
-		return &e.h
-	}
-	c.misses++
-	c.view(&e.h, rx.Antennas, tx.Antennas)
-	c.scenario.World.ChannelInto(&e.h, c.ws, tx, rx)
-	e.hStamp = c.chanGen
-	return &e.h
-}
-
 // Estimated returns the training-noise-corrupted estimate of the tx->rx
-// channel, drawing the estimation noise from rng once per pair per
-// survey. Like Channel, the matrix is the pair's own storage and is
-// valid until the pair is next re-surveyed.
+// channel: the world's current channel plus estimation noise drawn from
+// rng once per pair per survey. The matrix is the pair's own storage,
+// read-only and valid until the pair is next re-surveyed.
 func (c *SlotCache) Estimated(tx, rx *channel.Node, rng *rand.Rand) *cmplxmat.Matrix {
 	c.ensure()
 	e := c.entry(tx, rx)
-	if e.estStamp == c.estGen {
+	if e.stamp == c.estGen {
 		c.hits++
 		return &e.est
 	}
 	c.misses++
-	h := c.channelOf(e, tx, rx)
-	c.view(&e.est, h.Rows(), h.Cols())
-	channel.NoisyEstimateInto(&e.est, h, c.scenario.Env.EstimationSigma(), rng)
-	e.estStamp = c.estGen
+	if e.est.Rows() == 0 {
+		_, d := c.mats.Take(rx.Antennas * tx.Antennas)
+		e.est = cmplxmat.View(rx.Antennas, tx.Antennas, d)
+	}
+	// Measure the channel into the estimate's own storage, then noise it
+	// in place: entry by entry, the same values and draws as noising a
+	// separate copy.
+	c.scenario.World.ChannelInto(&e.est, c.ws, tx, rx)
+	channel.NoisyEstimateInto(&e.est, &e.est, c.scenario.Env.EstimationSigma(), rng)
+	e.stamp = c.estGen
 	return &e.est
 }
 
@@ -300,13 +284,16 @@ func (c *SlotCache) baselineRate(client int, uplink bool) float64 {
 	c.misses++
 	mark := c.ws.Mark()
 	defer c.ws.Release(mark)
+	// mimo.BestAPWS's loop, inlined: its []*Matrix would cost a fresh
+	// cache's workspace one more arena chunk, an allocation per trial.
+	w, cl := c.scenario.World, c.scenario.Clients[client]
 	best := math.Inf(-1)
 	for _, ap := range c.scenario.APs {
 		var h *cmplxmat.Matrix
 		if uplink {
-			h = c.Channel(c.scenario.Clients[client], ap)
+			h = w.ChannelWS(c.ws, cl, ap)
 		} else {
-			h = c.Channel(ap, c.scenario.Clients[client])
+			h = w.ChannelWS(c.ws, ap, cl)
 		}
 		if r := mimo.EigenmodeRateWS(c.ws, h, NodePower, c.scenario.Env.Noise()); r > best {
 			best = r
@@ -337,7 +324,7 @@ func (c *SlotCache) adaptedBaseline(client int, uplink bool, rng *rand.Rand) (pl
 		panic("testbed: adapted baseline needs Env.MCS")
 	}
 	c.ensure()
-	m, ok := c.memo(&c.adapted, client, uplink, c.adaptGen)
+	m, ok := c.memo(&c.adapted, client, uplink, c.gen)
 	if ok {
 		c.hits++
 		return m.planned, m.achieved
@@ -345,18 +332,19 @@ func (c *SlotCache) adaptedBaseline(client int, uplink bool, rng *rand.Rand) (pl
 	c.misses++
 	mark := c.ws.Mark()
 	defer c.ws.Release(mark)
+	w, cl := c.scenario.World, c.scenario.Clients[client]
 	trueChans := c.ws.MatrixPtrs(len(c.scenario.APs))
 	estChans := c.ws.MatrixPtrs(len(c.scenario.APs))
 	for j, ap := range c.scenario.APs {
 		if uplink {
-			trueChans[j] = c.Channel(c.scenario.Clients[client], ap)
-			estChans[j] = c.Estimated(c.scenario.Clients[client], ap, rng)
+			trueChans[j] = w.ChannelWS(c.ws, cl, ap)
+			estChans[j] = c.Estimated(cl, ap, rng)
 		} else {
-			trueChans[j] = c.Channel(ap, c.scenario.Clients[client])
-			estChans[j] = c.Estimated(ap, c.scenario.Clients[client], rng)
+			trueChans[j] = w.ChannelWS(c.ws, ap, cl)
+			estChans[j] = c.Estimated(ap, cl, rng)
 		}
 	}
 	planned, achieved = mimo.AdaptedBestAPWS(c.ws, table, trueChans, estChans, NodePower, c.scenario.Env.Noise())
-	*m = rateMemo{planned, achieved, c.adaptGen}
+	*m = rateMemo{planned, achieved, c.gen}
 	return planned, achieved
 }

@@ -135,7 +135,7 @@ func runUplinkSlotScalarWS(ws *phy.Workspace, cache *SlotCache, s Scenario, twoP
 		all, baseEst = core.NewChannelSet(nc, na), core.NewChannelSet(nc, na)
 		for i, c := range s.Clients {
 			for j, ap := range s.APs {
-				all[i][j] = cache.Channel(c, ap)
+				all[i][j] = s.World.Channel(c, ap)
 			}
 		}
 		baseTrue = Permute(all, order)
@@ -342,7 +342,7 @@ func runDownlinkSlotScalarWS(ws *phy.Workspace, cache *SlotCache, s Scenario, rn
 		baseTrue, baseEst = core.NewChannelSet(na, nc), core.NewChannelSet(na, nc)
 		for i, ap := range s.APs {
 			for j, c := range s.Clients {
-				baseTrue[i][j] = cache.Channel(ap, c)
+				baseTrue[i][j] = s.World.Channel(ap, c)
 				baseEst[i][j] = cache.Estimated(ap, c, rng)
 			}
 		}
