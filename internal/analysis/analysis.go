@@ -23,7 +23,9 @@
 //   - wsalloc: functions named *WS are the zero-alloc workspace twins
 //     (PR 2); make/new, guaranteed-allocating appends, and calls to the
 //     heap-allocating non-WS twin inside them silently regress the
-//     allocs/op numbers the bench gate pins.
+//     allocs/op numbers the bench gate pins. Policed in every package
+//     with such twins (wsPackages), mimo and channel included: a make
+//     in mimo's AdaptedLinkWS went unseen while mimo was not listed.
 //   - tracenil: trace emission on engine hot paths must stay behind a
 //     nil-tracer guard so the no-tracer configuration remains the
 //     pinned 0-alloc fast path (TestNilTracerZeroAlloc).
@@ -88,12 +90,17 @@ var detPackages = []string{
 	"internal/backend",
 }
 
-// wsPackages hold the zero-alloc workspace twins the bench gate pins.
+// wsPackages hold the zero-alloc workspace twins the bench gate pins:
+// the linear-algebra kernels, the sample plane, the planners, the
+// baseline's eigenmode and rate-adaptation math (mimo) and the world's
+// channel measurements (channel).
 var wsPackages = []string{
 	"internal/cmplxmat",
 	"internal/phy",
 	"internal/core",
 	"internal/testbed",
+	"internal/mimo",
+	"internal/channel",
 }
 
 // tracePackages are the engine hot paths where trace emission must stay

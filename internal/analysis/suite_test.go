@@ -34,6 +34,15 @@ func TestWSAllocFixtures(t *testing.T) {
 	runFixture(t, WSAllocAnalyzer, "wsalloc_det", "fix/internal/cmplxmat")
 }
 
+// TestWSAllocCoversMimoAndChannel pins the wider workspace package set:
+// the baseline's rate math and the world's channel measurements are
+// policed like the kernels, so the same fixture flags under their paths.
+func TestWSAllocCoversMimoAndChannel(t *testing.T) {
+	for _, path := range []string{"fix/internal/mimo", "fix/internal/channel"} {
+		runFixture(t, WSAllocAnalyzer, "wsalloc_det", path)
+	}
+}
+
 // TestWSAllocCrossPackageTwins pins the twin lookup across packages of
 // the module: a *WS function in core calling cmplxmat's heap function or
 // method is flagged when cmplxmat has the workspace twin.

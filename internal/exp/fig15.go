@@ -115,6 +115,13 @@ func (f *fig15Runner) run(group []mac.ClientID) mac.SlotResult {
 	return res
 }
 
+// rateSums is a mac.Tracer that sums each client's delivered rates, in
+// delivery order.
+type rateSums []float64
+
+func (r rateSums) PacketDelivered(c mac.ClientID, _, _ int, rate float64) { r[c] += rate }
+func (rateSums) PacketDropped(mac.ClientID, int, int)                     {}
+
 // fig15Gains runs the large-network experiment for one picker and
 // returns the per-client gains over the 802.11-MIMO TDMA baseline.
 func fig15Gains(cfg Config, uplink bool, mkPicker func(run int) mac.GroupPicker) ([]float64, error) {
@@ -133,6 +140,8 @@ func fig15Gains(cfg Config, uplink bool, mkPicker func(run int) mac.GroupPicker)
 			mac.Config{GroupSize: fig15GroupSize, MaxRetries: 1},
 			mkPicker(run), fr.estimate, fr.run,
 		)
+		delivered := make(rateSums, fig15Clients)
+		sim.SetTracer(delivered)
 		// Infinite demand: every client always has a queued packet; the
 		// initial order is random (paper: "packets from different clients
 		// arrive at the system in random order").
@@ -145,11 +154,8 @@ func fig15Gains(cfg Config, uplink bool, mkPicker func(run int) mac.GroupPicker)
 				sim.Enqueue(c) // immediately re-queue: infinite demand
 			}
 		}
-		stats := sim.Stats()
 		for i := 0; i < fig15Clients; i++ {
-			if st := stats[i]; st.Slots > 0 {
-				iacThroughput[i] += st.RateSum / float64(cfg.Slots)
-			}
+			iacThroughput[i] += delivered[i] / float64(cfg.Slots)
 			var b float64
 			if uplink {
 				b = testbed.BaselineUplinkRate(scenario, i)

@@ -365,6 +365,8 @@ func TestSimulatorDeliversAllTraffic(t *testing.T) {
 		return res
 	}
 	sim := NewSimulator(Config{GroupSize: 3, CPSlots: 2, MaxRetries: 2}, FIFOPicker{}, constRate, runner)
+	tr := newCountingTracer(6)
+	sim.SetTracer(tr)
 	for c := ClientID(0); c < 6; c++ {
 		sim.Enqueue(c)
 		sim.Enqueue(c)
@@ -382,13 +384,13 @@ func TestSimulatorDeliversAllTraffic(t *testing.T) {
 		t.Fatalf("beacons %d", sim.Beacons())
 	}
 	total := 0
-	for _, st := range sim.Stats() {
-		total += st.Delivered
-		if st.Lost != 0 {
+	for c, n := range tr.delivered {
+		total += n
+		if tr.dropped[c] != 0 {
 			t.Fatal("unexpected loss")
 		}
-		if math.Abs(st.MeanRate()-2.0) > 1e-12 {
-			t.Fatalf("mean rate %v", st.MeanRate())
+		if mean := tr.rateSum[c] / float64(n); math.Abs(mean-2.0) > 1e-12 {
+			t.Fatalf("mean rate %v", mean)
 		}
 	}
 	if total != 12 {
@@ -442,15 +444,20 @@ func TestSimulatorAckMapReflectsPreviousCFP(t *testing.T) {
 }
 
 func TestSimulatorRetransmission(t *testing.T) {
-	attempts := 0
+	attempts, lost := 0, 0
 	runner := func(group []ClientID) SlotResult {
 		attempts++
 		res := SlotResult{Rate: make([]float64, len(group)), Lost: make([]bool, len(group))}
 		res.Lost[0] = attempts == 1 // first attempt fails
 		res.Rate[0] = 1
+		if res.Lost[0] {
+			lost++
+		}
 		return res
 	}
 	sim := NewSimulator(Config{GroupSize: 1, MaxRetries: 3}, FIFOPicker{}, constRate, runner)
+	tr := newCountingTracer(6)
+	sim.SetTracer(tr)
 	sim.Enqueue(5)
 	sim.RunCFP() // loss, requeued
 	if sim.QueueLen() != 1 {
@@ -460,17 +467,18 @@ func TestSimulatorRetransmission(t *testing.T) {
 	if sim.QueueLen() != 0 {
 		t.Fatalf("queue after retry: %d", sim.QueueLen())
 	}
-	st := sim.Stats()[5]
-	if st.Delivered != 1 || st.Lost != 1 {
-		t.Fatalf("stats %+v", st)
+	if tr.delivered[5] != 1 || lost != 1 {
+		t.Fatalf("client 5: %d delivered, %d lost", tr.delivered[5], lost)
 	}
 }
 
 func TestSimulatorRetriesBounded(t *testing.T) {
+	lost := 0
 	runner := func(group []ClientID) SlotResult {
 		res := SlotResult{Rate: make([]float64, len(group)), Lost: make([]bool, len(group))}
 		for i := range res.Lost {
 			res.Lost[i] = true // never succeeds
+			lost++
 		}
 		return res
 	}
@@ -482,8 +490,8 @@ func TestSimulatorRetriesBounded(t *testing.T) {
 	if sim.QueueLen() != 0 {
 		t.Fatal("retries not bounded")
 	}
-	if sim.Stats()[1].Lost != 3 { // initial + 2 retries
-		t.Fatalf("loss count %d", sim.Stats()[1].Lost)
+	if lost != 3 { // initial + 2 retries
+		t.Fatalf("loss count %d", lost)
 	}
 }
 
@@ -533,6 +541,24 @@ type traceEvent struct {
 }
 
 type recordingTracer struct{ events []traceEvent }
+
+// countingTracer tallies each client's delivered packets, their summed
+// rates and its dropped packets, indexed by ClientID.
+type countingTracer struct {
+	delivered, dropped []int
+	rateSum            []float64
+}
+
+func newCountingTracer(clients int) *countingTracer {
+	return &countingTracer{make([]int, clients), make([]int, clients), make([]float64, clients)}
+}
+
+func (r *countingTracer) PacketDelivered(c ClientID, _, _ int, rate float64) {
+	r.delivered[c]++
+	r.rateSum[c] += rate
+}
+
+func (r *countingTracer) PacketDropped(c ClientID, _, _ int) { r.dropped[c]++ }
 
 func (r *recordingTracer) PacketDelivered(c ClientID, born, now int, rate float64) {
 	r.events = append(r.events, traceEvent{client: c, born: born, now: now, rate: rate})
@@ -625,7 +651,7 @@ func TestChargeSlotsAdvancesAirtimeOnly(t *testing.T) {
 	if sim.Slots() != 3 {
 		t.Fatalf("slots %d after charging 3", sim.Slots())
 	}
-	if sim.Beacons() != 0 || sim.QueueLen() != 0 || len(sim.Stats()) != 0 {
+	if sim.Beacons() != 0 || sim.QueueLen() != 0 {
 		t.Fatal("ChargeSlots must not touch traffic state")
 	}
 	sim.Enqueue(0)
@@ -646,15 +672,21 @@ func TestChargeSlotsAdvancesAirtimeOnly(t *testing.T) {
 // over N clients never seen before, enqueueing their first packets and
 // running the CFPs that serve them cost O(log N) allocations in all
 // (per-client table, deque-run slab and picker table growth), not one
-// per client: a client's stats row sits beside its queue.
+// per client.
 func TestFirstSeenClientAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	rate, lost := []float64{1, 1, 1}, []bool{false, false, false}
-	sim := NewSimulator(Config{GroupSize: 3}, NewBestOfTwoPicker(1, 8), constRate,
-		func(g []ClientID) SlotResult { return SlotResult{Rate: rate[:len(g)], Lost: lost[:len(g)]} })
 	const rounds = 1 << 10
+	rate, lost := []float64{1, 1, 1}, []bool{false, false, false}
+	served := make([]int, 3*rounds)
+	sim := NewSimulator(Config{GroupSize: 3}, NewBestOfTwoPicker(1, 8), constRate,
+		func(g []ClientID) SlotResult {
+			for _, c := range g {
+				served[c]++
+			}
+			return SlotResult{Rate: rate[:len(g)], Lost: lost[:len(g)]}
+		})
 	var cfp, enqueue uint64
 	var m0, m1 runtime.MemStats
 	for i := range rounds {
@@ -672,9 +704,9 @@ func TestFirstSeenClientAllocs(t *testing.T) {
 	if cfp > bound || enqueue > bound {
 		t.Fatalf("%d first-seen clients: %d allocations enqueueing, %d in CFPs; want at most %d each", 3*rounds, enqueue, cfp, bound)
 	}
-	for c, st := range sim.Stats() {
-		if st.Slots != 1 || st.Delivered != 1 {
-			t.Fatalf("client %d stats %+v", c, st)
+	for c, n := range served {
+		if n != 1 {
+			t.Fatalf("client %d served in %d slots, want 1", c, n)
 		}
 	}
 }

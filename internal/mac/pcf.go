@@ -50,22 +50,6 @@ type Config struct {
 	MaxRetries int
 }
 
-// ClientStats accumulates per-client outcomes for fairness analysis.
-type ClientStats struct {
-	Delivered int
-	Lost      int
-	RateSum   float64
-	Slots     int
-}
-
-// MeanRate returns the client's average rate per participating slot.
-func (s ClientStats) MeanRate() float64 {
-	if s.Slots == 0 {
-		return 0
-	}
-	return s.RateSum / float64(s.Slots)
-}
-
 // Simulator drives contention-free periods: it maintains the leader AP's
 // FIFO queue, forms transmission groups with the configured picker, runs
 // them through the SlotRunner, acknowledges via the next beacon's bitmap,
@@ -84,7 +68,7 @@ type Simulator struct {
 	est    RateEstimator
 	run    SlotRunner
 
-	// queues, inActive and stats are indexed by ClientID (grown on
+	// queues and inActive are indexed by ClientID (grown on
 	// demand by grow); active lists the clients that may have queued
 	// packets, each at most once (inActive is the membership flag).
 	// Clients whose deque drained stay in active until the next
@@ -94,7 +78,6 @@ type Simulator struct {
 	queues   []clientQueue
 	active   []ClientID
 	inActive []bool
-	stats    []ClientStats
 	runs     flat.Slab[queuedPacket]
 	queueLen int
 	// seq stamps each enqueued packet with its global arrival order; the
@@ -214,7 +197,6 @@ func (s *Simulator) grow(c ClientID) {
 	n := int(c) + 1
 	s.queues = append(s.queues, make([]clientQueue, n-len(s.queues))...)
 	s.inActive = append(s.inActive, make([]bool, n-len(s.inActive))...)
-	s.stats = append(s.stats, make([]ClientStats, n-len(s.stats))...)
 }
 
 // QueueLen returns the number of queued packets.
@@ -250,11 +232,6 @@ func (s *Simulator) eligible() []ClientID {
 	s.eligBuf = elig
 	return elig
 }
-
-// Stats returns the accumulated per-client statistics, indexed by
-// ClientID up to the highest ID enqueued so far (live view). A client
-// that never took part in a slot has zero Slots.
-func (s *Simulator) Stats() []ClientStats { return s.stats }
 
 // Beacons returns how many CFPs have run.
 func (s *Simulator) Beacons() int { return s.beacons }
@@ -333,18 +310,13 @@ func (s *Simulator) RunCFP() Beacon {
 		cfpSlots++
 		now := s.slots + cfpSlots
 		for i, c := range group {
-			st := &s.stats[c]
-			st.Slots++
 			born, dropped := s.dequeueOne(c, res.Lost[i])
 			if res.Lost[i] {
-				st.Lost++
 				s.pendingAcks = append(s.pendingAcks, ackEntry{c, false})
 				if dropped && s.tracer != nil {
 					s.tracer.PacketDropped(c, born, now)
 				}
 			} else {
-				st.Delivered++
-				st.RateSum += res.Rate[i]
 				s.pendingAcks = append(s.pendingAcks, ackEntry{c, true})
 				if s.tracer != nil {
 					s.tracer.PacketDelivered(c, born, now, res.Rate[i])
@@ -394,20 +366,13 @@ func (s *Simulator) RunSlot() []ClientID {
 	}
 	s.slots++
 	for i, c := range group {
-		st := &s.stats[c]
-		st.Slots++
 		born, dropped := s.dequeueOne(c, res.Lost[i])
 		if res.Lost[i] {
-			st.Lost++
 			if dropped && s.tracer != nil {
 				s.tracer.PacketDropped(c, born, s.slots)
 			}
-		} else {
-			st.Delivered++
-			st.RateSum += res.Rate[i]
-			if s.tracer != nil {
-				s.tracer.PacketDelivered(c, born, s.slots, res.Rate[i])
-			}
+		} else if s.tracer != nil {
+			s.tracer.PacketDelivered(c, born, s.slots, res.Rate[i])
 		}
 	}
 	return group

@@ -99,3 +99,22 @@ func TestAdaptedBestAPPicksByPlannedRate(t *testing.T) {
 		t.Fatalf("best-AP (%v, %v), want the strong AP's %v", planned, achieved, wantPlanned)
 	}
 }
+
+// TestAdaptedLinkWSZeroAlloc pins the adapted baseline link at zero heap
+// allocations on a warm workspace: its per-stream direction table comes
+// from the arena, so a fallback slot costs the trial nothing.
+func TestAdaptedLinkWSZeroAlloc(t *testing.T) {
+	tb := DefaultRateTable()
+	rng := rand.New(rand.NewSource(13))
+	hTrue := cmplxmat.RandomGaussian(rng, 2, 2).Scale(complex(math.Sqrt(100), 0))
+	hEst := cmplxmat.RandomGaussian(rng, 2, 2).Scale(complex(math.Sqrt(100), 0))
+	ws := cmplxmat.NewWorkspace()
+	AdaptedLinkWS(ws, tb, hTrue, hEst, 1.0, 1.0)
+	allocs := testing.AllocsPerRun(100, func() {
+		ws.Reset()
+		AdaptedLinkWS(ws, tb, hTrue, hEst, 1.0, 1.0)
+	})
+	if allocs != 0 {
+		t.Fatalf("AdaptedLinkWS: %v allocs per call on a warm workspace, want 0", allocs)
+	}
+}

@@ -216,7 +216,7 @@ func AdaptedLinkWS(ws *cmplxmat.Workspace, t *RateTable, hTrue, hEst *cmplxmat.M
 	// point-to-point transmitter simply omits them — unlike an IAC
 	// slot, whose jointly-constructed packets stay on the air even when
 	// unsendable (see testbed.Env.planOpts).
-	dirs := make([]cmplxmat.Vector, len(p.Powers))
+	dirs := ws.Vectors(len(p.Powers))
 	for j, pj := range p.Powers {
 		if pj <= 0 {
 			continue

@@ -31,7 +31,6 @@ func TestWarmCFPCycleAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.ws = phy.GetWorkspace()
 	defer phy.PutWorkspace(e.ws)
 	c := 0
 	cycle := func() {

@@ -164,18 +164,18 @@ func (e *engine) applyDynamics(cycle int) {
 
 // surveyAll draws a fresh training estimate for every traffic-direction
 // pair a slot planner can touch, in fixed order — one network-wide
-// training round. Surveying eagerly matters under manual re-training:
-// left to the lazy per-pair path, a pair first used between training
-// rounds would be estimated from the already-drifted channel — a free,
-// out-of-schedule survey that dodges both the staleness and the
-// TrainSlots airtime the model charges for fresh CSI.
+// training round. Surveying eagerly matters because estimates refresh
+// only on Retrain: left to the lazy per-pair path, a pair first used
+// between training rounds would be estimated from the already-drifted
+// channel — a free, out-of-schedule survey that dodges both the
+// staleness and the TrainSlots airtime the model charges for fresh CSI.
 func (e *engine) surveyAll() {
 	for _, c := range e.scenario.Clients {
 		for _, ap := range e.scenario.APs {
 			if e.cfg.Uplink {
-				e.chans.Estimated(c, ap, e.rng)
+				e.chans.Estimated(e.ws.Mat, c, ap, e.rng)
 			} else {
-				e.chans.Estimated(ap, c, e.rng)
+				e.chans.Estimated(e.ws.Mat, ap, c, e.rng)
 			}
 		}
 	}

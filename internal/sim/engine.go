@@ -81,12 +81,13 @@ type engine struct {
 	// denser clusters spread the successive-cancellation chain wider.
 	chainAPs int
 
-	// ws is the trial's sample-plane workspace: every slot plan and
-	// evaluation runs its linear algebra on this arena, borrowed from
-	// the process-wide pool for the trial's lifetime.
+	// ws is the trial's sample-plane workspace: every survey, slot plan,
+	// baseline and evaluation runs its linear algebra on this arena,
+	// borrowed from the process-wide pool by newEngine for the trial's
+	// lifetime.
 	ws *phy.Workspace
-	// chans memoizes per-(tx,rx) training estimates and per-client
-	// baseline rates, keyed by the world's channel epoch.
+	// chans is the leader's channel survey: per-(tx,rx) training
+	// estimates, refreshed on the re-training schedule.
 	chans *testbed.SlotCache
 	// outcomes memoizes each transmission group's planned outcome — the
 	// precoding/zero-forcing work the combinatorial pickers would
@@ -173,6 +174,16 @@ type engine struct {
 }
 
 func newEngine(cfg Config) (*engine, error) {
+	// The fallible set-up runs first, so no error path holds the
+	// workspace the engine borrows below.
+	gens, err := cfg.Workload.newGenerators(cfg.Clients)
+	if err != nil {
+		return nil, err
+	}
+	picker, err := newPicker(cfg)
+	if err != nil {
+		return nil, err
+	}
 	worldNodes := cfg.Clients + cfg.APs
 	if worldNodes < 20 {
 		worldNodes = 20
@@ -202,26 +213,22 @@ func newEngine(cfg Config) (*engine, error) {
 		trace:     cfg.Trace,
 		cell:      cfg.cell,
 		trial:     cfg.trial,
+		ws:        phy.GetWorkspace(),
+		gens:      gens,
 	}
 	e.chans = testbed.NewSlotCache(e.scenario)
 	e.chainAPs = cfg.APs
 	if max := core.UplinkChainMaxAPs(world.Params().Antennas); e.chainAPs > max {
 		e.chainAPs = max
 	}
-	if cfg.Link.MCS {
-		// The MCS outage rule compares achieved against planned rates,
-		// so the slot runners must report the planner's side even on a
-		// static channel.
-		e.chans.TrackPlannedRates(true)
-	}
 	e.dyn = cfg.Dynamics.normalized()
 	if e.dyn.enabled() {
 		e.dynRng = rand.New(rand.NewSource(cfg.Seed + 13))
-		// Stale-CSI clock: estimates refresh on the re-training schedule
-		// only, and the slot runners report planned rates so runSlot can
-		// detect outages. The trial opens on a full survey of the fresh
+		// Stale CSI: estimates refresh on the re-training schedule only,
+		// and the slot runners report planned rates so runSlot can
+		// detect outages (the MCS table has them report planned rates
+		// on its own). The trial opens on a full survey of the fresh
 		// channel (later rounds run on the re-training schedule).
-		e.chans.SetManualRetrain(true)
 		e.chans.TrackPlannedRates(true)
 		e.surveyAll()
 		if e.dyn.Mobility {
@@ -231,11 +238,6 @@ func newEngine(cfg Config) (*engine, error) {
 			}
 		}
 	}
-	gens, err := cfg.Workload.newGenerators(cfg.Clients)
-	if err != nil {
-		return nil, err
-	}
-	e.gens = gens
 	for i, g := range e.gens {
 		if cfg.Workload.Kind != Saturated {
 			// Stagger the sources: the first arrival lands a random
@@ -277,10 +279,6 @@ func newEngine(cfg Config) (*engine, error) {
 		e.app = newAppState(cfg.Workload)
 		e.app.init(cfg.Clients)
 	}
-	picker, err := newPicker(cfg)
-	if err != nil {
-		return nil, err
-	}
 	e.sim = mac.NewSimulator(
 		mac.Config{GroupSize: cfg.GroupSize, CPSlots: cfg.CPSlots, MaxRetries: cfg.MaxRetries},
 		picker, e.estimate, e.runSlot,
@@ -316,10 +314,9 @@ func Run(cfg Config) (TrialResult, error) {
 	if err != nil {
 		return TrialResult{}, err
 	}
-	// The trial borrows a warm workspace for its whole lifetime; every
-	// slot plan and evaluation runs on this arena. Allocation-on-reuse is
-	// zeroed, so pooled reuse cannot change results.
-	e.ws = phy.GetWorkspace()
+	// The trial holds a warm pooled workspace for its whole lifetime.
+	// Allocation-on-reuse is zeroed, so pooled reuse cannot change
+	// results.
 	defer phy.PutWorkspace(e.ws)
 	for c := 0; c < cfg.Cycles; c++ {
 		e.cycle(c)
@@ -701,22 +698,12 @@ func (e *engine) plan(group []mac.ClientID, stripe int8) groupOutcome {
 			// The baseline rides the same discrete table: modulation
 			// from the training estimates, outage when the realized
 			// stream SINR misses the selected rung.
-			var planned, achieved float64
-			if e.cfg.Uplink {
-				planned, achieved = e.chans.AdaptedBaselineUplink(head, e.rng)
-			} else {
-				planned, achieved = e.chans.AdaptedBaselineDownlink(head, e.rng)
-			}
+			planned, achieved := e.chans.AdaptedBaselineWS(e.ws.Mat, head, e.cfg.Uplink, e.rng)
 			out.sumRate, out.rate[0] = achieved, achieved
 			out.planned[0], out.hasPlanned = planned, true
 			return out
 		}
-		var r float64
-		if e.cfg.Uplink {
-			r = e.chans.BaselineUplinkRate(head)
-		} else {
-			r = e.chans.BaselineDownlinkRate(head)
-		}
+		r := testbed.BaselineRateWS(e.ws.Mat, e.scenario, head, e.cfg.Uplink)
 		out.sumRate, out.rate[0] = r, r
 		return out
 	}

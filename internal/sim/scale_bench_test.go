@@ -30,7 +30,6 @@ func benchIdleCampus(b *testing.B, scan bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e.ws = phy.GetWorkspace()
 	defer phy.PutWorkspace(e.ws)
 	// Warm up past construction transients (first-touch cache fills,
 	// store materialization) so ns/op reads the steady-state cycle.

@@ -22,7 +22,7 @@ const fadingSlotAllocsPin = 0
 
 // fadingSlotAllocs measures one warm slot on the campus_fading link
 // shape — noise, residual cancellation and MCS, estimates pinned between
-// re-training surveys (manual retrain) — with the world aged by block
+// re-training surveys — with the world aged by block
 // fading and one client moved before every slot, so each slot
 // re-measures its true channels, regenerates the moved client's
 // propagation matrices and re-plans from scratch.
@@ -36,7 +36,6 @@ func fadingSlotAllocs(t *testing.T, clients, aps int, plan func(*phy.Workspace, 
 	s.Env = Env{NoisePower: math.Pow(10, 0.8), ResidualCancel: true, MCS: mimo.DefaultRateTable()}
 	ws := phy.NewWorkspace()
 	cache := NewSlotCache(s)
-	cache.SetManualRetrain(true)
 	cache.TrackPlannedRates(true)
 	rng := rand.New(rand.NewSource(5))
 	moves := 0

@@ -86,11 +86,11 @@ func TestBatchedSlotRunnerMatchesScalar(t *testing.T) {
 							ws := phy.GetWorkspace()
 							defer phy.PutWorkspace(ws)
 							var cache *SlotCache
-							if cached {
+							if cached || planner {
 								cache = NewSlotCache(s)
+							}
+							if cached {
 								cache.TrackPlannedRates(true)
-							} else if planner {
-								cache = slotCache(ws, s)
 							}
 							rng := rand.New(rand.NewSource(91 + seed))
 							var out SlotOutcome

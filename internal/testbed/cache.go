@@ -9,104 +9,68 @@ import (
 	"iaclan/internal/cmplxmat"
 	"iaclan/internal/flat"
 	"iaclan/internal/mimo"
-	"iaclan/internal/phy"
 )
 
-// SlotCache memoizes what slot planning derives from a scenario's
-// channel state at the cost of a draw or an eigendecomposition: training
-// estimates (one noise draw per pair) and per-client best-AP baseline
-// rates (one SVD per AP). True channels have one home, the world; every
-// reader measures them from it (channel.World.ChannelInto).
-// The group pickers evaluate the same pairs across hundreds of
-// candidate groups per contention-free period; with the cache, each
-// estimate and baseline is computed once per channel epoch instead.
+// SlotCache is the leader's channel survey (paper Section 7.1): the
+// training estimates of the last survey, one per directed pair, drawn
+// on the pair's first lookup after a Retrain and reused by every slot
+// planned until the next one, like APs sharing a measurement round over
+// the wired backend. It also lends the slot planner its reusable
+// scratch. True channels have one home, the world, and the baselines
+// are computations over it (BaselineRateWS, AdaptedBaselineWS): nothing
+// else is memoized here.
 //
-// Invalidation rule: every memo is keyed by the world's channel-state
-// epoch (channel.World.Epoch). Any fading mutation — Redraw, MoveNode,
-// Perturb — bumps the epoch, and every cached entry goes stale. Within
-// one epoch a pair's estimate is drawn once and reused, so all slots
-// planned in that epoch see one consistent channel survey, like APs
-// sharing a measurement round over the wired backend. Generation is
-// the clock that moves on an epoch move or a Retrain, which callers'
-// estimate-derived memos (the engine's group plans) key on.
+// One clock: estimates refresh only on Retrain. A fading mutation
+// (Redraw, MoveNode, Perturb) moves the world's epoch but leaves the
+// survey standing, which is the stale CSI the paper's Section 8
+// coherence measurements are about; the traffic engine re-trains on its
+// own schedule. Generation moves on either an epoch move or a Retrain,
+// and is the key every memo derived from estimates and true channels
+// (the engine's group plans) holds under.
 //
 // Storage is flat and nothing is dropped. Each directed pair the cache
 // has seen owns one row of a chunked slab, found through an
 // open-addressed index keyed by the packed (tx, rx) node IDs; the row's
 // estimate is a cmplxmat.View into one matrix slab, stamped with the
-// survey generation it was drawn in. The first lookup after a stamp
-// goes stale redraws the estimate in place (channel.NoisyEstimateInto),
-// with the same draws and bits as drawing a fresh matrix. The
-// per-client baseline rates are likewise stamped rows, one per client
-// and direction. Storage therefore grows only with the pairs a trial
-// actually touches, in O(log N) allocations for N pairs, and re-planning
-// after a fading step allocates nothing. The price is the lifetime
-// rule: a matrix returned by Estimated is valid only until its pair is
-// re-surveyed — the next lookup of that pair after an epoch move (or,
-// under manual re-training, a Retrain). Holders must not keep one across
-// a fading step; the slot planner, the baselines and the survey read
-// them within one call.
+// survey it was drawn in. The first lookup after a Retrain redraws the
+// estimate in place (channel.NoisyEstimateInto), with the same draws and
+// bits as drawing a fresh matrix. Storage therefore grows only with the
+// pairs a trial actually touches, in O(log N) allocations for N pairs,
+// and re-planning allocates nothing. The price is the lifetime rule: a
+// matrix returned by Estimated is valid only until its pair is
+// re-surveyed, at its next lookup after a Retrain.
 //
-// Under the traffic engine's channel dynamics the estimate memo follows
-// a different clock: SetManualRetrain pins training estimates across
-// epoch moves so they refresh only on Retrain — the stale-CSI model
-// where the channel decorrelates faster than the APs re-survey it.
-// Baseline rates always track the world epoch.
-//
-// A SlotCache is scoped to one scenario (its AP set anchors the baseline
-// rates) and is not safe for concurrent use; each simulation trial owns
-// one, which keeps sharded trial sweeps bit-identical to serial runs. In
-// a multi-cell campus every cell is its own scenario with its own cache.
-// The estimate memo is keyed by node-ID pair, so slot runners handed
-// any subset of the scenario's AP set (the N-AP chain uses up to M+2 of
-// them per slot) share one consistent survey.
+// A SlotCache is scoped to one scenario and is not safe for concurrent
+// use; each simulation trial owns one, which keeps sharded trial sweeps
+// bit-identical to serial runs. In a multi-cell campus every cell is
+// its own scenario with its own cache. The survey is keyed by node-ID
+// pair, so slot runners handed any subset of the scenario's AP set (the
+// N-AP chain uses up to M+2 of them per slot) share it.
 type SlotCache struct {
 	scenario Scenario
-	epoch    uint64
 	// pairs indexes entries by packed directed node-ID pair; an entry is
 	// added the first time its pair is looked up and never removed. The
 	// entries' estimates are views into mats.
 	pairs   flat.Index
 	entries flat.Slab[pairEntry]
 	mats    flat.Slab[complex128]
-	// chanGen and estGen are the current channel and survey
-	// generations: chanGen moves with the world epoch, estGen with it
-	// too unless manual re-training pins estimates, and on Retrain. gen
-	// moves on either, for the adapted baselines that read both (and
-	// for Generation's callers). A memo is fresh while its stamp equals
-	// the current generation; all start at 1, so a zero stamp is never
-	// fresh.
-	chanGen, estGen, gen uint64
-	// base and adapted memoize the per-client baseline rates, at
-	// 2*client+uplink, stamped with chanGen and gen. Each is sized
-	// to the scenario's clients on first use: a one-slot cache never
-	// needs them, and only MCS-mode trials use adapted.
-	base, adapted []rateMemo
-	// manualRetrain decouples the estimate memo from the world epoch:
-	// estimates survive fading mutations and drop only on Retrain.
-	manualRetrain bool
+	// survey counts training rounds, starting at 1 so that an entry's
+	// zero stamp is never current.
+	survey uint64
 	// trackPlanned asks the slot runners to report the planner's
 	// estimate-derived rates alongside the achieved ones (see
 	// SlotOutcome.PlannedPerClient), so a MAC can detect outages.
 	trackPlanned bool
-	// hits and misses count memo lookups across every memo (estimates,
-	// baseline rates, adapted baselines) — the cache's effectiveness
+	// hits and misses count estimate lookups, the survey's effectiveness
 	// signal the traffic engine surfaces as the slotcache_hits /
-	// slotcache_misses metrics. Plain fields: the cache is single-owner
-	// like the rest of its state.
+	// slotcache_misses metrics.
 	hits, misses uint64
-	// ws is the scratch for channel measurements and baseline math,
-	// released after each use: own, or for a one-slot cache the
-	// planner's workspace.
-	ws  *cmplxmat.Workspace
-	own cmplxmat.Workspace
 	// plan is the slot planner's reusable search state (see planSlot).
 	plan planScratch
 }
 
-// pairEntry is one directed pair's estimate and the survey generation
-// it was drawn in (0 before the first draw, when the view is still
-// empty).
+// pairEntry is one directed pair's estimate and the survey it was drawn
+// in (0 before the first draw, when the view is still empty).
 type pairEntry struct {
 	est   cmplxmat.Matrix
 	stamp uint64
@@ -121,92 +85,30 @@ func pairID(tx, rx int) uint64 {
 	return uint64(tx)<<32 | uint64(rx)
 }
 
-// rateMemo is one memoized baseline: the rate (planned, for an adapted
-// baseline, with the achieved one) and the generation it holds for.
-type rateMemo struct {
-	planned, achieved float64
-	gen               uint64
-}
-
-// NewSlotCache creates an empty cache bound to the scenario's world and
-// AP set.
+// NewSlotCache creates an empty survey of the scenario's world.
 func NewSlotCache(s Scenario) *SlotCache {
-	return newSlotCache(s, nil)
+	return &SlotCache{scenario: s, survey: 1}
 }
-
-// newSlotCache is NewSlotCache on the scratch workspace ws, or its own
-// when ws is nil.
-func newSlotCache(s Scenario, ws *cmplxmat.Workspace) *SlotCache {
-	c := &SlotCache{
-		scenario: s,
-		epoch:    s.World.Epoch(),
-		chanGen:  1,
-		estGen:   1,
-		gen:      1,
-		ws:       ws,
-	}
-	if ws == nil {
-		c.ws = &c.own
-	}
-	return c
-}
-
-// slotCache returns the one-slot cache of the paper's per-slot
-// training for s, on the planner's workspace ws, so it allocates little
-// beyond its first slab chunks.
-func slotCache(ws *phy.Workspace, s Scenario) *SlotCache {
-	return newSlotCache(s, ws.Mat)
-}
-
-// SetManualRetrain selects the estimate-invalidation clock. Off (the
-// default), every epoch move implies a fresh channel survey: estimates
-// go stale with the rest of the memos. On, estimates survive epoch moves and
-// refresh only when Retrain is called — planners keep working from the
-// last survey while the true channel drifts, which is exactly the stale
-// CSI the paper's Section 8 coherence measurements are about.
-func (c *SlotCache) SetManualRetrain(on bool) { c.manualRetrain = on }
 
 // TrackPlannedRates toggles planned-rate reporting in the slot runners
 // (SlotOutcome.PlannedPerClient). Off by default so static runs pay no
-// extra allocation.
+// extra allocation; the MCS table turns it on regardless.
 func (c *SlotCache) TrackPlannedRates(on bool) { c.trackPlanned = on }
 
-// Counters reports the cumulative memo hit and miss totals over the
-// cache's lifetime (invalidations do not reset them). A miss is a
-// lookup that had to compute — an estimate draw or a baseline
-// eigendecomposition.
+// Counters reports the cumulative estimate hit and miss totals over the
+// cache's lifetime (a Retrain does not reset them). A miss is a lookup
+// that drew a fresh estimate.
 func (c *SlotCache) Counters() (hits, misses uint64) { return c.hits, c.misses }
 
-// Retrain models one training round: every cached estimate goes stale,
-// so the next lookups re-survey the current channel state. Baseline
-// rates are keyed to the world epoch and are unaffected; the
-// adapted-baseline memo depends on the estimates and drops with them.
-func (c *SlotCache) Retrain() {
-	c.estGen++
-	c.gen++
-}
+// Retrain models one training round: every estimate goes stale, so the
+// next lookups re-survey the current channel state.
+func (c *SlotCache) Retrain() { c.survey++ }
 
-// Generation returns the clock every estimate-derived result is valid
-// under: it moves when the world's channel epoch moves and on Retrain.
-// A memo stamped with one generation is stale under any other.
-func (c *SlotCache) Generation() uint64 {
-	c.ensure()
-	return c.gen
-}
-
-// ensure moves the cache to the world's channel epoch when it has moved:
-// baseline memos go stale. Estimates follow the epoch too unless manual
-// re-training pins them (see SetManualRetrain).
-func (c *SlotCache) ensure() {
-	if e := c.scenario.World.Epoch(); e != c.epoch {
-		c.chanGen++
-		if !c.manualRetrain {
-			c.estGen++
-		}
-		c.gen++
-		c.epoch = e
-	}
-}
+// Generation returns the clock every result derived from the estimates
+// and the true channels is valid under. It is the sum of the world's
+// channel epoch and the survey count, so it moves whenever either does
+// and never returns to an earlier value.
+func (c *SlotCache) Generation() uint64 { return c.scenario.World.Epoch() + c.survey }
 
 // entry returns the pair's entry, adding an empty one on the pair's
 // first lookup. Entries never move.
@@ -222,13 +124,14 @@ func (c *SlotCache) entry(tx, rx *channel.Node) *pairEntry {
 }
 
 // Estimated returns the training-noise-corrupted estimate of the tx->rx
-// channel: the world's current channel plus estimation noise drawn from
-// rng once per pair per survey. The matrix is the pair's own storage,
-// read-only and valid until the pair is next re-surveyed.
-func (c *SlotCache) Estimated(tx, rx *channel.Node, rng *rand.Rand) *cmplxmat.Matrix {
-	c.ensure()
+// channel: the world's channel at the pair's first lookup since the last
+// Retrain plus estimation noise drawn from rng, once per pair per
+// survey. The channel is measured on ws's scratch, released before
+// return. The matrix is the pair's own storage, read-only and valid
+// until the pair is next re-surveyed.
+func (c *SlotCache) Estimated(ws *cmplxmat.Workspace, tx, rx *channel.Node, rng *rand.Rand) *cmplxmat.Matrix {
 	e := c.entry(tx, rx)
-	if e.stamp == c.estGen {
+	if e.stamp == c.survey {
 		c.hits++
 		return &e.est
 	}
@@ -240,111 +143,36 @@ func (c *SlotCache) Estimated(tx, rx *channel.Node, rng *rand.Rand) *cmplxmat.Ma
 	// Measure the channel into the estimate's own storage, then noise it
 	// in place: entry by entry, the same values and draws as noising a
 	// separate copy.
-	c.scenario.World.ChannelInto(&e.est, c.ws, tx, rx)
+	c.scenario.World.ChannelInto(&e.est, ws, tx, rx)
 	channel.NoisyEstimateInto(&e.est, &e.est, c.scenario.Env.EstimationSigma(), rng)
-	e.stamp = c.estGen
+	e.stamp = c.survey
 	return &e.est
 }
 
-// memo returns the client's baseline row in rows (sizing rows to the
-// scenario's clients on first use, so rows never move) and whether it
-// holds for gen.
-func (c *SlotCache) memo(rows *[]rateMemo, client int, uplink bool, gen uint64) (*rateMemo, bool) {
-	if *rows == nil {
-		*rows = make([]rateMemo, 2*len(c.scenario.Clients))
-	}
-	i := 2 * client
-	if uplink {
-		i++
-	}
-	m := &(*rows)[i]
-	return m, m.gen == gen
-}
-
-// BaselineUplinkRate is BaselineUplinkRate for the cache's scenario,
-// memoized per client per epoch. The underlying best-AP eigenmode search
-// runs on workspace scratch, so a warm cache answers without allocating.
-func (c *SlotCache) BaselineUplinkRate(client int) float64 {
-	return c.baselineRate(client, true)
-}
-
-// BaselineDownlinkRate is BaselineDownlinkRate for the cache's scenario,
-// memoized per client per epoch.
-func (c *SlotCache) BaselineDownlinkRate(client int) float64 {
-	return c.baselineRate(client, false)
-}
-
-func (c *SlotCache) baselineRate(client int, uplink bool) float64 {
-	c.ensure()
-	m, ok := c.memo(&c.base, client, uplink, c.chanGen)
-	if ok {
-		c.hits++
-		return m.planned
-	}
-	c.misses++
-	mark := c.ws.Mark()
-	defer c.ws.Release(mark)
-	// mimo.BestAPWS's loop, inlined: its []*Matrix would cost a fresh
-	// cache's workspace one more arena chunk, an allocation per trial.
-	w, cl := c.scenario.World, c.scenario.Clients[client]
-	best := math.Inf(-1)
-	for _, ap := range c.scenario.APs {
-		var h *cmplxmat.Matrix
-		if uplink {
-			h = w.ChannelWS(c.ws, cl, ap)
-		} else {
-			h = w.ChannelWS(c.ws, ap, cl)
-		}
-		if r := mimo.EigenmodeRateWS(c.ws, h, NodePower, c.scenario.Env.Noise()); r > best {
-			best = r
-		}
-	}
-	*m = rateMemo{planned: best, gen: c.chanGen}
-	return best
-}
-
-// AdaptedBaselineUplink is the client's 802.11-MIMO uplink link under
-// the scenario's shared MCS table: rate selection on the training
-// estimates, realized SINRs on the true channel, per-stream outage.
-// Returns (planned, achieved) in bit/s/Hz, memoized until either the
-// channel epoch or the training clock moves. The scenario Env must have
-// MCS set.
-func (c *SlotCache) AdaptedBaselineUplink(client int, rng *rand.Rand) (planned, achieved float64) {
-	return c.adaptedBaseline(client, true, rng)
-}
-
-// AdaptedBaselineDownlink is AdaptedBaselineUplink for the downlink.
-func (c *SlotCache) AdaptedBaselineDownlink(client int, rng *rand.Rand) (planned, achieved float64) {
-	return c.adaptedBaseline(client, false, rng)
-}
-
-func (c *SlotCache) adaptedBaseline(client int, uplink bool, rng *rand.Rand) (planned, achieved float64) {
-	table := c.scenario.Env.MCS
-	if table == nil {
+// AdaptedBaselineWS is the client's 802.11-MIMO link under the
+// scenario's shared MCS table: rate selection on the survey's
+// estimates, realized SINRs on the true channels, per-stream outage, at
+// the AP with the best planned rate. Per AP it measures the true channel
+// and then looks up the estimate, so a pair's first measurement draws
+// its fading before its estimate draws noise. Returns (planned,
+// achieved) in bit/s/Hz, with its scratch in ws. The scenario Env must
+// have MCS set.
+func (c *SlotCache) AdaptedBaselineWS(ws *cmplxmat.Workspace, client int, uplink bool, rng *rand.Rand) (planned, achieved float64) {
+	s := c.scenario
+	if s.Env.MCS == nil {
 		panic("testbed: adapted baseline needs Env.MCS")
 	}
-	c.ensure()
-	m, ok := c.memo(&c.adapted, client, uplink, c.gen)
-	if ok {
-		c.hits++
-		return m.planned, m.achieved
-	}
-	c.misses++
-	mark := c.ws.Mark()
-	defer c.ws.Release(mark)
-	w, cl := c.scenario.World, c.scenario.Clients[client]
-	trueChans := c.ws.MatrixPtrs(len(c.scenario.APs))
-	estChans := c.ws.MatrixPtrs(len(c.scenario.APs))
-	for j, ap := range c.scenario.APs {
-		if uplink {
-			trueChans[j] = w.ChannelWS(c.ws, cl, ap)
-			estChans[j] = c.Estimated(cl, ap, rng)
-		} else {
-			trueChans[j] = w.ChannelWS(c.ws, ap, cl)
-			estChans[j] = c.Estimated(ap, cl, rng)
+	mark := ws.Mark()
+	defer ws.Release(mark)
+	trueChans := ws.MatrixPtrs(len(s.APs))
+	estChans := ws.MatrixPtrs(len(s.APs))
+	for j, ap := range s.APs {
+		tx, rx := s.Clients[client], ap
+		if !uplink {
+			tx, rx = rx, tx
 		}
+		trueChans[j] = s.World.ChannelWS(ws, tx, rx)
+		estChans[j] = c.Estimated(ws, tx, rx, rng)
 	}
-	planned, achieved = mimo.AdaptedBestAPWS(c.ws, table, trueChans, estChans, NodePower, c.scenario.Env.Noise())
-	*m = rateMemo{planned, achieved, c.gen}
-	return planned, achieved
+	return mimo.AdaptedBestAPWS(ws, s.Env.MCS, trueChans, estChans, NodePower, s.Env.Noise())
 }

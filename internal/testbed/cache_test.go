@@ -17,53 +17,73 @@ func cacheScenario(t *testing.T) Scenario {
 	return PickScenario(world, 3, 3)
 }
 
-// TestSlotCacheChannelsAndEstimatesAreStable pins the memo contract:
-// within one channel epoch, repeated lookups return the identical matrix
-// (same pointer — no fresh noise draw).
+// TestSlotCacheChannelsAndEstimatesAreStable pins the survey contract:
+// within one survey, repeated lookups return the identical matrix (same
+// pointer — no fresh noise draw), and the baseline, a computation over
+// the world, is stable while the world stands still.
 func TestSlotCacheChannelsAndEstimatesAreStable(t *testing.T) {
 	s := cacheScenario(t)
 	c := NewSlotCache(s)
+	ws := cmplxmat.NewWorkspace()
 	rng := rand.New(rand.NewSource(5))
 	tx, rx := s.Clients[0], s.APs[0]
-	e1 := c.Estimated(tx, rx, rng)
-	e2 := c.Estimated(tx, rx, rng)
+	e1 := c.Estimated(ws, tx, rx, rng)
+	e2 := c.Estimated(ws, tx, rx, rng)
 	if e1 != e2 {
-		t.Fatal("Estimated redrew noise within one epoch")
+		t.Fatal("Estimated redrew noise within one survey")
 	}
 	if e1.Equal(s.World.Channel(tx, rx), 0) {
 		t.Fatal("estimate should carry training noise")
 	}
-	r1 := c.BaselineUplinkRate(0)
-	r2 := c.BaselineUplinkRate(0)
+	r1 := BaselineRateWS(ws, s, 0, true)
+	r2 := BaselineRateWS(ws, s, 0, true)
 	if r1 != r2 || r1 <= 0 {
-		t.Fatalf("baseline memo unstable or degenerate: %v vs %v", r1, r2)
+		t.Fatalf("baseline unstable or degenerate: %v vs %v", r1, r2)
 	}
 }
 
-// TestSlotCacheInvalidatesOnEpochChange pins the invalidation rule: any
-// fading mutation bumps the world epoch and the cache must refresh every
-// memo (fresh estimation noise, recomputed baselines). Estimates are
-// refreshed in the pair's own storage, so the test compares contents
-// against snapshots taken before the move.
+// TestSlotCacheInvalidatesOnEpochChange pins the invalidation rule: a
+// fading mutation bumps the world epoch and moves Generation, and the
+// baseline sees the new channel at once. The survey stands until a
+// Retrain: without one, Estimated returns the same bits and draws
+// nothing; after it, the estimate is channel.NoisyEstimate of the
+// current World.Channel drawn from a twin RNG.
 func TestSlotCacheInvalidatesOnEpochChange(t *testing.T) {
 	s := cacheScenario(t)
 	c := NewSlotCache(s)
-	rng := rand.New(rand.NewSource(6))
+	ws := cmplxmat.NewWorkspace()
+	rng, twin := rand.New(rand.NewSource(6)), rand.New(rand.NewSource(6))
 	tx, rx := s.Clients[0], s.APs[0]
-	e1 := c.Estimated(tx, rx, rng).Clone()
-	r1 := c.BaselineUplinkRate(0)
+	sigma := s.Env.EstimationSigma()
+	e1 := c.Estimated(ws, tx, rx, rng).Clone()
+	mustSameBits(t, "first survey", e1, channel.NoisyEstimate(s.World.Channel(tx, rx), sigma, twin))
+	r1 := BaselineRateWS(ws, s, 0, true)
+	gen := c.Generation()
 
 	epochBefore := s.World.Epoch()
 	s.World.Perturb(1) // full fading redraw
 	if s.World.Epoch() == epochBefore {
 		t.Fatal("Perturb did not bump the epoch")
 	}
-
-	if c.Estimated(tx, rx, rng).Equal(e1, 0) {
-		t.Fatal("cache kept a stale estimate across an epoch change")
+	if c.Generation() == gen {
+		t.Fatal("Generation did not move with the epoch")
 	}
-	if c.BaselineUplinkRate(0) == r1 {
-		t.Fatal("cache kept a stale baseline rate across an epoch change")
+	if BaselineRateWS(ws, s, 0, true) == r1 {
+		t.Fatal("baseline rate did not see the epoch change")
+	}
+
+	mustSameBits(t, "after perturb", c.Estimated(ws, tx, rx, rng), e1)
+	if rng.Int63() != twin.Int63() {
+		t.Fatal("an estimate drew noise without a Retrain")
+	}
+	gen = c.Generation()
+	c.Retrain()
+	if c.Generation() == gen {
+		t.Fatal("Generation did not move on Retrain")
+	}
+	mustSameBits(t, "after retrain", c.Estimated(ws, tx, rx, rng), channel.NoisyEstimate(s.World.Channel(tx, rx), sigma, twin))
+	if rng.Int63() != twin.Int63() {
+		t.Fatal("the cache and the twin RNG stand at different positions")
 	}
 }
 
@@ -76,12 +96,12 @@ func TestSlotCacheInvalidatesOnEpochChange(t *testing.T) {
 func TestSlotCacheRefreshMatchesFreshCache(t *testing.T) {
 	s := cacheScenario(t)
 	old := NewSlotCache(s)
-	old.SetManualRetrain(true)
+	ws := cmplxmat.NewWorkspace()
 	rng := rand.New(rand.NewSource(9))
 	survey := func(c *SlotCache, rng *rand.Rand) {
 		for _, cl := range s.Clients {
 			for _, ap := range s.APs {
-				c.Estimated(cl, ap, rng)
+				c.Estimated(ws, cl, ap, rng)
 			}
 		}
 	}
@@ -99,7 +119,7 @@ func TestSlotCacheRefreshMatchesFreshCache(t *testing.T) {
 	fresh := NewSlotCache(s)
 	for _, cl := range s.Clients {
 		for _, ap := range s.APs {
-			if !old.Estimated(cl, ap, rngOld).Equal(fresh.Estimated(cl, ap, rngNew), 0) {
+			if !old.Estimated(ws, cl, ap, rngOld).Equal(fresh.Estimated(ws, cl, ap, rngNew), 0) {
 				t.Fatalf("pair %v->%v: refreshed estimate differs from a fresh survey", cl, ap)
 			}
 		}
@@ -110,70 +130,67 @@ func TestSlotCacheRefreshMatchesFreshCache(t *testing.T) {
 }
 
 // TestEstimateSurveysCurrentChannel pins the estimate's survey against
-// the world, the one home of the true channel: after a Perturb, a
-// MoveNode and a Retrain, every pair's estimate, in both directions,
-// is bit for bit channel.NoisyEstimate of World.Channel drawn from a
-// twin RNG, and both RNGs end at the same position. With manual
-// re-training the mutations first leave the estimates pinned (no
-// draw), and the Retrain after each one re-surveys.
+// the world, the one home of the true channel: a Perturb or a MoveNode
+// leaves every estimate pinned (same bits, no draw), and the Retrain
+// after each one re-surveys, so that every pair's estimate, in both
+// directions, is bit for bit channel.NoisyEstimate of World.Channel
+// drawn from a twin RNG, and both RNGs end at the same position. A
+// Retrain with no change to the world re-surveys too. Estimates refresh
+// only on Retrain, so the one subtest is the manual-retrain mode.
 func TestEstimateSurveysCurrentChannel(t *testing.T) {
-	for _, manual := range []bool{false, true} {
-		t.Run(fmt.Sprintf("manual=%v", manual), func(t *testing.T) {
-			s := cacheScenario(t)
-			c := NewSlotCache(s)
-			c.SetManualRetrain(manual)
-			rng, twin := rand.New(rand.NewSource(12)), rand.New(rand.NewSource(12))
-			var snap []*cmplxmat.Matrix
-			survey := func(step string) {
-				t.Helper()
-				snap = snap[:0]
-				for _, cl := range s.Clients {
-					for _, ap := range s.APs {
-						for _, p := range [][2]*channel.Node{{cl, ap}, {ap, cl}} {
-							got := c.Estimated(p[0], p[1], rng)
-							want := channel.NoisyEstimate(s.World.Channel(p[0], p[1]), s.Env.EstimationSigma(), twin)
-							mustSameBits(t, fmt.Sprintf("%s: %v->%v", step, p[0], p[1]), got, want)
-							snap = append(snap, got.Clone())
-						}
+	t.Run("manual=true", func(t *testing.T) {
+		s := cacheScenario(t)
+		c := NewSlotCache(s)
+		ws := cmplxmat.NewWorkspace()
+		rng, twin := rand.New(rand.NewSource(12)), rand.New(rand.NewSource(12))
+		var snap []*cmplxmat.Matrix
+		survey := func(step string) {
+			t.Helper()
+			snap = snap[:0]
+			for _, cl := range s.Clients {
+				for _, ap := range s.APs {
+					for _, p := range [][2]*channel.Node{{cl, ap}, {ap, cl}} {
+						got := c.Estimated(ws, p[0], p[1], rng)
+						want := channel.NoisyEstimate(s.World.Channel(p[0], p[1]), s.Env.EstimationSigma(), twin)
+						mustSameBits(t, fmt.Sprintf("%s: %v->%v", step, p[0], p[1]), got, want)
+						snap = append(snap, got.Clone())
 					}
 				}
-				if rng.Int63() != twin.Int63() {
-					t.Fatalf("%s: the cache and the twin RNG stand at different positions", step)
-				}
 			}
-			pinned := func(step string) {
-				t.Helper()
-				i := 0
-				for _, cl := range s.Clients {
-					for _, ap := range s.APs {
-						for _, p := range [][2]*channel.Node{{cl, ap}, {ap, cl}} {
-							mustSameBits(t, fmt.Sprintf("%s (pinned): %v->%v", step, p[0], p[1]), c.Estimated(p[0], p[1], rng), snap[i])
-							i++
-						}
+			if rng.Int63() != twin.Int63() {
+				t.Fatalf("%s: the cache and the twin RNG stand at different positions", step)
+			}
+		}
+		pinned := func(step string) {
+			t.Helper()
+			i := 0
+			for _, cl := range s.Clients {
+				for _, ap := range s.APs {
+					for _, p := range [][2]*channel.Node{{cl, ap}, {ap, cl}} {
+						mustSameBits(t, fmt.Sprintf("%s (pinned): %v->%v", step, p[0], p[1]), c.Estimated(ws, p[0], p[1], rng), snap[i])
+						i++
 					}
 				}
-				if rng.Int63() != twin.Int63() {
-					t.Fatalf("%s: a pinned estimate drew noise", step)
-				}
 			}
-			survey("first survey")
-			for _, step := range []struct {
-				name string
-				do   func()
-			}{
-				{"perturb", func() { s.World.Perturb(0.4) }},
-				{"move", func() { s.World.MoveNode(s.Clients[1], 2, 5) }},
-				{"retrain", c.Retrain},
-			} {
-				step.do()
-				if manual && step.name != "retrain" {
-					pinned(step.name)
-					c.Retrain()
-				}
-				survey(step.name)
+			if rng.Int63() != twin.Int63() {
+				t.Fatalf("%s: a pinned estimate drew noise", step)
 			}
-		})
-	}
+		}
+		survey("first survey")
+		for _, step := range []struct {
+			name string
+			do   func()
+		}{
+			{"perturb", func() { s.World.Perturb(0.4) }},
+			{"move", func() { s.World.MoveNode(s.Clients[1], 2, 5) }},
+			{"retrain", func() {}},
+		} {
+			step.do()
+			pinned(step.name)
+			c.Retrain()
+			survey(step.name)
+		}
+	})
 }
 
 // mustSameBits fails unless x and y have one shape and bit-identical
@@ -193,47 +210,69 @@ func mustSameBits(t *testing.T, what string, x, y *cmplxmat.Matrix) {
 	}
 }
 
-// TestSlotCacheBaselinesMatchUncachedBaselines checks the memoized
-// baseline rates agree with the uncached public helpers.
+// TestSlotCacheBaselinesMatchUncachedBaselines pins the one baseline
+// kernel against the public heap functions, bit for bit: BaselineRateWS
+// runs on a warm workspace left dirty by earlier work, with part of its
+// arena still held, and must not read what it finds there.
 func TestSlotCacheBaselinesMatchUncachedBaselines(t *testing.T) {
 	s := cacheScenario(t)
-	c := NewSlotCache(s)
-	for i := range s.Clients {
-		if got, want := c.BaselineUplinkRate(i), BaselineUplinkRate(s, i); got != want {
-			t.Fatalf("uplink baseline %d: cached %v, direct %v", i, got, want)
+	ws := cmplxmat.NewWorkspace()
+	dirty := func() {
+		mark := ws.Mark()
+		for range 64 {
+			m := ws.Matrix(2, 3)
+			for r := range m.Rows() {
+				for c := range m.Cols() {
+					m.SetAt(r, c, complex(math.NaN(), math.Inf(1)))
+				}
+			}
+			ws.Floats(5)[0] = math.NaN()
+			ws.MatrixPtrs(3)[0] = m
 		}
-		if got, want := c.BaselineDownlinkRate(i), BaselineDownlinkRate(s, i); got != want {
-			t.Fatalf("downlink baseline %d: cached %v, direct %v", i, got, want)
+		ws.Release(mark)
+		ws.Matrix(2, 2).SetAt(0, 0, 7) // held across the calls below
+	}
+	dirty()
+	for i := range s.Clients {
+		for _, uplink := range []bool{true, false} {
+			want := BaselineDownlinkRate(s, i)
+			if uplink {
+				want = BaselineUplinkRate(s, i)
+			}
+			if got := BaselineRateWS(ws, s, i, uplink); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("client %d uplink=%v: kernel %v, heap %v", i, uplink, got, want)
+			}
+			dirty()
 		}
 	}
 }
 
-// TestSlotCacheManualRetrainPinsEstimates pins the stale-CSI clock: with
-// manual re-training on, estimates survive fading mutations (planners
-// keep the last survey) while baselines track the world epoch; Retrain
-// then forces a fresh survey of the current state.
+// TestSlotCacheManualRetrainPinsEstimates pins the stale-CSI clock:
+// estimates survive fading mutations (planners keep the last survey)
+// while baselines track the world; Retrain then forces a fresh survey
+// of the current state.
 func TestSlotCacheManualRetrainPinsEstimates(t *testing.T) {
 	s := cacheScenario(t)
 	c := NewSlotCache(s)
-	c.SetManualRetrain(true)
+	ws := cmplxmat.NewWorkspace()
 	rng := rand.New(rand.NewSource(7))
 	tx, rx := s.Clients[0], s.APs[0]
-	e1 := c.Estimated(tx, rx, rng)
+	e1 := c.Estimated(ws, tx, rx, rng)
 	e1Snap := e1.Clone()
-	r1 := c.BaselineUplinkRate(0)
+	r1 := BaselineRateWS(ws, s, 0, true)
 
 	s.World.Perturb(0.5)
 
-	if c.BaselineUplinkRate(0) == r1 {
-		t.Fatal("baseline rate must track the epoch even under manual retrain")
+	if BaselineRateWS(ws, s, 0, true) == r1 {
+		t.Fatal("baseline rate must track the world while estimates stand")
 	}
-	if e := c.Estimated(tx, rx, rng); e != e1 || !e.Equal(e1Snap, 0) {
-		t.Fatal("manual retrain must pin estimates across an epoch move")
+	if e := c.Estimated(ws, tx, rx, rng); e != e1 || !e.Equal(e1Snap, 0) {
+		t.Fatal("estimates must stay pinned across an epoch move")
 	}
 
 	c.Retrain()
 	_, missesBefore := c.Counters()
-	e2 := c.Estimated(tx, rx, rng)
+	e2 := c.Estimated(ws, tx, rx, rng)
 	if _, misses := c.Counters(); misses != missesBefore+1 {
 		t.Fatal("Retrain must drop the pinned estimates")
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"iaclan/internal/channel"
+	"iaclan/internal/cmplxmat"
 	"iaclan/internal/mimo"
 )
 
@@ -125,39 +126,49 @@ func TestMCSSlotRatesAreQuantized(t *testing.T) {
 	}
 }
 
-func TestAdaptedBaselineMemoInvalidates(t *testing.T) {
+// TestAdaptedBaselineReadsLatestSurvey pins the adapted baseline's
+// inputs: the world's current true channels and the last survey's
+// estimates. After a fading step without a Retrain it plans on the
+// standing estimates and draws nothing; after a Retrain it reads the new
+// survey, per AP the noisy estimate of the current channel, drawn in AP
+// order from a twin RNG.
+func TestAdaptedBaselineReadsLatestSurvey(t *testing.T) {
 	world := channel.DefaultTestbed(23)
 	s := PickScenario(world, 2, 2)
 	s.Env = Env{MCS: mimo.DefaultRateTable()}
 	cache := NewSlotCache(s)
-	rng := rand.New(rand.NewSource(8))
-
-	p1, a1 := cache.AdaptedBaselineUplink(0, rng)
-	p2, a2 := cache.AdaptedBaselineUplink(0, rng)
-	if p1 != p2 || a1 != a2 {
-		t.Fatal("memoized adapted baseline not stable within an epoch")
+	ws := cmplxmat.NewWorkspace()
+	rng, twin := rand.New(rand.NewSource(8)), rand.New(rand.NewSource(8))
+	cl := s.Clients[0]
+	survey := func() []*cmplxmat.Matrix {
+		est := make([]*cmplxmat.Matrix, len(s.APs))
+		for j, ap := range s.APs {
+			est[j] = channel.NoisyEstimate(world.Channel(cl, ap), s.Env.EstimationSigma(), twin)
+		}
+		return est
 	}
-	if p1 <= 0 {
-		t.Fatal("adapted baseline planned no rate in a one-room testbed")
+	check := func(step string, est []*cmplxmat.Matrix) {
+		t.Helper()
+		p, a := cache.AdaptedBaselineWS(ws, 0, true, rng)
+		trueChans := make([]*cmplxmat.Matrix, len(s.APs))
+		for j, ap := range s.APs {
+			trueChans[j] = world.Channel(cl, ap)
+		}
+		wp, wa := mimo.AdaptedBestAPWS(cmplxmat.NewWorkspace(), s.Env.MCS, trueChans, est, NodePower, s.Env.Noise())
+		if p != wp || a != wa {
+			t.Fatalf("%s: adapted baseline (%v, %v), want (%v, %v)", step, p, a, wp, wa)
+		}
+		if p <= 0 {
+			t.Fatalf("%s: adapted baseline planned no rate in a one-room testbed", step)
+		}
+		if rng.Int63() != twin.Int63() {
+			t.Fatalf("%s: the cache and the twin RNG stand at different positions", step)
+		}
 	}
-
-	// A fading change must drop the memo: the rates are recomputed from
-	// fresh channels (and almost surely differ).
-	world.Redraw(s.Clients[0], s.APs[0])
-	p3, _ := cache.AdaptedBaselineUplink(0, rng)
-	if p3 == p1 {
-		t.Log("note: redraw produced an identical planned rate (possible rung tie)")
-	}
-
-	// Under manual retrain, Retrain must drop the memo even while the
-	// epoch stands still: fresh estimates can move the planned rate.
-	cache.SetManualRetrain(true)
-	q1, _ := cache.AdaptedBaselineUplink(0, rng)
+	first := survey()
+	check("first survey", first)
+	world.Redraw(cl, s.APs[0])
+	check("redraw", first)
 	cache.Retrain()
-	q2, _ := cache.AdaptedBaselineUplink(0, rng)
-	// The estimates are redrawn from the rng stream, so the planned rate
-	// may or may not move a rung; what matters is the lookup recomputes
-	// rather than panics or reuses stale estimate pointers.
-	_ = q1
-	_ = q2
+	check("retrain", survey())
 }

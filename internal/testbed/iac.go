@@ -62,16 +62,16 @@ func (o SlotOutcome) detach() SlotOutcome {
 func RunUplinkSlot(s Scenario, twoPacketRole int, rng *rand.Rand) (SlotOutcome, error) {
 	ws := phy.GetWorkspace()
 	defer phy.PutWorkspace(ws)
-	out, err := RunUplinkSlotWS(ws, slotCache(ws, s), s, twoPacketRole, rng)
+	out, err := RunUplinkSlotWS(ws, NewSlotCache(s), s, twoPacketRole, rng)
 	return out.detach(), err
 }
 
 // RunUplinkSlotWS is RunUplinkSlot with an explicit workspace and the
-// channel memo the slot plans through, which must not be nil. A cache
-// reused across slots reuses the epoch's per-pair estimates and channel
-// matrices; a fresh NewSlotCache(s) per slot is the paper's per-slot
-// training. The cache also lends the planner its reusable scratch. The
-// outcome is a view (see SlotOutcome).
+// channel survey the slot plans through, which must not be nil. A
+// cache reused across slots reuses its survey's per-pair estimates; a
+// fresh NewSlotCache(s) per slot is the paper's per-slot training. The
+// cache also lends the planner its reusable scratch. The outcome is a
+// view (see SlotOutcome).
 func RunUplinkSlotWS(ws *phy.Workspace, cache *SlotCache, s Scenario, twoPacketRole int, rng *rand.Rand) (SlotOutcome, error) {
 	return planSlot(ws, cache, s, false, twoPacketRole, rng)
 }
@@ -87,12 +87,12 @@ const solveCandidates = 3
 func RunDownlinkSlot(s Scenario, rng *rand.Rand) (SlotOutcome, error) {
 	ws := phy.GetWorkspace()
 	defer phy.PutWorkspace(ws)
-	out, err := RunDownlinkSlotWS(ws, slotCache(ws, s), s, rng)
+	out, err := RunDownlinkSlotWS(ws, NewSlotCache(s), s, rng)
 	return out.detach(), err
 }
 
 // RunDownlinkSlotWS is RunDownlinkSlot with an explicit workspace and a
-// non-nil channel memo (see RunUplinkSlotWS). The outcome is a view.
+// non-nil channel survey (see RunUplinkSlotWS). The outcome is a view.
 func RunDownlinkSlotWS(ws *phy.Workspace, cache *SlotCache, s Scenario, rng *rand.Rand) (SlotOutcome, error) {
 	return planSlot(ws, cache, s, true, 0, rng)
 }
@@ -118,7 +118,7 @@ func AverageUplinkIAC(s Scenario, rng *rand.Rand) (float64, error) {
 	var total float64
 	n := 0
 	for role := 0; role < len(s.Clients); role++ {
-		out, err := RunUplinkSlotWS(ws, slotCache(ws, s), s, role, rng)
+		out, err := RunUplinkSlotWS(ws, NewSlotCache(s), s, role, rng)
 		if err != nil {
 			return 0, err
 		}

@@ -195,22 +195,38 @@ func genPermutations(n int) [][]int {
 // eigenmode rate to its best AP (extra APs give diversity only,
 // Section 10e).
 func BaselineUplinkRate(s Scenario, client int) float64 {
-	chans := make([]*cmplxmat.Matrix, len(s.APs))
-	for j, ap := range s.APs {
-		chans[j] = s.World.Channel(s.Clients[client], ap)
-	}
-	_, rate := mimo.BestAP(chans, NodePower, s.Env.Noise())
-	return rate
+	return baselineRate(s, client, true)
 }
 
 // BaselineDownlinkRate returns one client's 802.11-MIMO downlink rate
 // from its best AP.
 func BaselineDownlinkRate(s Scenario, client int) float64 {
-	chans := make([]*cmplxmat.Matrix, len(s.APs))
+	return baselineRate(s, client, false)
+}
+
+// baselineRate is BaselineRateWS on a pooled workspace.
+func baselineRate(s Scenario, client int, uplink bool) float64 {
+	ws := cmplxmat.GetWorkspace()
+	defer cmplxmat.PutWorkspace(ws)
+	return BaselineRateWS(ws, s, client, uplink)
+}
+
+// BaselineRateWS is the client's 802.11-MIMO rate in the given direction
+// (BaselineUplinkRate, BaselineDownlinkRate): mimo.BestAPWS over the
+// true channels to the scenario's APs, measured from the world in AP
+// order into ws, whose scratch is released before return.
+func BaselineRateWS(ws *cmplxmat.Workspace, s Scenario, client int, uplink bool) float64 {
+	mark := ws.Mark()
+	defer ws.Release(mark)
+	chans := ws.MatrixPtrs(len(s.APs))
 	for j, ap := range s.APs {
-		chans[j] = s.World.Channel(ap, s.Clients[client])
+		if uplink {
+			chans[j] = s.World.ChannelWS(ws, s.Clients[client], ap)
+		} else {
+			chans[j] = s.World.ChannelWS(ws, ap, s.Clients[client])
+		}
 	}
-	_, rate := mimo.BestAP(chans, NodePower, s.Env.Noise())
+	_, rate := mimo.BestAPWS(ws, chans, NodePower, s.Env.Noise())
 	return rate
 }
 
