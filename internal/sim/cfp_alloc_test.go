@@ -9,16 +9,16 @@ import (
 
 // warmCFPAllocsPin is the allocation ceiling of one steady-state CFP
 // cycle on the campus_warm cell shape (see TestWarmCFPCycleAllocs): the
-// picker, slot runner and hub keep reusable scratch and the beacon's ack
-// map lives in a buffer the MAC simulator reuses, so a warm cycle
-// allocates nothing.
+// picker and slot runner keep reusable scratch, the wired plane is a
+// byte count, and the beacon's ack map lives in a buffer the MAC
+// simulator reuses, so a warm cycle allocates nothing.
 const warmCFPAllocsPin = 0
 
 // TestWarmCFPCycleAllocs pins the heap allocations of one warm
 // beacon/CFP/CP cycle on a static channel with the group-plan cache
 // hot: 10 Poisson clients at 0.12 pkt/slot, 4 APs, uplink 3-client
 // groups, best-of-two picking, every share, loss report and ack map
-// published to the hub and discarded.
+// counted on the wired plane.
 func TestWarmCFPCycleAllocs(t *testing.T) {
 	cfg := Default()
 	cfg.APs = 4

@@ -37,7 +37,7 @@ func TestPerturbInvalidatesMidTrialCaches(t *testing.T) {
 	defer phy.PutWorkspace(e.ws)
 
 	group := []mac.ClientID{0, 1, 2}
-	before := e.outcome(group)
+	before := *e.outcome(group)
 	if !before.ok || !before.hasPlanned {
 		t.Fatalf("planned-rate tracking off under dynamics: %+v", before)
 	}
@@ -57,7 +57,7 @@ func TestPerturbInvalidatesMidTrialCaches(t *testing.T) {
 	if !e.chans.Estimated(e.ws.Mat, tx, rx, e.rng).Equal(estBefore, 0) {
 		t.Fatal("training estimates must stay pinned until Retrain")
 	}
-	after := e.outcome(group)
+	after := *e.outcome(group)
 	if e.outcomes.Len() != 1 {
 		t.Fatalf("group cache not rebuilt: %d entries", e.outcomes.Len())
 	}
@@ -219,8 +219,9 @@ func TestSingleClientDownlinkDiversityPath(t *testing.T) {
 		t.Fatalf("lone client starved: iac %+v tdma %+v", iac.PerClient[0], tdma.PerClient[0])
 	}
 	// Each 2-packet diversity slot ships one decoded-packet share
-	// (p-1 = 1) of PacketBytes across the hub; the baseline's 1-packet
-	// slots ship none, so its wired plane carries only control frames.
+	// (p-1 = 1) of PacketBytes across the wired plane; the baseline's
+	// 1-packet slots ship none, so its wired plane carries only control
+	// frames.
 	minShareBytes := int64(iac.PerClient[0].Delivered) * int64(cfg.PacketBytes)
 	if iac.BackendBytes < minShareBytes {
 		t.Fatalf("IAC-mode lone downlink client skipped the diversity shape: %d backend bytes, want >= %d",

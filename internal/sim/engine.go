@@ -72,9 +72,10 @@ type engine struct {
 	scenario testbed.Scenario
 	rng      *rand.Rand
 	sim      *mac.Simulator
-	hub      *backend.MemHub
 	payload  []byte
-	seq      uint32
+	// wireBytes is the wired plane's load: the backend wire bytes of
+	// every message publish sent, each counted once regardless of port.
+	wireBytes int64
 	// chainAPs is how many of the scenario's APs an uplink chain slot
 	// engages: every AP up to the construction's usable maximum of M+2
 	// (core.UplinkChainMaxAPs). With the paper's 3-AP cluster this is 3;
@@ -199,7 +200,6 @@ func newEngine(cfg Config) (*engine, error) {
 		cfg:       cfg,
 		scenario:  scenario,
 		rng:       rand.New(rand.NewSource(cfg.Seed + 7)),
-		hub:       backend.NewMemHub(cfg.APs),
 		payload:   make([]byte, cfg.PacketBytes),
 		next:      make([]float64, cfg.Clients),
 		pending:   make([]int, cfg.Clients),
@@ -327,9 +327,7 @@ func Run(cfg Config) (TrialResult, error) {
 // cycle runs one beacon/CFP/CP round: age the channel and re-train per
 // the dynamics schedule, deliver the arrivals that accumulated during
 // the previous cycle's airtime (including any training slots just
-// charged), run the CFP, put the beacon's ack map on the wire, and
-// discard the cycle's broadcasts (the hub is used for byte accounting;
-// nobody replays the payloads).
+// charged), run the CFP, and put the beacon's ack map on the wire.
 func (e *engine) cycle(c int) {
 	e.cycleNo = c
 	e.applyDynamics(c)
@@ -345,13 +343,10 @@ func (e *engine) cycle(c int) {
 	if e.tp != nil {
 		e.admitWindows()
 	}
-	// The ack map is a view valid until the next RunCFP; the hub's
-	// queues drop it in DiscardAll below.
 	beacon := e.sim.RunCFP()
 	if len(beacon.AckMap) > 0 {
 		e.publish(backend.MsgAckMap, beacon.AckMap)
 	}
-	e.hub.DiscardAll()
 	if e.met != nil {
 		// The one per-cycle publish: a liveness tick so a status reader
 		// sees progress inside long trials, not just at their ends.
@@ -558,7 +553,8 @@ func (e *engine) runSlot(group []mac.ClientID) mac.SlotResult {
 		achieved += r
 	}
 	// Every decoded packet but the last in the cancellation chain
-	// crosses the hub once (Section 7.1d): p packets cost p-1 shares.
+	// crosses the wired plane once (Section 7.1d): p packets cost p-1
+	// shares.
 	for s := 1; s < out.packets; s++ {
 		e.publish(backend.MsgDecodedPacket, e.payload)
 	}
@@ -586,11 +582,13 @@ func (e *engine) outage(achieved, planned float64) bool {
 	return achieved < outageFraction*planned
 }
 
+// publish puts one coordination message on the wired plane. Nobody
+// reads the broadcasts, so the engine models the plane by its load
+// alone and counts the bytes a backend hub would
+// (backend.Message.WireLen). Validate keeps every payload within
+// backend.MaxPayload, so no hub would refuse one.
 func (e *engine) publish(t backend.MsgType, payload []byte) {
-	e.seq++
-	// The hub counts each broadcast once regardless of port; publish
-	// from port 0 for simplicity.
-	_ = e.hub.Publish(0, backend.Message{Type: t, From: 0, Seq: e.seq, Payload: payload})
+	e.wireBytes += int64(backend.Message{Type: t, Payload: payload}.WireLen())
 }
 
 // planKey packs the plan cache's key: the group, up to reordering of
@@ -626,20 +624,24 @@ func (e *engine) stripeFor(group []mac.ClientID) int8 {
 	return int8((int(group[0]) + e.cycleNo) % e.stripes)
 }
 
-func (e *engine) outcome(group []mac.ClientID) groupOutcome {
+// outcome returns the group's memoized outcome, planning it on a miss.
+// The result is the memo's row itself, read in place: slab rows never
+// move, and the memo drops its rows only when the generation moves,
+// which happens between cycles (applyDynamics), never between a pick's
+// estimates and the slot it runs.
+func (e *engine) outcome(group []mac.ClientID) *groupOutcome {
 	// Invalidation rule: a group plan derives from the estimates and the
 	// true channels, so it holds for one SlotCache generation; a fading
 	// mutation or a retrain moves it and drops every memoized outcome.
 	stripe := e.stripeFor(group)
 	row, fresh := e.outcomes.Row(planKey(group, stripe), e.chans.Generation())
 	if fresh {
-		return *row
+		return row
 	}
-	out := e.plan(group, stripe)
-	*row = out
+	*row = e.plan(group, stripe)
 	e.emit(Event{Kind: EventSlotPlanned, Cycle: e.cycleNo,
-		Slot: e.sim.Slots(), Group: len(group), Value: out.sumRate})
-	return out
+		Slot: e.sim.Slots(), Group: len(group), Value: row.sumRate})
+	return row
 }
 
 // chainOrder is the AP slice an uplink chain slot engages: the first
@@ -839,7 +841,7 @@ func (e *engine) result() TrialResult {
 	if offered > 0 {
 		tr.DeliveredFraction = float64(delivered) / float64(offered)
 	}
-	tr.BackendBytes = e.hub.BytesOnWire()
+	tr.BackendBytes = e.wireBytes
 	tr.WirelessBits = int64(delivered) * int64(e.cfg.PacketBytes) * 8
 	if tr.WirelessBits > 0 {
 		tr.BackendBytesPerWirelessBit = float64(tr.BackendBytes) / float64(tr.WirelessBits)

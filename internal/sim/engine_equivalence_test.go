@@ -150,8 +150,8 @@ func TestValidateMatchesRunners(t *testing.T) {
 		t.Fatal("oversized roster accepted")
 	}
 
-	// Packets must fit one wired-plane frame: the hub would refuse the
-	// shares, and the backend byte count would silently miss them.
+	// Packets must fit one wired-plane frame: a backend hub would refuse
+	// larger shares, so the wired-plane byte count would not be a hub's.
 	jumbo := Default()
 	jumbo.PacketBytes = backend.MaxPayload
 	if err := jumbo.Validate(); err != nil {

@@ -147,8 +147,32 @@ func (s *Sketch) Add(x float64) {
 	s.addBin(sketchBin(x), 1)
 }
 
+// sketchIntBins is how many small non-negative integers sketchBin
+// reads from a table instead of taking a logarithm: the engine's
+// latencies are whole slots, nearly all below it.
+const sketchIntBins = 4096
+
+// sketchIntBin[i] is sketchBinSlow(i), filled by sketchBinSlow itself,
+// so a table lookup returns the slow path's bits by construction.
+var sketchIntBin = func() (t [sketchIntBins]uint16) {
+	for i := range t {
+		t[i] = uint16(sketchBinSlow(float64(i)))
+	}
+	return t
+}()
+
 // sketchBin maps a non-NaN sample to its bin index.
 func sketchBin(x float64) int {
+	if x >= 0 && x < sketchIntBins {
+		if i := int(x); float64(i) == x {
+			return int(sketchIntBin[i])
+		}
+	}
+	return sketchBinSlow(x)
+}
+
+// sketchBinSlow is sketchBin by logarithm, for every input.
+func sketchBinSlow(x float64) int {
 	switch {
 	case x < sketchMinValue:
 		return 0

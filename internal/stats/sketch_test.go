@@ -193,6 +193,28 @@ func TestSketchAddZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSketchBinIntegerTable pins sketchBin's integer table to the
+// logarithm path it stands in for: every entry equals sketchBinSlow of
+// its index, and inputs at and around the table's edges, which the
+// table must not serve or must serve exactly, bin as the slow path does.
+func TestSketchBinIntegerTable(t *testing.T) {
+	for i, b := range sketchIntBin {
+		if want := sketchBinSlow(float64(i)); int(b) != want {
+			t.Fatalf("table[%d] = %d, sketchBinSlow = %d", i, b, want)
+		}
+	}
+	edges := []float64{
+		math.Copysign(0, -1), 0, 0.5, 1, 1.5, 4095, 4095.5,
+		math.Nextafter(sketchIntBins, 0), sketchIntBins, sketchIntBins + 1,
+		1e9, -1, -2, -4095, -4096, -1e9, math.Inf(1), math.Inf(-1),
+	}
+	for _, x := range edges {
+		if got, want := sketchBin(x), sketchBinSlow(x); got != want {
+			t.Errorf("sketchBin(%v) = %d, sketchBinSlow = %d", x, got, want)
+		}
+	}
+}
+
 // TestSketchSnapshotJSONSafe: snapshots of empty and NaN-poisoned
 // sketches carry zeros instead of the NaN/Inf values encoding/json
 // rejects.
