@@ -20,12 +20,12 @@ import (
 //     Mark/Release instead of the GC;
 //   - appends that are guaranteed to allocate — appending onto a nil or
 //     empty-literal base, the clone-allocates idiom;
-//   - calls to the heap-allocating non-WS twin (m.Clone() where
-//     m.CloneWS(ws) exists), which silently reintroduce the allocation
+//   - calls to the heap-allocating non-WS twin (m.Mul(b) where
+//     m.MulWS(ws, b) exists), which silently reintroduce the allocation
 //     the twin was written to avoid. The callee may live in any package
 //     of the module; its twin is looked up in the callee's own package
-//     (core calling cmplxmat.InterpolatePoly where
-//     cmplxmat.InterpolatePolyWS exists is flagged).
+//     (core calling cmplxmat.RandomGaussianVector where
+//     cmplxmat.RandomGaussianVectorWS exists is flagged).
 //
 // Appends onto workspace-backed or caller-provided slices are not
 // flagged: whether they grow depends on capacity the analyzer cannot

@@ -319,17 +319,6 @@ func (w *World) physFor(a, b *Node) cmplxmat.Matrix {
 	return w.propagation(row)
 }
 
-// Propagation returns the physical over-the-air matrix for tx->rx,
-// excluding hardware chains. Reciprocity holds exactly at this layer:
-// Propagation(a,b) == Propagation(b,a)^T.
-func (w *World) Propagation(tx, rx *Node) *cmplxmat.Matrix {
-	p := w.physFor(tx, rx)
-	if tx.ID < rx.ID {
-		return p.Clone()
-	}
-	return p.T()
-}
-
 // Channel returns the measured baseband channel for tx->rx including both
 // ends' hardware chains: H = RxChain_rx * P * TxChain_tx. This is what a
 // receiver estimates from training symbols, and the matrix all encoding
@@ -370,15 +359,6 @@ func (w *World) ChannelWS(ws *cmplxmat.Workspace, tx, rx *Node) *cmplxmat.Matrix
 // CFO returns the carrier frequency offset in Hz that rx observes on a
 // transmission from tx: the difference of the two oscillators.
 func (w *World) CFO(tx, rx *Node) float64 { return tx.oscHz - rx.oscHz }
-
-// Redraw replaces the fading realization of the pair (new multipath
-// state), keeping geometry, shadowing and hardware chains fixed.
-func (w *World) Redraw(a, b *Node) {
-	w.epoch++
-	if r, ok := w.index.Get(pairKey(a.ID, b.ID)); ok {
-		w.rows.At(int(r)).live &^= physLive
-	}
-}
 
 // MoveNode relocates n and invalidates the fading and shadowing of every
 // pair involving n. The paper's reciprocity experiment moves the client

@@ -70,14 +70,14 @@ func TestChannelShapeAndDeterminism(t *testing.T) {
 		t.Fatalf("shape %dx%d", h1.Rows(), h1.Cols())
 	}
 	h2 := w.Channel(a, b)
-	if !h1.Equal(h2, 0) {
+	if h1.Sub(h2).MaxAbs() > 0 {
 		t.Fatal("channel must be stable between calls")
 	}
 	// Two worlds with the same seed generate identical channels.
 	w2 := NewWorld(DefaultParams(), 1)
 	a2 := w2.AddNode(0, 0)
 	b2 := w2.AddNode(5, 0)
-	if !w2.Channel(a2, b2).Equal(h1, 0) {
+	if w2.Channel(a2, b2).Sub(h1).MaxAbs() > 0 {
 		t.Fatal("seeded worlds must agree")
 	}
 }
@@ -90,12 +90,12 @@ func TestChannelDirectionsDiffer(t *testing.T) {
 	down := w.Channel(b, a)
 	// With hardware chains, downlink is NOT simply the transpose of uplink;
 	// but the underlying propagation is.
-	if up.T().Equal(down, 1e-12) {
+	if up.T().Sub(down).MaxAbs() <= 1e-12 {
 		t.Fatal("hardware chains should break naive transpose reciprocity")
 	}
 	pUp := w.Propagation(a, b)
 	pDown := w.Propagation(b, a)
-	if !pUp.T().Equal(pDown, 1e-12) {
+	if pUp.T().Sub(pDown).MaxAbs() > 1e-12 {
 		t.Fatal("physical propagation must be reciprocal")
 	}
 }
@@ -127,7 +127,7 @@ func TestRedrawChangesFading(t *testing.T) {
 	h1 := w.Channel(a, b)
 	w.Redraw(a, b)
 	h2 := w.Channel(a, b)
-	if h1.Equal(h2, 1e-9) {
+	if h1.Sub(h2).MaxAbs() <= 1e-9 {
 		t.Fatal("redraw did not change the channel")
 	}
 }
@@ -140,10 +140,10 @@ func TestMoveNodeInvalidates(t *testing.T) {
 	hab := w.Channel(a, b)
 	hcb := w.Channel(c, b)
 	w.MoveNode(a, 2, 2)
-	if w.Channel(a, b).Equal(hab, 1e-9) {
+	if w.Channel(a, b).Sub(hab).MaxAbs() <= 1e-9 {
 		t.Fatal("moving a should invalidate a-b")
 	}
-	if !w.Channel(c, b).Equal(hcb, 0) {
+	if w.Channel(c, b).Sub(hcb).MaxAbs() > 0 {
 		t.Fatal("moving a should not touch c-b")
 	}
 }
@@ -267,11 +267,11 @@ func TestNoisyEstimate(t *testing.T) {
 	b := w.AddNode(5, 0)
 	h := w.Channel(a, b)
 	rng := rand.New(rand.NewSource(5))
-	if !NoisyEstimate(h, 0, rng).Equal(h, 0) {
+	if NoisyEstimate(h, 0, rng).Sub(h).MaxAbs() > 0 {
 		t.Fatal("sigma=0 must be exact")
 	}
 	est := NoisyEstimate(h, 0.1, rng)
-	if est.Equal(h, 1e-12) {
+	if est.Sub(h).MaxAbs() <= 1e-12 {
 		t.Fatal("sigma>0 must perturb")
 	}
 	d := est.Sub(h).FrobeniusNorm()
@@ -329,7 +329,7 @@ func TestChannelMatricesIndependentAcrossPairs(t *testing.T) {
 	ap2 := w.AddNode(0, 5)
 	h1 := w.Channel(c, ap1)
 	h2 := w.Channel(c, ap2)
-	if h1.Equal(h2, 1e-9) {
+	if h1.Sub(h2).MaxAbs() <= 1e-9 {
 		t.Fatal("channels to different APs must differ")
 	}
 }
@@ -403,7 +403,7 @@ func TestPerturbDeterministic(t *testing.T) {
 		na, nb := a.Nodes(), b.Nodes()
 		for i := range na {
 			for j := i + 1; j < len(na); j++ {
-				if !a.Channel(na[i], na[j]).Equal(b.Channel(nb[i], nb[j]), 0) {
+				if a.Channel(na[i], na[j]).Sub(b.Channel(nb[i], nb[j])).MaxAbs() > 0 {
 					t.Fatalf("pair (%d,%d) diverged after identical Perturb sequences", i, j)
 				}
 			}

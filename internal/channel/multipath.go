@@ -17,9 +17,6 @@ type MultipathChannel struct {
 	Taps []*cmplxmat.Matrix
 }
 
-// NumTaps returns the delay-spread length L.
-func (mc MultipathChannel) NumTaps() int { return len(mc.Taps) }
-
 // MultipathFrom expands a pair's flat channel into an L-tap channel with
 // an exponentially decaying power-delay profile. Tap 0 carries the
 // world's flat matrix; later taps are fresh Rayleigh draws scaled so tap
@@ -70,55 +67,4 @@ func (mc MultipathChannel) FrequencyResponse(k, n int) *cmplxmat.Matrix {
 		h = h.Add(tap.Scale(rot))
 	}
 	return h
-}
-
-// Apply convolves the channel with a multi-antenna input stream:
-// out[r][t] = sum_l sum_c Taps[l][r][c] * in[c][t-l].
-func (mc MultipathChannel) Apply(in [][]complex128) [][]complex128 {
-	if len(mc.Taps) == 0 {
-		panic("channel: empty multipath channel")
-	}
-	rows := mc.Taps[0].Rows()
-	cols := mc.Taps[0].Cols()
-	if len(in) != cols {
-		panic("channel: input antenna count mismatch")
-	}
-	n := len(in[0])
-	out := make([][]complex128, rows)
-	for r := range out {
-		out[r] = make([]complex128, n)
-	}
-	for l, tap := range mc.Taps {
-		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				g := tap.At(r, c)
-				if g == 0 {
-					continue
-				}
-				for t := l; t < n; t++ {
-					out[r][t] += g * in[c][t-l]
-				}
-			}
-		}
-	}
-	return out
-}
-
-// CoherenceSelectivity quantifies how far the channel is from flat: the
-// mean relative Frobenius distance between adjacent subcarriers'
-// frequency responses. Zero means perfectly flat; the paper's conjecture
-// targets "moderate width channels" where adjacent subcarriers are
-// similar (small values).
-func (mc MultipathChannel) CoherenceSelectivity(n int) float64 {
-	var total float64
-	prev := mc.FrequencyResponse(0, n)
-	for k := 1; k < n; k++ {
-		cur := mc.FrequencyResponse(k, n)
-		denom := prev.FrobeniusNorm()
-		if denom > 0 {
-			total += cur.Sub(prev).FrobeniusNorm() / denom
-		}
-		prev = cur
-	}
-	return total / float64(n-1)
 }

@@ -22,31 +22,6 @@ type Calibration struct {
 	Right *cmplxmat.Matrix
 }
 
-// IdealCalibration derives the pair's calibration directly from the
-// world's ground-truth hardware chains:
-//
-//	Hu     = RxAP * P * TxClient
-//	(Hd)^T = (RxClient * P^T * TxAP)^T = TxAP * P * RxClient
-//	       = (TxAP * RxAP^-1) * Hu * (TxClient^-1 * RxClient)
-//
-// Diagonal chains make both factors diagonal, as Eq. 8 requires.
-// It returns an error only if a hardware chain is singular, which would
-// mean a dead RF path.
-func IdealCalibration(client, ap *Node) (Calibration, error) {
-	rxAPInv, err := ap.rxChain.Inverse()
-	if err != nil {
-		return Calibration{}, err
-	}
-	txClientInv, err := client.txChain.Inverse()
-	if err != nil {
-		return Calibration{}, err
-	}
-	return Calibration{
-		Left:  ap.txChain.Mul(rxAPInv),
-		Right: txClientInv.Mul(&client.rxChain),
-	}, nil
-}
-
 // MeasureCalibration estimates the calibration the way a real system must:
 // from one noisy measurement of the uplink channel (at the AP) and one of
 // the downlink channel (at the client). estSigma is the per-entry

@@ -22,49 +22,6 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]complex128, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices. All rows must have equal length.
-func FromRows(rows [][]complex128) *Matrix {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("cmplxmat: FromRows with empty input")
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			panic("cmplxmat: FromRows with ragged rows")
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m
-}
-
-// FromColumns builds a matrix whose columns are the given vectors.
-func FromColumns(cols ...Vector) *Matrix {
-	m := New(columnsShape(cols))
-	m.setColumns(cols)
-	return m
-}
-
-// columnsShape returns the shape of the matrix whose columns are cols.
-func columnsShape(cols []Vector) (rows, n int) {
-	if len(cols) == 0 || len(cols[0]) == 0 {
-		panic("cmplxmat: FromColumns with empty input")
-	}
-	return len(cols[0]), len(cols)
-}
-
-// setColumns overwrites m's columns with cols, which must be m.Cols()
-// vectors of m.Rows() entries.
-func (m *Matrix) setColumns(cols []Vector) {
-	for j, c := range cols {
-		if len(c) != m.rows {
-			panic("cmplxmat: FromColumns with ragged columns")
-		}
-		for i := range c {
-			m.data[i*m.cols+j] = c[i]
-		}
-	}
-}
-
 // View returns a rows x cols matrix over data, row-major, without
 // copying: the matrix and data alias each other. It lets callers run
 // the package's kernels on storage they own, such as a local array.
@@ -73,15 +30,6 @@ func View(rows, cols int, data []complex128) Matrix {
 		panic(fmt.Sprintf("cmplxmat: View of %d elements as %dx%d", len(data), rows, cols))
 	}
 	return Matrix{rows: rows, cols: cols, data: data}
-}
-
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
-	}
-	return m
 }
 
 // Diagonal returns a square matrix with d on the diagonal.
@@ -190,13 +138,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Col returns a copy of column j as a Vector.
-func (m *Matrix) Col(j int) Vector {
-	v := NewVector(m.rows)
-	m.colInto(v, j)
-	return v
-}
-
 // colInto writes column j of m into dst, which has m.Rows() entries.
 func (m *Matrix) colInto(dst Vector, j int) {
 	for i := 0; i < m.rows; i++ {
@@ -292,7 +233,7 @@ func mulVecData(h []complex128, rows, cols int, v, y []complex128) {
 }
 
 // MulHVecInto writes m^H v into dst with the operations of
-// m.HWS(ws).MulVecWS(ws, v), without materializing m^H. dst must have
+// m.H().MulVec(v), without materializing m^H. dst must have
 // m.Cols() entries and must not share storage with v.
 func (m *Matrix) MulHVecInto(dst, v Vector) {
 	if m.rows != len(v) || m.cols != len(dst) {
@@ -383,19 +324,6 @@ func maxPart(z complex128) float64 {
 // equality too). A NaN part always answers false: Hypot may still
 // make such an entry +Inf.
 func boundBelow(z complex128, s float64) bool { return 2*maxPart(z) <= s }
-
-// Equal reports whether m and b agree entry-wise within tol.
-func (m *Matrix) Equal(b *Matrix, tol float64) bool {
-	if m.rows != b.rows || m.cols != b.cols {
-		return false
-	}
-	for i := range m.data {
-		if cmplx.Abs(m.data[i]-b.data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
 
 func (m *Matrix) mustSameShape(b *Matrix) {
 	if m.rows != b.rows || m.cols != b.cols {

@@ -109,7 +109,7 @@ func TestOrthonormalBasisDropsDependents(t *testing.T) {
 	v1 := Vector{1, 0, 0}
 	v2 := Vector{1, 1, 0}
 	v3 := v1.Add(v2) // dependent
-	basis := OrthonormalBasis(1e-9, v1, v2, v3)
+	basis := OrthonormalBasisWS(NewWorkspace(), 1e-9, []Vector{v1, v2, v3})
 	if len(basis) != 2 {
 		t.Fatalf("basis size: got %d want 2", len(basis))
 	}
@@ -513,7 +513,7 @@ func TestInterpolatePoly(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = want.Eval(x)
 	}
-	got := InterpolatePoly(xs, ys)
+	got := InterpolatePolyWS(NewWorkspace(), xs, ys)
 	for i := range want {
 		approxEq(t, got[i], want[i], 1e-9, "coeff")
 	}

@@ -179,32 +179,16 @@ func sameBits(a, b complex128) bool {
 		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
 }
 
-// InterpolatePoly fits the unique polynomial of degree <= len(xs)-1 through
-// the points (xs[i], ys[i]) using Newton divided differences, returned in
-// coefficient form. The xs must be pairwise distinct.
+// InterpolatePolyInto fits the unique polynomial of degree <= len(xs)-1
+// through the points (xs[i], ys[i]) using Newton divided differences and
+// writes its coefficients into coeffs, which must be zeroed and len(xs)
+// long. The xs must be pairwise distinct. Its scratch lives in local
+// arrays for up to SmallDim+1 points and in the arena beyond.
 //
 // The alignment solver uses this to recover det-polynomial coefficients
 // from point evaluations: the determinant of a matrix whose columns are
 // affine in a parameter t is a polynomial in t of degree at most the
 // column count.
-func InterpolatePoly(xs, ys []complex128) Poly {
-	n := interpolateLen(xs, ys)
-	coeffs := make(Poly, n)
-	newtonToMonomial(xs, ys, make([]complex128, n), coeffs, make(Poly, n), make(Poly, n))
-	return coeffs
-}
-
-// InterpolatePolyWS is InterpolatePoly with the returned coefficients
-// in the arena (see InterpolatePolyInto).
-func InterpolatePolyWS(ws *Workspace, xs, ys []complex128) Poly {
-	coeffs := Poly(ws.Complexes(interpolateLen(xs, ys)))
-	InterpolatePolyInto(ws, coeffs, xs, ys)
-	return coeffs
-}
-
-// InterpolatePolyInto is InterpolatePoly writing the coefficients into
-// coeffs, which must be zeroed and len(xs) long. Its scratch lives in
-// local arrays for up to SmallDim+1 points and in the arena beyond.
 func InterpolatePolyInto(ws *Workspace, coeffs Poly, xs, ys []complex128) {
 	n := interpolateLen(xs, ys)
 	if len(coeffs) != n {
@@ -221,11 +205,11 @@ func interpolateLen(xs, ys []complex128) int {
 	return len(xs)
 }
 
-// newtonToMonomial is the interpolation behind InterpolatePoly and
-// InterpolatePolyWS. dd receives the divided differences and coeffs
-// (zeroed, length n) the monomial coefficients; basis and spare are two
-// length-n buffers the expanding product (z-x0)(z-x1)... alternates
-// between, each new product built in a freshly zeroed prefix.
+// newtonToMonomial is the interpolation behind InterpolatePolyInto. dd
+// receives the divided differences and coeffs (zeroed, length n) the
+// monomial coefficients; basis and spare are two length-n buffers the
+// expanding product (z-x0)(z-x1)... alternates between, each new
+// product built in a freshly zeroed prefix.
 func newtonToMonomial(xs, ys, dd []complex128, coeffs, basis, spare Poly) {
 	n := len(xs)
 	// Divided difference coefficients.

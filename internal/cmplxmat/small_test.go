@@ -13,12 +13,13 @@ func TestSmallKernelsZeroAlloc(t *testing.T) {
 	m22 := RandomGaussian(rng, 2, 2)
 	m23 := RandomGaussian(rng, 2, 3)
 	ws := NewWorkspace()
+	dst := []Vector{NewVector(2)}
 	cases := []struct {
 		name string
 		run  func()
 	}{
-		{"LeadingLeftSingularWS 2x2", func() { m22.LeadingLeftSingularWS(ws, 1, 1e-12) }},
-		{"LeadingLeftSingularWS 2x3", func() { m23.LeadingLeftSingularWS(ws, 1, 1e-12) }},
+		{"LeadingLeftSingularInto 2x2", func() { m22.LeadingLeftSingularInto(ws, dst, 1e-12) }},
+		{"LeadingLeftSingularInto 2x3", func() { m23.LeadingLeftSingularInto(ws, dst, 1e-12) }},
 		{"DetWS 2x2", func() { m22.DetWS(ws) }},
 		{"RankWS 2x2", func() { m22.RankWS(ws, 1e-7) }},
 		{"InverseWS 2x2", func() { _, _ = m22.InverseWS(ws) }},
@@ -49,15 +50,18 @@ func benchKernel(b *testing.B, run func(ws *Workspace)) {
 
 // BenchmarkLeadingLeftSingular2x2 and BenchmarkLeadingLeftSingular2x3
 // time the zero-forcing decoder's principal-component step at M = 2:
-// two and three interferers stacked as columns.
+// two and three interferers stacked as columns, one leading column
+// written into a caller-held destination, as the decoder calls it.
 func BenchmarkLeadingLeftSingular2x2(b *testing.B) {
 	m := RandomGaussian(rand.New(rand.NewSource(71)), 2, 2)
-	benchKernel(b, func(ws *Workspace) { m.LeadingLeftSingularWS(ws, 1, 1e-12) })
+	dst := []Vector{NewVector(2)}
+	benchKernel(b, func(ws *Workspace) { m.LeadingLeftSingularInto(ws, dst, 1e-12) })
 }
 
 func BenchmarkLeadingLeftSingular2x3(b *testing.B) {
 	m := RandomGaussian(rand.New(rand.NewSource(73)), 2, 3)
-	benchKernel(b, func(ws *Workspace) { m.LeadingLeftSingularWS(ws, 1, 1e-12) })
+	dst := []Vector{NewVector(2)}
+	benchKernel(b, func(ws *Workspace) { m.LeadingLeftSingularInto(ws, dst, 1e-12) })
 }
 
 // BenchmarkDet2 times the 2 x 2 determinant the alignment solver

@@ -37,13 +37,6 @@ func (v Vector) Clone() Vector {
 // Dim returns the dimension of v.
 func (v Vector) Dim() int { return len(v) }
 
-// Add returns v + w. It panics if dimensions differ.
-func (v Vector) Add(w Vector) Vector {
-	out := make(Vector, len(v))
-	v.addInto(out, w)
-	return out
-}
-
 // addInto writes v + w into dst, which has v's length.
 func (v Vector) addInto(dst, w Vector) {
 	mustSameDim(v, w)
@@ -125,21 +118,6 @@ func (v Vector) normalizeInto(dst Vector) {
 	copy(dst, v)
 }
 
-// ParallelTo reports whether v and w point along the same complex line,
-// i.e. whether v = alpha*w for some complex scalar alpha, within tol.
-// This is the paper's definition of "aligned" (footnote 2): a scalar
-// multiple preserves alignment. Zero vectors are parallel to everything.
-func (v Vector) ParallelTo(w Vector, tol float64) bool {
-	mustSameDim(v, w)
-	nv, nw := v.Norm(), w.Norm()
-	if nv == 0 || nw == 0 {
-		return true
-	}
-	// |<v,w>| == |v||w| iff Cauchy-Schwarz is tight iff parallel.
-	d := cmplx.Abs(v.Dot(w))
-	return math.Abs(d-nv*nw) <= tol*nv*nw
-}
-
 // AngleTo returns the principal angle in radians between the complex lines
 // spanned by v and w: acos(|<v,w>| / (|v||w|)). It is 0 for aligned vectors
 // and pi/2 for orthogonal ones. It panics on zero vectors.
@@ -199,18 +177,6 @@ func mustSameDim(v, w Vector) {
 	if len(v) != len(w) {
 		panic(fmt.Sprintf("cmplxmat: dimension mismatch %d vs %d", len(v), len(w)))
 	}
-}
-
-// OrthonormalBasis applies modified Gram-Schmidt to the given vectors and
-// returns an orthonormal basis for their span. Vectors whose residual norm
-// falls below tol (relative to their original norm) are dropped as linearly
-// dependent.
-func OrthonormalBasis(tol float64, vs ...Vector) []Vector {
-	basis := make([]Vector, len(vs))
-	for i, v := range vs {
-		basis[i] = make(Vector, len(v))
-	}
-	return basis[:OrthonormalBasisInto(basis, tol, vs)]
 }
 
 // OrthogonalComplementVector returns a unit vector orthogonal to every

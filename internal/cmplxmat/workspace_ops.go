@@ -27,20 +27,6 @@ func RandomGaussianVectorWS(ws *Workspace, rng *rand.Rand, n int) Vector {
 	return v
 }
 
-// CloneWS returns an arena-backed copy of v.
-func (v Vector) CloneWS(ws *Workspace) Vector {
-	w := ws.Vector(len(v))
-	copy(w, v)
-	return w
-}
-
-// AddWS returns v + w in the arena.
-func (v Vector) AddWS(ws *Workspace, w Vector) Vector {
-	out := ws.Vector(len(v))
-	v.addInto(out, w)
-	return out
-}
-
 // SubWS returns v - w in the arena.
 func (v Vector) SubWS(ws *Workspace, w Vector) Vector {
 	out := ws.Vector(len(v))
@@ -62,12 +48,6 @@ func (v Vector) NormalizeWS(ws *Workspace) Vector {
 	return out
 }
 
-// ProjectOntoWS returns the projection of v onto the line spanned by w,
-// in the arena.
-func (v Vector) ProjectOntoWS(ws *Workspace, w Vector) Vector {
-	return w.ScaleWS(ws, v.projectCoef(w))
-}
-
 // CloneWS returns an arena-backed copy of m.
 func (m *Matrix) CloneWS(ws *Workspace) *Matrix {
 	out := ws.Matrix(m.rows, m.cols)
@@ -80,13 +60,6 @@ func (m *Matrix) ColWS(ws *Workspace, j int) Vector {
 	v := ws.Vector(m.rows)
 	m.colInto(v, j)
 	return v
-}
-
-// SubWS returns m - b in the arena.
-func (m *Matrix) SubWS(ws *Workspace, b *Matrix) *Matrix {
-	out := ws.Matrix(m.rows, m.cols)
-	m.SubInto(out, b)
-	return out
 }
 
 // MulWS returns m*b in the arena.
@@ -110,22 +83,10 @@ func (m *Matrix) TWS(ws *Workspace) *Matrix {
 	return out
 }
 
-// HWS returns the conjugate transpose of m in the arena.
-func (m *Matrix) HWS(ws *Workspace) *Matrix {
-	out := ws.Matrix(m.cols, m.rows)
-	m.transposeInto(out, true)
-	return out
-}
-
-// FromColumnsWS builds an arena matrix whose columns are the given vectors.
-func FromColumnsWS(ws *Workspace, cols []Vector) *Matrix {
-	m := ws.Matrix(columnsShape(cols))
-	m.setColumns(cols)
-	return m
-}
-
-// OrthonormalBasisWS is OrthonormalBasis with the returned basis drawn
-// from the arena.
+// OrthonormalBasisWS applies modified Gram-Schmidt to vs and returns an
+// orthonormal basis for their span, drawn from the arena. Vectors whose
+// residual norm falls below tol (relative to their original norm) are
+// dropped as linearly dependent.
 func OrthonormalBasisWS(ws *Workspace, tol float64, vs []Vector) []Vector {
 	basis := ws.Vectors(len(vs))
 	for i, v := range vs {
@@ -135,9 +96,9 @@ func OrthonormalBasisWS(ws *Workspace, tol float64, vs []Vector) []Vector {
 }
 
 // OrthonormalBasisInto is the modified Gram-Schmidt kernel behind
-// OrthonormalBasis and OrthonormalBasisWS: it writes the basis into dst
-// and returns its size, each vector rejected in place from the basis
-// vectors before it and then normalized. dst needs room for len(vs)
+// OrthonormalBasisWS: it writes the basis into dst and returns its size,
+// each vector rejected in place from the basis vectors before it and
+// then normalized. dst needs room for len(vs)
 // vectors of the vs' dimension.
 func OrthonormalBasisInto(dst []Vector, tol float64, vs []Vector) int {
 	n := 0
@@ -504,7 +465,7 @@ func (m *Matrix) EigenHermitianWS(ws *Workspace) (vals []float64, v *Matrix) {
 // eigenvectors, one column per eigenvalue in diagonal order. raw
 // receives the eigenvalues in that order, and idx the permutation
 // listing the columns by descending eigenvalue. It is the one Jacobi
-// body behind EigenHermitianWS, SVDWS and LeadingLeftSingularWS, on
+// body behind EigenHermitianWS, SVDWS and LeadingLeftSingularInto, on
 // whichever storage the caller chose; it does not check that a is
 // Hermitian.
 func jacobi(a, v []complex128, raw []float64, idx []int, scale float64) {
@@ -639,7 +600,7 @@ func (m *Matrix) equalH(tol float64) bool {
 // gramInto writes m^H m into g (zeroed, m.cols x m.cols). It runs
 // MulWS's loop on the conjugate transpose — same products, same
 // accumulation order, same skip of zero left factors — without
-// materializing m^H, so the result is bitwise m.HWS(ws).MulWS(ws, m).
+// materializing m^H, so the result is bitwise m.H().Mul(m).
 func (m *Matrix) gramInto(g []complex128) {
 	r, c := m.rows, m.cols
 	for i := 0; i < c; i++ {
@@ -808,25 +769,11 @@ func (m *Matrix) SVDWS(ws *Workspace) (u *Matrix, s []float64, v *Matrix) {
 	return u, s, v
 }
 
-// LeadingLeftSingularWS returns the leading left singular vectors of m
-// in descending singular-value order: at most n of them, stopping before
-// the first whose singular value is at or below rel times the largest.
-// Each returned vector is bitwise the corresponding column of SVDWS's U.
-// The vectors live in the arena; see LeadingLeftSingularInto.
-func (m *Matrix) LeadingLeftSingularWS(ws *Workspace, n int, rel float64) []Vector {
-	n = min(n, m.rows, m.cols)
-	if n <= 0 {
-		return nil
-	}
-	out := ws.Vectors(n)
-	for j := range out {
-		out[j] = ws.Vector(m.rows)
-	}
-	return out[:m.LeadingLeftSingularInto(ws, out, rel)]
-}
-
-// LeadingLeftSingularInto is LeadingLeftSingularWS writing the vectors
-// into dst, one m.Rows()-vector each, and returning how many it wrote:
+// LeadingLeftSingularInto writes the leading left singular vectors of m
+// into dst in descending singular-value order, one m.Rows()-vector
+// each, stopping before the first whose singular value is at or below
+// rel times the largest. Each is bitwise the corresponding column of
+// SVDWS's U. It returns how many it wrote:
 // at most len(dst) and min(m.Rows(), m.Cols()). It computes only those
 // columns, not V or the rest of U; when one of them would come from
 // SVDWS's null-column completion (a singular value at the null

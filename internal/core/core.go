@@ -131,16 +131,12 @@ func (p *Plan) Clone() *Plan {
 	return q
 }
 
-// Validate checks structural invariants: every packet appears exactly once
-// in the schedule, owners and receivers are non-negative, and encoding
-// vectors have the right dimension and are unit norm. Their upper bounds
-// depend on the channel set, so the evaluator checks those.
-func (p *Plan) Validate() error {
-	return p.validateWith(make([]bool, len(p.Owner)))
-}
-
-// validateWith is Validate with caller-provided (usually workspace-backed)
-// seen scratch of length NumPackets.
+// validateWith checks structural invariants: every packet appears
+// exactly once in the schedule, owners and receivers are non-negative,
+// and encoding vectors have the right dimension and are unit norm. Their
+// upper bounds depend on the channel set, so the evaluator checks those.
+// seen is caller-provided (usually workspace-backed) scratch of length
+// NumPackets.
 func (p *Plan) validateWith(seen []bool) error {
 	if len(p.Encoding) != len(p.Owner) {
 		return fmt.Errorf("core: %d encodings for %d packets", len(p.Encoding), len(p.Owner))
@@ -180,19 +176,12 @@ func (p *Plan) validateWith(seen []bool) error {
 	return nil
 }
 
-// PacketPowers splits each node's transmit power budget evenly across the
-// packets it owns, returning per-packet linear power. This keeps the
-// comparison with point-to-point MIMO fair: a node radiates nodePower
-// total regardless of how many concurrent packets it carries.
-func (p *Plan) PacketPowers(nodePower float64) []float64 {
-	out := make([]float64, len(p.Owner))
-	p.packetPowersInto(out, nodePower)
-	return out
-}
-
-// packetPowersInto fills out (length NumPackets) with the per-packet
-// powers without allocating: owner indices are small and dense, so the
-// count pass runs over a fixed-size array.
+// packetPowersInto splits each node's transmit power budget evenly
+// across the packets it owns, filling out (length NumPackets) with
+// per-packet linear power. This keeps the comparison with point-to-point
+// MIMO fair: a node radiates nodePower total regardless of how many
+// concurrent packets it carries. It does not allocate: owner indices are
+// small and dense, so the count pass runs over a fixed-size array.
 func (p *Plan) packetPowersInto(out []float64, nodePower float64) {
 	maxOwner := 0
 	for _, o := range p.Owner {

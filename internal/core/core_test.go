@@ -41,13 +41,13 @@ func TestSolveUplinkThreeAlignment(t *testing.T) {
 		// Eq. 2: packets 1 and 2 aligned at AP 0.
 		d1 := cs[0][0].MulVec(plan.Encoding[1])
 		d2 := cs[1][0].MulVec(plan.Encoding[2])
-		if !d1.ParallelTo(d2, 1e-8) {
+		if !parallel(d1, d2, 1e-8) {
 			t.Fatalf("trial %d: packets 1,2 not aligned at AP0", trial)
 		}
 		// NOT aligned at AP 1 (channels are independent).
 		e1 := cs[0][1].MulVec(plan.Encoding[1])
 		e2 := cs[1][1].MulVec(plan.Encoding[2])
-		if e1.ParallelTo(e2, 1e-4) {
+		if parallel(e1, e2, 1e-4) {
 			t.Fatalf("trial %d: packets aligned at AP1 too (degenerate)", trial)
 		}
 		if r := plan.AlignmentResidual(cs); r > 1e-7 {
@@ -118,13 +118,13 @@ func TestSolveUplinkChainM2MatchesFig5(t *testing.T) {
 		d1 := cs[plan.Owner[1]][0].MulVec(plan.Encoding[1])
 		d2 := cs[plan.Owner[2]][0].MulVec(plan.Encoding[2])
 		d3 := cs[plan.Owner[3]][0].MulVec(plan.Encoding[3])
-		if !d1.ParallelTo(d2, 1e-6) || !d1.ParallelTo(d3, 1e-6) {
+		if !parallel(d1, d2, 1e-6) || !parallel(d1, d3, 1e-6) {
 			t.Fatalf("trial %d: Eq.3 alignment at AP0 broken", trial)
 		}
 		// Eq. 4 at AP1: the A-set (packets 2 and 3) shares one direction.
 		a2 := cs[plan.Owner[2]][1].MulVec(plan.Encoding[2])
 		a3 := cs[plan.Owner[3]][1].MulVec(plan.Encoding[3])
-		if !a2.ParallelTo(a3, 1e-6) {
+		if !parallel(a2, a3, 1e-6) {
 			t.Fatalf("trial %d: Eq.4 alignment at AP1 broken", trial)
 		}
 		if r := plan.AlignmentResidual(cs); r > 1e-5 {
@@ -398,12 +398,12 @@ func TestSolveDownlinkTriangleAlignment(t *testing.T) {
 				}
 				undesired = append(undesired, cs[pkt][client].MulVec(plan.Encoding[pkt]))
 			}
-			if !undesired[0].ParallelTo(undesired[1], 1e-6) {
+			if !parallel(undesired[0], undesired[1], 1e-6) {
 				t.Fatalf("trial %d: undesired packets not aligned at client %d", trial, client)
 			}
 			// Desired packet along a different direction.
 			des := cs[client][client].MulVec(plan.Encoding[client])
-			if des.ParallelTo(undesired[0], 1e-4) {
+			if parallel(des, undesired[0], 1e-4) {
 				t.Fatalf("trial %d: desired packet swallowed by interference at client %d", trial, client)
 			}
 		}
@@ -452,7 +452,7 @@ func TestSolveDownlinkTwoClient(t *testing.T) {
 				undesired = append(undesired, cs[plan.Owner[pkt]][client].MulVec(plan.Encoding[pkt]).Normalize())
 			}
 			for i := 1; i < len(undesired); i++ {
-				if !undesired[0].ParallelTo(undesired[i], 1e-6) {
+				if !parallel(undesired[0], undesired[i], 1e-6) {
 					t.Fatalf("M=%d client %d: interference not aligned", m, client)
 				}
 			}
@@ -519,8 +519,9 @@ func TestSolveDownlinkDiversityPicksBest(t *testing.T) {
 			Encoding: plan.Encoding[:2],
 			Schedule: []DecodeStep{{Rx: 0, Packets: []int{0, 1}}},
 		}
-		_, _, v := cs[0][0].SVD()
-		base.Encoding = []cmplxmat.Vector{v.Col(0), v.Col(1)}
+		ws := cmplxmat.NewWorkspace()
+		_, _, v := cs[0][0].SVDWS(ws)
+		base.Encoding = []cmplxmat.Vector{v.ColWS(ws, 0), v.ColWS(ws, 1)}
 		bev, err := base.Evaluate(cs, cs, 1.0, testNoise/testSNR)
 		if err != nil {
 			t.Fatal(err)

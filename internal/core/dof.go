@@ -75,41 +75,3 @@ func MaxDownlinkPackets(m int) int {
 	}
 	return b
 }
-
-// DownlinkAPsNeeded returns the AP count Lemma 5.1 prescribes: M-1 APs
-// for M > 2; the M = 2 case uses the 3-AP triangle construction.
-func DownlinkAPsNeeded(m int) int {
-	if m > 2 {
-		return m - 1
-	}
-	return 3
-}
-
-// BaselinePackets returns the throughput limit of existing MIMO LANs the
-// paper's introduction states: the number of antennas per AP.
-func BaselinePackets(m int) int { return m }
-
-// MultiplexingGain returns IAC's multiplexing gain over point-to-point
-// MIMO for the given direction, the quantity the paper's capacity
-// characterization C(SNR) = d log(SNR) + o(log SNR) scales with.
-func MultiplexingGain(m int, uplink bool) float64 {
-	if m < 1 {
-		return 0
-	}
-	if uplink {
-		return float64(MaxUplinkPackets(m)) / float64(BaselinePackets(m))
-	}
-	return float64(MaxDownlinkPackets(m)) / float64(BaselinePackets(m))
-}
-
-// AlignmentConstraintBudget reports the feasibility argument of Section 5:
-// every alignment constraint consumes free variables of an encoding
-// vector, and an encoding vector has only M of them. It returns the free
-// variables per packet (M-1, after normalization removes scale) and the
-// constraint count a chain of k alignments of that packet imposes (k).
-// A packet's alignments are feasible iff constraints <= free variables.
-func AlignmentConstraintBudget(m, alignments int) (freeVars, constraints int, feasible bool) {
-	freeVars = m - 1
-	constraints = alignments
-	return freeVars, constraints, constraints <= freeVars
-}

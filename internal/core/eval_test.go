@@ -75,8 +75,9 @@ func diversityOptions(rng *rand.Rand, cs ChannelSet) []*Plan {
 			Schedule: []DecodeStep{{Rx: 0, Packets: []int{0, 1}}},
 		}
 		if owners[0] == owners[1] {
-			_, _, v := cs[owners[0]][0].SVD()
-			plan.Encoding[0], plan.Encoding[1] = v.Col(0), v.Col(1)
+			ws := cmplxmat.NewWorkspace()
+			_, _, v := cs[owners[0]][0].SVDWS(ws)
+			plan.Encoding[0], plan.Encoding[1] = v.ColWS(ws, 0), v.ColWS(ws, 1)
 		}
 		plans = append(plans, plan)
 	}
@@ -227,7 +228,9 @@ func evaluateScalarWS(ws *cmplxmat.Workspace, p *Plan, trueCS, estCS ChannelSet,
 					if !decoded[q] {
 						continue
 					}
-					diff := trueCS[p.Owner[q]][step.Rx].SubWS(ws, estCS[p.Owner[q]][step.Rx])
+					h := trueCS[p.Owner[q]][step.Rx]
+					diff := ws.Matrix(h.Rows(), h.Cols())
+					h.SubInto(diff, estCS[p.Owner[q]][step.Rx])
 					interf += cmplxAbs2(w.Dot(diff.MulVecWS(ws, p.Encoding[q]))) * powers[q]
 					if opts.ResidualCancel {
 						d := trueCS[p.Owner[q]][step.Rx].MulVecWS(ws, p.Encoding[q])

@@ -15,9 +15,6 @@ import (
 // OFDMChannelSet holds one ChannelSet per OFDM subcarrier.
 type OFDMChannelSet []ChannelSet
 
-// NumSubcarriers returns the subcarrier count.
-func (o OFDMChannelSet) NumSubcarriers() int { return len(o) }
-
 // OFDMPlan is a per-subcarrier alignment plan: one Plan per subcarrier,
 // sharing packet structure (owners, schedule) but with per-subcarrier
 // encoding vectors.

@@ -124,7 +124,7 @@ func TestOFDMPlanValidation(t *testing.T) {
 	if _, _, err := plan.EvaluatePerSubcarrier(ocs[:2], ocs[:2], 1, 1); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
-	if ocs.NumSubcarriers() != 4 {
-		t.Fatalf("subcarriers %d", ocs.NumSubcarriers())
+	if len(ocs) != 4 {
+		t.Fatalf("subcarriers %d", len(ocs))
 	}
 }

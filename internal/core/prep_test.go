@@ -16,6 +16,26 @@ import (
 // interpolated and rooted the determinant polynomial on the heap, and
 // zero-forcing ran a full SVDWS.
 
+// addWS returns v + w in the arena.
+func addWS(ws *cmplxmat.Workspace, v, w cmplxmat.Vector) cmplxmat.Vector {
+	out := ws.Vector(len(v))
+	for i := range v {
+		out[i] = v[i] + w[i]
+	}
+	return out
+}
+
+// fromColumnsWS returns the arena matrix whose columns are cols.
+func fromColumnsWS(ws *cmplxmat.Workspace, cols []cmplxmat.Vector) *cmplxmat.Matrix {
+	m := ws.Matrix(len(cols[0]), len(cols))
+	for j, c := range cols {
+		for i, x := range c {
+			m.SetAt(i, j, x)
+		}
+	}
+	return m
+}
+
 // solveUplinkChainOracleWS is the historical one-shot chain solver.
 func solveUplinkChainOracleWS(ws *cmplxmat.Workspace, cs ChannelSet, rng *rand.Rand) (*Plan, error) {
 	m := cs.Antennas()
@@ -78,19 +98,21 @@ func solveUplinkChainOracleWS(ws *cmplxmat.Workspace, cs ChannelSet, rng *rand.R
 		v := ws.Vector(m)
 		for _, n := range ns {
 			c := complex(rng.NormFloat64()/math.Sqrt2, rng.NormFloat64()/math.Sqrt2)
-			v = v.AddWS(ws, n.ScaleWS(ws, c))
+			v = addWS(ws, v, n.ScaleWS(ws, c))
 		}
 		enc[b] = v.NormalizeWS(ws)
 	}
-	enc[0] = cs[owners[0]][0].HWS(ws).MulVecWS(ws, u1).NormalizeWS(ws)
+	hu := ws.Vector(m)
+	cs[owners[0]][0].MulHVecInto(hu, u1)
+	enc[0] = hu.NormalizeWS(ws)
 	if enc[0].Norm() == 0 {
 		enc[0] = randUnitWS(ws, rng, m)
 	}
 	return &Plan{M: m, Owner: owners, Encoding: enc, Schedule: layout.schedule, Wired: true}, nil
 }
 
-// dependentDirectionOracleWS is dependentDirectionWS with the heap
-// interpolation and root finding it used before the arena twins.
+// dependentDirectionOracleWS is dependentDirectionWS with the heap root
+// finding it used before the arena twins.
 func dependentDirectionOracleWS(ws *cmplxmat.Workspace, g []*cmplxmat.Matrix, rng *rand.Rand) (cmplxmat.Vector, error) {
 	m := g[0].Rows()
 	detAt := func(d cmplxmat.Vector) complex128 {
@@ -98,7 +120,7 @@ func dependentDirectionOracleWS(ws *cmplxmat.Workspace, g []*cmplxmat.Matrix, rn
 		for i := range g {
 			cols[i] = g[i].MulVecWS(ws, d)
 		}
-		return cmplxmat.FromColumnsWS(ws, cols).DetWS(ws)
+		return fromColumnsWS(ws, cols).DetWS(ws)
 	}
 	for attempt := 0; attempt < 8; attempt++ {
 		x := cmplxmat.RandomGaussianVectorWS(ws, rng, m)
@@ -107,14 +129,16 @@ func dependentDirectionOracleWS(ws *cmplxmat.Workspace, g []*cmplxmat.Matrix, rn
 		vals := ws.Complexes(m + 1)
 		for i := range ts {
 			ts[i] = complex(float64(i)-float64(m)/2, float64(i%2)+0.5)
-			vals[i] = detAt(x.AddWS(ws, y.ScaleWS(ws, ts[i])))
+			vals[i] = detAt(addWS(ws, x, y.ScaleWS(ws, ts[i])))
 		}
-		roots, err := cmplxmat.InterpolatePoly(ts, vals).Roots()
+		coeffs := cmplxmat.Poly(ws.Complexes(m + 1))
+		cmplxmat.InterpolatePolyInto(ws, coeffs, ts, vals)
+		roots, err := coeffs.Roots()
 		if err != nil {
 			continue
 		}
 		for _, t := range roots {
-			d := x.AddWS(ws, y.ScaleWS(ws, t))
+			d := addWS(ws, x, y.ScaleWS(ws, t))
 			if d.Norm() < 1e-9 {
 				continue
 			}
@@ -123,7 +147,7 @@ func dependentDirectionOracleWS(ws *cmplxmat.Workspace, g []*cmplxmat.Matrix, rn
 			for i := range g {
 				cols[i] = g[i].MulVecWS(ws, d)
 			}
-			if cmplxmat.FromColumnsWS(ws, cols).RankWS(ws, 1e-7) == m-1 {
+			if fromColumnsWS(ws, cols).RankWS(ws, 1e-7) == m-1 {
 				return d, nil
 			}
 		}
@@ -144,7 +168,7 @@ func zfDecodingVectorOracleWS(ws *cmplxmat.Workspace, sigDir cmplxmat.Vector, in
 	case len(interf) <= m-1:
 		basis = cmplxmat.OrthonormalBasisWS(ws, 1e-12, interf)
 	default:
-		u, s, _ := cmplxmat.FromColumnsWS(ws, interf).SVDWS(ws)
+		u, s, _ := fromColumnsWS(ws, interf).SVDWS(ws)
 		pcs := ws.Vectors(m - 1)
 		n := 0
 		for j := 0; j < m-1 && j < len(s); j++ {
@@ -156,9 +180,10 @@ func zfDecodingVectorOracleWS(ws *cmplxmat.Workspace, sigDir cmplxmat.Vector, in
 		}
 		basis = pcs[:n]
 	}
-	w := sigDir.CloneWS(ws)
+	w := ws.Vector(len(sigDir))
+	copy(w, sigDir)
 	for _, b := range basis {
-		w = w.SubWS(ws, w.ProjectOntoWS(ws, b))
+		w.RejectInPlace(b)
 	}
 	if w.Norm() < 1e-9*sigDir.Norm() {
 		return nil

@@ -495,8 +495,8 @@ func dependentDirectionWS(ws *cmplxmat.Workspace, g []*cmplxmat.Matrix, rng *ran
 	return nil, fmt.Errorf("%w: no dependent direction found", ErrInfeasible)
 }
 
-// alongLine writes x + t*y into d: the entries of
-// x.AddWS(ws, y.ScaleWS(ws, t)), without the arena.
+// alongLine writes x + t*y into d: entry for entry the sum of x and
+// y.ScaleWS(ws, t), without the arena.
 func alongLine(d, x, y cmplxmat.Vector, t complex128) {
 	for i := range d {
 		d[i] = x[i] + t*y[i]

@@ -73,11 +73,6 @@ func DefaultConfig() Config {
 	return Config{Seed: 1, Trials: 40, Slots: 1000, Runs: 3}
 }
 
-// QuickConfig is a scaled-down configuration for unit tests.
-func QuickConfig() Config {
-	return Config{Seed: 1, Trials: 8, Slots: 120, Runs: 1}
-}
-
 // Runner is an experiment entry point.
 type Runner func(Config) (Result, error)
 

@@ -5,6 +5,12 @@ import (
 	"testing"
 )
 
+// QuickConfig is a scaled-down configuration for unit tests, the sizes
+// of `iacbench -trials 8 -slots 120 -runs 1`.
+func QuickConfig() Config {
+	return Config{Seed: 1, Trials: 8, Slots: 120, Runs: 1}
+}
+
 func TestRegistryCoversDesignIndex(t *testing.T) {
 	want := []string{
 		"fig12", "fig13a", "fig13b", "fig14", "fig15a", "fig15b",

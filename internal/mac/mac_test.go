@@ -1,7 +1,9 @@
 package mac
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"math/bits"
 	"runtime"
@@ -708,5 +710,32 @@ func TestFirstSeenClientAllocs(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("client %d served in %d slots, want 1", c, n)
 		}
+	}
+}
+
+// TestFrameAPCountBounds pins the wire-truncation fix: 255, the last AP
+// count the one-byte field holds, survives a round trip, and a zero-AP
+// frame is refused on marshal and rejected on parse.
+func TestFrameAPCountBounds(t *testing.T) {
+	raw, err := PollFrame{Type: FrameGrant, Fid: 1, NumAPs: 255}.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := UnmarshalPollFrame(raw); err != nil || got.NumAPs != 255 {
+		t.Fatalf("NumAPs %d (%v) want 255", got.NumAPs, err)
+	}
+	// Marshal refuses a zero-AP frame, and one forged on the wire (AP
+	// count patched to 0, checksum recomputed) is treated as corruption.
+	if _, err := (PollFrame{Type: FrameGrant, Fid: 1}).Marshal(); err == nil {
+		t.Fatal("zero-AP grant marshalled")
+	}
+	rawZero, err := PollFrame{Type: FrameGrant, Fid: 1, NumAPs: 1}.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawZero[5] = 0
+	binary.BigEndian.PutUint32(rawZero[len(rawZero)-4:], crc32.ChecksumIEEE(rawZero[:len(rawZero)-4]))
+	if _, err := UnmarshalPollFrame(rawZero); err == nil {
+		t.Fatal("zero-AP grant parsed")
 	}
 }

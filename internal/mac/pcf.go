@@ -117,7 +117,6 @@ type clientQueue struct {
 }
 
 func (q *clientQueue) empty() bool          { return q.head >= len(q.pkts) }
-func (q *clientQueue) len() int             { return len(q.pkts) - q.head }
 func (q *clientQueue) front() *queuedPacket { return &q.pkts[q.head] }
 
 func (q *clientQueue) push(p queuedPacket) {
@@ -232,15 +231,6 @@ func (s *Simulator) eligible() []ClientID {
 	s.eligBuf = elig
 	return elig
 }
-
-// Beacons returns how many CFPs have run.
-func (s *Simulator) Beacons() int { return s.beacons }
-
-// WireClamps returns how many beacons announced a clamped CFP duration
-// because the true slot count outran the wire format's 16-bit field
-// (see ClampCFPDuration). Zero in any healthy configuration; a nonzero
-// count means on-air duration announcements under-report the CFP.
-func (s *Simulator) WireClamps() int { return s.wireClamps }
 
 // Slots returns the total transmission slots consumed, including the
 // constant contention period after each CFP — the airtime denominator

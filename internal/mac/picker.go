@@ -163,15 +163,6 @@ func NewBestOfTwoPicker(seed int64, creditThreshold int) *BestOfTwoPicker {
 // Name implements GroupPicker.
 func (*BestOfTwoPicker) Name() string { return "best-of-two" }
 
-// Credits exposes a client's current credit counter (for tests and
-// fairness diagnostics).
-func (p *BestOfTwoPicker) Credits(c ClientID) int {
-	if int(c) >= len(p.clients) {
-		return 0
-	}
-	return p.clients[c].credit
-}
-
 // dedupe fills the distinct scratch with the queue's clients in first-
 // occurrence order. A fresh generation stamp per call marks clients
 // already taken, so the pass is O(len(queue)) with no clearing.

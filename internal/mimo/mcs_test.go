@@ -61,7 +61,7 @@ func TestAdaptedLinkPerfectCSIMatchesPlan(t *testing.T) {
 			t.Fatalf("perfect CSI: achieved %v != planned %v", achieved, planned)
 		}
 		// Discrete never beats Shannon at the same operating point.
-		if shannon := EigenmodeRate(h, 1.0, 1.0); planned > shannon {
+		if shannon := EigenmodeRateWS(ws, h, 1.0, 1.0); planned > shannon {
 			t.Fatalf("discrete rate %v above Shannon %v", planned, shannon)
 		}
 	}

@@ -18,20 +18,13 @@ import (
 	"iaclan/internal/stats"
 )
 
-// Waterfill distributes totalPower across parallel channels with the
+// waterfillInto distributes totalPower across parallel channels with the
 // given power gains (|singular value|^2 / noise), maximizing
-// sum log2(1 + p_i * g_i). It returns the per-channel powers, which sum
-// to totalPower (channels below the water level get zero). Gains must be
-// nonnegative; channels with zero gain never receive power.
-func Waterfill(gains []float64, totalPower float64) []float64 {
-	powers := make([]float64, len(gains))
-	waterfillInto(powers, gains, totalPower, make([]int, len(gains)))
-	return powers
-}
-
-// waterfillInto is Waterfill writing into caller-provided buffers: powers
-// receives the per-channel allocation and idx is index scratch of the
-// same length (both usually workspace-backed).
+// sum log2(1 + p_i * g_i). powers receives the per-channel allocation,
+// which sums to totalPower (channels below the water level get zero),
+// and idx is index scratch of the same length (both usually
+// workspace-backed). Gains must be nonnegative; channels with zero gain
+// never receive power.
 func waterfillInto(powers, gains []float64, totalPower float64, idx []int) {
 	for i := range powers {
 		powers[i] = 0
@@ -91,17 +84,6 @@ type Precoding struct {
 	Gains []float64
 }
 
-// NumActiveStreams returns how many streams carry positive power.
-func (p Precoding) NumActiveStreams() int {
-	n := 0
-	for _, pw := range p.Powers {
-		if pw > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Rate returns the link's achievable sum rate in bit/s/Hz.
 func (p Precoding) Rate() float64 {
 	var r float64
@@ -111,30 +93,12 @@ func (p Precoding) Rate() float64 {
 	return r
 }
 
-// Eigenmode computes the optimal point-to-point precoding for the channel
-// h under a total transmit power budget and the given receiver noise.
-func Eigenmode(h *cmplxmat.Matrix, totalPower, noise float64) Precoding {
-	ws := cmplxmat.GetWorkspace()
-	defer cmplxmat.PutWorkspace(ws)
-	wp := EigenmodeWS(ws, h, totalPower, noise)
-	// Deep-copy out of the arena: the caller keeps the plan.
-	p := Precoding{
-		TxVectors: make([]cmplxmat.Vector, len(wp.TxVectors)),
-		RxVectors: make([]cmplxmat.Vector, len(wp.RxVectors)),
-		Powers:    append([]float64(nil), wp.Powers...),
-		Gains:     append([]float64(nil), wp.Gains...),
-	}
-	for j := range wp.TxVectors {
-		p.TxVectors[j] = wp.TxVectors[j].Clone()
-		p.RxVectors[j] = wp.RxVectors[j].Clone()
-	}
-	return p
-}
-
-// EigenmodeWS is Eigenmode with the whole plan — singular vectors,
-// waterfilled powers, gains — in the workspace arena. The result is valid
-// until the workspace is reset; callers that only need the rate should
-// use EigenmodeRateWS, which releases its scratch before returning.
+// EigenmodeWS computes the optimal point-to-point precoding for the
+// channel h under a total transmit power budget and the given receiver
+// noise, with the whole plan — singular vectors, waterfilled powers,
+// gains — in the workspace arena. The result is valid until the
+// workspace is reset; callers that only need the rate should use
+// EigenmodeRateWS, which releases its scratch before returning.
 func EigenmodeWS(ws *cmplxmat.Workspace, h *cmplxmat.Matrix, totalPower, noise float64) Precoding {
 	if noise <= 0 {
 		panic("mimo: noise must be positive")
@@ -157,13 +121,6 @@ func EigenmodeWS(ws *cmplxmat.Workspace, h *cmplxmat.Matrix, totalPower, noise f
 	return p
 }
 
-// EigenmodeRate is a convenience wrapper returning just the rate.
-func EigenmodeRate(h *cmplxmat.Matrix, totalPower, noise float64) float64 {
-	ws := cmplxmat.GetWorkspace()
-	defer cmplxmat.PutWorkspace(ws)
-	return EigenmodeRateWS(ws, h, totalPower, noise)
-}
-
 // EigenmodeRateWS computes the eigenmode sum rate using only workspace
 // scratch, releasing everything it allocated before returning.
 func EigenmodeRateWS(ws *cmplxmat.Workspace, h *cmplxmat.Matrix, totalPower, noise float64) float64 {
@@ -172,44 +129,13 @@ func EigenmodeRateWS(ws *cmplxmat.Workspace, h *cmplxmat.Matrix, totalPower, noi
 	return EigenmodeWS(ws, h, totalPower, noise).Rate()
 }
 
-// EqualPowerRate returns the rate with equal power across all eigenmodes,
-// the simpler strategy 802.11n devices use without waterfilling. Always
-// at most EigenmodeRate; the gap closes at high SNR.
-func EqualPowerRate(h *cmplxmat.Matrix, totalPower, noise float64) float64 {
-	_, s, _ := h.SVD()
-	active := 0
-	for _, sv := range s {
-		if sv > 0 {
-			active++
-		}
-	}
-	if active == 0 {
-		return 0
-	}
-	per := totalPower / float64(active)
-	var r float64
-	for _, sv := range s {
-		if sv > 0 {
-			r += stats.ShannonRate(per * sv * sv / noise)
-		}
-	}
-	return r
-}
-
-// BestAP picks the AP index with the highest eigenmode rate among the
+// BestAPWS picks the AP index with the highest eigenmode rate among the
 // candidate channels, modeling the diversity use of extra APs the paper
 // grants 802.11-MIMO in every comparison (Section 10e): "each
 // 802.11-MIMO client communicates with the AP to which it has the best
-// SNR". It returns the winning index and its rate. channels must be
+// SNR". It returns the winning index and its rate, and releases the
+// workspace scratch it allocated before returning. channels must be
 // non-empty.
-func BestAP(channels []*cmplxmat.Matrix, totalPower, noise float64) (int, float64) {
-	ws := cmplxmat.GetWorkspace()
-	defer cmplxmat.PutWorkspace(ws)
-	return BestAPWS(ws, channels, totalPower, noise)
-}
-
-// BestAPWS is BestAP over workspace scratch, releasing everything it
-// allocated before returning.
 func BestAPWS(ws *cmplxmat.Workspace, channels []*cmplxmat.Matrix, totalPower, noise float64) (int, float64) {
 	if len(channels) == 0 {
 		panic("mimo: BestAP with no channels")

@@ -10,6 +10,52 @@ import (
 	"iaclan/internal/stats"
 )
 
+// ws is the tests' workspace for the *WS forms. No test resets it.
+var ws = cmplxmat.NewWorkspace()
+
+// waterfill returns waterfillInto's allocation in a fresh slice.
+func waterfill(gains []float64, totalPower float64) []float64 {
+	powers := make([]float64, len(gains))
+	waterfillInto(powers, gains, totalPower, make([]int, len(gains)))
+	return powers
+}
+
+// activeStreams returns how many streams of p carry positive power.
+func activeStreams(p Precoding) int {
+	n := 0
+	for _, pw := range p.Powers {
+		if pw > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// equalPowerRate returns the rate with equal power across all
+// eigenmodes, the simpler strategy 802.11n devices use without
+// waterfilling: at most the eigenmode rate, with the gap closing at
+// high SNR.
+func equalPowerRate(h *cmplxmat.Matrix, totalPower, noise float64) float64 {
+	_, s, _ := h.SVDWS(ws)
+	active := 0
+	for _, sv := range s {
+		if sv > 0 {
+			active++
+		}
+	}
+	if active == 0 {
+		return 0
+	}
+	per := totalPower / float64(active)
+	var r float64
+	for _, sv := range s {
+		if sv > 0 {
+			r += stats.ShannonRate(per * sv * sv / noise)
+		}
+	}
+	return r
+}
+
 func TestWaterfillConservesPower(t *testing.T) {
 	cases := [][]float64{
 		{1, 1, 1},
@@ -19,7 +65,7 @@ func TestWaterfillConservesPower(t *testing.T) {
 	}
 	for _, gains := range cases {
 		for _, total := range []float64{0.1, 1, 10} {
-			p := Waterfill(gains, total)
+			p := waterfill(gains, total)
 			var sum float64
 			for i, pw := range p {
 				if pw < 0 {
@@ -38,20 +84,20 @@ func TestWaterfillConservesPower(t *testing.T) {
 }
 
 func TestWaterfillEdgeCases(t *testing.T) {
-	if p := Waterfill([]float64{0, 0}, 1); p[0] != 0 || p[1] != 0 {
+	if p := waterfill([]float64{0, 0}, 1); p[0] != 0 || p[1] != 0 {
 		t.Fatalf("zero gains: %v", p)
 	}
-	if p := Waterfill([]float64{1, 2}, 0); p[0] != 0 || p[1] != 0 {
+	if p := waterfill([]float64{1, 2}, 0); p[0] != 0 || p[1] != 0 {
 		t.Fatalf("zero power: %v", p)
 	}
-	if p := Waterfill(nil, 1); len(p) != 0 {
+	if p := waterfill(nil, 1); len(p) != 0 {
 		t.Fatalf("empty gains: %v", p)
 	}
 }
 
 func TestWaterfillPrefersStrongChannels(t *testing.T) {
 	// At low power, everything goes to the best channel.
-	p := Waterfill([]float64{10, 0.01}, 0.05)
+	p := waterfill([]float64{10, 0.01}, 0.05)
 	if p[1] != 0 {
 		t.Fatalf("weak channel got power at low budget: %v", p)
 	}
@@ -59,7 +105,7 @@ func TestWaterfillPrefersStrongChannels(t *testing.T) {
 		t.Fatalf("strong channel allocation: %v", p)
 	}
 	// At high power, allocations order by gain.
-	p = Waterfill([]float64{10, 1}, 100)
+	p = waterfill([]float64{10, 1}, 100)
 	if p[0] <= p[1] {
 		t.Fatalf("expected more power on stronger channel: %v", p)
 	}
@@ -70,7 +116,7 @@ func TestWaterfillOptimalityAgainstPerturbations(t *testing.T) {
 	// cannot increase the sum rate.
 	gains := []float64{8, 3, 1, 0.2}
 	total := 4.0
-	p := Waterfill(gains, total)
+	p := waterfill(gains, total)
 	rate := func(powers []float64) float64 {
 		var r float64
 		for i, pw := range powers {
@@ -108,7 +154,7 @@ func TestQuickWaterfillConserves(t *testing.T) {
 			return true
 		}
 		total := math.Min(math.Abs(rawTotal), 1e6)
-		p := Waterfill(gains, total)
+		p := waterfill(gains, total)
 		var sum float64
 		for _, pw := range p {
 			if pw < -1e-12 {
@@ -138,8 +184,8 @@ func TestQuickWaterfillConserves(t *testing.T) {
 func TestEigenmodeRateMatchesCapacityFormula(t *testing.T) {
 	// For an identity channel, capacity = M * log2(1 + P/M / noise)
 	// (equal gains, waterfilling splits evenly).
-	h := cmplxmat.Identity(2)
-	rate := EigenmodeRate(h, 2, 0.01)
+	h := cmplxmat.Diagonal(1, 1)
+	rate := EigenmodeRateWS(ws, h, 2, 0.01)
 	want := 2 * stats.ShannonRate(1/0.01)
 	if math.Abs(rate-want) > 1e-9 {
 		t.Fatalf("identity rate %v want %v", rate, want)
@@ -150,7 +196,7 @@ func TestEigenmodeStreamsAreValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
 		h := cmplxmat.RandomGaussian(rng, 2, 2).Scale(complex(10, 0))
-		p := Eigenmode(h, 1, 0.001)
+		p := EigenmodeWS(ws, h, 1, 0.001)
 		if len(p.TxVectors) != 2 || len(p.RxVectors) != 2 {
 			t.Fatalf("stream counts %d %d", len(p.TxVectors), len(p.RxVectors))
 		}
@@ -178,8 +224,8 @@ func TestEigenmodeStreamsAreValid(t *testing.T) {
 			}
 		}
 		// At high SNR both streams are active for a generic channel.
-		if p.NumActiveStreams() != 2 {
-			t.Fatalf("active streams %d", p.NumActiveStreams())
+		if activeStreams(p) != 2 {
+			t.Fatalf("active streams %d", activeStreams(p))
 		}
 	}
 }
@@ -188,8 +234,8 @@ func TestEigenmodeBeatsEqualPower(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
 		h := cmplxmat.RandomGaussian(rng, 2, 2)
-		wf := EigenmodeRate(h, 1, 0.1)
-		eq := EqualPowerRate(h, 1, 0.1)
+		wf := EigenmodeRateWS(ws, h, 1, 0.1)
+		eq := equalPowerRate(h, 1, 0.1)
 		if wf < eq-1e-9 {
 			t.Fatalf("trial %d: waterfilling %v below equal power %v", trial, wf, eq)
 		}
@@ -201,7 +247,7 @@ func TestEigenmodeRateIncreasesWithPower(t *testing.T) {
 	h := cmplxmat.RandomGaussian(rng, 2, 2)
 	prev := 0.0
 	for _, pw := range []float64{0.1, 1, 10, 100} {
-		r := EigenmodeRate(h, pw, 0.1)
+		r := EigenmodeRateWS(ws, h, pw, 0.1)
 		if r <= prev {
 			t.Fatalf("rate not increasing: %v after %v at power %v", r, prev, pw)
 		}
@@ -215,17 +261,17 @@ func TestEigenmodeNoisePanic(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Eigenmode(cmplxmat.Identity(2), 1, 0)
+	EigenmodeWS(ws, cmplxmat.Diagonal(1, 1), 1, 0)
 }
 
 func TestBestAPSelects(t *testing.T) {
-	weak := cmplxmat.Identity(2).Scale(complex(0.1, 0))
-	strong := cmplxmat.Identity(2).Scale(complex(10, 0))
-	idx, rate := BestAP([]*cmplxmat.Matrix{weak, strong}, 1, 0.01)
+	weak := cmplxmat.Diagonal(1, 1).Scale(complex(0.1, 0))
+	strong := cmplxmat.Diagonal(1, 1).Scale(complex(10, 0))
+	idx, rate := BestAPWS(ws, []*cmplxmat.Matrix{weak, strong}, 1, 0.01)
 	if idx != 1 {
 		t.Fatalf("picked AP %d", idx)
 	}
-	if rate != EigenmodeRate(strong, 1, 0.01) {
+	if rate != EigenmodeRateWS(ws, strong, 1, 0.01) {
 		t.Fatalf("rate %v", rate)
 	}
 	defer func() {
@@ -233,7 +279,7 @@ func TestBestAPSelects(t *testing.T) {
 			t.Fatal("expected panic on empty channels")
 		}
 	}()
-	BestAP(nil, 1, 0.01)
+	BestAPWS(ws, nil, 1, 0.01)
 }
 
 func TestBestAPDiversityGain(t *testing.T) {
@@ -245,8 +291,8 @@ func TestBestAPDiversityGain(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		h0 := cmplxmat.RandomGaussian(rng, 2, 2)
 		h1 := cmplxmat.RandomGaussian(rng, 2, 2)
-		fixed += EigenmodeRate(h0, 1, 0.1)
-		_, r := BestAP([]*cmplxmat.Matrix{h0, h1}, 1, 0.1)
+		fixed += EigenmodeRateWS(ws, h0, 1, 0.1)
+		_, r := BestAPWS(ws, []*cmplxmat.Matrix{h0, h1}, 1, 0.1)
 		selected += r
 	}
 	if selected <= fixed {
@@ -257,15 +303,18 @@ func TestBestAPDiversityGain(t *testing.T) {
 func TestRankDeficientChannel(t *testing.T) {
 	// A rank-1 channel supports one stream; rate must be finite and the
 	// zero mode must get no power at low-to-moderate budgets.
-	h := cmplxmat.FromRows([][]complex128{{1, 1}, {1, 1}})
-	p := Eigenmode(h, 1, 0.1)
-	if p.NumActiveStreams() != 1 {
-		t.Fatalf("active streams %d want 1", p.NumActiveStreams())
+	h := cmplxmat.New(2, 2)
+	for i := 0; i < 4; i++ {
+		h.SetAt(i/2, i%2, 1)
+	}
+	p := EigenmodeWS(ws, h, 1, 0.1)
+	if activeStreams(p) != 1 {
+		t.Fatalf("active streams %d want 1", activeStreams(p))
 	}
 	if p.Rate() <= 0 {
 		t.Fatal("rank-1 rate should be positive")
 	}
-	if EqualPowerRate(cmplxmat.New(2, 2), 1, 0.1) != 0 {
+	if equalPowerRate(cmplxmat.New(2, 2), 1, 0.1) != 0 {
 		t.Fatal("zero channel rate must be 0")
 	}
 }

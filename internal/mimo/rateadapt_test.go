@@ -242,7 +242,7 @@ func TestIACGainSurvivesRateAdaptation(t *testing.T) {
 		// Baseline: each client alone with eigenmode streams; average
 		// of the two clients' adapted throughputs.
 		for c := 0; c < 2; c++ {
-			p := Eigenmode(cs[c][0], 1, 0.01)
+			p := EigenmodeWS(ws, cs[c][0], 1, 0.01)
 			var sinrs []float64
 			for j, pw := range p.Powers {
 				if pw > 0 {
@@ -270,8 +270,8 @@ func TestAdaptedTracksShannonOrdering(t *testing.T) {
 	ladder := Ladder80211()
 	agree, total := 0, 0
 	for i := 0; i < 200; i++ {
-		a := []float64{stats.FromDB(rng.Float64() * 30), stats.FromDB(rng.Float64() * 30)}
-		b := []float64{stats.FromDB(rng.Float64() * 30), stats.FromDB(rng.Float64() * 30)}
+		a := []float64{math.Pow(10, rng.Float64()*30/10), math.Pow(10, rng.Float64()*30/10)}
+		b := []float64{math.Pow(10, rng.Float64()*30/10), math.Pow(10, rng.Float64()*30/10)}
 		sa, sb := ShannonThroughput(a), ShannonThroughput(b)
 		if sa == sb {
 			continue

@@ -13,7 +13,7 @@
 // run without a single heap allocation in steady state.
 //
 // Determinism contract: the wheel holds no randomness and never reads
-// the host clock. Given the same sequence of Schedule/Cancel/Advance
+// the host clock. Given the same sequence of Schedule/Advance
 // calls it fires the same ids in the same order. Within one Advance the
 // fired ids come out grouped by deadline slot in increasing slot order;
 // inside a slot the order is the (deterministic) bucket insertion
@@ -87,9 +87,6 @@ func New(n int) *Wheel {
 	w.expired = list{head: none, tail: none}
 	return w
 }
-
-// Now returns the wheel clock in slots.
-func (w *Wheel) Now() uint64 { return w.now }
 
 // Len returns the number of armed timers (including already-due ones
 // not yet popped).
@@ -173,9 +170,6 @@ func (w *Wheel) Schedule(id int, deadline uint64) {
 	w.unlink(int32(id))
 	w.place(int32(id), deadline)
 }
-
-// Cancel disarms timer id. Cancelling an unarmed id is a no-op.
-func (w *Wheel) Cancel(id int) { w.unlink(int32(id)) }
 
 // drainExpired pops the already-due list into fired.
 func (w *Wheel) drainExpired(fired []int32) []int32 {

@@ -6,6 +6,14 @@ import (
 	"testing"
 )
 
+// Now returns the wheel clock in slots. Test-only: the simulator keeps
+// its own clock and passes it to Advance.
+func (w *Wheel) Now() uint64 { return w.now }
+
+// Cancel disarms timer id. Cancelling an unarmed id is a no-op.
+// Test-only: the simulator re-arms with Schedule and never disarms.
+func (w *Wheel) Cancel(id int) { w.unlink(int32(id)) }
+
 // advanceAll steps the wheel to `to` and returns the fired ids.
 func advanceAll(w *Wheel, to uint64) []int32 {
 	return w.Advance(to, nil)

@@ -36,11 +36,6 @@ type Link struct {
 	MCS bool
 }
 
-// enabled reports whether the link plane deviates from the legacy model.
-func (l Link) enabled() bool {
-	return l.NoiseDB != 0 || l.ResidualCancel || l.MCS
-}
-
 // validate rejects parameters outside the model.
 func (l Link) validate() error {
 	if err := finite("Link.NoiseDB", l.NoiseDB); err != nil {

@@ -231,14 +231,6 @@ func (tp *transportState) window(i int) int {
 	return w
 }
 
-// backlog is the client's total queued-but-undelivered packet count the
-// radio-sleep model keys on: flow backlog plus packets inside the MAC.
-// Packets waiting out a retransmit timeout do not count — the radio
-// sleeps through backoff and wakes when the timer re-injects.
-func (tp *transportState) backlog(i int, pending []int) int {
-	return tp.flows[i].len() + pending[i]
-}
-
 func (tp *transportState) touch(i int) {
 	if !tp.touchMark[i] {
 		tp.touchMark[i] = true

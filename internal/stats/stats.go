@@ -22,21 +22,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation of xs (n-1 denominator),
-// or 0 for fewer than two samples.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
 // Min returns the smallest element; it panics on empty input.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -144,34 +129,6 @@ func CDF(xs []float64) []CDFPoint {
 	return out
 }
 
-// CDFAt returns the empirical probability P(X <= x) for the sample set
-// xs.
-//
-// Empty input returns 0: an empty sample set has no mass at or below
-// any threshold. A NaN threshold or any NaN sample returns NaN
-// deterministically (Percentile's poison contract) — every comparison
-// against NaN is false, so without the explicit check a stray NaN
-// would silently read as "above x" and bias the fraction instead of
-// surfacing the bad sample.
-func CDFAt(xs []float64, x float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if math.IsNaN(x) {
-		return math.NaN()
-	}
-	count := 0
-	for _, v := range xs {
-		if math.IsNaN(v) {
-			return math.NaN()
-		}
-		if v <= x {
-			count++
-		}
-	}
-	return float64(count) / float64(len(xs))
-}
-
 // FractionBelow returns the fraction of samples strictly below the
 // threshold. The paper uses "fraction of clients with gain < 1" as its
 // unfairness signal for the brute-force concurrency algorithm.
@@ -220,9 +177,6 @@ func JainFairness(xs []float64) float64 {
 // DB converts a linear power ratio to decibels.
 func DB(linear float64) float64 { return 10 * math.Log10(linear) }
 
-// FromDB converts decibels to a linear power ratio.
-func FromDB(db float64) float64 { return math.Pow(10, db/10) }
-
 // ShannonRate returns log2(1+snr), the achievable rate in bit/s/Hz the
 // paper uses as its metric (Eq. 9). Negative SNRs clamp to zero rate.
 func ShannonRate(snr float64) float64 {
@@ -230,62 +184,6 @@ func ShannonRate(snr float64) float64 {
 		return 0
 	}
 	return math.Log2(1 + snr)
-}
-
-// Histogram bins xs into n equal-width buckets over [min,max] and returns
-// the per-bucket counts. Values exactly at max land in the last bucket.
-func Histogram(xs []float64, n int, min, max float64) []int {
-	if n <= 0 || max <= min {
-		panic("stats: invalid histogram parameters")
-	}
-	counts := make([]int, n)
-	w := (max - min) / float64(n)
-	for _, x := range xs {
-		if x < min || x > max {
-			continue
-		}
-		i := int((x - min) / w)
-		if i >= n {
-			i = n - 1
-		}
-		counts[i]++
-	}
-	return counts
-}
-
-// Summary holds descriptive statistics for a sample set.
-type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64
-	Min    float64
-	P25    float64
-	Median float64
-	P75    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs. Empty input yields a zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		Std:    StdDev(xs),
-		Min:    Min(xs),
-		P25:    Percentile(xs, 25),
-		Median: Median(xs),
-		P75:    Percentile(xs, 75),
-		Max:    Max(xs),
-	}
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f std=%.3f min=%.3f p25=%.3f med=%.3f p75=%.3f max=%.3f",
-		s.N, s.Mean, s.Std, s.Min, s.P25, s.Median, s.P75, s.Max)
 }
 
 // ASCIICDF renders an empirical CDF as a crude fixed-width terminal plot,

@@ -32,7 +32,7 @@ func TestSlotCacheChannelsAndEstimatesAreStable(t *testing.T) {
 	if e1 != e2 {
 		t.Fatal("Estimated redrew noise within one survey")
 	}
-	if e1.Equal(s.World.Channel(tx, rx), 0) {
+	if e1.Sub(s.World.Channel(tx, rx)).MaxAbs() == 0 {
 		t.Fatal("estimate should carry training noise")
 	}
 	r1 := BaselineRateWS(ws, s, 0, true)
@@ -119,7 +119,7 @@ func TestSlotCacheRefreshMatchesFreshCache(t *testing.T) {
 	fresh := NewSlotCache(s)
 	for _, cl := range s.Clients {
 		for _, ap := range s.APs {
-			if !old.Estimated(ws, cl, ap, rngOld).Equal(fresh.Estimated(ws, cl, ap, rngNew), 0) {
+			if old.Estimated(ws, cl, ap, rngOld).Sub(fresh.Estimated(ws, cl, ap, rngNew)).MaxAbs() > 0 {
 				t.Fatalf("pair %v->%v: refreshed estimate differs from a fresh survey", cl, ap)
 			}
 		}
@@ -266,7 +266,7 @@ func TestSlotCacheManualRetrainPinsEstimates(t *testing.T) {
 	if BaselineRateWS(ws, s, 0, true) == r1 {
 		t.Fatal("baseline rate must track the world while estimates stand")
 	}
-	if e := c.Estimated(ws, tx, rx, rng); e != e1 || !e.Equal(e1Snap, 0) {
+	if e := c.Estimated(ws, tx, rx, rng); e != e1 || e.Sub(e1Snap).MaxAbs() > 0 {
 		t.Fatal("estimates must stay pinned across an epoch move")
 	}
 
@@ -276,7 +276,7 @@ func TestSlotCacheManualRetrainPinsEstimates(t *testing.T) {
 	if _, misses := c.Counters(); misses != missesBefore+1 {
 		t.Fatal("Retrain must drop the pinned estimates")
 	}
-	if e2.Equal(e1Snap, 0) {
+	if e2.Sub(e1Snap).MaxAbs() == 0 {
 		t.Fatal("post-retrain estimate should survey the perturbed channel")
 	}
 }

@@ -167,8 +167,8 @@ func TestAdaptedBaselineReadsLatestSurvey(t *testing.T) {
 	}
 	first := survey()
 	check("first survey", first)
-	world.Redraw(cl, s.APs[0])
-	check("redraw", first)
+	world.Perturb(0.5)
+	check("fading step", first)
 	cache.Retrain()
 	check("retrain", survey())
 }

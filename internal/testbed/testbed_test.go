@@ -63,7 +63,7 @@ func TestPermute(t *testing.T) {
 	s := scenario(t, 4, 3, 2)
 	cs := s.UplinkChannels()
 	p := Permute(cs, []int{2, 0, 1})
-	if !p[0][0].Equal(cs[2][0], 0) || !p[1][1].Equal(cs[0][1], 0) {
+	if p[0][0].Sub(cs[2][0]).MaxAbs() > 0 || p[1][1].Sub(cs[0][1]).MaxAbs() > 0 {
 		t.Fatal("permute wrong")
 	}
 }
