@@ -116,7 +116,7 @@ func fingerprintBaseConfig() SimConfig {
 
 // Pinned fingerprints. Re-pin only for a deliberate change of results.
 const (
-	goldenCampusFading     = 0xadb18ee45f39a56f
+	goldenCampusFading     = 0xc88920bbe1e1d76e
 	goldenDownlinkTriangle = 0x973c10fcc85678a5
 )
 

@@ -2,6 +2,8 @@ package cmplxmat
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -11,7 +13,9 @@ import (
 // heap twin, RootsWS and InterpolatePolyInto against the original
 // growth-allocating heap bodies (kept here as oracles), and
 // LeadingLeftSingularInto against the U columns of SVDWS, including the
-// inputs that take its SVDWS fallback.
+// inputs that take its SVDWS fallback. The one exception is the M = 2
+// closed form (two.go) for a 2-row matrix when one vector is asked for:
+// its vector is checked against the math/big reference instead.
 
 // rootsOracle is the original heap Poly.Roots body.
 func rootsOracle(p Poly) ([]complex128, error) {
@@ -210,10 +214,36 @@ func checkLeading(t *testing.T, ws *Workspace, name string, m *Matrix, n int, re
 		t.Fatalf("%s (n=%d rel=%g): %d columns, SVDWS rule gives %d", name, n, rel, len(got), len(want))
 	}
 	for j := range want {
-		if !bitEqualC(got[j], want[j]) {
-			t.Fatalf("%s (n=%d rel=%g): column %d diverged:\n got=%v\n svd=%v", name, n, rel, j, got[j], want[j])
+		if bitEqualC(got[j], want[j]) {
+			continue
+		}
+		if err := leading2Ref(m, min(n, m.Cols()), got[j]); err != nil {
+			t.Fatalf("%s (n=%d rel=%g): column %d diverged:\n got=%v\n svd=%v\n %v", name, n, rel, j, got[j], want[j], err)
 		}
 	}
+}
+
+// leading2Ref checks a leading left singular vector u of m that is not
+// SVDWS's bits. Only the M = 2 closed form (a 2-row m, one vector
+// asked for) may write such a vector, and it must then be a leading
+// vector by the math/big reference: unit norm to 1e-14, and missing at
+// most 1e-14 of the leading eigenvalue of m m^H (its Rayleigh quotient
+// deficit), which holds however close the two eigenvalues are.
+func leading2Ref(m *Matrix, n int, u Vector) error {
+	if m.Rows() != 2 || n != 1 {
+		return fmt.Errorf("a %dx%d matrix with %d vectors asked for is not the closed form's shape", m.Rows(), m.Cols(), n)
+	}
+	_, lambda, ok := bigLeading(m)
+	if !ok {
+		return fmt.Errorf("the closed form wrote a vector for equal eigenvalues")
+	}
+	if d := math.Abs(u.Norm() - 1); d > 1e-14 {
+		return fmt.Errorf("closed form vector's norm is off 1 by %.3g", d)
+	}
+	if d := rayleighDeficit(m, u, lambda); d > 1e-14 {
+		return fmt.Errorf("closed form vector misses %.3g of the leading eigenvalue", d)
+	}
+	return nil
 }
 
 func TestLeadingLeftSingularWSMatchesSVDWS(t *testing.T) {

@@ -1,7 +1,9 @@
 package cmplxmat
 
 import (
+	"errors"
 	"math"
+	"math/big"
 	"slices"
 	"testing"
 )
@@ -134,7 +136,9 @@ func FuzzSolveWS(f *testing.F) {
 // values and identical singular-vector matrices. It also pins the
 // zero-forcing fast path, LeadingLeftSingularWS, to SVDWS's leading U
 // columns on the square matrix and on a wide one of the zero-forcing
-// shape (one more column than rows), whatever path it takes.
+// shape (one more column than rows), whatever path it takes, except
+// that the M = 2 closed form's vector (a 2-row matrix, one vector) is
+// checked against the math/big reference instead (leading2Ref).
 func FuzzSVDWS(f *testing.F) {
 	f.Add(byte(0), 1.0, 0.5, -0.25, 2.0, -1.0, 0.125, 3.0, -0.5)
 	f.Add(byte(1), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -175,8 +179,11 @@ func FuzzSVDWS(f *testing.F) {
 						t.Fatalf("LeadingLeftSingularWS(%d, %g) gave %d columns, SVDWS rule %d", k, rel, len(lead), want)
 					}
 					for j := range lead {
-						if !bitEqualC(lead[j], u.Col(j)) {
-							t.Fatalf("LeadingLeftSingularWS(%d, %g) column %d diverged from SVDWS U", k, rel, j)
+						if bitEqualC(lead[j], u.Col(j)) {
+							continue
+						}
+						if err := leading2Ref(mm, min(k, mm.Cols()), lead[j]); err != nil {
+							t.Fatalf("LeadingLeftSingularWS(%d, %g) column %d diverged from SVDWS U: %v", k, rel, j, err)
 						}
 					}
 				}
@@ -380,6 +387,118 @@ func FuzzSmallKernels(f *testing.F) {
 		for name, want := range arena {
 			if got := small[name]; !slices.Equal(got, want) {
 				t.Fatalf("%s on %dx%d (degenerate %d): local storage diverged from arena storage\n m=%v", name, sh[0], sh[1], degen%6, m)
+			}
+		}
+	})
+}
+
+// FuzzLeading2 drives the M = 2 closed-form leading singular vector
+// through LeadingLeftSingularInto on 2 x k matrices (k = 1..4) beside
+// the Jacobi path: the vector count must match wherever Jacobi's Gram
+// matrix can hold the squared entries (largest part within 2^±400),
+// and a vector that is not Jacobi's bits must be a leading vector by
+// the math/big reference
+// (leading2Ref: unit norm, and a Rayleigh quotient within 1e-14 of the
+// leading eigenvalue of m m^H, which holds however close the two
+// eigenvalues are). Seeds cover aligned and repeated interferers (the
+// degeneracy selector's aligned columns and zero rows and columns),
+// equal eigenvalues (orthogonal rows of equal norm) and very large and
+// very small scales.
+func FuzzLeading2(f *testing.F) {
+	for degen := byte(0); degen < 5; degen++ {
+		f.Add(byte(1), degen, 1.0, 0.5, -0.25, 2.0, -1.0, 0.125, 3.0, -0.5)
+	}
+	f.Add(byte(1), byte(0), 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)   // identity: equal eigenvalues
+	f.Add(byte(1), byte(0), 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, -1.0, 0.0)  // orthogonal rows, equal norms
+	f.Add(byte(2), byte(0), 1.0, 1e-9, 1.0, 0.0, 0.5, 0.0, 1.0, 1e-9) // nearly equal eigenvalues
+	f.Add(byte(2), byte(1), 1e-300, 1e300, -1e-300, 1e150, 5e-324, -1e8, 1e-16, 1.0)
+	f.Add(byte(1), byte(0), 1e-200, -3e-200, 2e-201, 1e-199, 7e-200, 1e-200, -1e-200, 4e-200)
+	f.Add(byte(3), byte(0), 1e250, -3e250, 2e251, 1e249, 7e250, 1e250, -1e250, 4e250)
+	f.Add(byte(1), byte(0), 1e-7, 2e-7, -1e-7, 3e-7, 2e-7, -1e-7, 5e-8, 1e-7) // below Jacobi's absolute convergence test
+	f.Fuzz(func(t *testing.T, sel, degen byte, a, b, c, d, e, g, h, i float64) {
+		m := fuzzRect(2, 1+int(sel)%4, []float64{a, b, c, d, e, g, h, i})
+		degenerate(m, degen)
+		ws := NewWorkspace()
+		got, want := []Vector{NewVector(2)}, []Vector{NewVector(2)}
+		n := m.LeadingLeftSingularInto(ws, got, 1e-12)
+		pm := maxPartOf(m.data...)
+		if wantN := m.leadingJacobiInto(ws, want, 1e-12); n != wantN && pm >= 0x1p-400 && pm <= 0x1p400 {
+			t.Fatalf("%d vectors, Jacobi %d\n m=%v", n, wantN, m)
+		}
+		if n == 1 && !bitEqualC(got[0], want[0]) {
+			if err := leading2Ref(m, 1, got[0]); err != nil {
+				t.Fatalf("%v\n m=%v\n got=%v Jacobi=%v", err, m, got[0], want[0])
+			}
+		}
+	})
+}
+
+// FuzzQuadraticRoots drives QuadraticRootsInto beside RootsInto on
+// fuzzed coefficients. The degree, the error and the root count must
+// match Durand-Kerner's, and the roots must solve the (degree-trimmed)
+// polynomial by the math/big reference: each root's residual |p(r)| is
+// within 1e-13 of the sum of the terms |p_i r^i|, and for a quadratic
+// the pair reproduces the coefficients (r1 + r2 = -p1/p2 and
+// r1 r2 = p0/p2, to 1e-13 relative), so no root is returned twice in
+// place of two. Residuals below 2^-1000 of the largest term count as
+// zero: subnormal coefficients carry fewer bits. Seeds cover a leading
+// coefficient shrinking through the degree trim (c2 -> 0), double and
+// nearly double roots, a vanishing polynomial and very large and very
+// small scales.
+func FuzzQuadraticRoots(f *testing.F) {
+	f.Add(1.0, 0.5, -0.25, 2.0, -1.0, 0.125)
+	f.Add(1.0, 0.0, -2.0, 0.0, 1.0, 0.0)          // (t-1)^2
+	f.Add(1.0, 0.0, -2.0, 1e-9, 1.0, 0.0)         // nearly double
+	f.Add(2.0, 1.0, 1.0, -3.0, 1e-13, 1e-14)      // c2 at the degree trim
+	f.Add(2.0, 1.0, 1.0, -3.0, 1e-12, 0.0)        // c2 just above it
+	f.Add(2.0, 1.0, 1e-15, 0.0, 1e-16, 0.0)       // both upper coefficients trimmed
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)           // vanishing polynomial
+	f.Add(1e-300, 0.0, 1e300, 0.0, -1e-300, 0.0)  // extreme dynamic range
+	f.Add(5e-324, 0.0, 0.0, 0.0, 1.0, 0.0)        // subnormal constant term
+	f.Add(1e250, -3e250, 2e249, 1e250, 7e250, 0.) // very large
+	f.Fuzz(func(t *testing.T, a, b, c, d, e, g float64) {
+		p := Poly{fuzzEntry(a, b), fuzzEntry(c, d), fuzzEntry(e, g)}
+		ws := NewWorkspace()
+		var got, want [2]complex128
+		n, err := p.QuadraticRootsInto(ws, got[:])
+		wantN, wantErr := p.RootsInto(ws, want[:])
+		if n != wantN || !errors.Is(err, wantErr) {
+			t.Fatalf("%v: %d roots (%v), Durand-Kerner %d (%v)", p, n, err, wantN, wantErr)
+		}
+		if n == 0 {
+			return
+		}
+		coeffs := [3]bigC{bigOf(p[0]), bigOf(p[1]), bigOf(p[n])}
+		if n == 2 {
+			coeffs[2] = bigOf(p[2])
+		}
+		eval := func(r bigC) (res, terms *big.Float) {
+			v, terms, pow := bigC{newBig(), newBig()}, newBig(), bigOf(1)
+			for i := 0; i <= n; i++ {
+				term := coeffs[i].mul(pow)
+				v, terms = v.add(term), terms.Add(terms, term.abs())
+				pow = pow.mul(r)
+			}
+			return v.abs(), terms
+		}
+		floor := 0x1p-1000
+		for i := 0; i <= n; i++ {
+			floor = max(floor, 0x1p-1000*maxPart(p[i]))
+		}
+		close := func(x, bound *big.Float) bool {
+			return bigFloat(x) <= 1e-13*bigFloat(bound)+floor
+		}
+		roots := []bigC{bigOf(got[0]), bigOf(got[1])}[:n]
+		for j, r := range roots {
+			if res, terms := eval(r); !close(res, terms) {
+				t.Fatalf("%v: root %d = %v leaves |p(r)| = %.3g against terms %.3g", p, j, got[j], bigFloat(res), bigFloat(terms))
+			}
+		}
+		if n == 2 {
+			sum := roots[0].add(roots[1]).add(coeffs[1].quo(coeffs[2]))
+			prod := roots[0].mul(roots[1]).sub(coeffs[0].quo(coeffs[2]))
+			if !close(sum.abs(), newBig().Add(roots[0].abs(), roots[1].abs())) || !close(prod.abs(), roots[0].mul(roots[1]).abs()) {
+				t.Fatalf("%v: roots %v do not reproduce the coefficients", p, got)
 			}
 		}
 	})

@@ -773,7 +773,9 @@ func (m *Matrix) SVDWS(ws *Workspace) (u *Matrix, s []float64, v *Matrix) {
 // into dst in descending singular-value order, one m.Rows()-vector
 // each, stopping before the first whose singular value is at or below
 // rel times the largest. Each is bitwise the corresponding column of
-// SVDWS's U. It returns how many it wrote:
+// SVDWS's U, except that for a 2-row m with one vector asked for the
+// closed form leading2Into computes it (the same vector up to phase and
+// rounding) unless it declines. It returns how many it wrote:
 // at most len(dst) and min(m.Rows(), m.Cols()). It computes only those
 // columns, not V or the rest of U; when one of them would come from
 // SVDWS's null-column completion (a singular value at the null
@@ -786,6 +788,19 @@ func (m *Matrix) LeadingLeftSingularInto(ws *Workspace, dst []Vector, rel float6
 	if n <= 0 {
 		return 0
 	}
+	if m.rows == 2 && n == 1 {
+		if j, ok := m.leading2Into(ws, dst, rel); ok {
+			return j
+		}
+	}
+	return m.leadingJacobiInto(ws, dst[:n], rel)
+}
+
+// leadingJacobiInto is LeadingLeftSingularInto's general path, from the
+// Jacobi eigendecomposition of m^H m, for n = len(dst) vectors with
+// 1 <= n <= min(m.Rows(), m.Cols()).
+func (m *Matrix) leadingJacobiInto(ws *Workspace, dst []Vector, rel float64) int {
+	n := len(dst)
 	if !small(m.cols) {
 		defer ws.Release(ws.Mark())
 	}

@@ -11,7 +11,7 @@ import (
 // and three interferers: the Gram-Schmidt branch and the 2x2 and 2x3
 // principal-component branches), the alignment solver's dependent
 // direction and the slot evaluator (collapsed and full direction
-// tables) at zero heap allocations on a warm workspace. Their working
+// tables, and scoring on a checked set) at zero heap allocations on a warm workspace. Their working
 // storage lives in local arrays, so a local that escapes to the heap
 // fails this test.
 func TestM2KernelsZeroAlloc(t *testing.T) {
@@ -29,6 +29,10 @@ func TestM2KernelsZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := perturbedEstimate(rng, cs)
+	checked, err := CheckSet(est)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := EvalOptions{NodePower: 1.0, Noise: testNoise / testSNR, ResidualCancel: true}
 	evaluate := func(trueCS ChannelSet) func() {
 		return func() {
@@ -50,6 +54,11 @@ func TestM2KernelsZeroAlloc(t *testing.T) {
 			}
 		}},
 		{"EvaluateWS, estimates only", evaluate(est)},
+		{"ScoreWS", func() {
+			if _, err := plan.ScoreWS(ws, checked, opts); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{"EvaluateWS, true channels", evaluate(cs)},
 	}
 	for _, c := range cases {

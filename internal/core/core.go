@@ -550,15 +550,10 @@ func (p *Plan) checkChannels(trueCS, estCS ChannelSet) error {
 			return fmt.Errorf("core: channel sets are not %dx%d at transmitter %d", len(trueCS), numRx, tx)
 		}
 	}
-	for pkt, o := range p.Owner {
-		if o >= len(trueCS) {
-			return fmt.Errorf("core: packet %d owner %d out of range (%d transmitters)", pkt, o, len(trueCS))
-		}
+	if err := p.checkRanges(len(trueCS), numRx); err != nil {
+		return err
 	}
 	for _, step := range p.Schedule {
-		if step.Rx >= numRx {
-			return fmt.Errorf("core: receiver %d out of range (%d receivers)", step.Rx, numRx)
-		}
 		for _, o := range p.Owner {
 			for _, h := range [2]*cmplxmat.Matrix{trueCS[o][step.Rx], estCS[o][step.Rx]} {
 				if h == nil || h.Rows() != p.M || h.Cols() != p.M {
@@ -568,6 +563,96 @@ func (p *Plan) checkChannels(trueCS, estCS ChannelSet) error {
 		}
 	}
 	return nil
+}
+
+// checkRanges rejects a plan whose owners or decode-step receivers fall
+// outside a numTx x numRx channel set.
+func (p *Plan) checkRanges(numTx, numRx int) error {
+	for pkt, o := range p.Owner {
+		if o >= numTx {
+			return fmt.Errorf("core: packet %d owner %d out of range (%d transmitters)", pkt, o, numTx)
+		}
+	}
+	for _, step := range p.Schedule {
+		if step.Rx >= numRx {
+			return fmt.Errorf("core: receiver %d out of range (%d receivers)", step.Rx, numRx)
+		}
+	}
+	return nil
+}
+
+// CheckedSet is a channel set that passed the evaluator's shape check
+// once: a rectangular set whose every channel is present and M x M. A
+// candidate search scores all its candidates on one such set, the
+// planner's estimates standing in for both the true and the estimate
+// channels, through Plan.ScoreWS, which then checks only the plan
+// instead of the whole set per candidate as EvaluateWS does.
+type CheckedSet struct {
+	cs ChannelSet
+	m  int
+}
+
+// CheckSet checks cs for scoring; M is cs.Antennas().
+func CheckSet(cs ChannelSet) (CheckedSet, error) {
+	m, numRx := cs.Antennas(), cs.NumRx()
+	for tx, row := range cs {
+		if len(row) != numRx {
+			return CheckedSet{}, fmt.Errorf("core: channel set is not %dx%d at transmitter %d", len(cs), numRx, tx)
+		}
+		for rx, h := range row {
+			if h == nil || h.Rows() != m || h.Cols() != m {
+				return CheckedSet{}, fmt.Errorf("core: channel %d->%d is not %dx%d", tx, rx, m, m)
+			}
+		}
+	}
+	return CheckedSet{cs: cs, m: m}, nil
+}
+
+// Set returns the checked channel set.
+func (c CheckedSet) Set() ChannelSet { return c.cs }
+
+// PermuteWS returns the set with one axis permuted (see
+// ChannelSet.PermuteWS). It holds the same matrices, so it stays
+// checked.
+func (c CheckedSet) PermuteWS(ws *cmplxmat.Workspace, perm []int, txAxis bool) CheckedSet {
+	return CheckedSet{cs: c.cs.PermuteWS(ws, perm, txAxis), m: c.m}
+}
+
+// PermuteWS returns a set in the arena whose entry i along one axis is
+// cs's entry perm[i] along it: the transmitter axis when txAxis is set,
+// the receiver axis otherwise. The matrices are shared, not copied.
+func (cs ChannelSet) PermuteWS(ws *cmplxmat.Workspace, perm []int, txAxis bool) ChannelSet {
+	if txAxis {
+		out := NewChannelSetWS(ws, len(perm), cs.NumRx())
+		for i, o := range perm {
+			copy(out[i], cs[o])
+		}
+		return out
+	}
+	out := NewChannelSetWS(ws, cs.NumTx(), len(perm))
+	for t := range cs {
+		for j, o := range perm {
+			out[t][j] = cs[t][o]
+		}
+	}
+	return out
+}
+
+// ScoreWS is EvaluateWS with c's set as both the true and the estimate
+// set, as a planner scores its candidates. It checks the plan itself
+// (its structure, its M against the set's, its owners and receivers
+// against the set's size) but not the set again.
+func (p *Plan) ScoreWS(ws *cmplxmat.Workspace, c CheckedSet, opts EvalOptions) (Evaluation, error) {
+	if err := p.validateWith(ws.Bools(p.NumPackets())); err != nil {
+		return Evaluation{}, err
+	}
+	if p.M != c.m {
+		return Evaluation{}, fmt.Errorf("core: %d-antenna plan on a %d-antenna channel set", p.M, c.m)
+	}
+	if err := p.checkRanges(c.cs.NumTx(), c.cs.NumRx()); err != nil {
+		return Evaluation{}, err
+	}
+	return p.evaluateWS(ws, c.cs, c.cs, true, opts)
 }
 
 // EvaluateWS is the slot evaluator: it computes decoding vectors from
@@ -583,13 +668,20 @@ func (p *Plan) checkChannels(trueCS, estCS ChannelSet) error {
 // When trueCS and estCS hold the same matrices (every candidate
 // scoring), the table holds the est products alone.
 func (p *Plan) EvaluateWS(ws *cmplxmat.Workspace, trueCS, estCS ChannelSet, opts EvalOptions) (Evaluation, error) {
-	k := p.NumPackets()
-	if err := p.validateWith(ws.Bools(k)); err != nil {
+	if err := p.validateWith(ws.Bools(p.NumPackets())); err != nil {
 		return Evaluation{}, err
 	}
 	if err := p.checkChannels(trueCS, estCS); err != nil {
 		return Evaluation{}, err
 	}
+	return p.evaluateWS(ws, trueCS, estCS, sameChannels(trueCS, estCS), opts)
+}
+
+// evaluateWS is the evaluator behind EvaluateWS and ScoreWS, on a plan
+// and channel sets already checked to fit together; same reports that
+// the two sets hold the same matrices.
+func (p *Plan) evaluateWS(ws *cmplxmat.Workspace, trueCS, estCS ChannelSet, same bool, opts EvalOptions) (Evaluation, error) {
+	k := p.NumPackets()
 	m := p.M
 	powers := ws.Floats(k)
 	p.packetPowersInto(powers, opts.NodePower)
@@ -605,7 +697,7 @@ func (p *Plan) EvaluateWS(ws *cmplxmat.Workspace, trueCS, estCS ChannelSet, opts
 			nrx++
 		}
 	}
-	if sameChannels(trueCS, estCS) {
+	if same {
 		t.kinds = 1
 		t.zero = cmplxmat.Vector(ws.Complexes(m))
 	}

@@ -366,6 +366,116 @@ func TestEvaluateRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestMalformedSetsRejectedEverywhere feeds malformed channel sets to
+// every exported entry point that takes one: Evaluate and EvaluateWS
+// (as the true set and as the estimate set), CheckSet, and ScoreWS,
+// which a malformed set can reach only as a zero CheckedSet, or as a
+// checked set too small or of another antenna count for the plan. Each
+// returns an error, never a panic.
+func TestMalformedSetsRejectedEverywhere(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	cs := RandomChannelSet(rng, 2, 2, 2, testSNR)
+	plan, err := SolveUplinkThree(cs, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := func(edit func(c ChannelSet) ChannelSet) ChannelSet {
+		c := NewChannelSet(2, 2)
+		for tx := range cs {
+			copy(c[tx], cs[tx])
+		}
+		return edit(c)
+	}
+	malformed := map[string]ChannelSet{
+		"missing a transmitter": edited(func(c ChannelSet) ChannelSet { return c[:1] }),
+		"ragged": edited(func(c ChannelSet) ChannelSet {
+			c[1] = c[1][:1]
+			return c
+		}),
+		"missing a channel": edited(func(c ChannelSet) ChannelSet {
+			c[0][1] = nil
+			return c
+		}),
+		"mis-sized channel": edited(func(c ChannelSet) ChannelSet {
+			c[1][0] = cmplxmat.RandomGaussian(rng, 3, 3)
+			return c
+		}),
+		"empty": nil,
+	}
+	ws := cmplxmat.NewWorkspace()
+	opts := EvalOptions{NodePower: 1, Noise: testNoise / testSNR}
+	for name, bad := range malformed {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if _, err := plan.Evaluate(cs, bad, 1, opts.Noise); err == nil {
+				t.Error("Evaluate accepted it as the estimate set")
+			}
+			if _, err := plan.Evaluate(bad, cs, 1, opts.Noise); err == nil {
+				t.Error("Evaluate accepted it as the true set")
+			}
+			if _, err := plan.EvaluateWS(ws, bad, bad, opts); err == nil {
+				t.Error("EvaluateWS accepted it")
+			}
+			if name != "missing a transmitter" && name != "empty" {
+				// Those two are well formed, only too small for the plan.
+				if _, err := CheckSet(bad); err == nil {
+					t.Error("CheckSet accepted it")
+				}
+			}
+			checked, err := CheckSet(bad)
+			if err != nil {
+				checked = CheckedSet{}
+			}
+			if _, err := plan.ScoreWS(ws, checked, opts); err == nil {
+				t.Error("ScoreWS accepted it")
+			}
+		})
+	}
+	t.Run("other antenna count", func(t *testing.T) {
+		checked, err := CheckSet(RandomChannelSet(rng, 2, 2, 3, testSNR))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := plan.ScoreWS(ws, checked, opts); err == nil {
+			t.Error("ScoreWS scored a 2-antenna plan on 3x3 channels")
+		}
+	})
+}
+
+// TestScoreWSMatchesEvaluateWS: scoring on a checked set is EvaluateWS
+// with that set as both the true and the estimate set, bit for bit,
+// pruned or not.
+func TestScoreWSMatchesEvaluateWS(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	ws := cmplxmat.NewWorkspace()
+	for trial := 0; trial < 20; trial++ {
+		cs := RandomChannelSet(rng, UplinkChainAssignment{M: 2}.NumClients(), 3, 2, testSNR)
+		plan, err := SolveUplinkChain(cs, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked, err := CheckSet(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range []EvalOptions{
+			{NodePower: 1, Noise: testNoise / testSNR, ResidualCancel: true},
+			{NodePower: 1, Noise: testNoise / testSNR, Prune: true, PruneAt: 10},
+		} {
+			got, gotErr := plan.ScoreWS(ws, checked, opts)
+			want, wantErr := plan.EvaluateWS(ws, cs, cs, opts)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got.Pruned != want.Pruned || got.Products != want.Products ||
+				math.Float64bits(got.SumRate) != math.Float64bits(want.SumRate) || !evalBitEqualF(got.SINR, want.SINR) {
+				t.Fatalf("trial %d: ScoreWS %+v (%v), EvaluateWS %+v (%v)", trial, got, gotErr, want, wantErr)
+			}
+		}
+	}
+}
+
 // BenchmarkEvaluateUplinkChain times the slot evaluator on one planning
 // round's worth of work at M = 2: one 3-AP uplink-chain candidate scored
 // on the estimates (the collapsed table) plus the winner's measurement

@@ -3,18 +3,24 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
 	"iaclan/internal/cmplxmat"
 )
 
-// Bitwise pins for the planner's prepared uplink solver and the
-// zero-forcing fast path. The oracles below are the solver and the
-// decoding-vector routine as they were before the prepare/attempt
-// split: every attempt re-inverted the aligned packets' channels,
-// interpolated and rooted the determinant polynomial on the heap, and
-// zero-forcing ran a full SVDWS.
+// Pins for the planner's prepared uplink solver and the zero-forcing
+// fast path. The oracles below are the solver and the decoding-vector
+// routine as they were before the prepare/attempt split: every attempt
+// re-inverted the aligned packets' channels by LU, interpolated and
+// rooted the determinant polynomial on the heap, and zero-forcing ran a
+// full SVDWS. From M = 3 up the pins are bit for bit. At M = 2 the
+// solver and zero-forcing run the closed-form kernels (cmplxmat's
+// two.go, dependentDirection2WS), which round differently: there the
+// decisions must match exactly and the vectors to 1e-9, compared as
+// projectors u u^H, which ignore phase. The kernels themselves are
+// checked against math/big references in cmplxmat.
 
 // addWS returns v + w in the arena.
 func addWS(ws *cmplxmat.Workspace, v, w cmplxmat.Vector) cmplxmat.Vector {
@@ -192,7 +198,7 @@ func zfDecodingVectorOracleWS(ws *cmplxmat.Workspace, sigDir cmplxmat.Vector, in
 }
 
 // planBitEqual compares two plans field by field, encoding vectors by
-// bit pattern.
+// bit pattern, or at M = 2 as projectors to 1e-9.
 func planBitEqual(a, b *Plan) error {
 	if a.M != b.M || a.Wired != b.Wired || fmt.Sprint(a.Owner) != fmt.Sprint(b.Owner) || fmt.Sprint(a.Schedule) != fmt.Sprint(b.Schedule) {
 		return fmt.Errorf("layout differs: %+v vs %+v", a, b)
@@ -201,19 +207,34 @@ func planBitEqual(a, b *Plan) error {
 		return fmt.Errorf("%d vs %d encodings", len(a.Encoding), len(b.Encoding))
 	}
 	for i := range a.Encoding {
-		if !evalBitEqualV(a.Encoding[i], b.Encoding[i]) {
-			return fmt.Errorf("encoding %d differs: %v vs %v", i, a.Encoding[i], b.Encoding[i])
+		if evalBitEqualV(a.Encoding[i], b.Encoding[i]) {
+			continue
+		}
+		if gap := projectorGap(a.Encoding[i], b.Encoding[i]); a.M != 2 || gap > 1e-9 {
+			return fmt.Errorf("encoding %d differs: %v vs %v (projectors %.3g apart)", i, a.Encoding[i], b.Encoding[i], gap)
 		}
 	}
 	return nil
+}
+
+// projectorGap returns the largest entry of |u u^H - v v^H|.
+func projectorGap(u, v cmplxmat.Vector) float64 {
+	var worst float64
+	for i := range u {
+		for j := range u {
+			worst = max(worst, cmplx.Abs(u[i]*cmplx.Conj(u[j])-v[i]*cmplx.Conj(v[j])))
+		}
+	}
+	return worst
 }
 
 // TestPreparedChainMatchesOneShot runs the role search's pattern — one
 // PrepareUplinkChainWS per channel set, three SolveWS attempts — against
 // three calls of the historical one-shot solver with a twin RNG, for
 // M = 2..5 (M = 5 runs past the local-storage limit) and 3..6 APs,
-// plus channel sets whose aligned-packet channel is singular. Plans,
-// errors and the RNG streams must agree exactly.
+// plus channel sets whose aligned-packet channel is singular. Errors
+// and the RNG streams must agree exactly, and plans too from M = 3 up;
+// at M = 2 the encoding vectors agree as projectors to 1e-9.
 func TestPreparedChainMatchesOneShot(t *testing.T) {
 	setRNG := rand.New(rand.NewSource(61))
 	for m := 2; m <= 5; m++ {
@@ -256,7 +277,11 @@ func TestPreparedChainMatchesOneShot(t *testing.T) {
 // path against the full-SVDWS routine on interference sets wider than
 // M-1 — generic, rank-deficient (repeated or aligned directions) and
 // with a zero direction — and the Gram-Schmidt path on narrower ones,
-// from M = 2 up to M = 5, past the local-storage limit.
+// from M = 2 up to M = 5, past the local-storage limit. Both return nil
+// on the same inputs. The decoders are bit for bit except at M = 2 with
+// two or more interferers, where the closed-form leading vector is
+// used and the decoders agree to 1e-9 (the decoder's phase is the
+// signal's, so they compare directly).
 func TestZFDecodingVectorMatchesSVD(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for m := 2; m <= 5; m++ {
@@ -281,7 +306,13 @@ func TestZFDecodingVectorMatchesSVD(t *testing.T) {
 				sig := cmplxmat.RandomGaussianVector(rng, m)
 				got := zfDecodingVectorWS(cmplxmat.NewWorkspace(), sig, interf, m)
 				want := zfDecodingVectorOracleWS(cmplxmat.NewWorkspace(), sig, interf, m)
-				if (got == nil) != (want == nil) || !evalBitEqualV(got, want) {
+				if (got == nil) != (want == nil) {
+					t.Fatalf("M=%d interferers=%d trial %d: %v, SVDWS path %v", m, nInt, trial, got, want)
+				}
+				if evalBitEqualV(got, want) {
+					continue
+				}
+				if m != 2 || nInt < 2 || got.Sub(want).Norm() > 1e-9 {
 					t.Fatalf("M=%d interferers=%d trial %d: %v, SVDWS path %v", m, nInt, trial, got, want)
 				}
 			}

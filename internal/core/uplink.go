@@ -319,8 +319,12 @@ func PrepareUplinkChainWS(ws *cmplxmat.Workspace, cs ChannelSet) UplinkPrep {
 	// Step 1: G_a per aligned packet.
 	prep.invs = ws.MatrixPtrs(len(aSet))
 	prep.gs = ws.MatrixPtrs(len(aSet))
+	inverse := (*cmplxmat.Matrix).InverseWS
+	if m == 2 {
+		inverse = (*cmplxmat.Matrix).Inverse2WS
+	}
 	for i, a := range aSet {
-		inv, err := cs[owners[a]][1].InverseWS(ws)
+		inv, err := inverse(cs[owners[a]][1], ws)
 		if err != nil {
 			prep.err = fmt.Errorf("%w: H[%d][1] singular", ErrInfeasible, owners[a])
 			return prep
@@ -442,7 +446,7 @@ func (prep *UplinkPrep) SolveWS(ws *cmplxmat.Workspace, rng *rand.Rand) (Plan, e
 // screened so the resulting column family has rank exactly k-1. The
 // returned direction is workspace-backed; up to cmplxmat.SmallDim the
 // product matrices, the sample points and the polynomial live in local
-// arrays.
+// arrays. At k = 2 it is dependentDirection2WS, in closed form.
 func dependentDirectionWS(ws *cmplxmat.Workspace, g []*cmplxmat.Matrix, rng *rand.Rand) (cmplxmat.Vector, error) {
 	m := g[0].Rows()
 	if len(g) != m {
@@ -450,6 +454,9 @@ func dependentDirectionWS(ws *cmplxmat.Workspace, g []*cmplxmat.Matrix, rng *ran
 	}
 	if m == 1 {
 		return nil, fmt.Errorf("%w: no nontrivial dependence in dimension 1", ErrInfeasible)
+	}
+	if m == 2 {
+		return dependentDirection2WS(ws, g[0], g[1], rng)
 	}
 	const sd = cmplxmat.SmallDim
 	var prodBuf [sd * sd]complex128
@@ -462,8 +469,7 @@ func dependentDirectionWS(ws *cmplxmat.Workspace, g []*cmplxmat.Matrix, rng *ran
 	ts := ws.VectorIn(tsBuf[:], m+1)
 	vals := ws.VectorIn(valBuf[:], m+1)
 	coeffs := cmplxmat.Poly(ws.VectorIn(coeffBuf[:], m+1))
-	const maxAttempts = 8
-	for attempt := 0; attempt < maxAttempts; attempt++ {
+	for attempt := 0; attempt < dependentAttempts; attempt++ {
 		x := cmplxmat.RandomGaussianVectorWS(ws, rng, m)
 		y := cmplxmat.RandomGaussianVectorWS(ws, rng, m)
 		// Sample at m+1 points and interpolate the degree-m polynomial.
@@ -488,6 +494,55 @@ func dependentDirectionWS(ws *cmplxmat.Workspace, g []*cmplxmat.Matrix, rng *ran
 			dn := d.NormalizeWS(ws)
 			h := productColumns(prod, col, g, dn)
 			if h.RankWS(ws, 1e-7) == m-1 {
+				return dn, nil
+			}
+		}
+	}
+	return nil, fmt.Errorf("%w: no dependent direction found", ErrInfeasible)
+}
+
+// dependentAttempts is how many random lines dependentDirectionWS tries.
+const dependentAttempts = 8
+
+// dependentDirection2WS is dependentDirectionWS at M = 2, in closed
+// form: the determinant along d = x + t y is a quadratic, formed
+// directly (cmplxmat.LineDet2) instead of interpolated from three LU
+// determinants, and rooted by Poly.QuadraticRootsInto instead of
+// Durand-Kerner, in Durand-Kerner's root order. The screen takes the
+// rank of [g1 d, g2 d] by cmplxmat.Rank2. The draws, the degree trim,
+// the root order and the screen's rule are dependentDirectionWS's; only
+// the rounding differs. Every product is rounded before a sum, so
+// nothing here fuses.
+func dependentDirection2WS(ws *cmplxmat.Workspace, g1, g2 *cmplxmat.Matrix, rng *rand.Rand) (cmplxmat.Vector, error) {
+	for attempt := 0; attempt < dependentAttempts; attempt++ {
+		x := cmplxmat.RandomGaussianVectorWS(ws, rng, 2)
+		y := cmplxmat.RandomGaussianVectorWS(ws, rng, 2)
+		coeffs := cmplxmat.LineDet2(g1, g2, x, y)
+		// A determinant that vanishes along the whole line (g1 and g2
+		// align every direction) makes every point of it dependent: take
+		// t = 0. The general path roots its interpolation's rounding
+		// noise there, an arbitrary point.
+		var roots [2]complex128
+		nr := 1
+		if coeffs != ([3]complex128{}) {
+			var err error
+			if nr, err = cmplxmat.Poly(coeffs[:]).QuadraticRootsInto(ws, roots[:]); err != nil {
+				continue
+			}
+		}
+		for _, t := range roots[:nr] {
+			d0, d1 := x[0]+cmplxmat.Mul(t, y[0]), x[1]+cmplxmat.Mul(t, y[1])
+			nrm := math.Sqrt(cmplxmat.Abs2(d0) + cmplxmat.Abs2(d1))
+			if nrm < 1e-9 {
+				continue
+			}
+			s := complex(1/nrm, 0)
+			d0, d1 = cmplxmat.Mul(s, d0), cmplxmat.Mul(s, d1)
+			h00, h10 := g1.MulVec2(d0, d1)
+			h01, h11 := g2.MulVec2(d0, d1)
+			if cmplxmat.Rank2(h00, h01, h10, h11, 1e-7) == 1 {
+				dn := ws.Vector(2)
+				dn[0], dn[1] = d0, d1
 				return dn, nil
 			}
 		}

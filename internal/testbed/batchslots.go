@@ -263,9 +263,13 @@ func planSlot(ws *phy.Workspace, cache *SlotCache, s Scenario, downlink bool, ro
 	bestRate := -1.0
 	var lastErr error
 	batched := 0
+	checked, err := core.CheckSet(estCS)
+	if err != nil {
+		return SlotOutcome{}, err
+	}
 	for _, perm := range perms {
-		est := permuteCandidateWS(mat, estCS, perm, downlink)
-		sv.prepare(mat, est)
+		est := checked.PermuteWS(mat, perm, downlink)
+		sv.prepare(mat, est.Set())
 		for attempt := 0; attempt < sv.candidates(); attempt++ {
 			plan, err := sv.attempt(mat)
 			sc.attempts++
@@ -274,7 +278,7 @@ func planSlot(ws *phy.Workspace, cache *SlotCache, s Scenario, downlink bool, ro
 				continue
 			}
 			opts.Prune, opts.PruneAt = winPerm != nil, bestRate
-			ev, err := plan.EvaluateWS(mat, est, est, opts)
+			ev, err := plan.ScoreWS(mat, est, opts)
 			batched += ev.Products
 			if err != nil {
 				lastErr = err
@@ -286,7 +290,7 @@ func planSlot(ws *phy.Workspace, cache *SlotCache, s Scenario, downlink bool, ro
 			}
 			if ev.SumRate > bestRate {
 				bestRate, scored = ev.SumRate, ev
-				sc.win, winEst, winPerm = plan, est, perm
+				sc.win, winEst, winPerm = plan, est.Set(), perm
 			}
 		}
 	}
@@ -306,7 +310,7 @@ func planSlot(ws *phy.Workspace, cache *SlotCache, s Scenario, downlink bool, ro
 			plannedSINR = scored.SINR
 		}
 	}
-	final, err := win.EvaluateWS(mat, permuteCandidateWS(mat, trueCS, winPerm, downlink), winEst, sc.trueOpts(s.Env, plannedSINR))
+	final, err := win.EvaluateWS(mat, trueCS.PermuteWS(mat, winPerm, downlink), winEst, sc.trueOpts(s.Env, plannedSINR))
 	batched += final.Products
 	if err != nil {
 		return SlotOutcome{}, err
@@ -345,24 +349,4 @@ func planSlot(ws *phy.Workspace, cache *SlotCache, s Scenario, downlink bool, ro
 		}
 	}
 	return out, nil
-}
-
-// permuteCandidateWS applies a role permutation along the axis the
-// search runs over — transmitters on the downlink, receivers on the
-// uplink — with the permuted set's slices in the arena.
-func permuteCandidateWS(ws *cmplxmat.Workspace, cs core.ChannelSet, perm []int, downlink bool) core.ChannelSet {
-	if downlink {
-		out := core.NewChannelSetWS(ws, len(perm), cs.NumRx())
-		for i, o := range perm {
-			copy(out[i], cs[o])
-		}
-		return out
-	}
-	out := core.NewChannelSetWS(ws, cs.NumTx(), len(perm))
-	for t := range cs {
-		for j, o := range perm {
-			out[t][j] = cs[t][o]
-		}
-	}
-	return out
 }
