@@ -212,30 +212,6 @@ func BenchmarkProjectDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkCancellation times signal-level reconstruct-and-subtract for
-// a 1500-byte packet — the per-packet cost an AP pays per wire-shared
-// packet (paper Section 9 notes it is linear and parallelizable).
-func BenchmarkCancellation(b *testing.B) {
-	w := channel.NewWorld(channel.DefaultParams(), 8)
-	tx := w.AddNode(0, 0)
-	rx := w.AddNode(4, 0)
-	m := radio.NewMedium(w, 1e6, 0.001, 9)
-	est := phy.EstimateLink(m, tx, rx, 4)
-	rng := rand.New(rand.NewSource(10))
-	payload := make([]byte, 1500)
-	rng.Read(payload)
-	v := cmplxmat.RandomGaussianVector(rng, 2).Normalize()
-	burst := radio.Burst{From: tx, Start: 0, Samples: phy.PrecodeFrame(payload, v, 1)}
-	dur := burst.Len()
-	y := m.Receive(rx, dur, []radio.Burst{burst})
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		recon := phy.ReconstructAtReceiver(payload, v, 1, est.H, est.CFO, 1e6, 0, dur)
-		phy.Cancel(y, recon)
-	}
-}
-
 // BenchmarkModem times the scalar BPSK framing path.
 func BenchmarkModem(b *testing.B) {
 	payload := make([]byte, 1500)

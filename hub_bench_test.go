@@ -45,55 +45,27 @@ func newMemHubForBench() *benchHubIface {
 	}
 }
 
-// Cancellation is the per-packet cost an AP pays for every packet the
-// hub ships to it (reconstruct-and-subtract, Section 7.1d). The pair
-// below contrasts the heap path with the reusable-workspace path so the
-// CI benchmark gate can watch both.
-
-func benchCancelSetup(b *testing.B) (rx [][]complex128, payload []byte, v cmplxmat.Vector, est phy.LinkEstimate, dur int) {
-	b.Helper()
+// BenchmarkHubPacketCancel times the per-packet cost an AP pays for
+// every packet the hub ships to it (reconstruct-and-subtract, Section
+// 7.1d): phy.CancelWithJitterSearch with the start known exactly
+// (maxJitter 0), the canceller the sample plane links.
+func BenchmarkHubPacketCancel(b *testing.B) {
 	w := channel.NewWorld(channel.DefaultParams(), 8)
 	tx := w.AddNode(0, 0)
 	rcv := w.AddNode(4, 0)
 	m := radio.NewMedium(w, 1e6, 0.001, 9)
-	est = phy.EstimateLink(m, tx, rcv, 4)
+	est := phy.EstimateLink(m, tx, rcv, 4)
 	rng := rand.New(rand.NewSource(10))
-	payload = make([]byte, 1500)
+	payload := make([]byte, 1500)
 	rng.Read(payload)
-	v = cmplxmat.RandomGaussianVector(rng, 2).Normalize()
+	v := cmplxmat.RandomGaussianVector(rng, 2).Normalize()
 	burst := radio.Burst{From: tx, Start: 0, Samples: phy.PrecodeFrame(payload, v, 1)}
-	dur = burst.Len()
-	rx = m.Receive(rcv, dur, []radio.Burst{burst})
-	return rx, payload, v, est, dur
-}
-
-// BenchmarkHubPacketCancelHeap is the "before" shape: every shared
-// packet reconstructs and cancels into freshly allocated antenna buffers.
-func BenchmarkHubPacketCancelHeap(b *testing.B) {
-	rx, payload, v, est, dur := benchCancelSetup(b)
+	rx := m.Receive(rcv, burst.Len(), []radio.Burst{burst})
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		recon := phy.ReconstructAtReceiver(payload, v, 1, est.H, est.CFO, 1e6, 0, dur)
-		phy.Cancel(rx, recon)
-	}
-}
-
-// BenchmarkHubPacketCancelWorkspace is the "after" shape: the same
-// reconstruct-and-subtract on one reusable workspace — zero steady-state
-// heap allocations per shared packet.
-func BenchmarkHubPacketCancelWorkspace(b *testing.B) {
-	rx, payload, v, est, dur := benchCancelSetup(b)
-	ws := phy.GetWorkspace()
-	defer phy.PutWorkspace(ws)
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ws.Reset()
-		recon := phy.ReconstructAtReceiverWS(ws, payload, v, 1, est.H, est.CFO, 1e6, 0, dur)
-		phy.CancelWS(ws, rx, recon)
+		phy.CancelWithJitterSearch(rx, payload, v, 1, est.H, est.CFO, 1e6, 0, 0)
 	}
 }
 

@@ -51,8 +51,7 @@ func TestCancellationWithWrongChannelEstimateLeavesEnergy(t *testing.T) {
 
 	// Correct estimate: near-complete cancellation.
 	good := EstimateLink(m, tx, rx, 8)
-	reconGood := ReconstructAtReceiver(payload, v, 1, good.H, good.CFO, fs, 0, dur)
-	resGood, _ := Cancel(y, reconGood)
+	resGood, _ := CancelWithJitterSearch(y, payload, v, 1, good.H, good.CFO, fs, 0, 0)
 	if totalEnergy(resGood) > before/20 {
 		t.Fatal("good estimate failed to cancel")
 	}
@@ -60,8 +59,7 @@ func TestCancellationWithWrongChannelEstimateLeavesEnergy(t *testing.T) {
 	// A completely wrong channel matrix: the scalar LS fit cannot fake
 	// the spatial signature, so substantial energy remains.
 	wrongH := cmplxmat.RandomGaussian(rng, 2, 2).Scale(complex(good.H.FrobeniusNorm()/2, 0))
-	reconBad := ReconstructAtReceiver(payload, v, 1, wrongH, good.CFO, fs, 0, dur)
-	resBad, _ := Cancel(y, reconBad)
+	resBad, _ := CancelWithJitterSearch(y, payload, v, 1, wrongH, good.CFO, fs, 0, 0)
 	if totalEnergy(resBad) < before/4 {
 		t.Fatalf("cancellation with a wrong channel removed too much: %v of %v",
 			totalEnergy(resBad), before)
@@ -86,8 +84,7 @@ func TestCancellationWithWrongBitsDoesNotCancel(t *testing.T) {
 	y := m.Receive(rx, dur, []radio.Burst{burst})
 	before := totalEnergy(y)
 	est := EstimateLink(m, tx, rx, 8)
-	recon := ReconstructAtReceiver(other, v, 1, est.H, est.CFO, fs, 0, dur)
-	res, _ := Cancel(y, recon)
+	res, _ := CancelWithJitterSearch(y, other, v, 1, est.H, est.CFO, fs, 0, 0)
 	// Shared preamble gives some correlation; the payload (94% of the
 	// frame) must survive.
 	if totalEnergy(res) < before/2 {

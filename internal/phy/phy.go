@@ -132,42 +132,6 @@ type errNoPacket struct{}
 
 func (errNoPacket) Error() string { return "phy: no packet detected" }
 
-// ReconstructAtReceiver rebuilds the multi-antenna signal a receiver saw
-// from a known packet: re-frame and re-modulate the payload, precode with
-// the packet's encoding vector and amplitude, pass through the estimated
-// channel, and rotate by the estimated CFO starting at sample start.
-// This is the reconstruction half of interference cancellation (paper
-// footnote 5: "once the receiver knows the bits and estimates the channel
-// function ... it can reconstruct the corresponding continuous signal").
-func ReconstructAtReceiver(payload []byte, v cmplxmat.Vector, amp float64, hEst *cmplxmat.Matrix, cfoHz, sampleRate float64, start, dur int) [][]complex128 {
-	s := sig.FrameSamples(payload)
-	out := make([][]complex128, hEst.Rows())
-	for a := range out {
-		out[a] = make([]complex128, dur)
-	}
-	hv := hEst.MulVec(v).Scale(complex(amp, 0))
-	reconstructInto(out, s, hv, 2*math.Pi*cfoHz/sampleRate, start)
-	return out
-}
-
-// Cancel subtracts a reconstructed packet from the received samples,
-// first fitting a single complex scale alpha that minimizes the residual
-// energy (least squares over all antennas). The scalar fit absorbs the
-// transmitter's unknown oscillator phase and small gain estimation error,
-// mirroring how practical cancellers operate [19]. It returns the
-// residual samples and the fitted alpha.
-func Cancel(rx, recon [][]complex128) (residual [][]complex128, alpha complex128) {
-	if len(rx) != len(recon) {
-		panic("phy: Cancel antenna count mismatch")
-	}
-	residual = make([][]complex128, len(rx))
-	for a := range rx {
-		residual[a] = make([]complex128, len(rx[a]))
-	}
-	alpha = cancelInto(residual, rx, recon)
-	return residual, alpha
-}
-
 // CancelWithJitterSearch cancels a packet whose exact start sample is
 // only known to within +-maxJitter samples (transmitters key up with
 // slot-clock jitter). It tries every offset in the window and keeps the
@@ -235,16 +199,6 @@ func windowEnergy(x [][]complex128, lo, hi int) float64 {
 	for a := range x {
 		for t := lo; t < hi && t < len(x[a]); t++ {
 			s := x[a][t]
-			e += real(s)*real(s) + imag(s)*imag(s)
-		}
-	}
-	return e
-}
-
-func totalEnergy(x [][]complex128) float64 {
-	var e float64
-	for a := range x {
-		for _, s := range x[a] {
 			e += real(s)*real(s) + imag(s)*imag(s)
 		}
 	}

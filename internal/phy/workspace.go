@@ -1,7 +1,6 @@
 package phy
 
 import (
-	"math"
 	"math/cmplx"
 	"sync"
 	"sync/atomic"
@@ -56,7 +55,7 @@ const maxFreeWorkspaces = 64
 // The pool recycles warm sample-plane workspaces process-wide: a LIFO
 // free list of at most maxFreeWorkspaces entries behind a mutex. The
 // public entry points that keep their allocation-free guts internal
-// (Cancel searches, slot evaluation wrappers) and every simulation
+// (the cancel search, slot evaluation wrappers) and every simulation
 // trial borrow from here. Unlike a sync.Pool, a garbage collection
 // cannot drain it, so a run borrows the same warm arenas from start to
 // end instead of regrowing one after a collection, and its heap
@@ -153,16 +152,6 @@ func projectInto(out []complex128, rx [][]complex128, w cmplxmat.Vector) {
 	}
 }
 
-// ReconstructAtReceiverWS is ReconstructAtReceiver with the multi-antenna
-// output in the workspace arena.
-func ReconstructAtReceiverWS(ws *Workspace, payload []byte, v cmplxmat.Vector, amp float64, hEst *cmplxmat.Matrix, cfoHz, sampleRate float64, start, dur int) [][]complex128 {
-	s := frameSamplesWS(ws, payload)
-	out := ws.AntSamples(hEst.Rows(), dur)
-	hv := hEst.MulVecWS(ws.Mat, v).ScaleWS(ws.Mat, complex(amp, 0))
-	reconstructInto(out, s, hv, 2*math.Pi*cfoHz/sampleRate, start)
-	return out
-}
-
 // reconstructInto accumulates the reconstructed burst into out (assumed
 // zeroed): out[a][start+t] += hv[a] * s[t] * e^{j w (start+t)}.
 func reconstructInto(out [][]complex128, s []complex128, hv cmplxmat.Vector, w float64, start int) {
@@ -182,22 +171,10 @@ func reconstructInto(out [][]complex128, s []complex128, hv cmplxmat.Vector, w f
 	}
 }
 
-// CancelWS is Cancel with the residual in the workspace arena.
-func CancelWS(ws *Workspace, rx, recon [][]complex128) (residual [][]complex128, alpha complex128) {
-	if len(rx) != len(recon) {
-		panic("phy: Cancel antenna count mismatch")
-	}
-	dur := 0
-	if len(rx) > 0 {
-		dur = len(rx[0])
-	}
-	residual = ws.AntSamples(len(rx), dur)
-	alpha = cancelInto(residual, rx, recon)
-	return residual, alpha
-}
-
 // cancelInto fits the least-squares scale alpha and writes
 // rx - alpha*recon into residual. residual rows must have rx's lengths.
+// The scalar fit absorbs the transmitter's unknown oscillator phase and
+// small gain estimation error, as practical cancellers do [19].
 func cancelInto(residual, rx, recon [][]complex128) (alpha complex128) {
 	var num complex128
 	var den float64

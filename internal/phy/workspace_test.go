@@ -32,7 +32,6 @@ func TestWorkspaceSamplePlaneMatchesHeapPlane(t *testing.T) {
 	payload := make([]byte, 64)
 	rng.Read(payload)
 	v := cmplxmat.RandomGaussianVector(rng, 2).Normalize()
-	h := cmplxmat.RandomGaussian(rng, 2, 2)
 	s := sig.FrameSamples(payload)
 
 	txHeap := PrecodeSamples(s, v, 0.7)
@@ -44,26 +43,6 @@ func TestWorkspaceSamplePlaneMatchesHeapPlane(t *testing.T) {
 	w := cmplxmat.RandomGaussianVector(rng, 2).Normalize()
 	if !reflect.DeepEqual(Project(txHeap, w), ProjectWS(ws, txWS, w)) {
 		t.Fatal("ProjectWS diverged from Project")
-	}
-
-	dur := len(s) + 20
-	reconHeap := ReconstructAtReceiver(payload, v, 0.7, h, 120, 1e6, 10, dur)
-	reconWS := ReconstructAtReceiverWS(ws, payload, v, 0.7, h, 120, 1e6, 10, dur)
-	if !reflect.DeepEqual(reconHeap, reconWS) {
-		t.Fatal("ReconstructAtReceiverWS diverged from ReconstructAtReceiver")
-	}
-
-	rx := make([][]complex128, 2)
-	for a := range rx {
-		rx[a] = make([]complex128, dur)
-		for i := range rx[a] {
-			rx[a][i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-	}
-	resHeap, alphaHeap := Cancel(rx, reconHeap)
-	resWS, alphaWS := CancelWS(ws, rx, reconWS)
-	if alphaHeap != alphaWS || !reflect.DeepEqual(resHeap, resWS) {
-		t.Fatal("CancelWS diverged from Cancel")
 	}
 }
 

@@ -1,16 +1,13 @@
 package sig
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// This file adds the denser constellations 802.11 rate adaptation uses.
-// IAC sits below modulation (paper Sections 4, 6b): alignment happens in
-// the antenna-spatial domain, so the same encoding vectors carry BPSK,
-// QPSK or QAM symbols unchanged — a property the tests verify.
-
-// Modulation is a constellation with Gray-coded symbol mapping.
+// Modulation is a constellation of the shared MCS table
+// (mimo.RateTable), with Gray-coded symbol mapping. IAC sits below
+// modulation (paper Sections 4, 6b): alignment happens in the
+// antenna-spatial domain, so the same encoding vectors carry BPSK, QPSK
+// or QAM symbols unchanged. The sample plane sends BPSK; the square-QAM
+// modem that shows the claim is a test oracle (qam_test.go).
 type Modulation int
 
 const (
@@ -53,147 +50,5 @@ func (m Modulation) String() string {
 		return "64-QAM"
 	default:
 		return fmt.Sprintf("Modulation(%d)", int(m))
-	}
-}
-
-// MinSNRdB returns the approximate SNR needed for a raw symbol error
-// rate around 1e-3, the thresholds rate adaptation uses to pick a
-// constellation (802.11-style ladder).
-func (m Modulation) MinSNRdB() float64 {
-	switch m {
-	case BPSK:
-		return 7
-	case QPSK:
-		return 10
-	case QAM16:
-		return 17
-	case QAM64:
-		return 23
-	default:
-		panic(fmt.Sprintf("sig: unknown modulation %d", m))
-	}
-}
-
-// pamLevels returns the per-axis Gray-coded amplitude levels of the
-// square constellation with the given bits per axis, normalized later.
-func pamLevels(bitsPerAxis int) []float64 {
-	n := 1 << uint(bitsPerAxis)
-	levels := make([]float64, n)
-	for i := 0; i < n; i++ {
-		levels[i] = float64(2*i - n + 1)
-	}
-	return levels
-}
-
-// grayEncode maps a natural index to its Gray code.
-func grayEncode(i int) int { return i ^ (i >> 1) }
-
-// Modulate maps bits onto unit-average-energy constellation symbols.
-// len(bits) must be a multiple of BitsPerSymbol.
-func Modulate(m Modulation, bits []byte) ([]complex128, error) {
-	bps := m.BitsPerSymbol()
-	if len(bits)%bps != 0 {
-		return nil, fmt.Errorf("sig: %d bits not a multiple of %d", len(bits), bps)
-	}
-	if m == BPSK {
-		return ModulateBPSK(bits), nil
-	}
-	half := bps / 2
-	levels := pamLevels(half)
-	scale := 1 / math.Sqrt(avgEnergy(levels)*2)
-	out := make([]complex128, 0, len(bits)/bps)
-	for i := 0; i < len(bits); i += bps {
-		ii, err := bitsToIndex(bits[i : i+half])
-		if err != nil {
-			return nil, err
-		}
-		qi, err := bitsToIndex(bits[i+half : i+bps])
-		if err != nil {
-			return nil, err
-		}
-		// Gray mapping: adjacent levels differ by one bit.
-		re := levels[grayIndexToLevel(ii, half)]
-		im := levels[grayIndexToLevel(qi, half)]
-		out = append(out, complex(re*scale, im*scale))
-	}
-	return out, nil
-}
-
-// Demodulate slices symbols back to bits by nearest constellation point.
-func Demodulate(m Modulation, symbols []complex128) []byte {
-	if m == BPSK {
-		return DemodulateBPSK(symbols)
-	}
-	bps := m.BitsPerSymbol()
-	half := bps / 2
-	levels := pamLevels(half)
-	scale := 1 / math.Sqrt(avgEnergy(levels)*2)
-	bits := make([]byte, 0, len(symbols)*bps)
-	for _, s := range symbols {
-		bits = append(bits, axisBits(real(s)/scale, levels, half)...)
-		bits = append(bits, axisBits(imag(s)/scale, levels, half)...)
-	}
-	return bits
-}
-
-func avgEnergy(levels []float64) float64 {
-	var e float64
-	for _, l := range levels {
-		e += l * l
-	}
-	return e / float64(len(levels))
-}
-
-func bitsToIndex(bits []byte) (int, error) {
-	v := 0
-	for _, b := range bits {
-		if b > 1 {
-			return 0, fmt.Errorf("sig: bit value %d out of range", b)
-		}
-		v = v<<1 | int(b)
-	}
-	return v, nil
-}
-
-// grayIndexToLevel maps the Gray-coded bit pattern to a level index so
-// that neighboring levels differ in exactly one bit.
-func grayIndexToLevel(grayBits, bitsPerAxis int) int {
-	// Invert the Gray code: find i with grayEncode(i) == grayBits.
-	i := grayBits
-	for shift := 1; shift < bitsPerAxis; shift <<= 1 {
-		i ^= i >> uint(shift)
-	}
-	return i
-}
-
-func axisBits(v float64, levels []float64, bitsPerAxis int) []byte {
-	// Nearest level.
-	best, bestDist := 0, math.Inf(1)
-	for i, l := range levels {
-		if d := math.Abs(v - l); d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	g := grayEncode(best)
-	bits := make([]byte, bitsPerAxis)
-	for b := 0; b < bitsPerAxis; b++ {
-		bits[bitsPerAxis-1-b] = byte((g >> uint(b)) & 1)
-	}
-	return bits
-}
-
-// PickModulation returns the densest constellation whose threshold the
-// measured SNR clears — the rate adaptation the paper's GNU-Radio
-// platform lacked (Section 10f) but real 802.11 hardware performs.
-func PickModulation(snrDB float64) Modulation {
-	switch {
-	case snrDB >= QAM64.MinSNRdB():
-		return QAM64
-	case snrDB >= QAM16.MinSNRdB():
-		return QAM16
-	case snrDB >= QPSK.MinSNRdB():
-		return QPSK
-	default:
-		return BPSK
 	}
 }

@@ -2,10 +2,125 @@ package sig
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
 )
+
+// The square-QAM modem: Gray-coded constellations of unit average
+// energy. No binary sends QAM samples; the modem is the oracle behind
+// TestAlignmentIsModulationAgnostic (paper Section 6b) and the error-rate
+// ordering the MCS ladder assumes (TestQAMErrorRateOrdering).
+
+// pamLevels returns the per-axis Gray-coded amplitude levels of the
+// square constellation with the given bits per axis, normalized later.
+func pamLevels(bitsPerAxis int) []float64 {
+	n := 1 << uint(bitsPerAxis)
+	levels := make([]float64, n)
+	for i := 0; i < n; i++ {
+		levels[i] = float64(2*i - n + 1)
+	}
+	return levels
+}
+
+// grayEncode maps a natural index to its Gray code.
+func grayEncode(i int) int { return i ^ (i >> 1) }
+
+// Modulate maps bits onto unit-average-energy constellation symbols.
+// len(bits) must be a multiple of BitsPerSymbol.
+func Modulate(m Modulation, bits []byte) ([]complex128, error) {
+	bps := m.BitsPerSymbol()
+	if len(bits)%bps != 0 {
+		return nil, fmt.Errorf("sig: %d bits not a multiple of %d", len(bits), bps)
+	}
+	if m == BPSK {
+		return ModulateBPSK(bits), nil
+	}
+	half := bps / 2
+	levels := pamLevels(half)
+	scale := 1 / math.Sqrt(avgEnergy(levels)*2)
+	out := make([]complex128, 0, len(bits)/bps)
+	for i := 0; i < len(bits); i += bps {
+		ii, err := bitsToIndex(bits[i : i+half])
+		if err != nil {
+			return nil, err
+		}
+		qi, err := bitsToIndex(bits[i+half : i+bps])
+		if err != nil {
+			return nil, err
+		}
+		// Gray mapping: adjacent levels differ by one bit.
+		re := levels[grayIndexToLevel(ii, half)]
+		im := levels[grayIndexToLevel(qi, half)]
+		out = append(out, complex(re*scale, im*scale))
+	}
+	return out, nil
+}
+
+// Demodulate slices symbols back to bits by nearest constellation point.
+func Demodulate(m Modulation, symbols []complex128) []byte {
+	if m == BPSK {
+		return DemodulateBPSK(symbols)
+	}
+	bps := m.BitsPerSymbol()
+	half := bps / 2
+	levels := pamLevels(half)
+	scale := 1 / math.Sqrt(avgEnergy(levels)*2)
+	bits := make([]byte, 0, len(symbols)*bps)
+	for _, s := range symbols {
+		bits = append(bits, axisBits(real(s)/scale, levels, half)...)
+		bits = append(bits, axisBits(imag(s)/scale, levels, half)...)
+	}
+	return bits
+}
+
+func avgEnergy(levels []float64) float64 {
+	var e float64
+	for _, l := range levels {
+		e += l * l
+	}
+	return e / float64(len(levels))
+}
+
+func bitsToIndex(bits []byte) (int, error) {
+	v := 0
+	for _, b := range bits {
+		if b > 1 {
+			return 0, fmt.Errorf("sig: bit value %d out of range", b)
+		}
+		v = v<<1 | int(b)
+	}
+	return v, nil
+}
+
+// grayIndexToLevel maps the Gray-coded bit pattern to a level index so
+// that neighboring levels differ in exactly one bit.
+func grayIndexToLevel(grayBits, bitsPerAxis int) int {
+	// Invert the Gray code: find i with grayEncode(i) == grayBits.
+	i := grayBits
+	for shift := 1; shift < bitsPerAxis; shift <<= 1 {
+		i ^= i >> uint(shift)
+	}
+	return i
+}
+
+func axisBits(v float64, levels []float64, bitsPerAxis int) []byte {
+	// Nearest level.
+	best, bestDist := 0, math.Inf(1)
+	for i, l := range levels {
+		if d := math.Abs(v - l); d < bestDist {
+			best, bestDist = i, d
+		}
+	}
+	g := grayEncode(best)
+	bits := make([]byte, bitsPerAxis)
+	for b := 0; b < bitsPerAxis; b++ {
+		bits[bitsPerAxis-1-b] = byte((g >> uint(b)) & 1)
+	}
+	return bits
+}
 
 func TestModulationProperties(t *testing.T) {
 	for _, m := range []Modulation{BPSK, QPSK, QAM16, QAM64} {
@@ -15,13 +130,6 @@ func TestModulationProperties(t *testing.T) {
 		if m.String() == "" {
 			t.Fatalf("%v name", m)
 		}
-		if m.MinSNRdB() <= 0 {
-			t.Fatalf("%v threshold", m)
-		}
-	}
-	// Thresholds increase with density.
-	if !(BPSK.MinSNRdB() < QPSK.MinSNRdB() && QPSK.MinSNRdB() < QAM16.MinSNRdB() && QAM16.MinSNRdB() < QAM64.MinSNRdB()) {
-		t.Fatal("threshold ordering")
 	}
 	if Modulation(99).String() == "" {
 		t.Fatal("unknown modulation string")
@@ -115,21 +223,6 @@ func TestQAMErrorRateOrdering(t *testing.T) {
 			t.Fatalf("%v BER %v below sparser constellation's %v", m, ber, prevBER)
 		}
 		prevBER = ber
-	}
-}
-
-func TestPickModulation(t *testing.T) {
-	if PickModulation(3) != BPSK {
-		t.Fatal("3 dB")
-	}
-	if PickModulation(12) != QPSK {
-		t.Fatal("12 dB")
-	}
-	if PickModulation(19) != QAM16 {
-		t.Fatal("19 dB")
-	}
-	if PickModulation(30) != QAM64 {
-		t.Fatal("30 dB")
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"hash/crc32"
 	"math"
 	"math/cmplx"
-	"math/rand"
 )
 
 // PreambleBits is the length of the packet preamble in bits. The paper's
@@ -72,17 +71,6 @@ func DemodulateBPSK(samples []complex128) []byte {
 	for i, s := range samples {
 		if real(s) < 0 {
 			bits[i] = 1
-		}
-	}
-	return bits
-}
-
-// BytesToBits expands bytes into bits, most significant bit first.
-func BytesToBits(data []byte) []byte {
-	bits := make([]byte, 0, len(data)*8)
-	for _, b := range data {
-		for i := 7; i >= 0; i-- {
-			bits = append(bits, (b>>uint(i))&1)
 		}
 	}
 	return bits
@@ -240,17 +228,6 @@ func DetectPreamble(rx []complex128) (offset int, corr float64) {
 	return bestOff, best
 }
 
-// AddNoise returns samples plus i.i.d. complex Gaussian noise of the given
-// power (variance split evenly between real and imaginary parts).
-func AddNoise(samples []complex128, noisePower float64, rng *rand.Rand) []complex128 {
-	out := make([]complex128, len(samples))
-	sigma := math.Sqrt(noisePower / 2)
-	for i, s := range samples {
-		out[i] = s + complex(rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)
-	}
-	return out
-}
-
 // MeasureEVMSNR estimates the signal-to-noise ratio of equalized BPSK
 // samples from their error vector magnitude: the decision-directed
 // estimator SNR = E[|s|^2] / E[|s - ŝ|^2], where ŝ is the nearest
@@ -274,19 +251,4 @@ func MeasureEVMSNR(equalized []complex128) float64 {
 		return math.Inf(1)
 	}
 	return sigPow / errPow
-}
-
-// BitErrors counts positions where a and b differ; slices must have equal
-// length.
-func BitErrors(a, b []byte) int {
-	if len(a) != len(b) {
-		panic("sig: BitErrors length mismatch")
-	}
-	n := 0
-	for i := range a {
-		if a[i] != b[i] {
-			n++
-		}
-	}
-	return n
 }

@@ -77,9 +77,11 @@ func TestModulateRejectsBadBits(t *testing.T) {
 
 func TestBytesBitsRoundTrip(t *testing.T) {
 	data := []byte{0x00, 0xff, 0xa5, 0x3c}
-	bits := BytesToBits(data)
-	if len(bits) != 32 {
-		t.Fatalf("bit count %d", len(bits))
+	bits := []byte{
+		0, 0, 0, 0, 0, 0, 0, 0,
+		1, 1, 1, 1, 1, 1, 1, 1,
+		1, 0, 1, 0, 0, 1, 0, 1,
+		0, 0, 1, 1, 1, 1, 0, 0,
 	}
 	back, err := BitsToBytes(bits)
 	if err != nil {
@@ -96,9 +98,13 @@ func TestBytesBitsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestQuickBytesBitsRoundTrip packs the payload bits of a modulated
+// frame back into bytes: BitsToBytes inverts FrameSamplesInto's bit
+// order, most significant bit first.
 func TestQuickBytesBitsRoundTrip(t *testing.T) {
 	f := func(data []byte) bool {
-		back, err := BitsToBytes(BytesToBits(data))
+		bits := DemodulateBPSK(FrameSamples(data))[PreambleBits:]
+		back, err := BitsToBytes(bits[:8*len(data)])
 		return err == nil && bytes.Equal(back, data)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -352,4 +358,30 @@ func randomBits(rng *rand.Rand, n int) []byte {
 		bits[i] = byte(rng.Intn(2))
 	}
 	return bits
+}
+
+// AddNoise returns samples plus i.i.d. complex Gaussian noise of the given
+// power (variance split evenly between real and imaginary parts).
+func AddNoise(samples []complex128, noisePower float64, rng *rand.Rand) []complex128 {
+	out := make([]complex128, len(samples))
+	sigma := math.Sqrt(noisePower / 2)
+	for i, s := range samples {
+		out[i] = s + complex(rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)
+	}
+	return out
+}
+
+// BitErrors counts positions where a and b differ; slices must have equal
+// length.
+func BitErrors(a, b []byte) int {
+	if len(a) != len(b) {
+		panic("sig: BitErrors length mismatch")
+	}
+	n := 0
+	for i := range a {
+		if a[i] != b[i] {
+			n++
+		}
+	}
+	return n
 }
