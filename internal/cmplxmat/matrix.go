@@ -223,6 +223,14 @@ func (m *Matrix) MulVecInto(dst, v Vector) {
 // loop behind MulVec, MulVecWS and MulVecInto. Taking the storage as
 // slices keeps the hot loop off the matrix header's fields.
 func mulVecData(h []complex128, rows, cols int, v, y []complex128) {
+	if rows == 2 && cols == 2 {
+		// The loop below unrolled, with its operation order and its
+		// leading zero (which turns a -0 first product into +0).
+		h, v, y := h[:4], v[:2], y[:2]
+		y[0] = 0 + h[0]*v[0] + h[1]*v[1]
+		y[1] = 0 + h[2]*v[0] + h[3]*v[1]
+		return
+	}
 	for i := 0; i < rows; i++ {
 		var s complex128
 		for j := 0; j < cols; j++ {

@@ -212,6 +212,46 @@ func TestIntoKernelsMatchHeap(t *testing.T) {
 	}
 }
 
+// TestUnrolled2MatchesLoop pins the unrolled 2x2 mulVecData and the
+// length-2 Dot to the general loops they stand in for, bit for bit, on
+// entries drawn from signed zeros, ones, Gaussians and extreme values,
+// so that every sign of zero a sum can produce is exercised.
+func TestUnrolled2MatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	parts := []float64{0, math.Copysign(0, -1), 1, -1, 1e-300, -1e300, math.Inf(1)}
+	part := func() float64 {
+		if rng.Intn(3) == 0 {
+			return rng.NormFloat64()
+		}
+		return parts[rng.Intn(len(parts))]
+	}
+	entry := func() complex128 { return complex(part(), part()) }
+	for trial := 0; trial < 20000; trial++ {
+		h := []complex128{entry(), entry(), entry(), entry()}
+		v := Vector{entry(), entry()}
+		var want [2]complex128
+		for i := 0; i < 2; i++ {
+			var s complex128
+			for j := 0; j < 2; j++ {
+				s += h[i*2+j] * v[j]
+			}
+			want[i] = s
+		}
+		y := NewVector(2)
+		mulVecData(h, 2, 2, v, y)
+		if !bitEqualC(y, want[:]) {
+			t.Fatalf("mulVecData(%v, %v) = %v, loop %v", h, v, y, want)
+		}
+		var dot complex128
+		for i := range v {
+			dot += cmplx.Conj(v[i]) * h[i]
+		}
+		if got := v.Dot(Vector(h[:2])); !bitEqualC([]complex128{got}, []complex128{dot}) {
+			t.Fatalf("%v.Dot(%v) = %v, loop %v", v, h[:2], got, dot)
+		}
+	}
+}
+
 func TestTransposeHermitian(t *testing.T) {
 	a := FromRows([][]complex128{{1 + 1i, 2}, {3, 4 - 1i}})
 	at := a.T()

@@ -82,6 +82,12 @@ func (v Vector) ScaleInto(dst Vector, s complex128) {
 // It panics if dimensions differ.
 func (v Vector) Dot(w Vector) complex128 {
 	mustSameDim(v, w)
+	if len(v) == 2 {
+		// The loop below unrolled, with its operation order and its
+		// leading zero.
+		w := w[:2]
+		return 0 + cmplx.Conj(v[0])*w[0] + cmplx.Conj(v[1])*w[1]
+	}
 	var s complex128
 	for i := range v {
 		s += cmplx.Conj(v[i]) * w[i]

@@ -685,6 +685,10 @@ func (p *Plan) evaluateWS(ws *cmplxmat.Workspace, trueCS, estCS ChannelSet, same
 	m := p.M
 	powers := ws.Floats(k)
 	p.packetPowersInto(powers, opts.NodePower)
+	amps := ws.Floats(k)
+	for pkt, pw := range powers {
+		amps[pkt] = math.Sqrt(pw)
+	}
 
 	t := dirTable{m: m, np: k, kinds: numKinds, rxSlot: ws.Ints(trueCS.NumRx())}
 	for r := range t.rxSlot {
@@ -716,7 +720,7 @@ func (p *Plan) evaluateWS(ws *cmplxmat.Workspace, trueCS, estCS ChannelSet, same
 		for pkt, o := range p.Owner {
 			e, enc, d := estCS[o][rx], p.Encoding[pkt], t.dir(kindEst, pkt, rx)
 			e.MulVecInto(d, enc)
-			d.ScaleInto(t.scaledDir(pkt, rx), complex(math.Sqrt(powers[pkt]), 0))
+			d.ScaleInto(t.scaledDir(pkt, rx), complex(amps[pkt], 0))
 			if t.kinds == numKinds {
 				tr := trueCS[o][rx]
 				tr.MulVecInto(t.dir(kindTrue, pkt, rx), enc)
