@@ -4,11 +4,12 @@
 #
 # The Go spec lets the compiler fuse x*y + z into one instruction, which
 # rounds once instead of twice; amd64 never does, arm64 does. The M = 2
-# kernels (internal/cmplxmat/two.go and core's dependentDirection2WS)
-# round every product that feeds a sum with an explicit float64(...)
-# conversion, which forbids the fusion, so they give the same bits on
-# both. This script cross-builds the root package's test binary for
-# arm64, disassembles it with go tool objdump and fails:
+# kernels (internal/cmplxmat/two.go, core's dependentDirection2WS and
+# the chain solver's tail2WS) round every product that feeds a sum with
+# an explicit float64(...) conversion, which forbids the fusion, so they
+# give the same bits on both. This script cross-builds the root
+# package's test binary for arm64, disassembles it with go tool objdump
+# and fails:
 #   - if a kernel symbol holds FMADD, FMSUB, FNMADD or FNMSUB;
 #   - if a kernel is missing from the binary, since its code would then
 #     sit unchecked inside its callers (a kernel must not be inlined).
@@ -42,6 +43,10 @@ kernels=(
   'iaclan/internal/cmplxmat.Rank2'
   'iaclan/internal/cmplxmat.(*Matrix).Inverse2WS'
   'iaclan/internal/core.dependentDirection2WS'
+  'iaclan/internal/cmplxmat.Unit2'
+  'iaclan/internal/cmplxmat.ZeroForce2'
+  'iaclan/internal/cmplxmat.(*Matrix).MulHVec2'
+  'iaclan/internal/core.(*UplinkPrep).tail2WS'
 )
 # Inlined helpers, checked on their own only when the binary keeps them.
 helpers=(
@@ -52,6 +57,8 @@ helpers=(
   'iaclan/internal/cmplxmat.pow2'
   'iaclan/internal/cmplxmat.pow2Scale'
   'iaclan/internal/cmplxmat.maxPartOf'
+  'iaclan/internal/cmplxmat.Perp2'
+  'iaclan/internal/cmplxmat.Inner2'
 )
 
 # fusedPerSymbol prints "<fused ops> <symbol>" for every text symbol of

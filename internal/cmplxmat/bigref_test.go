@@ -232,3 +232,37 @@ func readCorpus(t *testing.T, name string) []complex128 {
 	}
 	return out
 }
+
+// bigVecErr returns the largest entry error |v_i - ref_i| of a 2-vector.
+func bigVecErr(v Vector, ref [2]bigC) float64 {
+	return max(bigFloat(bigOf(v[0]).sub(ref[0]).abs()), bigFloat(bigOf(v[1]).sub(ref[1]).abs()))
+}
+
+// bigUnit returns the nonzero 2-vector (z0, z1) scaled to unit norm.
+func bigUnit(z0, z1 bigC) [2]bigC {
+	inv := newBig().Quo(newBig().SetInt64(1), newBig().Sqrt(newBig().Add(z0.abs2(), z1.abs2())))
+	return [2]bigC{z0.scale(inv), z1.scale(inv)}
+}
+
+// bigZeroForce returns the exact zero-forcing decoder for the signal s
+// against the interference direction a: r = s - a (a^H s)/(a^H a)
+// scaled to unit norm, and ok false when r is zero.
+func bigZeroForce(a, s Vector) (w [2]bigC, ok bool) {
+	a0, a1, s0, s1 := bigOf(a[0]), bigOf(a[1]), bigOf(s[0]), bigOf(s[1])
+	coef := a0.conj().mul(s0).add(a1.conj().mul(s1)).scale(newBig().Quo(newBig().SetInt64(1), newBig().Add(a0.abs2(), a1.abs2())))
+	r0, r1 := s0.sub(a0.mul(coef)), s1.sub(a1.mul(coef))
+	if r0.isZero() && r1.isZero() {
+		return w, false
+	}
+	return bigUnit(r0, r1), true
+}
+
+// bigMulH returns m^H v exactly for a 2x2 m.
+func bigMulH(m *Matrix, v Vector) [2]bigC {
+	v0, v1 := bigOf(v[0]), bigOf(v[1])
+	var out [2]bigC
+	for j := range out {
+		out[j] = bigOf(m.data[j]).conj().mul(v0).add(bigOf(m.data[2+j]).conj().mul(v1))
+	}
+	return out
+}

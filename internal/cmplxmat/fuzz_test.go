@@ -394,8 +394,8 @@ func FuzzSmallKernels(f *testing.F) {
 
 // FuzzLeading2 drives the M = 2 closed-form leading singular vector
 // through LeadingLeftSingularInto on 2 x k matrices (k = 1..4) beside
-// the Jacobi path: the vector count must match wherever Jacobi's Gram
-// matrix can hold the squared entries (largest part within 2^±400),
+// the Jacobi path: the vector count must match wherever both paths can
+// scale their input by a power of two (largest part within 2^±1000),
 // and a vector that is not Jacobi's bits must be a leading vector by
 // the math/big reference
 // (leading2Ref: unit norm, and a Rayleigh quotient within 1e-14 of the
@@ -422,7 +422,7 @@ func FuzzLeading2(f *testing.F) {
 		got, want := []Vector{NewVector(2)}, []Vector{NewVector(2)}
 		n := m.LeadingLeftSingularInto(ws, got, 1e-12)
 		pm := maxPartOf(m.data...)
-		if wantN := m.leadingJacobiInto(ws, want, 1e-12); n != wantN && pm >= 0x1p-400 && pm <= 0x1p400 {
+		if wantN := m.leadingJacobiInto(ws, want, 1e-12); n != wantN && pm >= 0x1p-1000 && pm <= 0x1p1000 {
 			t.Fatalf("%d vectors, Jacobi %d\n m=%v", n, wantN, m)
 		}
 		if n == 1 && !bitEqualC(got[0], want[0]) {
@@ -499,6 +499,81 @@ func FuzzQuadraticRoots(f *testing.F) {
 			prod := roots[0].mul(roots[1]).sub(coeffs[0].quo(coeffs[2]))
 			if !close(sum.abs(), newBig().Add(roots[0].abs(), roots[1].abs())) || !close(prod.abs(), roots[0].mul(roots[1]).abs()) {
 				t.Fatalf("%v: roots %v do not reproduce the coefficients", p, got)
+			}
+		}
+	})
+}
+
+// FuzzZF2 drives the M = 2 zero-forcing decoder ZeroForce2 on fuzzed
+// interference, as the evaluator calls it: the single interferer of a
+// 2x1 matrix, or the leading vector (LeadingLeftSingularInto) of a 2x2
+// or 2x3 one, against a signal direction s. The degeneracy selector
+// aligns the interferers or zeroes a row or column (degenerate), and
+// the parallel flag puts s on the first interferer's line (an
+// interferer parallel to the signal) plus a fuzzed fraction of the
+// second. Against the math/big decoder: where s lies off a's line by
+// more than 2e-9 of |s| there must be a decoder, within 1e-14 / ρ of
+// the exact one for the relative distance ρ (its phase rests on the few
+// digits of p^H s that survive); below 0.5e-9 there must be none. Where
+// every part lies within 2^±400 and ρ is outside [1e-10, 1e-8], the
+// decision must also be the Gram-Schmidt projection's (zfGeneral).
+// ZeroForce2 declines only an a or s that Unit2 declines.
+func FuzzZF2(f *testing.F) {
+	for degen := byte(0); degen < 5; degen++ {
+		f.Add(byte(1), degen, false, 1.0, 0.5, -0.25, 2.0, -1.0, 0.125, 3.0, -0.5)
+	}
+	f.Add(byte(0), byte(0), true, 1.0, 0.5, -0.25, 2.0, 0.0, 0.0, 0.0, 0.0)     // s on the interferer's line
+	f.Add(byte(0), byte(0), true, 1.0, 0.5, -0.25, 2.0, 1e-9, 0.0, 0.0, 0.0)    // at the threshold
+	f.Add(byte(1), byte(1), false, 1.0, 0.5, -0.25, 2.0, -1.0, 0.125, 3.0, 1.0) // aligned interferers
+	f.Add(byte(2), byte(0), false, 1e-300, 1e300, -1e-300, 1e150, 5e-324, -1e8, 1e-16, 1.0)
+	f.Fuzz(func(t *testing.T, sel, degen byte, parallel bool, a, b, c, d, e, g, h, i float64) {
+		m := fuzzRect(2, 1+int(sel)%3, []float64{a, b, c, d, e, g, h, i})
+		degenerate(m, degen)
+		s := Vector{fuzzEntry(e, g), fuzzEntry(h, i)}
+		if parallel {
+			s = Vector{Mul(m.data[0], complex(1, 2)), Mul(m.data[m.cols], complex(1, 2))}
+			s[1] += fuzzEntry(e, 0)
+		}
+		ws := NewWorkspace()
+		av := Vector{m.data[0], m.data[m.cols]}
+		if m.cols > 1 {
+			if n := m.LeadingLeftSingularInto(ws, []Vector{av}, 1e-12); n == 0 {
+				return // no interference left to null: the matched filter
+			}
+		}
+		w0, w1, null, ok := ZeroForce2(av[0], av[1], s[0], s[1], 1e-9)
+		_, _, okA := Unit2(av[0], av[1])
+		_, _, okS := Unit2(s[0], s[1])
+		if ok != (okA && okS) {
+			t.Fatalf("a=%v s=%v: ok %v, Unit2 accepts a %v, s %v", av, s, ok, okA, okS)
+		}
+		if !ok {
+			return
+		}
+		ref, refOK := bigZeroForce(av, s)
+		var rho float64
+		if refOK {
+			// ρ = |r| / |s| for the exact rejection r.
+			a0, a1, s0, s1 := bigOf(av[0]), bigOf(av[1]), bigOf(s[0]), bigOf(s[1])
+			na, ns := newBig().Add(a0.abs2(), a1.abs2()), newBig().Add(s0.abs2(), s1.abs2())
+			cross := a0.mul(s1).sub(a1.mul(s0)).abs2() // |det[a s]|^2 = |a|^2 |r|^2
+			rho = bigFloat(newBig().Sqrt(newBig().Quo(cross, newBig().Mul(na, ns))))
+		}
+		switch {
+		case rho > 2e-9 && null:
+			t.Fatalf("a=%v s=%v: no decoder at ρ = %.3g", av, s, rho)
+		case rho < 0.5e-9 && !null:
+			t.Fatalf("a=%v s=%v: a decoder at ρ = %.3g", av, s, rho)
+		case !null:
+			if err := bigVecErr(Vector{w0, w1}, ref); err > 1e-14/rho {
+				t.Fatalf("a=%v s=%v: decoder %v off the exact one by %.3g at ρ = %.3g", av, s, Vector{w0, w1}, err, rho)
+			}
+		}
+		pm := maxPartOf(av[0], av[1], s[0], s[1])
+		pn := min(maxPartOf(av[0], av[1]), maxPartOf(s[0], s[1]))
+		if pm <= 0x1p400 && pn >= 0x1p-400 && (rho < 1e-10 || rho > 1e-8) {
+			if want := zfGeneral(ws, av, s); null != (want == nil) {
+				t.Fatalf("a=%v s=%v: null %v, Gram-Schmidt %v (ρ = %.3g)", av, s, null, want, rho)
 			}
 		}
 	})

@@ -3,10 +3,12 @@ package cmplxmat
 import "math"
 
 // Closed-form kernels for M = 2, the planners' common size: the leading
-// left singular vector of a 2-row matrix, the roots of a quadratic, and
-// the 2x2 inverse and rank by the adjugate. Each stands in for a general
-// kernel (Jacobi sweeps, Durand-Kerner, LU elimination) that stays the
-// only path for larger sizes and for inputs the closed form declines.
+// left singular vector of a 2-row matrix, the roots of a quadratic, the
+// 2x2 inverse and rank by the adjugate, and the unit vector orthogonal
+// to a 2-vector with the zero-forcing decoder built on it. Each stands
+// in for a general kernel (Jacobi sweeps, Durand-Kerner, LU
+// elimination, Gram-Schmidt) that stays the only path for larger sizes
+// and for inputs the closed form declines.
 // They share three rules:
 //
 //   - Every product that feeds a sum is rounded by an explicit float64
@@ -45,6 +47,20 @@ func (m *Matrix) MulVec2(v0, v1 complex128) (complex128, complex128) {
 		panic("cmplxmat: MulVec2 needs a 2x2 matrix")
 	}
 	return Mul(m.data[0], v0) + Mul(m.data[1], v1), Mul(m.data[2], v0) + Mul(m.data[3], v1)
+}
+
+// MulHVec2 returns m^H (v0, v1) for a 2x2 m, every product rounded.
+func (m *Matrix) MulHVec2(v0, v1 complex128) (complex128, complex128) {
+	if m.rows != 2 || m.cols != 2 {
+		panic("cmplxmat: MulHVec2 needs a 2x2 matrix")
+	}
+	return Inner2(m.data[0], m.data[2], v0, v1), Inner2(m.data[1], m.data[3], v0, v1)
+}
+
+// Inner2 returns the Hermitian inner product conj(a0) b0 + conj(a1) b1,
+// its products rounded before the sum.
+func Inner2(a0, a1, b0, b1 complex128) complex128 {
+	return Mul(complex(real(a0), -imag(a0)), b0) + Mul(complex(real(a1), -imag(a1)), b1)
 }
 
 // LineDet2 returns the coefficients, in ascending powers, of the
@@ -125,12 +141,18 @@ func pow2Scale(x float64) (down, up float64, ok bool) {
 }
 
 // maxPartOf returns the largest maxPart over zs, NaN if any part is NaN.
+// It takes the maximum on bit patterns: with the sign bit cleared, the
+// patterns of non-NaN floats order as their magnitudes do when read as
+// unsigned integers, and every NaN pattern lies above +Inf's, so one
+// integer maximum finds the largest part or a NaN, with no float
+// comparison's special cases to branch on.
 func maxPartOf(zs ...complex128) float64 {
-	var p float64
+	const abs = 1<<63 - 1
+	var b uint64
 	for _, z := range zs {
-		p = max(p, maxPart(z))
+		b = max(b, math.Float64bits(real(z))&abs, math.Float64bits(imag(z))&abs)
 	}
-	return p
+	return math.Float64frombits(b)
 }
 
 // leading2Into is LeadingLeftSingularInto's closed form for a 2-row m
@@ -319,4 +341,58 @@ func (m *Matrix) Inverse2WS(ws *Workspace) (*Matrix, error) {
 	inv := ws.Matrix(2, 2)
 	inv.data[0], inv.data[1], inv.data[2], inv.data[3] = Mul(d, r), Mul(-b, r), Mul(-c, r), Mul(a, r)
 	return inv, nil
+}
+
+// Unit2 returns (z0, z1) scaled to unit norm, with the norm taken on
+// the entries scaled by a power of two, so nothing squared can overflow
+// or underflow. ok is false, and the caller must take a general path,
+// when both entries are zero, a part is Inf or NaN, or the largest part
+// is out of scaling range (see pow2Scale).
+func Unit2(z0, z1 complex128) (u0, u1 complex128, ok bool) {
+	down, _, ok := pow2Scale(maxPartOf(z0, z1))
+	if !ok {
+		return 0, 0, false
+	}
+	z0, z1 = scaleBy(z0, down), scaleBy(z1, down)
+	inv := 1 / math.Sqrt(Abs2(z0)+Abs2(z1))
+	return scaleBy(z0, inv), scaleBy(z1, inv), true
+}
+
+// Perp2 returns the unit vector (-conj(a1), conj(a0))/|a| orthogonal to
+// the 2-vector a, declining as Unit2 does. It is the complement that
+// OrthogonalComplementVectorWS finds for one vector in two dimensions,
+// up to phase, and, for a = conj(r), the null vector of the 1x2 row r
+// that NullSpaceWS finds for a nonzero row, up to phase.
+func Perp2(a0, a1 complex128) (p0, p1 complex128, ok bool) {
+	u0, u1, ok := Unit2(a0, a1)
+	return complex(-real(u1), imag(u1)), complex(real(u0), -imag(u0)), ok
+}
+
+// ZeroForce2 is the zero-forcing decoder in two dimensions: the unit
+// vector along the part of the signal direction s orthogonal to the
+// interference direction a. With p = (-conj(a1), conj(a0)), orthogonal
+// to a and as long, that part is p (p^H s)/|p|^2, so the decoder is p
+// times the phase of p^H s over |p|, which makes its inner product with
+// s real and positive, as the projection's is. null reports that
+// |p^H s| < tol |p| |s|, compared squared: the signal has no part off a
+// that tol can tell from rounding, and there is no decoder. a and s
+// are each scaled by a power of two first, which changes neither the
+// direction, the phase nor the ratio. ok is false, and the caller must
+// take the general path, when a or s is one Unit2 declines.
+func ZeroForce2(a0, a1, s0, s1 complex128, tol float64) (w0, w1 complex128, null, ok bool) {
+	da, _, okA := pow2Scale(maxPartOf(a0, a1))
+	ds, _, okS := pow2Scale(maxPartOf(s0, s1))
+	if !okA || !okS {
+		return 0, 0, false, false
+	}
+	p0 := complex(-real(a1)*da, imag(a1)*da)
+	p1 := complex(real(a0)*da, -imag(a0)*da)
+	s0, s1 = scaleBy(s0, ds), scaleBy(s1, ds)
+	c := Inner2(p0, p1, s0, s1)
+	c2, p2 := Abs2(c), Abs2(p0)+Abs2(p1)
+	if c2 < float64(tol*tol)*float64(p2*(Abs2(s0)+Abs2(s1))) {
+		return 0, 0, true, true
+	}
+	ph := scaleBy(c, 1/math.Sqrt(float64(p2*c2)))
+	return Mul(p0, ph), Mul(p1, ph), false, true
 }

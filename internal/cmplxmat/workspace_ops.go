@@ -447,16 +447,53 @@ func (m *Matrix) EigenHermitianWS(ws *Workspace) (vals []float64, v *Matrix) {
 	var st eigenStore
 	a, vecs, raw, idx := st.slices(ws, n)
 	copy(a, m.data)
+	down, up := jacobiScale(maxPartOf(m.data...), eigenExpRange)
+	if down != 1 {
+		for i := range a {
+			a[i] = scaleBy(a[i], down)
+		}
+		scale = maxAbs(a)
+	}
 	jacobi(a, vecs, raw, idx, scale)
 	vals = ws.Floats(n)
 	sortedV := ws.Matrix(n, n)
 	for newCol, oldCol := range idx {
-		vals[newCol] = raw[oldCol]
+		vals[newCol] = raw[oldCol] * up
 		for r := 0; r < n; r++ {
 			sortedV.data[r*n+newCol] = vecs[r*n+oldCol]
 		}
 	}
 	return vals, sortedV
+}
+
+// Jacobi's convergence test is absolute, off < 1e-13 (1 + scale) with
+// scale the largest entry, so it holds before the first rotation for a
+// matrix whose entries are all below about 1e-13, and a Gram matrix
+// formed from entries near 2^512 overflows. An input whose largest part
+// has its binary exponent outside these ranges is scaled by a power of
+// two first (jacobiScale), and its eigenvalues or singular values are
+// scaled back. Inside them the input keeps its bits; the planners'
+// channels and directions lie far inside both.
+var (
+	// gramExpRange bounds the entries of a matrix whose Gram matrix
+	// m^H m is formed (SVDWS, LeadingLeftSingularInto).
+	gramExpRange = [2]int{-10, 400}
+	// eigenExpRange bounds the entries of EigenHermitianWS's input.
+	eigenExpRange = [2]int{-20, 800}
+)
+
+// jacobiScale returns the factors down, applied to an input whose
+// largest part is p, and up = 1/down, applied to what it yields, that
+// bring p's binary exponent to 0 when it lies outside r; otherwise, and
+// when p is zero, subnormal, Inf or NaN or too far out to scale in one
+// step (see pow2Scale), both are 1.
+func jacobiScale(p float64, r [2]int) (down, up float64) {
+	if e, ok := exponent(p); ok && (e < r[0] || e > r[1]) {
+		if down, up, ok := pow2Scale(p); ok {
+			return down, up
+		}
+	}
+	return 1, 1
 }
 
 // jacobi diagonalizes the n x n Hermitian matrix packed row-major in a
@@ -597,20 +634,21 @@ func (m *Matrix) equalH(tol float64) bool {
 	return true
 }
 
-// gramInto writes m^H m into g (zeroed, m.cols x m.cols). It runs
-// MulWS's loop on the conjugate transpose — same products, same
-// accumulation order, same skip of zero left factors — without
-// materializing m^H, so the result is bitwise m.H().Mul(m).
-func (m *Matrix) gramInto(g []complex128) {
+// gramInto writes (s m)^H (s m) into g (zeroed, m.cols x m.cols) for a
+// power of two s. It runs MulWS's loop on the conjugate transpose —
+// same products, same accumulation order, same skip of zero left
+// factors — without materializing m^H, so for s = 1, whose products
+// are exact, the result is bitwise m.H().Mul(m).
+func (m *Matrix) gramInto(g []complex128, s float64) {
 	r, c := m.rows, m.cols
 	for i := 0; i < c; i++ {
 		for k := 0; k < r; k++ {
-			a := cmplx.Conj(m.data[k*c+i])
+			a := cmplx.Conj(scaleBy(m.data[k*c+i], s))
 			if a == 0 {
 				continue
 			}
 			for j := 0; j < c; j++ {
-				g[i*c+j] += a * m.data[k*c+j]
+				g[i*c+j] += a * scaleBy(m.data[k*c+j], s)
 			}
 		}
 	}
@@ -665,10 +703,14 @@ func gramMaxAbs(g []complex128, n int) float64 {
 // Gram matrix m^H m in a (zeroed, m.cols x m.cols) and runs its Jacobi
 // eigendecomposition into v, raw and idx (see jacobi), skipping the
 // Hermitian guard because the Gram matrix is Hermitian by
-// construction.
-func (m *Matrix) rightSingular(a, v []complex128, raw []float64, idx []int) {
-	m.gramInto(a)
+// construction. For an m out of gramExpRange the Gram matrix is
+// (m down)^H (m down), and the singular values singularValue(raw[j])
+// must be multiplied by the returned up; otherwise up is 1.
+func (m *Matrix) rightSingular(a, v []complex128, raw []float64, idx []int) (up float64) {
+	down, up := jacobiScale(maxPartOf(m.data...), gramExpRange)
+	m.gramInto(a, down)
 	jacobi(a, v, raw, idx, gramMaxAbs(a, m.cols))
+	return up
 }
 
 // nullTol is the threshold at or below which a singular value of m has
@@ -682,10 +724,7 @@ func (m *Matrix) nullTol() float64 { return 1e-12 * (1 + m.MaxAbs()) }
 // singular value above the threshold built from 2p is above the exact
 // one. A NaN part makes p NaN and leaves the decision to nullTol.
 func (m *Matrix) aboveNull(s float64) bool {
-	var p float64
-	for _, z := range m.data {
-		p = max(p, maxPart(z))
-	}
+	p := maxPartOf(m.data...)
 	return s > 1e-12*(1+2*p) || s > m.nullTol()
 }
 
@@ -722,13 +761,13 @@ func (m *Matrix) SVDWS(ws *Workspace) (u *Matrix, s []float64, v *Matrix) {
 	}
 	var st eigenStore
 	a, vecs, raw, idx := st.slices(ws, cols)
-	m.rightSingular(a, vecs, raw, idx)
+	up := m.rightSingular(a, vecs, raw, idx)
 	nullTol := m.nullTol()
 	s = ws.Floats(k)
 	v = ws.Matrix(cols, k)
 	u = ws.Matrix(rows, k)
 	for j := 0; j < k; j++ {
-		s[j] = singularValue(raw[idx[j]])
+		s[j] = singularValue(raw[idx[j]]) * up
 		for i := 0; i < cols; i++ {
 			v.data[i*k+j] = vecs[i*cols+idx[j]]
 		}
@@ -806,10 +845,10 @@ func (m *Matrix) leadingJacobiInto(ws *Workspace, dst []Vector, rel float64) int
 	}
 	var st eigenStore
 	a, vecs, raw, idx := st.slices(ws, m.cols)
-	m.rightSingular(a, vecs, raw, idx)
-	s0 := singularValue(raw[idx[0]])
+	up := m.rightSingular(a, vecs, raw, idx)
+	s0 := singularValue(raw[idx[0]]) * up
 	for j := 0; j < n; j++ {
-		sj := singularValue(raw[idx[j]])
+		sj := singularValue(raw[idx[j]]) * up
 		if sj <= rel*s0 {
 			return j
 		}

@@ -864,7 +864,20 @@ func cmplxAbs2(c complex128) float64 {
 // Up to cmplxmat.SmallDim antennas the stacked interference matrix, the
 // basis and the projected signal direction live in local arrays; only
 // the returned decoder is arena-backed.
+//
+// At M = 2 the nulled subspace is one direction a, the single
+// interferer or the leading vector of two or more, and the projection
+// is cmplxmat.ZeroForce2 in closed form: p orthogonal to a, phased
+// toward p^H s, with the same 1e-9 |s| rule for no decoder. The
+// Gram-Schmidt projection runs for M >= 3 and for the inputs the closed
+// form declines.
 func zfDecodingVectorWS(ws *cmplxmat.Workspace, sigDir cmplxmat.Vector, interf []cmplxmat.Vector, m int) cmplxmat.Vector {
+	if m == 2 && len(interf) == 1 {
+		// A zero signal is declined, and gets nil below.
+		if w, ok := zf2WS(ws, sigDir, interf[0]); ok {
+			return w
+		}
+	}
 	sigNorm := sigDir.Norm()
 	if sigNorm == 0 {
 		return nil
@@ -907,6 +920,11 @@ func zfDecodingVectorWS(ws *cmplxmat.Workspace, sigDir cmplxmat.Vector, interf [
 		}
 		stacked := cmplxmat.View(m, k, data)
 		nb = stacked.LeadingLeftSingularInto(ws, basis, 1e-12)
+		if m == 2 && nb == 1 {
+			if w, ok := zf2WS(ws, sigDir, basis[0]); ok {
+				return w
+			}
+		}
 	}
 	w := ws.VectorIn(wBuf[:], m)
 	copy(w, sigDir)
@@ -917,4 +935,17 @@ func zfDecodingVectorWS(ws *cmplxmat.Workspace, sigDir cmplxmat.Vector, interf [
 		return nil
 	}
 	return w.NormalizeWS(ws)
+}
+
+// zf2WS is zfDecodingVectorWS's projection at M = 2 onto the complement
+// of the nulled direction a, by cmplxmat.ZeroForce2: nil when the signal
+// has no part off a, and ok false when the kernel declines.
+func zf2WS(ws *cmplxmat.Workspace, sigDir, a cmplxmat.Vector) (w cmplxmat.Vector, ok bool) {
+	w0, w1, null, ok := cmplxmat.ZeroForce2(a[0], a[1], sigDir[0], sigDir[1], 1e-9)
+	if !ok || null {
+		return nil, ok
+	}
+	w = ws.Vector(2)
+	w[0], w[1] = w0, w1
+	return w, true
 }

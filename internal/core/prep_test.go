@@ -278,10 +278,11 @@ func TestPreparedChainMatchesOneShot(t *testing.T) {
 // M-1 — generic, rank-deficient (repeated or aligned directions) and
 // with a zero direction — and the Gram-Schmidt path on narrower ones,
 // from M = 2 up to M = 5, past the local-storage limit. Both return nil
-// on the same inputs. The decoders are bit for bit except at M = 2 with
-// two or more interferers, where the closed-form leading vector is
-// used and the decoders agree to 1e-9 (the decoder's phase is the
-// signal's, so they compare directly).
+// on the same inputs. The decoders are bit for bit from M = 3 up. At
+// M = 2 the closed-form projection (cmplxmat.ZeroForce2) is used, after
+// the closed-form leading vector for two or more interferers: with one
+// interferer the decoders agree as projectors to 1e-9, and with more
+// they agree to 1e-9 directly (the decoder's phase is the signal's).
 func TestZFDecodingVectorMatchesSVD(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for m := 2; m <= 5; m++ {
@@ -310,6 +311,9 @@ func TestZFDecodingVectorMatchesSVD(t *testing.T) {
 					t.Fatalf("M=%d interferers=%d trial %d: %v, SVDWS path %v", m, nInt, trial, got, want)
 				}
 				if evalBitEqualV(got, want) {
+					continue
+				}
+				if m == 2 && nInt == 1 && projectorGap(got, want) <= 1e-9 {
 					continue
 				}
 				if m != 2 || nInt < 2 || got.Sub(want).Norm() > 1e-9 {

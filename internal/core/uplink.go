@@ -342,17 +342,41 @@ func (prep *UplinkPrep) SolveWS(ws *cmplxmat.Workspace, rng *rand.Rand) (Plan, e
 	if prep.err != nil {
 		return Plan{}, prep.err
 	}
-	cs := prep.cs
-	m := cs.Antennas()
+	m := prep.cs.Antennas()
 	layout := prep.layout
-	owners, aSet, bSet := layout.owners, layout.aSet, layout.bSet
-	gs := prep.gs
 
 	// Step 2: root of det[G_1 d, ..., G_M d] = 0 along d = x + t*y.
-	d, err := dependentDirectionWS(ws, gs, rng)
+	d, err := dependentDirectionWS(ws, prep.gs, rng)
 	if err != nil {
 		return Plan{}, err
 	}
+	enc := ws.Vectors(2 * m)
+	if m == 2 {
+		err = prep.tail2WS(ws, rng, d, enc)
+	} else {
+		err = prep.tailWS(ws, rng, d, enc)
+	}
+	if err != nil {
+		return Plan{}, err
+	}
+	return Plan{
+		M:        m,
+		Owner:    layout.owners,
+		Encoding: enc,
+		Schedule: layout.schedule,
+		Wired:    true,
+	}, nil
+}
+
+// tailWS is SolveWS after the dependent direction d (steps 3 and 4 and
+// the aligned packets' vectors) for any M: it writes the encoding
+// vectors into enc, drawing from rng for the B-set combinations and a
+// degenerate packet 0.
+func (prep *UplinkPrep) tailWS(ws *cmplxmat.Workspace, rng *rand.Rand, d cmplxmat.Vector, enc []cmplxmat.Vector) error {
+	cs := prep.cs
+	m := cs.Antennas()
+	owners, aSet, bSet := prep.layout.owners, prep.layout.aSet, prep.layout.bSet
+	gs := prep.gs
 
 	// Up to cmplxmat.SmallDim antennas the products, the aligned
 	// subspace's basis and the B-set rows live in local arrays; only the
@@ -375,7 +399,6 @@ func (prep *UplinkPrep) SolveWS(ws *cmplxmat.Workspace, rng *rand.Rand) (Plan, e
 		}
 	}
 
-	enc := ws.Vectors(2 * m)
 	// Aligned packets.
 	for i, a := range aSet {
 		prep.invs[i].MulVecInto(tmp, d)
@@ -386,11 +409,11 @@ func (prep *UplinkPrep) SolveWS(ws *cmplxmat.Workspace, rng *rand.Rand) (Plan, e
 	// Step 3: normal of the aligned subspace at AP 0.
 	basis = basis[:cmplxmat.OrthonormalBasisInto(basis, 1e-9, ap0Dirs)]
 	if len(basis) != m-1 {
-		return Plan{}, fmt.Errorf("%w: aligned subspace has dim %d, want %d", ErrInfeasible, len(basis), m-1)
+		return fmt.Errorf("%w: aligned subspace has dim %d, want %d", ErrInfeasible, len(basis), m-1)
 	}
 	u1 := cmplxmat.OrthogonalComplementVectorWS(ws, m, 1e-9, basis)
 	if u1 == nil {
-		return Plan{}, fmt.Errorf("%w: no subspace normal", ErrInfeasible)
+		return fmt.Errorf("%w: no subspace normal", ErrInfeasible)
 	}
 
 	// B-set packets: v_b in the null space of the row u1^H * H[c(b)][0].
@@ -408,13 +431,13 @@ func (prep *UplinkPrep) SolveWS(ws *cmplxmat.Workspace, rng *rand.Rand) (Plan, e
 		row := cmplxmat.View(1, m, rowData)
 		ns := row.NullSpaceWS(ws, 1e-9)
 		if len(ns) == 0 {
-			return Plan{}, fmt.Errorf("%w: empty null space for packet %d", ErrInfeasible, b)
+			return fmt.Errorf("%w: empty null space for packet %d", ErrInfeasible, b)
 		}
 		// Random combination within the null space avoids pathological
 		// overlaps between B-set directions at AP 1.
 		clear(v)
 		for _, n := range ns {
-			c := complex(rng.NormFloat64()/math.Sqrt2, rng.NormFloat64()/math.Sqrt2)
+			c := nullCoefficient(rng)
 			for i := range v {
 				v[i] = v[i] + c*n[i]
 			}
@@ -429,14 +452,63 @@ func (prep *UplinkPrep) SolveWS(ws *cmplxmat.Workspace, rng *rand.Rand) (Plan, e
 	if enc[0].Norm() == 0 {
 		enc[0] = randUnitWS(ws, rng, m)
 	}
+	return nil
+}
 
-	return Plan{
-		M:        m,
-		Owner:    owners,
-		Encoding: enc,
-		Schedule: layout.schedule,
-		Wired:    true,
-	}, nil
+// nullCoefficient draws the coefficient of one null-space vector in a
+// B-set packet's random combination.
+func nullCoefficient(rng *rand.Rand) complex128 {
+	return complex(rng.NormFloat64()/math.Sqrt2, rng.NormFloat64()/math.Sqrt2)
+}
+
+// tail2WS is tailWS at M = 2, in closed form. The aligned subspace at
+// AP 0 is the line of x = G_1 d, and the rank test of x and y = G_2 d
+// is |u^H y| <= 1e-9 |y| for the unit u = Perp2(x) orthogonal to x,
+// which is the residual Gram-Schmidt compares. u is AP 0's decoding
+// direction u1, the general path's complement up to phase. The B-set
+// packet's row r = u^H H_b has the null vector (-r1, r0)/|r| =
+// Perp2(conj(r)), with conj(r) = H_b^H u, and takes the same one drawn
+// coefficient; packet 0 is H_0^H u normalized, or drawn when that is
+// zero. The aligned packets' vectors are tailWS's. It draws exactly as
+// tailWS does and returns its errors. An input the closed forms decline
+// (a zero or non-finite x, y, row or H_0^H u, among them the zero row
+// whose null space is the whole plane) goes to tailWS before anything
+// is drawn. Every product is rounded before a sum, so nothing fuses.
+func (prep *UplinkPrep) tail2WS(ws *cmplxmat.Workspace, rng *rand.Rand, d cmplxmat.Vector, enc []cmplxmat.Vector) error {
+	cs := prep.cs
+	owners, aSet, bSet := prep.layout.owners, prep.layout.aSet, prep.layout.bSet
+	x0, x1 := prep.gs[0].MulVec2(d[0], d[1])
+	y0, y1 := prep.gs[1].MulVec2(d[0], d[1])
+	u0, u1, okU := cmplxmat.Perp2(x0, x1)
+	y0, y1, okY := cmplxmat.Unit2(y0, y1)
+	b := bSet[0]
+	r0, r1 := cs[owners[b]][0].MulHVec2(u0, u1)
+	n0, n1, okN := cmplxmat.Perp2(r0, r1)
+	f0, f1 := cs[owners[0]][0].MulHVec2(u0, u1)
+	e0, e1, okE := cmplxmat.Unit2(f0, f1)
+	if !okU || !okY || !okN || !okE && (f0 != 0 || f1 != 0) {
+		return prep.tailWS(ws, rng, d, enc)
+	}
+	// |u^H y|^2 against (1e-9)^2, y being unit.
+	if c := cmplxmat.Inner2(u0, u1, y0, y1); cmplxmat.Abs2(c) > 1e-18 {
+		return fmt.Errorf("%w: aligned subspace has dim %d, want %d", ErrInfeasible, 2, 1)
+	}
+	var tmpBuf [2]complex128
+	tmp := ws.VectorIn(tmpBuf[:], 2)
+	for i, a := range aSet {
+		prep.invs[i].MulVecInto(tmp, d)
+		enc[a] = tmp.NormalizeWS(ws)
+	}
+	c := nullCoefficient(rng)
+	enc[b] = ws.Vector(2)
+	enc[b][0], enc[b][1], _ = cmplxmat.Unit2(cmplxmat.Mul(c, n0), cmplxmat.Mul(c, n1))
+	if okE {
+		enc[0] = ws.Vector(2)
+		enc[0][0], enc[0][1] = e0, e1
+	} else {
+		enc[0] = randUnitWS(ws, rng, 2)
+	}
+	return nil
 }
 
 // dependentDirectionWS finds a nonzero d with det[g[0]d, ..., g[k-1]d] = 0,
@@ -577,12 +649,26 @@ func productColumns(prod []complex128, col cmplxmat.Vector, g []*cmplxmat.Matrix
 // interference direction d at that receiver, the receiver projects on
 // w = complement(d), and the transmit vector maximizing |w^H h v| is
 // v = h^H w (transmit matched filter). Falls back to a random vector for
-// degenerate channels. The returned vector is workspace-backed.
+// degenerate channels. The returned vector is workspace-backed. At
+// M = 2 the complement is cmplxmat.Perp2, the tail2WS decoding
+// direction's closed form, unless it declines.
 func matchedFreeVectorWS(ws *cmplxmat.Workspace, h *cmplxmat.Matrix, alignedDir cmplxmat.Vector, rng *rand.Rand) cmplxmat.Vector {
 	m := h.Rows()
-	single := ws.Vectors(1)
-	single[0] = alignedDir
-	w := cmplxmat.OrthogonalComplementVectorWS(ws, m, 1e-12, single)
+	var w cmplxmat.Vector
+	var perpBuf [2]complex128
+	var p0, p1 complex128
+	ok := false
+	if m == 2 {
+		p0, p1, ok = cmplxmat.Perp2(alignedDir[0], alignedDir[1])
+	}
+	if ok {
+		w = ws.VectorIn(perpBuf[:], 2)
+		w[0], w[1] = p0, p1
+	} else {
+		single := ws.Vectors(1)
+		single[0] = alignedDir
+		w = cmplxmat.OrthogonalComplementVectorWS(ws, m, 1e-12, single)
+	}
 	if w == nil {
 		return randUnitWS(ws, rng, m)
 	}
