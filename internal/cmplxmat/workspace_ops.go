@@ -447,7 +447,7 @@ func (m *Matrix) EigenHermitianWS(ws *Workspace) (vals []float64, v *Matrix) {
 	var st eigenStore
 	a, vecs, raw, idx := st.slices(ws, n)
 	copy(a, m.data)
-	down, up := jacobiScale(maxPartOf(m.data...), eigenExpRange)
+	down, up := jacobiScale(maxPartOf(m.data...), eigenMinExp, eigenMaxExp)
 	if down != 1 {
 		for i := range a {
 			a[i] = scaleBy(a[i], down)
@@ -474,21 +474,22 @@ func (m *Matrix) EigenHermitianWS(ws *Workspace) (vals []float64, v *Matrix) {
 // two first (jacobiScale), and its eigenvalues or singular values are
 // scaled back. Inside them the input keeps its bits; the planners'
 // channels and directions lie far inside both.
-var (
-	// gramExpRange bounds the entries of a matrix whose Gram matrix
-	// m^H m is formed (SVDWS, LeadingLeftSingularInto).
-	gramExpRange = [2]int{-10, 400}
-	// eigenExpRange bounds the entries of EigenHermitianWS's input.
-	eigenExpRange = [2]int{-20, 800}
+const (
+	// gramMinExp and gramMaxExp bound the entries of a matrix whose
+	// Gram matrix m^H m is formed (SVDWS, LeadingLeftSingularInto).
+	gramMinExp, gramMaxExp = -10, 400
+	// eigenMinExp and eigenMaxExp bound the entries of
+	// EigenHermitianWS's input.
+	eigenMinExp, eigenMaxExp = -20, 800
 )
 
 // jacobiScale returns the factors down, applied to an input whose
 // largest part is p, and up = 1/down, applied to what it yields, that
-// bring p's binary exponent to 0 when it lies outside r; otherwise, and
-// when p is zero, subnormal, Inf or NaN or too far out to scale in one
-// step (see pow2Scale), both are 1.
-func jacobiScale(p float64, r [2]int) (down, up float64) {
-	if e, ok := exponent(p); ok && (e < r[0] || e > r[1]) {
+// bring p's binary exponent to 0 when it lies outside [lo, hi];
+// otherwise, and when p is zero, subnormal, Inf or NaN or too far out
+// to scale in one step (see pow2Scale), both are 1.
+func jacobiScale(p float64, lo, hi int) (down, up float64) {
+	if e, ok := exponent(p); ok && (e < lo || e > hi) {
 		if down, up, ok := pow2Scale(p); ok {
 			return down, up
 		}
@@ -703,11 +704,12 @@ func gramMaxAbs(g []complex128, n int) float64 {
 // Gram matrix m^H m in a (zeroed, m.cols x m.cols) and runs its Jacobi
 // eigendecomposition into v, raw and idx (see jacobi), skipping the
 // Hermitian guard because the Gram matrix is Hermitian by
-// construction. For an m out of gramExpRange the Gram matrix is
-// (m down)^H (m down), and the singular values singularValue(raw[j])
-// must be multiplied by the returned up; otherwise up is 1.
+// construction. For an m whose largest part's exponent is outside
+// [gramMinExp, gramMaxExp] the Gram matrix is (m down)^H (m down), and
+// the singular values singularValue(raw[j]) must be multiplied by the
+// returned up; otherwise up is 1.
 func (m *Matrix) rightSingular(a, v []complex128, raw []float64, idx []int) (up float64) {
-	down, up := jacobiScale(maxPartOf(m.data...), gramExpRange)
+	down, up := jacobiScale(maxPartOf(m.data...), gramMinExp, gramMaxExp)
 	m.gramInto(a, down)
 	jacobi(a, v, raw, idx, gramMaxAbs(a, m.cols))
 	return up
