@@ -4,8 +4,9 @@
 #
 # The Go spec lets the compiler fuse x*y + z into one instruction, which
 # rounds once instead of twice; amd64 never does, arm64 does. The M = 2
-# kernels (internal/cmplxmat/two.go, core's dependentDirection2WS and
-# the chain solver's tail2WS) round every product that feeds a sum with
+# kernels (internal/cmplxmat/two.go, core's dependentDirection2WS, the
+# chain solver's tail2WS and the fixed-size scorer score2WS with its
+# decoder zf2) round every product that feeds a sum with
 # an explicit float64(...) conversion, which forbids the fusion, so they
 # give the same bits on both. This script cross-builds the root
 # package's test binary for arm64, disassembles it with go tool objdump
@@ -47,6 +48,9 @@ kernels=(
   'iaclan/internal/cmplxmat.ZeroForce2'
   'iaclan/internal/cmplxmat.(*Matrix).MulHVec2'
   'iaclan/internal/core.(*UplinkPrep).tail2WS'
+  'iaclan/internal/cmplxmat.leading2'
+  'iaclan/internal/core.(*Plan).score2WS'
+  'iaclan/internal/core.zf2'
 )
 # Inlined helpers, checked on their own only when the binary keeps them.
 helpers=(
@@ -59,6 +63,11 @@ helpers=(
   'iaclan/internal/cmplxmat.maxPartOf'
   'iaclan/internal/cmplxmat.Perp2'
   'iaclan/internal/cmplxmat.Inner2'
+  'iaclan/internal/cmplxmat.Leading2'
+  'iaclan/internal/cmplxmat.mulVec2'
+  'iaclan/internal/cmplxmat.(*Matrix).Apply2'
+  'iaclan/internal/cmplxmat.clearOfNull'
+  'iaclan/internal/core.power2'
 )
 
 # fusedPerSymbol prints "<fused ops> <symbol>" for every text symbol of

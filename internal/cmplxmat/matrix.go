@@ -224,11 +224,11 @@ func (m *Matrix) MulVecInto(dst, v Vector) {
 // slices keeps the hot loop off the matrix header's fields.
 func mulVecData(h []complex128, rows, cols int, v, y []complex128) {
 	if rows == 2 && cols == 2 {
-		// The loop below unrolled, with its operation order and its
-		// leading zero (which turns a -0 first product into +0).
-		h, v, y := h[:4], v[:2], y[:2]
-		y[0] = 0 + h[0]*v[0] + h[1]*v[1]
-		y[1] = 0 + h[2]*v[0] + h[3]*v[1]
+		// The loop below unrolled (mulVec2, also behind Apply2), with
+		// its operation order and its leading zero (which turns a -0
+		// first product into +0).
+		v, y := v[:2], y[:2]
+		y[0], y[1] = mulVec2(h, v[0], v[1])
 		return
 	}
 	for i := 0; i < rows; i++ {

@@ -49,6 +49,24 @@ func (m *Matrix) MulVec2(v0, v1 complex128) (complex128, complex128) {
 	return Mul(m.data[0], v0) + Mul(m.data[1], v1), Mul(m.data[2], v0) + Mul(m.data[3], v1)
 }
 
+// Apply2 returns m (v0, v1) for a 2x2 m with the bits of MulVecInto:
+// it is mulVec2, the 2x2 body of MulVecInto's kernel, whose sums start
+// from zero (0 + m00 v0 + m01 v1), which turns a -0 first product into
+// +0. MulVec2 leaves that zero out.
+func (m *Matrix) Apply2(v0, v1 complex128) (complex128, complex128) {
+	if m.rows != 2 || m.cols != 2 {
+		panic("cmplxmat: Apply2 needs a 2x2 matrix")
+	}
+	return mulVec2(m.data[:4], v0, v1)
+}
+
+// mulVec2 returns h (v0, v1) for the 2x2 matrix h packed row-major,
+// each sum started from zero and every product rounded.
+func mulVec2(h []complex128, v0, v1 complex128) (complex128, complex128) {
+	h = h[:4]
+	return 0 + Mul(h[0], v0) + Mul(h[1], v1), 0 + Mul(h[2], v0) + Mul(h[3], v1)
+}
+
 // MulHVec2 returns m^H (v0, v1) for a 2x2 m, every product rounded.
 func (m *Matrix) MulHVec2(v0, v1 complex128) (complex128, complex128) {
 	if m.rows != 2 || m.cols != 2 {
@@ -157,26 +175,65 @@ func maxPartOf(zs ...complex128) float64 {
 
 // leading2Into is LeadingLeftSingularInto's closed form for a 2-row m
 // when only the leading vector is asked for; it writes it into dst[0].
-// That vector is the leading eigenvector of the 2x2 Hermitian
-// m m^H = [[a, b], [conj(b), c]], with eigenvalue λ = (a+c)/2 + r,
-// r = sqrt(h^2 + |b|^2) and h = (a-c)/2.
-// Both (λ-c, conj(b)) = (h+r, conj(b)) and (b, λ-a) = (b, r-h) are
-// eigenvectors; the kernel takes the one whose real entry adds two
-// non-negative terms, so nothing cancels. s0 = sqrt(λ) goes through
-// LeadingLeftSingularInto's rel and aboveNull tests, and a null s0
-// takes the same SVDWS fallback. ok is false when the Jacobi path must
-// run instead: m is zero, has an Inf or NaN part or is out of scaling
-// range, or its two eigenvalues are too close to tell apart (r < 2^-480
-// after scaling), where no leading vector is determined.
+// The vector and its singular value s0 come from leading2. s0 goes
+// through LeadingLeftSingularInto's rel and aboveNull tests, and a null
+// s0 takes the same SVDWS fallback. ok is false when the Jacobi path
+// must run instead (see leading2).
 func (m *Matrix) leading2Into(ws *Workspace, dst []Vector, rel float64) (n int, ok bool) {
-	down, up, ok := pow2Scale(maxPartOf(m.data...))
+	k := m.cols
+	u0, u1, s0, clear, ok := leading2(m.data[:k], m.data[k:2*k])
 	if !ok {
 		return 0, false
 	}
-	k := m.cols
+	if s0 <= rel*s0 {
+		return 0, true
+	}
+	if !clear && !(s0 > m.nullTol()) {
+		return m.svdLeadingInto(ws, dst[:1], rel), true
+	}
+	dst[0][0], dst[0][1] = u0, u1
+	return 1, true
+}
+
+// Leading2 is LeadingLeftSingularInto for one vector of the 2-row
+// matrix with rows x and y, on scalars: it returns the vector the closed
+// form computes, leading2Into's bits, with ok true only when
+// LeadingLeftSingularInto(dst of one, rel) would write exactly that
+// vector. On any other path (the closed form declines, no singular value
+// is above rel, or s0 is near the null threshold) ok is false and the
+// caller runs LeadingLeftSingularInto itself.
+func Leading2(x, y []complex128, rel float64) (u0, u1 complex128, ok bool) {
+	u0, u1, s0, clear, ok := leading2(x, y)
+	if !ok || s0 <= rel*s0 || !clear {
+		return 0, 0, false
+	}
+	return u0, u1, true
+}
+
+// leading2 is the closed form behind leading2Into and Leading2: the
+// leading left singular vector (u0, u1) and singular value s0 of the
+// 2-row matrix m with rows x and y, of equal length. The vector is the
+// leading eigenvector of the 2x2 Hermitian m m^H = [[a, b], [conj(b), c]],
+// with eigenvalue λ = (a+c)/2 + r, r = sqrt(h^2 + |b|^2) and h = (a-c)/2.
+// Both (λ-c, conj(b)) = (h+r, conj(b)) and (b, λ-a) = (b, r-h) are
+// eigenvectors; the kernel takes the one whose real entry adds two
+// non-negative terms, so nothing cancels. clear reports that s0 passes
+// aboveNull's cheap bound (clearOfNull), so it is above m's null
+// threshold; when it is false the caller must compare s0 with nullTol
+// itself. ok is false when the Jacobi path must
+// run instead: m is zero, has an Inf or NaN part or is out of scaling
+// range, or its two eigenvalues are too close to tell apart (r < 2^-480
+// after scaling), where no leading vector is determined.
+func leading2(x, y []complex128) (u0, u1 complex128, s0 float64, clear, ok bool) {
+	pm := max(maxPartOf(x...), maxPartOf(y...))
+	down, up, ok := pow2Scale(pm)
+	if !ok {
+		return 0, 0, 0, false, false
+	}
+	y = y[:len(x)]
 	var a, c, br, bi float64
-	for j := 0; j < k; j++ {
-		x, y := scaleBy(m.data[j], down), scaleBy(m.data[k+j], down)
+	for j := range x {
+		x, y := scaleBy(x[j], down), scaleBy(y[j], down)
 		a += Abs2(x)
 		c += Abs2(y)
 		br += float64(real(x)*real(y)) + float64(imag(x)*imag(y))
@@ -185,24 +242,16 @@ func (m *Matrix) leading2Into(ws *Workspace, dst []Vector, rel float64) (n int, 
 	h := float64(0.5 * (a - c))
 	r := math.Sqrt(float64(h*h) + float64(br*br) + float64(bi*bi))
 	if !(r >= 0x1p-480) {
-		return 0, false
+		return 0, 0, 0, false, false
 	}
-	s0 := math.Sqrt(float64(0.5*(a+c))+r) * up
-	if s0 <= rel*s0 {
-		return 0, true
-	}
-	if !m.aboveNull(s0) {
-		return m.svdLeadingInto(ws, dst[:1], rel), true
-	}
-	var u0, u1 complex128
+	s0 = math.Sqrt(float64(0.5*(a+c))+r) * up
 	if h >= 0 {
 		u0, u1 = complex(h+r, 0), complex(br, -bi)
 	} else {
 		u0, u1 = complex(br, bi), complex(r-h, 0)
 	}
 	inv := 1 / math.Sqrt(Abs2(u0)+Abs2(u1))
-	dst[0][0], dst[0][1] = scaleBy(u0, inv), scaleBy(u1, inv)
-	return 1, true
+	return scaleBy(u0, inv), scaleBy(u1, inv), s0, clearOfNull(s0, pm), true
 }
 
 // QuadraticRootsInto is RootsInto for a polynomial of at most three

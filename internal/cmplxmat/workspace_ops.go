@@ -726,9 +726,12 @@ func (m *Matrix) nullTol() float64 { return 1e-12 * (1 + m.MaxAbs()) }
 // singular value above the threshold built from 2p is above the exact
 // one. A NaN part makes p NaN and leaves the decision to nullTol.
 func (m *Matrix) aboveNull(s float64) bool {
-	p := maxPartOf(m.data...)
-	return s > 1e-12*(1+2*p) || s > m.nullTol()
+	return clearOfNull(s, maxPartOf(m.data...)) || s > m.nullTol()
 }
+
+// clearOfNull is aboveNull's cheap bound: s > 1e-12 (1 + 2p) for the
+// largest part p of a matrix.
+func clearOfNull(s, p float64) bool { return s > 1e-12*(1+float64(2*p)) }
 
 // singularValue maps a Gram eigenvalue to its singular value, clamping
 // rounding-negative eigenvalues to zero.

@@ -11,9 +11,10 @@ import (
 // and three interferers: the Gram-Schmidt branch and the 2x2 and 2x3
 // principal-component branches), the alignment solver's dependent
 // direction and the slot evaluator (collapsed and full direction
-// tables, and scoring on a checked set) at zero heap allocations on a warm workspace. Their working
-// storage lives in local arrays, so a local that escapes to the heap
-// fails this test.
+// tables, and scoring on a checked set: the fixed-size scorer at M = 2,
+// the general evaluator at M = 3) at zero heap allocations on a warm
+// workspace. Their working storage lives in local arrays, so a local
+// that escapes to the heap fails this test.
 func TestM2KernelsZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	sig := cmplxmat.RandomGaussianVector(rng, 2)
@@ -34,6 +35,15 @@ func TestM2KernelsZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := EvalOptions{NodePower: 1.0, Noise: testNoise / testSNR, ResidualCancel: true}
+	cs3 := RandomChannelSet(rng, UplinkChainAssignment{M: 3}.NumClients(), UplinkAPsNeeded(3), 3, testSNR)
+	plan3, err := SolveUplinkChain(cs3, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked3, err := CheckSet(cs3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	evaluate := func(trueCS ChannelSet) func() {
 		return func() {
 			if _, err := plan.EvaluateWS(ws, trueCS, est, opts); err != nil {
@@ -56,6 +66,11 @@ func TestM2KernelsZeroAlloc(t *testing.T) {
 		{"EvaluateWS, estimates only", evaluate(est)},
 		{"ScoreWS", func() {
 			if _, err := plan.ScoreWS(ws, checked, opts); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"ScoreWS, M = 3", func() {
+			if _, err := plan3.ScoreWS(ws, checked3, opts); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -62,6 +62,13 @@ func boundCase(rng *rand.Rand, m int, random, wired bool, kind uint8, scaleExp i
 			plan.Encoding[i], plan.Encoding[j] = plan.Encoding[j], plan.Encoding[i]
 		})
 	}
+	degrade(rng, plan, cs, kind, scaleExp)
+	return plan, cs
+}
+
+// degrade applies boundCase's degeneracy kind%3 and scale 2^scaleExp to
+// a plan and its channel set in place.
+func degrade(rng *rand.Rand, plan *Plan, cs ChannelSet, kind uint8, scaleExp int) {
 	switch kind % 3 {
 	case 1: // aligned interferers
 		for rx := 0; rx < cs.NumRx(); rx++ {
@@ -87,7 +94,6 @@ func boundCase(rng *rand.Rand, m int, random, wired bool, kind uint8, scaleExp i
 			cs[tx][rx] = cs[tx][rx].Scale(scale)
 		}
 	}
-	return plan, cs
 }
 
 // FuzzScoreBound checks the prune bound of Plan.EvaluateWS on random

@@ -641,7 +641,8 @@ func (cs ChannelSet) PermuteWS(ws *cmplxmat.Workspace, perm []int, txAxis bool) 
 // ScoreWS is EvaluateWS with c's set as both the true and the estimate
 // set, as a planner scores its candidates. It checks the plan itself
 // (its structure, its M against the set's, its owners and receivers
-// against the set's size) but not the set again.
+// against the set's size) but not the set again. At M = 2 it runs the
+// fixed-size scorer score2WS, which gives evaluateWS's bits.
 func (p *Plan) ScoreWS(ws *cmplxmat.Workspace, c CheckedSet, opts EvalOptions) (Evaluation, error) {
 	if err := p.validateWith(ws.Bools(p.NumPackets())); err != nil {
 		return Evaluation{}, err
@@ -651,6 +652,9 @@ func (p *Plan) ScoreWS(ws *cmplxmat.Workspace, c CheckedSet, opts EvalOptions) (
 	}
 	if err := p.checkRanges(c.cs.NumTx(), c.cs.NumRx()); err != nil {
 		return Evaluation{}, err
+	}
+	if p.M == 2 {
+		return p.score2WS(ws, c.cs, opts)
 	}
 	return p.evaluateWS(ws, c.cs, c.cs, true, opts)
 }

@@ -53,6 +53,27 @@ func perturbedEstimate(rng *rand.Rand, cs ChannelSet) ChannelSet {
 	return est
 }
 
+// ladderRate is a discrete rate table for the evaluator tests: four
+// rungs at linear SINR thresholds 1, 3, 7 and 15.
+func ladderRate(sinr float64) float64 {
+	switch {
+	case sinr >= 15:
+		return 6
+	case sinr >= 7:
+		return 4.5
+	case sinr >= 3:
+		return 3
+	case sinr >= 1:
+		return 1.5
+	default:
+		return 0
+	}
+}
+
+// ladderDecodes is ladderRate's decode rule: a packet below the lowest
+// rung fails.
+func ladderDecodes(_ int, sinr float64) bool { return sinr >= 1 }
+
 // evalCase is one evaluation the equivalence test pins: a plan and the
 // channel sets and options it is measured under.
 type evalCase struct {
@@ -95,21 +116,7 @@ func diversityOptions(rng *rand.Rand, cs ChannelSet) []*Plan {
 func evalCases(t *testing.T) []evalCase {
 	t.Helper()
 	rng := rand.New(rand.NewSource(23))
-	mcs := func(sinr float64) float64 {
-		switch {
-		case sinr >= 15:
-			return 6
-		case sinr >= 7:
-			return 4.5
-		case sinr >= 3:
-			return 3
-		case sinr >= 1:
-			return 1.5
-		default:
-			return 0
-		}
-	}
-	decodes := func(_ int, sinr float64) bool { return sinr >= 1 }
+	mcs, decodes := ladderRate, ladderDecodes
 	noise := testNoise / testSNR
 	optCases := []struct {
 		name string
@@ -447,39 +454,231 @@ func TestMalformedSetsRejectedEverywhere(t *testing.T) {
 }
 
 // TestScoreWSMatchesEvaluateWS: scoring on a checked set is EvaluateWS
-// with that set as both the true and the estimate set, bit for bit,
-// pruned or not.
+// with that set as both the true and the estimate set, bit for bit in
+// every Evaluation field, Decoding included, with the same error and
+// the same Rate and Decodes calls in the same order. At M = 2 ScoreWS
+// runs the fixed-size scorer, so this pins it to the general evaluator
+// on every M = 2 shape the planners score (the chain over 3 and 4 APs,
+// the 2-AP three-packet uplink, the downlink triangle and the diversity
+// options) and on an M = 3 chain, which takes the general path. Each
+// plan is scored on the set it was solved on (exact alignment) and on a
+// perturbed one, under Shannon and ladder rates, with residual
+// cancellation, and pruned at thresholds that stop it before each of
+// its packets in turn.
 func TestScoreWSMatchesEvaluateWS(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	ws := cmplxmat.NewWorkspace()
-	for trial := 0; trial < 20; trial++ {
-		cs := RandomChannelSet(rng, UplinkChainAssignment{M: 2}.NumClients(), 3, 2, testSNR)
-		plan, err := SolveUplinkChain(cs, rng)
-		if err != nil {
-			t.Fatal(err)
+	noise := testNoise / testSNR
+	shapes := []struct {
+		name          string
+		m, numTx, aps int
+		trials        int
+		solve         func(ChannelSet, *rand.Rand) (*Plan, error)
+	}{
+		{"chain-3ap", 2, 3, 3, 20, SolveUplinkChain},
+		{"chain-4ap", 2, 3, 4, 20, SolveUplinkChain},
+		{"uplink-three", 2, 2, 2, 10, SolveUplinkThree},
+		{"triangle", 2, 3, 3, 10, func(cs ChannelSet, _ *rand.Rand) (*Plan, error) { return SolveDownlinkTriangle(cs) }},
+		{"chain-m3", 3, UplinkChainAssignment{M: 3}.NumClients(), UplinkAPsNeeded(3), 10, SolveUplinkChain},
+	}
+	// prunedAt[shape][i] counts the evaluations that pruned before the
+	// plan's i-th packet in schedule order.
+	prunedAt := map[string]*[4]int{}
+	for _, sh := range shapes {
+		prunedAt[sh.name] = new([4]int)
+		for trial := 0; trial < sh.trials; trial++ {
+			cs := RandomChannelSet(rng, sh.numTx, sh.aps, sh.m, testSNR)
+			plan, err := sh.solve(cs, rng)
+			if err != nil {
+				t.Fatalf("%s trial %d: %v", sh.name, trial, err)
+			}
+			for _, set := range []ChannelSet{cs, perturbedEstimate(rng, cs)} {
+				name := fmt.Sprintf("%s trial %d", sh.name, trial)
+				scoreMatchesEvaluate(t, ws, name, plan, set, noise, prunedAt[sh.name])
+			}
 		}
-		checked, err := CheckSet(cs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, opts := range []EvalOptions{
-			{NodePower: 1, Noise: testNoise / testSNR, ResidualCancel: true},
-			{NodePower: 1, Noise: testNoise / testSNR, Prune: true, PruneAt: 10},
-		} {
-			got, gotErr := plan.ScoreWS(ws, checked, opts)
-			want, wantErr := plan.EvaluateWS(ws, cs, cs, opts)
-			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got.Pruned != want.Pruned || got.Products != want.Products ||
-				math.Float64bits(got.SumRate) != math.Float64bits(want.SumRate) || !evalBitEqualF(got.SINR, want.SINR) {
-				t.Fatalf("trial %d: ScoreWS %+v (%v), EvaluateWS %+v (%v)", trial, got, gotErr, want, wantErr)
+	}
+	cs := RandomChannelSet(rng, 2, 1, 2, testSNR)
+	for i, plan := range diversityOptions(rng, cs) {
+		scoreMatchesEvaluate(t, ws, fmt.Sprintf("diversity-%d", i), plan, cs, noise, new([4]int))
+	}
+	for _, name := range []string{"chain-3ap", "chain-4ap"} {
+		for i, n := range prunedAt[name] {
+			if n == 0 {
+				t.Errorf("%s: no evaluation pruned before packet %d of the schedule", name, i)
 			}
 		}
 	}
 }
 
-// BenchmarkEvaluateUplinkChain times the slot evaluator on one planning
-// round's worth of work at M = 2: one 3-AP uplink-chain candidate scored
-// on the estimates (the collapsed table) plus the winner's measurement
-// on the true channels (the full table), with residual cancellation.
+// scoreMatchesEvaluate scores plan on set through ScoreWS and through
+// EvaluateWS(set, set) under a list of options and fails on any
+// difference (see evalDiff); the prune thresholds come from the plan's
+// own bounds and rates. prunedAt counts where the pruned evaluations
+// stopped, by schedule position.
+func scoreMatchesEvaluate(t *testing.T, ws *cmplxmat.Workspace, name string, plan *Plan, set ChannelSet, noise float64, prunedAt *[4]int) {
+	t.Helper()
+	checked, err := CheckSet(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(opts EvalOptions) (Evaluation, []evalCall) {
+		t.Helper()
+		var gotLog, wantLog []evalCall
+		got, gotErr := plan.ScoreWS(ws, checked, loggedOptions(opts, &gotLog))
+		want, wantErr := plan.EvaluateWS(ws, set, set, loggedOptions(opts, &wantLog))
+		if d := evalDiff(got, gotErr, gotLog, want, wantErr, wantLog); d != "" {
+			t.Fatalf("%s, %+v: ScoreWS and EvaluateWS differ in %s", name, opts, d)
+		}
+		return want, wantLog
+	}
+	k := plan.NumPackets()
+	for _, opts := range []EvalOptions{
+		{NodePower: 1, Noise: noise},
+		{NodePower: 1, Noise: noise, ResidualCancel: true},
+		{NodePower: 1, Noise: noise, Prune: true, PruneAt: 10},
+		{NodePower: 1, Noise: noise, ResidualCancel: true, Rate: ladderRate, Decodes: ladderDecodes},
+	} {
+		run(opts)
+	}
+	for _, rate := range []func(float64) float64{stats.ShannonRate, ladderRate} {
+		// An unpruned run logs the k rate bounds, then the k rates, in
+		// schedule order; from them, ub below is the sum the prune test
+		// compares before packet i.
+		opts := EvalOptions{NodePower: 1, Noise: noise, ResidualCancel: true, Rate: rate, Decodes: ladderDecodes, Prune: true, PruneAt: math.Inf(-1)}
+		full, log := run(opts)
+		if full.Pruned {
+			t.Fatalf("%s: pruned at -Inf", name)
+		}
+		var outs []float64
+		for _, c := range log {
+			if c.pkt < 0 {
+				outs = append(outs, c.out)
+			}
+		}
+		if len(outs) != 2*k {
+			t.Fatalf("%s: %d Rate calls unpruned, want %d", name, len(outs), 2*k)
+		}
+		for i := 0; i < k; i++ {
+			ub := 0.0
+			for _, r := range outs[k : k+i] {
+				ub += r
+			}
+			for _, b := range outs[i:k] {
+				ub += b
+			}
+			for _, at := range []float64{ub, math.Nextafter(ub, math.Inf(-1))} {
+				opts.PruneAt = at
+				ev, log := run(opts)
+				if !ev.Pruned {
+					continue
+				}
+				rates := -k
+				for _, c := range log {
+					if c.pkt < 0 {
+						rates++
+					}
+				}
+				if rates < len(prunedAt) {
+					prunedAt[rates]++
+				}
+			}
+		}
+	}
+}
+
+// evalCall is one call an evaluation made to its options' closures: a
+// Rate call (pkt -1) or a Decodes call for pkt, with the SINR passed
+// and, for Rate, the rate returned.
+type evalCall struct {
+	pkt       int
+	sinr, out float64
+}
+
+// loggedOptions returns opts with Rate (Shannon when nil) and Decodes
+// (when set) wrapped to append each call to log.
+func loggedOptions(opts EvalOptions, log *[]evalCall) EvalOptions {
+	rate := opts.Rate
+	if rate == nil {
+		rate = stats.ShannonRate
+	}
+	opts.Rate = func(sinr float64) float64 {
+		r := rate(sinr)
+		*log = append(*log, evalCall{-1, sinr, r})
+		return r
+	}
+	if decodes := opts.Decodes; decodes != nil {
+		opts.Decodes = func(pkt int, sinr float64) bool {
+			*log = append(*log, evalCall{pkt, sinr, 0})
+			return decodes(pkt, sinr)
+		}
+	}
+	return opts
+}
+
+// evalDiff names the first thing in which two evaluations differ bit
+// for bit, "" if none: the error's text, Pruned, Products, SumRate,
+// SINR, PacketRate, Decoding (each vector, nil or not) and the logged
+// closure calls. Any NaN matches any NaN: which NaN an operation on a
+// NaN returns is the compiler's choice (it may swap a commutative
+// operation's operands), and a build instrumented for fuzzing chooses
+// differently from a plain one.
+func evalDiff(a Evaluation, aErr error, aLog []evalCall, b Evaluation, bErr error, bLog []evalCall) string {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) || x != x && y != y }
+	sameF := func(x, y []float64) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if !same(x[i], y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	switch {
+	case fmt.Sprint(aErr) != fmt.Sprint(bErr):
+		return fmt.Sprintf("error: %v vs %v", aErr, bErr)
+	case a.Pruned != b.Pruned:
+		return fmt.Sprintf("Pruned: %v vs %v", a.Pruned, b.Pruned)
+	case a.Products != b.Products:
+		return fmt.Sprintf("Products: %d vs %d", a.Products, b.Products)
+	case !same(a.SumRate, b.SumRate):
+		return fmt.Sprintf("SumRate: %v vs %v", a.SumRate, b.SumRate)
+	case !sameF(a.SINR, b.SINR):
+		return fmt.Sprintf("SINR: %v vs %v", a.SINR, b.SINR)
+	case !sameF(a.PacketRate, b.PacketRate):
+		return fmt.Sprintf("PacketRate: %v vs %v", a.PacketRate, b.PacketRate)
+	case len(a.Decoding) != len(b.Decoding):
+		return fmt.Sprintf("Decoding: %d vs %d vectors", len(a.Decoding), len(b.Decoding))
+	case len(aLog) != len(bLog):
+		return fmt.Sprintf("closure calls: %d vs %d", len(aLog), len(bLog))
+	}
+	for i, x := range a.Decoding {
+		y := b.Decoding[i]
+		ok := (x == nil) == (y == nil) && len(x) == len(y)
+		for j := 0; ok && j < len(x); j++ {
+			ok = same(real(x[j]), real(y[j])) && same(imag(x[j]), imag(y[j]))
+		}
+		if !ok {
+			return fmt.Sprintf("Decoding[%d]: %v vs %v", i, x, y)
+		}
+	}
+	for i := range aLog {
+		x, y := aLog[i], bLog[i]
+		if x.pkt != y.pkt || !same(x.sinr, y.sinr) || !same(x.out, y.out) {
+			return fmt.Sprintf("closure call %d: %+v vs %+v", i, x, y)
+		}
+	}
+	return ""
+}
+
+// BenchmarkEvaluateUplinkChain times the general slot evaluator at
+// M = 2 on a 3-AP uplink-chain plan: EvaluateWS on the estimates alone
+// (the collapsed table) plus the winner's measurement on the true
+// channels (the full table), with residual cancellation. The planner
+// scores its candidates through ScoreWS's fixed-size path instead
+// (BenchmarkScoreChainM2).
 func BenchmarkEvaluateUplinkChain(b *testing.B) {
 	rng := rand.New(rand.NewSource(41))
 	cs := RandomChannelSet(rng, UplinkChainAssignment{M: 2}.NumClients(), 3, 2, testSNR)
