@@ -5,10 +5,12 @@
 # The Go spec lets the compiler fuse x*y + z into one instruction, which
 # rounds once instead of twice; amd64 never does, arm64 does. The M = 2
 # kernels (internal/cmplxmat/two.go, core's dependentDirection2WS, the
-# chain solver's tail2WS and the fixed-size scorer score2WS with its
-# decoder zf2) round every product that feeds a sum with
-# an explicit float64(...) conversion, which forbids the fusion, so they
-# give the same bits on both. This script cross-builds the root
+# chain solver's tail2WS, the fixed-size scorer score2WS and
+# measurement measure2WS with their decoder zf2, and the channel's
+# diagonal chain product DiagScaleInto)
+# round every product that feeds a sum with an explicit float64(...)
+# conversion, which forbids the fusion, so they give the same bits on
+# both. This script cross-builds the root
 # package's test binary for arm64, disassembles it with go tool objdump
 # and fails:
 #   - if a kernel symbol holds FMADD, FMSUB, FNMADD or FNMSUB;
@@ -50,7 +52,9 @@ kernels=(
   'iaclan/internal/core.(*UplinkPrep).tail2WS'
   'iaclan/internal/cmplxmat.leading2'
   'iaclan/internal/core.(*Plan).score2WS'
+  'iaclan/internal/core.(*Plan).measure2WS'
   'iaclan/internal/core.zf2'
+  'iaclan/internal/cmplxmat.(*Matrix).DiagScaleInto'
 )
 # Inlined helpers, checked on their own only when the binary keeps them.
 helpers=(
@@ -68,6 +72,7 @@ helpers=(
   'iaclan/internal/cmplxmat.(*Matrix).Apply2'
   'iaclan/internal/cmplxmat.clearOfNull'
   'iaclan/internal/core.power2'
+  'iaclan/internal/cmplxmat.(*Matrix).SubApply2'
 )
 
 # fusedPerSymbol prints "<fused ops> <symbol>" for every text symbol of

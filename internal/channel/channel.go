@@ -71,10 +71,11 @@ type Node struct {
 	Antennas int
 	// oscHz is this node's oscillator offset from the nominal carrier.
 	oscHz float64
-	// txChain and rxChain are the constant diagonal hardware matrices of
-	// this node's transmit and receive paths (Eq. 8 calibration inputs),
-	// views into the world's chain slab.
-	txChain, rxChain cmplxmat.Matrix
+	// txGain and rxGain are the diagonals of the constant diagonal
+	// hardware matrices of this node's transmit and receive paths (Eq. 8
+	// calibration inputs), one gain per antenna, views into the world's
+	// chain slab.
+	txGain, rxGain []complex128
 	// pairs heads the list of this node's pair rows (noRow when empty).
 	pairs int32
 }
@@ -193,7 +194,7 @@ func (w *World) Nodes() []*Node { return w.nodes }
 func (w *World) reserve(n int) {
 	m := w.params.Antennas
 	w.nodeSlab.Reserve(n)
-	w.chains.Reserve(2 * n * m * m)
+	w.chains.Reserve(2 * n * m)
 	w.nodes = slices.Grow(w.nodes, n-len(w.nodes))
 }
 
@@ -211,25 +212,24 @@ func (w *World) AddNode(x, y float64) *Node {
 		oscHz:    w.rng.NormFloat64() * w.params.CFOStdHz,
 		pairs:    noRow,
 	}
-	w.randomChain(&n.txChain)
-	w.randomChain(&n.rxChain)
+	n.txGain = w.randomChain()
+	n.rxGain = w.randomChain()
 	w.nodes = append(w.nodes, n)
 	return n
 }
 
-// randomChain sets c to a diagonal hardware chain matrix on fresh slab
-// storage: per-antenna gain within HardwareSpreadDB of unity and
+// randomChain returns the diagonal of a hardware chain matrix on fresh
+// slab storage: per-antenna gain within HardwareSpreadDB of unity and
 // uniform random phase.
-func (w *World) randomChain(c *cmplxmat.Matrix) {
-	m := w.params.Antennas
-	_, d := w.chains.Take(m * m)
-	for i := 0; i < m; i++ {
+func (w *World) randomChain() []complex128 {
+	_, d := w.chains.Take(w.params.Antennas)
+	for i := range d {
 		gainDB := (w.rng.Float64()*2 - 1) * w.params.HardwareSpreadDB
 		gain := math.Pow(10, gainDB/20)
 		phase := w.rng.Float64() * 2 * math.Pi
-		d[i*m+i] = cmplx.Rect(gain, phase)
+		d[i] = cmplx.Rect(gain, phase)
 	}
-	*c = cmplxmat.View(m, m, d)
+	return d
 }
 
 // Distance returns the Euclidean distance between two nodes, floored at
@@ -326,33 +326,26 @@ func (w *World) physFor(a, b *Node) cmplxmat.Matrix {
 //
 // Only the result is allocated on the heap; see ChannelInto.
 func (w *World) Channel(tx, rx *Node) *cmplxmat.Matrix {
-	ws := cmplxmat.GetWorkspace()
-	defer cmplxmat.PutWorkspace(ws)
 	h := cmplxmat.New(rx.Antennas, tx.Antennas)
-	w.ChannelInto(h, ws, tx, rx)
+	w.ChannelInto(h, tx, rx)
 	return h
 }
 
 // ChannelInto writes Channel(tx, rx) into dst, which must be
-// rx.Antennas x tx.Antennas. The propagation matrix is read in place (or
-// transposed into ws) and the intermediate product lives in ws, released
-// before return, with the same multiplications as
-// rx.rxChain.Mul(w.Propagation(tx, rx)).Mul(tx.txChain).
-func (w *World) ChannelInto(dst *cmplxmat.Matrix, ws *cmplxmat.Workspace, tx, rx *Node) {
-	mark := ws.Mark()
-	defer ws.Release(mark)
+// rx.Antennas x tx.Antennas. The hardware chains are diagonal, so the
+// product is one pass over the propagation matrix, read in place
+// (transposed for the hi->lo direction): H_ij = r_i P_ij t_j, with the
+// bits of the two matrix products RxChain * P * TxChain
+// (cmplxmat.Matrix.DiagScaleInto).
+func (w *World) ChannelInto(dst *cmplxmat.Matrix, tx, rx *Node) {
 	phys := w.physFor(tx, rx)
-	p := &phys
-	if tx.ID > rx.ID {
-		p = p.TWS(ws)
-	}
-	rx.rxChain.MulWS(ws, p).MulInto(dst, &tx.txChain)
+	phys.DiagScaleInto(dst, rx.rxGain, tx.txGain, tx.ID > rx.ID)
 }
 
 // ChannelWS is Channel with the result in ws's arena.
 func (w *World) ChannelWS(ws *cmplxmat.Workspace, tx, rx *Node) *cmplxmat.Matrix {
 	h := ws.Matrix(rx.Antennas, tx.Antennas)
-	w.ChannelInto(h, ws, tx, rx)
+	w.ChannelInto(h, tx, rx)
 	return h
 }
 

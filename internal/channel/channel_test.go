@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"encoding/binary"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -551,12 +552,12 @@ func newTestbedOracle(params Params, seed int64, n int, roomSize float64) *mapWo
 func (w *mapWorld) addNode(x, y float64) {
 	n := &Node{ID: len(w.nodes), X: x, Y: y, Antennas: w.params.Antennas,
 		oscHz: w.rng.NormFloat64() * w.params.CFOStdHz}
-	n.txChain = *w.randomChain()
-	n.rxChain = *w.randomChain()
+	n.txGain = w.randomChain()
+	n.rxGain = w.randomChain()
 	w.nodes = append(w.nodes, n)
 }
 
-func (w *mapWorld) randomChain() *cmplxmat.Matrix {
+func (w *mapWorld) randomChain() []complex128 {
 	d := make([]complex128, w.params.Antennas)
 	for i := range d {
 		gainDB := (w.rng.Float64()*2 - 1) * w.params.HardwareSpreadDB
@@ -564,7 +565,7 @@ func (w *mapWorld) randomChain() *cmplxmat.Matrix {
 		phase := w.rng.Float64() * 2 * math.Pi
 		d[i] = cmplx.Rect(gain, phase)
 	}
-	return cmplxmat.Diagonal(d...)
+	return d
 }
 
 func (w *mapWorld) node(id int) *Node { return w.nodes[id] }
@@ -611,7 +612,7 @@ func (w *mapWorld) Propagation(tx, rx *Node) *cmplxmat.Matrix {
 }
 
 func (w *mapWorld) Channel(tx, rx *Node) *cmplxmat.Matrix {
-	return rx.rxChain.Mul(w.Propagation(tx, rx)).Mul(&tx.txChain)
+	return chainProduct(rx.rxGain, w.Propagation(tx, rx), tx.txGain)
 }
 
 func (w *mapWorld) Redraw(a, b *Node) {
@@ -709,7 +710,7 @@ func TestChannelMatchesChainProduct(t *testing.T) {
 				continue
 			}
 			got := w.Channel(tx, rx)
-			want := rx.rxChain.Mul(w.Propagation(tx, rx)).Mul(&tx.txChain)
+			want := chainProduct(rx.rxGain, w.Propagation(tx, rx), tx.txGain)
 			for r := 0; r < want.Rows(); r++ {
 				for c := 0; c < want.Cols(); c++ {
 					x, y := got.At(r, c), want.At(r, c)
@@ -719,6 +720,127 @@ func TestChannelMatchesChainProduct(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// FuzzChannelKernel pins ChannelInto's one-pass kernel,
+// cmplxmat.Matrix.DiagScaleInto, to the two-product oracle chainProduct
+// (RxChain * P * TxChain through diagonal matrices) at M = 2 and 3, with
+// P read in place and transposed. Every part of every entry comes from
+// the input's bytes, so it can be any float64: ±0, subnormal, huge, Inf
+// or NaN, and a chain gain can be zero. On finite operands whose
+// oracle result is finite the two agree bit for bit. On a non-finite
+// operand, or a product that overflows (which the oracle's products by
+// the chains' zero entries turn into NaN across its row), the kernel's
+// result must hold a non-finite entry. The oracle can stay finite on a
+// non-finite operand: MulInto skips a zero gain's row, Inf and all.
+func FuzzChannelKernel(f *testing.F) {
+	seed := func(head byte, parts ...float64) []byte {
+		out := []byte{head}
+		for _, x := range parts {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(x))
+		}
+		return out
+	}
+	negZero := math.Copysign(0, -1)
+	// P's entries, then r's, then t's, real and imaginary parts in turn.
+	f.Add(seed(0, 0.3, -1.2, 0.7, 0.1, -0.4, 0.9, 1.1, -0.6, 1.05, 0.2, -0.8, 0.6, 0.9, -0.3, 0.5, 1.0))
+	f.Add(seed(2, 0.3, -1.2, 0.7, 0.1, -0.4, 0.9, 1.1, -0.6, 1.05, 0.2, -0.8, 0.6, 0.9, -0.3, 0.5, 1.0))
+	f.Add(seed(0, negZero, 0, 0, negZero, negZero, negZero, 1, -2, 1, negZero, -1, 0, negZero, 1, 2, negZero))
+	f.Add(seed(2, negZero, 0, 0, negZero, negZero, negZero, 1, -2, 0, 0, -1, 0, negZero, 1, 2, negZero))
+	f.Add(seed(0, math.Inf(1), 0, 1, 1, 1, math.NaN(), 1, 1, 1, 0, 1, 0, 1, 0, 1, 0))
+	f.Add(seed(2, 1e300, 1e300, 1, 1, 1, 1, 1e-300, 1, 1e10, 1e10, 1, 0, 1, 0, 1e-10, 1))
+	f.Add(seed(1, 0.3, -1.2, 0.7, 0.1, -0.4, 0.9, 1.1, -0.6, 0.2, negZero, 0.5, 0.5, 5e-324, 1, 1, 1, 1, 0, negZero, 2, 1, 1, 0.5, -0.5))
+	f.Add(seed(3, 0.3, -1.2, 0.7, 0.1, -0.4, 0.9, 1.1, -0.6, 0.2, negZero, 0.5, 0.5, 5e-324, 1, 1, 1, 1, 0, negZero, 2, 1, 1, 0.5, -0.5))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		m, transpose := 2+int(data[0]&1), data[0]&2 != 0
+		data = data[1:]
+		next := func() complex128 {
+			var parts [2]float64
+			for i := range parts {
+				var b [8]byte
+				data = data[copy(b[:], data):]
+				parts[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+			}
+			return complex(parts[0], parts[1])
+		}
+		p := cmplxmat.New(m, m)
+		for i := range m {
+			for j := range m {
+				p.SetAt(i, j, next())
+			}
+		}
+		r, tg := make([]complex128, m), make([]complex128, m)
+		for i := range r {
+			r[i] = next()
+		}
+		for i := range tg {
+			tg[i] = next()
+		}
+		got := cmplxmat.New(m, m)
+		p.DiagScaleInto(got, r, tg, transpose)
+		q := p
+		if transpose {
+			q = p.T()
+		}
+		want := chainProduct(r, q, tg)
+		finite := func(zs ...complex128) bool {
+			for _, z := range zs {
+				if math.IsInf(real(z), 0) || math.IsNaN(real(z)) || math.IsInf(imag(z), 0) || math.IsNaN(imag(z)) {
+					return false
+				}
+			}
+			return true
+		}
+		entries := func(h *cmplxmat.Matrix) []complex128 {
+			var out []complex128
+			for i := range m {
+				for j := range m {
+					out = append(out, h.At(i, j))
+				}
+			}
+			return out
+		}
+		switch {
+		case finite(entries(p)...) && finite(r...) && finite(tg...) && finite(entries(want)...):
+			mustBitEqual(t, "DiagScaleInto", got, want)
+		case finite(entries(got)...):
+			t.Fatalf("DiagScaleInto %v finite on non-finite operands or products (chain product %v)", got, want)
+		}
+	})
+}
+
+// BenchmarkChannelInto times one slot's true channels at
+// campus_fading's shape, warm: ChannelInto for every direction of every
+// client-AP pair of three clients and four APs (24 calls, the 12
+// uplink ones reading the propagation matrix transposed), every pair's
+// fading drawn before the timer starts.
+func BenchmarkChannelInto(b *testing.B) {
+	w := NewWorld(DefaultParams(), 43)
+	var aps, clients []*Node
+	for i := 0; i < 4; i++ {
+		aps = append(aps, w.AddNode(float64(3*i), 0))
+	}
+	for i := 0; i < 3; i++ {
+		clients = append(clients, w.AddNode(float64(4*i), 5))
+	}
+	dst := cmplxmat.New(2, 2)
+	slot := func() {
+		for _, c := range clients {
+			for _, a := range aps {
+				w.ChannelInto(dst, c, a)
+				w.ChannelInto(dst, a, c)
+			}
+		}
+	}
+	slot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		slot()
 	}
 }
 
@@ -748,7 +870,6 @@ func FuzzWorldOps(f *testing.F) {
 			w.addNode(float64(3*i), float64(i))
 			o.addNode(float64(3*i), float64(i))
 		}
-		ws := cmplxmat.NewWorkspace()
 		next := func() int {
 			if len(ops) == 0 {
 				return 0
@@ -776,7 +897,7 @@ func FuzzWorldOps(f *testing.F) {
 				mustBitEqual(t, "channel", w.Channel(a, b), o.Channel(oa, ob))
 			case 2:
 				h := cmplxmat.New(b.Antennas, a.Antennas)
-				w.ChannelInto(h, ws, a, b)
+				w.ChannelInto(h, a, b)
 				mustBitEqual(t, "ChannelInto", h, o.Channel(oa, ob))
 			case 3:
 				mustBitEqual(t, "propagation", w.Propagation(a, b), o.Propagation(oa, ob))

@@ -39,18 +39,25 @@ func (w *World) Redraw(a, b *Node) {
 // It returns an error only if a hardware chain is singular, which would
 // mean a dead RF path.
 func IdealCalibration(client, ap *Node) (Calibration, error) {
-	rxAPInv, err := ap.rxChain.Inverse()
+	rxAPInv, err := cmplxmat.Diagonal(ap.rxGain...).Inverse()
 	if err != nil {
 		return Calibration{}, err
 	}
-	txClientInv, err := client.txChain.Inverse()
+	txClientInv, err := cmplxmat.Diagonal(client.txGain...).Inverse()
 	if err != nil {
 		return Calibration{}, err
 	}
 	return Calibration{
-		Left:  ap.txChain.Mul(rxAPInv),
-		Right: txClientInv.Mul(&client.rxChain),
+		Left:  cmplxmat.Diagonal(ap.txGain...).Mul(rxAPInv),
+		Right: txClientInv.Mul(cmplxmat.Diagonal(client.rxGain...)),
 	}, nil
+}
+
+// chainProduct is the channel through diagonal hardware chains as two
+// matrix products, RxChain * P * TxChain, with the chains' diagonals r
+// and t: the oracle for World.ChannelInto's one-pass kernel.
+func chainProduct(r []complex128, p *cmplxmat.Matrix, t []complex128) *cmplxmat.Matrix {
+	return cmplxmat.Diagonal(r...).Mul(p).Mul(cmplxmat.Diagonal(t...))
 }
 
 // CoherenceSelectivity quantifies how far the channel is from flat: the

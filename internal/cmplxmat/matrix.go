@@ -203,6 +203,34 @@ func (m *Matrix) MulInto(dst, b *Matrix) {
 	}
 }
 
+// DiagScaleInto overwrites dst with diag(r) * m * diag(t), or with
+// diag(r) * m^T * diag(t) when transpose is set, reading m in place:
+// dst_ij = 0 + (0 + r_i m_ij) t_j, every product rounded. dst must be
+// len(r) x len(t) and must not share storage with m.
+//
+// On finite operands these are the bits of the two MulInto products
+// through diagonal matrices: in a cleared sum, each product by an
+// off-diagonal zero adds ±0 to a value that is +0 or nonzero, and
+// MulInto's skipped zero factors add nothing. With an Inf or a NaN, or
+// an overflowing r_i m_ij, MulInto's zero products are NaN; here the
+// non-finite value stays in its own entry.
+func (m *Matrix) DiagScaleInto(dst *Matrix, r, t []complex128, transpose bool) {
+	rows, cols := m.rows, m.cols
+	rs, cs := m.cols, 1 // m's strides along dst's rows and columns
+	if transpose {
+		rows, cols = cols, rows
+		rs, cs = 1, m.cols
+	}
+	if rows != len(r) || cols != len(t) || dst.rows != rows || dst.cols != cols {
+		panic(fmt.Sprintf("cmplxmat: DiagScaleInto shape mismatch diag(%d) * %dx%d (transpose %v) * diag(%d) into %dx%d", len(r), m.rows, m.cols, transpose, len(t), dst.rows, dst.cols))
+	}
+	for i, ri := range r {
+		for j, tj := range t {
+			dst.data[i*dst.cols+j] = 0 + Mul(0+Mul(ri, m.data[i*rs+j*cs]), tj)
+		}
+	}
+}
+
 // MulVec returns m*v. It panics if dimensions differ.
 func (m *Matrix) MulVec(v Vector) Vector {
 	out := NewVector(m.rows)

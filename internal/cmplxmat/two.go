@@ -60,6 +60,18 @@ func (m *Matrix) Apply2(v0, v1 complex128) (complex128, complex128) {
 	return mulVec2(m.data[:4], v0, v1)
 }
 
+// SubApply2 returns (m - b)(v0, v1) for 2x2 m and b: the difference
+// formed entry by entry as SubInto forms it, then applied by Apply2's
+// kernel, so it is m.SubInto(d, b) followed by d.MulVecInto.
+func (m *Matrix) SubApply2(b *Matrix, v0, v1 complex128) (complex128, complex128) {
+	if m.rows != 2 || m.cols != 2 || b.rows != 2 || b.cols != 2 {
+		panic("cmplxmat: SubApply2 needs 2x2 matrices")
+	}
+	x, y := m.data[:4], b.data[:4]
+	d := [4]complex128{x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3]}
+	return mulVec2(d[:], v0, v1)
+}
+
 // mulVec2 returns h (v0, v1) for the 2x2 matrix h packed row-major,
 // each sum started from zero and every product rounded.
 func mulVec2(h []complex128, v0, v1 complex128) (complex128, complex128) {

@@ -76,13 +76,6 @@ func (m *Matrix) MulVecWS(ws *Workspace, v Vector) Vector {
 	return out
 }
 
-// TWS returns the (unconjugated) transpose of m in the arena.
-func (m *Matrix) TWS(ws *Workspace) *Matrix {
-	out := ws.Matrix(m.cols, m.rows)
-	m.transposeInto(out, false)
-	return out
-}
-
 // OrthonormalBasisWS applies modified Gram-Schmidt to vs and returns an
 // orthonormal basis for their span, drawn from the arena. Vectors whose
 // residual norm falls below tol (relative to their original norm) are

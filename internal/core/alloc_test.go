@@ -11,8 +11,9 @@ import (
 // and three interferers: the Gram-Schmidt branch and the 2x2 and 2x3
 // principal-component branches), the alignment solver's dependent
 // direction and the slot evaluator (collapsed and full direction
-// tables, and scoring on a checked set: the fixed-size scorer at M = 2,
-// the general evaluator at M = 3) at zero heap allocations on a warm
+// tables and scoring on a checked set, all on the fixed-size evaluators
+// at M = 2, and scoring on the general evaluator at M = 3) at zero heap
+// allocations on a warm
 // workspace. Their working storage lives in local arrays, so a local
 // that escapes to the heap fails this test.
 func TestM2KernelsZeroAlloc(t *testing.T) {

@@ -108,6 +108,10 @@ type Plan struct {
 	// Wired reports whether receivers share decoded packets (uplink: APs
 	// on Ethernet). When false, no cancellation happens between steps.
 	Wired bool
+
+	// layout is the solver layout the plan was built on, if any (see
+	// planLayout).
+	layout *planLayout
 }
 
 // NumPackets returns the number of concurrent packets in the plan.
@@ -138,9 +142,27 @@ func (p *Plan) Clone() *Plan {
 // seen is caller-provided (usually workspace-backed) scratch of length
 // NumPackets.
 func (p *Plan) validateWith(seen []bool) error {
-	if len(p.Encoding) != len(p.Owner) {
-		return fmt.Errorf("core: %d encodings for %d packets", len(p.Encoding), len(p.Owner))
+	if len(p.Encoding) == len(p.Owner) {
+		// A count mismatch is reported first, by checkEncodings.
+		if err := p.checkLayout(seen); err != nil {
+			return err
+		}
 	}
+	return p.checkEncodings()
+}
+
+// validateWS is validateWith on arena scratch. A plan on its solver's
+// layout skips the layout checks, which ran once when the layout was
+// built, and checks what a solver attempt sets: the encodings.
+func (p *Plan) validateWS(ws *cmplxmat.Workspace) error {
+	if p.layout.holds(p) {
+		return p.checkEncodings()
+	}
+	return p.validateWith(ws.Bools(p.NumPackets()))
+}
+
+// checkLayout is validateWith's check of the owners and the schedule.
+func (p *Plan) checkLayout(seen []bool) error {
 	for i, o := range p.Owner {
 		if o < 0 {
 			return fmt.Errorf("core: packet %d has owner %d", i, o)
@@ -165,6 +187,15 @@ func (p *Plan) validateWith(seen []bool) error {
 			return fmt.Errorf("core: packet %d never decoded", i)
 		}
 	}
+	return nil
+}
+
+// checkEncodings is validateWith's check of the encoding vectors: one
+// per packet, of dimension M and unit norm.
+func (p *Plan) checkEncodings() error {
+	if len(p.Encoding) != len(p.Owner) {
+		return fmt.Errorf("core: %d encodings for %d packets", len(p.Encoding), len(p.Owner))
+	}
 	for i, v := range p.Encoding {
 		if v.Dim() != p.M {
 			return fmt.Errorf("core: encoding %d has dim %d want %d", i, v.Dim(), p.M)
@@ -176,6 +207,43 @@ func (p *Plan) validateWith(seen []bool) error {
 	return nil
 }
 
+// planLayout is a solver's packet layout: the owners and the decode
+// schedule every plan it builds shares, read-only. newPlanLayout checks
+// it once, so the evaluator need not check it per plan.
+type planLayout struct {
+	owners   []int
+	schedule []DecodeStep
+	// owned[i] is how many packets packet i's owner sends.
+	owned []float64
+}
+
+// newPlanLayout returns the checked layout of owners and schedule, both
+// non-empty. The package builds its layouts itself, so a failing check
+// is a bug here.
+func newPlanLayout(owners []int, schedule []DecodeStep) *planLayout {
+	p := Plan{Owner: owners, Schedule: schedule}
+	if err := p.checkLayout(make([]bool, len(owners))); err != nil || len(owners) == 0 || len(schedule) == 0 {
+		panic(fmt.Sprintf("core: bad solver layout %v %v: %v", owners, schedule, err))
+	}
+	l := &planLayout{owners: owners, schedule: schedule, owned: make([]float64, len(owners))}
+	for i, o := range owners {
+		for _, q := range owners {
+			if q == o {
+				l.owned[i]++
+			}
+		}
+	}
+	return l
+}
+
+// holds reports whether p's owners and schedule are still the layout's
+// own slices: a plan whose Owner or Schedule was replaced is checked in
+// full.
+func (l *planLayout) holds(p *Plan) bool {
+	return l != nil && len(p.Owner) == len(l.owners) && len(p.Schedule) == len(l.schedule) &&
+		&p.Owner[0] == &l.owners[0] && &p.Schedule[0] == &l.schedule[0]
+}
+
 // packetPowersInto splits each node's transmit power budget evenly
 // across the packets it owns, filling out (length NumPackets) with
 // per-packet linear power. This keeps the comparison with point-to-point
@@ -183,6 +251,13 @@ func (p *Plan) validateWith(seen []bool) error {
 // concurrent packets it carries. It does not allocate: owner indices are
 // small and dense, so the count pass runs over a fixed-size array.
 func (p *Plan) packetPowersInto(out []float64, nodePower float64) {
+	if l := p.layout; l.holds(p) {
+		// The layout counted the owners' packets when it was built.
+		for i, n := range l.owned {
+			out[i] = nodePower / n
+		}
+		return
+	}
 	maxOwner := 0
 	for _, o := range p.Owner {
 		if o > maxOwner {
@@ -641,10 +716,11 @@ func (cs ChannelSet) PermuteWS(ws *cmplxmat.Workspace, perm []int, txAxis bool) 
 // ScoreWS is EvaluateWS with c's set as both the true and the estimate
 // set, as a planner scores its candidates. It checks the plan itself
 // (its structure, its M against the set's, its owners and receivers
-// against the set's size) but not the set again. At M = 2 it runs the
-// fixed-size scorer score2WS, which gives evaluateWS's bits.
+// against the set's size) but not the set again; a plan still on its
+// solver's layout has its encodings checked alone (validateWS). At M = 2
+// it runs the fixed-size scorer score2WS, which gives evaluateWS's bits.
 func (p *Plan) ScoreWS(ws *cmplxmat.Workspace, c CheckedSet, opts EvalOptions) (Evaluation, error) {
-	if err := p.validateWith(ws.Bools(p.NumPackets())); err != nil {
+	if err := p.validateWS(ws); err != nil {
 		return Evaluation{}, err
 	}
 	if p.M != c.m {
@@ -670,20 +746,30 @@ func (p *Plan) ScoreWS(ws *cmplxmat.Workspace, c CheckedSet, opts EvalOptions) (
 // It first builds the plan's direction table with one product per
 // (packet, receiver, kind), then runs the SINR recursion off the table.
 // When trueCS and estCS hold the same matrices (every candidate
-// scoring), the table holds the est products alone.
+// scoring), the table holds the est products alone. At M = 2 it runs
+// the fixed-size score2WS on one set and measure2WS on two, which give
+// evaluateWS's bits.
 func (p *Plan) EvaluateWS(ws *cmplxmat.Workspace, trueCS, estCS ChannelSet, opts EvalOptions) (Evaluation, error) {
-	if err := p.validateWith(ws.Bools(p.NumPackets())); err != nil {
+	if err := p.validateWS(ws); err != nil {
 		return Evaluation{}, err
 	}
 	if err := p.checkChannels(trueCS, estCS); err != nil {
 		return Evaluation{}, err
 	}
-	return p.evaluateWS(ws, trueCS, estCS, sameChannels(trueCS, estCS), opts)
+	same := sameChannels(trueCS, estCS)
+	switch {
+	case p.M == 2 && same:
+		return p.score2WS(ws, estCS, opts)
+	case p.M == 2:
+		return p.measure2WS(ws, trueCS, estCS, opts)
+	}
+	return p.evaluateWS(ws, trueCS, estCS, same, opts)
 }
 
-// evaluateWS is the evaluator behind EvaluateWS and ScoreWS, on a plan
-// and channel sets already checked to fit together; same reports that
-// the two sets hold the same matrices.
+// evaluateWS is the evaluator behind EvaluateWS and ScoreWS at M >= 3,
+// and the reference of score2WS and measure2WS, on a plan and channel
+// sets already checked to fit together; same reports that the two sets
+// hold the same matrices.
 func (p *Plan) evaluateWS(ws *cmplxmat.Workspace, trueCS, estCS ChannelSet, same bool, opts EvalOptions) (Evaluation, error) {
 	k := p.NumPackets()
 	m := p.M
@@ -878,7 +964,7 @@ func cmplxAbs2(c complex128) float64 {
 func zfDecodingVectorWS(ws *cmplxmat.Workspace, sigDir cmplxmat.Vector, interf []cmplxmat.Vector, m int) cmplxmat.Vector {
 	if m == 2 && len(interf) == 1 {
 		// A zero signal is declined, and gets nil below.
-		if w, ok := zf2WS(ws, sigDir, interf[0]); ok {
+		if w, ok := zeroForce2WS(ws, sigDir, interf[0]); ok {
 			return w
 		}
 	}
@@ -925,7 +1011,7 @@ func zfDecodingVectorWS(ws *cmplxmat.Workspace, sigDir cmplxmat.Vector, interf [
 		stacked := cmplxmat.View(m, k, data)
 		nb = stacked.LeadingLeftSingularInto(ws, basis, 1e-12)
 		if m == 2 && nb == 1 {
-			if w, ok := zf2WS(ws, sigDir, basis[0]); ok {
+			if w, ok := zeroForce2WS(ws, sigDir, basis[0]); ok {
 				return w
 			}
 		}
@@ -941,10 +1027,10 @@ func zfDecodingVectorWS(ws *cmplxmat.Workspace, sigDir cmplxmat.Vector, interf [
 	return w.NormalizeWS(ws)
 }
 
-// zf2WS is zfDecodingVectorWS's projection at M = 2 onto the complement
+// zeroForce2WS is zfDecodingVectorWS's projection at M = 2 onto the complement
 // of the nulled direction a, by cmplxmat.ZeroForce2: nil when the signal
 // has no part off a, and ok false when the kernel declines.
-func zf2WS(ws *cmplxmat.Workspace, sigDir, a cmplxmat.Vector) (w cmplxmat.Vector, ok bool) {
+func zeroForce2WS(ws *cmplxmat.Workspace, sigDir, a cmplxmat.Vector) (w cmplxmat.Vector, ok bool) {
 	w0, w1, null, ok := cmplxmat.ZeroForce2(a[0], a[1], sigDir[0], sigDir[1], 1e-9)
 	if !ok || null {
 		return nil, ok

@@ -618,6 +618,33 @@ func TestPacketPowers(t *testing.T) {
 	}
 }
 
+// TestLayoutPacketPowers: a plan on a solver's layout takes its packet
+// powers from the owner counts the layout stored; they must be the bits
+// of counting the owners of the same plan cloned off the layout.
+func TestLayoutPacketPowers(t *testing.T) {
+	layouts := append([]*planLayout{uplinkThreeLayout, triangleLayout}, diversityLayouts[:]...)
+	for m := 2; m <= 8; m++ {
+		for aps := 3; aps <= UplinkChainMaxAPs(m); aps++ {
+			layouts = append(layouts, chainLayouts[chainKey{m, aps}].checked)
+		}
+	}
+	for _, l := range layouts {
+		p := &Plan{Owner: l.owners, Schedule: l.schedule, layout: l}
+		q := p.Clone()
+		if !l.holds(p) || q.layout.holds(q) {
+			t.Fatalf("layout %v: plan on it %v, clone on it %v", l.owners, l.holds(p), q.layout.holds(q))
+		}
+		for _, nodePower := range []float64{1, 0.3, 7e-5} {
+			got, want := make([]float64, len(l.owners)), make([]float64, len(l.owners))
+			p.packetPowersInto(got, nodePower)
+			q.packetPowersInto(want, nodePower)
+			if !evalBitEqualF(got, want) {
+				t.Fatalf("layout %v at %v: powers %v, counted %v", l.owners, nodePower, got, want)
+			}
+		}
+	}
+}
+
 func TestDoFTable(t *testing.T) {
 	cases := []struct {
 		m, up, down int

@@ -37,14 +37,11 @@ func SolveDownlinkTriangle(cs ChannelSet) (*Plan, error) {
 
 // The triangle's packet layout is fixed; the shared read-only slices are
 // referenced by every candidate plan and deep-copied only on Clone.
-var (
-	triangleOwners   = []int{0, 1, 2}
-	triangleSchedule = []DecodeStep{
-		{Rx: 0, Packets: []int{0}},
-		{Rx: 1, Packets: []int{1}},
-		{Rx: 2, Packets: []int{2}},
-	}
-)
+var triangleLayout = newPlanLayout([]int{0, 1, 2}, []DecodeStep{
+	{Rx: 0, Packets: []int{0}},
+	{Rx: 1, Packets: []int{1}},
+	{Rx: 2, Packets: []int{2}},
+})
 
 // SolveDownlinkTriangleWS is SolveDownlinkTriangle with the intermediate
 // linear algebra and the plan's encoding vectors in the workspace arena
@@ -90,10 +87,11 @@ func SolveDownlinkTriangleWS(ws *cmplxmat.Workspace, cs ChannelSet) (Plan, error
 	enc[0], enc[1], enc[2] = v0, v1, v2.NormalizeWS(ws)
 	return Plan{
 		M:        m,
-		Owner:    triangleOwners,
+		Owner:    triangleLayout.owners,
 		Encoding: enc,
-		Schedule: triangleSchedule,
+		Schedule: triangleLayout.schedule,
 		Wired:    false,
+		layout:   triangleLayout,
 	}, nil
 }
 
@@ -168,13 +166,16 @@ func SolveDownlink(cs ChannelSet, rng *rand.Rand) (*Plan, error) {
 	return SolveDownlinkTwoClient(cs, rng)
 }
 
-// The diversity options' owners and their shared decode step: read-only
-// tables referenced by every candidate plan and deep-copied only on
-// Clone.
-var (
-	diversityOwners   = [][]int{{0, 0}, {1, 1}, {0, 1}}
-	diversitySchedule = []DecodeStep{{Rx: 0, Packets: []int{0, 1}}}
-)
+// The diversity options' owners, each with their shared decode step:
+// read-only tables referenced by every candidate plan and deep-copied
+// only on Clone.
+var diversityLayouts = func() (out [3]*planLayout) {
+	schedule := []DecodeStep{{Rx: 0, Packets: []int{0, 1}}}
+	for i, owners := range [][]int{{0, 0}, {1, 1}, {0, 1}} {
+		out[i] = newPlanLayout(owners, schedule)
+	}
+	return out
+}()
 
 // SolveDownlinkDiversityWS builds the paper's single-client diversity
 // plan (Section 10.2, Fig. 14): one client, two APs, two packets. The
@@ -196,7 +197,8 @@ func SolveDownlinkDiversityWS(ws *cmplxmat.Workspace, cs ChannelSet, rng *rand.R
 	opts := EvalOptions{NodePower: nodePower, Noise: noise}
 	var best Plan
 	bestRate := -1.0
-	for _, owners := range diversityOwners {
+	for _, layout := range diversityLayouts {
+		owners := layout.owners
 		enc := ws.Vectors(2)
 		enc[0], enc[1] = randUnitWS(ws, rng, m), randUnitWS(ws, rng, m)
 		if owners[0] == owners[1] {
@@ -205,7 +207,7 @@ func SolveDownlinkDiversityWS(ws *cmplxmat.Workspace, cs ChannelSet, rng *rand.R
 			_, _, v := cs[owners[0]][0].SVDWS(ws)
 			enc[0], enc[1] = v.ColWS(ws, 0), v.ColWS(ws, 1)
 		}
-		plan := Plan{M: m, Owner: owners, Encoding: enc, Schedule: diversitySchedule}
+		plan := Plan{M: m, Owner: owners, Encoding: enc, Schedule: layout.schedule, layout: layout}
 		ev, err := plan.EvaluateWS(ws, cs, cs, opts)
 		if err != nil {
 			continue

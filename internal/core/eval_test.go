@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"iaclan/internal/cmplxmat"
+	"iaclan/internal/mimo"
 	"iaclan/internal/stats"
 )
 
@@ -453,18 +454,103 @@ func TestMalformedSetsRejectedEverywhere(t *testing.T) {
 	})
 }
 
-// TestScoreWSMatchesEvaluateWS: scoring on a checked set is EvaluateWS
-// with that set as both the true and the estimate set, bit for bit in
-// every Evaluation field, Decoding included, with the same error and
-// the same Rate and Decodes calls in the same order. At M = 2 ScoreWS
-// runs the fixed-size scorer, so this pins it to the general evaluator
-// on every M = 2 shape the planners score (the chain over 3 and 4 APs,
-// the 2-AP three-packet uplink, the downlink triangle and the diversity
-// options) and on an M = 3 chain, which takes the general path. Each
-// plan is scored on the set it was solved on (exact alignment) and on a
-// perturbed one, under Shannon and ladder rates, with residual
-// cancellation, and pruned at thresholds that stop it before each of
-// its packets in turn.
+// TestScoreWSRejectsBadPlans scores the bad plans of
+// TestValidateCatchesBadPlans, a negative owner and receiver and a
+// truncated schedule through ScoreWS and EvaluateWS, each made from a
+// solver plan still on its layout: both must return validateWith's
+// error, never panic. An encoding edit keeps the layout's slices, so it
+// takes the encodings-only check; an owner or schedule edit replaces a
+// slice and gets the whole check.
+func TestScoreWSRejectsBadPlans(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	cs := RandomChannelSet(rng, 2, 2, 2, testSNR)
+	checked, err := CheckSet(cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := cmplxmat.NewWorkspace()
+	plan, err := SolveUplinkThreeWS(ws, cs, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plan.layout.holds(&plan) {
+		t.Fatal("the solver's plan is not on its layout")
+	}
+	opts := EvalOptions{NodePower: 1, Noise: testNoise / testSNR}
+	if _, err := plan.ScoreWS(ws, checked, opts); err != nil {
+		t.Fatal(err)
+	}
+	encodings := func(edit func(enc []cmplxmat.Vector)) []cmplxmat.Vector {
+		enc := append([]cmplxmat.Vector(nil), plan.Encoding...)
+		edit(enc)
+		return enc
+	}
+	cases := []struct {
+		name     string
+		edit     func(p *Plan)
+		onLayout bool
+	}{
+		{"duplicate decode", func(p *Plan) {
+			p.Schedule = []DecodeStep{{Rx: 0, Packets: []int{0, 0}}, {Rx: 1, Packets: []int{1, 2}}}
+		}, false},
+		{"missing packet", func(p *Plan) { p.Schedule = []DecodeStep{{Rx: 0, Packets: []int{0}}} }, false},
+		{"out-of-range packet", func(p *Plan) { p.Schedule = []DecodeStep{{Rx: 0, Packets: []int{7}}} }, false},
+		{"truncated schedule", func(p *Plan) { p.Schedule = p.Schedule[:1] }, false},
+		{"negative owner", func(p *Plan) { p.Owner = []int{-1, 0, 1} }, false},
+		{"negative receiver", func(p *Plan) {
+			p.Schedule = []DecodeStep{{Rx: -1, Packets: []int{0}}, {Rx: 1, Packets: []int{1, 2}}}
+		}, false},
+		{"non-unit encoding", func(p *Plan) {
+			p.Encoding = encodings(func(enc []cmplxmat.Vector) { enc[0] = enc[0].Scale(2) })
+		}, true},
+		{"wrong dimension", func(p *Plan) {
+			p.Encoding = encodings(func(enc []cmplxmat.Vector) { enc[0] = cmplxmat.Vector{1} })
+		}, true},
+		{"count mismatch", func(p *Plan) { p.Encoding = plan.Encoding[:2] }, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bad := plan
+			c.edit(&bad)
+			if got := bad.layout.holds(&bad); got != c.onLayout {
+				t.Fatalf("on its layout: %v, want %v", got, c.onLayout)
+			}
+			want := bad.Validate()
+			if want == nil {
+				t.Fatal("Validate accepted it")
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if _, err := bad.ScoreWS(ws, checked, opts); fmt.Sprint(err) != want.Error() {
+				t.Errorf("ScoreWS: %v, want %v", err, want)
+			}
+			if _, err := bad.EvaluateWS(ws, cs, perturbedEstimate(rng, cs), opts); fmt.Sprint(err) != want.Error() {
+				t.Errorf("EvaluateWS: %v, want %v", err, want)
+			}
+		})
+	}
+}
+
+// TestScoreWSMatchesEvaluateWS: ScoreWS on a checked set, and
+// EvaluateWS with distinct true and estimate sets (the winner's
+// measurement) or with one set as both, match the general evaluator
+// evaluateWS bit for bit in every Evaluation field, Decoding included,
+// with the same error and the same Rate and Decodes calls in the same
+// order. At M = 2 they run the fixed-size score2WS (one set) and
+// measure2WS (two sets), so this pins both to evaluateWS on every M = 2
+// shape
+// the planners build (the chain over 3 and 4 APs, the 2-AP three-packet
+// uplink, wired; the downlink triangle and the diversity options,
+// unwired), and on an M = 3 chain, which takes evaluateWS itself. Each
+// plan is evaluated on the set it was solved on (exact alignment), on a
+// perturbed one, and with either of the two as the true set and the
+// other as the estimates, under Shannon and ladder rates, with residual
+// cancellation on and off, under the measurement's MCS outage rule
+// against the SINRs scored on the estimates, and pruned at thresholds
+// that stop it before each of its packets in turn.
 func TestScoreWSMatchesEvaluateWS(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	ws := cmplxmat.NewWorkspace()
@@ -492,15 +578,19 @@ func TestScoreWSMatchesEvaluateWS(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s trial %d: %v", sh.name, trial, err)
 			}
-			for _, set := range []ChannelSet{cs, perturbedEstimate(rng, cs)} {
-				name := fmt.Sprintf("%s trial %d", sh.name, trial)
-				scoreMatchesEvaluate(t, ws, name, plan, set, noise, prunedAt[sh.name])
+			perturbed := perturbedEstimate(rng, cs)
+			for i, sets := range [][2]ChannelSet{{cs, cs}, {perturbed, perturbed}, {perturbed, cs}, {cs, perturbed}} {
+				name := fmt.Sprintf("%s trial %d sets %d", sh.name, trial, i)
+				evalMatchesReference(t, ws, name, plan, sets[0], sets[1], noise, prunedAt[sh.name])
 			}
 		}
 	}
 	cs := RandomChannelSet(rng, 2, 1, 2, testSNR)
+	perturbed := perturbedEstimate(rng, cs)
 	for i, plan := range diversityOptions(rng, cs) {
-		scoreMatchesEvaluate(t, ws, fmt.Sprintf("diversity-%d", i), plan, cs, noise, new([4]int))
+		for j, sets := range [][2]ChannelSet{{cs, cs}, {perturbed, cs}} {
+			evalMatchesReference(t, ws, fmt.Sprintf("diversity-%d sets %d", i, j), plan, sets[0], sets[1], noise, new([4]int))
+		}
 	}
 	for _, name := range []string{"chain-3ap", "chain-4ap"} {
 		for i, n := range prunedAt[name] {
@@ -511,34 +601,62 @@ func TestScoreWSMatchesEvaluateWS(t *testing.T) {
 	}
 }
 
-// scoreMatchesEvaluate scores plan on set through ScoreWS and through
-// EvaluateWS(set, set) under a list of options and fails on any
-// difference (see evalDiff); the prune thresholds come from the plan's
-// own bounds and rates. prunedAt counts where the pruned evaluations
-// stopped, by schedule position.
-func scoreMatchesEvaluate(t *testing.T, ws *cmplxmat.Workspace, name string, plan *Plan, set ChannelSet, noise float64, prunedAt *[4]int) {
+// evalMatchesReference evaluates plan with powers from trueCS and
+// decoders from estCS through EvaluateWS, and through ScoreWS when the
+// two are one set, under a list of options, and fails on any difference
+// from evaluateWS (see evalDiff); the prune thresholds come from the
+// plan's own bounds and rates. prunedAt counts where the pruned
+// evaluations stopped, by schedule position.
+func evalMatchesReference(t *testing.T, ws *cmplxmat.Workspace, name string, plan *Plan, trueCS, estCS ChannelSet, noise float64, prunedAt *[4]int) {
 	t.Helper()
-	checked, err := CheckSet(set)
+	same := sameChannels(trueCS, estCS)
+	checked, err := CheckSet(estCS)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func(opts EvalOptions) (Evaluation, []evalCall) {
 		t.Helper()
-		var gotLog, wantLog []evalCall
-		got, gotErr := plan.ScoreWS(ws, checked, loggedOptions(opts, &gotLog))
-		want, wantErr := plan.EvaluateWS(ws, set, set, loggedOptions(opts, &wantLog))
+		var wantLog []evalCall
+		want, wantErr := plan.evaluateWS(ws, trueCS, estCS, same, loggedOptions(opts, &wantLog))
+		var gotLog []evalCall
+		got, gotErr := plan.EvaluateWS(ws, trueCS, estCS, loggedOptions(opts, &gotLog))
 		if d := evalDiff(got, gotErr, gotLog, want, wantErr, wantLog); d != "" {
-			t.Fatalf("%s, %+v: ScoreWS and EvaluateWS differ in %s", name, opts, d)
+			t.Fatalf("%s, %+v: EvaluateWS and evaluateWS differ in %s", name, opts, d)
+		}
+		if same {
+			gotLog = nil
+			got, gotErr = plan.ScoreWS(ws, checked, loggedOptions(opts, &gotLog))
+			if d := evalDiff(got, gotErr, gotLog, want, wantErr, wantLog); d != "" {
+				t.Fatalf("%s, %+v: ScoreWS and evaluateWS differ in %s", name, opts, d)
+			}
 		}
 		return want, wantLog
 	}
 	k := plan.NumPackets()
-	for _, opts := range []EvalOptions{
+	list := []EvalOptions{
 		{NodePower: 1, Noise: noise},
 		{NodePower: 1, Noise: noise, ResidualCancel: true},
 		{NodePower: 1, Noise: noise, Prune: true, PruneAt: 10},
 		{NodePower: 1, Noise: noise, ResidualCancel: true, Rate: ladderRate, Decodes: ladderDecodes},
-	} {
+	}
+	// The measurement's MCS rule (testbed's trueOpts): continuous rates,
+	// and a packet decodes when its realized SINR clears the rung its
+	// SINR scored on the estimates selected.
+	table := mimo.DefaultRateTable()
+	for _, residual := range []bool{false, true} {
+		scored, err := plan.evaluateWS(ws, estCS, estCS, true, EvalOptions{NodePower: 1, Noise: noise, ResidualCancel: residual, Rate: table.Rate,
+			Decodes: func(_ int, sinr float64) bool {
+				_, ok := table.Select(sinr)
+				return ok
+			}})
+		if err != nil {
+			continue
+		}
+		planned := append([]float64(nil), scored.SINR...)
+		list = append(list, EvalOptions{NodePower: 1, Noise: noise, ResidualCancel: residual,
+			Decodes: func(pkt int, sinr float64) bool { return !table.Outage(planned[pkt], sinr) }})
+	}
+	for _, opts := range list {
 		run(opts)
 	}
 	for _, rate := range []func(float64) float64{stats.ShannonRate, ladderRate} {
@@ -673,15 +791,21 @@ func evalDiff(a Evaluation, aErr error, aLog []evalCall, b Evaluation, bErr erro
 	return ""
 }
 
-// BenchmarkEvaluateUplinkChain times the general slot evaluator at
-// M = 2 on a 3-AP uplink-chain plan: EvaluateWS on the estimates alone
-// (the collapsed table) plus the winner's measurement on the true
-// channels (the full table), with residual cancellation. The planner
-// scores its candidates through ScoreWS's fixed-size path instead
-// (BenchmarkScoreChainM2).
-func BenchmarkEvaluateUplinkChain(b *testing.B) {
+// BenchmarkEvaluateUplinkChain times the slot evaluator at M = 2 on a
+// 3-AP uplink-chain plan: EvaluateWS on the estimates alone (the
+// collapsed table) plus the winner's measurement on the true channels
+// (the full table), with residual cancellation, on the fixed-size
+// score2WS and measure2WS; BenchmarkEvaluateUplinkChainM3 times the
+// general evaluateWS on the same job at M = 3.
+func BenchmarkEvaluateUplinkChain(b *testing.B) { benchEvaluateUplinkChain(b, 2) }
+
+// BenchmarkEvaluateUplinkChainM3 is BenchmarkEvaluateUplinkChain at
+// M = 3, on the general evaluator.
+func BenchmarkEvaluateUplinkChainM3(b *testing.B) { benchEvaluateUplinkChain(b, 3) }
+
+func benchEvaluateUplinkChain(b *testing.B, m int) {
 	rng := rand.New(rand.NewSource(41))
-	cs := RandomChannelSet(rng, UplinkChainAssignment{M: 2}.NumClients(), 3, 2, testSNR)
+	cs := RandomChannelSet(rng, UplinkChainAssignment{M: m}.NumClients(), 3, m, testSNR)
 	plan, err := SolveUplinkChain(cs, rng)
 	if err != nil {
 		b.Fatal(err)

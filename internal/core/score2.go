@@ -14,10 +14,11 @@ import (
 // and the diversity plans). Larger plans take evaluateWS.
 const score2Max = 4
 
-// score2WS is ScoreWS at M = 2: evaluateWS on cs as both the true and
-// the estimate set (the collapsed direction table), with the table, the
-// amplitudes, the rate bounds, the residual list and the interferers in
-// fixed-size local arrays, and the zero-forcing step on scalars (zf2).
+// score2WS is ScoreWS at M = 2, and EvaluateWS with one set as both:
+// evaluateWS on cs as both the true and the estimate set (the
+// collapsed direction table), with the table, the amplitudes, the rate
+// bounds, the residual list and the interferers in fixed-size local
+// arrays, and the zero-forcing step on scalars (zf2).
 // It runs evaluateWS's operations in evaluateWS's order:
 //   - each direction through MulVecInto's kernel (Apply2), and each
 //     interferer weighted by its amplitude as ScaleInto does;
@@ -186,6 +187,158 @@ func (p *Plan) score2WS(ws *cmplxmat.Workspace, cs ChannelSet, opts EvalOptions)
 		}
 	}
 
+	return evaluation2(ws, sum, products, sinr[:k], rate[:k], dec[:k]), nil
+}
+
+// measure2WS is EvaluateWS at M = 2 with distinct true and estimate
+// sets, the winner's measurement, on fixed-size local arrays as
+// score2WS scores: decoders from the estimates, signal and interference
+// powers from the true channels, and the cancellation leakage from
+// (true - est) v. It runs evaluateWS's operations in evaluateWS's
+// order, as score2WS does (see there), with its three direction kinds:
+// each est and true direction through Apply2, each leakage direction
+// through SubApply2, which forms and applies the (true - est) matrix
+// as SubInto and MulVecInto do, and the rate bound from the true
+// direction. A measurement reads every table row, so the rows fill as
+// the schedule first visits their receiver. So it returns evaluateWS's
+// bits, Products (three per packet and visited receiver), Pruned flag
+// and errors; a plan of more than four packets or decode steps takes
+// evaluateWS. The sets and p must be checked against each other, as
+// EvaluateWS does.
+func (p *Plan) measure2WS(ws *cmplxmat.Workspace, trueCS, estCS ChannelSet, opts EvalOptions) (Evaluation, error) {
+	k := p.NumPackets()
+	if k > score2Max || len(p.Schedule) > score2Max {
+		return p.evaluateWS(ws, trueCS, estCS, false, opts)
+	}
+	var powers [score2Max]float64
+	p.packetPowersInto(powers[:k], opts.NodePower)
+	var amps [score2Max]complex128
+	for pkt, pw := range powers[:k] {
+		amps[pkt] = complex(math.Sqrt(pw), 0)
+	}
+
+	// est, tru and leak[r][pkt] are the packet's est, true and leakage
+	// directions at rowRx[r], the receivers in order of first visit;
+	// step i reads row stepRow[i].
+	var rowRx, stepRow [score2Max]int
+	var est, tru, leak [score2Max][score2Max][2]complex128
+	nrx := 0
+	for i, step := range p.Schedule {
+		r := 0
+		for r < nrx && rowRx[r] != step.Rx {
+			r++
+		}
+		if r == nrx {
+			rowRx[r] = step.Rx
+			for pkt, o := range p.Owner {
+				e, t, enc := estCS[o][step.Rx], trueCS[o][step.Rx], p.Encoding[pkt]
+				est[r][pkt][0], est[r][pkt][1] = e.Apply2(enc[0], enc[1])
+				tru[r][pkt][0], tru[r][pkt][1] = t.Apply2(enc[0], enc[1])
+				leak[r][pkt][0], leak[r][pkt][1] = t.SubApply2(e, enc[0], enc[1])
+			}
+			nrx++
+		}
+		stepRow[i] = r
+	}
+	products := nrx * k * numKinds
+
+	noise := opts.Noise
+	var bound [score2Max]float64
+	prune := opts.Prune && noise > 0 && opts.NodePower > 0
+	if prune {
+		i := 0
+		for si, step := range p.Schedule {
+			for _, pkt := range step.Packets {
+				d := &tru[stepRow[si]][pkt]
+				bound[i] = opts.rateBound(powers[pkt], cmplxmat.Abs2(d[0])+cmplxmat.Abs2(d[1]), noise)
+				i++
+			}
+		}
+	}
+
+	var decoded [score2Max]bool
+	var sinr, rate [score2Max]float64
+	var dec [score2Max][2]complex128
+	var residual [score2Max]int
+	var ix, iy [score2Max]complex128 // the interferers' entries
+	sum := 0.0
+	pos := 0 // schedule position of the packet being decoded
+	for si, step := range p.Schedule {
+		r := stepRow[si]
+		nRes := 0
+		for pkt := range k {
+			if p.Wired && decoded[pkt] {
+				continue
+			}
+			residual[nRes] = pkt
+			nRes++
+		}
+		for _, pkt := range step.Packets {
+			if prune {
+				ub := sum
+				for _, b := range bound[pos:k] {
+					ub += b
+				}
+				if ub <= opts.PruneAt {
+					return Evaluation{Products: products, Pruned: true}, nil
+				}
+			}
+			pos++
+			nInt := 0
+			for _, q := range residual[:nRes] {
+				if q == pkt {
+					continue
+				}
+				a := &est[r][q]
+				ix[nInt], iy[nInt] = cmplxmat.Mul(amps[q], a[0]), cmplxmat.Mul(amps[q], a[1])
+				nInt++
+			}
+			s := &est[r][pkt]
+			w0, w1, null, ok := zf2(s[0], s[1], ix[:nInt], iy[:nInt])
+			if !ok {
+				w0, w1, null = zf2General(ws, s[0], s[1], ix[:nInt], iy[:nInt])
+			}
+			if null {
+				return Evaluation{Products: products}, fmt.Errorf("%w: no decoding vector for packet %d at rx %d", ErrInfeasible, pkt, step.Rx)
+			}
+			dec[pkt] = [2]complex128{w0, w1}
+
+			sig := float64(power2(w0, w1, tru[r][pkt]) * powers[pkt])
+			interf := 0.0
+			for _, q := range residual[:nRes] {
+				if q == pkt {
+					continue
+				}
+				interf += float64(power2(w0, w1, tru[r][q]) * powers[q])
+			}
+			if p.Wired {
+				for q := range k {
+					if !decoded[q] {
+						continue
+					}
+					interf += float64(power2(w0, w1, leak[r][q]) * powers[q])
+					if opts.ResidualCancel {
+						interf += float64(power2(w0, w1, tru[r][q])*powers[q]) / (1 + sinr[q])
+					}
+				}
+			}
+			sinr[pkt] = sig / (noise + interf)
+			rate[pkt] = opts.rate(sinr[pkt])
+			sum += rate[pkt]
+		}
+		for _, pkt := range step.Packets {
+			if opts.Decodes == nil || opts.Decodes(pkt, sinr[pkt]) {
+				decoded[pkt] = true
+			}
+		}
+	}
+	return evaluation2(ws, sum, products, sinr[:k], rate[:k], dec[:k]), nil
+}
+
+// evaluation2 returns an M = 2 evaluation with its SINRs, rates and
+// decoders copied into the arena.
+func evaluation2(ws *cmplxmat.Workspace, sum float64, products int, sinr, rate []float64, dec [][2]complex128) Evaluation {
+	k := len(sinr)
 	f := ws.Floats(2 * k)
 	ev := Evaluation{
 		SINR:       f[:k:k],
@@ -194,15 +347,15 @@ func (p *Plan) score2WS(ws *cmplxmat.Workspace, cs ChannelSet, opts EvalOptions)
 		Decoding:   ws.Vectors(k),
 		Products:   products,
 	}
-	copy(ev.SINR, sinr[:k])
-	copy(ev.PacketRate, rate[:k])
+	copy(ev.SINR, sinr)
+	copy(ev.PacketRate, rate)
 	w := ws.Complexes(2 * k)
-	for pkt := range k {
+	for pkt, d := range dec {
 		v := cmplxmat.Vector(w[2*pkt : 2*pkt+2 : 2*pkt+2])
-		v[0], v[1] = dec[pkt][0], dec[pkt][1]
+		v[0], v[1] = d[0], d[1]
 		ev.Decoding[pkt] = v
 	}
-	return ev, nil
+	return ev
 }
 
 // power2 is cmplxAbs2(w.Dot(d)) for 2-vectors, every product rounded.
@@ -215,8 +368,9 @@ func power2(w0, w1 complex128, d [2]complex128) float64 {
 // zf2 is zfDecodingVectorWS at M = 2 on scalars, for the signal
 // direction s and the interferers with first entries ix and second
 // entries iy: the matched filter for none, cmplxmat.ZeroForce2 against
-// the one interferer or against the leading vector of two or more
-// (cmplxmat.Leading2). null reports that there is no decoder. ok is
+// the one interferer or, unless the signal's squared norm is zero,
+// against the leading vector of two or more (cmplxmat.Leading2). null
+// reports that there is no decoder. ok is
 // false, and the caller must run zfDecodingVectorWS (zf2General), when
 // zfDecodingVectorWS would not take these closed forms.
 func zf2(s0, s1 complex128, ix, iy []complex128) (w0, w1 complex128, null, ok bool) {
@@ -232,6 +386,11 @@ func zf2(s0, s1 complex128, ix, iy []complex128) (w0, w1 complex128, null, ok bo
 		return cmplxmat.Mul(inv, s0), cmplxmat.Mul(inv, s1), false, true
 	case 1:
 		return cmplxmat.ZeroForce2(ix[0], iy[0], s0, s1, 1e-9)
+	}
+	if cmplxmat.Abs2(s0)+cmplxmat.Abs2(s1) == 0 {
+		// zfDecodingVectorWS's zero-norm test, which comes before the
+		// leading vector: a signal whose squares underflow has none.
+		return 0, 0, true, true
 	}
 	a0, a1, ok := cmplxmat.Leading2(ix, iy, 1e-12)
 	if !ok {

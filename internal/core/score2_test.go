@@ -124,6 +124,99 @@ func FuzzScoreM2(f *testing.F) {
 	})
 }
 
+// estimateCase returns an estimate of cs for FuzzEvaluateM2: each
+// matrix plus CN(0, 1) noise scaled 2^-errExp below its largest part
+// (or below 1 when that is zero or not finite), except that with keep
+// set one random matrix is cs's own, which makes its (true - est)
+// matrix exactly zero.
+func estimateCase(rng *rand.Rand, cs ChannelSet, errExp int, keep bool) ChannelSet {
+	est := NewChannelSet(cs.NumTx(), cs.NumRx())
+	m := cs.Antennas()
+	for tx := range cs {
+		for rx, h := range cs[tx] {
+			s := h.MaxAbs()
+			if s == 0 || math.IsInf(s, 0) || math.IsNaN(s) {
+				s = 1
+			}
+			noise := cmplxmat.RandomGaussian(rng, m, m).Scale(complex(math.Ldexp(s, -errExp), 0))
+			est[tx][rx] = h.Add(noise)
+		}
+	}
+	if keep {
+		tx, rx := rng.Intn(cs.NumTx()), rng.Intn(cs.NumRx())
+		est[tx][rx] = cs[tx][rx]
+	}
+	return est
+}
+
+// FuzzEvaluateM2 pins measure2WS, EvaluateWS at M = 2
+// with distinct true and estimate sets (the winner's measurement), to
+// evaluateWS on the same sets: decoders from the estimates, powers from
+// the true channels, leakage from their difference. The plans and
+// their near-degenerate inputs are FuzzScoreM2's (score2Case), with an
+// estimate 2^-1..2^-60 off the channel set, one matrix of it left
+// exact or not; flags swap which of the two sets is the true one (so
+// the injected Inf, NaN and extreme entries land on either side), and
+// pick Shannon or MCS rates, the measurement's MCS outage rule against
+// the SINRs scored on the estimates, residual cancellation, and
+// pruning. Every Evaluation field, the error and the closure calls must
+// agree bit for bit, any NaN matching any NaN (evalDiff).
+func FuzzEvaluateM2(f *testing.F) {
+	scales := []int{0, -10, -11, 400, 401, -1000, -1001, 1000, 1001, 0, -300, 300, -1070}
+	noises := []int{0, -4, 4, -40, -1100}
+	i := 0
+	for shape := uint8(0); shape < 5; shape++ {
+		for kind := uint8(0); kind < 3; kind++ {
+			for special := uint8(0); special < 10; special++ {
+				f.Add(int64(i), shape, kind, special, uint8(i*7), scales[i%len(scales)], noises[i%len(noises)], 0.5+float64(i%7)/2, 1+i%60)
+				i++
+			}
+		}
+	}
+	table := mimo.DefaultRateTable()
+	sendable := func(_ int, sinr float64) bool {
+		_, ok := table.Select(sinr)
+		return ok
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape, kind, special, flags uint8, scaleExp, noiseExp int, pruneAt float64, errExp int) {
+		rng := rand.New(rand.NewSource(seed))
+		plan, cs := score2Case(rng, shape, kind, scaleExp%1100, special)
+		if plan == nil {
+			return
+		}
+		est := estimateCase(rng, cs, 1+(errExp%60+60)%60, flags&8 != 0)
+		trueCS, estCS := cs, est
+		if flags&16 != 0 {
+			trueCS, estCS = est, cs
+		}
+		noise := math.Ldexp(1, noiseExp%1200)
+		if noiseExp%1200 <= -1100 {
+			noise = 0
+		}
+		opts := EvalOptions{NodePower: 1, Noise: noise, ResidualCancel: flags&1 != 0, Prune: flags&4 != 0, PruneAt: pruneAt}
+		ws := cmplxmat.NewWorkspace()
+		switch {
+		case flags&2 != 0:
+			opts.Rate, opts.Decodes = table.Rate, sendable
+		case flags&32 != 0:
+			// The measurement's rule: a packet decodes when its realized
+			// SINR clears the rung its scored SINR selected.
+			scored, err := plan.evaluateWS(ws, estCS, estCS, true, EvalOptions{NodePower: 1, Noise: noise, ResidualCancel: opts.ResidualCancel, Rate: table.Rate, Decodes: sendable})
+			if err != nil {
+				return
+			}
+			planned := append([]float64(nil), scored.SINR...)
+			opts.Decodes = func(pkt int, sinr float64) bool { return !table.Outage(planned[pkt], sinr) }
+		}
+		var gotLog, wantLog []evalCall
+		got, gotErr := plan.measure2WS(ws, trueCS, estCS, loggedOptions(opts, &gotLog))
+		want, wantErr := plan.evaluateWS(ws, trueCS, estCS, false, loggedOptions(opts, &wantLog))
+		if d := evalDiff(got, gotErr, gotLog, want, wantErr, wantLog); d != "" {
+			t.Fatalf("measure2WS and evaluateWS differ in %s", d)
+		}
+	})
+}
+
 // BenchmarkScoreChainM2 times one planning round's candidate scoring
 // on campus_fading's shape, the M = 2 uplink chain over four APs: the
 // 4 AP rotations x 3 solver attempts = 12 candidates, each scored

@@ -30,13 +30,10 @@ func SolveUplinkThree(cs ChannelSet, rng *rand.Rand) (*Plan, error) {
 
 // uplinkThree's packet layout is fixed; the shared read-only slices are
 // referenced by every candidate plan and deep-copied only on Clone.
-var (
-	uplinkThreeOwners   = []int{0, 0, 1}
-	uplinkThreeSchedule = []DecodeStep{
-		{Rx: 0, Packets: []int{0}},
-		{Rx: 1, Packets: []int{1, 2}},
-	}
-)
+var uplinkThreeLayout = newPlanLayout([]int{0, 0, 1}, []DecodeStep{
+	{Rx: 0, Packets: []int{0}},
+	{Rx: 1, Packets: []int{1, 2}},
+})
 
 // SolveUplinkThreeWS is SolveUplinkThree with the intermediate linear
 // algebra and the plan's encoding vectors in the workspace arena (its
@@ -66,10 +63,11 @@ func SolveUplinkThreeWS(ws *cmplxmat.Workspace, cs ChannelSet, rng *rand.Rand) (
 	enc[0], enc[1], enc[2] = v0, v1, v2
 	return Plan{
 		M:        m,
-		Owner:    uplinkThreeOwners,
+		Owner:    uplinkThreeLayout.owners,
 		Encoding: enc,
-		Schedule: uplinkThreeSchedule,
+		Schedule: uplinkThreeLayout.schedule,
 		Wired:    true,
+		layout:   uplinkThreeLayout,
 	}, nil
 }
 
@@ -199,6 +197,7 @@ func SolveUplinkChain(cs ChannelSet, rng *rand.Rand) (*Plan, error) {
 type chainLayout struct {
 	owners, aSet, bSet []int
 	schedule           []DecodeStep
+	checked            *planLayout // owners and schedule, checked
 }
 
 // chainKey identifies a layout by antennas and the number of APs the
@@ -229,6 +228,7 @@ func makeChainLayout(m, aps int) chainLayout {
 		l.schedule = append(l.schedule, DecodeStep{Rx: 2 + s, Packets: l.aSet[start : start+size]})
 		start += size
 	}
+	l.checked = newPlanLayout(l.owners, l.schedule)
 	return l
 }
 
@@ -365,6 +365,7 @@ func (prep *UplinkPrep) SolveWS(ws *cmplxmat.Workspace, rng *rand.Rand) (Plan, e
 		Encoding: enc,
 		Schedule: layout.schedule,
 		Wired:    true,
+		layout:   layout.checked,
 	}, nil
 }
 

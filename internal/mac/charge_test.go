@@ -19,7 +19,7 @@ func okRunner(group []ClientID) SlotResult {
 }
 
 func TestChargeSlotsAtCycleBoundaryCountsTowardLatency(t *testing.T) {
-	sim := NewSimulator(Config{GroupSize: 1, CPSlots: 1}, FIFOPicker{}, constRate, okRunner)
+	sim := countBeacons(NewSimulator(Config{GroupSize: 1, CPSlots: 1}, FIFOPicker{}, constRate, okRunner))
 	tr := &recordingTracer{}
 	sim.SetTracer(tr)
 

@@ -124,7 +124,7 @@ func (p PollFrame) Marshal() ([]byte, error) {
 // bound instead of silently truncating (65536 slots must not announce
 // as 0 on the wire). The 65536-client-per-cell cap means a GroupSize-1
 // CFP can legally hit 65536 slots — one past the field's range — so the
-// clamp is reachable; RunCFP counts clamped beacons in WireClamps.
+// clamp is reachable.
 func ClampCFPDuration(slots int) uint16 {
 	if slots < 0 {
 		return 0

@@ -366,7 +366,7 @@ func TestSimulatorDeliversAllTraffic(t *testing.T) {
 		}
 		return res
 	}
-	sim := NewSimulator(Config{GroupSize: 3, CPSlots: 2, MaxRetries: 2}, FIFOPicker{}, constRate, runner)
+	sim := countBeacons(NewSimulator(Config{GroupSize: 3, CPSlots: 2, MaxRetries: 2}, FIFOPicker{}, constRate, runner))
 	tr := newCountingTracer(6)
 	sim.SetTracer(tr)
 	for c := ClientID(0); c < 6; c++ {
@@ -648,7 +648,7 @@ func TestChargeSlotsAdvancesAirtimeOnly(t *testing.T) {
 	runner := func(group []ClientID) SlotResult {
 		return SlotResult{Rate: make([]float64, len(group)), Lost: make([]bool, len(group))}
 	}
-	sim := NewSimulator(Config{GroupSize: 1, CPSlots: 2}, FIFOPicker{}, constRate, runner)
+	sim := countBeacons(NewSimulator(Config{GroupSize: 1, CPSlots: 2}, FIFOPicker{}, constRate, runner))
 	sim.ChargeSlots(3)
 	if sim.Slots() != 3 {
 		t.Fatalf("slots %d after charging 3", sim.Slots())

@@ -85,10 +85,8 @@ type Simulator struct {
 	// exactly the first-occurrence order a flat FIFO queue would yield.
 	seq uint64
 
-	beacons    int
-	slots      int
-	wireClamps int
-	tracer     Tracer
+	slots  int
+	tracer Tracer
 	// pendingAcks collects (client, success) outcomes of the current CFP
 	// for the next beacon's ack map.
 	pendingAcks []ackEntry
@@ -279,7 +277,6 @@ func (s *Simulator) RunCFP() Beacon {
 	}
 	s.pendingAcks = s.pendingAcks[:0]
 	beacon := Beacon{AckMap: ackMap}
-	s.beacons++
 
 	// Eligible view: the clients with pending work, in FIFO order of
 	// their head packets. Each slot serves a group and strikes its
@@ -328,9 +325,6 @@ func (s *Simulator) RunCFP() Beacon {
 	// possibly zero — length. The airtime clock below keeps the true
 	// count either way.
 	beacon.CFPDurationSlots = ClampCFPDuration(cfpSlots)
-	if cfpSlots > int(beacon.CFPDurationSlots) {
-		s.wireClamps++
-	}
 	s.slots += cfpSlots + s.cfg.CPSlots
 	return beacon
 }

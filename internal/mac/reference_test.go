@@ -117,14 +117,37 @@ func AckBit(ackMap []byte, i int) bool {
 	return ackMap[i/8]&(1<<uint(i%8)) != 0
 }
 
+// beaconCounter is a Simulator whose RunCFP counts the beacons it
+// returns, for the tests that read the counts.
+type beaconCounter struct {
+	*Simulator
+	beacons, wireClamps int
+}
+
+// countBeacons wraps s to count its beacons.
+func countBeacons(s *Simulator) *beaconCounter { return &beaconCounter{Simulator: s} }
+
+// RunCFP runs s's CFP and counts its beacon, and the beacon as clamped
+// when the CFP's true slot count (the airtime it took, less the
+// contention period) outran the duration it announces.
+func (c *beaconCounter) RunCFP() Beacon {
+	before := c.Slots()
+	b := c.Simulator.RunCFP()
+	c.beacons++
+	if c.Slots()-before-c.cfg.CPSlots > int(b.CFPDurationSlots) {
+		c.wireClamps++
+	}
+	return b
+}
+
 // Beacons returns how many CFPs have run.
-func (s *Simulator) Beacons() int { return s.beacons }
+func (c *beaconCounter) Beacons() int { return c.beacons }
 
 // WireClamps returns how many beacons announced a clamped CFP duration
 // because the true slot count outran the wire format's 16-bit field
 // (see ClampCFPDuration). Zero in any healthy configuration; a nonzero
 // count means on-air duration announcements under-report the CFP.
-func (s *Simulator) WireClamps() int { return s.wireClamps }
+func (c *beaconCounter) WireClamps() int { return c.wireClamps }
 
 // Credits exposes a client's current credit counter (for tests and
 // fairness diagnostics).

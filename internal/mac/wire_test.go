@@ -31,7 +31,7 @@ func TestClampCFPDurationBoundaries(t *testing.T) {
 }
 
 func TestRunCFPInRangeDurationNotClamped(t *testing.T) {
-	sim := NewSimulator(Config{GroupSize: 1, CPSlots: 1}, FIFOPicker{}, constRate, okRunner)
+	sim := countBeacons(NewSimulator(Config{GroupSize: 1, CPSlots: 1}, FIFOPicker{}, constRate, okRunner))
 	for c := ClientID(0); c < 5; c++ {
 		sim.Enqueue(c)
 	}

@@ -173,9 +173,9 @@ func (e *engine) surveyAll() {
 	for _, c := range e.scenario.Clients {
 		for _, ap := range e.scenario.APs {
 			if e.cfg.Uplink {
-				e.chans.Estimated(e.ws.Mat, c, ap, e.rng)
+				e.chans.Estimated(c, ap, e.rng)
 			} else {
-				e.chans.Estimated(e.ws.Mat, ap, c, e.rng)
+				e.chans.Estimated(ap, c, e.rng)
 			}
 		}
 	}

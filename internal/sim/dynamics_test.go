@@ -47,14 +47,14 @@ func TestPerturbInvalidatesMidTrialCaches(t *testing.T) {
 	tx, rx := e.scenario.Clients[0], e.scenario.APs[0]
 	// The cache refreshes estimates in place: compare contents.
 	hBefore := e.scenario.World.Channel(tx, rx)
-	estBefore := e.chans.Estimated(e.ws.Mat, tx, rx, e.rng).Clone()
+	estBefore := e.chans.Estimated(tx, rx, e.rng).Clone()
 
 	e.scenario.World.Perturb(0.6)
 
 	if e.scenario.World.Channel(tx, rx).Sub(hBefore).MaxAbs() == 0 {
 		t.Fatal("the world kept a stale channel across the perturb")
 	}
-	if e.chans.Estimated(e.ws.Mat, tx, rx, e.rng).Sub(estBefore).MaxAbs() > 0 {
+	if e.chans.Estimated(tx, rx, e.rng).Sub(estBefore).MaxAbs() > 0 {
 		t.Fatal("training estimates must stay pinned until Retrain")
 	}
 	after := *e.outcome(group)
@@ -68,7 +68,7 @@ func TestPerturbInvalidatesMidTrialCaches(t *testing.T) {
 	// the achieved rates can only have moved because evaluation ran on
 	// the new true channels.
 	e.chans.Retrain()
-	if e.chans.Estimated(e.ws.Mat, tx, rx, e.rng).Sub(estBefore).MaxAbs() == 0 {
+	if e.chans.Estimated(tx, rx, e.rng).Sub(estBefore).MaxAbs() == 0 {
 		t.Fatal("Retrain did not refresh the survey")
 	}
 

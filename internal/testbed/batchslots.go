@@ -193,7 +193,7 @@ func planSlot(ws *phy.Workspace, cache *SlotCache, s Scenario, downlink bool, ro
 		for i, ap := range s.APs {
 			for j, c := range s.Clients {
 				trueCS[i][j] = s.World.ChannelWS(mat, ap, c)
-				estCS[i][j] = cache.Estimated(mat, ap, c, rng)
+				estCS[i][j] = cache.Estimated(ap, c, rng)
 			}
 		}
 		switch {
@@ -238,7 +238,7 @@ func planSlot(ws *phy.Workspace, cache *SlotCache, s Scenario, downlink bool, ro
 		for i, o := range order {
 			c := s.Clients[o]
 			for j, ap := range s.APs {
-				estCS[i][j] = cache.Estimated(mat, c, ap, rng)
+				estCS[i][j] = cache.Estimated(c, ap, rng)
 			}
 		}
 		switch {

@@ -126,10 +126,9 @@ func (c *SlotCache) entry(tx, rx *channel.Node) *pairEntry {
 // Estimated returns the training-noise-corrupted estimate of the tx->rx
 // channel: the world's channel at the pair's first lookup since the last
 // Retrain plus estimation noise drawn from rng, once per pair per
-// survey. The channel is measured on ws's scratch, released before
-// return. The matrix is the pair's own storage, read-only and valid
+// survey. The matrix is the pair's own storage, read-only and valid
 // until the pair is next re-surveyed.
-func (c *SlotCache) Estimated(ws *cmplxmat.Workspace, tx, rx *channel.Node, rng *rand.Rand) *cmplxmat.Matrix {
+func (c *SlotCache) Estimated(tx, rx *channel.Node, rng *rand.Rand) *cmplxmat.Matrix {
 	e := c.entry(tx, rx)
 	if e.stamp == c.survey {
 		c.hits++
@@ -143,7 +142,7 @@ func (c *SlotCache) Estimated(ws *cmplxmat.Workspace, tx, rx *channel.Node, rng 
 	// Measure the channel into the estimate's own storage, then noise it
 	// in place: entry by entry, the same values and draws as noising a
 	// separate copy.
-	c.scenario.World.ChannelInto(&e.est, ws, tx, rx)
+	c.scenario.World.ChannelInto(&e.est, tx, rx)
 	channel.NoisyEstimateInto(&e.est, &e.est, c.scenario.Env.EstimationSigma(), rng)
 	e.stamp = c.survey
 	return &e.est
@@ -172,7 +171,7 @@ func (c *SlotCache) AdaptedBaselineWS(ws *cmplxmat.Workspace, client int, uplink
 			tx, rx = rx, tx
 		}
 		trueChans[j] = s.World.ChannelWS(ws, tx, rx)
-		estChans[j] = c.Estimated(ws, tx, rx, rng)
+		estChans[j] = c.Estimated(tx, rx, rng)
 	}
 	return mimo.AdaptedBestAPWS(ws, s.Env.MCS, trueChans, estChans, NodePower, s.Env.Noise())
 }

@@ -27,8 +27,8 @@ func TestSlotCacheChannelsAndEstimatesAreStable(t *testing.T) {
 	ws := cmplxmat.NewWorkspace()
 	rng := rand.New(rand.NewSource(5))
 	tx, rx := s.Clients[0], s.APs[0]
-	e1 := c.Estimated(ws, tx, rx, rng)
-	e2 := c.Estimated(ws, tx, rx, rng)
+	e1 := c.Estimated(tx, rx, rng)
+	e2 := c.Estimated(tx, rx, rng)
 	if e1 != e2 {
 		t.Fatal("Estimated redrew noise within one survey")
 	}
@@ -55,7 +55,7 @@ func TestSlotCacheInvalidatesOnEpochChange(t *testing.T) {
 	rng, twin := rand.New(rand.NewSource(6)), rand.New(rand.NewSource(6))
 	tx, rx := s.Clients[0], s.APs[0]
 	sigma := s.Env.EstimationSigma()
-	e1 := c.Estimated(ws, tx, rx, rng).Clone()
+	e1 := c.Estimated(tx, rx, rng).Clone()
 	mustSameBits(t, "first survey", e1, channel.NoisyEstimate(s.World.Channel(tx, rx), sigma, twin))
 	r1 := BaselineRateWS(ws, s, 0, true)
 	gen := c.Generation()
@@ -72,7 +72,7 @@ func TestSlotCacheInvalidatesOnEpochChange(t *testing.T) {
 		t.Fatal("baseline rate did not see the epoch change")
 	}
 
-	mustSameBits(t, "after perturb", c.Estimated(ws, tx, rx, rng), e1)
+	mustSameBits(t, "after perturb", c.Estimated(tx, rx, rng), e1)
 	if rng.Int63() != twin.Int63() {
 		t.Fatal("an estimate drew noise without a Retrain")
 	}
@@ -81,7 +81,7 @@ func TestSlotCacheInvalidatesOnEpochChange(t *testing.T) {
 	if c.Generation() == gen {
 		t.Fatal("Generation did not move on Retrain")
 	}
-	mustSameBits(t, "after retrain", c.Estimated(ws, tx, rx, rng), channel.NoisyEstimate(s.World.Channel(tx, rx), sigma, twin))
+	mustSameBits(t, "after retrain", c.Estimated(tx, rx, rng), channel.NoisyEstimate(s.World.Channel(tx, rx), sigma, twin))
 	if rng.Int63() != twin.Int63() {
 		t.Fatal("the cache and the twin RNG stand at different positions")
 	}
@@ -96,12 +96,11 @@ func TestSlotCacheInvalidatesOnEpochChange(t *testing.T) {
 func TestSlotCacheRefreshMatchesFreshCache(t *testing.T) {
 	s := cacheScenario(t)
 	old := NewSlotCache(s)
-	ws := cmplxmat.NewWorkspace()
 	rng := rand.New(rand.NewSource(9))
 	survey := func(c *SlotCache, rng *rand.Rand) {
 		for _, cl := range s.Clients {
 			for _, ap := range s.APs {
-				c.Estimated(ws, cl, ap, rng)
+				c.Estimated(cl, ap, rng)
 			}
 		}
 	}
@@ -119,7 +118,7 @@ func TestSlotCacheRefreshMatchesFreshCache(t *testing.T) {
 	fresh := NewSlotCache(s)
 	for _, cl := range s.Clients {
 		for _, ap := range s.APs {
-			if old.Estimated(ws, cl, ap, rngOld).Sub(fresh.Estimated(ws, cl, ap, rngNew)).MaxAbs() > 0 {
+			if old.Estimated(cl, ap, rngOld).Sub(fresh.Estimated(cl, ap, rngNew)).MaxAbs() > 0 {
 				t.Fatalf("pair %v->%v: refreshed estimate differs from a fresh survey", cl, ap)
 			}
 		}
@@ -141,7 +140,6 @@ func TestEstimateSurveysCurrentChannel(t *testing.T) {
 	t.Run("manual=true", func(t *testing.T) {
 		s := cacheScenario(t)
 		c := NewSlotCache(s)
-		ws := cmplxmat.NewWorkspace()
 		rng, twin := rand.New(rand.NewSource(12)), rand.New(rand.NewSource(12))
 		var snap []*cmplxmat.Matrix
 		survey := func(step string) {
@@ -150,7 +148,7 @@ func TestEstimateSurveysCurrentChannel(t *testing.T) {
 			for _, cl := range s.Clients {
 				for _, ap := range s.APs {
 					for _, p := range [][2]*channel.Node{{cl, ap}, {ap, cl}} {
-						got := c.Estimated(ws, p[0], p[1], rng)
+						got := c.Estimated(p[0], p[1], rng)
 						want := channel.NoisyEstimate(s.World.Channel(p[0], p[1]), s.Env.EstimationSigma(), twin)
 						mustSameBits(t, fmt.Sprintf("%s: %v->%v", step, p[0], p[1]), got, want)
 						snap = append(snap, got.Clone())
@@ -167,7 +165,7 @@ func TestEstimateSurveysCurrentChannel(t *testing.T) {
 			for _, cl := range s.Clients {
 				for _, ap := range s.APs {
 					for _, p := range [][2]*channel.Node{{cl, ap}, {ap, cl}} {
-						mustSameBits(t, fmt.Sprintf("%s (pinned): %v->%v", step, p[0], p[1]), c.Estimated(ws, p[0], p[1], rng), snap[i])
+						mustSameBits(t, fmt.Sprintf("%s (pinned): %v->%v", step, p[0], p[1]), c.Estimated(p[0], p[1], rng), snap[i])
 						i++
 					}
 				}
@@ -257,7 +255,7 @@ func TestSlotCacheManualRetrainPinsEstimates(t *testing.T) {
 	ws := cmplxmat.NewWorkspace()
 	rng := rand.New(rand.NewSource(7))
 	tx, rx := s.Clients[0], s.APs[0]
-	e1 := c.Estimated(ws, tx, rx, rng)
+	e1 := c.Estimated(tx, rx, rng)
 	e1Snap := e1.Clone()
 	r1 := BaselineRateWS(ws, s, 0, true)
 
@@ -266,13 +264,13 @@ func TestSlotCacheManualRetrainPinsEstimates(t *testing.T) {
 	if BaselineRateWS(ws, s, 0, true) == r1 {
 		t.Fatal("baseline rate must track the world while estimates stand")
 	}
-	if e := c.Estimated(ws, tx, rx, rng); e != e1 || e.Sub(e1Snap).MaxAbs() > 0 {
+	if e := c.Estimated(tx, rx, rng); e != e1 || e.Sub(e1Snap).MaxAbs() > 0 {
 		t.Fatal("estimates must stay pinned across an epoch move")
 	}
 
 	c.Retrain()
 	_, missesBefore := c.Counters()
-	e2 := c.Estimated(ws, tx, rx, rng)
+	e2 := c.Estimated(tx, rx, rng)
 	if _, misses := c.Counters(); misses != missesBefore+1 {
 		t.Fatal("Retrain must drop the pinned estimates")
 	}

@@ -142,7 +142,7 @@ func runUplinkSlotScalarWS(ws *phy.Workspace, cache *SlotCache, s Scenario, twoP
 		for i, o := range order {
 			c := s.Clients[o]
 			for j, ap := range s.APs {
-				baseEst[i][j] = cache.Estimated(ws.Mat, c, ap, rng)
+				baseEst[i][j] = cache.Estimated(c, ap, rng)
 			}
 		}
 	}
@@ -343,7 +343,7 @@ func runDownlinkSlotScalarWS(ws *phy.Workspace, cache *SlotCache, s Scenario, rn
 		for i, ap := range s.APs {
 			for j, c := range s.Clients {
 				baseTrue[i][j] = s.World.Channel(ap, c)
-				baseEst[i][j] = cache.Estimated(ws.Mat, ap, c, rng)
+				baseEst[i][j] = cache.Estimated(ap, c, rng)
 			}
 		}
 	}

@@ -106,7 +106,7 @@ func planOracleSlot(t *testing.T, s Scenario, downlink bool, role int, seed int6
 			for j, b := range rx {
 				trueCS[i][j] = s.World.Channel(a, b)
 				// A cache hit: the survey's estimate, drawing nothing.
-				estCS[i][j] = cache.Estimated(ws.Mat, a, b, rng).Clone()
+				estCS[i][j] = cache.Estimated(a, b, rng).Clone()
 			}
 		}
 		ev, err := plan.Evaluate(trueCS, estCS, NodePower, s.Env.Noise())
