@@ -247,16 +247,27 @@ func (w *World) Distance(a, b *Node) float64 {
 // that the per-antenna receive SNR at unit noise is RefSNRdB at RefDist,
 // rolling off with the path-loss exponent, plus the pair's shadowing.
 func (w *World) PathGainDB(a, b *Node) float64 {
-	d := w.Distance(a, b)
-	g := w.params.RefSNRdB - 10*w.params.PathLossExp*math.Log10(d/w.params.RefDist)
-	return g + w.shadowOf(a, b)
+	var r *pairRow
+	if w.params.ShadowSigmaDB != 0 {
+		r = w.row(a, b)
+	}
+	return w.pathGainDB(a, b, r)
 }
 
-func (w *World) shadowOf(a, b *Node) float64 {
+// pathGainDB is PathGainDB for a pair whose row r is in hand; r may be
+// nil without shadowing.
+func (w *World) pathGainDB(a, b *Node, r *pairRow) float64 {
+	d := w.Distance(a, b)
+	g := w.params.RefSNRdB - 10*w.params.PathLossExp*math.Log10(d/w.params.RefDist)
+	return g + w.shadowOf(r)
+}
+
+// shadowOf returns the shadowing of the pair with row r, drawing it on
+// its first use, or 0 without shadowing.
+func (w *World) shadowOf(r *pairRow) float64 {
 	if w.params.ShadowSigmaDB == 0 {
 		return 0
 	}
-	r := w.row(a, b)
 	if r.live&shadowLive == 0 {
 		r.shadow = w.rng.NormFloat64() * w.params.ShadowSigmaDB
 		r.live |= shadowLive
@@ -268,6 +279,12 @@ func (w *World) shadowOf(a, b *Node) float64 {
 // noise power.
 func (w *World) MeanSNR(a, b *Node) float64 {
 	return math.Pow(10, w.PathGainDB(a, b)/10)
+}
+
+// amplitude is sqrt(MeanSNR) for a pair whose row r is in hand: the
+// scale of its propagation draws.
+func (w *World) amplitude(a, b *Node, r *pairRow) float64 {
+	return math.Sqrt(math.Pow(10, w.pathGainDB(a, b, r)/10))
 }
 
 // row returns the pair's row, adding one with nothing live, at the
@@ -305,18 +322,19 @@ func (w *World) propagation(row *pairRow) cmplxmat.Matrix {
 // RandomGaussian(...).Scale(amp) either way.
 func (w *World) physFor(a, b *Node) cmplxmat.Matrix {
 	row := w.row(a, b)
-	if row.live&physLive == 0 {
-		amp := math.Sqrt(w.MeanSNR(a, b))
-		if row.phys == noRow {
-			m := w.params.Antennas
-			i, _ := w.props.Take(m * m)
-			row.phys = int32(i)
-		}
-		p := w.propagation(row)
-		p.FillGaussian(w.rng, complex(amp, 0))
-		row.live |= physLive
+	if row.live&physLive != 0 {
+		return w.propagation(row)
 	}
-	return w.propagation(row)
+	amp := w.amplitude(a, b, row)
+	if row.phys == noRow {
+		m := w.params.Antennas
+		i, _ := w.props.Take(m * m)
+		row.phys = int32(i)
+	}
+	p := w.propagation(row)
+	p.FillGaussian(w.rng, complex(amp, 0))
+	row.live |= physLive
+	return p
 }
 
 // Channel returns the measured baseband channel for tx->rx including both
@@ -399,9 +417,9 @@ func (w *World) Perturb(eps float64) {
 	w.order = order
 	for _, o := range order {
 		a, b := w.nodes[o.key>>32], w.nodes[uint32(o.key)]
-		amp := math.Sqrt(w.MeanSNR(a, b))
-		p := w.propagation(w.rows.At(int(o.row)))
-		p.BlendGaussianInPlace(w.rng, keep, complex(amp*eps, 0))
+		row := w.rows.At(int(o.row))
+		p := w.propagation(row)
+		p.BlendGaussianInPlace(w.rng, keep, complex(w.amplitude(a, b, row)*eps, 0))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/big"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -277,11 +278,11 @@ func (tr *kernelTrace) err(err error) {
 	}
 }
 
-// smallKernels runs every kernel with small-n storage on m (and on its
-// Gram matrix, its columns, and a polynomial with m's entries as
-// coefficients), each on a fresh workspace, and returns one trace per
-// kernel. A panic is part of the result.
-func smallKernels(m *Matrix) map[string]kernelTrace {
+// smallKernels runs every kernel that takes scratch from the arena on
+// m (and on its Gram matrix, its columns, and a polynomial with m's
+// entries as coefficients), each on its own workspace from newWS, and
+// returns one trace per kernel. A panic is part of the result.
+func smallKernels(m *Matrix, newWS func() *Workspace) map[string]kernelTrace {
 	out := map[string]kernelTrace{}
 	run := func(name string, f func(ws *Workspace, tr *kernelTrace)) {
 		var tr kernelTrace
@@ -291,7 +292,7 @@ func smallKernels(m *Matrix) map[string]kernelTrace {
 			}
 			out[name] = tr
 		}()
-		f(NewWorkspace(), &tr)
+		f(newWS(), &tr)
 	}
 	cols := make([]Vector, m.cols)
 	for j := range cols {
@@ -356,16 +357,18 @@ func smallKernels(m *Matrix) map[string]kernelTrace {
 	return out
 }
 
-// FuzzSmallKernels pins the small-n storage rule: each kernel body that
-// runs on fixed-size local arrays up to SmallDim (Jacobi and the Gram
+// FuzzSmallKernels pins the arena scratch rule on the planners' shapes:
+// each kernel body that works on arena scratch (Jacobi and the Gram
 // product behind LeadingLeftSingularWS, SVDWS and EigenHermitianWS, the
 // LU behind DetWS, SolveWS and InverseWS, rankOf, the null-space
 // elimination, the interpolation and Durand-Kerner buffers) must give
-// the bits it gives on arena storage, with forceArena set. Shapes are
-// the planners' 2 x k and n x n up to 4 x 4; the degeneracy selector
-// adds aligned columns, zero rows and columns, and repeated
-// eigenvalues, and rel = -1 on rank-deficient input drives
-// LeadingLeftSingularWS into its SVDWS null-completion fallback.
+// the bits on a workspace holding an earlier user's data
+// (dirtyWorkspace) that it gives on a fresh one, so no kernel reads
+// scratch it did not zero or write. Shapes are the planners' 2 x k and
+// n x n up to 4 x 4; the degeneracy selector adds aligned columns, zero
+// rows and columns, and repeated eigenvalues, and rel = -1 on
+// rank-deficient input drives LeadingLeftSingularWS into its SVDWS
+// null-completion fallback.
 func FuzzSmallKernels(f *testing.F) {
 	for shape := range smallShapes {
 		for degen := byte(0); degen < 5; degen++ {
@@ -375,18 +378,16 @@ func FuzzSmallKernels(f *testing.F) {
 	f.Add(byte(1), byte(0), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 	f.Add(byte(2), byte(1), 1e-300, 1e300, -1e-300, 1e150, 5e-324, -1e8, 1e-16, 1.0)
 	f.Add(byte(6), byte(4), math.Pi, -math.E, math.Sqrt2, 0.1, -0.7, 42.0, 1e-9, -3.5)
+	reused := func() *Workspace { return dirtyWorkspace(rand.New(rand.NewSource(1))) }
 	f.Fuzz(func(t *testing.T, shape, degen byte, a, b, c, d, e, g, h, i float64) {
 		sh := smallShapes[int(shape)%len(smallShapes)]
 		m := fuzzRect(sh[0], sh[1], []float64{a, b, c, d, e, g, h, i})
 		degenerate(m, degen)
 
-		small := smallKernels(m)
-		forceArena = true
-		defer func() { forceArena = false }()
-		arena := smallKernels(m)
-		for name, want := range arena {
-			if got := small[name]; !slices.Equal(got, want) {
-				t.Fatalf("%s on %dx%d (degenerate %d): local storage diverged from arena storage\n m=%v", name, sh[0], sh[1], degen%6, m)
+		fresh := smallKernels(m, NewWorkspace)
+		for name, got := range smallKernels(m, reused) {
+			if want := fresh[name]; !slices.Equal(got, want) {
+				t.Fatalf("%s on %dx%d (degenerate %d): a reused workspace diverged from a fresh one\n m=%v", name, sh[0], sh[1], degen%6, m)
 			}
 		}
 	})

@@ -81,16 +81,15 @@ func (p Poly) RootsWS(ws *Workspace) ([]complex128, error) {
 
 // RootsInto is Roots writing the roots into roots[:deg] and returning
 // deg, the effective degree; roots needs room for len(p)-1 of them.
-// Durand-Kerner's iteration buffers live in local arrays up to degree
-// SmallDim and in the arena beyond.
+// Durand-Kerner's iteration buffers come from the arena and are
+// released before it returns.
 func (p Poly) RootsInto(ws *Workspace, roots []complex128) (int, error) {
 	deg := p.Degree(1e-13)
 	if deg < 1 {
 		return 0, ErrNoRoots
 	}
-	var monic [SmallDim + 1]complex128
-	var next [SmallDim]complex128
-	p.durandKerner(deg, Poly(ws.VectorIn(monic[:], deg+1)), roots[:deg], ws.VectorIn(next[:], deg))
+	defer ws.Release(ws.Mark())
+	p.durandKerner(deg, Poly(ws.Complexes(deg+1)), roots[:deg], ws.Complexes(deg))
 	return deg, nil
 }
 
@@ -182,8 +181,8 @@ func sameBits(a, b complex128) bool {
 // InterpolatePolyInto fits the unique polynomial of degree <= len(xs)-1
 // through the points (xs[i], ys[i]) using Newton divided differences and
 // writes its coefficients into coeffs, which must be zeroed and len(xs)
-// long. The xs must be pairwise distinct. Its scratch lives in local
-// arrays for up to SmallDim+1 points and in the arena beyond.
+// long. The xs must be pairwise distinct. Its scratch comes from the
+// arena and is released before it returns.
 //
 // The alignment solver uses this to recover det-polynomial coefficients
 // from point evaluations: the determinant of a matrix whose columns are
@@ -194,8 +193,8 @@ func InterpolatePolyInto(ws *Workspace, coeffs Poly, xs, ys []complex128) {
 	if len(coeffs) != n {
 		panic("cmplxmat: InterpolatePolyInto needs len(xs) coefficients")
 	}
-	var dd, basis, spare [SmallDim + 1]complex128
-	newtonToMonomial(xs, ys, ws.VectorIn(dd[:], n), coeffs, Poly(ws.VectorIn(basis[:], n)), Poly(ws.VectorIn(spare[:], n)))
+	defer ws.Release(ws.Mark())
+	newtonToMonomial(xs, ys, ws.Complexes(n), coeffs, Poly(ws.Complexes(n)), Poly(ws.Complexes(n)))
 }
 
 func interpolateLen(xs, ys []complex128) int {

@@ -88,8 +88,7 @@ func (m *Matrix) Solve(b Vector) (Vector, error) {
 	}
 	ws := GetWorkspace()
 	defer PutWorkspace(ws)
-	var st luStore
-	lu, perm, _, ok := st.factor(ws, m)
+	lu, perm, _, ok := m.luFactorWS(ws)
 	if !ok {
 		return nil, ErrSingular
 	}

@@ -119,28 +119,16 @@ func OrthonormalBasisInto(dst []Vector, tol float64, vs []Vector) int {
 }
 
 // OrthogonalComplementVectorWS is the kernel of
-// OrthogonalComplementVector. The returned vector is arena-backed; for
-// up to SmallDim vectors of dimension up to SmallDim, the basis and the
-// candidate vectors live in local arrays.
+// OrthogonalComplementVector. The returned vector, the basis and the
+// candidate vectors are arena-backed.
 func OrthogonalComplementVectorWS(ws *Workspace, n int, tol float64, vs []Vector) Vector {
-	var basisBuf [SmallDim][SmallDim]complex128
-	var basisHdr [SmallDim]Vector
-	var basis []Vector
-	if len(vs) <= SmallDim && small(n) {
-		for i := range vs {
-			basisHdr[i] = basisBuf[i][:n]
-		}
-		basis = basisHdr[:OrthonormalBasisInto(basisHdr[:len(vs)], tol, vs)]
-	} else {
-		basis = OrthonormalBasisWS(ws, tol, vs)
-	}
+	basis := OrthonormalBasisWS(ws, tol, vs)
 	if len(basis) >= n {
 		return nil
 	}
 	// Project each standard basis vector out of the span; the one with
 	// the largest residual is the numerically safest complement seed.
-	var uBuf, bestBuf [SmallDim]complex128
-	u, best := ws.VectorIn(uBuf[:], n), ws.VectorIn(bestBuf[:], n)
+	u, best := ws.Vector(n), ws.Vector(n)
 	bestNorm := -1.0
 	for i := 0; i < n; i++ {
 		clear(u)
@@ -162,7 +150,7 @@ func OrthogonalComplementVectorWS(ws *Workspace, n int, tol float64, vs []Vector
 // luFactorInPlace runs the partial-pivot elimination of one n x n system
 // packed row-major in data, recording the row permutation in perm
 // (length n). It is the single elimination loop of every LU path
-// (determinant, rank, solve, inverse), on local or arena storage alike.
+// (determinant, rank, solve, inverse).
 func luFactorInPlace(data []complex128, n int, perm []int) (swaps int, ok bool) {
 	for i := range perm {
 		perm[i] = i
@@ -240,14 +228,22 @@ func luInverseData(data []complex128, n int, perm []int, unit, col Vector, inv [
 	}
 }
 
-// DetWS returns the determinant. A small m is factored on local
-// storage; a larger one on arena scratch released before returning.
+// luFactorWS copies the square matrix m into arena scratch and runs
+// the partial-pivot LU factorization on it in place.
+func (m *Matrix) luFactorWS(ws *Workspace) (lu []complex128, perm []int, swaps int, ok bool) {
+	m.mustSquare()
+	n := m.rows
+	lu, perm = ws.Complexes(n*n), ws.Ints(n)
+	copy(lu, m.data)
+	swaps, ok = luFactorInPlace(lu, n, perm)
+	return lu, perm, swaps, ok
+}
+
+// DetWS returns the determinant, factoring m on arena scratch released
+// before it returns.
 func (m *Matrix) DetWS(ws *Workspace) complex128 {
-	if !small(m.rows) {
-		defer ws.Release(ws.Mark())
-	}
-	var st luStore
-	lu, _, swaps, ok := st.factor(ws, m)
+	defer ws.Release(ws.Mark())
+	lu, _, swaps, ok := m.luFactorWS(ws)
 	if !ok {
 		return 0
 	}
@@ -262,15 +258,14 @@ func (m *Matrix) DetWS(ws *Workspace) complex128 {
 	return det
 }
 
-// SolveWS solves m*x = b, returning x in the arena. The factorization
-// lives on local storage for a small m, in the arena otherwise.
+// SolveWS solves m*x = b, returning x and the factorization in the
+// arena.
 func (m *Matrix) SolveWS(ws *Workspace, b Vector) (Vector, error) {
 	m.mustSquare()
 	if len(b) != m.rows {
 		panic("cmplxmat: Solve dimension mismatch")
 	}
-	var st luStore
-	lu, perm, _, ok := st.factor(ws, m)
+	lu, perm, _, ok := m.luFactorWS(ws)
 	if !ok {
 		return nil, ErrSingular
 	}
@@ -279,29 +274,24 @@ func (m *Matrix) SolveWS(ws *Workspace, b Vector) (Vector, error) {
 	return x, nil
 }
 
-// InverseWS inverts m, returning the inverse in the arena. The
-// factorization and the column scratch live on local storage for a
-// small m, in the arena otherwise.
+// InverseWS inverts m, returning the inverse, the factorization and
+// the column scratch in the arena.
 func (m *Matrix) InverseWS(ws *Workspace) (*Matrix, error) {
-	var st luStore
-	lu, perm, _, ok := st.factor(ws, m)
+	lu, perm, _, ok := m.luFactorWS(ws)
 	if !ok {
 		return nil, ErrSingular
 	}
 	n := m.rows
 	inv := ws.Matrix(n, n)
-	luInverseData(lu, n, perm, ws.VectorIn(st.unit[:], n), ws.VectorIn(st.col[:], n), inv.data)
+	luInverseData(lu, n, perm, ws.Vector(n), ws.Vector(n), inv.data)
 	return inv, nil
 }
 
-// RankWS is Rank with the elimination scratch on local storage for a
-// small m and in the arena, released before returning, otherwise.
+// RankWS is Rank with the elimination scratch in the arena, released
+// before it returns.
 func (m *Matrix) RankWS(ws *Workspace, tol float64) int {
-	if !small(m.rows) || !small(m.cols) {
-		defer ws.Release(ws.Mark())
-	}
-	var st luStore
-	a := st.elim(ws, m.rows, m.cols)
+	defer ws.Release(ws.Mark())
+	a := ws.Complexes(m.rows * m.cols)
 	copy(a, m.data)
 	return rankOf(a, m.rows, m.cols, tol)
 }
@@ -342,9 +332,8 @@ func rankOf(a []complex128, rows, cols int, tol float64) int {
 	return rank
 }
 
-// NullSpaceWS is NullSpace with the returned basis in the arena. For
-// at most SmallDim rows and columns the elimination and the raw
-// null vectors live in local arrays, in the arena otherwise.
+// NullSpaceWS is NullSpace with the returned basis, the elimination
+// and the raw null vectors in the arena.
 func (m *Matrix) NullSpaceWS(ws *Workspace, tol float64) []Vector {
 	rows, cols := m.rows, m.cols
 	scale := m.MaxAbs()
@@ -356,24 +345,11 @@ func (m *Matrix) NullSpaceWS(ws *Workspace, tol float64) []Vector {
 		}
 		return basis
 	}
-	var st luStore
-	a := st.elim(ws, rows, cols)
+	a := ws.Complexes(rows * cols)
 	copy(a, m.data)
-	var pivotBuf [SmallDim]int
-	var rawBuf [SmallDim][SmallDim]complex128
-	var rawHdr [SmallDim]Vector
-	var pivotCols []int
-	var raw []Vector
-	if small(rows) && small(cols) {
-		for c := 0; c < cols; c++ {
-			rawHdr[c] = rawBuf[c][:cols]
-		}
-		pivotCols, raw = pivotBuf[:cols], rawHdr[:cols]
-	} else {
-		pivotCols, raw = ws.Ints(cols), ws.Vectors(cols)
-		for c := range raw {
-			raw[c] = ws.Vector(cols)
-		}
+	pivotCols, raw := ws.Ints(cols), ws.Vectors(cols)
+	for c := range raw {
+		raw[c] = ws.Vector(cols)
 	}
 	thresh := tol * scale
 	r := 0
@@ -428,8 +404,7 @@ func (m *Matrix) NullSpaceWS(ws *Workspace, tol float64) []Vector {
 }
 
 // EigenHermitianWS is EigenHermitian with the returned eigenvalues and
-// eigenvectors in the arena; the Jacobi working copies live on local
-// storage for a small m and in the arena otherwise.
+// eigenvectors and the Jacobi working copies in the arena.
 func (m *Matrix) EigenHermitianWS(ws *Workspace) (vals []float64, v *Matrix) {
 	m.mustSquare()
 	n := m.rows
@@ -437,8 +412,7 @@ func (m *Matrix) EigenHermitianWS(ws *Workspace) (vals []float64, v *Matrix) {
 	if !m.equalH(1e-9 * (1 + scale)) {
 		panic("cmplxmat: EigenHermitian on a non-Hermitian matrix")
 	}
-	var st eigenStore
-	a, vecs, raw, idx := st.slices(ws, n)
+	a, vecs, raw, idx := jacobiScratch(ws, n)
 	copy(a, m.data)
 	down, up := jacobiScale(maxPartOf(m.data...), eigenMinExp, eigenMaxExp)
 	if down != 1 {
@@ -496,9 +470,8 @@ func jacobiScale(p float64, lo, hi int) (down, up float64) {
 // eigenvectors, one column per eigenvalue in diagonal order. raw
 // receives the eigenvalues in that order, and idx the permutation
 // listing the columns by descending eigenvalue. It is the one Jacobi
-// body behind EigenHermitianWS, SVDWS and LeadingLeftSingularInto, on
-// whichever storage the caller chose; it does not check that a is
-// Hermitian.
+// body behind EigenHermitianWS, SVDWS and LeadingLeftSingularInto; it
+// does not check that a is Hermitian.
 func jacobi(a, v []complex128, raw []float64, idx []int, scale float64) {
 	n := len(raw)
 	for i := 0; i < n; i++ {
@@ -569,6 +542,12 @@ func jacobi(a, v []complex128, raw []float64, idx []int, scale float64) {
 			j--
 		}
 	}
+}
+
+// jacobiScratch returns jacobi's zeroed working storage for an n x n
+// problem from the arena: a, v, raw and idx.
+func jacobiScratch(ws *Workspace, n int) (a, v []complex128, raw []float64, idx []int) {
+	return ws.Complexes(n * n), ws.Complexes(n * n), ws.Floats(n), ws.Ints(n)
 }
 
 // offBelow is jacobi's convergence test: whether off, the sum of |a_ij|
@@ -737,10 +716,8 @@ func singularValue(ev float64) float64 {
 
 // leftColumnInto writes into dst the left singular vector m v / s for
 // the right singular vector v in column col of the m.cols x m.cols
-// eigenvector matrix vecs.
-func (m *Matrix) leftColumnInto(ws *Workspace, dst Vector, vecs []complex128, col int, s float64) {
-	var buf [SmallDim]complex128
-	vc := ws.VectorIn(buf[:], m.cols)
+// eigenvector matrix vecs, gathering v into vc (m.cols long).
+func (m *Matrix) leftColumnInto(dst, vc Vector, vecs []complex128, col int, s float64) {
 	for i := range vc {
 		vc[i] = vecs[i*m.cols+col]
 	}
@@ -748,17 +725,16 @@ func (m *Matrix) leftColumnInto(ws *Workspace, dst Vector, vecs []complex128, co
 	dst.ScaleInto(dst, complex(1/s, 0))
 }
 
-// SVDWS is SVD with the returned factors and the null completion's
-// scratch in the arena; the Gram matrix and its Jacobi working copies
-// live on local storage when m has at most SmallDim columns.
+// SVDWS is SVD with the returned factors, the Gram matrix, its Jacobi
+// working copies and the null completion's scratch in the arena.
 func (m *Matrix) SVDWS(ws *Workspace) (u *Matrix, s []float64, v *Matrix) {
 	rows, cols := m.rows, m.cols
 	k := rows
 	if cols < k {
 		k = cols
 	}
-	var st eigenStore
-	a, vecs, raw, idx := st.slices(ws, cols)
+	a, vecs, raw, idx := jacobiScratch(ws, cols)
+	vc := ws.Vector(cols)
 	up := m.rightSingular(a, vecs, raw, idx)
 	nullTol := m.nullTol()
 	s = ws.Floats(k)
@@ -771,7 +747,7 @@ func (m *Matrix) SVDWS(ws *Workspace) (u *Matrix, s []float64, v *Matrix) {
 		}
 		if s[j] > nullTol {
 			uc := ws.Vector(rows)
-			m.leftColumnInto(ws, uc, vecs, idx[j], s[j])
+			m.leftColumnInto(uc, vc, vecs, idx[j], s[j])
 			for i := 0; i < rows; i++ {
 				u.data[i*k+j] = uc[i]
 			}
@@ -817,9 +793,8 @@ func (m *Matrix) SVDWS(ws *Workspace) (u *Matrix, s []float64, v *Matrix) {
 // columns, not V or the rest of U; when one of them would come from
 // SVDWS's null-column completion (a singular value at the null
 // threshold, or a left vector too short to keep), it falls back to
-// SVDWS itself. For at most SmallDim columns the Gram matrix and its
-// Jacobi working copies live in local arrays; any arena scratch is
-// released before it returns.
+// SVDWS itself. Its scratch comes from the arena and is released
+// before it returns.
 func (m *Matrix) LeadingLeftSingularInto(ws *Workspace, dst []Vector, rel float64) int {
 	n := min(len(dst), m.rows, m.cols)
 	if n <= 0 {
@@ -838,11 +813,9 @@ func (m *Matrix) LeadingLeftSingularInto(ws *Workspace, dst []Vector, rel float6
 // 1 <= n <= min(m.Rows(), m.Cols()).
 func (m *Matrix) leadingJacobiInto(ws *Workspace, dst []Vector, rel float64) int {
 	n := len(dst)
-	if !small(m.cols) {
-		defer ws.Release(ws.Mark())
-	}
-	var st eigenStore
-	a, vecs, raw, idx := st.slices(ws, m.cols)
+	defer ws.Release(ws.Mark())
+	a, vecs, raw, idx := jacobiScratch(ws, m.cols)
+	vc := ws.Vector(m.cols)
 	up := m.rightSingular(a, vecs, raw, idx)
 	s0 := singularValue(raw[idx[0]]) * up
 	for j := 0; j < n; j++ {
@@ -853,7 +826,7 @@ func (m *Matrix) leadingJacobiInto(ws *Workspace, dst []Vector, rel float64) int
 		if !m.aboveNull(sj) {
 			break
 		}
-		m.leftColumnInto(ws, dst[j], vecs, idx[j], sj)
+		m.leftColumnInto(dst[j], vc, vecs, idx[j], sj)
 		if dst[j].Norm() <= 0.5 {
 			break
 		}

@@ -13,9 +13,9 @@ import (
 // direction and the slot evaluator (collapsed and full direction
 // tables and scoring on a checked set, all on the fixed-size evaluators
 // at M = 2, and scoring on the general evaluator at M = 3) at zero heap
-// allocations on a warm
-// workspace. Their working storage lives in local arrays, so a local
-// that escapes to the heap fails this test.
+// allocations on a warm workspace. Their working storage is fixed-size
+// locals at M = 2 and arena slices otherwise, so a buffer that escapes
+// to the heap fails this test.
 func TestM2KernelsZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	sig := cmplxmat.RandomGaussianVector(rng, 2)

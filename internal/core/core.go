@@ -798,11 +798,8 @@ func (p *Plan) evaluateWS(ws *cmplxmat.Workspace, trueCS, estCS ChannelSet, same
 	products := nrx * k * t.kinds
 	t.y = ws.Complexes(products * m)
 	t.scaled = ws.Complexes(nrx * k * m)
-	// The (true - est) matrix of each diff product, on local storage up
-	// to cmplxmat.SmallDim antennas.
-	const sd = cmplxmat.SmallDim
-	var diffBuf [sd * sd]complex128
-	diff := cmplxmat.View(m, m, ws.VectorIn(diffBuf[:], m*m))
+	// The (true - est) matrix of each diff product.
+	diff := cmplxmat.View(m, m, ws.Complexes(m*m))
 	for rx, slot := range t.rxSlot {
 		if slot < 0 {
 			continue
@@ -951,9 +948,8 @@ func cmplxAbs2(c complex128) float64 {
 // estimation noise it nulls the strongest M-1 principal components, the
 // least-squares interference suppressor.
 //
-// Up to cmplxmat.SmallDim antennas the stacked interference matrix, the
-// basis and the projected signal direction live in local arrays; only
-// the returned decoder is arena-backed.
+// The stacked interference matrix, the basis, the projected signal
+// direction and the returned decoder are arena-backed.
 //
 // At M = 2 the nulled subspace is one direction a, the single
 // interferer or the leading vector of two or more, and the projection
@@ -975,25 +971,9 @@ func zfDecodingVectorWS(ws *cmplxmat.Workspace, sigDir cmplxmat.Vector, interf [
 	if len(interf) == 0 {
 		return sigDir.NormalizeWS(ws) // matched filter: no interference
 	}
-	const sd = cmplxmat.SmallDim
-	var stackedBuf [sd * sd]complex128
-	var basisBuf [sd - 1][sd]complex128
-	var basisHdr [sd - 1]cmplxmat.Vector
-	var wBuf [sd]complex128
-	var basis []cmplxmat.Vector
-	if m <= sd {
-		// Filled through basisHdr itself: a stack pointer stored through
-		// basis, which may hold arena memory, would move basisBuf to the
-		// heap.
-		for i := 0; i < m-1; i++ {
-			basisHdr[i] = basisBuf[i][:m]
-		}
-		basis = basisHdr[:m-1]
-	} else {
-		basis = ws.Vectors(m - 1)
-		for i := range basis {
-			basis[i] = ws.Vector(m)
-		}
+	basis := ws.Vectors(m - 1)
+	for i := range basis {
+		basis[i] = ws.Vector(m)
 	}
 	var nb int
 	if len(interf) <= m-1 {
@@ -1002,7 +982,7 @@ func zfDecodingVectorWS(ws *cmplxmat.Workspace, sigDir cmplxmat.Vector, interf [
 		// Principal components of the stacked interference matrix: null
 		// the strongest m-1 directions, skipping numerically null ones.
 		k := len(interf)
-		data := ws.VectorIn(stackedBuf[:], m*k)
+		data := ws.Complexes(m * k)
 		for j, c := range interf {
 			for i := 0; i < m; i++ {
 				data[i*k+j] = c[i]
@@ -1016,7 +996,7 @@ func zfDecodingVectorWS(ws *cmplxmat.Workspace, sigDir cmplxmat.Vector, interf [
 			}
 		}
 	}
-	w := ws.VectorIn(wBuf[:], m)
+	w := ws.Vector(m)
 	copy(w, sigDir)
 	for _, b := range basis[:nb] {
 		w.RejectInPlace(b)

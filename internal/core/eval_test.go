@@ -107,13 +107,12 @@ func diversityOptions(rng *rand.Rand, cs ChannelSet) []*Plan {
 }
 
 // evalCases builds every plan shape production evaluates — uplink
-// three, N-AP chains at M = 2..5 (M = 5 is past cmplxmat.SmallDim, on
-// arena storage), the downlink triangle, the two-client downlink at
-// M = 3..5 (Lemma 5.1) and the three 1x2 diversity options — each under
-// residual-cancel leakage, a discrete rate table and a decode threshold,
-// and each measured twice: under a perturbed estimate, and with the true
-// set passed as the estimate itself, the collapsed table every scoring
-// job uses.
+// three, N-AP chains at M = 2..5, the downlink triangle, the
+// two-client downlink at M = 3..5 (Lemma 5.1) and the three 1x2
+// diversity options — each under residual-cancel leakage, a discrete
+// rate table and a decode threshold, and each measured twice: under a
+// perturbed estimate, and with the true set passed as the estimate
+// itself, the collapsed table every scoring job uses.
 func evalCases(t *testing.T) []evalCase {
 	t.Helper()
 	rng := rand.New(rand.NewSource(23))

@@ -231,7 +231,7 @@ func projectorGap(u, v cmplxmat.Vector) float64 {
 // TestPreparedChainMatchesOneShot runs the role search's pattern — one
 // PrepareUplinkChainWS per channel set, three SolveWS attempts — against
 // three calls of the historical one-shot solver with a twin RNG, for
-// M = 2..5 (M = 5 runs past the local-storage limit) and 3..6 APs,
+// M = 2..5 and 3..6 APs,
 // plus channel sets whose aligned-packet channel is singular. Errors
 // and the RNG streams must agree exactly, and plans too from M = 3 up;
 // at M = 2 the encoding vectors agree as projectors to 1e-9.
@@ -277,7 +277,7 @@ func TestPreparedChainMatchesOneShot(t *testing.T) {
 // path against the full-SVDWS routine on interference sets wider than
 // M-1 — generic, rank-deficient (repeated or aligned directions) and
 // with a zero direction — and the Gram-Schmidt path on narrower ones,
-// from M = 2 up to M = 5, past the local-storage limit. Both return nil
+// from M = 2 up to M = 5. Both return nil
 // on the same inputs. The decoders are bit for bit from M = 3 up. At
 // M = 2 the closed-form projection (cmplxmat.ZeroForce2) is used, after
 // the closed-form leading vector for two or more interferers: with one

@@ -379,25 +379,10 @@ func (prep *UplinkPrep) tailWS(ws *cmplxmat.Workspace, rng *rand.Rand, d cmplxma
 	owners, aSet, bSet := prep.layout.owners, prep.layout.aSet, prep.layout.bSet
 	gs := prep.gs
 
-	// Up to cmplxmat.SmallDim antennas the products, the aligned
-	// subspace's basis and the B-set rows live in local arrays; only the
-	// encoding vectors and u1 go to the arena.
-	const sd = cmplxmat.SmallDim
-	var tmpBuf [sd]complex128
-	var dirBuf, basisBuf [sd][sd]complex128
-	var dirHdr, basisHdr [sd]cmplxmat.Vector
-	tmp := ws.VectorIn(tmpBuf[:], m)
-	var ap0Dirs, basis []cmplxmat.Vector
-	if n := len(aSet); n <= sd && m <= sd {
-		for i := 0; i < n; i++ {
-			dirHdr[i], basisHdr[i] = dirBuf[i][:m], basisBuf[i][:m]
-		}
-		ap0Dirs, basis = dirHdr[:n], basisHdr[:n]
-	} else {
-		ap0Dirs, basis = ws.Vectors(n), ws.Vectors(n)
-		for i := range ap0Dirs {
-			ap0Dirs[i], basis[i] = ws.Vector(m), ws.Vector(m)
-		}
+	tmp := ws.Vector(m)
+	ap0Dirs, basis := ws.Vectors(len(aSet)), ws.Vectors(len(aSet))
+	for i := range ap0Dirs {
+		ap0Dirs[i], basis[i] = ws.Vector(m), ws.Vector(m)
 	}
 
 	// Aligned packets.
@@ -418,9 +403,7 @@ func (prep *UplinkPrep) tailWS(ws *cmplxmat.Workspace, rng *rand.Rand, d cmplxma
 	}
 
 	// B-set packets: v_b in the null space of the row u1^H * H[c(b)][0].
-	var rowBuf, vBuf [sd]complex128
-	rowData := ws.VectorIn(rowBuf[:], m)
-	v := ws.VectorIn(vBuf[:], m)
+	rowData, v := ws.Vector(m), ws.Vector(m)
 	for _, b := range bSet {
 		hb := cs[owners[b]][0]
 		for j := 0; j < m; j++ {
@@ -495,7 +478,7 @@ func (prep *UplinkPrep) tail2WS(ws *cmplxmat.Workspace, rng *rand.Rand, d cmplxm
 		return fmt.Errorf("%w: aligned subspace has dim %d, want %d", ErrInfeasible, 2, 1)
 	}
 	var tmpBuf [2]complex128
-	tmp := ws.VectorIn(tmpBuf[:], 2)
+	tmp := cmplxmat.Vector(tmpBuf[:])
 	for i, a := range aSet {
 		prep.invs[i].MulVecInto(tmp, d)
 		enc[a] = tmp.NormalizeWS(ws)
@@ -517,9 +500,9 @@ func (prep *UplinkPrep) tail2WS(ws *cmplxmat.Workspace, rng *rand.Rand, d cmplxm
 // random complex line, interpolates the degree-k determinant polynomial
 // from k+1 point evaluations, and roots it with Durand-Kerner. Roots are
 // screened so the resulting column family has rank exactly k-1. The
-// returned direction is workspace-backed; up to cmplxmat.SmallDim the
-// product matrices, the sample points and the polynomial live in local
-// arrays. At k = 2 it is dependentDirection2WS, in closed form.
+// returned direction, the product matrices, the sample points and the
+// polynomial are workspace-backed. At k = 2 it is
+// dependentDirection2WS, in closed form.
 func dependentDirectionWS(ws *cmplxmat.Workspace, g []*cmplxmat.Matrix, rng *rand.Rand) (cmplxmat.Vector, error) {
 	m := g[0].Rows()
 	if len(g) != m {
@@ -531,17 +514,10 @@ func dependentDirectionWS(ws *cmplxmat.Workspace, g []*cmplxmat.Matrix, rng *ran
 	if m == 2 {
 		return dependentDirection2WS(ws, g[0], g[1], rng)
 	}
-	const sd = cmplxmat.SmallDim
-	var prodBuf [sd * sd]complex128
-	var colBuf, dBuf, rootBuf [sd]complex128
-	var tsBuf, valBuf, coeffBuf [sd + 1]complex128
-	prod := ws.VectorIn(prodBuf[:], m*m)
-	col := ws.VectorIn(colBuf[:], m)
-	d := ws.VectorIn(dBuf[:], m)
-	roots := ws.VectorIn(rootBuf[:], m)
-	ts := ws.VectorIn(tsBuf[:], m+1)
-	vals := ws.VectorIn(valBuf[:], m+1)
-	coeffs := cmplxmat.Poly(ws.VectorIn(coeffBuf[:], m+1))
+	prod := ws.Complexes(m * m)
+	col, d, roots := ws.Vector(m), ws.Vector(m), ws.Vector(m)
+	ts, vals := ws.Complexes(m+1), ws.Complexes(m+1)
+	coeffs := cmplxmat.Poly(ws.Complexes(m + 1))
 	for attempt := 0; attempt < dependentAttempts; attempt++ {
 		x := cmplxmat.RandomGaussianVectorWS(ws, rng, m)
 		y := cmplxmat.RandomGaussianVectorWS(ws, rng, m)
@@ -663,7 +639,7 @@ func matchedFreeVectorWS(ws *cmplxmat.Workspace, h *cmplxmat.Matrix, alignedDir 
 		p0, p1, ok = cmplxmat.Perp2(alignedDir[0], alignedDir[1])
 	}
 	if ok {
-		w = ws.VectorIn(perpBuf[:], 2)
+		w = perpBuf[:]
 		w[0], w[1] = p0, p1
 	} else {
 		single := ws.Vectors(1)
@@ -673,8 +649,7 @@ func matchedFreeVectorWS(ws *cmplxmat.Workspace, h *cmplxmat.Matrix, alignedDir 
 	if w == nil {
 		return randUnitWS(ws, rng, m)
 	}
-	var vBuf [cmplxmat.SmallDim]complex128
-	v := ws.VectorIn(vBuf[:], h.Cols())
+	v := ws.Vector(h.Cols())
 	h.MulHVecInto(v, w)
 	if v.Norm() < 1e-12 {
 		return randUnitWS(ws, rng, m)

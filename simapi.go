@@ -14,9 +14,6 @@ package iaclan
 //   - Results: SimSummary, SimTrial, SimCampusResult, LatencySketch.
 //   - Observability: the live-metrics registry/server types and the
 //     structured trace-event stream.
-//
-// A few aliases from earlier revisions survive at the bottom with
-// Deprecated notes; new code should not use them.
 
 import (
 	"fmt"
