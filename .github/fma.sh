@@ -4,10 +4,11 @@
 #
 # The Go spec lets the compiler fuse x*y + z into one instruction, which
 # rounds once instead of twice; amd64 never does, arm64 does. The M = 2
-# kernels (internal/cmplxmat/two.go, core's dependentDirection2WS, the
-# chain solver's tail2WS, the fixed-size scorer score2WS and
-# measurement measure2WS with their decoder zf2, and the channel's
-# diagonal chain product DiagScaleInto)
+# kernels (internal/cmplxmat/two.go, core's dependentDirection2WS and
+# the pencil's dependent directions DependentDirections2, the chain
+# solver's tail2WS, the fixed-size scorer score2WS and
+# measurement measure2WS with their decoder zf2 and the norm it takes,
+# Vector.Norm, and the channel's diagonal chain product DiagScaleInto)
 # round every product that feeds a sum with an explicit float64(...)
 # conversion, which forbids the fusion, so they give the same bits on
 # both. This script cross-builds the root
@@ -46,6 +47,7 @@ kernels=(
   'iaclan/internal/cmplxmat.Rank2'
   'iaclan/internal/cmplxmat.(*Matrix).Inverse2WS'
   'iaclan/internal/core.dependentDirection2WS'
+  'iaclan/internal/core.(*UplinkPrep).DependentDirections2'
   'iaclan/internal/cmplxmat.Unit2'
   'iaclan/internal/cmplxmat.ZeroForce2'
   'iaclan/internal/cmplxmat.(*Matrix).MulHVec2'
@@ -54,6 +56,7 @@ kernels=(
   'iaclan/internal/core.(*Plan).score2WS'
   'iaclan/internal/core.(*Plan).measure2WS'
   'iaclan/internal/core.zf2'
+  'iaclan/internal/cmplxmat.Vector.Norm'
   'iaclan/internal/cmplxmat.(*Matrix).DiagScaleInto'
 )
 # Inlined helpers, checked on their own only when the binary keeps them.
@@ -73,6 +76,8 @@ helpers=(
   'iaclan/internal/cmplxmat.clearOfNull'
   'iaclan/internal/core.power2'
   'iaclan/internal/cmplxmat.(*Matrix).SubApply2'
+  'iaclan/internal/cmplxmat.(*Matrix).Scaled2'
+  'iaclan/internal/cmplxmat.Vector.scaledNorm'
 )
 
 # fusedPerSymbol prints "<fused ops> <symbol>" for every text symbol of

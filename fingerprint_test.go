@@ -116,7 +116,7 @@ func fingerprintBaseConfig() SimConfig {
 
 // Pinned fingerprints. Re-pin only for a deliberate change of results.
 const (
-	goldenCampusFading     = 0xc88920bbe1e1d76e
+	goldenCampusFading     = 0x68d685b39c50a101
 	goldenDownlinkTriangle = 0x973c10fcc85678a5
 )
 

@@ -56,6 +56,48 @@ func TestVectorNormNormalize(t *testing.T) {
 	}
 }
 
+// TestVectorNormExtremeScales checks Norm where the plain sum of squares
+// underflows to zero (parts near 1e-170) or overflows (parts near
+// 1e160): the norm is still the scaled one, and a normalized vector is
+// unit. On ordinary vectors, zero, Inf and NaN it keeps the plain sum's
+// bits.
+func TestVectorNormExtremeScales(t *testing.T) {
+	plain := func(v Vector) float64 {
+		var s float64
+		for _, z := range v {
+			s += real(z)*real(z) + imag(z)*imag(z)
+		}
+		return math.Sqrt(s)
+	}
+	for _, c := range []struct {
+		v    Vector
+		want float64
+	}{
+		{Vector{1e-170 + 2e-170i, 3e-170}, math.Sqrt(14) * 1e-170},
+		{Vector{5e-324, 0}, 5e-324},
+		{Vector{1e160, 1e160i}, math.Sqrt2 * 1e160},
+		{Vector{3e160 - 4e160i, 0, 1e-170}, 5e160},
+		{Vector{math.MaxFloat64, math.MaxFloat64}, math.Inf(1)},
+	} {
+		got := c.v.Norm()
+		if math.Abs(got-c.want) > 4e-16*c.want && got != c.want {
+			t.Errorf("|%v| = %v, want %v", c.v, got, c.want)
+		}
+		if u := c.v.Normalize(); !math.IsInf(c.want, 0) && math.Abs(plain(u)-1) > 1e-15 {
+			t.Errorf("%v normalized to %v, norm %v", c.v, u, plain(u))
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, v := range []Vector{
+		{3, 4i}, {0, 0}, {complex(math.Inf(-1), 1), 0}, {complex(math.NaN(), 0), 1},
+		RandomGaussianVector(rng, 2), RandomGaussianVector(rng, 5).Scale(1e-100),
+	} {
+		if got, want := v.Norm(), plain(v); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("|%v| = %v, plain sum %v", v, got, want)
+		}
+	}
+}
+
 func TestParallelTo(t *testing.T) {
 	v := Vector{1 + 1i, 2}
 	w := v.Scale(3 - 2i) // complex multiple: still aligned

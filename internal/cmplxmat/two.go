@@ -79,6 +79,24 @@ func mulVec2(h []complex128, v0, v1 complex128) (complex128, complex128) {
 	return 0 + Mul(h[0], v0) + Mul(h[1], v1), 0 + Mul(h[2], v0) + Mul(h[3], v1)
 }
 
+// Scaled2 returns the entries of the 2x2 m, row-major, multiplied by
+// the power of two that brings its largest part into [1, 2): m up to
+// an exact positive factor. ok is false when m is zero, has an Inf or
+// NaN part, or is out of scaling range (see pow2Scale).
+func (m *Matrix) Scaled2() (a [4]complex128, ok bool) {
+	if m.rows != 2 || m.cols != 2 {
+		panic("cmplxmat: Scaled2 needs a 2x2 matrix")
+	}
+	down, _, ok := pow2Scale(maxPartOf(m.data[:4]...))
+	if !ok {
+		return a, false
+	}
+	for i := range a {
+		a[i] = scaleBy(m.data[i], down)
+	}
+	return a, true
+}
+
 // MulHVec2 returns m^H (v0, v1) for a 2x2 m, every product rounded.
 func (m *Matrix) MulHVec2(v0, v1 complex128) (complex128, complex128) {
 	if m.rows != 2 || m.cols != 2 {

@@ -95,14 +95,36 @@ func (v Vector) Dot(w Vector) complex128 {
 	return s
 }
 
-// Norm returns the Euclidean norm of v.
+// Norm returns the Euclidean norm of v. It sums the squared parts as
+// they are, every product rounded (Abs2), so nothing fuses; only when
+// that sum underflows to zero for a nonzero v or overflows to +Inf does
+// it take the norm again on the parts scaled by the largest
+// (scaledNorm), so on every other input it keeps the plain sum's bits.
 func (v Vector) Norm() float64 {
 	var s float64
 	for i := range v {
-		re, im := real(v[i]), imag(v[i])
-		s += re*re + im*im
+		s += Abs2(v[i])
+	}
+	if s == 0 || s > math.MaxFloat64 {
+		return v.scaledNorm()
 	}
 	return math.Sqrt(s)
+}
+
+// scaledNorm returns p |v/p| for the largest part p of v: the squares
+// of parts no larger than 1, one of them 1, can neither all underflow
+// nor overflow. A zero v has norm 0, and a v with an Inf part +Inf.
+func (v Vector) scaledNorm() float64 {
+	p := maxPartOf(v...)
+	if p == 0 || p > math.MaxFloat64 {
+		return p
+	}
+	var s float64
+	for _, z := range v {
+		re, im := real(z)/p, imag(z)/p
+		s += float64(re*re) + float64(im*im)
+	}
+	return p * math.Sqrt(s)
 }
 
 // Normalize returns v scaled to unit norm. The zero vector is returned

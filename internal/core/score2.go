@@ -368,7 +368,7 @@ func power2(w0, w1 complex128, d [2]complex128) float64 {
 // zf2 is zfDecodingVectorWS at M = 2 on scalars, for the signal
 // direction s and the interferers with first entries ix and second
 // entries iy: the matched filter for none, cmplxmat.ZeroForce2 against
-// the one interferer or, unless the signal's squared norm is zero,
+// the one interferer or, unless the signal is zero,
 // against the leading vector of two or more (cmplxmat.Leading2). null
 // reports that there is no decoder. ok is
 // false, and the caller must run zfDecodingVectorWS (zf2General), when
@@ -376,9 +376,9 @@ func power2(w0, w1 complex128, d [2]complex128) float64 {
 func zf2(s0, s1 complex128, ix, iy []complex128) (w0, w1 complex128, null, ok bool) {
 	switch len(ix) {
 	case 0:
-		// Vector.NormalizeWS: the norm's squares rounded and summed in
-		// order, and the entries scaled by its reciprocal.
-		n := math.Sqrt(cmplxmat.Abs2(s0) + cmplxmat.Abs2(s1))
+		// Vector.NormalizeWS: the norm, and the entries scaled by its
+		// reciprocal.
+		n := cmplxmat.Vector{s0, s1}.Norm()
 		if n == 0 {
 			return 0, 0, true, true
 		}
@@ -387,9 +387,9 @@ func zf2(s0, s1 complex128, ix, iy []complex128) (w0, w1 complex128, null, ok bo
 	case 1:
 		return cmplxmat.ZeroForce2(ix[0], iy[0], s0, s1, 1e-9)
 	}
-	if cmplxmat.Abs2(s0)+cmplxmat.Abs2(s1) == 0 {
+	if s0 == 0 && s1 == 0 {
 		// zfDecodingVectorWS's zero-norm test, which comes before the
-		// leading vector: a signal whose squares underflow has none.
+		// leading vector (Vector.Norm is zero only for a zero vector).
 		return 0, 0, true, true
 	}
 	a0, a1, ok := cmplxmat.Leading2(ix, iy, 1e-12)

@@ -219,11 +219,14 @@ func FuzzEvaluateM2(f *testing.F) {
 
 // BenchmarkScoreChainM2 times one planning round's candidate scoring
 // on campus_fading's shape, the M = 2 uplink chain over four APs: the
-// 4 AP rotations x 3 solver attempts = 12 candidates, each scored
-// through ScoreWS on its rotation's estimates with the default MCS
-// table's rates and residual cancellation, pruned at the best sum rate
-// so far once one has won, as planSlot scores them. The candidates are
-// solved outside the timer, for 16 channel sets cycled one per op.
+// 4 AP rotations x 3 random-line solver attempts = 12 candidates, each
+// scored through ScoreWS on its rotation's estimates with the default
+// MCS table's rates and residual cancellation, pruned at the best sum
+// rate so far once one has won, as planSlot scores them. planSlot now
+// solves 2 candidates per rotation, one per dependent direction; the
+// benchmark keeps the 12 so that the scorer's timings compare across
+// changes. The candidates are solved outside the timer, for 16 channel
+// sets cycled one per op.
 func BenchmarkScoreChainM2(b *testing.B) {
 	rng := rand.New(rand.NewSource(131))
 	type candidate struct {

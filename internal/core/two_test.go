@@ -102,9 +102,11 @@ func TestDependentDirection2MatchesGeneral(t *testing.T) {
 	}
 }
 
-// BenchmarkDependentDirectionM2 times one M = 2 dependent-direction
-// search, the alignment step of every uplink-chain solver attempt, on
-// the G matrices the chain solver prepares from a Gaussian channel set.
+// BenchmarkDependentDirectionM2 times one M = 2 random-line search
+// (dependentDirection2WS), the alignment step of the one-shot chain
+// solver and of the planner's attempts on a pencil DependentDirections2
+// declines, on the G matrices the chain solver prepares from a Gaussian
+// channel set.
 func BenchmarkDependentDirectionM2(b *testing.B) {
 	rng := rand.New(rand.NewSource(109))
 	ws := cmplxmat.NewWorkspace()
@@ -121,19 +123,289 @@ func BenchmarkDependentDirectionM2(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveUplinkChainM2 times the role search's unit of work on one
-// M = 2 channel set of three APs: PrepareUplinkChainWS, then three
-// solver attempts (dependent direction and tail), on Gaussian channel
-// sets cycled so that no one set's conditioning decides the time. A
-// draw can make an attempt legitimately infeasible (the aligned
-// subspace comes out two-dimensional; the general tail rejects the same
-// inputs), as the planner's search expects: such attempts are counted,
-// reported as infeasible/op, and any other error fails.
+// pencilCorpus returns M = 2 alignment pairs (G_1, G_2) by kind: the
+// campus_fading corpus's; the G = H0 H1^-1 products the chain solver
+// prepares from Gaussian channel sets, and those scaled by 1e-8 and
+// 1e8; pencils with a repeated root (G_1 = G_2 (λ0 I + n m^T) with
+// m^T n = 0, so det(G_1 - λ G_2) = det G_2 (λ0 - λ)^2, up to rounding);
+// nearly singular G_2 (rows parallel to within 1e-6 to 1e-12); and
+// degenerate pencils (G_2 a multiple of G_1, where every direction is
+// dependent, and G_1 of rank one).
+func pencilCorpus(t testing.TB, rng *rand.Rand) map[string][][2]*cmplxmat.Matrix {
+	cn := func() complex128 { return complex(rng.NormFloat64(), rng.NormFloat64()) }
+	corpus := map[string][][2]*cmplxmat.Matrix{}
+	for _, g := range campusFadingAlignment(t) {
+		corpus["campus_fading"] = append(corpus["campus_fading"], [2]*cmplxmat.Matrix{g[0], g[1]})
+	}
+	ws := cmplxmat.NewWorkspace()
+	for i := 0; i < 200; i++ {
+		cs := RandomChannelSet(rng, UplinkChainAssignment{M: 2}.NumClients(), 3, 2, testSNR)
+		prep := PrepareUplinkChainWS(ws, cs)
+		if prep.err != nil {
+			t.Fatal(prep.err)
+		}
+		g := [2]*cmplxmat.Matrix{prep.gs[0].Clone(), prep.gs[1].Clone()}
+		corpus["channels"] = append(corpus["channels"], g)
+		for _, s := range []complex128{1e-8, 1e8} {
+			corpus["scaled"] = append(corpus["scaled"], [2]*cmplxmat.Matrix{g[0].Scale(s), g[1].Scale(s)})
+		}
+		ws.Reset()
+	}
+	for i := 0; i < 60; i++ {
+		g2 := cmplxmat.RandomGaussian(rng, 2, 2)
+		n0, n1 := cn(), cn()
+		corpus["repeated root"] = append(corpus["repeated root"], [2]*cmplxmat.Matrix{repeatedRootG1(g2, cn(), n0, n1), g2})
+		x, y, s := cn(), cn(), cn()
+		eps := complex(math.Pow(10, -float64(6+i%4*2)), 0)
+		sing := mat2(x, y, s*x+eps*cn(), s*y+eps*cn())
+		corpus["nearly singular"] = append(corpus["nearly singular"], [2]*cmplxmat.Matrix{cmplxmat.RandomGaussian(rng, 2, 2), sing})
+	}
+	keep := cmplxmat.NewWorkspace()
+	for i := 0; i < 20; i++ {
+		g1 := cmplxmat.RandomGaussian(rng, 2, 2)
+		v, w := cmplxmat.RandomGaussianVector(rng, 2), cmplxmat.RandomGaussianVector(rng, 2)
+		rank1 := fromColumnsWS(keep, []cmplxmat.Vector{v, v.Scale(complex(rng.NormFloat64(), 1))})
+		corpus["degenerate"] = append(corpus["degenerate"],
+			[2]*cmplxmat.Matrix{g1, g1},
+			[2]*cmplxmat.Matrix{g1, g1.Scale(cn())},
+			[2]*cmplxmat.Matrix{rank1, fromColumnsWS(keep, []cmplxmat.Vector{w, v})})
+	}
+	return corpus
+}
+
+// repeatedRootG1 returns G_2 (λ0 I + n m^T) with m = (-n1, n0), so that
+// m^T n = 0 and G_1 - λ G_2 = G_2 ((λ0 - λ) I + n m^T) has the double
+// root λ0 with a one-dimensional null space, spanned by n.
+func repeatedRootG1(g2 *cmplxmat.Matrix, l0, n0, n1 complex128) *cmplxmat.Matrix {
+	return g2.Mul(mat2(l0-n0*n1, n0*n0, -n1*n1, l0+n1*n0))
+}
+
+// mat2 returns the 2x2 matrix [[a00, a01], [a10, a11]] on the heap.
+func mat2(a00, a01, a10, a11 complex128) *cmplxmat.Matrix {
+	m := cmplxmat.View(2, 2, []complex128{a00, a01, a10, a11})
+	return &m
+}
+
+// pencilPrep returns an M = 2 chain preparation holding only G_1 and
+// G_2, which is all DependentDirections2 and dependentDirectionWS read.
+func pencilPrep(g [2]*cmplxmat.Matrix) UplinkPrep {
+	return UplinkPrep{gs: []*cmplxmat.Matrix{g[0], g[1]}}
+}
+
+// errStats accumulates the largest and the mean of a set of errors.
+type errStats struct {
+	n          int
+	worst, sum float64
+}
+
+func (s *errStats) add(e float64) { s.n, s.worst, s.sum = s.n+1, max(s.worst, e), s.sum+e }
+
+func (s errStats) mean() float64 { return s.sum / float64(max(s.n, 1)) }
+
+// TestDependentDirections2MatchLineSearch checks the closed-form M = 2
+// dependent directions (DependentDirections2, the pencil's null
+// vectors) against the random-line search they replace in the planner
+// (dependentDirectionWS: random lines, each's determinant quadratic
+// rooted and screened) and against the math/big pencil (bigPencil), on
+// pencilCorpus. Three seeded random-line searches run per input. Where
+// the pencil gives directions, every direction a search finds must be
+// one of them, as projectors to 1e-9, on every kind whose directions
+// are determined to that (all but the repeated roots, whose directions
+// are only determined to about the square root of the rounding, and the
+// degenerate pencils); and the pencil's errors against math/big must be
+// no worse than the searches', in the largest and the mean, or below
+// 1e-14. The pencil may decline only degenerate pencils and nearly
+// singular G_2, whose quadratic can lose its degree.
+func TestDependentDirections2MatchLineSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(131))
+	corpus := pencilCorpus(t, rng)
+	ws := cmplxmat.NewWorkspace()
+	const floor = 1e-14
+	for _, kind := range []string{"campus_fading", "channels", "scaled", "repeated root", "nearly singular", "degenerate"} {
+		determined := kind != "repeated root" && kind != "degenerate"
+		var pencil, search errStats
+		declined, found, onPencil := 0, 0, 0
+		for i, g := range corpus[kind] {
+			name := fmt.Sprintf("%s %d", kind, i)
+			prep := pencilPrep(g)
+			dirs, n := prep.DependentDirections2(ws)
+			exact, _, ok := bigPencil(g[0], g[1])
+			ok = ok && kind != "degenerate"
+			if n == 0 {
+				declined++
+				if kind != "degenerate" && kind != "nearly singular" {
+					t.Fatalf("%s: the pencil declined", name)
+				}
+			}
+			for _, d := range dirs[:n] {
+				if ok {
+					pencil.add(directionErr(d, exact))
+				}
+			}
+			for draw := 0; draw < 3; draw++ {
+				d, err := dependentDirectionWS(ws, prep.gs, rand.New(rand.NewSource(rng.Int63())))
+				if err != nil || n == 0 {
+					continue
+				}
+				found++
+				gap := math.Inf(1)
+				for _, e := range dirs[:n] {
+					gap = min(gap, projectorGap(d, e[:]))
+				}
+				if gap <= 1e-9 {
+					onPencil++
+				} else if determined {
+					t.Fatalf("%s: random-line direction %v is none of the pencil's %v (%.3g apart)", name, d, dirs[:n], gap)
+				}
+				if ok {
+					search.add(directionErr([2]complex128{d[0], d[1]}, exact))
+				}
+			}
+			ws.Reset()
+		}
+		t.Logf("%s: %d inputs, %d declined; on the others %d of %d random-line directions on a pencil direction; error max/mean %.3g/%.3g pencil, %.3g/%.3g random lines",
+			kind, len(corpus[kind]), declined, onPencil, found, pencil.worst, pencil.mean(), search.worst, search.mean())
+		if pencil.worst > max(search.worst, floor) || pencil.mean() > max(search.mean(), floor) {
+			t.Errorf("%s: the pencil's error (max %.3g, mean %.3g) is above the random lines' (max %.3g, mean %.3g)", kind, pencil.worst, pencil.mean(), search.worst, search.mean())
+		}
+	}
+}
+
+// FuzzDependentDirections2 drives the M = 2 pencil on Gaussian pairs
+// (G_1, G_2) from the seed, shaped by kind%4: 0 sets two entries of G_2
+// to the fuzzed values; 1 builds a repeated root at λ0 = (a, b) along
+// n = (c, e) (repeatedRootG1); 2 makes G_2's second row its first times
+// (a, b) plus (c, e) times 2^-40 in one entry, singular or nearly so;
+// 3 scales G_1 by 2^k1 and G_2 by 2^k2, k1 and k2 clamped to ±1030, the
+// ends of the scaling range. It must not panic, and every direction it
+// gives must be unit and finite. Where the math/big pencil exists and
+// every entry lies within 2^±400, where the random-line search is a
+// reference, each direction a seeded search finds must be one of the
+// pencil's (projectors within 1e-9), or the pencil's nearest direction
+// no further from the exact ones than the search's, within 1e-12, or
+// within 16 times the pencil's conditioning (bigPencil's cond: near a
+// repeated root rounding alone moves the directions that far).
+func FuzzDependentDirections2(f *testing.F) {
+	for kind := byte(0); kind < 4; kind++ {
+		f.Add(int64(1), kind, 0.5, -1.0, 2.0, 0.25, int16(0), int16(0))
+	}
+	f.Add(int64(2), byte(0), 0.0, 0.0, 0.0, 0.0, int16(0), int16(0))
+	f.Add(int64(3), byte(1), 1.0, 0.0, 0.0, 0.0, int16(0), int16(0))
+	f.Add(int64(4), byte(2), 1.0, 1.0, 0.0, 0.0, int16(0), int16(0))
+	f.Add(int64(5), byte(3), 1.0, 1.0, 1.0, 1.0, int16(999), int16(-999))
+	f.Add(int64(6), byte(3), 1.0, 1.0, 1.0, 1.0, int16(1001), int16(0))
+	f.Add(int64(7), byte(3), 1.0, 1.0, 1.0, 1.0, int16(-1020), int16(-1000))
+	f.Add(int64(8), byte(0), math.Inf(1), 0.0, 1.0, math.NaN(), int16(0), int16(0))
+	f.Fuzz(func(t *testing.T, seed int64, kind byte, a, b, c, e float64, k1, k2 int16) {
+		rng := rand.New(rand.NewSource(seed))
+		g1, g2 := cmplxmat.RandomGaussian(rng, 2, 2), cmplxmat.RandomGaussian(rng, 2, 2)
+		switch kind % 4 {
+		case 0:
+			g2.SetAt(0, 0, complex(a, b))
+			g2.SetAt(1, 1, complex(c, e))
+		case 1:
+			g1 = repeatedRootG1(g2, complex(a, b), complex(c, e), 1)
+		case 2:
+			s := complex(a, b)
+			g2.SetAt(1, 0, s*g2.At(0, 0)+complex(c, e)*0x1p-40)
+			g2.SetAt(1, 1, s*g2.At(0, 1))
+		case 3:
+			clamp := func(k int16) int { return max(-1030, min(1030, int(k))) }
+			g1 = g1.Scale(complex(math.Ldexp(1, clamp(k1)), 0))
+			g2 = g2.Scale(complex(math.Ldexp(1, clamp(k2)), 0))
+		}
+		g := [2]*cmplxmat.Matrix{g1, g2}
+		prep := pencilPrep(g)
+		ws := cmplxmat.NewWorkspace()
+		dirs, n := prep.DependentDirections2(ws)
+		for _, d := range dirs[:n] {
+			if !finite(d[0]) || !finite(d[1]) || math.Abs(cmplxmat.Abs2(d[0])+cmplxmat.Abs2(d[1])-1) > 1e-12 {
+				t.Fatalf("direction %v is not a finite unit vector", d)
+			}
+		}
+		exact, cond, ok := bigPencil(g1, g2)
+		if n == 0 || !ok || !inRange(g1) || !inRange(g2) {
+			return
+		}
+		d, err := dependentDirectionWS(ws, prep.gs, rng)
+		if err != nil {
+			return
+		}
+		gap, nearest := math.Inf(1), dirs[0]
+		for _, e := range dirs[:n] {
+			if gp := projectorGap(d, e[:]); gp < gap {
+				gap, nearest = gp, e
+			}
+		}
+		if gap <= 1e-9 {
+			return
+		}
+		// Near a repeated root rounding alone moves the directions by
+		// cond, and neither path is more accurate than that.
+		if pe, se := directionErr(nearest, exact), directionErr([2]complex128{d[0], d[1]}, exact); pe > max(se, 1e-12, 16*cond) {
+			t.Fatalf("pencil direction %v (error %.3g) is further from the exact ones than the random line's %v (error %.3g; conditioning %.3g)", nearest, pe, d, se, cond)
+		}
+	})
+}
+
+// inRange reports that every nonzero part of the 2x2 g lies within
+// 2^±400.
+func inRange(g *cmplxmat.Matrix) bool {
+	for i := 0; i < 4; i++ {
+		z := g.At(i/2, i%2)
+		for _, p := range []float64{math.Abs(real(z)), math.Abs(imag(z))} {
+			if p != 0 && !(p >= 0x1p-400 && p <= 0x1p400) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// BenchmarkDependentDirections2 times the M = 2 chain's dependent
+// directions in closed form (the pencil's two null vectors and their
+// screen), once per receiver order of every planning round, on the G
+// matrices of Gaussian channel sets cycled over 16 draws.
+func BenchmarkDependentDirections2(b *testing.B) {
+	rng := rand.New(rand.NewSource(109))
+	keep := cmplxmat.NewWorkspace()
+	preps := make([]UplinkPrep, 16)
+	for i := range preps {
+		preps[i] = PrepareUplinkChainWS(keep, RandomChannelSet(rng, UplinkChainAssignment{M: 2}.NumClients(), 3, 2, testSNR))
+	}
+	ws := cmplxmat.NewWorkspace()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, n := preps[i%len(preps)].DependentDirections2(ws); n == 0 {
+			b.Fatal("the pencil declined")
+		}
+	}
+}
+
+// BenchmarkSolveUplinkChainM2 times one solver attempt of the role
+// search at M = 2: SolveAlongWS from one of a prepared set's dependent
+// directions (the tail: the aligned packets' vectors, the B-set null
+// vector, packet 0's matched filter), cycling over both directions of
+// 16 Gaussian channel sets of three APs. A direction can make an attempt
+// legitimately infeasible (the aligned subspace comes out
+// two-dimensional; the general tail rejects the same inputs), as the
+// planner's search expects: such attempts are counted, reported as
+// infeasible/op, and any other error fails.
 func BenchmarkSolveUplinkChainM2(b *testing.B) {
 	rng := rand.New(rand.NewSource(113))
-	sets := make([]ChannelSet, 16)
-	for i := range sets {
-		sets[i] = RandomChannelSet(rng, UplinkChainAssignment{M: 2}.NumClients(), 3, 2, testSNR)
+	keep := cmplxmat.NewWorkspace()
+	type attempt struct {
+		prep *UplinkPrep
+		d    [2]complex128
+	}
+	var attempts []attempt
+	for len(attempts) < 32 {
+		prep := PrepareUplinkChainWS(keep, RandomChannelSet(rng, UplinkChainAssignment{M: 2}.NumClients(), 3, 2, testSNR))
+		dirs, n := prep.DependentDirections2(keep)
+		for _, d := range dirs[:n] {
+			attempts = append(attempts, attempt{&prep, d})
+		}
 	}
 	ws := cmplxmat.NewWorkspace()
 	infeasible := 0
@@ -141,13 +413,11 @@ func BenchmarkSolveUplinkChainM2(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ws.Reset()
-		prep := PrepareUplinkChainWS(ws, sets[i%len(sets)])
-		for attempt := 0; attempt < 3; attempt++ {
-			if _, err := prep.SolveWS(ws, rng); errors.Is(err, ErrInfeasible) {
-				infeasible++
-			} else if err != nil {
-				b.Fatal(err)
-			}
+		a := attempts[i%len(attempts)]
+		if _, err := a.prep.SolveAlongWS(ws, rng, a.d); errors.Is(err, ErrInfeasible) {
+			infeasible++
+		} else if err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(infeasible)/float64(b.N), "infeasible/op")

@@ -174,7 +174,10 @@ func (a UplinkChainAssignment) BSet() []int {
 //  2. AP 0 needs all 2M-1 packets other than packet 0 inside an
 //     (M-1)-dim subspace, so the M vectors {G_a d} must be linearly
 //     dependent: det[G_a1 d ... G_aM d] = 0, a degree-M polynomial in d
-//     solved along a random line d = x + t*y.
+//     solved along a random line d = x + t*y. At M = 2 the solutions
+//     are the two null vectors of the pencil G_1 - λ G_2
+//     (UplinkPrep.DependentDirections2), which the slot planner runs one
+//     attempt each from; this one-shot solver keeps the random line.
 //  3. The B-set vectors are chosen in the null space of u1^H * H[c(b)][0],
 //     where u1 is the normal of the aligned subspace at AP 0, placing
 //     them inside it.
@@ -342,15 +345,33 @@ func (prep *UplinkPrep) SolveWS(ws *cmplxmat.Workspace, rng *rand.Rand) (Plan, e
 	if prep.err != nil {
 		return Plan{}, prep.err
 	}
-	m := prep.cs.Antennas()
-	layout := prep.layout
-
 	// Step 2: root of det[G_1 d, ..., G_M d] = 0 along d = x + t*y.
 	d, err := dependentDirectionWS(ws, prep.gs, rng)
 	if err != nil {
 		return Plan{}, err
 	}
+	return prep.solveFromWS(ws, rng, d)
+}
+
+// SolveAlongWS runs one solver attempt of an M = 2 chain from the
+// dependent direction d, one of DependentDirections2's: SolveWS with d
+// in place of the random-line search, so it draws only the tail's
+// values.
+func (prep *UplinkPrep) SolveAlongWS(ws *cmplxmat.Workspace, rng *rand.Rand, d [2]complex128) (Plan, error) {
+	if prep.err != nil {
+		return Plan{}, prep.err
+	}
+	dv := ws.Vector(2)
+	dv[0], dv[1] = d[0], d[1]
+	return prep.solveFromWS(ws, rng, dv)
+}
+
+// solveFromWS is a solver attempt after its dependent direction d.
+func (prep *UplinkPrep) solveFromWS(ws *cmplxmat.Workspace, rng *rand.Rand, d cmplxmat.Vector) (Plan, error) {
+	m := prep.cs.Antennas()
+	layout := prep.layout
 	enc := ws.Vectors(2 * m)
+	var err error
 	if m == 2 {
 		err = prep.tail2WS(ws, rng, d, enc)
 	} else {
@@ -367,6 +388,69 @@ func (prep *UplinkPrep) SolveWS(ws *cmplxmat.Workspace, rng *rand.Rand) (Plan, e
 		Wired:    true,
 		layout:   layout.checked,
 	}, nil
+}
+
+// DependentDirections2 returns the dependent directions of an M = 2
+// chain in closed form, n of them (at most two), for one solver attempt
+// each. With G_1 and G_2 the prepared matrices, [G_1 d, G_2 d] is
+// singular exactly when G_1 d = λ G_2 d for some λ (or G_2 d = 0), so the
+// directions are the null vectors of the pencil G_1 - λ G_2 at the roots
+// of its quadratic
+//
+//	det(G_1 - λ G_2) = det G_1 - (a00 b11 + b00 a11 - a01 b10 - b01 a10) λ + det G_2 λ²,
+//
+// with a = G_1 and b = G_2: two points, where the random-line search
+// samples lines through the plane and roots each one's quadratic to land
+// on one of the same two. The quadratic is formed on G_1 and G_2 each
+// scaled by a power of two (cmplxmat.Matrix.Scaled2), which scales λ and
+// not the null vectors, and rooted by Poly.QuadraticRootsInto, in its
+// order; each direction is the unit null vector of the larger row r of
+// G_1 - λ G_2, (-r1, r0)/|r| = Perp2(conj(r)). A direction is kept when
+// it passes the random-line search's screen, rank [G_1 d, G_2 d] = 1 by
+// cmplxmat.Rank2 at 1e-7. n is 0, and the caller must take the
+// random-line search (SolveWS), when the pencil declines: the chain is
+// not M = 2 or did not prepare, G_1 or G_2 has an Inf or NaN part or is
+// zero or out of scaling range, the quadratic loses its degree (G_2
+// singular to within 1e-13), G_1 - λ G_2 is zero (G_1 a multiple of G_2,
+// where every direction is dependent), or no direction passes the
+// screen. It draws nothing. Every product is rounded before a sum, so
+// nothing fuses.
+func (prep *UplinkPrep) DependentDirections2(ws *cmplxmat.Workspace) (dirs [2][2]complex128, n int) {
+	if prep.err != nil || len(prep.gs) != 2 || prep.gs[0].Rows() != 2 {
+		return dirs, 0
+	}
+	a, okA := prep.gs[0].Scaled2()
+	b, okB := prep.gs[1].Scaled2()
+	if !okA || !okB {
+		return dirs, 0
+	}
+	p := [3]complex128{
+		cmplxmat.Mul(a[0], a[3]) - cmplxmat.Mul(a[1], a[2]),
+		cmplxmat.Mul(a[1], b[2]) + cmplxmat.Mul(b[1], a[2]) - cmplxmat.Mul(a[0], b[3]) - cmplxmat.Mul(b[0], a[3]),
+		cmplxmat.Mul(b[0], b[3]) - cmplxmat.Mul(b[1], b[2]),
+	}
+	var roots [2]complex128
+	if nr, err := cmplxmat.Poly(p[:]).QuadraticRootsInto(ws, roots[:]); err != nil || nr != 2 {
+		return dirs, 0
+	}
+	for _, l := range roots {
+		r0, r1 := a[0]-cmplxmat.Mul(l, b[0]), a[1]-cmplxmat.Mul(l, b[1])
+		s0, s1 := a[2]-cmplxmat.Mul(l, b[2]), a[3]-cmplxmat.Mul(l, b[3])
+		if cmplxmat.Abs2(s0)+cmplxmat.Abs2(s1) > cmplxmat.Abs2(r0)+cmplxmat.Abs2(r1) {
+			r0, r1 = s0, s1
+		}
+		d0, d1, ok := cmplxmat.Perp2(complex(real(r0), -imag(r0)), complex(real(r1), -imag(r1)))
+		if !ok {
+			return dirs, 0
+		}
+		h00, h10 := prep.gs[0].MulVec2(d0, d1)
+		h01, h11 := prep.gs[1].MulVec2(d0, d1)
+		if cmplxmat.Rank2(h00, h01, h10, h11, 1e-7) == 1 {
+			dirs[n] = [2]complex128{d0, d1}
+			n++
+		}
+	}
+	return dirs, n
 }
 
 // tailWS is SolveWS after the dependent direction d (steps 3 and 4 and
@@ -502,7 +586,8 @@ func (prep *UplinkPrep) tail2WS(ws *cmplxmat.Workspace, rng *rand.Rand, d cmplxm
 // screened so the resulting column family has rank exactly k-1. The
 // returned direction, the product matrices, the sample points and the
 // polynomial are workspace-backed. At k = 2 it is
-// dependentDirection2WS, in closed form.
+// dependentDirection2WS, in closed form; the slot planner calls it there
+// only for a pencil UplinkPrep.DependentDirections2 declines.
 func dependentDirectionWS(ws *cmplxmat.Workspace, g []*cmplxmat.Matrix, rng *rand.Rand) (cmplxmat.Vector, error) {
 	m := g[0].Rows()
 	if len(g) != m {
@@ -561,7 +646,9 @@ const dependentAttempts = 8
 // rank of [g1 d, g2 d] by cmplxmat.Rank2. The draws, the degree trim,
 // the root order and the screen's rule are dependentDirectionWS's; only
 // the rounding differs. Every product is rounded before a sum, so
-// nothing here fuses.
+// nothing here fuses. It stays beside the pencil: on inputs out of the
+// pencil's scaling range it finds directions the general path does not
+// (DESIGN.md, "The M = 2 alignment in closed form").
 func dependentDirection2WS(ws *cmplxmat.Workspace, g1, g2 *cmplxmat.Matrix, rng *rand.Rand) (cmplxmat.Vector, error) {
 	for attempt := 0; attempt < dependentAttempts; attempt++ {
 		x := cmplxmat.RandomGaussianVectorWS(ws, rng, 2)

@@ -115,9 +115,9 @@ const (
 
 // shapeSolver runs a slot's construction through the role-assignment
 // search: prepare once per role assignment (the channel-only work: the
-// chain's inverses), then one attempt per solver candidate. The
-// attempts draw from rng in the same order as solving from scratch
-// every time.
+// chain's inverses and, at M = 2, its dependent directions), then one
+// attempt per solver candidate. The attempts draw from rng in the same
+// order as solving from scratch every time.
 type shapeSolver struct {
 	shape slotShape
 	err   error // what every attempt of an unsupported shape returns
@@ -125,20 +125,30 @@ type shapeSolver struct {
 	noise float64 // receiver noise, for the diversity construction
 	est   core.ChannelSet
 	chain core.UplinkPrep
+	// dirs[:ndirs] are the M = 2 chain's dependent directions, one
+	// attempt each; ndirs is 0 when the pencil declines or the chain is
+	// M >= 3, and each attempt then runs the random-line search.
+	dirs  [2][2]complex128
+	ndirs int
 }
 
 func (sv *shapeSolver) prepare(ws *cmplxmat.Workspace, est core.ChannelSet) {
 	sv.est = est
 	if sv.shape == shapeUplinkChain {
 		sv.chain = core.PrepareUplinkChainWS(ws, est)
+		sv.dirs, sv.ndirs = sv.chain.DependentDirections2(ws)
 	}
 }
 
-func (sv *shapeSolver) attempt(ws *cmplxmat.Workspace) (core.Plan, error) {
+// attempt runs the i-th solver candidate of the current role assignment.
+func (sv *shapeSolver) attempt(ws *cmplxmat.Workspace, i int) (core.Plan, error) {
 	switch sv.shape {
 	case shapeUplinkThree:
 		return core.SolveUplinkThreeWS(ws, sv.est, sv.rng)
 	case shapeUplinkChain:
+		if sv.ndirs > 0 {
+			return sv.chain.SolveAlongWS(ws, sv.rng, sv.dirs[i])
+		}
 		return sv.chain.SolveWS(ws, sv.rng)
 	case shapeDownlinkTriangle:
 		return core.SolveDownlinkTriangleWS(ws, sv.est)
@@ -149,14 +159,20 @@ func (sv *shapeSolver) attempt(ws *cmplxmat.Workspace) (core.Plan, error) {
 }
 
 // candidates is how many attempts the search runs per role assignment:
-// solveCandidates for the shapes whose solver draws free vectors from
-// rng, and one for the downlink triangle, whose solve is a function of
-// the estimates alone. A repeat of a deterministic attempt returns the
-// same plan at the same score, which can never strictly beat the first,
-// and draws nothing, so skipping it changes neither the winner, the
-// slot's error nor the RNG stream.
+// one per dependent direction of an M = 2 chain whose pencil gave them
+// (at most two: the alignment has exactly two solution directions, so
+// sampling more only lands on them again), one for the downlink
+// triangle, whose solve is a function of the estimates alone, and
+// solveCandidates for the other shapes whose solver draws from rng. A
+// repeat of a deterministic attempt returns the same plan at the same
+// score, which can never strictly beat the first, and draws nothing, so
+// skipping it changes neither the winner, the slot's error nor the RNG
+// stream.
 func (sv *shapeSolver) candidates() int {
-	if sv.shape == shapeDownlinkTriangle {
+	switch {
+	case sv.ndirs > 0:
+		return sv.ndirs
+	case sv.shape == shapeDownlinkTriangle:
 		return 1
 	}
 	return solveCandidates
@@ -169,6 +185,12 @@ func (sv *shapeSolver) candidates() int {
 // SINRs from the true channels.
 // On the uplink role is the client holding the two-packet role; the
 // downlink ignores it.
+//
+// The candidates of a role assignment are shapeSolver.candidates'
+// attempts: for an M = 2 uplink chain, one per dependent direction of
+// the alignment (core.UplinkPrep.DependentDirections2, at most two),
+// and the random-line search's three draws only where the pencil
+// declines.
 //
 // Once a candidate has won, each later one is scored with pruning at
 // the best rate so far (core.EvalOptions.Prune): its evaluation stops
@@ -271,7 +293,7 @@ func planSlot(ws *phy.Workspace, cache *SlotCache, s Scenario, downlink bool, ro
 		est := checked.PermuteWS(mat, perm, downlink)
 		sv.prepare(mat, est.Set())
 		for attempt := 0; attempt < sv.candidates(); attempt++ {
-			plan, err := sv.attempt(mat)
+			plan, err := sv.attempt(mat, attempt)
 			sc.attempts++
 			if err != nil {
 				lastErr = err

@@ -35,10 +35,12 @@ func antennaScenario(seed int64, clients, aps, antennas int) Scenario {
 // afterwards; any re-ordered or extra draw in the planner's search
 // would desynchronize every later slot of a trial.
 //
-// The oracle runs the full search: three attempts per role assignment
-// for every shape and every candidate scored to the end. The planner
-// runs one attempt per assignment of the draw-free triangle and prunes
-// candidates that cannot win, and the test checks that both happened.
+// The oracle runs the full search: one attempt per dependent direction
+// of an M = 2 chain, three per role assignment for every other shape,
+// and every candidate scored to the end. The planner runs one attempt
+// per assignment of the draw-free triangle and prunes candidates that
+// cannot win, and the test checks that both happened; it also checks
+// that each M = 2 chain ran exactly two attempts per receiver order.
 func TestBatchedSlotRunnerMatchesScalar(t *testing.T) {
 	chainClients := func(m int) int { return core.UplinkChainAssignment{M: m}.NumClients() }
 	shapes := []struct {
@@ -47,14 +49,16 @@ func TestBatchedSlotRunnerMatchesScalar(t *testing.T) {
 		antennas     int
 		downlink     bool
 		role         int
-		// attempts is the planner's solver attempts per slot: three per
-		// role assignment, one for the draw-free triangle.
+		// attempts is the planner's solver attempts per slot: two per
+		// receiver order of an M = 2 chain (its two dependent
+		// directions), one per assignment of the draw-free triangle,
+		// three per role assignment otherwise.
 		attempts  int
 		mustPrune bool // pruning must fire somewhere across the cases
 	}{
 		{"uplink-three", 2, 2, 2, false, 1, 2 * 3, true},
-		{"uplink-chain-3ap", chainClients(2), 3, 2, false, 0, 6 * 3, true},
-		{"uplink-chain-5ap", chainClients(2), 5, 2, false, 2, 5 * 3, true},
+		{"uplink-chain-3ap", chainClients(2), 3, 2, false, 0, 6 * 2, true},
+		{"uplink-chain-5ap", chainClients(2), 5, 2, false, 2, 5 * 2, true},
 		{"uplink-chain-m3", chainClients(3), core.UplinkAPsNeeded(3), 3, false, 0, 6 * 3, true},
 		{"uplink-chain-m4", chainClients(4), core.UplinkAPsNeeded(4), 4, false, 0, 6 * 3, true},
 		{"downlink-triangle", 3, 3, 2, true, 0, 6, false},
@@ -151,6 +155,45 @@ func TestBatchedSlotRunnerMatchesScalar(t *testing.T) {
 		t.Logf("%s: %d candidate scorings pruned in %d slots", sh.name, pruned, seeds*len(envs)*2)
 		if sh.mustPrune && pruned == 0 && !t.Failed() {
 			t.Errorf("%s: no candidate scoring was pruned in %d slots", sh.name, seeds*len(envs)*2)
+		}
+	}
+}
+
+// TestFadingChainAttemptsPerOrder checks the M = 2 chain's search on the
+// campus_fading link shape (noise, residual cancellation and MCS, a
+// world aged by block fading and a client moved before every slot, as
+// in fadingSlotAllocs) on 3 and 4 APs: every plan runs at most two
+// solver attempts per receiver order, one per dependent direction of
+// the pencil, and never the random-line search's solveCandidates.
+func TestFadingChainAttemptsPerOrder(t *testing.T) {
+	for _, aps := range []int{3, 4} {
+		world := channel.NewTestbed(channel.DefaultParams(), int64(aps), 20, 12)
+		s := PickScenario(world, 3, aps)
+		s.Env = Env{NoisePower: math.Pow(10, 0.8), ResidualCancel: true, MCS: mimo.DefaultRateTable()}
+		ws := phy.NewWorkspace()
+		cache := NewSlotCache(s)
+		rng := rand.New(rand.NewSource(7))
+		orders := len(rxOrders(aps))
+		full := 0
+		const slots = 60
+		for i := 0; i < slots; i++ {
+			world.Perturb(0.3)
+			world.MoveNode(s.Clients[i%len(s.Clients)], float64(i%12), float64((i*7)%12))
+			before := cache.plan.attempts
+			if _, err := RunUplinkSlotWS(ws, cache, s, i%len(s.Clients), rng); err != nil {
+				t.Fatalf("%d APs, slot %d: %v", aps, i, err)
+			}
+			n := cache.plan.attempts - before
+			if n > 2*orders {
+				t.Fatalf("%d APs, slot %d: %d solver attempts over %d receiver orders, want at most 2 per order", aps, i, n, orders)
+			}
+			if n == 2*orders {
+				full++
+			}
+		}
+		t.Logf("%d APs: %d of %d slots ran both directions of every receiver order", aps, full, slots)
+		if full == 0 {
+			t.Errorf("%d APs: no slot ran two attempts per receiver order", aps)
 		}
 	}
 }

@@ -78,7 +78,8 @@ func RunUplinkSlotWS(ws *phy.Workspace, cache *SlotCache, s Scenario, twoPacketR
 
 // solveCandidates is how many random-seeded solver attempts the leader
 // evaluates per role assignment before committing to a plan. A shape
-// whose solver draws no randomness runs one (shapeSolver.candidates).
+// whose solver draws no randomness runs one, and an M = 2 chain one per
+// dependent direction (shapeSolver.candidates).
 const solveCandidates = 3
 
 // RunDownlinkSlot plans and evaluates one IAC downlink slot. Supported

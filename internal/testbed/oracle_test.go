@@ -147,26 +147,48 @@ func runUplinkSlotScalarWS(ws *phy.Workspace, cache *SlotCache, s Scenario, twoP
 		}
 	}
 
-	solve := func(ws *cmplxmat.Workspace, est core.ChannelSet) (*core.Plan, error) {
+	search := func(ws *cmplxmat.Workspace, est core.ChannelSet) (int, solveFunc) {
 		m := est.Antennas()
 		switch {
 		case nc == 2 && na == 2:
-			plan, err := core.SolveUplinkThreeWS(ws, est, rng)
-			if err != nil {
-				return nil, err
+			return solveCandidates, func(ws *cmplxmat.Workspace, _ int) (*core.Plan, error) {
+				plan, err := core.SolveUplinkThreeWS(ws, est, rng)
+				if err != nil {
+					return nil, err
+				}
+				return &plan, nil
 			}
-			return &plan, nil
 		case na >= 3 && nc == (core.UplinkChainAssignment{M: m}).NumClients():
-			return core.SolveUplinkChainWS(ws, est, rng)
+			// One attempt per dependent direction of an M = 2 pencil, each
+			// preparing the set afresh; the random-line search otherwise.
+			mark := ws.Mark()
+			prep := core.PrepareUplinkChainWS(ws, est)
+			dirs, n := prep.DependentDirections2(ws)
+			ws.Release(mark)
+			if n == 0 {
+				return solveCandidates, func(ws *cmplxmat.Workspace, _ int) (*core.Plan, error) {
+					return core.SolveUplinkChainWS(ws, est, rng)
+				}
+			}
+			return n, func(ws *cmplxmat.Workspace, attempt int) (*core.Plan, error) {
+				prep := core.PrepareUplinkChainWS(ws, est)
+				plan, err := prep.SolveAlongWS(ws, rng, dirs[attempt])
+				if err != nil {
+					return nil, err
+				}
+				return &plan, nil
+			}
 		default:
-			return nil, fmt.Errorf("testbed: unsupported uplink shape %dx%d", nc, na)
+			return solveCandidates, func(*cmplxmat.Workspace, int) (*core.Plan, error) {
+				return nil, fmt.Errorf("testbed: unsupported uplink shape %dx%d", nc, na)
+			}
 		}
 	}
 	// The leader chooses which AP plays which role in the construction
 	// by estimated rate (Section 7.1: the concurrency algorithm decides
 	// AP assignments along with the vectors).
 	track := (cache != nil && cache.trackPlanned) || s.Env.MCS != nil
-	plan, trueCS, err := bestRxAssignment(ws.Mat, baseTrue, baseEst, solve, s.Env.planOpts(), track)
+	plan, trueCS, err := bestRxAssignment(ws.Mat, baseTrue, baseEst, search, s.Env.planOpts(), track)
 	if err != nil {
 		return SlotOutcome{}, err
 	}
@@ -219,22 +241,28 @@ type plannedPlan struct {
 	PlannedSINR []float64
 }
 
-// solveFunc is one construction solver bound to a slot shape, running its
-// intermediate math on the given workspace.
-type solveFunc func(ws *cmplxmat.Workspace, est core.ChannelSet) (*core.Plan, error)
+// solveFunc is one solver attempt of a slot shape's construction on one
+// role assignment's estimates, running its intermediate math on the
+// given workspace.
+type solveFunc func(ws *cmplxmat.Workspace, attempt int) (*core.Plan, error)
+
+// searchFunc returns how many solver attempts the search runs on one
+// role assignment's estimates, and the attempt itself.
+type searchFunc func(ws *cmplxmat.Workspace, est core.ChannelSet) (int, solveFunc)
 
 // bestTxAssignment mirrors bestRxAssignment over the transmitter axis
 // (downlink: which AP carries which packet).
-func bestTxAssignment(ws *cmplxmat.Workspace, trueCS, estCS core.ChannelSet, solve solveFunc, opts core.EvalOptions, trackPlanned bool) (plannedPlan, core.ChannelSet, error) {
+func bestTxAssignment(ws *cmplxmat.Workspace, trueCS, estCS core.ChannelSet, search searchFunc, opts core.EvalOptions, trackPlanned bool) (plannedPlan, core.ChannelSet, error) {
 	var best plannedPlan
 	var bestTrue core.ChannelSet
 	bestRate := -1.0
 	var lastErr error
 	for _, perm := range permutations(trueCS.NumTx()) {
 		est := Permute(estCS, perm)
-		for attempt := 0; attempt < solveCandidates; attempt++ {
+		n, solve := search(ws, est)
+		for attempt := 0; attempt < n; attempt++ {
 			mark := ws.Mark()
-			plan, err := solve(ws, est)
+			plan, err := solve(ws, attempt)
 			if err != nil {
 				lastErr = err
 				ws.Release(mark)
@@ -278,7 +306,7 @@ func bestTxAssignment(ws *cmplxmat.Workspace, trueCS, estCS core.ChannelSet, sol
 // the winner together with the true channels in the same order. Each
 // attempt's scratch is released before the next begins — plans are
 // heap-allocated, so keeping the winner is safe.
-func bestRxAssignment(ws *cmplxmat.Workspace, trueCS, estCS core.ChannelSet, solve solveFunc, opts core.EvalOptions, trackPlanned bool) (plannedPlan, core.ChannelSet, error) {
+func bestRxAssignment(ws *cmplxmat.Workspace, trueCS, estCS core.ChannelSet, search searchFunc, opts core.EvalOptions, trackPlanned bool) (plannedPlan, core.ChannelSet, error) {
 	var best plannedPlan
 	var bestTrue core.ChannelSet
 	bestRate := -1.0
@@ -286,12 +314,14 @@ func bestRxAssignment(ws *cmplxmat.Workspace, trueCS, estCS core.ChannelSet, sol
 	for _, perm := range rxOrders(trueCS.NumRx()) {
 		est := PermuteRx(estCS, perm)
 		// Several solver attempts per role assignment: the solvers draw
-		// random free vectors, and the leader keeps the candidate with
-		// the best estimated rate (Section 7.2 estimates rates without
+		// random free vectors (and the M = 2 chain has two alignment
+		// directions), and the leader keeps the candidate with the best
+		// estimated rate (Section 7.2 estimates rates without
 		// transmitting).
-		for attempt := 0; attempt < solveCandidates; attempt++ {
+		n, solve := search(ws, est)
+		for attempt := 0; attempt < n; attempt++ {
 			mark := ws.Mark()
-			plan, err := solve(ws, est)
+			plan, err := solve(ws, attempt)
 			if err != nil {
 				lastErr = err
 				ws.Release(mark)
@@ -347,28 +377,30 @@ func runDownlinkSlotScalarWS(ws *phy.Workspace, cache *SlotCache, s Scenario, rn
 			}
 		}
 	}
-	solve := func(ws *cmplxmat.Workspace, est core.ChannelSet) (*core.Plan, error) {
-		switch {
-		case nc == 3 && na == 3:
-			plan, err := core.SolveDownlinkTriangleWS(ws, est)
-			if err != nil {
-				return nil, err
+	search := func(_ *cmplxmat.Workspace, est core.ChannelSet) (int, solveFunc) {
+		return solveCandidates, func(ws *cmplxmat.Workspace, _ int) (*core.Plan, error) {
+			switch {
+			case nc == 3 && na == 3:
+				plan, err := core.SolveDownlinkTriangleWS(ws, est)
+				if err != nil {
+					return nil, err
+				}
+				return &plan, nil
+			case nc == 1 && na == 2:
+				plan, err := core.SolveDownlinkDiversityWS(ws, est, rng, NodePower, s.Env.Noise())
+				if err != nil {
+					return nil, err
+				}
+				return &plan, nil
+			default:
+				return nil, fmt.Errorf("testbed: unsupported downlink shape %dx%d clients/APs", nc, na)
 			}
-			return &plan, nil
-		case nc == 1 && na == 2:
-			plan, err := core.SolveDownlinkDiversityWS(ws, est, rng, NodePower, s.Env.Noise())
-			if err != nil {
-				return nil, err
-			}
-			return &plan, nil
-		default:
-			return nil, fmt.Errorf("testbed: unsupported downlink shape %dx%d clients/APs", nc, na)
 		}
 	}
 	// Downlink roles: the permutation runs over the transmitter (AP)
 	// axis here, deciding which AP carries which client's packet.
 	track := (cache != nil && cache.trackPlanned) || s.Env.MCS != nil
-	plan, trueCS, err := bestTxAssignment(ws.Mat, baseTrue, baseEst, solve, s.Env.planOpts(), track)
+	plan, trueCS, err := bestTxAssignment(ws.Mat, baseTrue, baseEst, search, s.Env.planOpts(), track)
 	if err != nil {
 		return SlotOutcome{}, err
 	}
