@@ -58,6 +58,10 @@ kernels=(
   'iaclan/internal/core.zf2'
   'iaclan/internal/cmplxmat.Vector.Norm'
   'iaclan/internal/cmplxmat.(*Matrix).DiagScaleInto'
+  'iaclan/internal/cmplxmat.(*Matrix).SingularValues2'
+  'iaclan/internal/cmplxmat.singularValues2'
+  'iaclan/internal/cmplxmat.(*Matrix).SVD2'
+  'iaclan/internal/cmplxmat.lineDet2'
 )
 # Inlined helpers, checked on their own only when the binary keeps them.
 helpers=(
@@ -78,6 +82,8 @@ helpers=(
   'iaclan/internal/cmplxmat.(*Matrix).SubApply2'
   'iaclan/internal/cmplxmat.(*Matrix).Scaled2'
   'iaclan/internal/cmplxmat.Vector.scaledNorm'
+  'iaclan/internal/cmplxmat.(*Matrix).scaled2'
+  'iaclan/internal/cmplxmat.modulus'
 )
 
 # fusedPerSymbol prints "<fused ops> <symbol>" for every text symbol of

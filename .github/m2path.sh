@@ -1,34 +1,40 @@
 #!/usr/bin/env bash
-# Fails when the general slot evaluator (core's evaluateWS) or the M = 2
-# random-line search (core's dependentDirection2WS, or
-# dependentDirectionWS, which calls it at M = 2) runs on the benchmark's
-# M = 2 workloads, and lists the general linear-algebra kernels M = 2
-# still reaches.
+# Fails when a general kernel that M = 2 has a closed form for runs on
+# the benchmark's M = 2 workloads: the general slot evaluator (core's
+# evaluateWS), the M = 2 random-line search (core's
+# dependentDirection2WS, or dependentDirectionWS, which calls it at
+# M = 2) or the Jacobi SVD (cmplxmat's jacobi). It lists the general
+# linear-algebra kernels M = 2 still reaches.
 #
 # At M = 2 the planner's scoring and the winner's measurement run the
 # fixed-size evaluators score2WS and measure2WS; evaluateWS is the
 # M >= 3 path and the test reference. The planner's solver attempts
 # start from the pencil's dependent directions
 # (UplinkPrep.DependentDirections2); the random-line search runs only
-# for a pencil that declines, and every workload is M = 2, so neither
-# search function should be reached at all. This script builds
+# for a pencil that declines. The 802.11-MIMO baseline
+# (mimo.EigenmodeRateWS, EigenmodeWS) and the diversity plan take the
+# closed-form 2x2 singular values and SVD (SingularValues2, SVD2);
+# jacobi runs only for inputs those decline. Every workload is M = 2,
+# so none of these should be reached at all. This script builds
 # bench/iacperf with coverage over
 # every iaclan/ package (go build -cover -coverpkg=iaclan/...) into a
 # temporary directory, runs the four workloads at seed 1 for about a
 # second each with GOCOVERDIR set, reads each function's statement
 # coverage with go tool covdata func, and
-#   - fails if (*Plan).evaluateWS, dependentDirection2WS or
-#     dependentDirectionWS has any statement covered;
-#   - prints jacobi, luFactorInPlace, durandKerner and NullSpaceWS as
+#   - fails if (*Plan).evaluateWS, dependentDirection2WS,
+#     dependentDirectionWS or jacobi has any statement covered;
+#   - prints luFactorInPlace, durandKerner and NullSpaceWS as
 #     "still reached" or "not reached", without failing: the downlink
-#     triangle, the diversity plan and the MIMO baseline still run them
-#     at M = 2.
+#     triangle still runs them at M = 2 (luFactorInPlace through its
+#     InverseWS; the two-AP uplink, SolveUplinkThreeWS, inverts by the
+#     adjugate at M = 2 and no longer reaches it).
 #
 # Before that it runs the same check on a seeded case, a copy of the
-# tree whose EvaluateWS sends the M = 2 measurement to evaluateWS and
-# whose planner drops the pencil's directions (so every attempt runs the
-# random-line search), and fails unless the check goes red there on
-# each function, so a change in covdata's spelling cannot pass it
+# tree whose EvaluateWS sends the M = 2 measurement to evaluateWS, whose
+# planner drops the pencil's directions (so every attempt runs the
+# random-line search) and whose EigenmodeRateWS takes a 2x2 channel's
+# singular values from SVDWS, and fails unless the check goes red there
+# on each function, so a change in covdata's spelling cannot pass it
 # vacuously.
 #
 # Run from the root of a checkout, offline, with the Go toolchain alone
@@ -62,12 +68,12 @@ percent() {
 # reached <percent>: whether a coverage figure is above zero.
 reached() { awk -v p="$1" 'BEGIN { exit !(p + 0 > 0) }'; }
 
-# The functions that must not be reached, as covdata names them, in
-# core.
-unreached=('*Plan.evaluateWS' 'dependentDirection2WS' 'dependentDirectionWS')
+# The functions that must not be reached, as <package>:<function> with
+# the function as covdata names it.
+unreached=('core:*Plan.evaluateWS' 'core:dependentDirection2WS' 'core:dependentDirectionWS' 'cmplxmat:jacobi')
 
-# Self-check on a seeded M = 2 evaluateWS call and a planner without
-# the pencil.
+# Self-check on a seeded M = 2 evaluateWS call, a planner without the
+# pencil and a 2x2 baseline rate on SVDWS.
 mkdir -p "$tmp/seed"
 (cd "$root" && tar --exclude=./.git --exclude=./.bench_build -cf - .) | tar -xf - -C "$tmp/seed"
 awk '
@@ -86,9 +92,24 @@ awk '
   echo "m2path.sh: could not drop the pencil's directions from the planner" >&2
   exit 1
 }
-coverage "$tmp/seed" seed campus_fading
-for fn in "${unreached[@]}"; do
-  p="$(percent seed internal/core/ "$fn")"
+awk '
+  /if s0, s1, ok := h\.SingularValues2\(\); ok \{/ {
+    print "\t\tif mark := ws.Mark(); true {"
+    print "\t\t\t_, s, _ := h.SVDWS(ws)"
+    print "\t\t\ts0, s1 := s[0], s[1]"
+    print "\t\t\tws.Release(mark)"
+    seeded++; next
+  }
+  { print }
+  END { if (seeded != 1) exit 1 }
+' "$root/internal/mimo/mimo.go" > "$tmp/seed/internal/mimo/mimo.go" || {
+  echo "m2path.sh: could not send the 2x2 baseline rate to SVDWS" >&2
+  exit 1
+}
+coverage "$tmp/seed" seed all
+for entry in "${unreached[@]}"; do
+  pkg="${entry%%:*}" fn="${entry#*:}"
+  p="$(percent seed "internal/$pkg/" "$fn")"
   if [ -z "$p" ] || ! reached "$p"; then
     echo "m2path.sh: the seeded M = 2 call of $fn read '${p:-absent}'; the check cannot be trusted" >&2
     exit 1
@@ -98,8 +119,9 @@ done
 
 coverage "$root" tree all
 fail=0
-for fn in "${unreached[@]}"; do
-  p="$(percent tree internal/core/ "$fn")"
+for entry in "${unreached[@]}"; do
+  pkg="${entry%%:*}" fn="${entry#*:}"
+  p="$(percent tree "internal/$pkg/" "$fn")"
   if [ -z "$p" ]; then
     echo "MISSING $fn in the coverage table"
     fail=1
@@ -110,7 +132,7 @@ for fn in "${unreached[@]}"; do
     echo "ok      $fn not reached"
   fi
 done
-for fn in jacobi luFactorInPlace Poly.durandKerner '*Matrix.NullSpaceWS'; do
+for fn in luFactorInPlace Poly.durandKerner '*Matrix.NullSpaceWS'; do
   p="$(percent tree internal/cmplxmat/ "$fn")"
   if [ -n "$p" ] && reached "$p"; then
     echo "note    $fn still reached (${p}%)"
@@ -119,6 +141,6 @@ for fn in jacobi luFactorInPlace Poly.durandKerner '*Matrix.NullSpaceWS'; do
   fi
 done
 if [ "$fail" -ne 0 ]; then
-  echo "m2path.sh: at M = 2 the workloads must evaluate through score2WS and measure2WS, not evaluateWS, and solve from the pencil's directions, not the random-line search" >&2
+  echo "m2path.sh: at M = 2 the workloads must evaluate through score2WS and measure2WS, not evaluateWS, solve from the pencil's directions, not the random-line search, and take 2x2 singular values in closed form, not from jacobi" >&2
   exit 1
 fi

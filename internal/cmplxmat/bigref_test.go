@@ -266,3 +266,96 @@ func bigMulH(m *Matrix, v Vector) [2]bigC {
 	}
 	return out
 }
+
+// complement returns I - p, the projector onto the line orthogonal to
+// p's in two dimensions.
+func (p bigProjector) complement() bigProjector {
+	one := newBig().SetInt64(1)
+	neg := newBig().SetInt64(-1)
+	return bigProjector{
+		bigC{newBig().Sub(one, p[0].re), newBig()}, p[1].scale(neg),
+		p[2].scale(neg), bigC{newBig().Sub(one, p[3].re), newBig()},
+	}
+}
+
+// bigSVD is the exact singular value decomposition of a 2x2 m: its
+// singular values s0 >= s1 and the projectors onto its singular vectors,
+// right (pv) and left (pu), leading first, with cond = s0^2/(s0^2 - s1^2),
+// the factor by which rounding in m^H m moves the vectors. The squared
+// values are the eigenvalues of m^H m = [[p, q], [conj(q), r]],
+// (p + r)/2 ± sqrt(((p - r)/2)^2 + |q|^2), the smaller taken as
+// |det m|^2 over the larger. When s0 = s1 no vector is determined and
+// vectors is false.
+type bigSVD struct {
+	s       [2]*big.Float
+	pv, pu  [2]bigProjector
+	cond    float64
+	vectors bool
+}
+
+// bigSVDOf returns the exact decomposition of the 2x2 m.
+func bigSVDOf(m *Matrix) bigSVD {
+	p, q, r := bigGram(m.H())
+	h := newBig().Mul(newBig().Sub(p, r), newBig().SetFloat64(0.5))
+	root := newBig().Sqrt(newBig().Add(newBig().Mul(h, h), q.abs2()))
+	l0 := newBig().Add(newBig().Mul(newBig().Add(p, r), newBig().SetFloat64(0.5)), root)
+	a, b, c, d := bigOf(m.data[0]), bigOf(m.data[1]), bigOf(m.data[2]), bigOf(m.data[3])
+	det2 := a.mul(d).sub(b.mul(c)).abs2()
+	var ref bigSVD
+	ref.s[0], ref.s[1] = newBig().Sqrt(l0), newBig()
+	if l0.Sign() > 0 {
+		ref.s[1] = newBig().Sqrt(newBig().Quo(det2, l0))
+	}
+	pv, _, okV := bigLeading(m.H())
+	pu, _, okU := bigLeading(m)
+	if root.Sign() > 0 && okV && okU {
+		ref.vectors = true
+		ref.pv = [2]bigProjector{pv, pv.complement()}
+		ref.pu = [2]bigProjector{pu, pu.complement()}
+		// s0^2 - s1^2 = 2 root.
+		ref.cond = bigFloat(newBig().Quo(l0, newBig().Add(root, root)))
+	}
+	return ref
+}
+
+// svdErrs are one decomposition's errors against bigSVD: values, the
+// largest |s_j - ref_j| / ref_0; vectors, the largest projector error
+// of the four singular vectors (when they are determined); backward,
+// the largest of |m v_j - s_j u_j| / ref_0 and the entries of
+// U^H U - I and V^H V - I, which is small for any exact
+// decomposition of a matrix near m however close its values are.
+type svdErrs struct{ values, vectors, backward float64 }
+
+func (ref bigSVD) errs(m, u *Matrix, s []float64, v *Matrix) svdErrs {
+	var e svdErrs
+	s0 := ref.s[0]
+	if s0.Sign() == 0 {
+		return svdErrs{values: math.Inf(1), vectors: math.Inf(1), backward: math.Inf(1)}
+	}
+	inv0 := newBig().Quo(newBig().SetInt64(1), s0)
+	for j := 0; j < 2; j++ {
+		d := newBig().Sub(newBig().SetFloat64(s[j]), ref.s[j])
+		e.values = max(e.values, bigFloat(newBig().Mul(d.Abs(d), inv0)))
+		if ref.vectors {
+			e.vectors = max(e.vectors, ref.pv[j].err(Vector{v.data[j], v.data[2+j]}), ref.pu[j].err(Vector{u.data[j], u.data[2+j]}))
+		}
+		for i := 0; i < 2; i++ {
+			// (m v_j)_i - s_j u_ij.
+			mv := bigOf(m.data[2*i]).mul(bigOf(v.data[j])).add(bigOf(m.data[2*i+1]).mul(bigOf(v.data[2+j])))
+			res := mv.sub(bigOf(u.data[2*i+j]).scale(newBig().SetFloat64(s[j])))
+			e.backward = max(e.backward, bigFloat(newBig().Mul(res.abs(), inv0)))
+		}
+	}
+	for _, q := range []*Matrix{u, v} {
+		for i := 0; i < 2; i++ {
+			for j := 0; j < 2; j++ {
+				g := bigOf(q.data[i]).conj().mul(bigOf(q.data[j])).add(bigOf(q.data[2+i]).conj().mul(bigOf(q.data[2+j])))
+				if i == j {
+					g = g.sub(bigOf(1))
+				}
+				e.backward = max(e.backward, bigFloat(g.abs()))
+			}
+		}
+	}
+	return e
+}

@@ -579,3 +579,69 @@ func FuzzZF2(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSVD2 drives the closed-form 2x2 SVD (SVD2, SingularValues2)
+// beside SVDWS on fuzzed matrices scaled by 2^k: the degeneracy
+// selector gives rank one (aligned columns), a zero row or column and
+// equal singular values (a scaled identity); the seeds add the zero
+// matrix, subnormal entries and scales at pow2Scale's 2^±1000 edges.
+// Where pow2Scale declines the largest part, SingularValues2 must
+// decline and SVD2 must return SVDWS's bits. Elsewhere SingularValues2
+// must give SVD2's values bit for bit, s0 >= s1 >= 0, and against the
+// math/big reference (bigSVDOf) the closed form's errors must be no
+// worse than SVDWS's on the same input, or at rounding level: the
+// values and the backward error below svd2Floor, the vectors below
+// svd2Floor times the problem's conditioning s0^2/(s0^2 - s1^2).
+func FuzzSVD2(f *testing.F) {
+	for degen := byte(0); degen < 5; degen++ {
+		f.Add(degen, int16(0), 1.0, 0.5, -0.25, 2.0, -1.0, 0.125, 3.0, -0.5)
+	}
+	f.Add(byte(0), int16(0), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)                 // zero matrix
+	f.Add(byte(0), int16(0), 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)                 // identity: equal values
+	f.Add(byte(0), int16(0), 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, -1.0, 0.0)                // orthogonal columns, equal norms
+	f.Add(byte(0), int16(0), 1.0, 1e-9, 1.0, 0.0, 0.5, 0.0, 1.0, 1e-9)               // nearly rank one
+	f.Add(byte(0), int16(0), 5e-324, 0.0, 1e-310, -3e-320, 0.0, 2e-315, 1e-308, 0.0) // subnormal
+	f.Add(byte(0), int16(0), 1.0, 5e-324, -1e-310, 0.5, 2.0, 0.0, 0.25, 1e-320)      // subnormal beside normal
+	f.Add(byte(1), int16(999), 1.0, 0.5, -0.25, 2.0, -1.0, 0.125, 3.0, -0.5)
+	f.Add(byte(0), int16(1000), 1.5, 0.5, -0.25, 1.0, -1.0, 0.125, 1.0, -0.5)
+	f.Add(byte(2), int16(-1000), 1.0, 0.5, -0.25, 2.0, -1.0, 0.125, 3.0, -0.5)
+	f.Add(byte(4), int16(-1001), 1.0, 0.5, -0.25, 2.0, -1.0, 0.125, 3.0, -0.5)
+	f.Add(byte(0), int16(0), 1e-300, 1e300, -1e-300, 1e150, 5e-324, -1e8, 1e-16, 1.0)
+	f.Fuzz(func(t *testing.T, degen byte, k int16, a, b, c, d, e, g, h, i float64) {
+		m := fuzzRect(2, 2, []float64{a, b, c, d, e, g, h, i})
+		degenerate(m, degen)
+		m = m.Scale(complex(math.Ldexp(1, max(-1030, min(1030, int(k)))), 0))
+		_, _, inRange := pow2Scale(maxPartOf(m.data...))
+		s0, s1, ok := m.SingularValues2()
+		u, s, v := m.SVD2(NewWorkspace())
+		gu, gs, gv := m.SVDWS(NewWorkspace())
+		if ok != inRange {
+			t.Fatalf("SingularValues2 ok %v, pow2Scale %v\n m=%v", ok, inRange, m)
+		}
+		if !ok {
+			if !bitEqualM(u, gu) || !bitEqualF(s, gs) || !bitEqualM(v, gv) {
+				t.Fatalf("a declined input did not reach SVDWS\n m=%v", m)
+			}
+			return
+		}
+		if math.Float64bits(s0) != math.Float64bits(s[0]) || math.Float64bits(s1) != math.Float64bits(s[1]) {
+			t.Fatalf("SingularValues2 gave %v %v, SVD2 %v\n m=%v", s0, s1, s, m)
+		}
+		if !(s[0] >= s[1] && s[1] >= 0) || math.IsInf(s[0], 0) {
+			t.Fatalf("singular values %v\n m=%v", s, m)
+		}
+		ref := bigSVDOf(m)
+		closed, general := ref.errs(m, u, s, v), ref.errs(m, gu, gs, gv)
+		if closed.values > max(general.values, svd2Floor) || closed.backward > max(general.backward, svd2Floor) {
+			t.Fatalf("closed form errors %+v, SVDWS %+v\n m=%v", closed, general, m)
+		}
+		if ref.vectors && closed.vectors > max(general.vectors, svd2Floor*ref.cond) {
+			t.Fatalf("closed form vector error %.3g, SVDWS %.3g, conditioning %.3g\n m=%v", closed.vectors, general.vectors, ref.cond, m)
+		}
+	})
+}
+
+// svd2Floor is the rounding level of SVD2's errors, 8 units in the last
+// place of 1: its values, vectors and backward error each come from a
+// few rounded products and square roots.
+const svd2Floor = 0x1p-49

@@ -81,9 +81,10 @@ func benchKernel(b *testing.B, run func(ws *Workspace)) {
 // BenchmarkLeadingLeftSingular2x2 and BenchmarkLeadingLeftSingular2x3
 // time LeadingLeftSingularInto on a 2-row matrix of two and three
 // columns, one leading column written into a caller-held destination:
-// the closed form leading2Into behind the matrix form. The M = 2
-// planners reach the same closed form as Leading2, through core's
-// scalar decoder zf2, without the matrix and destination.
+// the closed form leading2Into behind the matrix form, which no
+// workload reaches. The M = 2 planners reach the same closed form as
+// Leading2 (BenchmarkLeading2), through core's scalar decoder zf2,
+// without the matrix and destination.
 func BenchmarkLeadingLeftSingular2x2(b *testing.B) {
 	m := RandomGaussian(rand.New(rand.NewSource(71)), 2, 2)
 	dst := []Vector{NewVector(2)}
@@ -94,6 +95,24 @@ func BenchmarkLeadingLeftSingular2x3(b *testing.B) {
 	m := RandomGaussian(rand.New(rand.NewSource(73)), 2, 3)
 	dst := []Vector{NewVector(2)}
 	benchKernel(b, func(ws *Workspace) { m.LeadingLeftSingularInto(ws, dst, 1e-12) })
+}
+
+// BenchmarkLeading2 times Leading2, the leading vector core's M = 2
+// decoder zf2 nulls when a packet has two or more interferers, on the
+// rows of 16 Gaussian interference matrices of two and three columns,
+// cycled.
+func BenchmarkLeading2(b *testing.B) {
+	rng := rand.New(rand.NewSource(151))
+	rows := make([][2][]complex128, 16)
+	for i := range rows {
+		m := RandomGaussian(rng, 2, 2+i%2)
+		rows[i] = [2][]complex128{m.data[:m.cols], m.data[m.cols:]}
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		r := rows[i%len(rows)]
+		Leading2(r[0], r[1], 1e-12)
+	}
 }
 
 // BenchmarkDet2 times DetWS's LU determinant on a 2 x 2, its scratch

@@ -3,9 +3,10 @@ package cmplxmat
 import "math"
 
 // Closed-form kernels for M = 2, the planners' common size: the leading
-// left singular vector of a 2-row matrix, the roots of a quadratic, the
-// 2x2 inverse and rank by the adjugate, and the unit vector orthogonal
-// to a 2-vector with the zero-forcing decoder built on it. Each stands
+// left singular vector of a 2-row matrix, the 2x2 singular value
+// decomposition, the roots of a quadratic, the 2x2 inverse and rank by
+// the adjugate, and the unit vector orthogonal to a 2-vector with the
+// zero-forcing decoder built on it. Each stands
 // in for a general kernel (Jacobi sweeps, Durand-Kerner, LU
 // elimination, Gram-Schmidt) that stays the only path for larger sizes
 // and for inputs the closed form declines.
@@ -84,17 +85,24 @@ func mulVec2(h []complex128, v0, v1 complex128) (complex128, complex128) {
 // an exact positive factor. ok is false when m is zero, has an Inf or
 // NaN part, or is out of scaling range (see pow2Scale).
 func (m *Matrix) Scaled2() (a [4]complex128, ok bool) {
+	a, _, ok = m.scaled2()
+	return a, ok
+}
+
+// scaled2 is Scaled2 that also returns up, the power of two that scales
+// the entries back.
+func (m *Matrix) scaled2() (a [4]complex128, up float64, ok bool) {
 	if m.rows != 2 || m.cols != 2 {
-		panic("cmplxmat: Scaled2 needs a 2x2 matrix")
+		panic("cmplxmat: a 2x2 kernel needs a 2x2 matrix")
 	}
-	down, _, ok := pow2Scale(maxPartOf(m.data[:4]...))
+	down, up, ok := pow2Scale(maxPartOf(m.data[:4]...))
 	if !ok {
-		return a, false
+		return a, 0, false
 	}
 	for i := range a {
 		a[i] = scaleBy(m.data[i], down)
 	}
-	return a, true
+	return a, up, true
 }
 
 // MulHVec2 returns m^H (v0, v1) for a 2x2 m, every product rounded.
@@ -117,7 +125,27 @@ func Inner2(a0, a1, b0, b1 complex128) complex128 {
 // e = g2 y, it is det[a c] + (det[a e] + det[b c]) t + det[b e] t^2.
 // This is the alignment solver's determinant polynomial at M = 2,
 // formed directly instead of interpolated from sampled determinants.
+// Where a product of the entries overflows (a coefficient is not
+// finite, from matrices near 2^1000), it is formed again on g1 and g2
+// each scaled by a power of two (Scaled2): that multiplies every
+// coefficient by the same positive factor, which moves no root in t.
+// Inputs whose products stay finite keep the unscaled bits.
 func LineDet2(g1, g2 *Matrix, x, y Vector) [3]complex128 {
+	p := lineDet2(g1, g2, x, y)
+	if maxPartOf(p[:]...) <= math.MaxFloat64 {
+		return p
+	}
+	a1, ok1 := g1.Scaled2()
+	a2, ok2 := g2.Scaled2()
+	if !ok1 || !ok2 {
+		return p
+	}
+	s1, s2 := View(2, 2, a1[:]), View(2, 2, a2[:])
+	return lineDet2(&s1, &s2, x, y)
+}
+
+// lineDet2 is LineDet2 on the matrices as given.
+func lineDet2(g1, g2 *Matrix, x, y Vector) [3]complex128 {
 	a0, a1 := g1.MulVec2(x[0], x[1])
 	b0, b1 := g1.MulVec2(y[0], y[1])
 	c0, c1 := g2.MulVec2(x[0], x[1])
@@ -148,22 +176,32 @@ func quo(a, b complex128) complex128 {
 	return complex((float64(ar*r)+ai)/den, (float64(ai*r)-ar)/den)
 }
 
-// sqrtC returns the principal square root of w. Its modulus is taken
-// as big*sqrt(1 + (small/big)^2), so no part is squared.
+// sqrtC returns the principal square root of w. Its modulus comes from
+// modulus, so no part is squared.
 func sqrtC(w complex128) complex128 {
+	if w == 0 {
+		return 0
+	}
 	u, v := real(w), imag(w)
 	a, b := math.Abs(u), math.Abs(v)
+	t := math.Sqrt(0.5 * (modulus(w) + a))
+	if u >= 0 {
+		return complex(t, v/(2*t))
+	}
+	return complex(b/(2*t), math.Copysign(t, v))
+}
+
+// modulus returns |z| as big*sqrt(1 + (small/big)^2) over the
+// magnitudes of its parts, so no part is squared: it neither overflows
+// nor loses a tiny z to underflow.
+func modulus(z complex128) float64 {
+	a, b := math.Abs(real(z)), math.Abs(imag(z))
 	hi, lo := max(a, b), min(a, b)
 	if hi == 0 {
 		return 0
 	}
 	r := lo / hi
-	mod := float64(hi * math.Sqrt(1+float64(r*r)))
-	t := math.Sqrt(0.5 * (mod + a))
-	if u >= 0 {
-		return complex(t, v/(2*t))
-	}
-	return complex(b/(2*t), math.Copysign(t, v))
+	return float64(hi * math.Sqrt(1+float64(r*r)))
 }
 
 // exponent returns e with x = 1.f * 2^e for a normal x; ok is false for
@@ -420,6 +458,92 @@ func (m *Matrix) Inverse2WS(ws *Workspace) (*Matrix, error) {
 	inv := ws.Matrix(2, 2)
 	inv.data[0], inv.data[1], inv.data[2], inv.data[3] = Mul(d, r), Mul(-b, r), Mul(-c, r), Mul(a, r)
 	return inv, nil
+}
+
+// SingularValues2 returns the singular values s0 >= s1 of the 2x2 m in
+// closed form: SVDWS's values up to rounding, with no arena. Their
+// squares are the eigenvalues of the Gram matrix
+// m^H m = [[p, q], [conj(q), r]], whose trace is t = |m|_F^2 and whose
+// determinant is |det m|^2, so
+//
+//	s0^2 = t/2 + sqrt(h^2 + |q|^2),  h = (p - r)/2,  s1 = |det m|/s0.
+//
+// The root adds two squares, so nothing cancels in it. It equals
+// sqrt((t - 2|det m|)(t + 2|det m|))/2, but t - 2|det m| cancels when
+// the two values are close, and that form is off by up to sqrt(ε) s0
+// there. s1 comes from the determinant, s1^2 = |det m|^2/s0^2, not from
+// t/2 minus the root, where a small singular value would cancel away.
+// The entries are scaled by a power of two first and the values scaled
+// back. ok is false, and the caller must run SVDWS, when m is zero, has
+// an Inf or NaN part, or is out of scaling range (see pow2Scale).
+func (m *Matrix) SingularValues2() (s0, s1 float64, ok bool) {
+	a, up, ok := m.scaled2()
+	if !ok {
+		return 0, 0, false
+	}
+	s0, s1 = singularValues2(a)
+	return s0 * up, s1 * up, true
+}
+
+// singularValues2 is SingularValues2 on entries scaled into [1, 2). A
+// rounded s1 can exceed s0 only where the two are equal to rounding,
+// and is capped at s0.
+func singularValues2(a [4]complex128) (s0, s1 float64) {
+	p, r := Abs2(a[0])+Abs2(a[2]), Abs2(a[1])+Abs2(a[3])
+	h := float64(0.5 * (p - r))
+	root := math.Sqrt(float64(h*h) + Abs2(Inner2(a[0], a[2], a[1], a[3])))
+	s0 = math.Sqrt(float64(0.5*(p+r)) + root)
+	return s0, min(modulus(det2(a[0], a[1], a[2], a[3]))/s0, s0)
+}
+
+// SVD2 is SVDWS for a 2x2 m in closed form, its factors in the arena.
+// The singular values are SingularValues2's. The right vectors are v0,
+// the leading left singular vector of m^H (leading2, on the conjugated
+// columns of m), and v1 = Perp2(v0). The left vectors are u0, the unit
+// vector along m v0, and u1 = Perp2(u0) turned by the phase of its
+// inner product with m v1, so that u_j^H m v_j is real and
+// non-negative, as it is for SVDWS's m v_j / s_j. Where that product is
+// zero (s1 = 0) u1 is Perp2(u0) itself, which is SVDWS's null
+// completion up to phase. Taking u1's direction from u0 keeps it as
+// accurate as u0 however small s1 is. When the singular values are
+// equal to within leading2's resolution (r < 2^-480), every unit vector
+// is a right singular vector and v0, v1 are the standard basis, as
+// Jacobi leaves a Gram matrix that is already diagonal. The columns are
+// SVDWS's up to phase and rounding. Inputs SingularValues2 declines go
+// to SVDWS.
+func (m *Matrix) SVD2(ws *Workspace) (u *Matrix, s []float64, v *Matrix) {
+	a, up, ok := m.scaled2()
+	if !ok {
+		return m.SVDWS(ws)
+	}
+	s0, s1 := singularValues2(a)
+	x := [2]complex128{complex(real(a[0]), -imag(a[0])), complex(real(a[2]), -imag(a[2]))}
+	y := [2]complex128{complex(real(a[1]), -imag(a[1])), complex(real(a[3]), -imag(a[3]))}
+	v00, v10, _, _, ok := leading2(x[:], y[:])
+	if !ok {
+		v00, v10 = 1, 0
+	}
+	v01, v11, _ := Perp2(v00, v10)
+	// |m v0| = s0 >= 1 after scaling, so neither Unit2 nor Perp2 declines.
+	u00, u10, _ := Unit2(mulVec2(a[:], v00, v10))
+	u01, u11, _ := Perp2(u00, u10)
+	w0, w1 := mulVec2(a[:], v01, v11)
+	if c := Inner2(u01, u11, w0, w1); c != 0 {
+		if maxPartOf(c) < 0x1p-1000 {
+			// Exact, and it gives a subnormal c a modulus with all its
+			// bits, so the phase below is unit.
+			c = scaleBy(c, 0x1p1000)
+		}
+		mc := modulus(c)
+		ph := complex(real(c)/mc, imag(c)/mc)
+		u01, u11 = Mul(u01, ph), Mul(u11, ph)
+	}
+	s = ws.Floats(2)
+	s[0], s[1] = s0*up, s1*up
+	u, v = ws.Matrix(2, 2), ws.Matrix(2, 2)
+	u.data[0], u.data[1], u.data[2], u.data[3] = u00, u01, u10, u11
+	v.data[0], v.data[1], v.data[2], v.data[3] = v00, v01, v10, v11
+	return u, s, v
 }
 
 // Unit2 returns (z0, z1) scaled to unit norm, with the norm taken on

@@ -745,3 +745,118 @@ func TestZeroForce2MatchesGeneral(t *testing.T) {
 		checkNoWorse(t, kind, closed, general)
 	}
 }
+
+// svdCorpus returns 2x2 matrices named by kind: Gaussian; the same
+// scaled to 2^±40, 2^±300 and 2^±900; the 2x2 channels of the
+// campus_fading corpus; nearly equal singular values (a scaled unitary
+// matrix plus 10^-3 to 10^-12 of a Gaussian one); a small second
+// singular value (rank one plus 10^-3 to 10^-12 of a Gaussian matrix);
+// and exact degeneracies (rank one, a zero row or column, a scaled
+// unitary matrix).
+func svdCorpus(t *testing.T) map[string][]*Matrix {
+	rng := rand.New(rand.NewSource(137))
+	out := map[string][]*Matrix{}
+	for i := 0; i < 400; i++ {
+		out["gaussian"] = append(out["gaussian"], RandomGaussian(rng, 2, 2))
+	}
+	for _, e := range []int{-900, -300, -40, 40, 300, 900} {
+		for i := 0; i < 40; i++ {
+			out["scaled"] = append(out["scaled"], RandomGaussian(rng, 2, 2).Scale(complex(math.Ldexp(1, e), 0)))
+		}
+	}
+	for _, m := range zfCorpus(t)["campus_fading"] {
+		if m.Cols() == 2 {
+			out["campus_fading"] = append(out["campus_fading"], m)
+		}
+	}
+	unitary := func() *Matrix {
+		_, _, v := RandomGaussian(rng, 2, 2).SVD()
+		return v.Scale(complex(rng.NormFloat64(), rng.NormFloat64()))
+	}
+	rank1 := func() *Matrix {
+		v, w := RandomGaussianVector(rng, 2), RandomGaussianVector(rng, 2)
+		return FromColumns(v.Scale(w[0]), v.Scale(w[1]))
+	}
+	for k := 3; k <= 12; k++ {
+		for i := 0; i < 20; i++ {
+			eps := complex(math.Pow(10, -float64(k)), 0)
+			out["near-equal"] = append(out["near-equal"], unitary().Add(RandomGaussian(rng, 2, 2).Scale(eps)))
+			out["small-s1"] = append(out["small-s1"], rank1().Add(RandomGaussian(rng, 2, 2).Scale(eps)))
+		}
+	}
+	for i := 0; i < 20; i++ {
+		zr, zc := RandomGaussian(rng, 2, 2), RandomGaussian(rng, 2, 2)
+		zr.data[2], zr.data[3] = 0, 0
+		zc.data[1], zc.data[3] = 0, 0
+		out["degenerate"] = append(out["degenerate"], rank1(), zr, zc, unitary())
+	}
+	return out
+}
+
+// TestSVD2MatchesSVDWS runs the closed-form 2x2 SVD beside SVDWS on
+// svdCorpus. SingularValues2 must give SVD2's values bit for bit, and
+// neither may decline there. Wherever SVDWS is within 1e-9 of the
+// exact decomposition, the singular values agree to 1e-9 of s0, and the
+// singular vectors' projectors to 1e-9 where the problem's conditioning
+// s0^2/(s0^2 - s1^2) is below 1e4. SVDWS is off by more on two kinds of
+// input: a small second value, the square root of an eigenvalue of
+// m^H m, is off by up to sqrt(ε) s0 (rank-one interference in the
+// campus_fading corpus, "small-s1"); and a left vector whose singular
+// value is at or below SVDWS's absolute null threshold, 1e-12
+// (1 + MaxAbs), is taken from a standard basis vector, as for every
+// matrix scaled to 2^-300 and below. Against the math/big reference (bigSVDOf) the closed form's
+// largest and mean errors, in the values, the vectors and the backward
+// error, must be no worse than SVDWS's or below roundingFloor. -v
+// prints the table.
+func TestSVD2MatchesSVDWS(t *testing.T) {
+	ws := NewWorkspace()
+	corpus := svdCorpus(t)
+	for _, kind := range []string{"gaussian", "scaled", "campus_fading", "near-equal", "small-s1", "degenerate"} {
+		var closed, general [3]errStats
+		generalOff := 0
+		for i, m := range corpus[kind] {
+			u, s, v := m.SVD2(ws)
+			s0, s1, ok := m.SingularValues2()
+			if !ok {
+				t.Fatalf("%s %d: SingularValues2 declined %v", kind, i, m)
+			}
+			if math.Float64bits(s0) != math.Float64bits(s[0]) || math.Float64bits(s1) != math.Float64bits(s[1]) {
+				t.Fatalf("%s %d: SingularValues2 gave %v %v, SVD2 %v", kind, i, s0, s1, s)
+			}
+			gu, gs, gv := m.SVDWS(ws)
+			ref := bigSVDOf(m)
+			c, g := ref.errs(m, u, s, v), ref.errs(m, gu, gs, gv)
+			if g.values > 1e-9 || g.vectors > 1e-9 {
+				generalOff++
+			} else {
+				for j := range s {
+					if d := math.Abs(s[j] - gs[j]); d > 1e-9*gs[0] {
+						t.Fatalf("%s %d: singular value %d is %v, SVDWS %v", kind, i, j, s[j], gs[j])
+					}
+				}
+			}
+			if g.vectors <= 1e-9 && ref.vectors && ref.cond < 1e4 {
+				for j := 0; j < 2; j++ {
+					if gap := max(projectorGap(v.Col(j), gv.Col(j)), projectorGap(u.Col(j), gu.Col(j))); gap > 1e-9 {
+						t.Fatalf("%s %d: singular vectors %d %.3g apart\n m=%v", kind, i, j, gap, m)
+					}
+				}
+			}
+			closed[0].add(c.values)
+			general[0].add(g.values)
+			if ref.vectors {
+				closed[1].add(c.vectors)
+				general[1].add(g.vectors)
+			}
+			closed[2].add(c.backward)
+			general[2].add(g.backward)
+			ws.Reset()
+		}
+		t.Logf("%s: SVDWS off the exact values or vectors by more than 1e-9 on %d of %d inputs", kind, generalOff, len(corpus[kind]))
+		for j, what := range []string{"values", "vectors", "backward"} {
+			if closed[j].n > 0 {
+				checkNoWorseAbove(t, kind+" "+what, closed[j], general[j])
+			}
+		}
+	}
+}

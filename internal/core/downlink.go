@@ -186,15 +186,21 @@ var diversityLayouts = func() (out [3]*planLayout) {
 //
 // cs is a 2-transmitter (APs) by 1-receiver (client) downlink set.
 // nodePower and noise parametrize the rate estimates, which run through
-// EvaluateWS. The plan's encoding vectors and every temporary live in
-// the workspace arena and the plan comes back by value; callers that
-// keep it past the workspace's lifetime must Clone it.
+// EvaluateWS. A same-AP option's eigenmodes come from the closed-form
+// SVD2 at M = 2 and from SVDWS otherwise. The plan's encoding vectors
+// and every temporary live in the workspace arena and the plan comes
+// back by value; callers that keep it past the workspace's lifetime
+// must Clone it.
 func SolveDownlinkDiversityWS(ws *cmplxmat.Workspace, cs ChannelSet, rng *rand.Rand, nodePower, noise float64) (Plan, error) {
 	if cs.NumTx() != 2 || cs.NumRx() != 1 {
 		return Plan{}, fmt.Errorf("core: diversity needs 2 APs and 1 client, got %dx%d", cs.NumTx(), cs.NumRx())
 	}
 	m := cs.Antennas()
 	opts := EvalOptions{NodePower: nodePower, Noise: noise}
+	svd := (*cmplxmat.Matrix).SVDWS
+	if m == 2 {
+		svd = (*cmplxmat.Matrix).SVD2
+	}
 	var best Plan
 	bestRate := -1.0
 	for _, layout := range diversityLayouts {
@@ -204,7 +210,7 @@ func SolveDownlinkDiversityWS(ws *cmplxmat.Workspace, cs ChannelSet, rng *rand.R
 		if owners[0] == owners[1] {
 			// Same AP: use its two eigenmodes instead of random vectors,
 			// matching what a point-to-point MIMO transmitter would do.
-			_, _, v := cs[owners[0]][0].SVDWS(ws)
+			_, _, v := svd(cs[owners[0]][0], ws)
 			enc[0], enc[1] = v.ColWS(ws, 0), v.ColWS(ws, 1)
 		}
 		plan := Plan{M: m, Owner: owners, Encoding: enc, Schedule: layout.schedule, layout: layout}

@@ -102,6 +102,33 @@ func TestDependentDirection2MatchesGeneral(t *testing.T) {
 	}
 }
 
+// TestDependentDirection2AboveOverflow runs the M = 2 random-line
+// search on the campus_fading corpus's alignment pairs scaled by 2^950
+// to 2^990, where the line's quadratic overflows when formed from the
+// unscaled entries (LineDet2 then forms it on power-of-two-scaled
+// ones). Scaling a matrix by a power of two moves no root in t, so the
+// search must find, with the same draws, the direction it finds on the
+// unscaled pair, bit for bit.
+func TestDependentDirection2AboveOverflow(t *testing.T) {
+	ws := cmplxmat.NewWorkspace()
+	for i, g := range campusFadingAlignment(t)[:64] {
+		k1, k2 := 950+i%41, 990-i%41
+		big1 := g[0].Scale(complex(math.Ldexp(1, k1), 0))
+		big2 := g[1].Scale(complex(math.Ldexp(1, k2), 0))
+		want, wantErr := dependentDirection2WS(ws, g[0], g[1], rand.New(rand.NewSource(int64(i))))
+		got, err := dependentDirection2WS(ws, big1, big2, rand.New(rand.NewSource(int64(i))))
+		switch {
+		case wantErr != nil:
+			t.Fatalf("pair %d: no direction on the unscaled pair: %v", i, wantErr)
+		case err != nil:
+			t.Fatalf("pair %d scaled by 2^%d and 2^%d: %v", i, k1, k2, err)
+		case got[0] != want[0] || got[1] != want[1]:
+			t.Fatalf("pair %d scaled by 2^%d and 2^%d: direction %v, unscaled %v", i, k1, k2, got, want)
+		}
+		ws.Reset()
+	}
+}
+
 // BenchmarkDependentDirectionM2 times one M = 2 random-line search
 // (dependentDirection2WS), the alignment step of the one-shot chain
 // solver and of the planner's attempts on a pencil DependentDirections2

@@ -40,14 +40,19 @@ var uplinkThreeLayout = newPlanLayout([]int{0, 0, 1}, []DecodeStep{
 // layout slices are shared read-only tables). The plan comes back by
 // value, so a caller that stores it (the slot planner's candidate list)
 // allocates nothing. Callers that keep the plan past the workspace's
-// lifetime must Clone it.
+// lifetime must Clone it. At M = 2 it inverts H10 by the adjugate
+// (Inverse2WS), as PrepareUplinkChainWS does, and by LU otherwise.
 func SolveUplinkThreeWS(ws *cmplxmat.Workspace, cs ChannelSet, rng *rand.Rand) (Plan, error) {
 	if cs.NumTx() != 2 || cs.NumRx() != 2 {
 		return Plan{}, fmt.Errorf("core: SolveUplinkThree needs 2 clients and 2 APs, got %dx%d", cs.NumTx(), cs.NumRx())
 	}
 	m := cs.Antennas()
 	v1 := randUnitWS(ws, rng, m)
-	h10Inv, err := cs[1][0].InverseWS(ws)
+	inverse := (*cmplxmat.Matrix).InverseWS
+	if m == 2 {
+		inverse = (*cmplxmat.Matrix).Inverse2WS
+	}
+	h10Inv, err := inverse(cs[1][0], ws)
 	if err != nil {
 		return Plan{}, fmt.Errorf("%w: %v", ErrInfeasible, err)
 	}

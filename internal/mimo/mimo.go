@@ -9,6 +9,14 @@
 // singular vectors. Only one transmitter accesses the medium at a time;
 // extra APs provide diversity (best-AP selection), never multiplexing —
 // the antennas-per-AP throughput limit IAC removes.
+//
+// At 2x2, the simulator's common size, the decomposition is closed form
+// (cmplxmat's SVD2 and SingularValues2): the squared singular values
+// are the eigenvalues of the channel's 2x2 Gram matrix, and the vectors
+// come from the 2-vector kernels. The baseline's rate
+// (EigenmodeRateWS, per AP in BestAPWS) needs only the values. Other
+// sizes, and 2x2 channels the closed form declines (zero, non-finite or
+// out of scaling range), run the general Jacobi SVD.
 package mimo
 
 import (
@@ -100,17 +108,13 @@ func (p Precoding) Rate() float64 {
 // workspace is reset; callers that only need the rate should use
 // EigenmodeRateWS, which releases its scratch before returning.
 func EigenmodeWS(ws *cmplxmat.Workspace, h *cmplxmat.Matrix, totalPower, noise float64) Precoding {
-	if noise <= 0 {
-		panic("mimo: noise must be positive")
+	svd := (*cmplxmat.Matrix).SVDWS
+	if h.Rows() == 2 && h.Cols() == 2 {
+		svd = (*cmplxmat.Matrix).SVD2
 	}
-	u, s, v := h.SVDWS(ws)
-	gains := ws.Floats(len(s))
-	for i, sv := range s {
-		gains[i] = sv * sv / noise
-	}
-	powers := ws.Floats(len(s))
-	waterfillInto(powers, gains, totalPower, ws.Ints(len(s)))
-	p := Precoding{Powers: powers, Gains: gains}
+	u, s, v := svd(h, ws)
+	p := Precoding{Powers: ws.Floats(len(s)), Gains: ws.Floats(len(s))}
+	p.waterfill(s, totalPower, noise, ws.Ints(len(s)))
 	tx := ws.Vectors(len(s))
 	rx := ws.Vectors(len(s))
 	for j := range s {
@@ -121,9 +125,35 @@ func EigenmodeWS(ws *cmplxmat.Workspace, h *cmplxmat.Matrix, totalPower, noise f
 	return p
 }
 
-// EigenmodeRateWS computes the eigenmode sum rate using only workspace
-// scratch, releasing everything it allocated before returning.
+// waterfill fills p's Gains from the singular values s (sigma^2/noise)
+// and pours totalPower over them into p's Powers, with idx as scratch.
+func (p Precoding) waterfill(s []float64, totalPower, noise float64, idx []int) {
+	if noise <= 0 {
+		panic("mimo: noise must be positive")
+	}
+	for i, sv := range s {
+		p.Gains[i] = sv * sv / noise
+	}
+	waterfillInto(p.Powers, p.Gains, totalPower, idx)
+}
+
+// EigenmodeRateWS computes the eigenmode sum rate, EigenmodeWS's Rate,
+// releasing any scratch it allocated before returning. A 2x2 channel
+// needs only its singular values: it waterfills SingularValues2's gains
+// on fixed-size locals, with no arena work, and its rate has the bits
+// of EigenmodeWS(...).Rate(), whose SVD2 takes the same values. A
+// channel SingularValues2 declines, and any other size, takes
+// EigenmodeWS.
 func EigenmodeRateWS(ws *cmplxmat.Workspace, h *cmplxmat.Matrix, totalPower, noise float64) float64 {
+	if h.Rows() == 2 && h.Cols() == 2 {
+		if s0, s1, ok := h.SingularValues2(); ok {
+			var powers, gains [2]float64
+			var idx [2]int
+			p := Precoding{Powers: powers[:], Gains: gains[:]}
+			p.waterfill([]float64{s0, s1}, totalPower, noise, idx[:])
+			return p.Rate()
+		}
+	}
 	mark := ws.Mark()
 	defer ws.Release(mark)
 	return EigenmodeWS(ws, h, totalPower, noise).Rate()

@@ -318,3 +318,64 @@ func TestRankDeficientChannel(t *testing.T) {
 		t.Fatal("zero channel rate must be 0")
 	}
 }
+
+// TestEigenmodeRate2MatchesGeneral runs the 2x2 baseline rate, which
+// waterfills the closed-form singular values (SingularValues2), beside
+// the same waterfilling on SVDWS's values, over 10^4 Gaussian channels
+// with the noise drawn from 10^-3 to 10^2, so that both strong and
+// weak second modes occur. The rates agree to 1e-12 relative, the
+// waterfill drops the weak mode on the same inputs, and the rate is
+// EigenmodeWS(...).Rate()'s bits (EigenmodeWS runs the closed-form
+// SVD2, whose values are SingularValues2's).
+func TestEigenmodeRate2MatchesGeneral(t *testing.T) {
+	rng := rand.New(rand.NewSource(139))
+	w := cmplxmat.NewWorkspace()
+	dropped, kept := 0, 0
+	for i := 0; i < 10000; i++ {
+		h := cmplxmat.RandomGaussian(rng, 2, 2)
+		noise := math.Pow(10, -3+5*rng.Float64())
+		got := EigenmodeRateWS(w, h, 1, noise)
+		if full := EigenmodeWS(w, h, 1, noise).Rate(); math.Float64bits(got) != math.Float64bits(full) {
+			t.Fatalf("channel %d: rate %v, EigenmodeWS's %v", i, got, full)
+		}
+		_, s, _ := h.SVDWS(w)
+		general := Precoding{Powers: make([]float64, 2), Gains: make([]float64, 2)}
+		general.waterfill(s, 1, noise, make([]int, 2))
+		if d := math.Abs(got - general.Rate()); d > 1e-12*general.Rate() {
+			t.Fatalf("channel %d: rate %v, SVDWS path %v", i, got, general.Rate())
+		}
+		s0, s1, _ := h.SingularValues2()
+		closed := Precoding{Powers: make([]float64, 2), Gains: make([]float64, 2)}
+		closed.waterfill([]float64{s0, s1}, 1, noise, make([]int, 2))
+		if (closed.Powers[1] == 0) != (general.Powers[1] == 0) {
+			t.Fatalf("channel %d: weak mode power %v, SVDWS path %v", i, closed.Powers[1], general.Powers[1])
+		}
+		if closed.Powers[1] == 0 {
+			dropped++
+		} else {
+			kept++
+		}
+		w.Reset()
+	}
+	t.Logf("weak mode dropped on %d channels, kept on %d", dropped, kept)
+	if dropped == 0 || kept == 0 {
+		t.Fatalf("the draw never exercised one side of the waterfill: %d dropped, %d kept", dropped, kept)
+	}
+}
+
+// BenchmarkEigenmodeRate2 times one 2x2 EigenmodeRateWS, the rate the
+// 802.11-MIMO baseline (BestAPWS) takes per candidate AP, over 16
+// Gaussian channels cycled, at an SNR where the weak mode is sometimes
+// dropped.
+func BenchmarkEigenmodeRate2(b *testing.B) {
+	rng := rand.New(rand.NewSource(149))
+	hs := make([]*cmplxmat.Matrix, 16)
+	for i := range hs {
+		hs[i] = cmplxmat.RandomGaussian(rng, 2, 2)
+	}
+	w := cmplxmat.NewWorkspace()
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		EigenmodeRateWS(w, hs[i%len(hs)], 1, 0.3)
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"iaclan/internal/phy"
@@ -33,13 +34,20 @@ func benchIdleCampus(b *testing.B, scan bool) {
 	defer phy.PutWorkspace(e.ws)
 	// Warm up past construction transients (first-touch cache fills,
 	// store materialization) so ns/op reads the steady-state cycle.
+	// Construction leaves a collection in flight: finish it, then warm
+	// up again, so the timed loop neither overlaps the collection nor
+	// starts on the state it leaves.
 	for i := 0; i < 256; i++ {
+		e.cycle(i)
+	}
+	runtime.GC()
+	for i := 256; i < 512; i++ {
 		e.cycle(i)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.cycle(256 + i)
+		e.cycle(512 + i)
 	}
 }
 
